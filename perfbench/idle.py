@@ -4,13 +4,14 @@ workload runs.
 On the 2-vCPU VM this benchmark was built on, a vCPU with nothing to run
 halts, and waking it again costs far more than a context switch.  Every
 barrier of the process team and every hand-off between the service's
-threads paid that cost: with idle vCPUs, a ``modelopt_par`` unit took
-~0.8 s and a ``serve_mixed`` session ~0.11 s, both swinging by up to ~1.8x
-in phases of 10-60 s; with the idle-keepers they take ~0.32 s and
-~0.055 s and repeat within a few percent.  A ``SCHED_IDLE`` process runs
-only when its CPU would otherwise be idle and yields at once to any normal
-task that wakes, so the program keeps the CPUs it asks for; the CPUs just
-never halt, as under the kernel's ``idle=poll``.
+threads paid that cost: on 12-taxon inputs with idle vCPUs, a
+``modelopt_par`` unit took ~0.8 s and a ``serve_mixed`` session ~0.11 s,
+both swinging by up to ~1.8x in phases of 10-60 s; with the idle-keepers
+they took ~0.32 s and ~0.055 s and repeated within a few percent.  A
+``SCHED_IDLE`` process runs only when its CPU would otherwise be idle and
+yields at once to any normal task that wakes, so the program keeps the
+CPUs it asks for; the CPUs just never halt, as under the kernel's
+``idle=poll``.
 
 Run as a script, this file is one idle-keeper: it spins until its parent
 goes away.
@@ -35,6 +36,10 @@ class IdleKeepers:
         self._procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__)])
                        for _ in range(self.count)]
         return self
+
+    @property
+    def pids(self) -> set[int]:
+        return {proc.pid for proc in self._procs}
 
     def __exit__(self, *exc) -> None:
         for proc in self._procs:

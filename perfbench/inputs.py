@@ -83,6 +83,18 @@ def _simulate(root, n_sites, rates, rng) -> list[np.ndarray]:
     return leaves
 
 
+def _distinct_columns(root, n_columns: int, speed: float, rng) -> np.ndarray:
+    """``(taxa, n_columns)`` states, every column distinct."""
+    kept: dict[bytes, np.ndarray] = {}
+    while len(kept) < n_columns:
+        rates = speed * rng.gamma(4.0, 0.25, size=n_columns)
+        for column in np.stack(_simulate(root, n_columns, rates, rng), axis=1):
+            kept.setdefault(column.tobytes(), column)
+            if len(kept) == n_columns:
+                break
+    return np.stack(list(kept.values()), axis=1)
+
+
 def _newick(root) -> str:
     counter = iter(range(10**6))
 
@@ -103,12 +115,13 @@ def generate(shape: Shape, seed: int) -> Inputs:
     rng = np.random.default_rng([seed, shape.taxa, shape.partitions, shape.columns])
     root = _balanced_clades(shape.taxa, rng)
     # Per-partition speed (genes evolve at different rates) times a
-    # Gamma(4) rate per site.  Divergence is high enough that nearly every
-    # column is a distinct pattern, so the work per unit barely depends on
-    # the seed.
+    # Gamma(4) rate per site.  A simulated column equal to one already kept
+    # in its partition is dropped and more are drawn, so every partition of
+    # every seed has exactly ``columns`` distinct patterns: the kernel work
+    # per unit does not depend on the seed.
     part_speed = rng.uniform(0.9, 1.1, size=shape.partitions)
-    rates = np.repeat(part_speed, shape.columns) * rng.gamma(4.0, 0.25, size=shape.sites)
-    leaves = _simulate(root, shape.sites, rates, rng)
+    leaves = np.concatenate(
+        [_distinct_columns(root, shape.columns, speed, rng) for speed in part_speed], axis=1)
     # Leaf names follow newick appearance order, so the alignment rows and
     # the parsed tree's leaf ids agree.
     rows = [f"t{i:02d} " + _BASES[s].tobytes().decode() for i, s in enumerate(leaves)]

@@ -5,7 +5,7 @@ metrics untraced and per-layer metrics traced.
 Run from the repository root::
 
     python3 perfbench/run.py                      # all workloads, untraced then traced
-    python3 perfbench/run.py --workload modelopt_par --seed 3 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload modelopt_par --seed 3 --seconds 30 --trace 0
 
 With ``--workload`` the last line of standard output is one JSON object
 ``{"correct", "attempted", "failed", "metrics"}`` holding the end-to-end
@@ -33,6 +33,7 @@ import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
@@ -44,7 +45,7 @@ WORKLOAD_NAMES = ("pipeline_seq", "modelopt_par", "serve_mixed")
 #: (name, unit) of the end-to-end metrics printed with ``--trace 0``.
 END_TO_END = (
     ("setup_s", "s"),
-    ("unit_p50_s", "s"),
+    ("unit_cpu_p50_s", "s"),
     ("peak_rss_mb", "MB"),
 )
 
@@ -97,6 +98,9 @@ PER_LAYER = (
     ("serve.pool_misses", "count"),
     ("serve.tenant_imbalance", "ratio"),
     ("host.ref_ms", "ms"),
+    ("host.steal_frac", "frac"),
+    ("wall.unit_p50_s", "s"),
+    ("wall.setup_s", "s"),
     ("trace.overhead_frac", "frac"),
     ("trace.unattributed_frac", "frac"),
 )
@@ -108,7 +112,7 @@ def _parse(argv):
                     help="run one workload in this process (default: all, each "
                          "in a fresh interpreter, untraced then traced)")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0,
+    ap.add_argument("--seconds", type=float, default=30.0,
                     help="length of the measured window")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--size", choices=("full", "toy"), default="full",
@@ -150,6 +154,7 @@ def run_one(args) -> int:
     os.environ["TMPDIR"] = str(work)
 
     import repro
+    from cpuclock import SpeedGauge, TreeClock, steal_s
     from idle import IdleKeepers
     from inputs import generate, write
     from tracing import SpanTracer
@@ -169,8 +174,13 @@ def run_one(args) -> int:
         inputs = generate(shape, args.seed)
         paths = write(inputs, str(work / "inputs"))
         tracer = SpanTracer() if args.trace else None
-        with keepers:
-            out = WORKLOADS[args.workload](paths, inputs, args.seed, args.seconds, setups, tracer)
+        with keepers, SpeedGauge() as gauge:
+            clock = TreeClock(gauge, exclude=keepers.pids)
+            steal0, wall0 = steal_s(), time.perf_counter()
+            out = WORKLOADS[args.workload](paths, inputs, args.seed, args.seconds, setups,
+                                           clock, tracer)
+            steal_frac = (steal_s() - steal0) / (time.perf_counter() - wall0) / os.cpu_count()
+            peak_rss_mb = _peak_rss_mb()  # before the idle-keepers are reaped
         if tracer is not None:
             tracer.write(str(WORK / f"spans-{args.workload}.jsonl"))
     finally:
@@ -179,23 +189,41 @@ def run_one(args) -> int:
     for message in out.errors:
         print(f"# CHECK FAILED: {message}")
     if len(out.unit_s) <= 64:
-        print("# unit seconds: " + " ".join(f"{v:.4f}" for v in out.unit_s))
+        print("# unit wall seconds: " + " ".join(f"{v:.4f}" for v in out.unit_s))
+    if len(out.unit_cpu_s) <= 64:
+        print("# unit CPU seconds: " + " ".join(f"{v:.4f}" for v in out.unit_cpu_s))
+        print("# unit gauge loop ms: " + " ".join(f"{v * 1e3:.3f}" for v in out.unit_ref_s))
+        print("# unit normalised seconds: " + " ".join(f"{v:.4f}" for v in out.unit_norm_s))
+    print("# set-up CPU seconds: " + " ".join(f"{v:.4f}" for v in out.setup_cpu_s))
     n_units = len(out.unit_s)
     if args.trace:
-        out.layer["host.ref_ms"] = statistics.median(out.host_ms)
+        out.layer["host.ref_ms"] = statistics.median(out.unit_ref_s) * 1e3
+        out.layer["host.steal_frac"] = steal_frac
+        out.layer["wall.unit_p50_s"] = statistics.median(out.unit_s)
+        out.layer["wall.setup_s"] = statistics.median(out.setup_s)
         metrics = {name: {"value": float(out.layer.get(name, 0.0)), "unit": unit}
                    for name, unit in PER_LAYER}
         samples = {name: n_units for name, _ in PER_LAYER}
     else:
         values = {
-            "setup_s": statistics.median(out.setup_s),
-            "unit_p50_s": statistics.median(out.unit_s),
-            "peak_rss_mb": _peak_rss_mb(),
+            "setup_s": statistics.median(out.setup_norm_s),
+            "unit_cpu_p50_s": statistics.median(out.unit_norm_s),
+            "peak_rss_mb": peak_rss_mb,
         }
         metrics = {name: {"value": float(values[name]), "unit": unit}
                    for name, unit in END_TO_END}
-        samples = {"setup_s": len(out.setup_s), "unit_p50_s": n_units, "peak_rss_mb": 1}
-        out.report = {"units_per_s": (n_units / out.busy_s, "1/s", n_units), **out.report}
+        samples = {"setup_s": len(out.setup_norm_s), "unit_cpu_p50_s": len(out.unit_norm_s),
+                   "peak_rss_mb": 1}
+        out.report = {
+            "unit_wall_p50_s": (statistics.median(out.unit_s), "s", n_units),
+            "unit_raw_cpu_p50_s": (statistics.median(out.unit_cpu_s), "s", len(out.unit_cpu_s)),
+            "setup_raw_cpu_s": (statistics.median(out.setup_cpu_s), "s", len(out.setup_cpu_s)),
+            "gauge_loop_ms": (statistics.median(out.unit_ref_s) * 1e3, "ms", len(out.unit_ref_s)),
+            "setup_wall_s": (statistics.median(out.setup_s), "s", len(out.setup_s)),
+            "units_per_s": (n_units / out.busy_s, "1/s", n_units),
+            "steal_frac": (steal_frac, "frac", 1),
+            **out.report,
+        }
     for name, m in metrics.items():
         print(f"{name:32s} {m['value']:14.6g} {m['unit']:6s} n={samples[name]}")
     for name, (value, unit, n) in out.report.items():

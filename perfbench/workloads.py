@@ -7,9 +7,13 @@ calls go through the public API with default settings; the only values
 passed are ``backend="processes"``, ``n_workers=2`` and the service's three
 sizing fields.
 
-Cold set-ups are spread evenly through the measured window instead of run
-back to back, so that their median samples the same host conditions as
-the units.
+Every set-up and unit is timed twice: in normalised CPU seconds of the
+process tree (``cpuclock``: this process, its threads and the worker
+processes, rescaled by a speed gauge), which the end-to-end metrics
+report, and in wall seconds, which the per-layer and report figures
+show.  Cold set-ups are spread evenly
+through the measured window instead of run back to back, so that their
+median samples the same host conditions as the units.
 
 Traced runs interleave untraced and traced units on identical work, so the
 tracing overhead is measured in the same run on the same inputs.
@@ -53,9 +57,9 @@ __all__ = ["SHAPES", "Outcome", "WORKLOADS"]
 
 #: (full, toy) input shapes per workload.
 SHAPES = {
-    "pipeline_seq": (Shape(12, 4, 300), Shape(6, 2, 40)),
-    "modelopt_par": (Shape(12, 16, 60), Shape(6, 4, 20)),
-    "serve_mixed": (Shape(12, 16, 60), Shape(6, 4, 20)),
+    "pipeline_seq": (Shape(8, 4, 120), Shape(6, 2, 40)),
+    "modelopt_par": (Shape(8, 16, 60), Shape(6, 4, 20)),
+    "serve_mixed": (Shape(8, 16, 60), Shape(6, 4, 20)),
 }
 N_WORKERS = 2
 N_TENANTS = 2
@@ -63,21 +67,29 @@ N_TENANTS = 2
 SESSION_JOBS = 5
 #: Length of one replay block of the service (set-ups run between blocks;
 #: traced runs alternate untraced and traced blocks).
-SERVE_BLOCK_S = 2.0
+SERVE_BLOCK_S = 1.0
 RTOL = 1e-9
 
 
 @dataclass
 class Outcome:
+    #: Wall seconds per set-up and per untraced unit.
     setup_s: list[float] = field(default_factory=list)
     unit_s: list[float] = field(default_factory=list)
+    #: The same set-ups and units in normalised seconds and in raw CPU
+    #: seconds of the process tree (``cpuclock.TreeClock``), and the mean
+    #: gauge loop seconds during each unit.
+    setup_norm_s: list[float] = field(default_factory=list)
+    unit_norm_s: list[float] = field(default_factory=list)
+    setup_cpu_s: list[float] = field(default_factory=list)
+    unit_cpu_s: list[float] = field(default_factory=list)
+    unit_ref_s: list[float] = field(default_factory=list)
     #: Wall seconds of the untraced units (for throughput).
     busy_s: float = 0.0
     attempted: int = 0
     failed: int = 0
     errors: list[str] = field(default_factory=list)
     layer: dict[str, float] = field(default_factory=dict)
-    host_ms: list[float] = field(default_factory=list)
     #: name -> (value, unit, samples): figures printed for people only.
     report: dict[str, tuple[float, str, int]] = field(default_factory=dict)
 
@@ -86,14 +98,22 @@ class Outcome:
             self.errors.append(message)
         return ok
 
+    def add_unit(self, measured) -> None:
+        """Record ``TreeClock.stop()`` of an untraced unit."""
+        norm, cpu, ref = measured
+        self.unit_norm_s.append(norm)
+        self.unit_cpu_s.append(cpu)
+        self.unit_ref_s.append(ref)
+
 
 class _Setups:
     """Cold set-ups: one before the window, the rest at even intervals
     through it, any still missing after it.  ``build`` returns a value the
     workload checks (a first lnL, a job view)."""
 
-    def __init__(self, out: Outcome, count: int, build, tracer):
+    def __init__(self, out: Outcome, count: int, build, tracer, clock):
         self.out, self.count, self.build, self.tracer = out, count, build, tracer
+        self.clock = clock
         self.values: list = []
 
     def run(self) -> None:
@@ -101,9 +121,12 @@ class _Setups:
             self.tracer.unit = "setup"
             self.tracer.install()
         try:
-            t0 = time.perf_counter()
+            mark, t0 = self.clock.start(), time.perf_counter()
             self.values.append(self.build())
             self.out.setup_s.append(time.perf_counter() - t0)
+            norm, cpu, _ = self.clock.stop(mark)
+            self.out.setup_norm_s.append(norm)
+            self.out.setup_cpu_s.append(cpu)
         finally:
             if self.tracer is not None:
                 self.tracer.uninstall()
@@ -124,17 +147,6 @@ def _close(a: float, b: float) -> bool:
 
 def _p(values, q: float) -> float:
     return float(np.percentile(values, q)) if len(values) else 0.0
-
-
-def host_ref_ms() -> float:
-    """A fixed numpy + interpreter loop; its time tracks how fast the host
-    is running right now."""
-    a = np.linspace(0.0, 1.0, 4096)
-    t0 = time.perf_counter()
-    s = 0.0
-    for i in range(4000):
-        s += float(np.dot(a, a)) + i * 0.5
-    return (time.perf_counter() - t0) * 1e3
 
 
 def _load(paths: dict):
@@ -224,7 +236,7 @@ def _setup_spans(out: Outcome, tracer) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_pipeline(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
+def run_pipeline(paths, inputs, seed, seconds, n_setups, clock, tracer=None) -> Outcome:
     out = Outcome()
     shape = inputs.shape
 
@@ -239,7 +251,7 @@ def run_pipeline(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
         engine = PartitionedEngine(data, start)
         return engine.loglikelihood(), data, start, engine.branch_lengths()
 
-    setups = _Setups(out, n_setups, setup, tracer)
+    setups = _Setups(out, n_setups, setup, tracer, clock)
     setups.run()
     first, data, start, lengths = setups.values[0]
     rows = [line.split()[1].encode() for line in inputs.phylip.splitlines()[1:]]
@@ -262,19 +274,20 @@ def run_pipeline(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
 
     def replicate(k: int, traced: bool):
         """One unit: bootstrap weights -> engine on the ML tree -> one
-        search round.  Returns (seconds, state for checks, hooks)."""
+        search round.  Returns ((wall s, clock.stop()), state for checks,
+        hooks)."""
         hooks = {}
         if traced:
             hooks = {"recorder": TraceRecorder(), "telemetry": ConvergenceTelemetry()}
             tracer.unit = k
             tracer.install()
-        t0 = time.perf_counter()
+        mark, t0 = clock.start(), time.perf_counter()
         try:
             rep = bootstrap_replicate(data, np.random.default_rng([seed, 101, k]))
             e = PartitionedEngine(rep, ml_tree.copy(), initial_lengths=ml_lengths, **hooks)
             res = tree_search(e, max_rounds=1)
         finally:
-            elapsed = time.perf_counter() - t0
+            elapsed = (time.perf_counter() - t0, clock.stop(mark))
             if traced:
                 tracer.uninstall()
         state = (rep, e.tree, [p.model for p in e.parts], [p.alpha for p in e.parts],
@@ -301,11 +314,11 @@ def run_pipeline(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
             traced_first = k % 2 == 1
             a = replicate(k, traced_first)
             b = replicate(k, not traced_first)
-            (s, state, _), (st, tstate, hooks) = (b, a) if traced_first else (a, b)
+            (s, state, _), ((st, _), tstate, hooks) = (b, a) if traced_first else (a, b)
             same_work(state, tstate, "traced")
-            paired.append((s, st, hooks, tstate[5]))
-            out.host_ms.append(host_ref_ms())
-        out.unit_s.append(s)
+            paired.append((s[0], st, hooks, tstate[5]))
+        out.unit_s.append(s[0])
+        out.add_unit(s[1])
         if k == 0:
             same_work(warm, state, "warm-up")
         states.append(state)
@@ -380,7 +393,7 @@ def _sequential_unit(data, tree, lengths, models, alphas) -> tuple[float, float,
     return first, final, time.perf_counter() - t0
 
 
-def run_modelopt(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
+def run_modelopt(paths, inputs, seed, seconds, n_setups, clock, tracer=None) -> Outcome:
     out = Outcome()
     shape = inputs.shape
     models = [SubstitutionModel.gtr(r, f) for r, f in gtr_parameters(shape, seed)]
@@ -396,7 +409,7 @@ def run_modelopt(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
         with build() as team:
             return team.loglikelihood()
 
-    setups = _Setups(out, n_setups, setup, tracer)
+    setups = _Setups(out, n_setups, setup, tracer, clock)
     setups.run()
     _, data = _load(paths)
     tree, lengths = _read_tree(paths)
@@ -404,12 +417,13 @@ def run_modelopt(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
 
     def unit(team: ParallelPLK):
         c0, b0 = team.commands_issued, team.comms_stats()
-        t0 = time.perf_counter()
+        mark, t0 = clock.start(), time.perf_counter()
         team.restore_parameters(lengths, alphas)
         team.optimize_branches(smoothing_edge_order(tree))
         team.optimize_alpha()
         lnl = team.loglikelihood()
         elapsed = time.perf_counter() - t0
+        measured = clock.stop(mark)
         b1 = team.comms_stats()
         # Pipe bytes stay out of the identity check: every unit pickles
         # larger branch-workspace tokens than the one before.
@@ -417,7 +431,7 @@ def run_modelopt(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
             b1["pipe_tx_bytes"] + b1["pipe_rx_bytes"] - b0["pipe_tx_bytes"] - b0["pipe_rx_bytes"],
             b1["shm_rx_bytes"] - b0["shm_rx_bytes"],
         )
-        return elapsed, lnl, team.commands_issued - c0, nbytes
+        return (elapsed, measured), lnl, team.commands_issued - c0, nbytes
 
     plain = build()
     hooked = None
@@ -433,8 +447,9 @@ def run_modelopt(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
         t_start = time.perf_counter()
         k = 0
         while True:
-            s, lnl, barriers, _ = unit(plain)
+            (s, measured), lnl, barriers, _ = unit(plain)
             out.unit_s.append(s)
+            out.add_unit(measured)
             out.attempted += 1
             ok = out.check(_close(lnl, ref_final), f"modelopt: lnL {lnl} != one-process {ref_final}")
             ok &= out.check(lnl == lnl0 and barriers == barriers0,
@@ -444,14 +459,13 @@ def run_modelopt(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome
                 tracer.unit = k
                 tracer.install()
                 try:
-                    s, lnl, barriers, nbytes = unit(hooked)
+                    (s, _), lnl, barriers, nbytes = unit(hooked)
                 finally:
                     tracer.uninstall()
                 traced_s.append(s)
                 traced_bytes.append(nbytes)
                 out.check(lnl == lnl0 and barriers == barriers0,
                           f"modelopt: traced unit {k} did different work")
-                out.host_ms.append(host_ref_ms())
             k += 1
             setups.due(t_start, seconds)
             if time.perf_counter() - t_start >= seconds:
@@ -500,7 +514,7 @@ def _sessions(seed: int, tenant: int, n_edges: int):
         yield session
 
 
-def run_serve(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
+def run_serve(paths, inputs, seed, seconds, n_setups, clock, tracer=None) -> Outcome:
     out = Outcome()
     dataset = {"kind": "files", **paths}
     config = ServiceConfig(workers=N_WORKERS, backend="processes", executors=1,
@@ -541,16 +555,17 @@ def run_serve(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
         with LikelihoodService(config) as service:
             return LocalClient(service).run(spec("loglikelihood"))
 
-    setups = _Setups(out, n_setups, setup, tracer)
+    setups = _Setups(out, n_setups, setup, tracer, clock)
     setups.run()
     streams = [_sessions(seed, t, ctx.tree.n_edges) for t in range(N_TENANTS)]
 
-    def replay(service, jobs: list, sessions: list, tenants: set) -> float:
+    def replay(service, jobs: list, sessions: list, tenants: set) -> tuple[float, float]:
         """One block of closed-loop load: each tenant thread submits its
         next job when the previous one is terminal and starts no session
         after ``SERVE_BLOCK_S``.  Appends (op, latency s, view) to
         ``jobs``, session seconds to ``sessions`` and the tenant thread
-        idents to ``tenants``; returns the block's wall seconds."""
+        idents to ``tenants``; returns the block's wall seconds and its
+        ``clock.stop()`` per session."""
         client = LocalClient(service)
         deadline = time.perf_counter() + SERVE_BLOCK_S
         lock = threading.Lock()
@@ -573,12 +588,16 @@ def run_serve(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
                     sessions.append(time.perf_counter() - start)
 
         threads = [threading.Thread(target=tenant, args=(t,)) for t in range(N_TENANTS)]
-        t0 = time.perf_counter()
+        n0 = len(sessions)
+        mark, t0 = clock.start(), time.perf_counter()
         for th in threads:
             th.start()
         for th in threads:
             th.join()
-        return time.perf_counter() - t0
+        wall = time.perf_counter() - t0
+        norm, cpu, ref = clock.stop(mark)
+        n = max(len(sessions) - n0, 1)
+        return wall, (norm / n, cpu / n, ref)
 
     plain = LikelihoodService(config).start()
     hooked = None
@@ -602,15 +621,26 @@ def run_serve(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
         block = 0
         t_start = time.perf_counter()
         while time.perf_counter() - t_start < seconds:
-            out.busy_s += replay(plain, jobs, out.unit_s, set())
+            block_jobs: list = []
+            wall, measured = replay(plain, block_jobs, out.unit_s, set())
+            out.busy_s += wall
+            out.add_unit(measured)
+            # Check each job now and keep only its op and latency, so that
+            # memory does not grow with the number of jobs served.
+            for op, latency, view in block_jobs:
+                out.attempted += 1
+                if not correct(view):
+                    out.failed += 1
+                    out.check(False, f"serve: job {view.get('id')} wrong or not done: "
+                                     f"{view.get('state')}")
+                jobs.append((op, latency))
             if hooked is not None:
                 tracer.unit = block
                 tracer.install()
                 try:
-                    traced_wall += replay(hooked, traced_jobs, traced_sessions, tenants)
+                    traced_wall += replay(hooked, traced_jobs, traced_sessions, tenants)[0]
                 finally:
                     tracer.uninstall()
-                out.host_ms.append(host_ref_ms())
             block += 1
             setups.due(t_start, seconds)
         setups.finish()
@@ -625,13 +655,8 @@ def run_serve(paths, inputs, seed, seconds, n_setups, tracer=None) -> Outcome:
 
     for view in setups.values:
         out.check(correct(view), f"serve: a set-up's first job is wrong: {view}")
-    for op, latency, view in jobs:
-        out.attempted += 1
-        if not correct(view):
-            out.failed += 1
-            out.check(False, f"serve: job {view.get('id')} wrong or not done: {view.get('state')}")
-    reads = [lat * 1e3 for op, lat, _ in jobs if op == "loglikelihood"]
-    writes = [lat * 1e3 for op, lat, _ in jobs if op != "loglikelihood"]
+    reads = [lat * 1e3 for op, lat in jobs if op == "loglikelihood"]
+    writes = [lat * 1e3 for op, lat in jobs if op != "loglikelihood"]
     out.report["read_p50_ms"] = (_p(reads, 50), "ms", len(reads))
     out.report["read_p95_ms"] = (_p(reads, 95), "ms", len(reads))
     out.report["write_p50_ms"] = (_p(writes, 50), "ms", len(writes))
