@@ -1,18 +1,17 @@
 """SERV1 — Warm-pool service throughput vs cold one-shot runs.
 
 The service tier's claim: keeping worker teams forked-and-ready between
-requests removes the per-request setup bill — fork the team, build the
-pre-fork shm input arena, prime every worker's partition engines — that
-a one-shot run pays every time.  Measured on the processes backend with
-``comms=shm`` (the configuration where setup is most expensive and the
-paper-relevant one for many-core serving):
+requests removes the per-request setup bill — fork the team, prime every
+worker's partition engines — that a one-shot run pays every time.
+Measured on the processes backend (the configuration where setup is most
+expensive and the paper-relevant one for many-core serving):
 
 *Cold lane* — each submission builds a fresh
 :class:`~repro.parallel.engine.ParallelPLK`, computes one lnl, tears
 down.  *Warm lane* — the same submissions against one
 :class:`~repro.serve.daemon.LikelihoodService`: only the FIRST builds a
 team (``pool.misses == 1`` is asserted — every later submission skipped
-fork+arena setup), the rest ride the warm pool through the full
+fork setup), the rest ride the warm pool through the full
 queue/schedule/execute path.
 
 Hard assertions: pool reuse (misses == 1, hits == N-1), warm results
@@ -41,11 +40,11 @@ DS = {"kind": "simulated", "taxa": 8, "sites": 600, "partitions": 6, "seed": 17}
 
 
 def _cold_submission(context) -> tuple[float, float]:
-    """One cold one-shot: full build (fork + arena) + lnl + teardown."""
+    """One cold one-shot: full build (fork) + lnl + teardown."""
     t0 = time.perf_counter()
     with ParallelPLK(context.data, context.tree, context.models,
                      context.alphas, n_workers=WORKERS, backend="processes",
-                     comms="shm", initial_lengths=context.lengths) as eng:
+                     initial_lengths=context.lengths) as eng:
         lnl = eng.loglikelihood(0)
     return time.perf_counter() - t0, lnl
 
@@ -63,7 +62,7 @@ def test_serv1_warm_pool_vs_cold_oneshot(results_dir):
 
     svc = LikelihoodService(ServiceConfig(
         workers=WORKERS, executors=1, pool_capacity=1,
-        backend="processes", comms="shm",
+        backend="processes",
     ))
     warm_times, warm_lnls = [], []
     with svc:
@@ -92,8 +91,7 @@ def test_serv1_warm_pool_vs_cold_oneshot(results_dir):
     )
 
     payload = {
-        "workload": {**DS, "workers": WORKERS, "backend": "processes",
-                     "comms": "shm"},
+        "workload": {**DS, "workers": WORKERS, "backend": "processes"},
         "n_jobs": N_JOBS,
         "cold": {
             "mean_s": round(cold_mean, 5),
@@ -112,9 +110,9 @@ def test_serv1_warm_pool_vs_cold_oneshot(results_dir):
     )
     lines = [
         "SERV1  warm-pool service vs cold one-shot "
-        f"({N_JOBS} lnl submissions, {WORKERS}-worker processes+shm teams)",
+        f"({N_JOBS} lnl submissions, {WORKERS}-worker processes teams)",
         f"  cold one-shot   mean {cold_mean * 1e3:8.1f} ms  "
-        f"(fork + arena + lnl + teardown each time)",
+        f"(fork + lnl + teardown each time)",
         f"  warm first      {warm_times[0] * 1e3:13.1f} ms  "
         f"(pays the one cold build)",
         f"  warm steady     mean {warm_mean * 1e3:8.1f} ms  "

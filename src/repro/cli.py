@@ -134,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=workers_default)
         p.add_argument("--backend", choices=("threads", "processes"),
                        default="processes")
-        p.add_argument("--comms", choices=("pipe", "shm"), default="pipe",
-                       help="result transport for the processes backend: "
-                       "pickled pipe replies or the zero-copy shared-memory "
-                       "result plane (default: %(default)s)")
         p.add_argument("--kernel", choices=KERNEL_CHOICES, default="numpy",
                        help="PLK inner-loop backend: the numpy reference, "
                        "the cache-blocked BLAS kernel, the numba JIT "
@@ -256,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="workers per team (default: %(default)s)")
     srv.add_argument("--backend", choices=("threads", "processes"),
                      default="threads")
-    srv.add_argument("--comms", choices=("pipe", "shm"), default="pipe",
-                     help="processes-backend result transport")
     srv.add_argument("--kernel", choices=KERNEL_CHOICES, default="numpy")
     srv.add_argument("--distribution", choices=DISTRIBUTIONS, default="cyclic")
     srv.add_argument("--executors", type=int, default=2,
@@ -327,8 +321,6 @@ def _validate_workload(args: argparse.Namespace) -> str | None:
     if args.edges > n_edges:
         return (f"--edges {args.edges} exceeds the {n_edges} branches of a "
                 f"{args.taxa}-taxon unrooted tree")
-    if getattr(args, "comms", "pipe") == "shm" and args.backend != "processes":
-        return "--comms shm requires --backend processes"
     if (getattr(args, "prom", None) or getattr(args, "events", None)) and \
             not getattr(args, "live", False):
         return "--prom and --events require --live"
@@ -542,7 +534,6 @@ def _run_profiled_strategies(
     from .perf import Profiler
 
     data, tree, lengths, models, alphas, edges = _build_workload(args)
-    comms = getattr(args, "comms", "pipe")
     kernel = getattr(args, "kernel", None)
     profiles = {}
     for strategy in ("old", "new"):
@@ -561,7 +552,7 @@ def _run_profiled_strategies(
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             backend=args.backend, distribution=args.distribution,
-            comms=comms, kernel=kernel, initial_lengths=lengths,
+            kernel=kernel, initial_lengths=lengths,
             profiler=profiler, live=live,
         ) as team:
             if warmup:
@@ -604,12 +595,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for strategy in ("old", "new"):
         prof = profiles[strategy]
         print(f"\n{strategy}PAR\n{prof.summary()}")
-        if "comms" in prof.meta:
-            pipe = prof.meta.get("pipe_tx_bytes", 0) + prof.meta.get(
-                "pipe_rx_bytes", 0
-            )
-            print(f"  comms ({prof.meta['comms']}): pipe {pipe} B, "
-                  f"shm {prof.meta.get('shm_rx_bytes', 0)} B")
+        pipe = prof.meta["pipe_tx_bytes"] + prof.meta["pipe_rx_bytes"]
+        print(f"  pipe traffic: {pipe} B")
         if strategy in lives:
             live = lives[strategy]
             print(f"  live: imbalance {live.imbalance():.3f}, "
@@ -686,7 +673,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             backend=args.backend, distribution=args.distribution,
-            comms=getattr(args, "comms", "pipe"),
             kernel=getattr(args, "kernel", None),
             initial_lengths=lengths, profiler=profiler,
             tracer=tracer, metrics=metrics, telemetry=telemetry,
@@ -697,7 +683,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
                 team.optimize_alpha(args.strategy)
         events = tracer_to_chrome(tracer, run_config={
             "backend": team.backend, "n_workers": team.n_workers,
-            "comms": team.comms, "kernel": team.kernel,
+            "kernel": team.kernel,
             "distribution": team.distribution, "strategy": args.strategy,
             "live": team.live.enabled,
         })
@@ -782,7 +768,6 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             backend=args.backend, distribution=policy,
-            comms=getattr(args, "comms", "pipe"),
             kernel=getattr(args, "kernel", None),
             initial_lengths=lengths, profiler=profiler,
         ) as team:
@@ -884,7 +869,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     with ParallelPLK(
         data, tree, models, alphas, args.workers,
         backend=args.backend, distribution=args.distribution,
-        comms=getattr(args, "comms", "pipe"),
         kernel=getattr(args, "kernel", None),
         initial_lengths=lengths, metrics=metrics, live=live,
     ) as team:
@@ -953,8 +937,7 @@ def _cmd_perfcheck(args: argparse.Namespace) -> int:
         workload = {
             key: getattr(args, key)
             for key in ("taxa", "sites", "partitions", "workers", "backend",
-                        "comms", "distribution", "kernel", "edges", "alpha",
-                        "seed")
+                        "distribution", "kernel", "edges", "alpha", "seed")
         }
         write_baseline(baseline_path, profiles, workload)
         print(f"froze baseline {baseline_path}")
@@ -968,24 +951,27 @@ def _cmd_perfcheck(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.daemon import LikelihoodService, ServiceConfig, serve_forever
 
-    config = ServiceConfig(
-        workers=args.workers,
-        backend=args.backend,
-        comms=args.comms,
-        kernel=args.kernel,
-        distribution=args.distribution,
-        executors=args.executors,
-        pool_capacity=args.pool_capacity,
-        cache_bytes=args.cache_bytes,
-        batch_limit=args.batch_limit,
-        allow_chaos=args.allow_chaos,
-        live=args.live,
-        postmortem_dir=args.postmortem_dir,
-    )
+    try:
+        config = ServiceConfig(
+            workers=args.workers,
+            backend=args.backend,
+            kernel=args.kernel,
+            distribution=args.distribution,
+            executors=args.executors,
+            pool_capacity=args.pool_capacity,
+            cache_bytes=args.cache_bytes,
+            batch_limit=args.batch_limit,
+            allow_chaos=args.allow_chaos,
+            live=args.live,
+            postmortem_dir=args.postmortem_dir,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service = LikelihoodService(config)
     print(f"repro serve: {args.executors} executors, pool capacity "
           f"{args.pool_capacity}, {args.workers}-worker {args.backend} teams "
-          f"({args.comms}/{args.kernel}); listening on {args.socket}",
+          f"({args.kernel} kernel); listening on {args.socket}",
           flush=True)
     serve_forever(service, args.socket)
     print("repro serve: shut down")

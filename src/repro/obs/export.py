@@ -59,9 +59,7 @@ def _metadata_events(
     # Stamp the run configuration so an exported timeline is
     # self-describing: a ``run_config`` metadata event carries the full
     # dict, ``process_labels`` a compact string Chrome renders next to
-    # the process name.  Worker lanes on the shm comms plane are marked
-    # in their lane names.
-    shm = bool(run_config) and run_config.get("comms") == "shm"
+    # the process name.
     if run_config:
         events.append({
             "ph": "M", "pid": _PID, "tid": MASTER_LANE, "name": "run_config",
@@ -75,12 +73,7 @@ def _metadata_events(
             )},
         })
     for lane in lanes:
-        if lane == MASTER_LANE:
-            default = "master"
-        else:
-            default = f"worker {lane - 1}"
-            if shm:
-                default += " [shm]"
+        default = "master" if lane == MASTER_LANE else f"worker {lane - 1}"
         events.append({
             "ph": "M", "pid": _PID, "tid": lane, "name": "thread_name",
             "args": {"name": names.get(lane, default)},
@@ -110,7 +103,7 @@ def _span_event(span: Span) -> dict:
 def tracer_to_chrome(tracer: Tracer, run_config: dict | None = None) -> list[dict]:
     """All spans and instant markers of a live trace as Chrome events.
 
-    ``run_config`` (kernel backend, comms plane, distribution policy, …)
+    ``run_config`` (backend, kernel, distribution policy, …)
     is stamped into the metadata events so the file is self-describing.
     """
     events = _metadata_events(
@@ -137,7 +130,7 @@ def profile_to_chrome(profile, run_config: dict | None = None) -> list[dict]:
 
     The run configuration is stamped into the metadata events —
     defaulting to what the profile itself recorded (backend, team size,
-    distribution, plus the comms/kernel/live meta stamps).
+    distribution, plus the kernel/live/strategy meta stamps).
     """
     if run_config is None:
         run_config = {
@@ -145,7 +138,7 @@ def profile_to_chrome(profile, run_config: dict | None = None) -> list[dict]:
             "n_workers": profile.n_workers,
             "distribution": profile.distribution,
         }
-        for key in ("comms", "kernel", "live", "strategy"):
+        for key in ("kernel", "live", "strategy"):
             if key in profile.meta:
                 run_config[key] = profile.meta[key]
     lanes = [MASTER_LANE] + [w + 1 for w in range(profile.n_workers)]

@@ -594,7 +594,7 @@ def render_dashboard(
     title = "repro live"
     stamp = " ".join(
         f"{k}={cfg[k]}"
-        for k in ("backend", "comms", "kernel", "distribution", "n_workers")
+        for k in ("backend", "kernel", "distribution", "n_workers")
         if k in cfg
     )
     if stamp:

@@ -22,12 +22,7 @@ from .balance import (
 )
 from .engine import ParallelPLK, WorkerError
 from .program import Program
-from .shm import (
-    SharedInputArena,
-    SharedResultPlane,
-    WorkerStatsPlane,
-    live_segments,
-)
+from .shm import WorkerStatsPlane, live_segments
 from .worker import WorkerState, slice_partition_data
 
 __all__ = [
@@ -39,8 +34,6 @@ __all__ = [
     "PartitionLayout",
     "Program",
     "Rebalancer",
-    "SharedInputArena",
-    "SharedResultPlane",
     "WorkerError",
     "WorkerState",
     "WorkerStatsPlane",

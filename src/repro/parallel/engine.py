@@ -42,8 +42,8 @@ from ..plk.kernels import normalize_kernel_name
 from ..plk.partition import PartitionedAlignment
 from ..plk.tree import Tree
 from .balance import DistributionPlan, PartitionLayout, build_plan, imbalance_ratio
-from .program import Program, decode_results, encode_results, result_shapes, result_width
-from .shm import SharedInputArena, SharedResultPlane, WorkerStatsPlane
+from .program import Program
+from .shm import WorkerStatsPlane
 from .worker import WorkerState, slice_partition_data
 
 __all__ = ["ParallelPLK", "WorkerError"]
@@ -79,19 +79,8 @@ class WorkerError(RuntimeError):
         super().__init__(msg)
 
 
-# Result-slot tags used by both backends' reply protocol.  _SHM marks a
-# reply whose payload was written into the worker's shared-memory result
-# row (the pipe carries only the tag + busy seconds).
-_OK, _ERR, _SHM = "ok", "err", "shm"
-
-#: Zeroed comms statistics (the threads backend shares one address space,
-#: so nothing crosses a pipe and nothing needs a shm plane).
-_LOCAL_COMMS_STATS = {
-    "comms": "local",
-    "pipe_tx_bytes": 0,
-    "pipe_rx_bytes": 0,
-    "shm_rx_bytes": 0,
-}
+# Result-slot tags used by both backends' reply protocol.
+_OK, _ERR = "ok", "err"
 
 
 class _ThreadTeam:
@@ -174,7 +163,7 @@ class _ThreadTeam:
 
     def comms_stats(self) -> dict:
         """Bytes-moved counters (all zero: threads share memory)."""
-        return dict(_LOCAL_COMMS_STATS)
+        return {"pipe_tx_bytes": 0, "pipe_rx_bytes": 0, "shm_rx_bytes": 0}
 
     def close(self) -> None:
         if self._closed:
@@ -191,14 +180,13 @@ class _ThreadTeam:
 
 def _process_worker_main(
     conn, slices, tree, models, alphas, lengths, categories, kernel=None,
-    result_row=None, stats_row=None, rank=0,
+    stats_row=None, rank=0,
 ):
     state = WorkerState(slices, tree, models, alphas, lengths, categories, kernel)
     state.rank = rank
     if stats_row is not None:
         state.attach_stats(stats_row, rank)
     stats = state.stats
-    n_parts = len(state.parts)
     while True:
         t_wait = time.perf_counter() if stats is not None else 0.0
         try:
@@ -215,12 +203,6 @@ def _process_worker_main(
                 value, busy = state.execute_timed(cmd)
             else:
                 value, busy = state.execute(cmd), 0.0
-            if result_row is not None:
-                shapes = result_shapes(cmd)
-                if shapes is not None and result_width(shapes, n_parts) <= result_row.size:
-                    encode_results(result_row, cmd, value, shapes, n_parts)
-                    conn.send((_SHM, None, busy))
-                    continue
             reply = (_OK, value, busy)
         except BaseException as exc:  # noqa: BLE001 - shipped to the master
             tb = traceback.format_exc()
@@ -240,52 +222,27 @@ class _ProcessTeam:
     Worker-side exceptions are caught in the child and shipped back over
     the pipe (same slot protocol as :class:`_ThreadTeam`).  If a child
     *dies* outright, the master's ``recv`` sees ``EOFError``: the team is
-    then terminated cleanly (no leaked processes, no leaked shared-memory
-    segments) and a :class:`WorkerError` names the dead rank.
+    then terminated cleanly (no leaked processes) and a
+    :class:`WorkerError` names the dead rank.
 
-    ``comms`` selects the result transport: ``"pipe"`` pickles every
-    reply over the pipe; ``"shm"`` builds the zero-copy plane of
-    :mod:`repro.parallel.shm` — tip/weight slices shipped once through a
-    shared input arena, fixed-layout float64 result slots written in
-    place, the pipe carrying only a tiny ready token per reply.  The
-    command direction always uses the pipe (commands are tiny), pickled
-    once per broadcast rather than once per worker.  Cumulative
-    ``pipe_tx_bytes`` / ``pipe_rx_bytes`` / ``shm_rx_bytes`` counters
-    feed the comms metrics.
+    Forked children inherit their tip/weight slices copy-on-write, so
+    only commands and replies cross the pipe: each broadcast is pickled
+    once for the whole team, each reply once by its worker.  Cumulative
+    ``pipe_tx_bytes`` / ``pipe_rx_bytes`` counters feed the comms
+    metrics.
     """
 
-    def __init__(self, worker_args: list[tuple], comms: str = "pipe",
-                 n_partitions: int = 0, stats_plane: WorkerStatsPlane | None = None):
+    def __init__(self, worker_args: list[tuple],
+                 stats_plane: WorkerStatsPlane | None = None):
         ctx = mp.get_context("fork")
-        self.comms = comms
-        self.n_partitions = n_partitions
         self.pipe_tx_bytes = 0
         self.pipe_rx_bytes = 0
-        self.shm_rx_bytes = 0
-        self._arena: SharedInputArena | None = None
-        self._plane: SharedResultPlane | None = None
-        if comms == "shm":
-            # Both structures are created BEFORE fork so the children
-            # inherit the mappings — nothing is pickled or re-attached
-            # (attach-after-fork would double-register the segments with
-            # the resource tracker on Python < 3.13).
-            self._arena = SharedInputArena([args[0] for args in worker_args])
-            self._plane = SharedResultPlane(len(worker_args), n_partitions)
-            worker_args = [
-                (self._arena.worker_slices[i], *args[1:])
-                for i, args in enumerate(worker_args)
-            ]
-        # The live stats plane (created by the master, like the comms
-        # structures above, so forked children inherit the mapping) is
-        # NOT owned by the team: the engine keeps it readable after a
-        # worker death so the post-mortem dump sees the final rows.
+        # The live stats plane (created by the master before fork, so the
+        # children inherit the mapping) is NOT owned by the team: the
+        # engine keeps it readable after a worker death so the post-mortem
+        # dump sees the final rows.
         worker_args = [
-            (
-                *args,
-                self._plane.row(i) if self._plane is not None else None,
-                stats_plane.row(i) if stats_plane is not None else None,
-                i,
-            )
+            (*args, stats_plane.row(i) if stats_plane is not None else None, i)
             for i, args in enumerate(worker_args)
         ]
         self.conns = []
@@ -316,7 +273,6 @@ class _ProcessTeam:
                 raise WorkerError(
                     rank, exc, "worker process died before dispatch; team terminated"
                 ) from exc
-        shapes = result_shapes(cmd) if self._plane is not None else None
         n = len(self.conns)
         results: list = [None] * n
         times = [0.0] * n
@@ -334,12 +290,6 @@ class _ProcessTeam:
             if tag == _ERR:
                 if failure is None:
                     failure = WorkerError(rank, payload, extra)
-            elif tag == _SHM:
-                results[rank] = decode_results(
-                    self._plane.row(rank), cmd, shapes, self.n_partitions
-                )
-                self.shm_rx_bytes += result_width(shapes, self.n_partitions) * 8
-                times[rank] = extra
             else:
                 results[rank] = payload
                 times[rank] = extra
@@ -355,12 +305,12 @@ class _ProcessTeam:
         return self._exchange(cmd, timed=True)
 
     def comms_stats(self) -> dict:
-        """Cumulative bytes moved over each transport."""
+        """Cumulative pipe bytes moved (``shm_rx_bytes`` is always 0:
+        every reply travels over the pipe)."""
         return {
-            "comms": self.comms,
             "pipe_tx_bytes": self.pipe_tx_bytes,
             "pipe_rx_bytes": self.pipe_rx_bytes,
-            "shm_rx_bytes": self.shm_rx_bytes,
+            "shm_rx_bytes": 0,
         }
 
     def close(self) -> None:
@@ -378,12 +328,6 @@ class _ProcessTeam:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
-        # Unlink the shared segments last, after every worker is gone —
-        # including the worker-death paths, which route through here.
-        if self._arena is not None:
-            self._arena.close()
-        if self._plane is not None:
-            self._plane.close()
 
 
 @dataclass
@@ -415,11 +359,6 @@ class ParallelPLK:
         :class:`~repro.parallel.balance.Rebalancer`).  The resolved plan
         is exposed as ``self.plan`` and its policy name as
         ``self.distribution``.
-    comms:
-        Result transport for the ``processes`` backend: ``"pipe"``
-        (pickled replies, the default) or ``"shm"`` (the zero-copy
-        shared-memory plane of :mod:`repro.parallel.shm`).  The threads
-        backend shares one address space and reports ``"local"``.
     kernel:
         Inner-loop implementation for every worker, by name from
         :data:`repro.plk.kernels.KERNEL_CHOICES` — ``"numpy"`` (the
@@ -427,20 +366,12 @@ class ParallelPLK:
         (JIT, degrades to numpy when unavailable), or the repeat-aware
         composites ``"repeats"`` / ``"repeats+blocked"`` /
         ``"repeats+numba"`` (each worker builds repeat indexes for ITS
-        OWN pattern slices post-fork; the result layout over the wire —
-        ``comms=shm`` included — is unchanged, since compressed CLVs are
-        expanded at the evaluate boundary inside the worker).  ``None``
+        OWN pattern slices post-fork; the replies over the wire are
+        unchanged, since compressed CLVs are expanded at the evaluate
+        boundary inside the worker).  ``None``
         reads ``REPRO_KERNEL`` from the environment, defaulting to
         ``"numpy"``.  The canonical name is exposed as ``self.kernel``
         and stamped into profiles, traces and metrics.
-    fuse_programs:
-        When True (default), the batched optimizers issue fused
-        :class:`~repro.parallel.program.Program` broadcasts — e.g.
-        prepare + first derivative pass in ONE exchange, the whole
-        monotonicity guard in another, vectorized parameter writes —
-        cutting the barrier count per optimizer round by 2-4x.  Set
-        False to reproduce the one-command-per-barrier schedule (the
-        comms-overhead ablation baseline).
     profiler:
         A :class:`repro.perf.Profiler` to record per-command region
         timings (master wall time + each worker's execute time), or
@@ -484,9 +415,7 @@ class ParallelPLK:
         distribution: str | DistributionPlan = "cyclic",
         initial_lengths: np.ndarray | None = None,
         categories: int = 4,
-        comms: str = "pipe",
         kernel: str | None = None,
-        fuse_programs: bool = True,
         profiler=None,
         tracer=None,
         metrics=None,
@@ -497,10 +426,6 @@ class ParallelPLK:
             raise ValueError("need at least one worker")
         if backend not in ("threads", "processes"):
             raise ValueError("backend must be 'threads' or 'processes'")
-        if comms not in ("pipe", "shm"):
-            raise ValueError("comms must be 'pipe' or 'shm'")
-        if comms == "shm" and backend != "processes":
-            raise ValueError("comms='shm' requires the processes backend")
         kernel = normalize_kernel_name(kernel)
         if profiler is None:
             from ..perf import NullProfiler
@@ -523,9 +448,7 @@ class ParallelPLK:
         self.n_partitions = data.n_partitions
         self.n_workers = n_workers
         self.backend = backend
-        self.comms = comms if backend == "processes" else "local"
         self.kernel = kernel
-        self.fuse_programs = bool(fuse_programs)
         self.commands_issued = 0
         self._token = itertools.count()
         if isinstance(distribution, DistributionPlan):
@@ -577,17 +500,15 @@ class ParallelPLK:
                      categories, kernel)
                     for sl in worker_slices
                 ],
-                comms=comms,
-                n_partitions=self.n_partitions,
                 stats_plane=self._stats_plane,
             )
         self.profiler.bind(backend=backend, n_workers=n_workers,
-                           distribution=self.distribution, comms=self.comms,
+                           distribution=self.distribution,
                            kernel=self.kernel, live=self.live.enabled)
         self.metrics.counter(f"kernel.{self.kernel}").inc()
         if self.live.enabled:
             self.live.bind(self._stats_plane, metrics=self.metrics, run_config={
-                "backend": backend, "comms": self.comms, "kernel": self.kernel,
+                "backend": backend, "kernel": self.kernel,
                 "distribution": self.distribution, "n_workers": n_workers,
                 "n_partitions": self.n_partitions,
             })
@@ -661,13 +582,10 @@ class ParallelPLK:
             metrics.histogram(
                 "commands_per_barrier", bounds=_COMMANDS_PER_BARRIER_BUCKETS
             ).observe(float(n_cmds))
-            stats = getattr(self._team, "comms_stats", None)
-            if stats is not None:
-                stats = stats()
-                metrics.gauge("comms.pipe_bytes").set(
-                    stats["pipe_tx_bytes"] + stats["pipe_rx_bytes"]
-                )
-                metrics.gauge("comms.shm_bytes").set(stats["shm_rx_bytes"])
+            stats = self._team.comms_stats()
+            metrics.gauge("comms.pipe_bytes").set(
+                stats["pipe_tx_bytes"] + stats["pipe_rx_bytes"]
+            )
             if record is not None:
                 metrics.histogram("region_wall_seconds").observe(record.wall)
                 metrics.histogram("sync_seconds").observe(record.sync)
@@ -810,25 +728,21 @@ class ParallelPLK:
             z0 = np.asarray(z0, float)
             every = list(range(n))
             solver = BatchedNewton(_BRANCH_MIN, _BRANCH_MAX, ztol)
-            first_eval = None
-            if self.fuse_programs:
-                # Fused opening exchange: sumtable setup AND the first
-                # derivative pass in ONE broadcast/barrier.
-                token = next(self._token)
-                handle = _PreparedBranch(token=token, edge=edge, partitions=tuple(every))
-                z_first = solver.initial_point(z0)
-                _, deriv_parts = self.run_program(
-                    (
-                        ("prepare", edge, token, every),
-                        ("deriv", token, z_first, every),
-                    )
+            # Fused opening exchange: sumtable setup AND the first
+            # derivative pass in ONE broadcast/barrier.
+            token = next(self._token)
+            handle = _PreparedBranch(token=token, edge=edge, partitions=tuple(every))
+            z_first = solver.initial_point(z0)
+            _, deriv_parts = self.run_program(
+                (
+                    ("prepare", edge, token, every),
+                    ("deriv", token, z_first, every),
                 )
-                first_eval = (
-                    np.sum([d[0] for d in deriv_parts], axis=0),
-                    np.sum([d[1] for d in deriv_parts], axis=0),
-                )
-            else:
-                handle = self.prepare_branch(edge, every)
+            )
+            first_eval = (
+                np.sum([d[0] for d in deriv_parts], axis=0),
+                np.sum([d[1] for d in deriv_parts], axis=0),
+            )
 
             def fn(z: np.ndarray, active_mask: np.ndarray):
                 active = [int(i) for i in np.flatnonzero(active_mask)]
@@ -841,36 +755,22 @@ class ParallelPLK:
                     observer=self.telemetry.start("nr_branch", n),
                     first_eval=first_eval,
                 )
-            # Monotonicity guard: keep only improvements (matches the
-            # sequential strategies).
-            if self.fuse_programs:
-                # Both guard evaluations and the workspace release in one
-                # barrier; the accept/reject decision needs the reduced
-                # sums, so the parameter write is a second (vectorized)
-                # broadcast rather than a fourth program step.
-                old_parts, new_parts, _ = self.run_program(
-                    (
-                        ("branch_lnl", handle.token, z0, every),
-                        ("branch_lnl", handle.token, res.z, every),
-                        ("release", handle.token),
-                    )
+            # Monotonicity guard (matches the sequential strategies): both
+            # guard evaluations and the workspace release in one barrier;
+            # the accept/reject decision needs the reduced sums, so the
+            # parameter write is a second (vectorized) broadcast rather
+            # than a fourth program step.
+            old_parts, new_parts, _ = self.run_program(
+                (
+                    ("branch_lnl", handle.token, z0, every),
+                    ("branch_lnl", handle.token, res.z, every),
+                    ("release", handle.token),
                 )
-                old_lnl = np.sum(old_parts, axis=0)
-                new_lnl = np.sum(new_parts, axis=0)
-                out = np.where(new_lnl >= old_lnl, res.z, z0)
-                self._broadcast(("set_bl_vec", edge, out))
-            else:
-                old_lnl = np.sum(
-                    self._broadcast(("branch_lnl", handle.token, z0, every)),
-                    axis=0,
-                )
-                new_lnl = np.sum(
-                    self._broadcast(("branch_lnl", handle.token, res.z, every)), axis=0
-                )
-                self.release(handle)
-                out = np.where(new_lnl >= old_lnl, res.z, z0)
-                for p in range(n):
-                    self.set_branch_length(edge, float(out[p]), p)
+            )
+            old_lnl = np.sum(old_parts, axis=0)
+            new_lnl = np.sum(new_parts, axis=0)
+            out = np.where(new_lnl >= old_lnl, res.z, z0)
+            self._broadcast(("set_bl_vec", edge, out))
             return out
         if strategy == "old":
             out = np.zeros(n)
@@ -937,12 +837,8 @@ class ParallelPLK:
                     fn, guess=np.asarray(guess, float),
                     observer=self.telemetry.start("brent_alpha", n),
                 )
-            if self.fuse_programs:
-                # One vectorized write instead of P set_alpha broadcasts.
-                self._broadcast(("set_alpha_vec", res.x, list(range(n))))
-            else:
-                for p in range(n):
-                    self.set_alpha(p, float(res.x[p]))
+            # One vectorized write instead of P set_alpha broadcasts.
+            self._broadcast(("set_alpha_vec", res.x, list(range(n))))
             return res.x
         if strategy == "old":
             out = np.zeros(n)

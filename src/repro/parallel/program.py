@@ -13,62 +13,21 @@ the only barrier.  Worker-side results are already reduction-ready
 partials (partial lnL sums, partial (d1, d2) sums), so the master reduces
 exactly as it would have for ``len(steps)`` separate broadcasts — the
 fused exchange is semantically identical, just 1 barrier instead of N.
-
-This module also defines the *fixed result layout* used by the
-shared-memory result plane (:mod:`repro.parallel.shm`): every command's
-reply shape is derivable master-side from the command alone (a scalar, a
-``(P,)`` vector, a ``(d1, d2)`` pair of ``(P,)`` vectors, or nothing), so
-a worker can write its reply into a preallocated float64 row and the pipe
-only needs to carry a tiny "ready" token.  Commands with replies outside
-this vocabulary (unknown ops, non-float payloads) transparently fall back
-to the pickled-pipe reply; both sides derive the layout from the same
-table, so they always agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.trace import describe_command
 
-__all__ = [
-    "Program",
-    "RESULT_SHAPES",
-    "WIRE_VERSION",
-    "program_steps",
-    "result_shapes",
-    "result_width",
-    "encode_results",
-    "decode_results",
-]
+__all__ = ["Program", "WIRE_VERSION", "program_steps"]
 
 #: Version of the master<->worker wire protocol: the command-tuple
-#: vocabulary, the ``("prog", steps)`` fusion format, and the
-#: :data:`RESULT_SHAPES` reply layout.  Documented as a protocol
-#: reference in ``docs/ARCHITECTURE.md``; bump on any incompatible
-#: change to the command vocabulary or reply layout.
-WIRE_VERSION = 1
-
-#: Reply shape per worker command op.  ``"scalar"`` -> one float,
-#: ``"vec"`` -> a ``(P,)`` float vector, ``"pair"`` -> a ``(d1, d2)``
-#: tuple of ``(P,)`` vectors, ``"none"`` -> no payload.  Ops absent from
-#: this table have replies the fixed layout cannot carry; exchanges
-#: containing them use the pickled pipe reply.
-RESULT_SHAPES = {
-    "lnl": "scalar",
-    "lnl_parts": "vec",
-    "branch_lnl": "vec",
-    "eval_alpha": "vec",
-    "deriv": "pair",
-    "prepare": "none",
-    "release": "none",
-    "set_bl": "none",
-    "set_bl_vec": "none",
-    "set_alpha": "none",
-    "set_alpha_vec": "none",
-    "set_model": "none",
-}
+#: vocabulary, the ``("prog", steps)`` fusion format and the pickled
+#: ``(tag, payload, busy)`` reply.  Documented as a protocol reference in
+#: ``docs/ARCHITECTURE.md``; bump on any incompatible change to the
+#: command vocabulary or reply framing.
+WIRE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -106,89 +65,3 @@ class Program:
 def program_steps(cmd: tuple) -> tuple[tuple, ...]:
     """The worker commands a broadcast executes (one for plain commands)."""
     return cmd[1] if cmd[0] == "prog" else (cmd,)
-
-
-def result_shapes(cmd: tuple) -> list[str] | None:
-    """Per-step reply shapes of a broadcast, or ``None`` if any step's
-    reply falls outside the fixed float64 layout (pipe fallback)."""
-    shapes = []
-    for step in program_steps(cmd):
-        shape = RESULT_SHAPES.get(step[0])
-        if shape is None:
-            return None
-        shapes.append(shape)
-    return shapes
-
-
-def _shape_width(shape: str, n_partitions: int) -> int:
-    if shape == "none":
-        return 0
-    if shape == "scalar":
-        return 1
-    if shape == "vec":
-        return n_partitions
-    if shape == "pair":
-        return 2 * n_partitions
-    raise ValueError(f"unknown result shape {shape!r}")
-
-
-def result_width(shapes: list[str], n_partitions: int) -> int:
-    """Total float64 slots one worker's reply occupies."""
-    return sum(_shape_width(s, n_partitions) for s in shapes)
-
-
-def encode_results(
-    row: np.ndarray, cmd: tuple, value, shapes: list[str], n_partitions: int
-) -> None:
-    """Worker side: write a broadcast's reply into this worker's row.
-
-    ``value`` is what ``WorkerState.execute(cmd)`` returned — the single
-    result for a plain command, the per-step result list for a program.
-    """
-    values = value if cmd[0] == "prog" else (value,)
-    off = 0
-    for shape, v in zip(shapes, values):
-        if shape == "none":
-            continue
-        if shape == "scalar":
-            row[off] = v
-            off += 1
-        elif shape == "vec":
-            row[off:off + n_partitions] = v
-            off += n_partitions
-        else:  # pair
-            d1, d2 = v
-            row[off:off + n_partitions] = d1
-            row[off + n_partitions:off + 2 * n_partitions] = d2
-            off += 2 * n_partitions
-
-
-def decode_results(
-    row: np.ndarray, cmd: tuple, shapes: list[str], n_partitions: int
-):
-    """Master side: reconstruct a worker's reply from its result row.
-
-    Returns exactly what the pickled-pipe reply would have carried: the
-    single result for a plain command, a per-step list for a program
-    (``None`` in the slots of result-less steps).
-    """
-    out = []
-    off = 0
-    for shape in shapes:
-        if shape == "none":
-            out.append(None)
-        elif shape == "scalar":
-            out.append(float(row[off]))
-            off += 1
-        elif shape == "vec":
-            out.append(row[off:off + n_partitions].copy())
-            off += n_partitions
-        else:  # pair
-            out.append(
-                (
-                    row[off:off + n_partitions].copy(),
-                    row[off + n_partitions:off + 2 * n_partitions].copy(),
-                )
-            )
-            off += 2 * n_partitions
-    return out if cmd[0] == "prog" else out[0]

@@ -1,33 +1,15 @@
-"""Zero-copy shared-memory comms plane for the process backend.
-
-The pipe protocol pays two pickles per worker per exchange: the command
-going out and the partial result coming back.  For the batched
-optimizers the results are the dominant payload — per-partition float
-vectors every round.  Two structures built on
-:mod:`multiprocessing.shared_memory` remove that traffic:
-
-:class:`SharedInputArena`
-    every worker's tip/weight pattern slices packed into ONE segment,
-    built in the master *before* fork.  Children inherit the mapping
-    (``fork`` start method), so the big arrays are shipped exactly once
-    and are never pickled, copied-on-write aside.
-
-:class:`SharedResultPlane`
-    a ``(n_workers, capacity)`` float64 array of fixed-layout result
-    slots.  Worker ``w`` writes its partial reply (partial lnL, d1/d2
-    per partition, ...) straight into row ``w`` following the layout of
-    :mod:`repro.parallel.program`; the pipe reply shrinks to a tiny
-    ``("shm", None, busy_seconds)`` token.  Replies the layout cannot
-    carry fall back to the pickled pipe transparently.
+"""Shared-memory segments for the process backend's live telemetry.
 
 :class:`WorkerStatsPlane`
     the live-telemetry stats rows (``repro.obs.live``): one fixed-layout
     float64 row per worker, updated lock-free by each worker after every
     command / program step and read lock-free by the master (heartbeat
     timestamps, cumulative busy/wait seconds, command and pattern
-    counters, current op).  Unlike the result plane it carries a one-row
-    header, so an unrelated process (``repro top --plane NAME``) can
-    attach by segment name alone.
+    counters, current op).  It carries a one-row header, so an unrelated
+    process (``repro top --plane NAME``) can attach by segment name alone.
+
+Commands and replies never use shared memory: they travel pickled over
+each worker's pipe (:mod:`repro.parallel.engine`).
 
 Torn-read tolerance (stats rows)
 --------------------------------
@@ -65,12 +47,9 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..plk.kernels import KERNELS
-from ..plk.partition import PartitionData
 
 __all__ = [
     "SEGMENT_PREFIX",
-    "SharedInputArena",
-    "SharedResultPlane",
     "WorkerStatsPlane",
     "WorkerStatsWriter",
     "N_STAT_FIELDS",
@@ -81,11 +60,6 @@ __all__ = [
 ]
 
 SEGMENT_PREFIX = "repro_shm"
-
-
-def _aligned(nbytes: int) -> int:
-    """Round up to 8 bytes so every placed array stays float64-aligned."""
-    return (int(nbytes) + 7) & ~7
 
 
 def _cleanup(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
@@ -146,87 +120,6 @@ def live_segments() -> list[str]:
     if not os.path.isdir(shm_dir):
         return []
     return sorted(n for n in os.listdir(shm_dir) if n.startswith(SEGMENT_PREFIX))
-
-
-class SharedInputArena:
-    """All workers' tip/weight pattern slices packed into one segment.
-
-    Build in the master BEFORE forking the team: the returned
-    :attr:`worker_slices` (same nested shape as the input, but every
-    array a read-only view into the segment) are what the worker
-    processes receive, so startup ships each slice exactly once.
-    """
-
-    def __init__(self, worker_slices: list[list[PartitionData]]):
-        total = 0
-        for slices in worker_slices:
-            for sl in slices:
-                total += _aligned(sl.tip_states.nbytes) + _aligned(sl.weights.nbytes)
-        self._segment = _Segment(total)
-        self.nbytes = total
-        self._offset = 0
-        self.worker_slices: list[list[PartitionData]] | None = [
-            [self._share(sl) for sl in slices] for slices in worker_slices
-        ]
-
-    def _share(self, sl: PartitionData) -> PartitionData:
-        return PartitionData(
-            partition=sl.partition,
-            tip_states=self._place(sl.tip_states),
-            weights=self._place(sl.weights),
-        )
-
-    def _place(self, arr: np.ndarray) -> np.ndarray:
-        view = np.ndarray(
-            arr.shape, dtype=arr.dtype, buffer=self._segment.buf, offset=self._offset
-        )
-        view[...] = arr
-        view.flags.writeable = False
-        self._offset += _aligned(arr.nbytes)
-        return view
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    def close(self) -> None:
-        self.worker_slices = None
-        self._segment.close()
-
-
-class SharedResultPlane:
-    """Fixed-layout float64 result slots, one row per worker.
-
-    The row is sized for the largest fused reply the optimizers emit
-    (a prepare+deriv program needs ``2 * n_partitions`` floats) with
-    generous headroom; a reply that would not fit simply travels over
-    the pipe instead — both sides size-check against the same capacity.
-    """
-
-    def __init__(self, n_workers: int, n_partitions: int, capacity: int | None = None):
-        if capacity is None:
-            capacity = max(32, 6 * max(n_partitions, 1))
-        self.n_workers = n_workers
-        self.n_partitions = n_partitions
-        self.capacity = int(capacity)
-        self._segment = _Segment(n_workers * self.capacity * 8)
-        self.slots: np.ndarray | None = np.ndarray(
-            (n_workers, self.capacity), dtype=np.float64, buffer=self._segment.buf
-        )
-        self.slots.fill(0.0)
-        self.nbytes = n_workers * self.capacity * 8
-
-    def row(self, rank: int) -> np.ndarray:
-        """Worker ``rank``'s result slots (a live view, both sides)."""
-        return self.slots[rank]
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    def close(self) -> None:
-        self.slots = None
-        self._segment.close()
 
 
 # ----------------------------------------------------------------------

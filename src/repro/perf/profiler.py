@@ -63,19 +63,16 @@ class Profiler:
         self.backend = ""
         self.n_workers = 0
         self.distribution = "cyclic"
-        self.comms = "pipe"
         self.kernel = "numpy"
         self.live = False
         self.meta = dict(meta or {})
 
     def bind(self, *, backend: str, n_workers: int, distribution: str,
-             comms: str = "pipe", kernel: str = "numpy",
-             live: bool = False) -> None:
+             kernel: str = "numpy", live: bool = False) -> None:
         """Called by :class:`~repro.parallel.ParallelPLK` at team startup."""
         self.backend = backend
         self.n_workers = n_workers
         self.distribution = distribution
-        self.comms = comms
         self.kernel = kernel
         self.live = live
 
@@ -100,7 +97,6 @@ class Profiler:
     def profile(self) -> RunProfile:
         """The accumulated measurements as a :class:`RunProfile`."""
         meta = dict(self.meta)
-        meta.setdefault("comms", self.comms)
         meta.setdefault("kernel", self.kernel)
         meta.setdefault("live", self.live)
         return RunProfile(

@@ -1,10 +1,10 @@
-"""Selectable kernel backends behind one seam (mirrors ``comms=``).
+"""Selectable kernel backends behind one seam.
 
 :mod:`repro.plk.kernel` defines the array-level semantics of the PLK —
 newview / evaluate / sumtable — with the numpy implementation as the
 executable reference.  This module packages those semantics behind a small
 :class:`KernelBackend` protocol so the *implementation* of the inner loop
-can be swapped per run, exactly like the ``comms=`` transport seam:
+can be swapped per run:
 
 ``numpy``
     The reference: thin delegation to :mod:`repro.plk.kernel`, unchanged

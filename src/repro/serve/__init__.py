@@ -1,7 +1,7 @@
 """Likelihood-as-a-service: a persistent engine behind a job queue.
 
-The one-shot CLI pays the full setup bill — fork a worker team, build
-tip arenas, eigendecompose every model — per invocation.  ``repro.serve``
+The one-shot CLI pays the full setup bill — fork a worker team, encode
+the tips, eigendecompose every model — per invocation.  ``repro.serve``
 keeps that state warm between requests and multiplexes many tenants over
 it, the way BEAGLE serves diverse clients behind one likelihood API:
 

@@ -12,11 +12,7 @@ requests and tenants:
 * model eigensystems go through the process-wide
   :meth:`repro.plk.eigen.EigenSystem.for_model` memo — as long as the
   context (and its model objects) stays cached, every engine built from
-  it, including forked worker children, shares one decomposition;
-* under the shm comms plane the pre-fork
-  :class:`~repro.parallel.shm.SharedInputArena` is built once per warm
-  team from the cached context and inherited by its children — a warm
-  submission never re-maps tip arenas.
+  it, including forked worker children, shares one decomposition.
 
 Eviction is LRU under a byte budget (``max_bytes``): contexts are
 dropped least-recently-used-first once tip/weight storage exceeds the

@@ -69,7 +69,6 @@ class ServiceConfig:
 
     workers: int = 2
     backend: str = "threads"
-    comms: str = "pipe"
     kernel: str = "numpy"
     distribution: str = "cyclic"
     categories: int = 4
@@ -84,6 +83,15 @@ class ServiceConfig:
     live: bool = False
     postmortem_dir: str | None = None
     engine_kwargs: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Caught here, not at the first job: with no executor a job stays
+        # pending forever, and a team factory that cannot build a team
+        # fails every job.
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.executors < 1:
+            raise ValueError("executors must be >= 1")
 
 
 class LikelihoodService:
@@ -131,7 +139,6 @@ class LikelihoodService:
             distribution=cfg.distribution,
             initial_lengths=context.lengths,
             categories=cfg.categories,
-            comms=cfg.comms if cfg.backend == "processes" else "pipe",
             kernel=context.kernel or cfg.kernel,
             live=cfg.live,
             metrics=self.metrics,
@@ -247,7 +254,7 @@ class LikelihoodService:
         t0 = time.perf_counter()
         try:
             team = self.pool.checkout(context, timeout=self.config.checkout_timeout)
-        except (TimeoutError, RuntimeError) as exc:
+        except Exception as exc:  # noqa: BLE001 - timeout, closed pool, failed build
             for job in batch:
                 self._finish(job, error={"type": "pool", "message": str(exc)})
             return
@@ -415,9 +422,8 @@ class LikelihoodService:
         self._update_gauges()
         cfg = self.config
         return prometheus_text(self.metrics, run_config={
-            "mode": "serve", "backend": cfg.backend, "comms": cfg.comms,
-            "kernel": cfg.kernel, "workers": cfg.workers,
-            "executors": cfg.executors,
+            "mode": "serve", "backend": cfg.backend, "kernel": cfg.kernel,
+            "workers": cfg.workers, "executors": cfg.executors,
         })
 
 

@@ -1,10 +1,9 @@
 """Warm worker-team pool: checkout/return without teardown.
 
-The expensive part of the processes backend is setup: fork the team,
-build (under shm comms) the pre-fork input arena, prime every worker's
-partition engines.  A one-shot run pays it per invocation; the pool pays
-it once per (dataset, engine-config) and keeps the team *warm* —
-forked-and-ready — between requests.
+The expensive part of the processes backend is setup: fork the team and
+prime every worker's partition engines.  A one-shot run pays it per
+invocation; the pool pays it once per (dataset, engine-config) and keeps
+the team *warm* — forked-and-ready — between requests.
 
 Scheduling is cost-aware in the :mod:`repro.parallel.balance` currency:
 
@@ -120,7 +119,7 @@ class TeamPool:
 
     ``factory(context)`` builds a fresh
     :class:`~repro.parallel.engine.ParallelPLK` for a context; the
-    service supplies it with its backend/comms/kernel configuration.
+    service supplies it with its backend/kernel configuration.
 
     ``capacity`` bounds the number of live teams (each one holds a full
     worker team's processes/threads).  A checkout for a new dataset when
@@ -186,7 +185,7 @@ class TeamPool:
                         f"(capacity={self.capacity}, all busy)"
                     )
                 self._freed.wait(wait)
-        # Cold build outside the lock (fork + arenas are slow).
+        # Cold build outside the lock (forking a team is slow).
         self.misses += 1
         try:
             engine = self.factory(context)

@@ -363,11 +363,12 @@ class TestLiveTeamIntegration:
 
 @pytest.mark.timeout(60)
 def test_shm_team_has_stats_plane_and_cleans_up(setup):
+    """On a process team the stats plane is the only /dev/shm segment,
+    and closing the engine unlinks it."""
     live = LiveTelemetry()
     before = live_segments()
-    with make_team(setup, "processes", comms="shm", live=live) as team:
-        # arena + result plane + stats plane
-        assert len(live_segments()) == len(before) + 3
+    with make_team(setup, "processes", live=live) as team:
+        assert len(live_segments()) == len(before) + 1
         team.loglikelihood(0)
         samples = live.sample()
         assert all(s.commands >= 1 for s in samples)
@@ -505,8 +506,8 @@ class TestPrometheus:
         assert "repro_wall_count 5" in text
 
     def test_run_info_labels(self):
-        text = prometheus_text(run_config={"backend": "threads", "comms": "shm"})
-        assert 'repro_run_info{backend="threads",comms="shm"} 1' in text
+        text = prometheus_text(run_config={"backend": "threads", "kernel": "blocked"})
+        assert 'repro_run_info{backend="threads",kernel="blocked"} 1' in text
 
     def test_live_worker_families(self):
         sample = WorkerSample(
@@ -538,10 +539,10 @@ class TestDashboard:
     def test_renders_lane_per_worker(self):
         text = render_dashboard(
             [self._sample(rank=0), self._sample(rank=1, phase="idle")],
-            run_config={"backend": "threads", "comms": "shm"},
+            run_config={"backend": "threads", "kernel": "blocked"},
             imbalance=1.25,
         )
-        assert "backend=threads" in text and "comms=shm" in text
+        assert "backend=threads" in text and "kernel=blocked" in text
         assert "imbalance 1.250" in text
         assert "w0" in text and "w1" in text and "idle" in text
 
@@ -561,29 +562,20 @@ class TestDashboard:
 
 
 class TestExportRunConfig:
-    def test_metadata_carries_run_config_and_shm_lanes(self):
+    def test_metadata_carries_run_config_and_lane_names(self):
         from repro.obs.export import _metadata_events
 
         events = _metadata_events(
-            [0, 1, 2], run_config={"comms": "shm", "backend": "processes"}
+            [0, 1, 2], run_config={"kernel": "blocked", "backend": "processes"}
         )
         by_name = {}
         for e in events:
             by_name.setdefault(e["name"], []).append(e)
-        assert by_name["run_config"][0]["args"]["comms"] == "shm"
+        assert by_name["run_config"][0]["args"]["kernel"] == "blocked"
         labels = by_name["process_labels"][0]["args"]["labels"]
-        assert "comms=shm" in labels and "backend=processes" in labels
+        assert "kernel=blocked" in labels and "backend=processes" in labels
         lanes = [e["args"]["name"] for e in by_name["thread_name"]]
-        assert "worker 0 [shm]" in lanes and "worker 1 [shm]" in lanes
-
-    def test_default_lane_names_without_shm(self):
-        from repro.obs.export import _metadata_events
-
-        events = _metadata_events([0, 1], run_config={"comms": "pipe"})
-        lanes = [
-            e["args"]["name"] for e in events if e["name"] == "thread_name"
-        ]
-        assert "worker 0" in lanes and "[shm]" not in " ".join(lanes)
+        assert lanes == ["master", "worker 0", "worker 1"]
 
     @pytest.mark.timeout(60)
     def test_profile_to_chrome_self_describes(self, setup):

@@ -110,15 +110,17 @@ class TestDeadProcessWorker:
                 team.loglikelihood(0)
 
     @pytest.mark.timeout(60)
-    def test_dead_worker_mid_program_cleans_up_shm(self, setup):
-        """A worker dying inside a fused program on the shm plane must
-        surface as WorkerError AND leave no stale /dev/shm segment — the
-        teardown path unlinks the arena and result plane."""
+    def test_dead_worker_mid_program_cleans_up_shm(self, setup, tmp_path):
+        """A worker dying inside a fused program with the live stats
+        plane mapped must surface as WorkerError AND leave no stale
+        /dev/shm segment — closing the engine unlinks the plane."""
+        from repro.obs.live import LiveTelemetry
         from repro.parallel import live_segments
 
+        live = LiveTelemetry(postmortem_dir=str(tmp_path))
         before = live_segments()
-        with make_team(setup, "processes", comms="shm") as team:
-            assert len(live_segments()) == len(before) + 2
+        with make_team(setup, "processes", live=live) as team:
+            assert len(live_segments()) == len(before) + 1
             victim = team._team.procs[1]
             victim.terminate()
             victim.join(timeout=10)
@@ -130,11 +132,14 @@ class TestDeadProcessWorker:
         assert live_segments() == before
 
     @pytest.mark.timeout(60)
-    def test_worker_exception_on_shm_plane_keeps_team_usable(self, setup):
-        """A worker-side exception under comms=shm still travels over the
-        pipe (the error path never touches the result plane) and the team
+    def test_worker_exception_on_shm_plane_keeps_team_usable(self, setup, tmp_path):
+        """A worker-side exception inside a fused program with the live
+        stats plane mapped travels back over the pipe and the team
         remains usable afterwards."""
-        with make_team(setup, "processes", comms="shm") as team:
+        from repro.obs.live import LiveTelemetry
+
+        live = LiveTelemetry(postmortem_dir=str(tmp_path))
+        with make_team(setup, "processes", live=live) as team:
             before = team.loglikelihood(0)
             with pytest.raises(WorkerError):
                 team.run_program((("lnl", 0), ("deriv", 4242, np.zeros(2), [0])))
@@ -177,17 +182,16 @@ class TestPostmortemFlightDump:
 
     @pytest.mark.timeout(60)
     def test_dead_worker_mid_program_dumps_and_cleans_shm(self, setup, tmp_path):
-        """The shm variant of the mid-program death: the dump is written
-        AND the teardown still unlinks every segment (arena, result
-        plane, stats plane)."""
+        """The mid-program death under the live plane: the dump is
+        written AND the teardown still unlinks the stats-plane segment."""
         from repro.obs.live import LiveTelemetry
         from repro.parallel import live_segments
 
         live = LiveTelemetry(postmortem_dir=str(tmp_path))
         before = live_segments()
-        with make_team(setup, "processes", comms="shm", live=live) as team:
-            # arena + result plane + worker-stats plane
-            assert len(live_segments()) == len(before) + 3
+        with make_team(setup, "processes", live=live) as team:
+            # the worker-stats plane
+            assert len(live_segments()) == len(before) + 1
             victim = team._team.procs[1]
             victim.terminate()
             victim.join(timeout=10)

@@ -322,6 +322,46 @@ def test_tenant_fairness_and_obs_plane(service):
     assert 'mode="serve"' in text
 
 
+@pytest.mark.parametrize("field", ["executors", "workers"])
+def test_config_rejects_nonpositive_counts(field, tmp_path, capsys):
+    """executors=0 would leave every job pending forever and workers=0
+    would fail every team build, so both are rejected up front — and
+    `repro serve` turns the rejection into exit code 2."""
+    from repro.cli import main
+
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: 0})
+    rc = main(["serve", "--socket", str(tmp_path / "s.sock"), f"--{field}", "0"])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "s.sock")
+
+
+@pytest.mark.timeout(120)
+def test_team_build_failure_fails_batch_not_executor(oneshot_lnl):
+    """An exception from the team factory during checkout fails the batch
+    with a pool error; the (only) executor survives to serve the next job."""
+    svc = LikelihoodService(ServiceConfig(
+        workers=2, executors=1, pool_capacity=1, backend="threads",
+    ))
+    real_factory = svc.pool.factory
+
+    def broken(context):
+        raise ValueError("cannot build a team")
+
+    svc.pool.factory = broken
+    with svc:
+        client = LocalClient(svc)
+        view = client.run({"op": "loglikelihood", "dataset": DS}, wait=30)
+        assert view["state"] == "failed"
+        assert view["error"]["type"] == "pool"
+        assert "cannot build a team" in view["error"]["message"]
+        svc.pool.factory = real_factory
+        after = client.run({"op": "loglikelihood", "dataset": DS}, wait=60)
+        assert after["state"] == "done"
+        assert abs(after["result"]["lnl"] - oneshot_lnl) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # socket protocol
 

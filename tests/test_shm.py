@@ -1,17 +1,10 @@
-"""Shared-memory comms plane: segment lifecycle (no /dev/shm leaks),
-input arena integrity, result-plane round trips, and pipe-vs-shm
-equivalence on the real process backend.
+"""Shared-memory segment lifecycle on the process backend: the live stats
+plane is the only /dev/shm user, and nothing survives teardown.
 """
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ParallelPLK,
-    SharedInputArena,
-    SharedResultPlane,
-    live_segments,
-    slice_partition_data,
-)
+from repro.parallel import ParallelPLK, live_segments
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
 
@@ -37,110 +30,43 @@ def no_leaked_segments():
     assert live_segments() == before
 
 
-class TestSharedInputArena:
-    def test_slices_round_trip_and_are_read_only(self, setup):
-        data, *_ = setup
-        worker_slices = [slice_partition_data(data, 2, w) for w in range(2)]
-        arena = SharedInputArena(worker_slices)
-        try:
-            assert arena.name in live_segments()
-            for orig_w, shared_w in zip(worker_slices, arena.worker_slices):
-                for orig, shared in zip(orig_w, shared_w):
-                    assert shared.partition == orig.partition
-                    np.testing.assert_array_equal(
-                        shared.tip_states, orig.tip_states
-                    )
-                    np.testing.assert_array_equal(shared.weights, orig.weights)
-                    assert not shared.tip_states.flags.writeable
-            assert arena.nbytes > 0
-        finally:
-            arena.close()
-        assert arena.name not in live_segments()
-
-    def test_close_is_idempotent(self, setup):
-        data, *_ = setup
-        arena = SharedInputArena([slice_partition_data(data, 1, 0)])
-        arena.close()
-        arena.close()
-
-
-class TestSharedResultPlane:
-    def test_rows_are_views_of_one_plane(self):
-        plane = SharedResultPlane(n_workers=3, n_partitions=4)
-        try:
-            assert plane.capacity >= 6 * 4  # headroom for prepare+deriv prog
-            plane.row(1)[:3] = [1.0, 2.0, 3.0]
-            np.testing.assert_array_equal(plane.slots[1, :3], [1.0, 2.0, 3.0])
-            np.testing.assert_array_equal(plane.slots[0], 0.0)
-        finally:
-            plane.close()
-
-    def test_capacity_floor(self):
-        plane = SharedResultPlane(n_workers=1, n_partitions=1)
-        try:
-            assert plane.capacity >= 32
-        finally:
-            plane.close()
-
-
 @pytest.mark.timeout(120)
-class TestShmBackend:
-    def make_team(self, setup, comms, **kw):
+class TestProcessTeamSegments:
+    def make_team(self, setup, **kw):
         data, tree, lengths, models, alphas = setup
         return ParallelPLK(
-            data, tree, models, alphas, 2, backend="processes", comms=comms,
+            data, tree, models, alphas, 2, backend="processes",
             initial_lengths=lengths, **kw,
         )
 
-    def test_shm_requires_process_backend(self, setup):
-        data, tree, lengths, models, alphas = setup
-        with pytest.raises(ValueError, match="processes"):
-            ParallelPLK(data, tree, models, alphas, 2, backend="threads",
-                        comms="shm")
-        with pytest.raises(ValueError, match="comms"):
-            ParallelPLK(data, tree, models, alphas, 2, backend="processes",
-                        comms="carrier-pigeon")
-
-    def test_shm_matches_pipe_results(self, setup):
-        out = {}
-        for comms in ("pipe", "shm"):
-            with self.make_team(setup, comms) as team:
-                assert team.comms == comms
-                lnl = team.loglikelihood(0)
-                z = team.optimize_branch(0, "new", z0=np.full(3, 0.1))
-                parts = team.partition_loglikelihoods(0)
-                out[comms] = (lnl, z, parts)
-        assert out["shm"][0] == pytest.approx(out["pipe"][0], abs=1e-10)
-        np.testing.assert_allclose(out["shm"][1], out["pipe"][1], atol=1e-10)
-        np.testing.assert_allclose(out["shm"][2], out["pipe"][2], atol=1e-10)
-
-    def test_shm_moves_results_off_the_pipe(self, setup):
-        stats = {}
-        for comms in ("pipe", "shm"):
-            with self.make_team(setup, comms) as team:
-                team.optimize_branch(0, "new", z0=np.full(3, 0.1))
-                stats[comms] = team.comms_stats()
-        assert stats["pipe"]["shm_rx_bytes"] == 0
-        assert stats["shm"]["shm_rx_bytes"] > 0
-        # identical command schedule, but the result payloads now travel
-        # through shared memory: the pipe carries strictly fewer bytes.
-        assert stats["shm"]["pipe_rx_bytes"] < stats["pipe"]["pipe_rx_bytes"]
+    def test_plain_team_creates_no_segment(self, setup):
+        before = live_segments()
+        with self.make_team(setup) as team:
+            team.loglikelihood(0)
+            assert live_segments() == before
 
     def test_segments_exist_while_open_and_vanish_on_close(self, setup):
-        team = self.make_team(setup, "shm")
+        before = live_segments()
+        team = self.make_team(setup, live=True)
         try:
-            segs = live_segments()
-            assert len(segs) == 2  # input arena + result plane
+            assert len(live_segments()) == len(before) + 1  # the stats plane
             team.loglikelihood(0)
         finally:
             team.close()
-        assert live_segments() == []
+        assert live_segments() == before
 
-    def test_threads_backend_reports_local(self, setup):
+    def test_replies_travel_over_the_pipe(self, setup):
+        with self.make_team(setup) as team:
+            team.optimize_branch(0, "new", z0=np.full(3, 0.1))
+            stats = team.comms_stats()
+        assert stats["pipe_tx_bytes"] > 0
+        assert stats["pipe_rx_bytes"] > 0
+        assert stats["shm_rx_bytes"] == 0
+
+    def test_threads_backend_moves_no_bytes(self, setup):
         data, tree, lengths, models, alphas = setup
         with ParallelPLK(data, tree, models, alphas, 2, backend="threads",
                          initial_lengths=lengths) as team:
-            assert team.comms == "local"
-            stats = team.comms_stats()
-            assert stats["comms"] == "local"
-            assert stats["pipe_tx_bytes"] == 0
+            assert team.comms_stats() == {
+                "pipe_tx_bytes": 0, "pipe_rx_bytes": 0, "shm_rx_bytes": 0,
+            }
