@@ -72,7 +72,6 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     from .parallel.distribution import DISTRIBUTIONS
-    from .plk.kernels import KERNEL_CHOICES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -98,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--tree", help="starting tree (Newick; default: "
                      "randomized stepwise-addition parsimony)")
     ana.add_argument("--strategy", choices=("old", "new"), default="new")
-    ana.add_argument("--kernel", choices=KERNEL_CHOICES, default="numpy",
-                     help="PLK inner-loop backend (default: %(default)s)")
     ana.add_argument("--branch-mode", choices=("joint", "per_partition"),
                      default="per_partition")
     ana.add_argument("--search", action="store_true",
@@ -134,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=workers_default)
         p.add_argument("--backend", choices=("threads", "processes"),
                        default="processes")
-        p.add_argument("--kernel", choices=KERNEL_CHOICES, default="numpy",
-                       help="PLK inner-loop backend: the numpy reference, "
-                       "the cache-blocked BLAS kernel, the numba JIT "
-                       "(falls back to numpy when numba is missing), or "
-                       "the repeat-aware composites repeats[+blocked|"
-                       "+numba] (default: %(default)s)")
         p.add_argument("--distribution", choices=DISTRIBUTIONS,
                        default="cyclic")
         p.add_argument("--edges", type=int, default=6,
@@ -252,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="workers per team (default: %(default)s)")
     srv.add_argument("--backend", choices=("threads", "processes"),
                      default="threads")
-    srv.add_argument("--kernel", choices=KERNEL_CHOICES, default="numpy")
     srv.add_argument("--distribution", choices=DISTRIBUTIONS, default="cyclic")
     srv.add_argument("--executors", type=int, default=2,
                      help="concurrent job executors (default: %(default)s)")
@@ -301,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--seed", type=int, default=42)
     sbm.add_argument("--edges", type=int, nargs="+",
                      help="edges for optimize_branches (default: [0])")
-    sbm.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                     help="per-job kernel backend override (the daemon "
-                     "keeps one warm team per dataset+kernel)")
     sbm.add_argument("--spec", help="raw JSON job spec (overrides the "
                      "dataset/op flags entirely)")
 
@@ -420,7 +407,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 ckpt_taxa, alignment.matrix[order], alignment.datatype
             )
         data = build_data(alignment)
-        engine = engine_from_checkpoint(data, state, kernel=args.kernel)
+        engine = engine_from_checkpoint(data, state)
         engine.recorder = recorder
         for part in engine.parts:
             part.recorder = recorder
@@ -453,7 +440,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             branch_mode=args.branch_mode,
             initial_lengths=lengths,
             recorder=recorder,
-            kernel=args.kernel,
         )
     t0 = time.perf_counter()
     if args.search:
@@ -534,7 +520,6 @@ def _run_profiled_strategies(
     from .perf import Profiler
 
     data, tree, lengths, models, alphas, edges = _build_workload(args)
-    kernel = getattr(args, "kernel", None)
     profiles = {}
     for strategy in ("old", "new"):
         live = None
@@ -552,8 +537,7 @@ def _run_profiled_strategies(
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             backend=args.backend, distribution=args.distribution,
-            kernel=kernel, initial_lengths=lengths,
-            profiler=profiler, live=live,
+            initial_lengths=lengths, profiler=profiler, live=live,
         ) as team:
             if warmup:
                 # Untimed pass absorbs worker start-up / allocator / cache
@@ -673,7 +657,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             backend=args.backend, distribution=args.distribution,
-            kernel=getattr(args, "kernel", None),
             initial_lengths=lengths, profiler=profiler,
             tracer=tracer, metrics=metrics, telemetry=telemetry,
             live=bool(getattr(args, "live", False)),
@@ -683,7 +666,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
                 team.optimize_alpha(args.strategy)
         events = tracer_to_chrome(tracer, run_config={
             "backend": team.backend, "n_workers": team.n_workers,
-            "kernel": team.kernel,
             "distribution": team.distribution, "strategy": args.strategy,
             "live": team.live.enabled,
         })
@@ -754,7 +736,6 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     engine = PartitionedEngine(
         data, tree.copy(), models=list(models), alphas=list(alphas),
         initial_lengths=lengths, recorder=recorder,
-        kernel=getattr(args, "kernel", None),
     )
     optimize_branch_lengths(engine, args.strategy, passes=1, edges=edges)
     if args.alpha:
@@ -768,7 +749,6 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             backend=args.backend, distribution=policy,
-            kernel=getattr(args, "kernel", None),
             initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.optimize_branches(edges, args.strategy)
@@ -869,7 +849,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     with ParallelPLK(
         data, tree, models, alphas, args.workers,
         backend=args.backend, distribution=args.distribution,
-        kernel=getattr(args, "kernel", None),
         initial_lengths=lengths, metrics=metrics, live=live,
     ) as team:
         print(f"live plane segment: {live.plane.name}  "
@@ -937,7 +916,7 @@ def _cmd_perfcheck(args: argparse.Namespace) -> int:
         workload = {
             key: getattr(args, key)
             for key in ("taxa", "sites", "partitions", "workers", "backend",
-                        "distribution", "kernel", "edges", "alpha", "seed")
+                        "distribution", "edges", "alpha", "seed")
         }
         write_baseline(baseline_path, profiles, workload)
         print(f"froze baseline {baseline_path}")
@@ -955,7 +934,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServiceConfig(
             workers=args.workers,
             backend=args.backend,
-            kernel=args.kernel,
             distribution=args.distribution,
             executors=args.executors,
             pool_capacity=args.pool_capacity,
@@ -970,8 +948,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     service = LikelihoodService(config)
     print(f"repro serve: {args.executors} executors, pool capacity "
-          f"{args.pool_capacity}, {args.workers}-worker {args.backend} teams "
-          f"({args.kernel} kernel); listening on {args.socket}",
+          f"{args.pool_capacity}, {args.workers}-worker {args.backend} teams; "
+          f"listening on {args.socket}",
           flush=True)
     serve_forever(service, args.socket)
     print("repro serve: shut down")
@@ -1012,8 +990,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             }
             if args.op == "optimize_branches":
                 spec["edges"] = args.edges if args.edges else [0]
-            if args.kernel:
-                spec["kernel"] = args.kernel
         job_id = client.submit(spec, tenant=args.tenant,
                                priority=args.priority, timeout=args.timeout)
         view = client.result(job_id, wait=args.wait)

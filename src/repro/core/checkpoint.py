@@ -52,8 +52,7 @@ def engine_to_checkpoint(engine: PartitionedEngine) -> dict[str, Any]:
 
 
 def engine_from_checkpoint(
-    data: PartitionedAlignment, state: dict[str, Any],
-    kernel: str | None = None,
+    data: PartitionedAlignment, state: dict[str, Any]
 ) -> PartitionedEngine:
     """Rebuild an engine from a checkpoint against the same alignment.
 
@@ -103,7 +102,6 @@ def engine_from_checkpoint(
         models=models,
         alphas=alphas,
         branch_mode=state["branch_mode"],
-        kernel=kernel,
     )
     engine._global_lengths[:] = np.asarray(state["global_lengths"])
     if state["branch_mode"] == "proportional":
@@ -127,8 +125,7 @@ def save_checkpoint(engine: PartitionedEngine, path) -> None:
         json.dump(engine_to_checkpoint(engine), fh, indent=1)
 
 
-def load_checkpoint(data: PartitionedAlignment, path,
-                    kernel: str | None = None) -> PartitionedEngine:
+def load_checkpoint(data: PartitionedAlignment, path) -> PartitionedEngine:
     """Rebuild an engine from a checkpoint file."""
     with open(path) as fh:
-        return engine_from_checkpoint(data, json.load(fh), kernel=kernel)
+        return engine_from_checkpoint(data, json.load(fh))

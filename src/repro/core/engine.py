@@ -18,7 +18,6 @@ import numpy as np
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..plk.kernels import get_kernel
 from ..plk.likelihood import BranchWorkspace, PartitionLikelihood
 from ..plk.models import SubstitutionModel
 from ..plk.partition import PartitionedAlignment
@@ -76,10 +75,6 @@ class PartitionedEngine:
         :data:`repro.parallel.DISTRIBUTIONS`).  The sequential engine's
         numbers do not depend on it; it is stamped onto finalized traces
         so simulator replays default to the intended policy.
-    kernel:
-        Inner-loop backend name from :data:`repro.plk.kernels.KERNELS`
-        (or ``None`` for the ``REPRO_KERNEL``/numpy default), shared by
-        every partition engine.
     """
 
     def __init__(
@@ -96,7 +91,6 @@ class PartitionedEngine:
         metrics=None,
         telemetry=None,
         distribution: str = "cyclic",
-        kernel: str | None = None,
     ):
         if branch_mode not in BRANCH_MODES:
             raise ValueError(f"branch_mode must be one of {BRANCH_MODES}")
@@ -128,9 +122,6 @@ class PartitionedEngine:
         if len(alphas) != data.n_partitions:
             raise ValueError("need one alpha per partition")
 
-        # One backend instance shared by all partitions (the sequential
-        # engine runs them back to back on one thread).
-        self.kernel = get_kernel(kernel)
         self.parts: list[PartitionLikelihood] = [
             PartitionLikelihood(
                 d,
@@ -140,7 +131,6 @@ class PartitionedEngine:
                 categories=categories,
                 index=i,
                 recorder=self.recorder,
-                kernel_backend=self.kernel,
             )
             for i, (d, model, alpha) in enumerate(zip(data.data, models, alphas))
         ]

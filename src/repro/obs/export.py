@@ -103,7 +103,7 @@ def _span_event(span: Span) -> dict:
 def tracer_to_chrome(tracer: Tracer, run_config: dict | None = None) -> list[dict]:
     """All spans and instant markers of a live trace as Chrome events.
 
-    ``run_config`` (backend, kernel, distribution policy, …)
+    ``run_config`` (backend, distribution policy, …)
     is stamped into the metadata events so the file is self-describing.
     """
     events = _metadata_events(
@@ -130,7 +130,7 @@ def profile_to_chrome(profile, run_config: dict | None = None) -> list[dict]:
 
     The run configuration is stamped into the metadata events —
     defaulting to what the profile itself recorded (backend, team size,
-    distribution, plus the kernel/live/strategy meta stamps).
+    distribution, plus the live/strategy meta stamps).
     """
     if run_config is None:
         run_config = {
@@ -138,7 +138,7 @@ def profile_to_chrome(profile, run_config: dict | None = None) -> list[dict]:
             "n_workers": profile.n_workers,
             "distribution": profile.distribution,
         }
-        for key in ("kernel", "live", "strategy"):
+        for key in ("live", "strategy"):
             if key in profile.meta:
                 run_config[key] = profile.meta[key]
     lanes = [MASTER_LANE] + [w + 1 for w in range(profile.n_workers)]

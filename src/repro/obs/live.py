@@ -53,9 +53,7 @@ from ..parallel.shm import (
     STAT_PATTERNS,
     STAT_PHASE,
     STAT_WAIT,
-    STAT_KERNEL,
     WorkerStatsPlane,
-    kernel_name,
     op_name,
 )
 
@@ -99,7 +97,6 @@ class WorkerSample:
     busy_seconds: float
     wait_seconds: float
     patterns: int
-    kernel: str
     heartbeat_age: float
     uptime: float
     consistent: bool
@@ -137,7 +134,6 @@ def sample_plane(
                 busy_seconds=float(row[STAT_BUSY]),
                 wait_seconds=float(row[STAT_WAIT]),
                 patterns=int(row[STAT_PATTERNS]),
-                kernel=kernel_name(row[STAT_KERNEL]),
                 heartbeat_age=max(0.0, now - float(row[STAT_HEARTBEAT])),
                 uptime=max(0.0, now - float(row[STAT_EPOCH])),
                 consistent=consistent,
@@ -594,7 +590,7 @@ def render_dashboard(
     title = "repro live"
     stamp = " ".join(
         f"{k}={cfg[k]}"
-        for k in ("backend", "kernel", "distribution", "n_workers")
+        for k in ("backend", "distribution", "n_workers")
         if k in cfg
     )
     if stamp:

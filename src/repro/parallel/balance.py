@@ -12,10 +12,7 @@ optimization problem; this module does the same for our worker teams:
 
 * :class:`CostModel` — relative cost of one pattern of each partition
   (``categories * states**2`` analytically; *seconds* per pattern once
-  calibrated from a measured :class:`repro.perf.RunProfile`; and — for
-  repeat-aware kernels — optional per-pattern cost VECTORS pricing
-  *post-compression* work, since a pattern whose subtree states repeat
-  everywhere costs a sliver of a unique one under ``kernel=repeats``);
+  calibrated from a measured :class:`repro.perf.RunProfile`);
 * :func:`build_plan` — a global :class:`DistributionPlan` under any of the
   four policies, including ``weighted`` (cost-aware cyclic: each pattern
   goes to the thread with the smallest *cumulative cost*, not the next
@@ -180,20 +177,10 @@ class CostModel:
     unit:
         ``"relative"`` or ``"seconds"`` (documentation only; every
         consumer is scale-free).
-    pattern_costs:
-        Optional per-partition vectors of INDIVIDUAL pattern costs (one
-        ``(m'_p,)`` array per partition).  When present, ``weighted``
-        assignment and ``lpt`` chunking split on cumulative pattern cost
-        instead of pattern count, and predicted thread loads sum the
-        vectors — this is how repeat-aware plans price post-compression
-        work (:meth:`repeat_aware`).  ``per_pattern`` stays the
-        per-partition mean, so partition totals agree between the vector
-        and scalar views.
     """
 
     per_pattern: np.ndarray
     unit: str = "relative"
-    pattern_costs: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.per_pattern, dtype=np.float64)
@@ -202,18 +189,6 @@ class CostModel:
         if (arr <= 0).any():
             raise ValueError("per-pattern costs must be positive")
         object.__setattr__(self, "per_pattern", arr)
-        if self.pattern_costs is not None:
-            vecs = tuple(
-                np.asarray(v, dtype=np.float64) for v in self.pattern_costs
-            )
-            if len(vecs) != arr.size:
-                raise ValueError("need one pattern-cost vector per partition")
-            for v in vecs:
-                if v.ndim != 1 or (v < 0).any():
-                    raise ValueError(
-                        "pattern costs must be non-negative 1-D vectors"
-                    )
-            object.__setattr__(self, "pattern_costs", vecs)
 
     @classmethod
     def analytic(cls, layout: PartitionLayout) -> "CostModel":
@@ -283,63 +258,8 @@ class CostModel:
             unit="seconds",
         )
 
-    @classmethod
-    def repeat_aware(cls, data, tree, categories: int = 4) -> "CostModel":
-        """Effective post-compression pattern costs under ``kernel=repeats``.
-
-        ``data`` is a :class:`~repro.plk.partition.PartitionedAlignment`
-        and ``tree`` the shared topology.  Each pattern's cost is its
-        datatype weight scaled by the mean (over inner nodes) of
-        ``1 / |repeat class|`` — the fraction of a newview column the
-        pattern actually pays once repeats are computed once per class
-        (:func:`repro.plk.repeats.effective_pattern_weights`).  Plans
-        built from this model balance the work a repeat-aware worker
-        really executes, not the raw pattern counts.
-        """
-        from ..plk.repeats import effective_pattern_weights
-
-        vectors = []
-        per = []
-        for block in data.data:
-            w = effective_pattern_weights(
-                block.tip_states, tree, block.states, categories
-            )
-            vectors.append(w)
-            per.append(
-                float(w.mean()) if w.size
-                else pattern_weight(block.states, categories)
-            )
-        return cls(
-            per_pattern=np.array(per),
-            unit="relative",
-            pattern_costs=tuple(vectors),
-        )
-
-    def with_pattern_costs(self, vectors) -> "CostModel":
-        """This model with per-pattern cost *shapes* attached.
-
-        Each vector is rescaled so its partition mean equals this model's
-        ``per_pattern`` entry — a calibrated seconds-per-pattern scale
-        survives, only the within-partition shape changes.  This is how a
-        :class:`Rebalancer` combines measured calibration with
-        repeat-aware shapes.
-        """
-        scaled = []
-        for p, v in enumerate(vectors):
-            v = np.asarray(v, dtype=np.float64)
-            mean = float(v.mean()) if v.size else 0.0
-            scaled.append(v * (self.per_pattern[p] / mean) if mean > 0 else v)
-        return CostModel(
-            per_pattern=self.per_pattern,
-            unit=self.unit,
-            pattern_costs=tuple(scaled),
-        )
-
     def partition_costs(self, layout: PartitionLayout) -> np.ndarray:
-        """(P,) total cost of each partition: ``per_pattern * m'_p`` (the
-        exact vector sums when per-pattern costs are attached)."""
-        if self.pattern_costs is not None:
-            return np.array([float(v.sum()) for v in self.pattern_costs])
+        """(P,) total cost of each partition: ``per_pattern * m'_p``."""
         return self.per_pattern * np.asarray(layout.lengths, dtype=np.float64)
 
 
@@ -384,16 +304,8 @@ class DistributionPlan:
         return self.counts.sum(axis=0)
 
     def thread_costs(self) -> np.ndarray:
-        """(T,) predicted load per thread in the plan's cost units (exact
-        per-pattern sums when the cost model carries pattern vectors)."""
-        if self.cost.pattern_costs is None:
-            return self.counts.T @ self.cost.per_pattern
-        loads = np.zeros(self.n_threads)
-        for vec, per_thread in zip(self.cost.pattern_costs, self.indices):
-            for t, idx in enumerate(per_thread):
-                if len(idx):
-                    loads[t] += float(vec[idx].sum())
-        return loads
+        """(T,) predicted load per thread in the plan's cost units."""
+        return self.counts.T @ self.cost.per_pattern
 
     def imbalance(self) -> float:
         """Predicted max/mean thread-load ratio (1.0 = perfect)."""
@@ -417,48 +329,19 @@ def _weighted_indices(
     """Cost-aware cyclic: walk the global pattern vector in order and hand
     each pattern to the thread with the smallest cumulative cost so far
     (ties break toward the lowest thread id, so homogeneous data reduces
-    to plain round-robin).  With per-pattern cost vectors each pattern
-    carries its OWN cost, so cheap repeat-heavy patterns pack more densely
-    than unique ones."""
-    vectors = cost.pattern_costs
+    to plain round-robin)."""
     heap = [(0.0, t) for t in range(n_threads)]
     owned: list[list[list[int]]] = [
         [[] for _ in range(n_threads)] for _ in range(layout.n_partitions)
     ]
     for p, length in enumerate(layout.lengths):
-        flat = float(cost.per_pattern[p])
-        vec = vectors[p] if vectors is not None else None
+        c = float(cost.per_pattern[p])
         bucket = owned[p]
         for local in range(length):
-            c = float(vec[local]) if vec is not None else flat
             load, t = heapq.heappop(heap)
             bucket[t].append(local)
             heapq.heappush(heap, (load + c, t))
     return owned
-
-
-def _partition_chunks(
-    length: int, n_threads: int, flat_cost: float, vec: np.ndarray | None
-):
-    """Split one partition into at most T contiguous chunks, yielding
-    ``(cost, start, stop)``.  Count-balanced without a pattern vector;
-    with one, the boundaries equalize CUMULATIVE COST (cumsum +
-    searchsorted), so a run of cheap repeat-heavy patterns forms a wider
-    chunk than the same count of unique ones."""
-    if vec is None or float(vec.sum()) <= 0.0:
-        chunk_len = -(-length // n_threads)
-        for start in range(0, length, chunk_len):
-            stop = min(start + chunk_len, length)
-            yield (stop - start) * flat_cost, start, stop
-        return
-    cum = np.cumsum(vec)
-    total = float(cum[-1])
-    targets = total * np.arange(1, n_threads) / n_threads
-    bounds = np.searchsorted(cum, targets, side="left") + 1
-    edges = np.unique(np.concatenate([[0], bounds, [length]]))
-    for start, stop in zip(edges[:-1], edges[1:]):
-        start, stop = int(start), int(stop)
-        yield float(cum[stop - 1] - (cum[start - 1] if start else 0.0)), start, stop
 
 
 def _lpt_indices(
@@ -466,18 +349,16 @@ def _lpt_indices(
 ) -> list[list[list[int]]]:
     """Longest-processing-time greedy bin packing of contiguous partition
     chunks (each partition is pre-split into at most T chunks so no thread
-    can be forced to own more than a 1/T share of any partition — a 1/T
-    share of its COST when per-pattern vectors are present)."""
-    vectors = cost.pattern_costs
+    can be forced to own more than a 1/T share of any partition)."""
     chunks: list[tuple[float, int, int, int]] = []  # (-cost, p, start, stop)
     for p, length in enumerate(layout.lengths):
         if length == 0:
             continue
-        vec = vectors[p] if vectors is not None else None
-        for c, start, stop in _partition_chunks(
-            length, n_threads, float(cost.per_pattern[p]), vec
-        ):
-            chunks.append((-c, p, start, stop))
+        flat = float(cost.per_pattern[p])
+        chunk_len = -(-length // n_threads)
+        for start in range(0, length, chunk_len):
+            stop = min(start + chunk_len, length)
+            chunks.append((-(stop - start) * flat, p, start, stop))
     # Heaviest first; ties resolved by (partition, start) for determinism.
     chunks.sort()
     heap = [(0.0, t) for t in range(n_threads)]
@@ -519,13 +400,6 @@ def build_plan(
     cost = cost_model if cost_model is not None else CostModel.analytic(layout)
     if cost.per_pattern.shape != (layout.n_partitions,):
         raise ValueError("cost model and layout disagree on partition count")
-    if cost.pattern_costs is not None and any(
-        v.shape != (length,)
-        for v, length in zip(cost.pattern_costs, layout.lengths)
-    ):
-        raise ValueError(
-            "pattern-cost vectors and layout disagree on pattern counts"
-        )
     offsets = layout.offsets()
     total = layout.total
     if policy == "cyclic":
@@ -577,12 +451,6 @@ class Rebalancer:
     policy:
         Replan policy (default ``"lpt"`` — the strongest minimizer of the
         max-thread load; ``"weighted"`` is also sensible).
-    pattern_costs:
-        Optional per-partition pattern-cost vectors (e.g. from
-        :meth:`CostModel.repeat_aware`).  When set, every calibrated
-        model is reshaped with :meth:`CostModel.with_pattern_costs`
-        before replanning, so the new plan prices post-compression work
-        at the measured per-partition scale.
 
     Example
     -------
@@ -603,18 +471,12 @@ class Rebalancer:
         layout: PartitionLayout,
         n_threads: int,
         policy: str = "lpt",
-        pattern_costs=None,
     ):
         if policy not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {policy!r}; known: {DISTRIBUTIONS}")
         self.layout = layout
         self.n_threads = int(n_threads)
         self.policy = policy
-        self.pattern_costs = (
-            tuple(np.asarray(v, dtype=np.float64) for v in pattern_costs)
-            if pattern_costs is not None
-            else None
-        )
 
     def calibrate(self, plan: DistributionPlan, busy_seconds) -> CostModel:
         """Per-pattern seconds from a measured run under ``plan`` (see
@@ -636,8 +498,6 @@ class Rebalancer:
         """
         busy = getattr(measurement, "busy_seconds", measurement)
         model = self.calibrate(plan, busy)
-        if self.pattern_costs is not None:
-            model = model.with_pattern_costs(self.pattern_costs)
         new_plan = build_plan(self.layout, self.n_threads, self.policy, model)
         if recorder is not None:
             recorder.record(

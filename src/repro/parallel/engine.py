@@ -38,7 +38,6 @@ from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
 from ..optimize.newton import BatchedNewton, newton_optimize
 from ..optimize.brent import BatchedBrent
-from ..plk.kernels import normalize_kernel_name
 from ..plk.partition import PartitionedAlignment
 from ..plk.tree import Tree
 from .balance import DistributionPlan, PartitionLayout, build_plan, imbalance_ratio
@@ -179,10 +178,10 @@ class _ThreadTeam:
 
 
 def _process_worker_main(
-    conn, slices, tree, models, alphas, lengths, categories, kernel=None,
+    conn, slices, tree, models, alphas, lengths, categories,
     stats_row=None, rank=0,
 ):
-    state = WorkerState(slices, tree, models, alphas, lengths, categories, kernel)
+    state = WorkerState(slices, tree, models, alphas, lengths, categories)
     state.rank = rank
     if stats_row is not None:
         state.attach_stats(stats_row, rank)
@@ -359,19 +358,6 @@ class ParallelPLK:
         :class:`~repro.parallel.balance.Rebalancer`).  The resolved plan
         is exposed as ``self.plan`` and its policy name as
         ``self.distribution``.
-    kernel:
-        Inner-loop implementation for every worker, by name from
-        :data:`repro.plk.kernels.KERNEL_CHOICES` — ``"numpy"`` (the
-        reference), ``"blocked"`` (cache-blocked BLAS), ``"numba"``
-        (JIT, degrades to numpy when unavailable), or the repeat-aware
-        composites ``"repeats"`` / ``"repeats+blocked"`` /
-        ``"repeats+numba"`` (each worker builds repeat indexes for ITS
-        OWN pattern slices post-fork; the replies over the wire are
-        unchanged, since compressed CLVs are expanded at the evaluate
-        boundary inside the worker).  ``None``
-        reads ``REPRO_KERNEL`` from the environment, defaulting to
-        ``"numpy"``.  The canonical name is exposed as ``self.kernel``
-        and stamped into profiles, traces and metrics.
     profiler:
         A :class:`repro.perf.Profiler` to record per-command region
         timings (master wall time + each worker's execute time), or
@@ -415,7 +401,6 @@ class ParallelPLK:
         distribution: str | DistributionPlan = "cyclic",
         initial_lengths: np.ndarray | None = None,
         categories: int = 4,
-        kernel: str | None = None,
         profiler=None,
         tracer=None,
         metrics=None,
@@ -426,7 +411,6 @@ class ParallelPLK:
             raise ValueError("need at least one worker")
         if backend not in ("threads", "processes"):
             raise ValueError("backend must be 'threads' or 'processes'")
-        kernel = normalize_kernel_name(kernel)
         if profiler is None:
             from ..perf import NullProfiler
 
@@ -448,7 +432,6 @@ class ParallelPLK:
         self.n_partitions = data.n_partitions
         self.n_workers = n_workers
         self.backend = backend
-        self.kernel = kernel
         self.commands_issued = 0
         self._token = itertools.count()
         if isinstance(distribution, DistributionPlan):
@@ -479,13 +462,11 @@ class ParallelPLK:
         # team) so post-mortems can still read the final rows.
         self._stats_plane: WorkerStatsPlane | None = None
         if self.live.enabled:
-            self._stats_plane = WorkerStatsPlane(n_workers, kernel=self.kernel)
+            self._stats_plane = WorkerStatsPlane(n_workers)
         if backend == "threads":
-            # Backend name, not instance: each WorkerState resolves its
-            # own kernel so per-instance scratch never crosses threads.
             states = [
                 WorkerState(sl, tree.copy(), models, alphas, initial_lengths,
-                            categories, kernel)
+                            categories)
                 for sl in worker_slices
             ]
             for w, state in enumerate(states):
@@ -497,18 +478,17 @@ class ParallelPLK:
             self._team = _ProcessTeam(
                 [
                     (sl, tree.copy(), models, alphas, initial_lengths,
-                     categories, kernel)
+                     categories)
                     for sl in worker_slices
                 ],
                 stats_plane=self._stats_plane,
             )
         self.profiler.bind(backend=backend, n_workers=n_workers,
                            distribution=self.distribution,
-                           kernel=self.kernel, live=self.live.enabled)
-        self.metrics.counter(f"kernel.{self.kernel}").inc()
+                           live=self.live.enabled)
         if self.live.enabled:
             self.live.bind(self._stats_plane, metrics=self.metrics, run_config={
-                "backend": backend, "kernel": self.kernel,
+                "backend": backend,
                 "distribution": self.distribution, "n_workers": n_workers,
                 "n_partitions": self.n_partitions,
             })

@@ -46,8 +46,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..plk.kernels import KERNELS
-
 __all__ = [
     "SEGMENT_PREFIX",
     "WorkerStatsPlane",
@@ -127,7 +125,8 @@ def live_segments() -> list[str]:
 # ----------------------------------------------------------------------
 
 # Field indices of one worker stats row.  The layout is the wire format
-# read by attached dashboards, so fields are append-only across versions.
+# read by attached dashboards: fields are append-only within a layout
+# VERSION, and any other change bumps it.
 (
     STAT_SEQ,        # seqlock counter: odd while a write is in progress
     STAT_HEARTBEAT,  # time.monotonic() of the last update (system-wide clock)
@@ -137,9 +136,8 @@ def live_segments() -> list[str]:
     STAT_WAIT,       # cumulative seconds spent waiting for the next command
     STAT_PATTERNS,   # cumulative alignment patterns processed
     STAT_OP,         # current/last op as an index into STAT_OPS
-    STAT_KERNEL,     # kernel backend as an index into plk.kernels.KERNELS
     STAT_EPOCH,      # time.monotonic() when the worker attached (uptime base)
-) = range(10)
+) = range(9)
 
 #: Row width in float64 slots (headroom beyond the fields above so new
 #: fields can be appended without changing the segment geometry).
@@ -168,19 +166,6 @@ def op_name(code: float) -> str:
     return STAT_OPS[idx] if 0 <= idx < len(STAT_OPS) else "?"
 
 
-def kernel_code(name: str) -> int:
-    """Kernel backend name -> 1-based index into ``KERNELS`` (0 unknown)."""
-    try:
-        return KERNELS.index(name) + 1
-    except ValueError:
-        return 0
-
-
-def kernel_name(code: float) -> str:
-    idx = int(code) - 1
-    return KERNELS[idx] if 0 <= idx < len(KERNELS) else "?"
-
-
 class WorkerStatsPlane:
     """Per-worker live stats rows in one shared-memory segment.
 
@@ -197,13 +182,12 @@ class WorkerStatsPlane:
     """
 
     _MAGIC = 20090914.0  # ICPP 2009 + layout salt
-    VERSION = 1.0
+    VERSION = 2.0
 
-    def __init__(self, n_workers: int, kernel: str = "numpy"):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.n_workers = int(n_workers)
-        self.kernel = kernel
         self._shm: shared_memory.SharedMemory | None = None
         self._segment = _Segment((self.n_workers + 1) * N_STAT_FIELDS * 8)
         self.slots: np.ndarray | None = np.ndarray(
@@ -219,7 +203,6 @@ class WorkerStatsPlane:
             row = self.slots[w + 1]
             row[STAT_HEARTBEAT] = epoch
             row[STAT_EPOCH] = epoch
-            row[STAT_KERNEL] = kernel_code(kernel)
 
     @classmethod
     def attach(cls, name: str) -> "WorkerStatsPlane":
@@ -254,7 +237,6 @@ class WorkerStatsPlane:
             )
         plane = cls.__new__(cls)
         plane.n_workers = int(header[2])
-        plane.kernel = "?"
         plane._segment = None
         plane._shm = shm
         plane.slots = np.ndarray(
@@ -321,7 +303,7 @@ class WorkerStatsWriter:
     __slots__ = ("row", "rank", "_mv", "_seq", "_commands", "_busy",
                  "_wait_s", "_patterns")
 
-    def __init__(self, row: np.ndarray, rank: int, kernel: str = "numpy"):
+    def __init__(self, row: np.ndarray, rank: int):
         self.row = row
         self.rank = rank
         mv = self._mv = row.data.cast("B").cast("d")
@@ -334,7 +316,6 @@ class WorkerStatsWriter:
         self._patterns = float(mv[STAT_PATTERNS])
         now = time.monotonic()
         mv[STAT_SEQ] = self._seq + 1.0
-        mv[STAT_KERNEL] = float(kernel_code(kernel))
         if mv[STAT_EPOCH] == 0.0:
             mv[STAT_EPOCH] = now
         mv[STAT_PHASE] = _PHASE_IDLE

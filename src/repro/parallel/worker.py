@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..plk.kernels import get_kernel
 from ..plk.likelihood import BranchWorkspace, PartitionLikelihood
 from ..plk.partition import PartitionData, PartitionedAlignment
 from ..plk.tree import Tree
@@ -125,18 +124,11 @@ class WorkerState:
         alphas: list[float],
         initial_lengths: np.ndarray | None = None,
         categories: int = 4,
-        kernel: str | None = None,
     ):
         self.tree = tree
-        # One backend instance per worker, shared by its partition engines:
-        # backends carry per-instance scratch, so instances must not cross
-        # thread boundaries, but within one worker the commands are
-        # strictly sequential.
-        self.kernel = get_kernel(kernel)
         self.parts = [
             PartitionLikelihood(
                 d, tree, model, alpha=alpha, categories=categories, index=i,
-                kernel_backend=self.kernel,
             )
             for i, (d, model, alpha) in enumerate(zip(slices, models, alphas))
         ]
@@ -153,7 +145,6 @@ class WorkerState:
         # dispatch path then pays one attribute read, nothing else.
         self.stats: WorkerStatsWriter | None = None
         self.rank = 0
-        self._kernel_name = getattr(self.kernel, "name", "numpy")
         self._slice_patterns = tuple(sl.n_patterns for sl in slices)
         self._total_patterns = sum(self._slice_patterns)
 
@@ -162,7 +153,7 @@ class WorkerState:
         :class:`~repro.parallel.shm.WorkerStatsPlane` — every subsequent
         command (and every step of a fused program) updates the row."""
         self.rank = int(rank)
-        self.stats = WorkerStatsWriter(row, self.rank, self._kernel_name)
+        self.stats = WorkerStatsWriter(row, self.rank)
 
     def _command_patterns(self, cmd: tuple) -> int:
         """Alignment patterns one command touches on THIS worker (the

@@ -63,17 +63,15 @@ class Profiler:
         self.backend = ""
         self.n_workers = 0
         self.distribution = "cyclic"
-        self.kernel = "numpy"
         self.live = False
         self.meta = dict(meta or {})
 
     def bind(self, *, backend: str, n_workers: int, distribution: str,
-             kernel: str = "numpy", live: bool = False) -> None:
+             live: bool = False) -> None:
         """Called by :class:`~repro.parallel.ParallelPLK` at team startup."""
         self.backend = backend
         self.n_workers = n_workers
         self.distribution = distribution
-        self.kernel = kernel
         self.live = live
 
     def broadcast(self, team, cmd: tuple) -> list:
@@ -97,7 +95,6 @@ class Profiler:
     def profile(self) -> RunProfile:
         """The accumulated measurements as a :class:`RunProfile`."""
         meta = dict(self.meta)
-        meta.setdefault("kernel", self.kernel)
         meta.setdefault("live", self.live)
         return RunProfile(
             backend=self.backend,

@@ -22,17 +22,6 @@ from .gappy import (
     taxon_coverage,
     traversal_cost_ratio,
 )
-from .kernels import (
-    KERNEL_CHOICES,
-    KERNELS,
-    BlockedKernel,
-    KernelBackend,
-    NumbaKernel,
-    NumpyKernel,
-    RepeatsKernel,
-    get_kernel,
-    normalize_kernel_name,
-)
 from .likelihood import BranchWorkspace, PartitionLikelihood
 from .models import SubstitutionModel, n_exchange_rates
 from .newick import parse_newick, write_newick
@@ -45,18 +34,12 @@ from .partition import (
     uniform_scheme,
 )
 from .phylip import parse_fasta, parse_phylip, write_fasta, write_phylip
-from .repeats import (
-    NodeRepeats,
-    effective_pattern_weights,
-    repeat_profile,
-    tip_state_codes,
-)
+from .repeats import NodeRepeats, repeat_profile, tip_state_codes
 from .tree import TraversalStep, Tree
 
 __all__ = [
     "AA",
     "Alignment",
-    "BlockedKernel",
     "BranchWorkspace",
     "DNA",
     "DataType",
@@ -64,31 +47,22 @@ __all__ = [
     "GAMMA_CATEGORIES",
     "GappyEngine",
     "InducedSubtree",
-    "KERNEL_CHOICES",
-    "KERNELS",
-    "KernelBackend",
     "NodeRepeats",
-    "NumbaKernel",
-    "NumpyKernel",
     "Partition",
     "PartitionData",
     "PartitionLikelihood",
     "PartitionScheme",
     "PartitionedAlignment",
-    "RepeatsKernel",
     "SubstitutionModel",
     "TraversalStep",
     "Tree",
     "compress_columns",
     "discrete_gamma_rates",
-    "effective_pattern_weights",
     "empirical_frequencies",
     "frequency_ratios",
     "get_datatype",
-    "get_kernel",
     "induced_subtree",
     "n_exchange_rates",
-    "normalize_kernel_name",
     "parse_fasta",
     "parse_newick",
     "parse_partition_file",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import get_kernel
 from .likelihood import PartitionLikelihood
 from .models import SubstitutionModel
 from .partition import PartitionData, PartitionedAlignment
@@ -172,13 +171,6 @@ class GappyEngine:
     initial_lengths:
         Full-tree lengths; each partition starts from their projection
         onto its induced subtree.
-    kernel:
-        Kernel backend name/instance shared by all partition engines
-        (``None`` = layered default, as in
-        :class:`~repro.plk.likelihood.PartitionLikelihood`).  The
-        repeat-aware backends seed their indexes from the REDUCED tip
-        matrices, so repeat classes reflect each induced subtree's
-        restricted taxon set.
     """
 
     def __init__(
@@ -190,11 +182,9 @@ class GappyEngine:
         initial_lengths: np.ndarray | None = None,
         recorder=None,
         categories: int = 4,
-        kernel=None,
     ):
         self.data = data
         self.full_tree = tree
-        self.kernel = get_kernel(kernel)
         coverage = taxon_coverage(data)
         if models is None:
             models = [
@@ -227,7 +217,6 @@ class GappyEngine:
                 categories=categories,
                 index=p,
                 recorder=recorder,
-                kernel_backend=self.kernel,
             )
             if initial_lengths is not None:
                 engine.set_branch_lengths(sub.project_lengths(initial_lengths))

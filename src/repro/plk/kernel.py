@@ -46,6 +46,7 @@ __all__ = [
     "propagate",
     "newview",
     "rescale",
+    "root_site_likelihoods",
     "zero_pattern_mask",
     "combine_scales",
     "scaled_log_likelihoods",
@@ -147,8 +148,8 @@ def newview(
 
 
 def rescale(result: np.ndarray, scale: np.ndarray) -> None:
-    """Shared underflow handling for every kernel backend: rescale tiny
-    patterns in place and mark impossible ones.
+    """Underflow handling for :func:`newview`: rescale tiny patterns in
+    place and mark impossible ones.
 
     * Underflowing patterns (0 < max < 2^-256) are multiplied by 2^256 and
       their counter increments (RAxML's scheme).
@@ -193,7 +194,7 @@ def rescale(result: np.ndarray, scale: np.ndarray) -> None:
         scale[zero] = ZERO_SCALE
 
 
-def _root_site_likelihoods(
+def root_site_likelihoods(
     p: np.ndarray,
     clv_left: np.ndarray,
     clv_right: np.ndarray,
@@ -276,7 +277,7 @@ def evaluate(
     ``clv_left`` and ``clv_right`` (transition matrix ``p`` for the full
     branch length).  This is the reduction the paper identifies as the
     natural synchronization point."""
-    site = _root_site_likelihoods(p, clv_left, clv_right, frequencies)
+    site = root_site_likelihoods(p, clv_left, clv_right, frequencies)
     logs = scaled_log_likelihoods(site, combine_scales(scale_left, scale_right))
     return weighted_log_sum(weights, logs)
 

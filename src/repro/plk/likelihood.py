@@ -22,10 +22,8 @@ import numpy as np
 from . import kernel
 from .eigen import EigenSystem
 from .gamma import GAMMA_CATEGORIES, discrete_gamma_rates
-from .kernels import get_kernel
 from .models import SubstitutionModel
 from .partition import PartitionData
-from .repeats import NodeRepeats, tip_state_codes
 from .tree import Tree
 
 __all__ = ["PartitionLikelihood", "BranchWorkspace"]
@@ -74,18 +72,6 @@ class PartitionLikelihood:
         Optional kernel-operation listener with ``newview(partition, n)``,
         ``evaluate(partition, n)``, ``sumtable(partition, n)`` and
         ``derivative(partition, n)`` methods (n = pattern count touched).
-    kernel_backend:
-        Inner-loop implementation: a backend name from
-        :data:`repro.plk.kernels.KERNEL_CHOICES` (``"numpy"``,
-        ``"blocked"``, ``"numba"``, ``"repeats"``, ``"repeats+blocked"``,
-        ...), an already-resolved
-        :class:`~repro.plk.kernels.KernelBackend` instance, or ``None``
-        for the layered default (the ``REPRO_KERNEL`` environment
-        variable, else the numpy reference).  Backends advertising
-        ``supports_repeats`` switch on repeat-compressed CLV storage:
-        each inner node's CLV is computed and held over its unique site
-        classes only (:mod:`repro.plk.repeats`) and expanded by gather
-        at the evaluate/sumtable boundaries.
     """
 
     def __init__(
@@ -97,7 +83,6 @@ class PartitionLikelihood:
         categories: int = GAMMA_CATEGORIES,
         index: int = 0,
         recorder=None,
-        kernel_backend=None,
     ):
         if model.states != data.states:
             raise ValueError(
@@ -108,7 +93,6 @@ class PartitionLikelihood:
         self.index = index
         self.categories = categories
         self.recorder = recorder
-        self.kernel = get_kernel(kernel_backend)
         self.branch_lengths = np.full(tree.n_edges, 0.1)
         self._model = model
         self._alpha = float(alpha)
@@ -131,32 +115,14 @@ class PartitionLikelihood:
         self._scale: dict[int, np.ndarray] = {}
         self._stored_sig: dict[int, tuple[int, int, int, int, int]] = {}
         self._dirty: set[int] = set(range(tree.n_taxa, tree.n_nodes))
-        # Transition-matrix cache: edge -> (length, eigensystem, rates,
-        # backend-prepared P).  Branch lengths change rarely relative to
-        # how often P(t) is consumed (every partition touches every edge
-        # on a full traversal).  The eigensystem/rates are part of the key
-        # BY IDENTITY: parameter setters clear the cache, and the identity
+        # Transition-matrix cache: edge -> (length, eigensystem, rates, P).
+        # Branch lengths change rarely relative to how often P(t) is
+        # consumed (every partition touches every edge on a full
+        # traversal).  The eigensystem/rates are part of the key BY
+        # IDENTITY: parameter setters clear the cache, and the identity
         # check makes a missed clear impossible to exploit (defense in
         # depth against the stale-P bug class).
-        self._p_cache: dict[int, tuple[float, EigenSystem, np.ndarray, object]] = {}
-        # Repeat compression (kernel backends with ``supports_repeats``).
-        # The per-node repeat index depends only on the topology and the
-        # tip data — NOT on branch lengths or model parameters — so it is
-        # keyed by each node's (c1, c2) child pair and survives
-        # invalidate_all(); topology moves change the child pairs and are
-        # caught exactly like CLV signatures, cascading via the
-        # ``reindexed`` set in refresh().  ``_dense`` caches boundary
-        # expansions of compressed CLVs and is dropped on recompute.
-        self._repeat_aware = bool(getattr(self.kernel, "supports_repeats", False))
-        self._tip_codes: np.ndarray | None = None
-        self._node_rep: dict[int, NodeRepeats] = {}
-        self._rep_sig: dict[int, tuple[int, int]] = {}
-        self._dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # gather plans per (parent, child) edge: column-index vectors for
-        # compressed inner children, gathered indicator matrices for tips
-        # (both depend only on the repeat index — dropped on reindex)
-        self._gather_cols: dict[tuple[int, int], np.ndarray] = {}
-        self._tip_gather: dict[tuple[int, int], np.ndarray] = {}
+        self._p_cache: dict[int, tuple[float, EigenSystem, np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Parameters
@@ -256,7 +222,7 @@ class PartitionLikelihood:
         if not self.tree.is_leaf(node):
             self._dirty.add(node)
 
-    def _p_matrix(self, edge: int):
+    def _p_matrix(self, edge: int) -> np.ndarray:
         t = float(np.clip(self.branch_lengths[edge], kernel.MIN_BRANCH, kernel.MAX_BRANCH))
         hit = self._p_cache.get(edge)
         if (
@@ -267,118 +233,14 @@ class PartitionLikelihood:
         ):
             return hit[3]
         p = self._eigen.transition_matrices(t, self._rates)
-        prepared = self.kernel.prepare_p(p)
-        self._p_cache[edge] = (t, self._eigen, self._rates, prepared)
-        return prepared
+        self._p_cache[edge] = (t, self._eigen, self._rates, p)
+        return p
 
     def _child_clv(self, node: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """CLV (or tip matrix) plus scaling counter for a traversal child.
-
-        This is the repeat-compression boundary: a node stored over its
-        repeat classes is expanded back to the full pattern axis here by
-        gather (``np.take(clv, classes, axis=1)``), so every consumer —
-        evaluate,
-        root_site_likelihoods, make_sumtable, dense-fallback newview —
-        sees ordinary dense arrays.  Expansions are cached per node and
-        dropped whenever the node is recomputed."""
+        """CLV (or tip matrix) plus scaling counter for a traversal child."""
         if self.tree.is_leaf(node):
             return self.data.tip_states[node], None
-        rep = self._node_rep.get(node) if self._repeat_aware else None
-        if rep is None or not rep.compressed:
-            return self._clv[node], self._scale[node]
-        cached = self._dense.get(node)
-        if cached is None:
-            # np.take is several times faster than advanced indexing on
-            # the middle axis and returns a fresh contiguous array
-            clv = np.take(self._clv[node], rep.classes, axis=1)
-            cached = (clv, self._scale[node][rep.classes])
-            self._dense[node] = cached
-        return cached
-
-    # -- repeat index --------------------------------------------------
-
-    def _site_classes(self, node: int) -> NodeRepeats:
-        """The repeat classes of a traversal child (leaf classes come from
-        tip state codes and are computed once; inner classes must already
-        exist — refresh() visits children first)."""
-        rep = self._node_rep.get(node)
-        if rep is None:
-            # only reachable for leaves: postorder guarantees inner
-            # children were indexed earlier in the same pass
-            if self._tip_codes is None:
-                self._tip_codes = tip_state_codes(self.data.tip_states)
-            rep = NodeRepeats.from_keys(self._tip_codes[node])
-            self._node_rep[node] = rep
-        return rep
-
-    def _ensure_repeats(self, step, reindexed: set[int]) -> None:
-        """(Re)build ``step.node``'s repeat classes when its child pair
-        changed (topology move / root motion) or a child was reindexed.
-        Branch-length and model changes never reach this rebuild — the
-        index is reused across every Newton/Brent round."""
-        node = step.node
-        rsig = (step.c1, step.c2)
-        if (
-            self._rep_sig.get(node) == rsig
-            and step.c1 not in reindexed
-            and step.c2 not in reindexed
-        ):
-            return
-        rep = NodeRepeats.combine(
-            self._site_classes(step.c1), self._site_classes(step.c2)
-        )
-        self._node_rep[node] = rep
-        self._rep_sig[node] = rsig
-        reindexed.add(node)
-        # a child's reindex always forces the parent through this branch
-        # too, so dropping this node's own gather plans is sufficient
-        for cache in (self._gather_cols, self._tip_gather):
-            for key in [k for k in cache if k[0] == node]:
-                del cache[key]
-
-    def _gather_child(self, node: int, parent: int, representatives: np.ndarray):
-        """Child CLV columns at the parent's representative sites, in the
-        child's own storage layout (compressed children map sites through
-        their class ids; no intermediate dense expansion).
-
-        The gather *plan* — the column-index vector, and for tips the
-        gathered indicator matrix itself — depends only on the repeat
-        index, so it is cached per ``(parent, child)`` edge and dropped
-        when either end is reindexed."""
-        key = (parent, node)
-        if self.tree.is_leaf(node):
-            tip = self._tip_gather.get(key)
-            if tip is None:
-                tip = self.data.tip_states[node][representatives]
-                self._tip_gather[key] = tip
-            return tip, None
-        rep = self._node_rep[node]
-        if not rep.compressed:
-            cols = representatives
-        else:
-            cols = self._gather_cols.get(key)
-            if cols is None:
-                cols = rep.classes[representatives]
-                self._gather_cols[key] = cols
-        return np.take(self._clv[node], cols, axis=1), self._scale[node][cols]
-
-    def _propagated_child(self, node: int, edge: int):
-        """``propagate`` across ``edge`` at the child's STORED width, then
-        expand compressed results back to the full pattern axis.
-
-        This is how a dense parent consumes a compressed child: the
-        propagation flops shrink to one column per repeat class and only
-        the propagated vectors pay a full-width gather — strictly less
-        memory traffic than expanding the child CLV first and propagating
-        at full width."""
-        p = self._p_matrix(edge)
-        if self.tree.is_leaf(node):
-            return self.kernel.propagate(p, self.data.tip_states[node]), None
-        rep = self._node_rep.get(node) if self._repeat_aware else None
-        prop = self.kernel.propagate(p, self._clv[node])
-        if rep is None or not rep.compressed:
-            return prop, self._scale[node]
-        return np.take(prop, rep.classes, axis=1), self._scale[node][rep.classes]
+        return self._clv[node], self._scale[node]
 
     def refresh(self, root_edge: int) -> int:
         """Make every CLV needed for the orientation rooted on ``root_edge``
@@ -386,64 +248,27 @@ class PartitionLikelihood:
         partial-traversal length)."""
         steps = self.tree.postorder(root_edge)
         recomputed: set[int] = set()
-        reindexed: set[int] = set()
         count = 0
         for step in steps:
             node = step.node
-            if self._repeat_aware:
-                self._ensure_repeats(step, reindexed)
             sig = (step.c1, step.e1, step.c2, step.e2, self._parent_of(step))
             needs = (
                 node in self._dirty
                 or self._stored_sig.get(node) != sig
                 or step.c1 in recomputed
                 or step.c2 in recomputed
-                or node in reindexed
                 or node not in self._clv
             )
             if not needs:
                 continue
-            rep = self._node_rep.get(node) if self._repeat_aware else None
-            if rep is not None and rep.compressed:
-                # Compressed pruning step: newview over one representative
-                # site per repeat class.  Scale counters ride along per
-                # class, so rescale()'s sentinel arithmetic (ZERO_SCALE
-                # included) is applied to exactly the same value set as
-                # the dense path — sites of one class share bit-identical
-                # CLVs AND counters by construction.
-                reps = rep.representatives
-                clv1, sc1 = self._gather_child(step.c1, node, reps)
-                clv2, sc2 = self._gather_child(step.c2, node, reps)
-                p1 = self._p_matrix(step.e1)
-                p2 = self._p_matrix(step.e2)
-                clv, scale = self.kernel.newview(p1, clv1, sc1, p2, clv2, sc2)
-            elif self._repeat_aware and any(
-                (r := self._node_rep.get(c)) is not None and r.compressed
-                for c in (step.c1, step.c2)
-            ):
-                # Dense parent of a compressed child: propagate at class
-                # width, expand the propagated vectors, then combine with
-                # the shared scaling semantics of repro.plk.kernel (the
-                # same rescale every backend routes through).
-                clv, sc1 = self._propagated_child(step.c1, step.e1)
-                right, sc2 = self._propagated_child(step.c2, step.e2)
-                np.multiply(clv, right, out=clv)
-                scale = np.zeros(clv.shape[1], dtype=np.int32)
-                if sc1 is not None:
-                    scale += sc1
-                if sc2 is not None:
-                    scale += sc2
-                kernel.rescale(clv, scale)
-            else:
-                clv1, sc1 = self._child_clv(step.c1)
-                clv2, sc2 = self._child_clv(step.c2)
-                p1 = self._p_matrix(step.e1)
-                p2 = self._p_matrix(step.e2)
-                clv, scale = self.kernel.newview(p1, clv1, sc1, p2, clv2, sc2)
+            clv1, sc1 = self._child_clv(step.c1)
+            clv2, sc2 = self._child_clv(step.c2)
+            p1 = self._p_matrix(step.e1)
+            p2 = self._p_matrix(step.e2)
+            clv, scale = kernel.newview(p1, clv1, sc1, p2, clv2, sc2)
             self._clv[node] = clv
             self._scale[node] = scale
             self._stored_sig[node] = sig
-            self._dense.pop(node, None)
             self._dirty.discard(node)
             recomputed.add(node)
             count += 1
@@ -470,40 +295,26 @@ class PartitionLikelihood:
         ``root_edge`` (default: edge 0).  Time-reversibility makes the
         result independent of the choice."""
         edge = 0 if root_edge is None else root_edge
-        self.refresh(edge)
-        a, b = self.tree.edge_nodes(edge)
-        clv_a, sc_a = self._child_clv(a)
-        clv_b, sc_b = self._child_clv(b)
-        p = self._p_matrix(edge)
-        if self._pinv == 0.0:
-            lnl = self.kernel.evaluate(
-                p, clv_a, sc_a, clv_b, sc_b, self._model.frequencies, self.data.weights
-            )
-        else:
-            site = self.kernel.root_site_likelihoods(
-                p, clv_a, clv_b, self._model.frequencies
-            )
-            scale = kernel.combine_scales(sc_a, sc_b)
-            logs = kernel.mix_invariant_loglikelihoods(
-                site, scale, self._pinv, self.invariant_probabilities()
-            )
-            lnl = kernel.weighted_log_sum(self.data.weights, logs)
+        lnl = kernel.weighted_log_sum(self.data.weights, self.site_loglikelihoods(edge))
         if self.recorder is not None:
             self.recorder.evaluate(self.index, self.n_patterns)
         return lnl
 
     def site_loglikelihoods(self, root_edge: int = 0) -> np.ndarray:
-        """Per-pattern log-likelihoods (diagnostics and tests)."""
+        """Per-pattern log-likelihoods, including the +I mixture; their
+        pattern-weighted sum is :meth:`loglikelihood`."""
         self.refresh(root_edge)
         a, b = self.tree.edge_nodes(root_edge)
         clv_a, sc_a = self._child_clv(a)
         clv_b, sc_b = self._child_clv(b)
-        p = self._p_matrix(root_edge)
-        site = self.kernel.root_site_likelihoods(
-            p, clv_a, clv_b, self._model.frequencies
+        site = kernel.root_site_likelihoods(
+            self._p_matrix(root_edge), clv_a, clv_b, self._model.frequencies
         )
-        return kernel.scaled_log_likelihoods(
-            site, kernel.combine_scales(sc_a, sc_b)
+        scale = kernel.combine_scales(sc_a, sc_b)
+        if self._pinv == 0.0:
+            return kernel.scaled_log_likelihoods(site, scale)
+        return kernel.mix_invariant_loglikelihoods(
+            site, scale, self._pinv, self.invariant_probabilities()
         )
 
     # ------------------------------------------------------------------
@@ -516,7 +327,7 @@ class PartitionLikelihood:
         a, b = self.tree.edge_nodes(edge)
         clv_a, sc_a = self._child_clv(a)
         clv_b, sc_b = self._child_clv(b)
-        table = self.kernel.make_sumtable(
+        table = kernel.make_sumtable(
             clv_a, clv_b, self._eigen.u, self._eigen.v, self._model.frequencies
         )
         scale = kernel.combine_scales(sc_a, sc_b)

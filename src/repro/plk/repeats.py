@@ -1,14 +1,16 @@
-"""Site/subtree repeat compression: the per-node repeat index.
+"""Site/subtree repeats: the per-node repeat index and its profile.
 
 On real alignments many columns induce *identical subtree states*: below
 an inner node v, two sites whose characters agree at every leaf of v's
 subtree have — for any branch lengths and any model — exactly the same
-conditional likelihood vector at v.  Computing both is pure redundancy.
-The LvD line of work (PAPERS.md; Kobert et al.) turns this into an
-algorithmic speedup: partition each node's pattern axis into *repeat
-classes* and run ``newview`` only over one representative per class.
+conditional likelihood vector at v.  The LvD line of work (PAPERS.md;
+Kobert et al.) partitions each node's pattern axis into *repeat classes*
+so ``newview`` could run over one representative per class.  The engine
+does not do that (at the pattern counts the benchmarks run, the gathers
+cost more than they save — EXPERIMENTS.md REPEATS); this module measures
+how much such compression could save, for diagnostics and benchmarks.
 
-Class construction is one bottom-up pass (this module):
+Class construction is one bottom-up pass:
 
 * at a **tip**, two sites share a class iff their state codes agree —
   codes are bitmasks over the state set, so ambiguity codes (``R``,
@@ -17,23 +19,10 @@ Class construction is one bottom-up pass (this module):
 * at an **inner node**, two sites share a class iff their classes agree
   at BOTH children (``key = c1 * n2 + c2`` + one ``np.unique``).
 
-Two structural facts make the index cheap to exploit:
-
-* the classes depend only on the topology and the tip data — NOT on
-  branch lengths or model parameters — so the index survives every
-  Newton/Brent round and is invalidated only by topology moves;
-* class structure only refines upward: once a node reaches ``n_classes
-  == m`` (every site unique) all its ancestors are saturated too, so the
-  pass short-circuits to identity without running ``np.unique`` again.
-
-Storage policy: a node whose unique ratio ``n_classes / m`` is above
-:data:`DENSE_FALLBACK_RATIO` stores its CLV dense (the gather overhead
-would eat the win); its true classes still feed the ancestors.  The
-engine-side plumbing — compressed CLV storage, gathers, boundary
-expansion — lives in :class:`repro.plk.likelihood.PartitionLikelihood`;
-this module is pure index arithmetic so the cost model
-(:meth:`repro.parallel.balance.CostModel.repeat_aware`) can reuse it
-without touching an engine.
+The classes depend only on the topology and the tip data, and class
+structure only refines upward: once a node reaches ``n_classes == m``
+(every site unique) all its ancestors are saturated too, so the pass
+short-circuits to identity without running ``np.unique`` again.
 """
 from __future__ import annotations
 
@@ -42,17 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DENSE_FALLBACK_RATIO",
     "NodeRepeats",
     "tip_state_codes",
-    "effective_pattern_weights",
     "repeat_profile",
 ]
-
-#: Unique-ratio threshold above which a node's CLV is stored dense: with
-#: ``n_classes`` this close to ``m`` the per-call gather of the child
-#: columns costs more than the few duplicate newview columns it saves.
-DENSE_FALLBACK_RATIO = 0.9
 
 
 def tip_state_codes(tip_states: np.ndarray) -> np.ndarray:
@@ -82,16 +64,11 @@ class NodeRepeats:
     representatives:
         (n_classes,) site index of one representative per class
         (``classes[representatives[j]] == j``).
-    compressed:
-        Whether the engine stores this node's CLV over classes (False =
-        dense fallback; the classes still describe the true structure
-        for the node's ancestors).
     """
 
     classes: np.ndarray
     n_classes: int
     representatives: np.ndarray
-    compressed: bool
 
     @property
     def m(self) -> int:
@@ -109,15 +86,12 @@ class NodeRepeats:
 
     @classmethod
     def identity(cls, m: int) -> "NodeRepeats":
-        """The saturated index: every site its own class, stored dense."""
+        """The saturated index: every site its own class."""
         sites = np.arange(m, dtype=np.int64)
-        return cls(classes=sites, n_classes=m, representatives=sites,
-                   compressed=False)
+        return cls(classes=sites, n_classes=m, representatives=sites)
 
     @classmethod
-    def from_keys(
-        cls, keys: np.ndarray, max_ratio: float = DENSE_FALLBACK_RATIO
-    ) -> "NodeRepeats":
+    def from_keys(cls, keys: np.ndarray) -> "NodeRepeats":
         """Classes from any per-site integer key vector (tip codes or
         combined child classes)."""
         m = int(keys.shape[0])
@@ -126,21 +100,14 @@ class NodeRepeats:
         _, first, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )
-        n = int(first.shape[0])
         return cls(
             classes=inverse.astype(np.int64, copy=False),
-            n_classes=n,
+            n_classes=int(first.shape[0]),
             representatives=first.astype(np.int64, copy=False),
-            compressed=bool(n <= max_ratio * m),
         )
 
     @classmethod
-    def combine(
-        cls,
-        left: "NodeRepeats",
-        right: "NodeRepeats",
-        max_ratio: float = DENSE_FALLBACK_RATIO,
-    ) -> "NodeRepeats":
+    def combine(cls, left: "NodeRepeats", right: "NodeRepeats") -> "NodeRepeats":
         """The parent's classes from its two children's: sites share a
         class iff they share one at both children.  Saturated children
         short-circuit (class structure only refines upward)."""
@@ -148,41 +115,29 @@ class NodeRepeats:
             return cls.identity(left.m)
         # n1 * n2 <= m^2 fits int64 comfortably for any real alignment.
         keys = left.classes * np.int64(right.n_classes) + right.classes
-        return cls.from_keys(keys, max_ratio)
-
-
-def _postorder_repeats(tip_states: np.ndarray, tree, root_edge: int = 0):
-    """Yield ``(node, NodeRepeats)`` for every inner node in postorder
-    (index-construction core shared by the profile and the cost model)."""
-    codes = tip_state_codes(tip_states)
-    reps: dict[int, NodeRepeats] = {}
-
-    def node_rep(node: int) -> NodeRepeats:
-        if tree.is_leaf(node):
-            rep = reps.get(node)
-            if rep is None:
-                rep = NodeRepeats.from_keys(codes[node])
-                reps[node] = rep
-            return rep
-        return reps[node]
-
-    for step in tree.postorder(root_edge):
-        rep = NodeRepeats.combine(node_rep(step.c1), node_rep(step.c2))
-        reps[step.node] = rep
-        yield step.node, rep
+        return cls.from_keys(keys)
 
 
 def repeat_profile(tip_states: np.ndarray, tree, root_edge: int = 0) -> dict:
     """Repeat statistics of one partition on one topology.
 
     Returns ``{"per_node": {node: unique_ratio}, "mean_unique_ratio":
-    float, "min_unique_ratio": float, "n_patterns": m}`` — the ground
-    truth the cost model and EXPERIMENTS.md record for each dataset.
+    float, "min_unique_ratio": float, "n_patterns": m}`` over the inner
+    nodes in postorder — the figures EXPERIMENTS.md records per dataset.
     """
-    per_node = {
-        node: rep.unique_ratio
-        for node, rep in _postorder_repeats(tip_states, tree, root_edge)
-    }
+    codes = tip_state_codes(tip_states)
+    reps: dict[int, NodeRepeats] = {}
+
+    def node_rep(node: int) -> NodeRepeats:
+        if node not in reps:  # only leaves: postorder indexes inner nodes first
+            reps[node] = NodeRepeats.from_keys(codes[node])
+        return reps[node]
+
+    per_node = {}
+    for step in tree.postorder(root_edge):
+        rep = NodeRepeats.combine(node_rep(step.c1), node_rep(step.c2))
+        reps[step.node] = rep
+        per_node[step.node] = rep.unique_ratio
     ratios = list(per_node.values()) or [1.0]
     return {
         "per_node": per_node,
@@ -190,37 +145,3 @@ def repeat_profile(tip_states: np.ndarray, tree, root_edge: int = 0) -> dict:
         "min_unique_ratio": float(np.min(ratios)),
         "n_patterns": int(tip_states.shape[1]),
     }
-
-
-def effective_pattern_weights(
-    tip_states: np.ndarray,
-    tree,
-    states: int,
-    categories: int = 4,
-    root_edge: int = 0,
-) -> np.ndarray:
-    """(m,) post-compression cost of each pattern in the
-    ``categories * states**2`` currency of
-    :func:`repro.parallel.balance.pattern_weight`.
-
-    Under repeat compression, the newview work of a class at node v is
-    shared by its ``|class_v(i)|`` member sites, so pattern i's effective
-    share of one full traversal is the mean over inner nodes of
-    ``1 / |class_v(i)|`` — exactly the base weight when nothing repeats,
-    and a vanishing sliver for a site duplicated everywhere.  These are
-    the per-pattern costs a repeat-aware :class:`~repro.parallel.balance.
-    CostModel` prices plans with.
-    """
-    base = float(categories * states * states)
-    m = int(tip_states.shape[1])
-    if m == 0:
-        return np.zeros(0)
-    share = np.zeros(m)
-    n_inner = 0
-    for _, rep in _postorder_repeats(tip_states, tree, root_edge):
-        counts = np.bincount(rep.classes, minlength=rep.n_classes)
-        share += 1.0 / counts[rep.classes]
-        n_inner += 1
-    if n_inner == 0:
-        return np.full(m, base)
-    return base * share / n_inner

@@ -56,10 +56,6 @@ class AnalysisContext:
     layout: object  # PartitionLayout
     nbytes: int = 0
     hits: int = field(default=0)
-    #: Per-job kernel override (None = the service default).  Set by the
-    #: daemon when a job spec carries ``"kernel"``; the override is part
-    #: of the context ``key`` so warm teams are kernel-isolated.
-    kernel: str | None = None
 
     @property
     def n_partitions(self) -> int:

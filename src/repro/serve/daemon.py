@@ -31,19 +31,19 @@ from __future__ import annotations
 
 import collections
 import itertools
+import numbers
 import os
 import socketserver
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..obs.live import FLIGHT_DIR_ENV, FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.prometheus import prometheus_text
 from ..obs.tracer import NullTracer
 from ..parallel.engine import ParallelPLK, WorkerError
-from ..plk.kernels import normalize_kernel_name
 from . import protocol
 from .cache import ServeCache
 from .pool import TeamPool, price_job
@@ -52,15 +52,28 @@ from .queue import Job, JobQueue, JobState
 __all__ = ["LikelihoodService", "ServiceConfig", "serve_forever"]
 
 #: Operations a job spec may request.  ``mutates`` marks ops that change
-#: team parameter state (the team is snapshot-restored on check-in).
+#: team parameter state (the team is snapshot-restored on check-in);
+#: ``keys`` are the spec keys the op reads besides ``op`` and ``dataset``
+#: — any other key is rejected at submit.
 OPS = {
-    "loglikelihood": {"mutates": False},
-    "loglikelihood_parts": {"mutates": False},
-    "optimize_branches": {"mutates": True},
-    "optimize_alpha": {"mutates": True},
-    "chaos_die": {"mutates": False},
-    "chaos_raise": {"mutates": False},
+    "loglikelihood": {"mutates": False, "keys": ("root_edge",)},
+    "loglikelihood_parts": {"mutates": False, "keys": ("root_edge",)},
+    "optimize_branches": {"mutates": True, "keys": ("edges", "strategy")},
+    "optimize_alpha": {"mutates": True, "keys": ("strategy",)},
+    "chaos_die": {"mutates": False, "keys": ("rank",)},
+    "chaos_raise": {"mutates": False, "keys": ()},
 }
+
+
+def _check_edge(key: str, edge, n_edges: int) -> None:
+    if (
+        not isinstance(edge, numbers.Integral)
+        or isinstance(edge, bool)
+        or not 0 <= edge < n_edges
+    ):
+        raise ValueError(
+            f"{key}: {edge!r} is not an edge number in [0, {n_edges})"
+        )
 
 
 @dataclass
@@ -69,7 +82,6 @@ class ServiceConfig:
 
     workers: int = 2
     backend: str = "threads"
-    kernel: str = "numpy"
     distribution: str = "cyclic"
     categories: int = 4
     executors: int = 2
@@ -115,18 +127,6 @@ class LikelihoodService:
 
     # -- engine construction ----------------------------------------------
 
-    def _job_context(self, spec: dict):
-        """The dataset context a job runs against, specialized to the
-        job's kernel.  A spec-level ``"kernel"`` overrides the service
-        default; the override is folded into the context key, so the
-        team pool keeps one warm team PER (dataset, kernel) and batching
-        never mixes backends."""
-        context = self.cache.get(spec["dataset"])
-        kern = normalize_kernel_name(spec.get("kernel") or self.config.kernel)
-        if kern == normalize_kernel_name(self.config.kernel):
-            return context
-        return replace(context, key=f"{context.key}+{kern}", kernel=kern)
-
     def _build_engine(self, context) -> ParallelPLK:
         cfg = self.config
         engine = ParallelPLK(
@@ -139,7 +139,6 @@ class LikelihoodService:
             distribution=cfg.distribution,
             initial_lengths=context.lengths,
             categories=cfg.categories,
-            kernel=context.kernel or cfg.kernel,
             live=cfg.live,
             metrics=self.metrics,
             **cfg.engine_kwargs,
@@ -188,12 +187,11 @@ class LikelihoodService:
         """Validate, price and enqueue one job; returns it immediately.
 
         ``spec`` must carry ``op`` (one of :data:`OPS`) and ``dataset``
-        (a :func:`repro.serve.cache.build_context` spec).  An optional
-        ``"kernel"`` picks the worker backend for this job (any
-        :data:`repro.plk.kernels.KERNEL_CHOICES` name); jobs with
-        different kernels run on different warm teams and never batch
-        together.  Pricing builds/reuses the dataset context, so the
-        cache is warm by the time an executor claims the job.
+        (a :func:`repro.serve.cache.build_context` spec), and no key the
+        op does not read.  ``root_edge`` and every entry of the non-empty
+        ``edges`` list must be an edge number of the dataset's tree.
+        Pricing builds/reuses the dataset context, so the cache is warm
+        by the time an executor claims the job.
         """
         op = spec.get("op")
         if op not in OPS:
@@ -202,10 +200,19 @@ class LikelihoodService:
             raise ValueError(f"op {op!r} requires allow_chaos=True")
         if "dataset" not in spec:
             raise ValueError("spec must carry a 'dataset' description")
-        # Validates spec["kernel"] eagerly (bad names fail at submit, not
-        # in an executor thread) and warms the dataset context.
-        context = self._job_context(spec)
-        kern = context.kernel or normalize_kernel_name(self.config.kernel)
+        unread = sorted(set(spec) - {"op", "dataset", *OPS[op]["keys"]})
+        if unread:
+            raise ValueError(f"op {op!r} does not read spec keys {unread}")
+        context = self.cache.get(spec["dataset"])
+        n_edges = context.tree.n_edges
+        if "root_edge" in spec:
+            _check_edge("root_edge", spec["root_edge"], n_edges)
+        if "edges" in spec:
+            edges = spec["edges"]
+            if not isinstance(edges, (list, tuple)) or not edges:
+                raise ValueError("edges: must be a non-empty list of edge numbers")
+            for edge in edges:
+                _check_edge("edges", edge, n_edges)
         job = Job(
             id=next(self._job_ids),
             tenant=tenant,
@@ -216,11 +223,8 @@ class LikelihoodService:
         )
         self.queue.submit(job)
         self.metrics.counter("serve.jobs.submitted").inc()
-        self.metrics.counter(f"serve.kernel.{kern}.jobs").inc()
         self.metrics.gauge("serve.queue_depth").set(self.queue.depth())
-        self.flight.record(
-            "job_submitted", job=job.id, tenant=tenant, op=op, kernel=kern
-        )
+        self.flight.record("job_submitted", job=job.id, tenant=tenant, op=op)
         return job
 
     # -- execution ---------------------------------------------------------
@@ -235,11 +239,11 @@ class LikelihoodService:
                 job.spec["op"] == "loglikelihood"
                 and self.config.batch_limit > 1
             ):
-                key = self._job_context(job.spec).key
+                key = self.cache.get(job.spec["dataset"]).key
                 extras = self.queue.claim_batch(
                     lambda j: (
                         j.spec["op"] == "loglikelihood"
-                        and self._job_context(j.spec).key == key
+                        and self.cache.get(j.spec["dataset"]).key == key
                     ),
                     limit=self.config.batch_limit - 1,
                 )
@@ -250,7 +254,7 @@ class LikelihoodService:
             self.metrics.gauge("serve.queue_depth").set(self.queue.depth())
 
     def _run_batch(self, batch: list[Job]) -> None:
-        context = self._job_context(batch[0].spec)
+        context = self.cache.get(batch[0].spec["dataset"])
         t0 = time.perf_counter()
         try:
             team = self.pool.checkout(context, timeout=self.config.checkout_timeout)
@@ -422,7 +426,7 @@ class LikelihoodService:
         self._update_gauges()
         cfg = self.config
         return prometheus_text(self.metrics, run_config={
-            "mode": "serve", "backend": cfg.backend, "kernel": cfg.kernel,
+            "mode": "serve", "backend": cfg.backend,
             "workers": cfg.workers, "executors": cfg.executors,
         })
 

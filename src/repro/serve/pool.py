@@ -119,7 +119,7 @@ class TeamPool:
 
     ``factory(context)`` builds a fresh
     :class:`~repro.parallel.engine.ParallelPLK` for a context; the
-    service supplies it with its backend/kernel configuration.
+    service supplies it with its backend configuration.
 
     ``capacity`` bounds the number of live teams (each one holds a full
     worker team's processes/threads).  A checkout for a new dataset when

@@ -430,133 +430,3 @@ class TestEngineThreading:
                 distribution="lpt",
             )
             assert engine.distribution == "lpt"
-
-
-def _skewed_repeat_workload():
-    """Two partitions with very different repeat structure: partition A
-    is dominated by near-constant columns (only taxa 0-4 vary), so its
-    post-compression cost per pattern is far below partition B's fully
-    random columns.  A repeat-blind planner splits patterns by count and
-    overloads whichever threads draw partition B's work."""
-    from repro.plk import Alignment
-
-    rng = np.random.default_rng(42)
-    tree, lengths = random_topology_with_lengths(24, rng)
-    n = len(tree.taxa)
-    base = np.array(list("ACGT"))
-    cols = []
-    for _ in range(300):  # partition A: repeat-heavy
-        col = np.full(n, base[rng.integers(0, 4)])
-        col[:5] = base[rng.integers(0, 4, size=5)]
-        cols.append(col)
-    for _ in range(100):  # partition A: a random tail
-        cols.append(base[rng.integers(0, 4, size=n)])
-    for _ in range(400):  # partition B: fully random
-        cols.append(base[rng.integers(0, 4, size=n)])
-    chars = np.stack(cols)
-    aln = Alignment.from_sequences(
-        {tree.taxa[i]: "".join(chars[:, i]) for i in range(n)}
-    )
-    data = PartitionedAlignment(aln, uniform_scheme(800, 400))
-    return data, tree
-
-
-class TestRepeatAwareCostModel:
-    def test_pattern_costs_validation(self):
-        with pytest.raises(ValueError, match="one pattern-cost vector"):
-            CostModel(
-                per_pattern=np.array([1.0, 2.0]),
-                pattern_costs=(np.ones(3),),  # wrong vector count
-            )
-        with pytest.raises(ValueError, match="1-D"):
-            CostModel(
-                per_pattern=np.array([1.0]),
-                pattern_costs=(np.ones((2, 2)),),
-            )
-        with pytest.raises(ValueError, match="negative"):
-            CostModel(
-                per_pattern=np.array([1.0]),
-                pattern_costs=(np.array([1.0, -0.5]),),
-            )
-
-    def test_repeat_aware_construction(self):
-        data, tree = _skewed_repeat_workload()
-        model = CostModel.repeat_aware(data, tree)
-        assert model.unit == "relative"
-        assert len(model.pattern_costs) == data.n_partitions
-        for p, block in enumerate(data.data):
-            vec = model.pattern_costs[p]
-            assert vec.shape == (block.tip_states.shape[1],)
-            assert model.per_pattern[p] == pytest.approx(vec.mean())
-        # the repeat-heavy partition prices cheaper per pattern
-        assert model.per_pattern[0] < 0.7 * model.per_pattern[1]
-
-    @pytest.mark.parametrize("policy", ("weighted", "lpt"))
-    def test_repeat_aware_plans_keep_invariants(self, policy):
-        data, tree = _skewed_repeat_workload()
-        layout = PartitionLayout.from_alignment(data)
-        model = CostModel.repeat_aware(data, tree)
-        plan = build_plan(layout, 4, policy, cost_model=model)
-        _assert_plan_invariants(plan)
-        assert plan.cost.pattern_costs is not None
-
-    def test_with_pattern_costs_preserves_calibrated_scale(self):
-        vec = (np.array([1.0, 3.0]), np.array([2.0, 2.0]))
-        calibrated = CostModel(
-            per_pattern=np.array([5.0, 8.0]), unit="seconds"
-        )
-        shaped = calibrated.with_pattern_costs(vec)
-        assert shaped.unit == "seconds"
-        np.testing.assert_allclose(shaped.per_pattern, calibrated.per_pattern)
-        for p, v in enumerate(shaped.pattern_costs):
-            # shape survives, scale comes from the calibrated model
-            assert v.mean() == pytest.approx(calibrated.per_pattern[p])
-            np.testing.assert_allclose(
-                v / v.mean(), vec[p] / vec[p].mean()
-            )
-
-    def test_rebalancer_threads_pattern_costs(self):
-        data, tree = _skewed_repeat_workload()
-        layout = PartitionLayout.from_alignment(data)
-        aware = CostModel.repeat_aware(data, tree)
-        start = build_plan(layout, 4, "cyclic")
-        busy = np.array([1.0, 1.4, 0.9, 1.2])
-        replanned = Rebalancer(
-            layout, 4, pattern_costs=aware.pattern_costs
-        ).rebalance(start, busy)
-        _assert_plan_invariants(replanned)
-        assert replanned.cost.pattern_costs is not None
-        assert replanned.cost.unit == "seconds"
-
-    def test_acceptance_aware_beats_blind_on_skewed_repeats(self):
-        """ISSUE 10 acceptance: on a skewed-repeat two-partition
-        workload the repeat-aware plan's measured imbalance beats the
-        repeat-blind plan's.  'Measured' cost of a thread is the sum of
-        true effective per-pattern weights over its assigned columns —
-        exactly the work a repeat-aware engine performs."""
-        from repro.plk import effective_pattern_weights
-
-        data, tree = _skewed_repeat_workload()
-        layout = PartitionLayout.from_alignment(data)
-        true = [
-            effective_pattern_weights(b.tip_states, tree, b.states)
-            for b in data.data
-        ]
-
-        def measured(plan):
-            busy = np.zeros(plan.n_threads)
-            for p in range(data.n_partitions):
-                for t in range(plan.n_threads):
-                    busy[t] += true[p][plan.thread_indices(p, t)].sum()
-            return imbalance_ratio(busy)
-
-        blind = build_plan(layout, 4, "lpt")
-        aware = build_plan(
-            layout, 4, "lpt", cost_model=CostModel.repeat_aware(data, tree)
-        )
-        _assert_plan_invariants(aware)
-        blind_ratio, aware_ratio = measured(blind), measured(aware)
-        # recorded in EXPERIMENTS.md: blind ~1.16, aware ~1.003
-        assert aware_ratio < blind_ratio
-        assert aware_ratio < 1.05
-        assert blind_ratio > 1.10

@@ -84,6 +84,16 @@ class TestBruteForceOracle:
         )
         assert engine.loglikelihood() == pytest.approx(expected, abs=1e-9)
 
+    def test_single_pattern_partition(self, quartet_tree):
+        aln = Alignment.from_sequences({"a": "A", "b": "C", "c": "G", "d": "R"})
+        model = SubstitutionModel.random_gtr(3)
+        lengths = np.array([0.3, 0.05, 0.2, 0.6, 0.1])
+        engine = make_engine(aln, quartet_tree, lengths, model, 0.7)
+        assert engine.n_patterns == 1
+        expected = brute_force_quartet_loglik(aln, quartet_tree, lengths, model, 0.7)
+        for edge in range(quartet_tree.n_edges):
+            assert engine.loglikelihood(edge) == pytest.approx(expected, abs=1e-9)
+
 
 class TestRootInvariance:
     def test_all_root_placements_agree(self, small_tree, small_alignment):
@@ -102,6 +112,61 @@ class TestRootInvariance:
         engine = make_engine(aln, tree, lengths, model, alpha=0.1)
         values = [engine.loglikelihood(e) for e in (0, 10, 30, tree.n_edges - 1)]
         np.testing.assert_allclose(values, values[0], atol=1e-7)
+
+
+class TestDeepScaling:
+    """160 taxa with long branches: about half the patterns carry
+    nonzero scaling counters at the root, and some are invariant."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        rng = np.random.default_rng(14)
+        tree, lengths = random_topology_with_lengths(160, rng, mean_length=0.5)
+        model = SubstitutionModel.random_gtr(6)
+        aln = simulate_alignment(tree, lengths, model, 0.5, 200, rng)
+        return aln, tree, lengths, model
+
+    def test_invariant_mixture(self, workload):
+        """+I mixes in the unscaled domain: the mixed per-pattern values
+        follow from the pinv=0 ones and the invariant masses, and stay
+        root-invariant."""
+        aln, tree, lengths, model = workload
+        engine = make_engine(aln, tree, lengths, model, alpha=0.5)
+        assert engine.prepare_branch(0).scale.max() > 0
+        gamma = engine.site_loglikelihoods(0)
+        inv = engine.invariant_probabilities()
+        assert (inv > 0).any()
+        engine.pinv = 0.25
+        with np.errstate(divide="ignore"):
+            expected = np.logaddexp(
+                np.log(0.75) + gamma, np.log(0.25) + np.log(inv)
+            )
+        np.testing.assert_allclose(engine.site_loglikelihoods(0), expected,
+                                   rtol=1e-12)
+        values = [engine.loglikelihood(e) for e in (0, 10, tree.n_edges - 1)]
+        np.testing.assert_allclose(values, values[0], atol=1e-7)
+
+    def test_branch_machinery(self, workload):
+        """The sumtable path reproduces the full evaluation and its
+        derivatives under heavy scaling."""
+        aln, tree, lengths, model = workload
+        engine = make_engine(aln, tree, lengths, model, alpha=0.5)
+        assert engine.prepare_branch(0).scale.max() > 0
+        for edge in (0, 5, tree.n_edges - 1):
+            ws = engine.prepare_branch(edge)
+            assert engine.branch_loglikelihood(ws, lengths[edge]) == pytest.approx(
+                engine.loglikelihood(edge), abs=1e-7
+            )
+            f = lambda z: engine.branch_loglikelihood(ws, z)
+            for z in (0.02, 0.3):
+                d1, d2 = engine.branch_derivatives(ws, z)
+                h = 1e-6
+                assert d1 == pytest.approx((f(z + h) - f(z - h)) / (2 * h),
+                                           rel=1e-4, abs=1e-3)
+                h = 1e-4
+                assert d2 == pytest.approx(
+                    (f(z + h) - 2 * f(z) + f(z - h)) / h**2, rel=1e-3, abs=1e-1
+                )
 
 
 class TestPatternCompression:

@@ -74,7 +74,7 @@ def make_team(setup, backend, workers=2, **kw):
 class TestWorkerStatsPlane:
     def test_create_and_close_unlinks(self):
         before = live_segments()
-        plane = WorkerStatsPlane(3, kernel="numpy")
+        plane = WorkerStatsPlane(3)
         assert len(live_segments()) == len(before) + 1
         assert plane.n_workers == 3
         plane.close()
@@ -323,7 +323,6 @@ class TestLiveTeamIntegration:
                 assert s.patterns > 0
                 assert s.busy_seconds > 0.0
                 assert s.heartbeat_age < 30.0
-                assert s.kernel != "?"
             events = {e["event"] for e in live.recorder.events()}
             assert {"run_start", "dispatch", "barrier_exit"} <= events
         assert live_segments() == before  # engine unlinked the plane
@@ -506,13 +505,13 @@ class TestPrometheus:
         assert "repro_wall_count 5" in text
 
     def test_run_info_labels(self):
-        text = prometheus_text(run_config={"backend": "threads", "kernel": "blocked"})
-        assert 'repro_run_info{backend="threads",kernel="blocked"} 1' in text
+        text = prometheus_text(run_config={"backend": "threads", "distribution": "lpt"})
+        assert 'repro_run_info{backend="threads",distribution="lpt"} 1' in text
 
     def test_live_worker_families(self):
         sample = WorkerSample(
             rank=0, phase="busy", op="lnl", commands=7, busy_seconds=0.5,
-            wait_seconds=0.5, patterns=200, kernel="numpy",
+            wait_seconds=0.5, patterns=200,
             heartbeat_age=0.01, uptime=2.0, consistent=True,
         )
         text = prometheus_text(samples=[sample])
@@ -530,7 +529,7 @@ class TestDashboard:
     def _sample(self, **kw):
         base = dict(
             rank=0, phase="busy", op="lnl", commands=10, busy_seconds=1.0,
-            wait_seconds=1.0, patterns=100, kernel="numpy",
+            wait_seconds=1.0, patterns=100,
             heartbeat_age=0.5, uptime=5.0, consistent=True,
         )
         base.update(kw)
@@ -539,10 +538,10 @@ class TestDashboard:
     def test_renders_lane_per_worker(self):
         text = render_dashboard(
             [self._sample(rank=0), self._sample(rank=1, phase="idle")],
-            run_config={"backend": "threads", "kernel": "blocked"},
+            run_config={"backend": "threads", "distribution": "lpt"},
             imbalance=1.25,
         )
-        assert "backend=threads" in text and "kernel=blocked" in text
+        assert "backend=threads" in text and "distribution=lpt" in text
         assert "imbalance 1.250" in text
         assert "w0" in text and "w1" in text and "idle" in text
 
@@ -566,14 +565,14 @@ class TestExportRunConfig:
         from repro.obs.export import _metadata_events
 
         events = _metadata_events(
-            [0, 1, 2], run_config={"kernel": "blocked", "backend": "processes"}
+            [0, 1, 2], run_config={"distribution": "lpt", "backend": "processes"}
         )
         by_name = {}
         for e in events:
             by_name.setdefault(e["name"], []).append(e)
-        assert by_name["run_config"][0]["args"]["kernel"] == "blocked"
+        assert by_name["run_config"][0]["args"]["distribution"] == "lpt"
         labels = by_name["process_labels"][0]["args"]["labels"]
-        assert "kernel=blocked" in labels and "backend=processes" in labels
+        assert "distribution=lpt" in labels and "backend=processes" in labels
         lanes = [e["args"]["name"] for e in by_name["thread_name"]]
         assert lanes == ["master", "worker 0", "worker 1"]
 

@@ -75,6 +75,21 @@ class TestModel:
         values = [engine.loglikelihood(e) for e in (0, 3, tree.n_edges - 1)]
         np.testing.assert_allclose(values, values[0], atol=1e-8)
 
+    @pytest.mark.parametrize("pinv", [0.0, 0.3])
+    def test_site_loglikelihoods_sum_to_loglikelihood(self, pinv):
+        """The per-pattern values carry the +I mixture: their weighted
+        sum IS the partition log-likelihood, at every root placement."""
+        rng = np.random.default_rng(3)
+        tree, lengths = random_topology_with_lengths(6, rng)
+        model = SubstitutionModel.random_gtr(4)
+        aln = simulate_alignment(tree, lengths, model, 1.0, 300, rng)
+        data = PartitionedAlignment(aln, uniform_scheme(300, 300))
+        engine = make_engine(data, tree, lengths, model, pinv=pinv)
+        weights = engine.data.weights
+        for edge in (0, tree.n_edges - 1):
+            logs = engine.site_loglikelihoods(edge)
+            assert weights @ logs == engine.loglikelihood(edge)
+
     def test_pinv_does_not_invalidate_clvs(self, mixed_data):
         data, tree, lengths, model = mixed_data
         engine = make_engine(data, tree, lengths, model)

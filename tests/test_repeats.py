@@ -1,43 +1,17 @@
-"""Repeat-compression correctness: the repeat-aware engine against dense.
-
-The contract (ISSUE 10): under ``kernel=repeats`` the engine computes the
-SAME values as the dense reference — sites of one repeat class share
-bit-identical CLVs and scale counters by construction, so expansion by
-gather reproduces the dense arrays exactly.  The suite pins that to
-1e-12 (in practice bit-equal for the numpy inner backend) across random
-trees/alignments, +I mixtures, ZERO_SCALE dead patterns, ambiguity
-codes, topology moves and zero-width slices, plus the pure index
-arithmetic of :mod:`repro.plk.repeats`.
+"""The per-node repeat index of :mod:`repro.plk.repeats`: tip state
+codes, class combination and saturation, and the repeat profile built
+from them.
 """
-import warnings
-
 import numpy as np
-import pytest
 
 from repro.plk import (
     Alignment,
     NodeRepeats,
-    PartitionData,
-    PartitionLikelihood,
     PartitionedAlignment,
-    SubstitutionModel,
-    effective_pattern_weights,
-    get_kernel,
     repeat_profile,
     tip_state_codes,
     uniform_scheme,
 )
-from repro.plk.kernel import ZERO_SCALE
-from repro.plk.repeats import DENSE_FALLBACK_RATIO
-from repro.seqgen import random_topology_with_lengths, simulate_alignment
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - hypothesis is in the image
-    HAVE_HYPOTHESIS = False
 
 AMBIG = "RYSWKMBDHVN-"
 
@@ -59,13 +33,6 @@ def random_alignment(tree, n_sites, rng, ambiguity=0.0, diversity=1.0):
         chars = np.where(mask, np.array(list(AMBIG))[codes], chars)
     seqs = {tree.taxa[i]: "".join(chars[:, i]) for i in range(n_taxa)}
     return Alignment.from_sequences(seqs)
-
-
-def engines_for(data, tree, model, alpha=0.9, kernels=("numpy", "repeats")):
-    return [
-        PartitionLikelihood(data, tree, model, alpha=alpha, kernel_backend=k)
-        for k in kernels
-    ]
 
 
 class TestIndexArithmetic:
@@ -94,286 +61,32 @@ class TestIndexArithmetic:
             assert parent.classes[r] == j
         saturated = NodeRepeats.from_keys(np.arange(4))
         top = NodeRepeats.combine(parent, saturated)
-        assert top.saturated and not top.compressed
+        assert top.saturated
         assert top.classes.tolist() == [0, 1, 2, 3]
 
-    def test_empty_and_dense_fallback(self):
+    def test_empty_unique_and_constant_keys(self):
         empty = NodeRepeats.from_keys(np.array([], dtype=np.int64))
-        assert empty.m == 0 and not empty.compressed
-        assert empty.unique_ratio == 1.0
-        nearly_unique = NodeRepeats.from_keys(np.array([0, 1, 2, 3, 4, 5]))
-        assert not nearly_unique.compressed  # ratio 1.0 > fallback
+        assert empty.m == 0 and empty.unique_ratio == 1.0
+        unique = NodeRepeats.from_keys(np.array([0, 1, 2, 3, 4, 5]))
+        assert unique.saturated and unique.unique_ratio == 1.0
         heavy = NodeRepeats.from_keys(np.zeros(10, dtype=np.int64))
-        assert heavy.compressed and heavy.n_classes == 1
-        assert DENSE_FALLBACK_RATIO < 1.0
+        assert heavy.n_classes == 1 and heavy.unique_ratio == 0.1
 
-    def test_profile_and_weights_agree(self, small_tree):
+    def test_profile_matches_node_index(self, small_tree):
         tree, lengths = small_tree
         rng = np.random.default_rng(5)
         aln = random_alignment(tree, 200, rng, diversity=0.2)
         block = PartitionedAlignment(aln, uniform_scheme(200, 200)).data[0]
         prof = repeat_profile(block.tip_states, tree)
-        w = effective_pattern_weights(block.tip_states, tree, 4)
-        # mean effective weight over base == mean unique ratio over nodes
-        assert w.mean() / 64.0 == pytest.approx(prof["mean_unique_ratio"])
-        assert prof["min_unique_ratio"] <= prof["mean_unique_ratio"] <= 1.0
-        assert (w > 0).all()
-
-
-class TestEngineEquivalence:
-    def test_repeat_heavy_alignment_exact(self, small_tree):
-        tree, lengths = small_tree
-        rng = np.random.default_rng(11)
-        aln = random_alignment(tree, 300, rng, ambiguity=0.05, diversity=0.15)
-        data = PartitionedAlignment(aln, uniform_scheme(300, 300)).data[0]
-        model = SubstitutionModel.random_gtr(2)
-        dense, reps = engines_for(data, tree, model)
-        for eng in (dense, reps):
-            eng.set_branch_lengths(np.abs(lengths) + 0.02)
-        for edge in (0, 2, 5):
-            assert reps.loglikelihood(edge) == pytest.approx(
-                dense.loglikelihood(edge), rel=1e-12, abs=1e-12
-            )
-        np.testing.assert_allclose(
-            reps.site_loglikelihoods(1), dense.site_loglikelihoods(1),
-            rtol=1e-12,
-        )
-        # branch machinery goes through the expansion boundary
-        wd, wr = dense.prepare_branch(3), reps.prepare_branch(3)
-        for z in (0.01, 0.2, 1.5):
-            assert reps.branch_loglikelihood(wr, z) == pytest.approx(
-                dense.branch_loglikelihood(wd, z), rel=1e-12
-            )
-            dd, dr = dense.branch_derivatives(wd, z), reps.branch_derivatives(wr, z)
-            assert dr[0] == pytest.approx(dd[0], rel=1e-9, abs=1e-9)
-            assert dr[1] == pytest.approx(dd[1], rel=1e-9, abs=1e-9)
-
-    def test_pinv_mixture(self, small_tree):
-        tree, lengths = small_tree
-        rng = np.random.default_rng(23)
-        aln = random_alignment(tree, 150, rng, diversity=0.2)
-        data = PartitionedAlignment(aln, uniform_scheme(150, 150)).data[0]
-        model = SubstitutionModel.random_gtr(4)
-        dense, reps = engines_for(data, tree, model)
-        for eng in (dense, reps):
-            eng.set_branch_lengths(np.abs(lengths) + 0.05)
-            eng.pinv = 0.35
-        assert reps.loglikelihood(0) == pytest.approx(
-            dense.loglikelihood(0), rel=1e-12
-        )
-
-    def test_scaling_heavy_deep_tree(self):
-        """Long chains of short CLV magnitudes force rescale(); the scale
-        counters must ride the compressed columns identically."""
-        rng = np.random.default_rng(7)
-        tree, lengths = random_topology_with_lengths(40, rng)
-        aln = random_alignment(tree, 120, rng, diversity=0.1)
-        data = PartitionedAlignment(aln, uniform_scheme(120, 120)).data[0]
-        model = SubstitutionModel.random_gtr(8)
-        dense, reps = engines_for(data, tree, model, alpha=0.3)
-        tiny = np.full(tree.n_edges, 1e-6)  # extreme: heavy underflow
-        for eng in (dense, reps):
-            eng.set_branch_lengths(tiny)
-        assert reps.loglikelihood(0) == pytest.approx(
-            dense.loglikelihood(0), rel=1e-12
-        )
-        np.testing.assert_allclose(
-            reps.site_loglikelihoods(0), dense.site_loglikelihoods(0),
-            rtol=1e-12,
-        )
-
-    def test_zero_scale_dead_patterns(self, small_tree):
-        """All-zero tip rows (impossible states) drive whole repeat
-        classes to the ZERO_SCALE sentinel; compressed and dense paths
-        must flush and report identically (-inf site lnl)."""
-        tree, lengths = small_tree
-        rng = np.random.default_rng(3)
-        aln = random_alignment(tree, 60, rng, diversity=0.2)
-        block = PartitionedAlignment(aln, uniform_scheme(60, 60)).data[0]
-        tips = block.tip_states.copy()
-        dead = [2, tips.shape[1] - 1]
-        # kill a taxon NOT on the root edge, so newview (not the root
-        # reduction) is what first sees the all-zero columns and must
-        # mark them with the sentinel
-        tips[3, dead, :] = 0.0
-        data = PartitionData(
-            partition=block.partition, tip_states=tips, weights=block.weights
-        )
-        model = SubstitutionModel.random_gtr(6)
-        dense, reps = engines_for(data, tree, model)
-        for eng in (dense, reps):
-            eng.set_branch_lengths(np.abs(lengths) + 0.02)
-        sd = dense.site_loglikelihoods(0)
-        sr = reps.site_loglikelihoods(0)
-        assert np.isneginf(sd[dead]).all()
-        np.testing.assert_array_equal(np.isneginf(sd), np.isneginf(sr))
-        finite = np.isfinite(sd)
-        np.testing.assert_allclose(sr[finite], sd[finite], rtol=1e-12)
-        # the sentinel itself must be present in the repeat engine's
-        # stored counters (compressed storage, same sentinel arithmetic)
-        assert any(
-            (scale >= ZERO_SCALE).any() for scale in reps._scale.values()
-        )
-
-    def test_zero_width_partition(self, small_tree):
-        tree, lengths = small_tree
-        rng = np.random.default_rng(1)
-        aln = random_alignment(tree, 30, rng)
-        block = PartitionedAlignment(aln, uniform_scheme(30, 30)).data[0]
-        empty = PartitionData(
-            partition=block.partition,
-            tip_states=block.tip_states[:, :0, :],
-            weights=block.weights[:0],
-        )
-        model = SubstitutionModel.random_gtr(9)
-        dense, reps = engines_for(empty, tree, model)
-        assert reps.loglikelihood(0) == dense.loglikelihood(0) == 0.0
-
-    def test_topology_move_invalidates_index(self, small_tree):
-        """An NNI changes subtree composition; the repeat index must be
-        rebuilt (child-pair signatures) and results stay equal to dense
-        before, after, and after undo."""
-        from repro.search import nni_swap
-
-        base_tree, lengths = small_tree
-        rng = np.random.default_rng(31)
-        aln = random_alignment(base_tree, 200, rng, diversity=0.15)
-        data = PartitionedAlignment(aln, uniform_scheme(200, 200)).data[0]
-        model = SubstitutionModel.random_gtr(12)
-        t_dense, t_reps = base_tree.copy(), base_tree.copy()
-        dense = PartitionLikelihood(data, t_dense, model, kernel_backend="numpy")
-        reps = PartitionLikelihood(data, t_reps, model, kernel_backend="repeats")
-        for eng in (dense, reps):
-            eng.set_branch_lengths(np.abs(lengths) + 0.02)
-        assert reps.loglikelihood(0) == pytest.approx(
-            dense.loglikelihood(0), rel=1e-12
-        )
-        inner = next(
-            e for e, (u, v) in enumerate(
-                (t_dense.edge_nodes(e) for e in range(t_dense.n_edges))
-            )
-            if not (t_dense.is_leaf(u) or t_dense.is_leaf(v))
-        )
-        moves = []
-        for tree, eng in ((t_dense, dense), (t_reps, reps)):
-            move = nni_swap(tree, inner, variant=0)
-            for node in move.invalidate:
-                eng.invalidate_node(node)
-            moves.append(move)
-        lnl_d, lnl_r = dense.loglikelihood(0), reps.loglikelihood(0)
-        assert lnl_r == pytest.approx(lnl_d, rel=1e-12)
-        for (tree, eng), move in zip(((t_dense, dense), (t_reps, reps)), moves):
-            move.undo()
-            for node in move.invalidate:
-                eng.invalidate_node(node)
-        assert reps.loglikelihood(0) == pytest.approx(
-            dense.loglikelihood(0), rel=1e-12
-        )
-
-    def test_index_survives_branch_changes(self, small_tree):
-        """Branch-length moves must NOT rebuild the repeat index — that
-        reuse is the whole Newton-round payoff."""
-        tree, lengths = small_tree
-        rng = np.random.default_rng(13)
-        aln = random_alignment(tree, 100, rng, diversity=0.2)
-        data = PartitionedAlignment(aln, uniform_scheme(100, 100)).data[0]
-        model = SubstitutionModel.random_gtr(3)
-        reps = PartitionLikelihood(data, tree, model, kernel_backend="repeats")
-        reps.loglikelihood(0)
-        before = {n: id(r) for n, r in reps._node_rep.items()}
-        reps.set_branch_length(0, 0.42)
-        reps.loglikelihood(0)
-        reps.alpha = 0.5  # parameter change: CLVs invalid, index not
-        reps.loglikelihood(0)
-        after = {n: id(r) for n, r in reps._node_rep.items()}
-        assert before == after
-
-    def test_composite_backends_match_reference(self, small_tree):
-        tree, lengths = small_tree
-        rng = np.random.default_rng(17)
-        aln = random_alignment(tree, 250, rng, ambiguity=0.03, diversity=0.2)
-        data = PartitionedAlignment(aln, uniform_scheme(250, 250)).data[0]
-        model = SubstitutionModel.random_gtr(21)
-        ref = PartitionLikelihood(data, tree, model, kernel_backend="numpy")
-        ref.set_branch_lengths(np.abs(lengths) + 0.02)
-        target = ref.loglikelihood(0)
-        for name in ("repeats", "repeats+blocked", "repeats+numba"):
-            with warnings.catch_warnings():
-                # numba falls back to numpy with a RuntimeWarning when
-                # it is not installed; the equivalence claim still holds
-                warnings.simplefilter("ignore", RuntimeWarning)
-                kernel = get_kernel(name)
-            eng = PartitionLikelihood(data, tree, model, kernel_backend=kernel)
-            eng.set_branch_lengths(np.abs(lengths) + 0.02)
-            assert eng.loglikelihood(0) == pytest.approx(
-                target, abs=1e-9
-            ), name
-
-
-if HAVE_HYPOTHESIS:
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n_taxa=st.integers(min_value=4, max_value=14),
-        n_sites=st.integers(min_value=1, max_value=120),
-        diversity=st.floats(min_value=0.02, max_value=1.0),
-        ambiguity=st.floats(min_value=0.0, max_value=0.25),
-        pinv=st.floats(min_value=0.0, max_value=0.6),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_property_repeats_equals_dense(
-        n_taxa, n_sites, diversity, ambiguity, pinv, seed
-    ):
-        """Property: for arbitrary random trees, alignments (down to one
-        site, up to heavy ambiguity and repeat density) and +I weights,
-        the repeat-aware engine reproduces the dense log-likelihood to
-        1e-12."""
-        rng = np.random.default_rng(seed)
-        tree, lengths = random_topology_with_lengths(n_taxa, rng)
-        aln = random_alignment(
-            tree, n_sites, rng, ambiguity=ambiguity, diversity=diversity
-        )
-        data = PartitionedAlignment(
-            aln, uniform_scheme(n_sites, n_sites)
-        ).data[0]
-        model = SubstitutionModel.random_gtr(seed % 1000)
-        dense, reps = engines_for(data, tree, model, alpha=0.7)
-        for eng in (dense, reps):
-            eng.set_branch_lengths(np.abs(lengths) + 0.01)
-            eng.pinv = pinv
-        ref = dense.loglikelihood(0)
-        assert reps.loglikelihood(0) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(
-            reps.site_loglikelihoods(0), dense.site_loglikelihoods(0),
-            rtol=1e-12, atol=1e-12,
-        )
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n_sites=st.integers(min_value=0, max_value=20),
-        workers=st.integers(min_value=2, max_value=8),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_property_zero_width_slices(n_sites, workers, seed):
-        """Property: worker teams under kernel=repeats match the dense
-        sequential engine even when slices are thinner than the team
-        (zero-width slices included)."""
-        from repro.core import PartitionedEngine
-        from repro.parallel import ParallelPLK
-
-        rng = np.random.default_rng(seed)
-        tree, lengths = random_topology_with_lengths(6, rng)
-        sites = max(n_sites, 1)
-        aln = random_alignment(tree, sites, rng, diversity=0.3)
-        data = PartitionedAlignment(aln, uniform_scheme(sites, sites))
-        model = SubstitutionModel.random_gtr(seed % 997)
-        models, alphas = [model], [0.8]
-        ref = PartitionedEngine(
-            data, tree.copy(), models=models, alphas=alphas,
-            initial_lengths=lengths, kernel="repeats",
-        ).loglikelihood(0)
-        with ParallelPLK(
-            data, tree, models, alphas, workers, backend="threads",
-            kernel="repeats", initial_lengths=lengths,
-        ) as team:
-            assert team.loglikelihood(0) == pytest.approx(ref, abs=1e-9)
+        # rebuild every inner node's classes by hand, children first
+        codes = tip_state_codes(block.tip_states)
+        reps = {leaf: NodeRepeats.from_keys(codes[leaf])
+                for leaf in range(tree.n_taxa)}
+        for step in tree.postorder(0):
+            reps[step.node] = NodeRepeats.combine(reps[step.c1], reps[step.c2])
+        inner = {n: reps[n].unique_ratio for n in prof["per_node"]}
+        assert inner == prof["per_node"]
+        assert len(inner) == tree.n_nodes - tree.n_taxa
+        assert prof["mean_unique_ratio"] == np.mean(list(inner.values()))
+        assert 0.0 < prof["min_unique_ratio"] <= prof["mean_unique_ratio"] < 1.0
+        assert prof["n_patterns"] == block.tip_states.shape[1]

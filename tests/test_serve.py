@@ -410,64 +410,48 @@ def test_chaos_requires_opt_in():
 
 
 # ---------------------------------------------------------------------------
-# per-job kernel overrides
+# spec validation at submit
 
 
 @pytest.mark.timeout(120)
-def test_kernel_override_runs_on_isolated_warm_team(service, oneshot_lnl):
-    """spec["kernel"] selects the backend per job: the result matches the
-    default-kernel answer, runs on its OWN warm team (kernel-suffixed
-    pool key), and is stamped in metrics and the flight recorder."""
-    client = LocalClient(service)
-    view = client.run(
-        {"op": "loglikelihood", "dataset": DS, "kernel": "repeats"}, wait=60
-    )
-    assert view["state"] == "done"
-    assert abs(view["result"]["lnl"] - oneshot_lnl) < 1e-9
-
-    keys = {t["key"] for t in service.pool.stats()["teams"]}
-    assert any(k.endswith("+repeats") for k in keys)
-    # the default-kernel teams from earlier tests are untouched
-    assert any(not k.endswith("+repeats") for k in keys)
-
-    snap = service.metrics.snapshot()
-    assert snap["serve.kernel.repeats.jobs"]["value"] >= 1
-    stamped = [
-        e for e in service.flight.events()
-        if e.get("event") == "job_submitted" and e.get("kernel") == "repeats"
-    ]
-    assert stamped
+@pytest.mark.parametrize("spec, match", [
+    pytest.param({"op": "optimize_branches", "edges": [-1]}, "edges",
+                 id="negative-edge"),
+    pytest.param({"op": "optimize_branches", "edges": [999]}, "edges",
+                 id="edge-out-of-range"),
+    pytest.param({"op": "optimize_branches", "edges": [True]}, "edges",
+                 id="bool-edge"),
+    pytest.param({"op": "optimize_branches", "edges": []}, "non-empty",
+                 id="empty-edges"),
+    pytest.param({"op": "optimize_branches", "edges": 3}, "non-empty",
+                 id="edges-not-a-list"),
+    pytest.param({"op": "loglikelihood", "root_edge": -1}, "root_edge",
+                 id="negative-root-edge"),
+    pytest.param({"op": "loglikelihood_parts", "root_edge": 999}, "root_edge",
+                 id="root-edge-out-of-range"),
+    pytest.param({"op": "loglikelihood", "root_edge": 1.5}, "root_edge",
+                 id="float-root-edge"),
+    pytest.param({"op": "loglikelihood", "kernel": "numpy"}, "does not read",
+                 id="kernel-key"),
+    pytest.param({"op": "optimize_alpha", "edges": [0]}, "does not read",
+                 id="key-of-another-op"),
+])
+def test_bad_spec_rejected_at_submit(service, spec, match):
+    """Bad edge numbers and unread keys fail at submit with a ValueError,
+    before any job is queued."""
+    submitted = service.metrics.snapshot().get("serve.jobs.submitted")
+    with pytest.raises(ValueError, match=match):
+        service.submit({**spec, "dataset": DS})
+    assert service.metrics.snapshot().get("serve.jobs.submitted") == submitted
 
 
 @pytest.mark.timeout(120)
-def test_kernel_override_composite_spelling(service, oneshot_lnl):
-    client = LocalClient(service)
-    view = client.run(
-        {"op": "loglikelihood", "dataset": DS, "kernel": "repeats+blocked"},
+def test_numpy_integer_edges_accepted(service):
+    last = build_context(DS).tree.n_edges - 1
+    view = LocalClient(service).run(
+        {"op": "optimize_branches", "dataset": DS, "edges": [np.int64(last)]},
         wait=60,
     )
     assert view["state"] == "done"
-    assert abs(view["result"]["lnl"] - oneshot_lnl) < 1e-9
+    assert view["result"]["edges"] == [last]
 
-
-@pytest.mark.timeout(120)
-def test_unknown_kernel_rejected_at_submit(service):
-    client = LocalClient(service)
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        client.submit(
-            {"op": "loglikelihood", "dataset": DS, "kernel": "quantum"}
-        )
-
-
-@pytest.mark.timeout(120)
-def test_default_kernel_spelling_shares_default_team_key(service):
-    """An explicit spec kernel equal to the service default must NOT
-    fork a separate warm team — the override only isolates when it
-    actually changes the backend."""
-    client = LocalClient(service)
-    view = client.run(
-        {"op": "loglikelihood", "dataset": DS, "kernel": "numpy"}, wait=60
-    )
-    assert view["state"] == "done"
-    keys = {t["key"] for t in service.pool.stats()["teams"]}
-    assert not any(k.endswith("+numpy") for k in keys)
