@@ -260,11 +260,16 @@ class WorkerStatsPlane:
         Returns ``(copy, consistent)``: the seqlock is sampled on both
         sides of the copy and the read retried up to ``retries`` times;
         ``consistent`` is False only if every attempt raced a writer (the
-        snapshot is then possibly torn but still field-atomic).
+        snapshot is then possibly torn but still field-atomic).  A failed
+        attempt yields the CPU before retrying: a writer thread in this
+        process holds no GIL while the reader spins, so without the yield
+        every retry would see the same half-written row.
         """
         row = self.slots[rank + 1]
         snap = row.copy()
-        for _ in range(max(retries, 1)):
+        for attempt in range(max(retries, 1)):
+            if attempt:
+                time.sleep(0)
             seq0 = row[STAT_SEQ]
             snap = row.copy()
             if seq0 == snap[STAT_SEQ] == row[STAT_SEQ] and seq0 % 2.0 == 0.0:
