@@ -409,8 +409,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         data = build_data(alignment)
         engine = engine_from_checkpoint(data, state)
         engine.recorder = recorder
-        for part in engine.parts:
-            part.recorder = recorder
         tree = engine.tree
         print(f"resumed from checkpoint {args.resume}")
     else:

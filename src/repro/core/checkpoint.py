@@ -3,7 +3,7 @@
 Long partitioned analyses (the paper's 2.25-million-CPU-hour scale) need
 restartability.  A checkpoint captures everything the optimizers have
 learned — topology, per-partition branch lengths, substitution models,
-alpha, pinv, proportional scalers — as plain JSON, and can rebuild an
+alpha, pinv, proportional scalers, the Gamma category count — as plain JSON, and can rebuild an
 equivalent engine against the same alignment later.
 """
 from __future__ import annotations
@@ -29,6 +29,7 @@ def engine_to_checkpoint(engine: PartitionedEngine) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "branch_mode": engine.branch_mode,
+        "categories": engine.categories,
         # the explicit edge list preserves node/edge numbering exactly;
         # the Newick string is included for human inspection only
         "edges": [[eid, u, v] for eid, u, v in engine.tree.edges()],
@@ -102,6 +103,8 @@ def engine_from_checkpoint(
         models=models,
         alphas=alphas,
         branch_mode=state["branch_mode"],
+        # Files written before the category count was stored used 4.
+        categories=int(state.get("categories", 4)),
     )
     engine._global_lengths[:] = np.asarray(state["global_lengths"])
     if state["branch_mode"] == "proportional":

@@ -1,12 +1,17 @@
 """The partitioned likelihood engine (the object the paper's master thread
 manages).
 
-:class:`PartitionedEngine` owns one :class:`~repro.plk.likelihood.
-PartitionLikelihood` per partition over a shared tree topology, and exposes
-the whole-alignment operations the search and optimization layers need:
-total log-likelihood, branch-length get/set in *joint* (one length per
-branch, shared by all partitions) or *per-partition* (unlinked, Fig. 2 of
-the paper) mode, and bulk invalidation after topology moves.
+:class:`PartitionedEngine` holds the partitions of an alignment as
+likelihood stacks over one shared tree topology (:class:`~repro.plk.
+stacking.PartitionStacks`: one :class:`~repro.plk.likelihood.
+PartitionLikelihood` per group of same-state, similar-width partitions),
+and exposes the whole-alignment operations the search and optimization
+layers need: total and per-partition log-likelihoods, the Newton-Raphson
+branch machinery and parameter setters as vector calls over an active
+partition set, branch-length get/set in *joint* (one length per branch,
+shared by all partitions), *per-partition* (unlinked, Fig. 2 of the paper)
+or *proportional* mode, and bulk invalidation after topology moves.
+``parts[p]`` is partition p's per-partition view.
 
 Every kernel operation flows through the engine's recorder, so any analysis
 run doubles as a schedule capture for the machine simulator.
@@ -18,9 +23,10 @@ import numpy as np
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..plk.likelihood import BranchWorkspace, PartitionLikelihood
+from ..plk.likelihood import BranchWorkspace, PartitionView
 from ..plk.models import SubstitutionModel
 from ..plk.partition import PartitionedAlignment
+from ..plk.stacking import PartitionStacks
 from ..plk.tree import Tree
 from .trace import NullRecorder, TraceRecorder
 
@@ -104,7 +110,7 @@ class PartitionedEngine:
         self.tree = tree
         self.branch_mode = branch_mode
         self.distribution = distribution
-        self.recorder = recorder if recorder is not None else NullRecorder()
+        self.categories = categories
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else NullMetrics()
         self.telemetry = telemetry if telemetry is not None else NullTelemetry()
@@ -122,18 +128,11 @@ class PartitionedEngine:
         if len(alphas) != data.n_partitions:
             raise ValueError("need one alpha per partition")
 
-        self.parts: list[PartitionLikelihood] = [
-            PartitionLikelihood(
-                d,
-                tree,
-                model,
-                alpha=alpha,
-                categories=categories,
-                index=i,
-                recorder=self.recorder,
-            )
-            for i, (d, model, alpha) in enumerate(zip(data.data, models, alphas))
-        ]
+        self._stacks = PartitionStacks(
+            list(data.data), tree, list(models), list(alphas), categories
+        )
+        self.recorder = recorder if recorder is not None else NullRecorder()
+        self.parts: list[PartitionView] = self._stacks.parts
         # Proportional mode: shared lengths + one multiplier per partition.
         self._scalers = np.ones(data.n_partitions)
         self._global_lengths = (
@@ -142,8 +141,25 @@ class PartitionedEngine:
             else np.full(tree.n_edges, 0.1)
         )
         if initial_lengths is not None:
-            for part in self.parts:
-                part.set_branch_lengths(initial_lengths)
+            self._stacks.set_branch_lengths(initial_lengths)
+
+    @property
+    def recorder(self) -> TraceRecorder | NullRecorder:
+        return self._recorder
+
+    @recorder.setter
+    def recorder(self, recorder: TraceRecorder | NullRecorder) -> None:
+        """Swap the kernel-op listener (the stacks skip recording
+        entirely under a :class:`NullRecorder`)."""
+        self._recorder = recorder
+        listener = None if isinstance(recorder, NullRecorder) else recorder
+        for stack in self._stacks.stacks:
+            stack.recorder = listener
+
+    @property
+    def stacks(self):
+        """The likelihood stacks the partitions are grouped into."""
+        return self._stacks.stacks
 
     # ------------------------------------------------------------------
 
@@ -165,17 +181,22 @@ class PartitionedEngine:
     # Likelihood
     # ------------------------------------------------------------------
 
+    def loglikelihoods(self, root_edge: int = 0, active=None) -> np.ndarray:
+        """``(P,)`` per-partition log-likelihoods of the active partitions
+        (0 elsewhere): one call per stack, no region of its own."""
+        return self._stacks.loglikelihoods(root_edge, active)
+
     def loglikelihood(self, root_edge: int = 0) -> float:
         """Total log-likelihood (one parallel region: full/partial
         traversal for every partition plus the score reduction)."""
         self.recorder.begin_region("loglikelihood")
-        total = sum(p.loglikelihood(root_edge) for p in self.parts)
+        total = float(sum(self.loglikelihoods(root_edge).tolist()))
         self.recorder.end_region()
         return total
 
     def partition_loglikelihoods(self, root_edge: int = 0) -> np.ndarray:
         self.recorder.begin_region("loglikelihood")
-        out = np.array([p.loglikelihood(root_edge) for p in self.parts])
+        out = self.loglikelihoods(root_edge)
         self.recorder.end_region()
         return out
 
@@ -186,7 +207,7 @@ class PartitionedEngine:
     def branch_lengths(self) -> np.ndarray:
         """(n_edges, n_partitions) matrix of current lengths (joint mode:
         all columns equal)."""
-        return np.stack([p.branch_lengths for p in self.parts], axis=1)
+        return self._stacks.branch_lengths()
 
     def set_branch_length(self, edge: int, value: float, partition: int | None = None) -> None:
         """Set one branch length: everywhere (joint / proportional / bulk)
@@ -194,26 +215,28 @@ class PartitionedEngine:
         if partition is None:
             self._global_lengths[edge] = value
             if self.branch_mode == "proportional":
-                for p, part in enumerate(self.parts):
-                    part.set_branch_length(edge, value * self._scalers[p])
+                self._stacks.set_branch_length(edge, value * self._scalers)
             else:
-                for part in self.parts:
-                    part.set_branch_length(edge, value)
+                self._stacks.set_branch_length(edge, value)
         else:
             if self.branch_mode != "per_partition":
                 raise ValueError(
                     f"cannot set a per-partition length in {self.branch_mode} mode"
                 )
-            self.parts[partition].set_branch_length(edge, value)
+            self._stacks.set_branch_length(edge, value, [partition])
+
+    def set_edge_lengths(self, edge: int, values: np.ndarray, active=None) -> None:
+        """Per-partition lengths of one edge: ``values[p]`` for every
+        active partition p (the vector form of per-partition
+        :meth:`set_branch_length`)."""
+        self._stacks.set_branch_length(edge, values, active)
 
     def set_all_branch_lengths(self, lengths: np.ndarray) -> None:
         self._global_lengths[:] = lengths
         if self.branch_mode == "proportional":
-            for p, part in enumerate(self.parts):
-                part.set_branch_lengths(lengths * self._scalers[p])
+            self._stacks.set_branch_lengths(lengths[:, np.newaxis] * self._scalers)
         else:
-            for part in self.parts:
-                part.set_branch_lengths(lengths)
+            self._stacks.set_branch_lengths(lengths)
 
     # -- proportional mode ---------------------------------------------------
 
@@ -228,15 +251,72 @@ class PartitionedEngine:
         return self._global_lengths.copy()
 
     def set_scaler(self, partition: int, value: float) -> None:
-        """Set one partition's length multiplier (proportional mode);
-        rescales every branch of that partition, so its likelihood arrays
-        are fully invalidated — the same cost profile as an alpha change."""
+        """Set one partition's length multiplier (proportional mode)."""
+        values = self._scalers.copy()
+        values[partition] = value
+        self.set_scalers(values, [partition])
+
+    def set_scalers(self, values: np.ndarray, active=None) -> None:
+        """Set the active partitions' length multipliers (proportional
+        mode); each rescales every branch of its partition, so its
+        likelihood arrays are fully invalidated — the same cost profile
+        as an alpha change."""
         if self.branch_mode != "proportional":
             raise ValueError("scalers only exist in proportional mode")
-        if value <= 0:
+        values = np.asarray(values, dtype=np.float64)
+        chosen = np.zeros(self.n_partitions, dtype=bool)
+        chosen[slice(None) if active is None else active] = True
+        if (values[chosen] <= 0).any():
             raise ValueError("scalers must be positive")
-        self._scalers[partition] = value
-        self.parts[partition].set_branch_lengths(self._global_lengths * value)
+        self._scalers[chosen] = values[chosen]
+        self._stacks.set_branch_lengths(
+            self._global_lengths[:, np.newaxis] * self._scalers, chosen
+        )
+
+    # -- model parameters ------------------------------------------------------
+
+    def set_alphas(self, values: np.ndarray, active=None) -> None:
+        """Gamma shapes ``values[p]`` for the active partitions."""
+        self._stacks.set_alphas(values, active)
+
+    def set_models(self, models, active=None) -> None:
+        """Substitution models ``models[p]`` for the active partitions."""
+        self._stacks.set_models(models, active)
+
+    def set_exchangeabilities(self, index: int, values: np.ndarray, active=None) -> None:
+        """Q-matrix exchangeability ``index`` := ``values[p]`` for the
+        active partitions (one new model per partition, then one stack
+        update)."""
+        models = list(self._models())
+        for p in self._active_indices(active):
+            models[p] = models[p].with_rate(index, float(values[p]))
+        self.set_models(models, active)
+
+    def set_frequency_ratios(self, index: int, values: np.ndarray, active=None) -> None:
+        """Stationary-frequency ratio ``index`` (against the last state)
+        := ``values[p]`` for the active partitions."""
+        from ..plk.frequencies import frequency_ratios, ratios_to_frequencies
+
+        models = list(self._models())
+        for p in self._active_indices(active):
+            ratios = frequency_ratios(models[p].frequencies)
+            ratios[index] = float(values[p])
+            models[p] = models[p].with_frequencies(ratios_to_frequencies(ratios))
+        self.set_models(models, active)
+
+    def _models(self) -> list[SubstitutionModel]:
+        return [part.model for part in self.parts]
+
+    def _active_indices(self, active) -> list[int]:
+        if active is None:
+            return list(range(self.n_partitions))
+        flags = np.asarray(active)
+        return (np.flatnonzero(flags) if flags.dtype == bool else flags).tolist()
+
+    def set_pinvs(self, values: np.ndarray, active=None) -> None:
+        """Invariable-site proportions ``values[p]`` for the active
+        partitions (no likelihood array is invalidated)."""
+        self._stacks.set_pinvs(values, active)
 
     # ------------------------------------------------------------------
     # Topology bookkeeping
@@ -245,28 +325,38 @@ class PartitionedEngine:
     def invalidate_topology(self, nodes: list[int] | None = None) -> None:
         """Invalidate CLVs after a topology move: the given inner nodes, or
         everything if None."""
-        for part in self.parts:
-            if nodes is None:
-                part.invalidate_all()
-            else:
-                for node in nodes:
-                    part.invalidate_node(node)
+        self._stacks.invalidate(nodes)
 
     # ------------------------------------------------------------------
     # Newton-Raphson plumbing shared by the strategies
     # ------------------------------------------------------------------
 
-    def prepare_branch_all(self, edge: int, label: str = "prepare") -> list[BranchWorkspace]:
+    def prepare_branches(self, edge: int, active=None) -> list[BranchWorkspace | None]:
+        """Sumtables for ``edge`` in the active partitions (one call per
+        stack, no region of its own)."""
+        return self._stacks.prepare_branches(edge, active)
+
+    def branch_derivatives(self, workspaces, z: np.ndarray, active=None):
+        """``(d1, d2)``, each ``(P,)``: first and second derivatives at
+        per-partition lengths ``z`` for the active prepared partitions."""
+        return self._stacks.branch_derivatives(workspaces, z, active)
+
+    def branch_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
+        """``(P,)`` log-likelihoods at per-partition lengths ``z`` of the
+        prepared edge (the Newton monotonicity guard)."""
+        return self._stacks.branch_loglikelihoods(workspaces, z, active)
+
+    def prepare_branch_all(self, edge: int, label: str = "prepare") -> list[BranchWorkspace | None]:
         """Sumtables for ``edge`` in every partition, in ONE region (the
         newPAR grouping)."""
         self.recorder.begin_region(label)
-        out = [p.prepare_branch(edge) for p in self.parts]
+        out = self.prepare_branches(edge)
         self.recorder.end_region()
         return out
 
-    def prepare_branch_one(self, edge: int, partition: int) -> BranchWorkspace:
+    def prepare_branch_one(self, edge: int, partition: int) -> list[BranchWorkspace | None]:
         """Sumtable for one partition (its own region — the oldPAR way)."""
         self.recorder.begin_region("prepare")
-        ws = self.parts[partition].prepare_branch(edge)
+        out = self.prepare_branches(edge, [partition])
         self.recorder.end_region()
-        return ws
+        return out

@@ -112,6 +112,13 @@ def smoothing_edge_order(tree) -> list[int]:
 # Branch lengths (Newton-Raphson)
 # ----------------------------------------------------------------------
 
+def _only(n_parts: int, p: int) -> np.ndarray:
+    """The one-partition active set of oldPAR."""
+    mask = np.zeros(n_parts, dtype=bool)
+    mask[p] = True
+    return mask
+
+
 def optimize_branch(
     engine: PartitionedEngine,
     edge: int,
@@ -134,27 +141,17 @@ def optimize_branch(
         scalers = engine.scalers
 
         def prop_fn(b: float) -> tuple[float, float]:
-            d1 = d2 = 0.0
             with _region(engine, "nr_proportional"):
-                for p, (part, ws) in enumerate(zip(engine.parts, workspaces)):
-                    g1, g2 = part.branch_derivatives(ws, scalers[p] * b)
-                    d1 += scalers[p] * g1
-                    d2 += scalers[p] * scalers[p] * g2
-            return d1, d2
+                g1, g2 = engine.branch_derivatives(workspaces, scalers * b)
+            return sum((scalers * g1).tolist()), sum((scalers * scalers * g2).tolist())
 
         b0 = float(engine.global_lengths[edge])
         b, iters, _ = newton_optimize(
             prop_fn, b0, BRANCH_MIN, BRANCH_MAX, ztol, max_iter
         )
         with _region(engine, "nr_proportional"):
-            old_lnl = sum(
-                part.branch_loglikelihood(ws, scalers[p] * b0)
-                for p, (part, ws) in enumerate(zip(engine.parts, workspaces))
-            )
-            new_lnl = sum(
-                part.branch_loglikelihood(ws, scalers[p] * b)
-                for p, (part, ws) in enumerate(zip(engine.parts, workspaces))
-            )
+            old_lnl = sum(engine.branch_loglikelihoods(workspaces, scalers * b0).tolist())
+            new_lnl = sum(engine.branch_loglikelihoods(workspaces, scalers * b).tolist())
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, b)
         return np.full(n_parts, iters, dtype=np.int64)
@@ -164,14 +161,8 @@ def optimize_branch(
 
         def joint_fn(z: float) -> tuple[float, float]:
             with _region(engine, "nr_joint"):
-                pairs = [
-                    part.branch_derivatives(ws, z)
-                    for part, ws in zip(engine.parts, workspaces)
-                ]
-            return (
-                float(sum(p[0] for p in pairs)),
-                float(sum(p[1] for p in pairs)),
-            )
+                d1, d2 = engine.branch_derivatives(workspaces, np.full(n_parts, z))
+            return float(sum(d1.tolist())), float(sum(d2.tolist()))
 
         z, iters, _ = newton_optimize(
             joint_fn, float(z0[0]), BRANCH_MIN, BRANCH_MAX, ztol, max_iter
@@ -180,14 +171,8 @@ def optimize_branch(
         # length only if it does not lower the likelihood (one extra
         # evaluation pass, as RAxML's makenewz performs).
         with _region(engine, "nr_joint"):
-            old_lnl = sum(
-                part.branch_loglikelihood(ws, float(z0[0]))
-                for part, ws in zip(engine.parts, workspaces)
-            )
-            new_lnl = sum(
-                part.branch_loglikelihood(ws, z)
-                for part, ws in zip(engine.parts, workspaces)
-            )
+            old_lnl = sum(engine.branch_loglikelihoods(workspaces, np.full(n_parts, z0[0])).tolist())
+            new_lnl = sum(engine.branch_loglikelihoods(workspaces, np.full(n_parts, z)).tolist())
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, z)
         return np.full(n_parts, iters, dtype=np.int64)
@@ -200,61 +185,51 @@ def optimize_branch(
         # simulator charges dispatch + barrier once per region, so the
         # fusion shows up directly in predicted sync seconds.
         z_first = solver.initial_point(z0)
-        d1_first = np.zeros(n_parts)
-        d2_first = np.zeros(n_parts)
         with _region(engine, "nr_new"):
-            workspaces = [part.prepare_branch(edge) for part in engine.parts]
-            for p in range(n_parts):
-                d1_first[p], d2_first[p] = engine.parts[p].branch_derivatives(
-                    workspaces[p], float(z_first[p])
-                )
+            workspaces = engine.prepare_branches(edge)
+            first = engine.branch_derivatives(workspaces, z_first)
 
         def batched_fn(z: np.ndarray, active: np.ndarray):
-            d1 = np.zeros(n_parts)
-            d2 = np.zeros(n_parts)
             with _region(engine, "nr_new"):
-                for p in np.flatnonzero(active):
-                    d1[p], d2[p] = engine.parts[p].branch_derivatives(
-                        workspaces[p], float(z[p])
-                    )
-            return d1, d2
+                return engine.branch_derivatives(workspaces, z, active)
 
         res = solver.run(
             batched_fn, z0, observer=engine.telemetry.start("nr_branch", n_parts),
-            first_eval=(d1_first, d2_first),
+            first_eval=first,
         )
         # Monotonicity guard (one batched evaluation region): keep each
         # partition's new length only where the likelihood improved.
         with _region(engine, "nr_new"):
-            for p in range(n_parts):
-                ws = workspaces[p]
-                part = engine.parts[p]
-                if part.branch_loglikelihood(ws, float(res.z[p])) >= (
-                    part.branch_loglikelihood(ws, float(z0[p]))
-                ):
-                    part.set_branch_length(edge, float(res.z[p]))
+            improved = engine.branch_loglikelihoods(workspaces, res.z) >= (
+                engine.branch_loglikelihoods(workspaces, z0)
+            )
+            engine.set_edge_lengths(edge, res.z, improved)
         _observe_iterations(engine, "nr_branch", res.iterations)
         return res.iterations
 
-    # oldPAR: one partition at a time; every NR iteration is a command
-    # whose only work is this partition's m'_p patterns.
+    # oldPAR: one partition at a time — the same calls with a
+    # one-partition active set, so every NR iteration is a command whose
+    # only work is this partition's m'_p patterns.
     counts = np.zeros(n_parts, dtype=np.int64)
     for p in range(n_parts):
-        ws = engine.prepare_branch_one(edge, p)
+        only = _only(n_parts, p)
+        workspaces = engine.prepare_branch_one(edge, p)
 
-        def scalar_fn(z: float, _p: int = p, _ws=ws) -> tuple[float, float]:
+        def scalar_fn(z: float, _p: int = p, _only=only, _ws=workspaces) -> tuple[float, float]:
             with _region(engine, "nr_old"):
-                return engine.parts[_p].branch_derivatives(_ws, z)
+                d1, d2 = engine.branch_derivatives(_ws, np.full(n_parts, z), _only)
+            return float(d1[_p]), float(d2[_p])
 
         z, iters, _ = newton_optimize(
             scalar_fn, float(z0[p]), BRANCH_MIN, BRANCH_MAX, ztol, max_iter
         )
+        trial = np.full(n_parts, z)
         with _region(engine, "nr_old"):
-            accept = engine.parts[p].branch_loglikelihood(ws, z) >= (
-                engine.parts[p].branch_loglikelihood(ws, float(z0[p]))
+            accept = engine.branch_loglikelihoods(workspaces, trial, only)[p] >= (
+                engine.branch_loglikelihoods(workspaces, z0, only)[p]
             )
         if accept:
-            engine.parts[p].set_branch_length(edge, z)
+            engine.set_edge_lengths(edge, trial, only)
         counts[p] = iters
     return counts
 
@@ -306,36 +281,53 @@ def optimize_alpha(
         )
 
         def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_parts)
             with _region(engine, "brent_alpha_new"):
-                for p in np.flatnonzero(active):
-                    engine.parts[p].alpha = float(x[p])
-                    out[p] = -engine.parts[p].loglikelihood(root_edge)
-            return out
+                engine.set_alphas(x, active)
+                return -engine.loglikelihoods(root_edge, active)
 
         res = solver.run(
             batched_fn, guess=current,
             observer=engine.telemetry.start("brent_alpha", n_parts),
         )
-        for p in range(n_parts):
-            engine.parts[p].alpha = float(res.x[p])
+        engine.set_alphas(res.x)
         _observe_iterations(engine, "brent_alpha", res.iterations)
         return res.iterations
 
+    return _old_brent(
+        engine, "brent_alpha_old", engine.set_alphas, current,
+        ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
+    )
+
+
+def _old_brent(
+    engine: PartitionedEngine,
+    label: str,
+    setter,
+    current: np.ndarray,
+    lo: float,
+    hi: float,
+    xtol: float,
+    max_iter: int,
+    root_edge: int,
+    eligible: np.ndarray | None = None,
+) -> np.ndarray:
+    """oldPAR Brent: one scalar optimization per (eligible) partition,
+    each objective evaluation one region over a one-partition active set.
+    ``setter(values, active)`` applies a ``(P,)`` parameter vector."""
+    n_parts = engine.n_partitions
     counts = np.zeros(n_parts, dtype=np.int64)
-    for p in range(n_parts):
+    todo = range(n_parts) if eligible is None else np.flatnonzero(eligible).tolist()
+    for p in todo:
+        only = _only(n_parts, p)
 
-        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p) -> np.ndarray:
-            with _region(engine, "brent_alpha_old"):
-                engine.parts[_p].alpha = float(x[0])
-                val = -engine.parts[_p].loglikelihood(root_edge)
-            return np.array([val])
+        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p, _only=only) -> np.ndarray:
+            with _region(engine, label):
+                setter(np.full(n_parts, x[0]), _only)
+                return -engine.loglikelihoods(root_edge, _only)[_p : _p + 1]
 
-        solver = BatchedBrent(
-            np.array([ALPHA_MIN]), np.array([ALPHA_MAX]), xtol, max_iter
-        )
+        solver = BatchedBrent(np.array([lo]), np.array([hi]), xtol, max_iter)
         res = solver.run(scalar_fn, guess=np.array([current[p]]))
-        engine.parts[p].alpha = float(res.x[0])
+        setter(np.full(n_parts, res.x[0]), only)
         counts[p] = res.iterations[0]
     return counts
 
@@ -368,54 +360,32 @@ def optimize_rates(
             [part.model.rates[rate_idx] if dna[p] else 1.0 for p, part in enumerate(engine.parts)]
         )
         current = np.clip(current, RATE_MIN * 1.01, RATE_MAX * 0.99)
+
+        def setter(values: np.ndarray, active: np.ndarray, _i: int = rate_idx) -> None:
+            engine.set_exchangeabilities(_i, values, active)
+
         if strategy == "new":
             solver = BatchedBrent(
                 np.full(n_parts, RATE_MIN), np.full(n_parts, RATE_MAX), xtol, max_iter
             )
 
-            def batched_fn(
-                x: np.ndarray, active: np.ndarray, _i: int = rate_idx
-            ) -> np.ndarray:
-                out = np.zeros(n_parts)
+            def batched_fn(x: np.ndarray, active: np.ndarray, _set=setter) -> np.ndarray:
                 with _region(engine, "brent_rate_new"):
-                    for p in np.flatnonzero(active):
-                        engine.parts[p].model = engine.parts[p].model.with_rate(
-                            _i, float(x[p])
-                        )
-                        out[p] = -engine.parts[p].loglikelihood(root_edge)
-                return out
+                    _set(x, active)
+                    return -engine.loglikelihoods(root_edge, active)
 
             res = solver.run(
                 batched_fn, guess=current, mask=dna,
                 observer=engine.telemetry.start("brent_rate", n_parts),
             )
-            for p in np.flatnonzero(dna):
-                engine.parts[p].model = engine.parts[p].model.with_rate(
-                    rate_idx, float(res.x[p])
-                )
+            setter(res.x, dna)
             _observe_iterations(engine, "brent_rate", res.iterations[dna])
             counts += np.where(dna, res.iterations, 0)
         else:
-            for p in np.flatnonzero(dna):
-
-                def scalar_fn(
-                    x: np.ndarray, active: np.ndarray, _p: int = int(p), _i: int = rate_idx
-                ) -> np.ndarray:
-                    with _region(engine, "brent_rate_old"):
-                        engine.parts[_p].model = engine.parts[_p].model.with_rate(
-                            _i, float(x[0])
-                        )
-                        val = -engine.parts[_p].loglikelihood(root_edge)
-                    return np.array([val])
-
-                solver = BatchedBrent(
-                    np.array([RATE_MIN]), np.array([RATE_MAX]), xtol, max_iter
-                )
-                res = solver.run(scalar_fn, guess=np.array([current[p]]))
-                engine.parts[p].model = engine.parts[p].model.with_rate(
-                    rate_idx, float(res.x[0])
-                )
-                counts[p] += res.iterations[0]
+            counts += _old_brent(
+                engine, "brent_rate_old", setter, current,
+                RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna,
+            )
     return counts
 
 
@@ -446,36 +416,22 @@ def optimize_scalers(
         solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
 
         def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_parts)
             with _region(engine, "brent_scaler_new"):
-                for p in np.flatnonzero(active):
-                    engine.set_scaler(int(p), float(x[p]))
-                    out[p] = -engine.parts[p].loglikelihood(root_edge)
-            return out
+                engine.set_scalers(x, active)
+                return -engine.loglikelihoods(root_edge, active)
 
         res = solver.run(
             batched_fn, guess=current,
             observer=engine.telemetry.start("brent_scaler", n_parts),
         )
-        for p in range(n_parts):
-            engine.set_scaler(p, float(res.x[p]))
+        engine.set_scalers(res.x)
         _observe_iterations(engine, "brent_scaler", res.iterations)
         return res.iterations
 
-    counts = np.zeros(n_parts, dtype=np.int64)
-    for p in range(n_parts):
-
-        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p) -> np.ndarray:
-            with _region(engine, "brent_scaler_old"):
-                engine.set_scaler(_p, float(x[0]))
-                val = -engine.parts[_p].loglikelihood(root_edge)
-            return np.array([val])
-
-        solver = BatchedBrent(np.array([lo]), np.array([hi]), xtol, max_iter)
-        res = solver.run(scalar_fn, guess=np.array([current[p]]))
-        engine.set_scaler(p, float(res.x[0]))
-        counts[p] = res.iterations[0]
-    return counts
+    return _old_brent(
+        engine, "brent_scaler_old", engine.set_scalers, current,
+        lo, hi, xtol, max_iter, root_edge,
+    )
 
 
 def optimize_pinv(
@@ -504,36 +460,22 @@ def optimize_pinv(
         solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
 
         def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_parts)
             with _region(engine, "brent_pinv_new"):
-                for p in np.flatnonzero(active):
-                    engine.parts[p].pinv = float(x[p])
-                    out[p] = -engine.parts[p].loglikelihood(root_edge)
-            return out
+                engine.set_pinvs(x, active)
+                return -engine.loglikelihoods(root_edge, active)
 
         res = solver.run(
             batched_fn, guess=current,
             observer=engine.telemetry.start("brent_pinv", n_parts),
         )
-        for p in range(n_parts):
-            engine.parts[p].pinv = float(res.x[p])
+        engine.set_pinvs(res.x)
         _observe_iterations(engine, "brent_pinv", res.iterations)
         return res.iterations
 
-    counts = np.zeros(n_parts, dtype=np.int64)
-    for p in range(n_parts):
-
-        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p) -> np.ndarray:
-            with _region(engine, "brent_pinv_old"):
-                engine.parts[_p].pinv = float(x[0])
-                val = -engine.parts[_p].loglikelihood(root_edge)
-            return np.array([val])
-
-        solver = BatchedBrent(np.array([lo]), np.array([hi]), xtol, max_iter)
-        res = solver.run(scalar_fn, guess=np.array([current[p]]))
-        engine.parts[p].pinv = float(res.x[0])
-        counts[p] = res.iterations[0]
-    return counts
+    return _old_brent(
+        engine, "brent_pinv_old", engine.set_pinvs, current,
+        lo, hi, xtol, max_iter, root_edge,
+    )
 
 
 def optimize_frequencies(
@@ -553,7 +495,7 @@ def optimize_frequencies(
     preferred over empirical ones); pass ``dna_only=False`` to include
     protein partitions.
     """
-    from ..plk.frequencies import frequency_ratios, ratios_to_frequencies
+    from ..plk.frequencies import frequency_ratios
 
     _check_strategy(strategy)
     n_parts = engine.n_partitions
@@ -565,12 +507,6 @@ def optimize_frequencies(
     max_free = int(states[eligible_all].max()) - 1
     lo, hi = 1e-3, 1e3
 
-    def set_ratio(p: int, index: int, value: float) -> None:
-        part = engine.parts[p]
-        ratios = frequency_ratios(part.model.frequencies)
-        ratios[index] = value
-        part.model = part.model.with_frequencies(ratios_to_frequencies(ratios))
-
     for index in range(max_free):
         eligible = eligible_all & (states > index + 1)
         if not eligible.any():
@@ -579,40 +515,30 @@ def optimize_frequencies(
         for p in np.flatnonzero(eligible):
             current[p] = frequency_ratios(engine.parts[p].model.frequencies)[index]
         current = np.clip(current, lo * 1.01, hi * 0.99)
+
+        def setter(values: np.ndarray, active: np.ndarray, _i: int = index) -> None:
+            engine.set_frequency_ratios(_i, values, active)
+
         if strategy == "new":
             solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
 
-            def batched_fn(x: np.ndarray, active: np.ndarray, _i: int = index) -> np.ndarray:
-                out = np.zeros(n_parts)
+            def batched_fn(x: np.ndarray, active: np.ndarray, _set=setter) -> np.ndarray:
                 with _region(engine, "brent_freq_new"):
-                    for p in np.flatnonzero(active):
-                        set_ratio(p, _i, float(x[p]))
-                        out[p] = -engine.parts[p].loglikelihood(root_edge)
-                return out
+                    _set(x, active)
+                    return -engine.loglikelihoods(root_edge, active)
 
             res = solver.run(
                 batched_fn, guess=current, mask=eligible,
                 observer=engine.telemetry.start("brent_freq", n_parts),
             )
-            for p in np.flatnonzero(eligible):
-                set_ratio(p, index, float(res.x[p]))
+            setter(res.x, eligible)
             _observe_iterations(engine, "brent_freq", res.iterations[eligible])
             counts += np.where(eligible, res.iterations, 0)
         else:
-            for p in np.flatnonzero(eligible):
-
-                def scalar_fn(
-                    x: np.ndarray, active: np.ndarray, _p: int = int(p), _i: int = index
-                ) -> np.ndarray:
-                    with _region(engine, "brent_freq_old"):
-                        set_ratio(_p, _i, float(x[0]))
-                        val = -engine.parts[_p].loglikelihood(root_edge)
-                    return np.array([val])
-
-                solver = BatchedBrent(np.array([lo]), np.array([hi]), xtol, max_iter)
-                res = solver.run(scalar_fn, guess=np.array([current[p]]))
-                set_ratio(int(p), index, float(res.x[0]))
-                counts[p] += res.iterations[0]
+            counts += _old_brent(
+                engine, "brent_freq_old", setter, current,
+                lo, hi, xtol, max_iter, root_edge, eligible=eligible,
+            )
     return counts
 
 

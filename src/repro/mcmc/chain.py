@@ -170,10 +170,8 @@ class BayesianChain:
 
     def _evaluate(self, partitions: np.ndarray, root_edge: int) -> np.ndarray:
         """Likelihoods of the given partitions in ONE parallel region."""
-        out = np.zeros(self.n_partitions)
         self.recorder.begin_region(f"mcmc_{self.scheduling}")
-        for p in partitions:
-            out[p] = self.engine.parts[p].loglikelihood(root_edge)
+        out = self.engine.loglikelihoods(root_edge, partitions)
         self.recorder.end_region()
         return out
 
@@ -185,6 +183,17 @@ class BayesianChain:
         accept = np.log(u) < self.temperature * delta_posterior[partitions]
         self.proposed += len(partitions)
         self.accepted += int(accept.sum())
+        return accept
+
+    def _decide(
+        self, batch: np.ndarray, lnl_new: np.ndarray, delta_prior, hastings
+    ) -> np.ndarray:
+        """Accept/reject the proposal on ``batch``; accepted partitions
+        take their new log-likelihoods.  Returns the accept mask."""
+        delta = np.zeros(self.n_partitions)
+        delta[batch] = lnl_new[batch] - self._lnl[batch] + delta_prior + hastings
+        accept = self._accept_mask(batch, delta)
+        self._lnl[batch[accept]] = lnl_new[batch[accept]]
         return accept
 
     # -- moves --------------------------------------------------------------
@@ -199,20 +208,13 @@ class BayesianChain:
             delta_prior = (
                 self.priors.branch(new) - self.priors.branch(current[batch])
             )
-            for i, p in enumerate(batch):
-                self.engine.parts[p].set_branch_length(edge, float(new[i]))
+            trial = current.copy()
+            trial[batch] = new
+            self.engine.set_edge_lengths(edge, trial, batch)
             lnl_new = self._evaluate(batch, root_edge=edge)
-            delta = np.zeros(self.n_partitions)
-            delta[batch] = (
-                lnl_new[batch] - self._lnl[batch] + delta_prior + hastings
-            )
-            accept = self._accept_mask(batch, delta)
-            for i, p in enumerate(batch):
-                if accept[i]:
-                    self._lnl[p] = lnl_new[p]
-                    current[p] = new[i]
-                else:
-                    self.engine.parts[p].set_branch_length(edge, float(current[p]))
+            accept = self._decide(batch, lnl_new, delta_prior, hastings)
+            current[batch[accept]] = trial[batch[accept]]
+            self.engine.set_edge_lengths(edge, current, batch[~accept])
 
     def _move_alpha(self) -> None:
         proposal = self._proposals["alpha"]
@@ -220,19 +222,12 @@ class BayesianChain:
         for batch in self._partition_batches(np.ones(self.n_partitions, bool)):
             new, hastings = proposal.propose(current[batch], self.rng)
             delta_prior = self.priors.alpha(new) - self.priors.alpha(current[batch])
-            for i, p in enumerate(batch):
-                self.engine.parts[p].alpha = float(new[i])
+            trial = current.copy()
+            trial[batch] = new
+            self.engine.set_alphas(trial, batch)
             lnl_new = self._evaluate(batch, root_edge=0)
-            delta = np.zeros(self.n_partitions)
-            delta[batch] = (
-                lnl_new[batch] - self._lnl[batch] + delta_prior + hastings
-            )
-            accept = self._accept_mask(batch, delta)
-            for i, p in enumerate(batch):
-                if accept[i]:
-                    self._lnl[p] = lnl_new[p]
-                else:
-                    self.engine.parts[p].alpha = float(current[p])
+            accept = self._decide(batch, lnl_new, delta_prior, hastings)
+            self.engine.set_alphas(current, batch[~accept])
 
     def _move_rate(self, rate_index: int) -> None:
         """Propose one GTR exchangeability across the DNA partitions."""
@@ -248,23 +243,12 @@ class BayesianChain:
         for batch in self._partition_batches(self._dna):
             new, hastings = proposal.propose(current[batch], self.rng)
             delta_prior = self.priors.rate(new) - self.priors.rate(current[batch])
-            for i, p in enumerate(batch):
-                self.engine.parts[p].model = self.engine.parts[p].model.with_rate(
-                    rate_index, float(new[i])
-                )
+            trial = current.copy()
+            trial[batch] = new
+            self.engine.set_exchangeabilities(rate_index, trial, batch)
             lnl_new = self._evaluate(batch, root_edge=0)
-            delta = np.zeros(self.n_partitions)
-            delta[batch] = (
-                lnl_new[batch] - self._lnl[batch] + delta_prior + hastings
-            )
-            accept = self._accept_mask(batch, delta)
-            for i, p in enumerate(batch):
-                if not accept[i]:
-                    self.engine.parts[p].model = self.engine.parts[
-                        p
-                    ].model.with_rate(rate_index, float(current[p]))
-                else:
-                    self._lnl[p] = lnl_new[p]
+            accept = self._decide(batch, lnl_new, delta_prior, hastings)
+            self.engine.set_exchangeabilities(rate_index, current, batch[~accept])
 
     # ------------------------------------------------------------------
 

@@ -3,16 +3,17 @@
 Every worker owns a *pattern slice* of each partition (cyclic or block
 assignment, fixed at startup — RAxML's data-parallel ownership: likelihood
 arrays never migrate between threads).  The master broadcasts small
-commands; each worker executes them against its private
-:class:`~repro.plk.likelihood.PartitionLikelihood` instances and returns a
+commands; each worker executes them against its private partition stacks
+(:class:`~repro.plk.stacking.PartitionStacks`: one numpy call per stack
+and command, whatever the number of active partitions) and returns a
 partial result (a partial log-likelihood or partial derivative sums),
 which the master reduces.  One command == one region of the simulator's
 vocabulary.
 
 A worker may own ZERO patterns of a short partition (the paper's
-``m'_p < T`` worst case): its engines then operate on zero-width arrays
-and contribute nothing — it simply idles through the command, exactly like
-the idle threads the paper describes.
+``m'_p < T`` worst case): that member of its stack is all padding at
+weight 0 and contributes exactly 0 to every reduction — it simply idles
+through the command, exactly like the idle threads the paper describes.
 """
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..plk.likelihood import BranchWorkspace, PartitionLikelihood
+from ..plk.likelihood import BranchWorkspace
 from ..plk.partition import PartitionData, PartitionedAlignment
+from ..plk.stacking import PartitionStacks
 from ..plk.tree import Tree
 from .balance import DistributionPlan, PartitionLayout, build_plan
 from .shm import WorkerStatsWriter
@@ -110,7 +112,7 @@ class _Handle:
     """Worker-local sumtable storage for one prepare/derive cycle."""
 
     token: int
-    workspaces: dict[int, BranchWorkspace]
+    workspaces: list[BranchWorkspace | None]
 
 
 class WorkerState:
@@ -126,21 +128,11 @@ class WorkerState:
         categories: int = 4,
     ):
         self.tree = tree
-        self.parts = [
-            PartitionLikelihood(
-                d, tree, model, alpha=alpha, categories=categories, index=i,
-            )
-            for i, (d, model, alpha) in enumerate(zip(slices, models, alphas))
-        ]
+        self.engine = PartitionStacks(slices, tree, models, alphas, categories)
+        self.parts = self.engine.parts
         if initial_lengths is not None:
-            for part in self.parts:
-                part.set_branch_lengths(initial_lengths)
+            self.engine.set_branch_lengths(initial_lengths)
         self._handles: dict[int, _Handle] = {}
-        # Zero-width fast path: a worker owning zero patterns of a short
-        # partition (the paper's m'_p < T case) contributes the additive
-        # identity to every reduction, so its commands short-circuit here
-        # instead of dispatching zero-width kernels.
-        self._empty = tuple(sl.n_patterns == 0 for sl in slices)
         # Live telemetry (repro.obs.live): disabled by default — the hot
         # dispatch path then pays one attribute read, nothing else.
         self.stats: WorkerStatsWriter | None = None
@@ -198,62 +190,31 @@ class WorkerState:
 
     def _cmd_lnl(self, root_edge: int) -> float:
         """Partial total log-likelihood over all partitions."""
-        return float(
-            sum(
-                p.loglikelihood(root_edge)
-                for p, empty in zip(self.parts, self._empty)
-                if not empty
-            )
-        )
+        return float(sum(self.engine.loglikelihoods(root_edge).tolist()))
 
     def _cmd_lnl_parts(self, root_edge: int, active: list[int]) -> np.ndarray:
         """Partial per-partition log-likelihoods for the active set."""
-        out = np.zeros(len(self.parts))
-        for p in active:
-            if self._empty[p]:
-                continue
-            out[p] = self.parts[p].loglikelihood(root_edge)
-        return out
+        return self.engine.loglikelihoods(root_edge, active)
 
     # -- branch-length machinery ------------------------------------------
 
     def _cmd_prepare(self, edge: int, token: int, partitions: list[int]) -> None:
-        ws = {
-            p: self.parts[p].prepare_branch(edge)
-            for p in partitions
-            if not self._empty[p]
-        }
-        self._handles[token] = _Handle(token=token, workspaces=ws)
+        self._handles[token] = _Handle(
+            token=token, workspaces=self.engine.prepare_branches(edge, partitions)
+        )
 
     def _cmd_deriv(
         self, token: int, z: np.ndarray, active: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Partial (d1, d2) sums for the active partitions at lengths z."""
-        handle = self._handles[token]
-        d1 = np.zeros(len(self.parts))
-        d2 = np.zeros(len(self.parts))
-        for p in active:
-            if self._empty[p]:
-                continue
-            d1[p], d2[p] = self.parts[p].branch_derivatives(
-                handle.workspaces[p], float(z[p])
-            )
-        return d1, d2
+        return self.engine.branch_derivatives(self._handles[token].workspaces, z, active)
 
     def _cmd_branch_lnl(
         self, token: int, z: np.ndarray, active: list[int]
     ) -> np.ndarray:
         """Partial per-partition log-likelihoods at branch lengths z, from
         the prepared sumtables (the Newton monotonicity-guard pass)."""
-        handle = self._handles[token]
-        out = np.zeros(len(self.parts))
-        for p in active:
-            if self._empty[p]:
-                continue
-            out[p] = self.parts[p].branch_loglikelihood(
-                handle.workspaces[p], float(z[p])
-            )
-        return out
+        return self.engine.branch_loglikelihoods(self._handles[token].workspaces, z, active)
 
     def _cmd_release(self, token: int) -> None:
         self._handles.pop(token, None)
@@ -261,11 +222,7 @@ class WorkerState:
     # -- parameter updates -------------------------------------------------
 
     def _cmd_set_bl(self, edge: int, value: float, partition: int | None) -> None:
-        if partition is None:
-            for part in self.parts:
-                part.set_branch_length(edge, value)
-        else:
-            self.parts[partition].set_branch_length(edge, value)
+        self.engine.set_branch_length(edge, value, None if partition is None else [partition])
 
     def _cmd_set_alpha(self, partition: int, alpha: float) -> None:
         self.parts[partition].alpha = alpha
@@ -276,26 +233,19 @@ class WorkerState:
     def _cmd_set_bl_vec(self, edge: int, values: np.ndarray) -> None:
         """Per-partition branch lengths for one edge in ONE command (the
         fused replacement for P separate ``set_bl`` broadcasts)."""
-        for p, part in enumerate(self.parts):
-            part.set_branch_length(edge, float(values[p]))
+        self.engine.set_branch_length(edge, values)
 
     def _cmd_set_alpha_vec(self, x: np.ndarray, active: list[int]) -> None:
         """Per-partition alphas in ONE command (fused ``set_alpha``)."""
-        for p in active:
-            self.parts[p].alpha = float(x[p])
+        self.engine.set_alphas(x, active)
 
     def _cmd_eval_alpha(
         self, x: np.ndarray, active: list[int], root_edge: int
     ) -> np.ndarray:
         """Set trial alphas and return partial NEGATIVE log-likelihoods
         (one fused command per Brent round — the newPAR schedule)."""
-        out = np.zeros(len(self.parts))
-        for p in active:
-            if self._empty[p]:
-                continue
-            self.parts[p].alpha = float(x[p])
-            out[p] = -self.parts[p].loglikelihood(root_edge)
-        return out
+        self.engine.set_alphas(x, active)
+        return -self.engine.loglikelihoods(root_edge, active)
 
     # -- fused programs ----------------------------------------------------
 

@@ -157,7 +157,9 @@ class GappyEngine:
     Every partition computes on the subtree its covered taxa span, with
     its own branch lengths projected from (or optimized independently of)
     the full tree — the computational model of the paper's reference [32]
-    that motivates per-partition branch lengths.
+    that motivates per-partition branch lengths.  Partitions on different
+    trees cannot share a likelihood stack, so each is a one-member
+    :class:`~repro.plk.likelihood.PartitionLikelihood`.
 
     Parameters
     ----------

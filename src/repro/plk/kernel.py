@@ -15,8 +15,17 @@ paper parallelizes over alignment patterns:
 
 Array layout: CLVs are ``(K, m, states)`` C-contiguous, category-major, so
 every operation is a batched BLAS matmul over the pattern axis and a worker
-thread's pattern slice is a view, never a copy (see the HPC guide notes on
-views and cache-friendly contiguity).
+thread's pattern slice is a view, never a copy.
+
+Partition stacks: every primitive also accepts leading partition axes —
+CLVs ``(..., K, m, states)``, tip matrices ``(..., m, states)``, scaling
+counters ``(..., m)``, transition matrices ``(..., K, states, states)`` and
+eigensystems, rates, frequencies, weights, branch lengths and pinv with the
+same leading axes — and the reductions then return one value per
+partition.  One call over a ``(P, K, m, states)`` stack replaces P calls,
+which at a few hundred patterns per partition are almost all dispatch
+(:mod:`repro.plk.stacking`).  Calls without leading axes keep their
+unbatched shapes and scalar results.
 
 Numerical scaling: per-pattern likelihood entries underflow for deep trees;
 whenever a pattern's CLV max drops below 2^-256 the pattern is rescaled by
@@ -91,15 +100,16 @@ def zero_pattern_mask(scale: np.ndarray | None) -> np.ndarray | None:
 
 
 def propagate(p: np.ndarray, clv: np.ndarray) -> np.ndarray:
-    """Move a conditional vector across a branch: ``out[k,m,s] =
-    sum_t p[k,s,t] * clv[k,m,t]``.
+    """Move a conditional vector across a branch: ``out[...,k,m,s] =
+    sum_t p[...,k,s,t] * clv[...,k,m,t]``.
 
-    ``clv`` may be a tip indicator matrix ``(m, states)`` (categories do
-    not differentiate tips) or a full CLV ``(K, m, states)``.
+    ``clv`` may be a tip indicator matrix ``(..., m, states)`` (categories
+    do not differentiate tips; one dimension fewer than ``p``) or a full
+    CLV ``(..., K, m, states)``.
     """
-    pt = np.ascontiguousarray(p.transpose(0, 2, 1))
-    if clv.ndim == 2:
-        return np.matmul(clv[np.newaxis, :, :], pt)
+    pt = np.ascontiguousarray(np.swapaxes(p, -1, -2))
+    if clv.ndim < p.ndim:
+        return np.matmul(clv[..., np.newaxis, :, :], pt)
     return np.matmul(clv, pt)
 
 
@@ -117,13 +127,15 @@ def newview(
     Parameters
     ----------
     p1, p2:
-        ``(K, states, states)`` transition matrices of the child branches.
+        ``(..., K, states, states)`` transition matrices of the child
+        branches.
     clv1, clv2:
-        Child CLVs ``(K, m, states)`` or tip matrices ``(m, states)``.
+        Child CLVs ``(..., K, m, states)`` or tip matrices
+        ``(..., m, states)``.
     scale1, scale2:
-        Child per-pattern scaling counters ``(m,)`` (None for tips).
+        Child per-pattern scaling counters ``(..., m)`` (None for tips).
     out:
-        Optional preallocated ``(K, m, states)`` output buffer.
+        Optional preallocated ``(..., K, m, states)`` output buffer.
 
     Returns
     -------
@@ -137,8 +149,7 @@ def newview(
     else:
         np.multiply(left, right, out=out)
         result = out
-    m = result.shape[1]
-    scale = np.zeros(m, dtype=np.int32)
+    scale = np.zeros(result.shape[:-3] + result.shape[-2:-1], dtype=np.int32)
     if scale1 is not None:
         scale += scale1
     if scale2 is not None:
@@ -170,8 +181,7 @@ def rescale(result: np.ndarray, scale: np.ndarray) -> None:
     slices occur when a worker owns no patterns of a short partition —
     the exact situation behind the paper's idle threads.
     """
-    m = result.shape[1]
-    if m == 0:
+    if result.size == 0:
         return
     inherited = scale >= _ZERO_CUTOFF
     if inherited.any():
@@ -183,14 +193,17 @@ def rescale(result: np.ndarray, scale: np.ndarray) -> None:
         # fast-path guard.
     if result.min() >= SCALE_THRESHOLD:
         return
-    maxima = result.max(axis=(0, 2))
+    maxima = result.max(axis=(-3, -1))
     tiny = (maxima < SCALE_THRESHOLD) & (maxima > 0.0)
     zero = (maxima <= 0.0) & ~inherited
     if tiny.any():
-        result[:, tiny, :] *= SCALE_FACTOR
+        # Multiplying by 1.0 or by a power of two is exact, so the
+        # untouched patterns keep their bits.
+        factor = np.where(tiny, SCALE_FACTOR, 1.0)
+        result *= factor[..., np.newaxis, :, np.newaxis]
         scale[tiny] += 1
     if zero.any():
-        result[:, zero, :] = 1.0
+        result[np.broadcast_to(zero[..., np.newaxis, :, np.newaxis], result.shape)] = 1.0
         scale[zero] = ZERO_SCALE
 
 
@@ -201,13 +214,12 @@ def root_site_likelihoods(
     frequencies: np.ndarray,
 ) -> np.ndarray:
     """Per-pattern, category-averaged likelihoods at the virtual root."""
-    moved = propagate(p, clv_right)            # (K, m, s)
-    if clv_left.ndim == 2:
-        weighted = clv_left[np.newaxis, :, :] * frequencies
-    else:
-        weighted = clv_left * frequencies
-    per_cat = np.einsum("kms,kms->km", weighted, moved)
-    return per_cat.mean(axis=0)
+    moved = propagate(p, clv_right)            # (..., K, m, s)
+    if clv_left.ndim < p.ndim:
+        clv_left = clv_left[..., np.newaxis, :, :]
+    weighted = clv_left * frequencies[..., np.newaxis, np.newaxis, :]
+    per_cat = np.einsum("...kms,...kms->...km", weighted, moved)
+    return per_cat.mean(axis=-2)
 
 
 def combine_scales(
@@ -251,17 +263,30 @@ def scaled_log_likelihoods(
     return logs
 
 
-def weighted_log_sum(weights: np.ndarray, logs: np.ndarray) -> float:
+def _dot(weights: np.ndarray, values: np.ndarray):
+    """``weights . values`` over the last axis: a float when unbatched,
+    one value per leading index otherwise (a matmul, which matches
+    ``np.dot`` row by row)."""
+    if values.ndim == 1:
+        return float(np.dot(weights, values))
+    return np.matmul(weights[..., np.newaxis, :], values[..., :, np.newaxis])[..., 0, 0]
+
+
+def weighted_log_sum(weights: np.ndarray, logs: np.ndarray):
     """``sum_i w_i * logs_i`` that treats -inf site log-likelihoods
     exactly: any -inf pattern with positive weight makes the total -inf;
     -inf patterns with zero weight are dropped (a plain ``dot`` would
-    poison the sum with ``0 * -inf = NaN``)."""
+    poison the sum with ``0 * -inf = NaN``).  Sums over the last axis:
+    one value per partition of a stack."""
     neg = np.isneginf(logs)
     if not neg.any():
-        return float(np.dot(weights, logs))
-    if np.any(np.asarray(weights)[neg] > 0):
-        return float("-inf")
-    return float(np.dot(weights, np.where(neg, 0.0, logs)))
+        return _dot(weights, logs)
+    total = _dot(weights, np.where(neg, 0.0, logs))
+    fatal = (neg & (np.asarray(weights) > 0)).any(axis=-1)
+    if logs.ndim == 1:
+        return float("-inf") if fatal else total
+    total[fatal] = -np.inf
+    return total
 
 
 def evaluate(
@@ -272,7 +297,7 @@ def evaluate(
     scale_right: np.ndarray | None,
     frequencies: np.ndarray,
     weights: np.ndarray,
-) -> float:
+):
     """Log-likelihood at the virtual root on the branch joining
     ``clv_left`` and ``clv_right`` (transition matrix ``p`` for the full
     branch length).  This is the reduction the paper identifies as the
@@ -300,36 +325,56 @@ def make_sumtable(
     iteration then costs only an exp + two weighted sums (exactly RAxML's
     ``makenewz`` split between sumtable setup and the core iteration).
     """
-    if clv_left.ndim == 2:
-        clv_left = clv_left[np.newaxis]
-    if clv_right.ndim == 2:
-        clv_right = clv_right[np.newaxis]
-    piu = frequencies[:, np.newaxis] * u          # (s, j)
-    left = np.matmul(clv_left, piu)               # (K, m, j)
-    right = np.matmul(clv_right, np.ascontiguousarray(v.T))  # (K, m, j)
+    if clv_left.ndim < u.ndim + 1:
+        clv_left = clv_left[..., np.newaxis, :, :]
+    if clv_right.ndim < u.ndim + 1:
+        clv_right = clv_right[..., np.newaxis, :, :]
+    piu = frequencies[..., :, np.newaxis] * u                    # (..., s, j)
+    left = np.matmul(clv_left, piu[..., np.newaxis, :, :])       # (..., K, m, j)
+    vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
+    right = np.matmul(clv_right, vt[..., np.newaxis, :, :])      # (..., K, m, j)
     return left * right
+
+
+def _exponentials(eigenvalues, rates, z):
+    """``(coef, exp(coef * z))`` with ``coef[..., k, j] = r_k lambda_j``."""
+    coef = rates[..., :, np.newaxis] * eigenvalues[..., np.newaxis, :]
+    return coef, np.exp(coef * np.asarray(z)[..., np.newaxis, np.newaxis])
 
 
 def sumtable_site_likelihoods(
     sumtable: np.ndarray,
     eigenvalues: np.ndarray,
     rates: np.ndarray,
-    z: float,
+    z,
 ) -> np.ndarray:
     """Per-pattern (still scaled) Gamma-mixture likelihoods from a
     sumtable at branch length ``z``."""
-    expo = np.exp(np.outer(rates, eigenvalues) * z)    # (K, j)
-    return np.einsum("kmj,kj->m", sumtable, expo) / sumtable.shape[0]
+    _, expo = _exponentials(eigenvalues, rates, z)
+    return np.einsum("...kmj,...kj->...m", sumtable, expo) / sumtable.shape[-3]
+
+
+def _site_and_slopes(sumtable, eigenvalues, rates, z):
+    """Site likelihoods and their first two branch-length derivatives:
+    ONE matmul of the sumtable against the stacked ``[e, c e, c^2 e]``
+    (``e = exp(c z)``), then the category mean."""
+    coef, expo = _exponentials(eigenvalues, rates, z)
+    basis = np.empty(expo.shape + (3,))                                 # (..., K, j, 3)
+    basis[..., 0] = expo
+    np.multiply(coef, expo, out=basis[..., 1])
+    np.multiply(coef * coef, expo, out=basis[..., 2])
+    sums = np.matmul(sumtable, basis).sum(axis=-3) / sumtable.shape[-3]  # (..., m, 3)
+    return sums[..., 0], sums[..., 1], sums[..., 2]
 
 
 def sumtable_loglikelihood(
     sumtable: np.ndarray,
     eigenvalues: np.ndarray,
     rates: np.ndarray,
-    z: float,
+    z,
     weights: np.ndarray,
     scale: np.ndarray | None,
-) -> float:
+):
     """Log-likelihood from a precomputed sumtable at branch length ``z``."""
     site = sumtable_site_likelihoods(sumtable, eigenvalues, rates, z)
     return weighted_log_sum(weights, scaled_log_likelihoods(site, scale))
@@ -338,7 +383,7 @@ def sumtable_loglikelihood(
 def mix_invariant_loglikelihoods(
     site_gamma: np.ndarray,
     scale: np.ndarray | None,
-    pinv: float,
+    pinv,
     inv_prob: np.ndarray,
 ) -> np.ndarray:
     """Per-pattern log-likelihoods under the +I mixture.
@@ -355,6 +400,7 @@ def mix_invariant_loglikelihoods(
     same zero/dead handling as the unmixed paths — so a pattern whose
     Gamma likelihood is exactly 0 contributes only its invariant mass.
     """
+    pinv = np.asarray(pinv, dtype=np.float64)[..., np.newaxis]
     log_gamma = scaled_log_likelihoods(site_gamma, scale) + np.log1p(-pinv)
     with np.errstate(divide="ignore"):
         log_inv = np.where(
@@ -363,16 +409,22 @@ def mix_invariant_loglikelihoods(
     return np.logaddexp(log_gamma, log_inv)
 
 
+def _derivative_sums(weights, ratio1, ratio2, scale):
+    """``(sum w r1, sum w (r2 - r1^2))`` after dropping undefined ratios."""
+    _drop_undefined_ratios(ratio1, ratio2, scale)
+    return _dot(weights, ratio1), _dot(weights, ratio2 - ratio1 * ratio1)
+
+
 def branch_derivatives_pinv(
     sumtable: np.ndarray,
     eigenvalues: np.ndarray,
     rates: np.ndarray,
-    z: float,
+    z,
     weights: np.ndarray,
     scale: np.ndarray | None,
-    pinv: float,
+    pinv,
     inv_prob: np.ndarray,
-) -> tuple[float, float]:
+):
     """Branch-length derivatives under the +I mixture.
 
     Only the Gamma component depends on the branch length, so with
@@ -386,26 +438,19 @@ def branch_derivatives_pinv(
     absolute terms, which is exactly when the invariant component
     dominates).
     """
-    coef = np.outer(rates, eigenvalues)
-    expo = np.exp(coef * z)
-    k = sumtable.shape[0]
-    g = np.einsum("kmj,kj->m", sumtable, expo) / k
-    g1 = np.einsum("kmj,kj->m", sumtable, coef * expo) / k
-    g2 = np.einsum("kmj,kj->m", sumtable, coef * coef * expo) / k
+    g, g1, g2 = _site_and_slopes(sumtable, eigenvalues, rates, z)
     if scale is not None:
         unscale = np.exp(-scale.astype(np.float64) * LOG_SCALE_FACTOR)
         g = g * unscale
         g1 = g1 * unscale
         g2 = g2 * unscale
+    pinv = np.asarray(pinv, dtype=np.float64)[..., np.newaxis]
     q = 1.0 - pinv
     site = q * g + pinv * inv_prob
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio1 = q * g1 / site
         ratio2 = q * g2 / site
-    _drop_undefined_ratios(ratio1, ratio2, scale)
-    dlnl = float(np.dot(weights, ratio1))
-    d2lnl = float(np.dot(weights, ratio2 - ratio1 * ratio1))
-    return dlnl, d2lnl
+    return _derivative_sums(weights, ratio1, ratio2, scale)
 
 
 def _drop_undefined_ratios(
@@ -429,10 +474,10 @@ def branch_derivatives(
     sumtable: np.ndarray,
     eigenvalues: np.ndarray,
     rates: np.ndarray,
-    z: float,
+    z,
     weights: np.ndarray,
     scale: np.ndarray | None = None,
-) -> tuple[float, float]:
+):
     """First and second derivative of the log-likelihood w.r.t. the branch
     length, from the sumtable (one Newton-Raphson iteration's work).
 
@@ -441,16 +486,8 @@ def branch_derivatives(
     :data:`ZERO_SCALE` dead sentinel (their flushed CLV dummies would
     otherwise contribute plausible-looking finite ratios).
     """
-    coef = np.outer(rates, eigenvalues)               # (K, j) = r_k lambda_j
-    expo = np.exp(coef * z)
-    k = sumtable.shape[0]
-    site = np.einsum("kmj,kj->m", sumtable, expo) / k
-    d1 = np.einsum("kmj,kj->m", sumtable, coef * expo) / k
-    d2 = np.einsum("kmj,kj->m", sumtable, coef * coef * expo) / k
+    site, d1, d2 = _site_and_slopes(sumtable, eigenvalues, rates, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio1 = d1 / site
         ratio2 = d2 / site
-    _drop_undefined_ratios(ratio1, ratio2, scale)
-    dlnl = float(np.dot(weights, ratio1))
-    d2lnl = float(np.dot(weights, ratio2 - ratio1 * ratio1))
-    return dlnl, d2lnl
+    return _derivative_sums(weights, ratio1, ratio2, scale)

@@ -1,17 +1,35 @@
-"""Per-partition likelihood evaluation on a tree (Felsenstein pruning).
+"""Partition-stack likelihood evaluation on a tree (Felsenstein pruning).
 
-:class:`PartitionLikelihood` owns, for ONE partition: the encoded tip
-patterns, the substitution model and its eigensystem, the Gamma rates, a
-private branch-length vector, and one conditional likelihood vector (CLV)
-per inner node.  Exactly like RAxML it stores a single *oriented* CLV per
-inner node — the conditional of the subtree hanging below the node w.r.t.
+:class:`PartitionLikelihood` is the likelihood of a **stack** of
+partitions that share one tree, one state count and one Gamma category
+count.  The stack holds, per inner node, ONE conditional likelihood vector
+(CLV) of shape ``(P, K, m, s)`` and one scaling counter ``(P, m)``, where
+``m`` is the widest member's pattern count: narrower members are padded
+with all-ones tip rows at weight 0, so a padded column contributes exactly
+0 to every reduction and a zero-width member is all padding.  Every kernel
+op then runs as ONE numpy call over the partition axis — the paper's
+newPAR (all partitions between two barriers) carried into the kernel:
+oldPAR and newPAR become the same calls with different ``active`` sets.
+
+Exactly like RAxML the stack stores a single *oriented* CLV per inner node
+and member — the conditional of the subtree hanging below the node w.r.t.
 the current virtual-root placement — and relocating the virtual root or
 changing a branch only recomputes the vectors whose orientation or inputs
-changed (the paper's "partial traversals").
+changed (the paper's "partial traversals").  Validity is tracked per
+(node, member), so a member is recomputed exactly when a one-partition
+engine would recompute it, and the recorded operation counts are those of
+one engine per partition.
 
-Multi-partition coordination (joint branch lengths, the oldPAR/newPAR
-optimization strategies) lives in :mod:`repro.core.engine`, which drives a
-collection of these single-partition engines.
+Active sets: every method takes the members to compute — ``None`` (all,
+no copy), one slot index (a slice view; the kernel runs unbatched, which
+is the oldPAR case at 50,000 columns), or any other subset as a boolean
+mask or index list (gathered, computed, scattered back).
+
+Built from a single :class:`~repro.plk.partition.PartitionData` the stack
+has one member and reads like a one-partition engine: scalar results and
+``alpha``/``model``/``pinv`` attributes.  Per-partition access to a larger
+stack goes through :class:`PartitionView`.  Which partitions share a stack
+is decided by :mod:`repro.plk.stacking`.
 """
 from __future__ import annotations
 
@@ -26,134 +44,65 @@ from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
 
-__all__ = ["PartitionLikelihood", "BranchWorkspace"]
+__all__ = ["PartitionLikelihood", "PartitionView", "BranchWorkspace"]
 
 
 @dataclass
 class BranchWorkspace:
-    """Precomputed state for Newton-Raphson on one branch of one partition:
-    the eigenbasis sumtable plus the total scaling counter of the two
-    subtrees meeting at the branch.
+    """Precomputed state for Newton-Raphson on one branch of the stack
+    members in ``slots``: the eigenbasis sumtable plus the total scaling
+    counter of the two subtrees meeting at the branch.  With one member
+    the arrays carry no member axis (``(K, m, s)`` and ``(m,)``).
 
-    ``epoch`` snapshots the engine's model-parameter epoch at preparation
+    ``epoch`` snapshots the members' model-parameter epochs at preparation
     time: the sumtable embeds the eigenvectors and implicitly pairs with
     the rates/eigenvalues of that moment, so consuming it after an
     alpha/rates/eigen update would silently mix old and new parameters —
-    the engine refuses such stale workspaces (see
+    the stack refuses such stale workspaces (see
     :meth:`PartitionLikelihood.branch_loglikelihood`)."""
 
     edge: int
     sumtable: np.ndarray
     scale: np.ndarray | None
     n_patterns: int
-    epoch: int = 0
+    epoch: np.ndarray
+    slots: np.ndarray
+    mask: int
+    version: int = -1
 
 
-class PartitionLikelihood:
-    """Likelihood engine for a single partition on a shared tree topology.
+class _PartitionAttributes:
+    """Per-partition parameters and data of one stack member (``_slot``
+    of ``_stack``): shared by :class:`PartitionView` and by a one-member
+    :class:`PartitionLikelihood`."""
 
-    Parameters
-    ----------
-    data:
-        Pattern-compressed tip data for this partition.
-    tree:
-        The (shared, possibly mutated) topology.  The engine reads it on
-        every traversal; after mutating the topology call
-        :meth:`invalidate_all` (or targeted :meth:`invalidate_node`).
-    model:
-        The partition's substitution model.
-    alpha:
-        Gamma shape parameter.
-    categories:
-        Number of discrete Gamma categories (4 throughout the paper).
-    index:
-        The partition's position in its scheme (used by trace recorders).
-    recorder:
-        Optional kernel-operation listener with ``newview(partition, n)``,
-        ``evaluate(partition, n)``, ``sumtable(partition, n)`` and
-        ``derivative(partition, n)`` methods (n = pattern count touched).
-    """
+    @property
+    def data(self) -> PartitionData:
+        return self._stack.datas[self._slot]
 
-    def __init__(
-        self,
-        data: PartitionData,
-        tree: Tree,
-        model: SubstitutionModel,
-        alpha: float = 1.0,
-        categories: int = GAMMA_CATEGORIES,
-        index: int = 0,
-        recorder=None,
-    ):
-        if model.states != data.states:
-            raise ValueError(
-                f"model has {model.states} states but partition data has {data.states}"
-            )
-        self.data = data
-        self.tree = tree
-        self.index = index
-        self.categories = categories
-        self.recorder = recorder
-        self.branch_lengths = np.full(tree.n_edges, 0.1)
-        self._model = model
-        self._alpha = float(alpha)
-        self._pinv = 0.0
-        self._invariant_mask: np.ndarray | None = None  # (m, s), lazy
-        self._eigen = EigenSystem.for_model(model)
-        self._rates = discrete_gamma_rates(alpha, categories)
-        self._rates.setflags(write=False)
-        # Counts model-parameter updates (alpha/rates/eigen).  Snapshotted
-        # into every BranchWorkspace and checked on use: a sumtable built
-        # under old parameters must never be combined with new
-        # eigenvalues/rates (silently wrong likelihoods, not errors).
-        self._param_epoch = 0
-        # Per-inner-node CLV storage.  The signature records exactly which
-        # children/edges/orientation a stored CLV was computed from, so
-        # topology moves (which change adjacency) and virtual-root motion
-        # (which changes orientation) are both detected (RAxML's partial
-        # traversal logic).
-        self._clv: dict[int, np.ndarray] = {}
-        self._scale: dict[int, np.ndarray] = {}
-        self._stored_sig: dict[int, tuple[int, int, int, int, int]] = {}
-        self._dirty: set[int] = set(range(tree.n_taxa, tree.n_nodes))
-        # Transition-matrix cache: edge -> (length, eigensystem, rates, P).
-        # Branch lengths change rarely relative to how often P(t) is
-        # consumed (every partition touches every edge on a full
-        # traversal).  The eigensystem/rates are part of the key BY
-        # IDENTITY: parameter setters clear the cache, and the identity
-        # check makes a missed clear impossible to exploit (defense in
-        # depth against the stale-P bug class).
-        self._p_cache: dict[int, tuple[float, EigenSystem, np.ndarray, np.ndarray]] = {}
+    @property
+    def index(self) -> int:
+        return self._stack.indices[self._slot]
 
-    # ------------------------------------------------------------------
-    # Parameters
-    # ------------------------------------------------------------------
+    @property
+    def n_patterns(self) -> int:
+        return int(self._stack.widths[self._slot])
 
     @property
     def model(self) -> SubstitutionModel:
-        return self._model
+        return self._stack.models[self._slot]
 
     @model.setter
     def model(self, model: SubstitutionModel) -> None:
-        if model.states != self.data.states:
-            raise ValueError("cannot change the state-space of a partition")
-        self._model = model
-        self._eigen = EigenSystem.for_model(model)
-        self._param_epoch += 1
-        self._p_cache.clear()
-        self.invalidate_all()
+        self._stack.set_models([model], self._slot)
 
     @property
     def alpha(self) -> float:
-        return self._alpha
+        return float(self._stack.alphas[self._slot])
 
     @alpha.setter
     def alpha(self, alpha: float) -> None:
-        self._alpha = float(alpha)
-        self._rates = discrete_gamma_rates(alpha, self.categories)
-        self._rates.setflags(write=False)
-        self._param_epoch += 1
-        self._p_cache.clear()
-        self.invalidate_all()
+        self._stack.set_alphas(alpha, self._slot)
 
     @property
     def pinv(self) -> float:
@@ -167,233 +116,652 @@ class PartitionLikelihood:
         Gamma(alpha, alpha) with mean 1 (no renormalization; branch
         lengths absorb the scale, as in MrBayes/PhyML).
         """
-        return self._pinv
+        return float(self._stack.pinvs[self._slot])
 
     @pinv.setter
     def pinv(self, value: float) -> None:
-        if not 0.0 <= value < 1.0:
-            raise ValueError("pinv must be in [0, 1)")
-        self._pinv = float(value)
+        self._stack.set_pinvs(value, self._slot)
+
+    @property
+    def gamma_rates(self) -> np.ndarray:
+        return self._stack.rates[self._slot]
+
+    @property
+    def eigen(self) -> EigenSystem:
+        return self._stack.eigens[self._slot]
+
+    @property
+    def branch_lengths(self) -> np.ndarray:
+        """This member's ``(n_edges,)`` lengths (a view into the stack)."""
+        return self._stack.lengths[:, self._slot]
 
     def invariant_probabilities(self) -> np.ndarray:
         """(m,) prior mass of the states compatible with every tip at each
         pattern (0 for variable patterns) — the invariant component's
         per-pattern likelihood."""
+        return self._stack.invariant_probabilities(self._slot)[: self.n_patterns]
+
+
+class PartitionLikelihood(_PartitionAttributes):
+    """Likelihood of a stack of partitions on a shared tree topology.
+
+    Parameters
+    ----------
+    data:
+        Pattern-compressed tip data: one :class:`PartitionData` (a
+        one-member stack with scalar results) or a sequence of them, all
+        with the same state count.
+    tree:
+        The (shared, possibly mutated) topology.  The stack reads it on
+        every traversal; after mutating the topology call
+        :meth:`invalidate_all` (or targeted :meth:`invalidate_node`).
+    model:
+        The substitution model (one per member for a sequence ``data``).
+    alpha:
+        Gamma shape parameter(s).
+    categories:
+        Number of discrete Gamma categories (4 throughout the paper).
+    index:
+        The members' positions in their scheme (used by trace recorders).
+    recorder:
+        Optional kernel-operation listener with ``newview(partition, n,
+        count)``, ``evaluate(partition, n)``, ``sumtable(partition, n)``
+        and ``derivative(partition, n)`` methods (n = pattern count
+        touched), called once per active member and op.
+    """
+
+    def __init__(
+        self,
+        data: PartitionData | list[PartitionData],
+        tree: Tree,
+        model: SubstitutionModel | list[SubstitutionModel],
+        alpha: float | list[float] = 1.0,
+        categories: int = GAMMA_CATEGORIES,
+        index: int | list[int] = 0,
+        recorder=None,
+    ):
+        single = isinstance(data, PartitionData)
+        self.datas = (data,) if single else tuple(data)
+        n = len(self.datas)
+        if n == 0:
+            raise ValueError("a stack needs at least one partition")
+        models = [model] if single else list(model)
+        alphas = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (n,))
+        self.indices = (index,) if single else tuple(int(i) for i in index)
+        if len(models) != n or len(self.indices) != n:
+            raise ValueError("need one model and one index per stack member")
+        states = self.datas[0].states
+        for d, m in zip(self.datas, models):
+            if m.states != d.states:
+                raise ValueError(
+                    f"model has {m.states} states but partition data has {d.states}"
+                )
+            if d.states != states:
+                raise ValueError("stack members must share one state count")
+        self.tree = tree
+        self.categories = categories
+        self.recorder = recorder
+        self.states = states
+        self.n_slots = n
+        self.widths = np.array([d.n_patterns for d in self.datas], dtype=np.int64)
+        self.width = int(self.widths.max())
+        self._stack = self
+        self._full = (1 << n) - 1
+
+        # Padded tips (n_taxa, P, m, s) and weights (P, m): all-ones rows
+        # at weight 0 beyond each member's width.
+        m = self.width
+        self._tips = np.ones((tree.n_taxa, n, m, states))
+        self._weights = np.zeros((n, m))
+        for i, d in enumerate(self.datas):
+            self._tips[:, i, : d.n_patterns] = d.tip_states
+            self._weights[i, : d.n_patterns] = d.weights
+        self._invariant_mask: np.ndarray | None = None  # (P, m, s), lazy
+
+        # Per-member parameters, stacked for the kernel.
+        self.lengths = np.full((tree.n_edges, n), 0.1)
+        self.models: list[SubstitutionModel] = list(models)
+        self.eigens: list[EigenSystem] = [EigenSystem.for_model(m) for m in models]
+        self.alphas = np.array(alphas)
+        self.pinvs = np.zeros(n)
+        self.rates = np.empty((n, categories))
+        self._eigenvalues = np.empty((n, states))
+        self._u = np.empty((n, states, states))
+        self._v = np.empty((n, states, states))
+        self._frequencies = np.empty((n, states))
+        for i in range(n):
+            self._load_model(i)
+            self.rates[i] = discrete_gamma_rates(self.alphas[i], categories)
+        # Counts model-parameter updates (alpha/rates/eigen) per member.
+        # Snapshotted into every BranchWorkspace and checked on use: a
+        # sumtable built under old parameters must never be combined with
+        # new eigenvalues/rates (silently wrong likelihoods, not errors).
+        self._epoch = np.zeros(n, dtype=np.int64)
+        # Bumped with any member's epoch: while it stands still, every
+        # cached P(t) block and workspace is known valid without a
+        # per-member comparison.
+        self._version = 0
+        self._pinv_any = False
+
+        # Per-inner-node CLV storage, allocated on first use.  _valid maps
+        # a traversal signature (children, edges, orientation) to the
+        # bitmask of members whose stored CLV was computed from exactly
+        # that signature; clearing a member's bits marks it dirty.
+        # Topology moves (which change adjacency) and virtual-root motion
+        # (which changes orientation) are both detected (RAxML's partial
+        # traversal logic).
+        self._clv: dict[int, np.ndarray] = {}
+        self._scale: dict[int, np.ndarray] = {}
+        self._valid: dict[int, dict[tuple, int]] = {
+            node: {} for node in range(tree.n_taxa, tree.n_nodes)
+        }
+        # Transition-matrix cache: one (P, K, s, s) block per edge, valid
+        # per member for the (clipped length, parameter epoch) it was
+        # computed at.  Keyed on the length itself, so a direct write to
+        # ``lengths`` can never be served a stale P(t).
+        self._pmat: dict[int, np.ndarray] = {}
+        self._p_length = np.full((tree.n_edges, n), np.nan)
+        self._p_epoch = np.full((tree.n_edges, n), -1, dtype=np.int64)
+        self._p_whole: dict[int, tuple[bytes, int]] = {}
+        self._subsets: dict[int, np.ndarray] = {}
+
+    # ------------------------------------------------------------------
+    # Active sets
+    # ------------------------------------------------------------------
+
+    @property
+    def _slot(self) -> int:
+        if self.n_slots != 1:
+            raise AttributeError(
+                f"a stack of {self.n_slots} partitions has no single partition "
+                "attribute; use PartitionView or the vector methods"
+            )
+        return 0
+
+    def _mask(self, active) -> int:
+        """Bitmask of the members selected by ``active`` (None = all, an
+        int slot, a boolean mask or a sequence of slots)."""
+        if active is None:
+            return self._full
+        if isinstance(active, (int, np.integer)):
+            if not 0 <= active < self.n_slots:
+                raise IndexError(f"slot {active} out of range")
+            return 1 << int(active)
+        flags = np.asarray(active)
+        if flags.dtype != bool:
+            slots = flags.astype(np.int64)
+            flags = np.zeros(self.n_slots, dtype=bool)
+            flags[slots] = True
+        elif flags.shape != (self.n_slots,):
+            raise ValueError("boolean active set must have one flag per member")
+        return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+    def _slots(self, mask: int) -> np.ndarray:
+        """Ascending member indices of ``mask`` (cached per mask)."""
+        slots = self._subsets.get(mask)
+        if slots is None:
+            slots = np.array(
+                [i for i in range(mask.bit_length()) if mask >> i & 1], dtype=np.int64
+            )
+            self._subsets[mask] = slots
+        return slots
+
+    def _select(self, mask: int):
+        """Index for the members of ``mask``: one int (a view without the
+        member axis — the kernel runs unbatched), ``slice(None)`` (all, no
+        copy) or an index array (gather/scatter)."""
+        if mask & (mask - 1) == 0:
+            return mask.bit_length() - 1
+        if mask == self._full:
+            return slice(None)
+        return self._slots(mask)
+
+    def _record(self, op: str, mask: int) -> None:
+        if self.recorder is None:
+            return
+        emit = getattr(self.recorder, op)
+        for i in self._slots(mask).tolist():
+            emit(self.indices[i], int(self.widths[i]))
+
+    # ------------------------------------------------------------------
+    # Parameters
+    # ------------------------------------------------------------------
+
+    def _load_model(self, i: int) -> None:
+        eigen = self.eigens[i]
+        self._eigenvalues[i] = eigen.eigenvalues
+        self._u[i] = eigen.u
+        self._v[i] = eigen.v
+        self._frequencies[i] = self.models[i].frequencies
+
+    def _parameters_changed(self, mask: int) -> None:
+        self._epoch[self._slots(mask)] += 1
+        self._version += 1
+        self._invalidate(range(self.tree.n_taxa, self.tree.n_nodes), mask)
+
+    def set_models(self, models, active=None) -> None:
+        """Replace the substitution models of the active members (one
+        model per active member, ascending)."""
+        mask = self._mask(active)
+        slots = self._slots(mask).tolist()
+        models = list(models)
+        if len(models) != len(slots):
+            raise ValueError("need one model per active member")
+        for i, model in zip(slots, models):
+            if model.states != self.states:
+                raise ValueError("cannot change the state-space of a partition")
+            self.models[i] = model
+            self.eigens[i] = EigenSystem.for_model(model)
+            self._load_model(i)
+        self._parameters_changed(mask)
+
+    def set_alphas(self, values, active=None) -> None:
+        """Set the Gamma shapes of the active members (a scalar, or one
+        value per active member)."""
+        mask = self._mask(active)
+        slots = self._slots(mask)
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), slots.shape)
+        for i, alpha in zip(slots.tolist(), values.tolist()):
+            self.alphas[i] = alpha
+            self.rates[i] = discrete_gamma_rates(alpha, self.categories)
+        self._parameters_changed(mask)
+
+    def set_pinvs(self, values, active=None) -> None:
+        """Set the invariable-site proportions of the active members.
+        Only the root-level mixing changes: no CLV is invalidated."""
+        values = np.asarray(values, dtype=np.float64)
+        if ((values < 0.0) | (values >= 1.0)).any():
+            raise ValueError("pinv must be in [0, 1)")
+        self.pinvs[self._slots(self._mask(active))] = values
+        self._pinv_any = bool(self.pinvs.any())
+
+    def invariant_probabilities(self, active=None) -> np.ndarray:
+        """Padded ``(m,)`` (one member) or ``(A, m)`` invariant masses."""
+        return self._invariant_probabilities(self._select(self._mask(active)))
+
+    def _invariant_probabilities(self, sel) -> np.ndarray:
         if self._invariant_mask is None:
-            self._invariant_mask = (self.data.tip_states > 0.0).all(axis=0)
-        return self._invariant_mask @ self._model.frequencies
+            self._invariant_mask = (self._tips > 0.0).all(axis=0)
+        freqs = self._frequencies[sel]
+        if isinstance(sel, int):
+            return self._invariant_mask[sel] @ freqs
+        return np.matmul(self._invariant_mask[sel], freqs[..., np.newaxis])[..., 0]
 
-    @property
-    def gamma_rates(self) -> np.ndarray:
-        return self._rates
+    # ------------------------------------------------------------------
+    # Branch lengths and CLV management
+    # ------------------------------------------------------------------
 
-    @property
-    def eigen(self) -> EigenSystem:
-        return self._eigen
+    def set_branch_length(self, edge: int, value, active=None) -> None:
+        """Change one branch length (a scalar, or one value per active
+        member), invalidating dependent CLVs of those members."""
+        mask = self._mask(active)
+        self.lengths[edge, self._slots(mask)] = value
+        self._invalidate(
+            [n for n in self.tree.edge_nodes(edge) if not self.tree.is_leaf(n)], mask
+        )
 
-    @property
-    def n_patterns(self) -> int:
-        return self.data.n_patterns
-
-    def set_branch_length(self, edge: int, value: float) -> None:
-        """Change one branch length, invalidating dependent CLVs."""
-        self.branch_lengths[edge] = value
-        u, v = self.tree.edge_nodes(edge)
-        for node in (u, v):
-            if not self.tree.is_leaf(node):
-                self._dirty.add(node)
-
-    def set_branch_lengths(self, values: np.ndarray) -> None:
-        if values.shape != (self.tree.n_edges,):
+    def set_branch_lengths(self, values: np.ndarray, active=None) -> None:
+        """Replace whole length vectors: ``(n_edges,)`` for every active
+        member, or ``(n_edges, A)`` with one column per active member."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape[0] != self.tree.n_edges or values.ndim > 2:
             raise ValueError("branch-length vector has wrong shape")
-        self.branch_lengths[:] = values
-        self.invalidate_all()
+        mask = self._mask(active)
+        if values.ndim == 1:
+            values = values[:, np.newaxis]
+        self.lengths[:, self._slots(mask)] = values
+        self._invalidate(range(self.tree.n_taxa, self.tree.n_nodes), mask)
 
-    # ------------------------------------------------------------------
-    # CLV management
-    # ------------------------------------------------------------------
-
-    def invalidate_all(self) -> None:
+    def invalidate_all(self, active=None) -> None:
         """Mark every inner CLV stale (model change / bulk topology edit)."""
-        self._dirty.update(range(self.tree.n_taxa, self.tree.n_nodes))
+        self._invalidate(range(self.tree.n_taxa, self.tree.n_nodes), self._mask(active))
 
-    def invalidate_node(self, node: int) -> None:
+    def invalidate_node(self, node: int, active=None) -> None:
         """Mark one inner node stale (targeted topology edit)."""
         if not self.tree.is_leaf(node):
-            self._dirty.add(node)
+            self._invalidate([node], self._mask(active))
 
-    def _p_matrix(self, edge: int) -> np.ndarray:
-        t = float(np.clip(self.branch_lengths[edge], kernel.MIN_BRANCH, kernel.MAX_BRANCH))
-        hit = self._p_cache.get(edge)
-        if (
-            hit is not None
-            and hit[0] == t
-            and hit[1] is self._eigen
-            and hit[2] is self._rates
-        ):
-            return hit[3]
-        p = self._eigen.transition_matrices(t, self._rates)
-        self._p_cache[edge] = (t, self._eigen, self._rates, p)
-        return p
+    def _invalidate(self, nodes, mask: int) -> None:
+        keep = ~mask
+        for node in nodes:
+            valid = self._valid[node]
+            if valid:
+                self._valid[node] = {
+                    sig: bits & keep for sig, bits in valid.items() if bits & keep
+                }
 
-    def _child_clv(self, node: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """CLV (or tip matrix) plus scaling counter for a traversal child."""
-        if self.tree.is_leaf(node):
-            return self.data.tip_states[node], None
-        return self._clv[node], self._scale[node]
-
-    def refresh(self, root_edge: int) -> int:
-        """Make every CLV needed for the orientation rooted on ``root_edge``
-        valid; returns the number of newview operations performed (the
-        partial-traversal length)."""
-        steps = self.tree.postorder(root_edge)
-        recomputed: set[int] = set()
-        count = 0
-        for step in steps:
-            node = step.node
-            sig = (step.c1, step.e1, step.c2, step.e2, self._parent_of(step))
-            needs = (
-                node in self._dirty
-                or self._stored_sig.get(node) != sig
-                or step.c1 in recomputed
-                or step.c2 in recomputed
-                or node not in self._clv
+    def _transition(self, edge: int, sel) -> np.ndarray:
+        """P(t) of ``edge`` for the selected members, recomputed only for
+        members whose clipped length or parameter epoch moved."""
+        block = self._pmat.get(edge)
+        if block is None:
+            block = self._pmat[edge] = np.empty(
+                (self.n_slots, self.categories, self.states, self.states)
             )
-            if not needs:
-                continue
-            clv1, sc1 = self._child_clv(step.c1)
-            clv2, sc2 = self._child_clv(step.c2)
-            p1 = self._p_matrix(step.e1)
-            p2 = self._p_matrix(step.e2)
-            clv, scale = kernel.newview(p1, clv1, sc1, p2, clv2, sc2)
-            self._clv[node] = clv
-            self._scale[node] = scale
-            self._stored_sig[node] = sig
-            self._dirty.discard(node)
-            recomputed.add(node)
-            count += 1
-        if count and self.recorder is not None:
-            self.recorder.newview(self.index, self.n_patterns, count)
-        return count
+        if isinstance(sel, int):
+            t = min(max(float(self.lengths[edge, sel]), kernel.MIN_BRANCH), kernel.MAX_BRANCH)
+            if self._p_length[edge, sel] != t or self._p_epoch[edge, sel] != self._epoch[sel]:
+                block[sel] = self.eigens[sel].transition_matrices(t, self.rates[sel])
+                self._p_length[edge, sel] = t
+                self._p_epoch[edge, sel] = self._epoch[sel]
+            return block[sel]
+        whole = isinstance(sel, slice)
+        if whole:
+            # Every member at once: one bytes comparison of the edge's
+            # length row and the parameter version decides the common case.
+            key = (self.lengths[edge].tobytes(), self._version)
+            if self._p_whole.get(edge) == key:
+                return block
+        t = np.minimum(np.maximum(self.lengths[edge, sel], kernel.MIN_BRANCH), kernel.MAX_BRANCH)
+        epoch = self._epoch[sel]
+        stale = (self._p_length[edge, sel] != t) | (self._p_epoch[edge, sel] != epoch)
+        if stale.any():
+            slots = np.arange(self.n_slots)[sel][stale]
+            ts = t[stale]
+            expl = np.exp(
+                (self.rates[slots] * ts[:, np.newaxis])[:, :, np.newaxis]
+                * self._eigenvalues[slots][:, np.newaxis, :]
+            )                                                   # (A, K, s)
+            block[slots] = (
+                self._u[slots][:, np.newaxis] * expl[:, :, np.newaxis, :]
+            ) @ self._v[slots][:, np.newaxis]
+            self._p_length[edge, slots] = ts
+            self._p_epoch[edge, slots] = epoch[stale]
+        if whole:
+            self._p_whole[edge] = key
+        return block[sel]
 
-    def _parent_of(self, step) -> int:
-        """The neighbor of ``step.node`` that is NOT one of its children in
-        this traversal — the stored orientation key."""
-        (other,) = [
-            nb
-            for nb in self.tree.neighbors(step.node)
-            if nb not in (step.c1, step.c2)
-        ]
-        return other
+    def _child(self, node: int, sel) -> tuple[np.ndarray, np.ndarray | None]:
+        """CLV (or tip matrix) plus scaling counter of the selected members."""
+        if self.tree.is_leaf(node):
+            return self._tips[node][sel], None
+        return self._clv[node][sel], self._scale[node][sel]
+
+    def refresh(self, root_edge: int, active=None) -> int:
+        """Make every CLV of the active members needed for the orientation
+        rooted on ``root_edge`` valid; returns the number of newview
+        operations performed (the partial-traversal length)."""
+        return self._refresh(root_edge, self._mask(active))
+
+    def _refresh(self, root_edge: int, mask: int) -> int:
+        counts = None if self.recorder is None else np.zeros(self.n_slots, dtype=np.int64)
+        recomputed: dict[int, int] = {}
+        calls = 0
+        tree = self.tree
+        for step in tree.postorder(root_edge):
+            node = step.node
+            (parent,) = [
+                nb for nb in tree.neighbors(node) if nb != step.c1 and nb != step.c2
+            ]
+            sig = (step.c1, step.e1, step.c2, step.e2, parent)
+            valid = self._valid[node]
+            need = (
+                (mask & ~valid.get(sig, 0))
+                | recomputed.get(step.c1, 0)
+                | recomputed.get(step.c2, 0)
+            )
+            if not need:
+                continue
+            self._newview(node, step, self._select(need))
+            for other in [s for s in valid if s != sig and valid[s] & need]:
+                bits = valid[other] & ~need
+                if bits:
+                    valid[other] = bits
+                else:
+                    del valid[other]
+            valid[sig] = valid.get(sig, 0) | need
+            recomputed[node] = need
+            calls += 1
+            if counts is not None:
+                counts[self._select(need)] += 1
+        if counts is not None:
+            for i in np.flatnonzero(counts).tolist():
+                self.recorder.newview(self.indices[i], int(self.widths[i]), int(counts[i]))
+        return calls
+
+    def _newview(self, node: int, step, sel) -> None:
+        clv = self._clv.get(node)
+        if clv is None:
+            shape = (self.n_slots, self.categories, self.width, self.states)
+            clv = self._clv[node] = np.empty(shape)
+            self._scale[node] = np.zeros((self.n_slots, self.width), dtype=np.int32)
+        clv1, sc1 = self._child(step.c1, sel)
+        clv2, sc2 = self._child(step.c2, sel)
+        p1 = self._transition(step.e1, sel)
+        p2 = self._transition(step.e2, sel)
+        if isinstance(sel, np.ndarray):
+            clv[sel], self._scale[node][sel] = kernel.newview(p1, clv1, sc1, p2, clv2, sc2)
+        else:
+            _, self._scale[node][sel] = kernel.newview(
+                p1, clv1, sc1, p2, clv2, sc2, out=clv[sel]
+            )
 
     # ------------------------------------------------------------------
     # Likelihood
     # ------------------------------------------------------------------
 
-    def loglikelihood(self, root_edge: int | None = None) -> float:
-        """Per-partition log-likelihood with the virtual root on
-        ``root_edge`` (default: edge 0).  Time-reversibility makes the
-        result independent of the choice."""
-        edge = 0 if root_edge is None else root_edge
-        lnl = kernel.weighted_log_sum(self.data.weights, self.site_loglikelihoods(edge))
-        if self.recorder is not None:
-            self.recorder.evaluate(self.index, self.n_patterns)
-        return lnl
+    def _mixed(self, sel, plain, with_pinv):
+        """Dispatch on the +I mixture: ``plain()`` where pinv == 0,
+        ``with_pinv(pinv, inv_prob)`` elsewhere (both, merged per member,
+        when the selection mixes the two)."""
+        if not self._pinv_any:
+            return plain()
+        pinv = self.pinvs[sel]
+        has = pinv > 0.0
+        if not has.any():
+            return plain()
+        mixed = with_pinv(pinv, self._invariant_probabilities(sel))
+        if has.all():
+            return mixed
+        base = plain()
+        if isinstance(mixed, tuple):
+            return tuple(np.where(has, a, b) for a, b in zip(mixed, base))
+        return np.where(has[..., np.newaxis] if mixed.ndim > 1 else has, mixed, base)
 
-    def site_loglikelihoods(self, root_edge: int = 0) -> np.ndarray:
-        """Per-pattern log-likelihoods, including the +I mixture; their
-        pattern-weighted sum is :meth:`loglikelihood`."""
-        self.refresh(root_edge)
+    def _root_logs(self, root_edge: int, sel) -> np.ndarray:
         a, b = self.tree.edge_nodes(root_edge)
-        clv_a, sc_a = self._child_clv(a)
-        clv_b, sc_b = self._child_clv(b)
+        clv_a, sc_a = self._child(a, sel)
+        clv_b, sc_b = self._child(b, sel)
         site = kernel.root_site_likelihoods(
-            self._p_matrix(root_edge), clv_a, clv_b, self._model.frequencies
+            self._transition(root_edge, sel), clv_a, clv_b, self._frequencies[sel]
         )
         scale = kernel.combine_scales(sc_a, sc_b)
-        if self._pinv == 0.0:
-            return kernel.scaled_log_likelihoods(site, scale)
-        return kernel.mix_invariant_loglikelihoods(
-            site, scale, self._pinv, self.invariant_probabilities()
+        return self._mixed(
+            sel,
+            lambda: kernel.scaled_log_likelihoods(site, scale),
+            lambda pinv, inv: kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv),
         )
+
+    def loglikelihoods(self, root_edge: int = 0, active=None) -> np.ndarray:
+        """Per-member log-likelihoods of the active members (ascending)
+        with the virtual root on ``root_edge``: one partial traversal and
+        one score reduction over the whole active stack."""
+        mask = self._mask(active)
+        self._refresh(root_edge, mask)
+        sel = self._select(mask)
+        lnl = kernel.weighted_log_sum(self._weights[sel], self._root_logs(root_edge, sel))
+        self._record("evaluate", mask)
+        return np.atleast_1d(lnl)
+
+    def loglikelihood(self, root_edge: int | None = None) -> float:
+        """Total log-likelihood of the stack with the virtual root on
+        ``root_edge`` (default: edge 0).  Time-reversibility makes the
+        result independent of the choice."""
+        values = self.loglikelihoods(0 if root_edge is None else root_edge)
+        return float(sum(values.tolist()))
+
+    def site_loglikelihoods(self, root_edge: int = 0, slot: int = 0) -> np.ndarray:
+        """Per-pattern log-likelihoods of one member, including the +I
+        mixture; their pattern-weighted sum is its log-likelihood."""
+        self._refresh(root_edge, self._mask(slot))
+        return self._root_logs(root_edge, slot)[: self.widths[slot]]
 
     # ------------------------------------------------------------------
     # Branch-length machinery (Newton-Raphson support)
     # ------------------------------------------------------------------
 
-    def prepare_branch(self, edge: int) -> BranchWorkspace:
-        """Validate the CLVs flanking ``edge`` and build its sumtable."""
-        self.refresh(edge)
+    def prepare_branch(self, edge: int, active=None) -> BranchWorkspace:
+        """Validate the CLVs flanking ``edge`` and build its sumtable for
+        the active members."""
+        mask = self._mask(active)
+        self._refresh(edge, mask)
+        sel = self._select(mask)
         a, b = self.tree.edge_nodes(edge)
-        clv_a, sc_a = self._child_clv(a)
-        clv_b, sc_b = self._child_clv(b)
+        clv_a, sc_a = self._child(a, sel)
+        clv_b, sc_b = self._child(b, sel)
         table = kernel.make_sumtable(
-            clv_a, clv_b, self._eigen.u, self._eigen.v, self._model.frequencies
+            clv_a, clv_b, self._u[sel], self._v[sel], self._frequencies[sel]
         )
+        # A copy: the stored counters are updated in place by later
+        # traversals, the workspace must keep this moment's.
         scale = kernel.combine_scales(sc_a, sc_b)
-        if self.recorder is not None:
-            self.recorder.sumtable(self.index, self.n_patterns)
+        if scale is sc_a or scale is sc_b:
+            scale = scale.copy()
+        self._record("sumtable", mask)
+        slots = self._slots(mask)
         return BranchWorkspace(
-            edge=edge, sumtable=table, scale=scale, n_patterns=self.n_patterns,
-            epoch=self._param_epoch,
+            edge=edge, sumtable=table, scale=scale,
+            n_patterns=int(self.widths[slots].sum()),
+            epoch=self._epoch[slots].copy(), slots=slots, mask=mask,
+            version=self._version,
         )
 
-    def _check_workspace(self, ws: BranchWorkspace) -> None:
-        if ws.epoch != self._param_epoch:
+    def _workspace_part(self, ws: BranchWorkspace, active):
+        """(mask, selection, sumtable, scale) of the active members of a
+        workspace (default: all the members it was prepared for)."""
+        if ws.version != self._version and not np.array_equal(
+            self._epoch[ws.slots], ws.epoch
+        ):
             raise RuntimeError(
                 "stale BranchWorkspace: model parameters (alpha/rates/eigen) "
                 f"changed after prepare_branch() on edge {ws.edge} — the "
                 "sumtable would be combined with mismatched eigenvalues/"
                 "rates; re-prepare the branch"
             )
+        mask = ws.mask if active is None else self._mask(active)
+        if mask == ws.mask:
+            return mask, self._select(mask), ws.sumtable, ws.scale
+        if mask & ~ws.mask:
+            raise ValueError("active members were not prepared in this workspace")
+        sel = self._select(mask)
+        pos = np.searchsorted(ws.slots, self._slots(mask))
+        if isinstance(sel, int):
+            pos = int(pos[0])
+        scale = None if ws.scale is None else ws.scale[pos]
+        return mask, sel, ws.sumtable[pos], scale
+
+    @staticmethod
+    def _lengths_for(z, sel):
+        """Clipped branch length(s) in the selection's shape."""
+        if isinstance(sel, int):
+            z = float(np.ravel(z)[0]) if np.ndim(z) else float(z)
+            return min(max(z, kernel.MIN_BRANCH), kernel.MAX_BRANCH)
+        return np.minimum(
+            np.maximum(np.asarray(z, dtype=np.float64), kernel.MIN_BRANCH), kernel.MAX_BRANCH
+        )
+
+    def branch_loglikelihood(self, ws: BranchWorkspace, z, active=None):
+        """Log-likelihood as a function of the length of ``ws.edge`` with
+        everything else fixed (cheap: no traversal).  A scalar ``z`` gives
+        a float (one member); an array gives one value per active member."""
+        mask, sel, table, scale = self._workspace_part(ws, active)
+        zz = self._lengths_for(z, sel)
+        site = kernel.sumtable_site_likelihoods(
+            table, self._eigenvalues[sel], self.rates[sel], zz
+        )
+        logs = self._mixed(
+            sel,
+            lambda: kernel.scaled_log_likelihoods(site, scale),
+            lambda pinv, inv: kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv),
+        )
+        lnl = kernel.weighted_log_sum(self._weights[sel], logs)
+        self._record("derivative", mask)
+        return self._shaped(lnl, z)
+
+    def branch_derivatives(self, ws: BranchWorkspace, z, active=None):
+        """(dlnL/dz, d2lnL/dz2) at branch length(s) ``z`` from the
+        sumtable — the per-iteration work of Newton-Raphson.  A scalar
+        ``z`` gives two floats (one member); an array gives two arrays
+        with one value per active member."""
+        mask, sel, table, scale = self._workspace_part(ws, active)
+        zz = self._lengths_for(z, sel)
+        eigenvalues = self._eigenvalues[sel]
+        rates = self.rates[sel]
+        weights = self._weights[sel]
+        d1, d2 = self._mixed(
+            sel,
+            lambda: kernel.branch_derivatives(table, eigenvalues, rates, zz, weights, scale),
+            lambda pinv, inv: kernel.branch_derivatives_pinv(
+                table, eigenvalues, rates, zz, weights, scale, pinv, inv
+            ),
+        )
+        self._record("derivative", mask)
+        return self._shaped(d1, z), self._shaped(d2, z)
+
+    @staticmethod
+    def _shaped(value, z):
+        if np.ndim(z) == 0:
+            if np.ndim(value):
+                raise ValueError("a scalar branch length needs exactly one active member")
+            return float(value)
+        return np.atleast_1d(value)
+
+
+class PartitionView(_PartitionAttributes):
+    """One partition of a :class:`PartitionLikelihood` stack, with the
+    attributes and methods of a one-partition engine.  Every call runs
+    on the stack with this member as the active set."""
+
+    def __init__(self, stack: PartitionLikelihood, slot: int):
+        self._stack = stack
+        self._slot = slot
+
+    @property
+    def stack(self) -> PartitionLikelihood:
+        return self._stack
+
+    @property
+    def slot(self) -> int:
+        return self._slot
+
+    @property
+    def categories(self) -> int:
+        return self._stack.categories
+
+    @property
+    def tree(self) -> Tree:
+        return self._stack.tree
+
+    def set_branch_length(self, edge: int, value: float) -> None:
+        self._stack.set_branch_length(edge, value, self._slot)
+
+    def set_branch_lengths(self, values: np.ndarray) -> None:
+        values = np.asarray(values)
+        if values.shape != (self._stack.tree.n_edges,):
+            raise ValueError("branch-length vector has wrong shape")
+        self._stack.set_branch_lengths(values, self._slot)
+
+    def invalidate_all(self) -> None:
+        self._stack.invalidate_all(self._slot)
+
+    def invalidate_node(self, node: int) -> None:
+        self._stack.invalidate_node(node, self._slot)
+
+    def refresh(self, root_edge: int) -> int:
+        return self._stack.refresh(root_edge, self._slot)
+
+    def loglikelihood(self, root_edge: int | None = None) -> float:
+        edge = 0 if root_edge is None else root_edge
+        return float(self._stack.loglikelihoods(edge, self._slot)[0])
+
+    def site_loglikelihoods(self, root_edge: int = 0) -> np.ndarray:
+        return self._stack.site_loglikelihoods(root_edge, self._slot)
+
+    def prepare_branch(self, edge: int) -> BranchWorkspace:
+        return self._stack.prepare_branch(edge, self._slot)
 
     def branch_loglikelihood(self, ws: BranchWorkspace, z: float) -> float:
-        """Log-likelihood as a function of the length of ``ws.edge`` with
-        everything else fixed (cheap: no traversal)."""
-        self._check_workspace(ws)
-        if self.recorder is not None:
-            self.recorder.derivative(self.index, self.n_patterns)
-        z = float(np.clip(z, kernel.MIN_BRANCH, kernel.MAX_BRANCH))
-        if self._pinv == 0.0:
-            return kernel.sumtable_loglikelihood(
-                ws.sumtable,
-                self._eigen.eigenvalues,
-                self._rates,
-                z,
-                self.data.weights,
-                ws.scale,
-            )
-        site = kernel.sumtable_site_likelihoods(
-            ws.sumtable, self._eigen.eigenvalues, self._rates, z
-        )
-        logs = kernel.mix_invariant_loglikelihoods(
-            site, ws.scale, self._pinv, self.invariant_probabilities()
-        )
-        return kernel.weighted_log_sum(self.data.weights, logs)
+        return self._stack.branch_loglikelihood(ws, float(z), self._slot)
 
     def branch_derivatives(self, ws: BranchWorkspace, z: float) -> tuple[float, float]:
-        """(dlnL/dz, d2lnL/dz2) at branch length ``z`` from the sumtable —
-        the per-iteration work of Newton-Raphson."""
-        self._check_workspace(ws)
-        if self.recorder is not None:
-            self.recorder.derivative(self.index, self.n_patterns)
-        z = float(np.clip(z, kernel.MIN_BRANCH, kernel.MAX_BRANCH))
-        if self._pinv == 0.0:
-            return kernel.branch_derivatives(
-                ws.sumtable,
-                self._eigen.eigenvalues,
-                self._rates,
-                z,
-                self.data.weights,
-                ws.scale,
-            )
-        return kernel.branch_derivatives_pinv(
-            ws.sumtable,
-            self._eigen.eigenvalues,
-            self._rates,
-            z,
-            self.data.weights,
-            ws.scale,
-            self._pinv,
-            self.invariant_probabilities(),
-        )
+        return self._stack.branch_derivatives(ws, float(z), self._slot)

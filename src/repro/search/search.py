@@ -45,8 +45,7 @@ def _restore_lengths(engine: PartitionedEngine, edges: list[int], saved: np.ndar
     """Put back the per-partition lengths of ``edges`` (saved rows of the
     (E, P) length matrix)."""
     for row, edge in enumerate(edges):
-        for p in range(engine.n_partitions):
-            engine.parts[p].set_branch_length(edge, float(saved[row, p]))
+        engine.set_edge_lengths(edge, saved[row])
 
 
 def spr_round(
@@ -157,13 +156,14 @@ def nni_round(
             lengths_before = engine.branch_lengths()
             move = nni_swap(tree, edge, variant)
             evaluated += 1
-            saved = lengths_before[move.changed_edges]
+            # The central edge is optimized too, so a rejected move must
+            # put its lengths back along with the changed edges'.
+            touched = [edge, *move.changed_edges]
+            saved = lengths_before[touched]
             with engine.tracer.span("nni", cat="search",
                                     edge=int(edge), variant=variant):
                 engine.invalidate_topology(move.invalidate)
-                optimize_branch_lengths(
-                    engine, strategy, passes=1, edges=[edge, *move.changed_edges]
-                )
+                optimize_branch_lengths(engine, strategy, passes=1, edges=touched)
                 lnl = engine.loglikelihood(root_edge=edge)
             if lnl > best_lnl + ACCEPT_EPS:
                 best_lnl = lnl
@@ -171,7 +171,7 @@ def nni_round(
                 break
             move.undo()
             engine.invalidate_topology(move.invalidate)
-            _restore_lengths(engine, move.changed_edges, saved)
+            _restore_lengths(engine, touched, saved)
     return best_lnl, accepted, evaluated
 
 

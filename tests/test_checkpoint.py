@@ -87,3 +87,26 @@ class TestValidation:
         state["partitions"][0]["name"] = "not_a_gene"
         with pytest.raises(ValueError, match="name mismatch"):
             engine_from_checkpoint(small_partitioned, state)
+
+
+class TestCategories:
+    def test_category_count_roundtrips(self, small_partitioned, small_tree):
+        tree, lengths = small_tree
+        engine = PartitionedEngine(
+            small_partitioned, tree.copy(), initial_lengths=lengths, categories=8,
+        )
+        engine.parts[0].alpha = 0.4
+        rebuilt = engine_from_checkpoint(
+            small_partitioned, engine_to_checkpoint(engine)
+        )
+        assert rebuilt.categories == 8
+        assert rebuilt.loglikelihood() == pytest.approx(engine.loglikelihood(), abs=1e-8)
+
+    def test_files_without_categories_load_as_four(self, optimized_engine, small_partitioned):
+        state = engine_to_checkpoint(optimized_engine)
+        state.pop("categories", None)
+        rebuilt = engine_from_checkpoint(small_partitioned, state)
+        assert rebuilt.categories == 4
+        assert rebuilt.loglikelihood() == pytest.approx(
+            optimized_engine.loglikelihood(), abs=1e-8
+        )

@@ -276,15 +276,21 @@ class TestZeroWidthFastPath:
             slice_partition_data(tiny, 6, 5), tree.copy(), models[:2],
             alphas[:2], lengths,
         )
-        assert all(state._empty)
+        assert [part.n_patterns for part in state.parts] == [0, 0]
         assert state.execute(("lnl", 0)) == 0.0
         np.testing.assert_array_equal(
             state.execute(("lnl_parts", 0, [0, 1])), np.zeros(2)
         )
+        np.testing.assert_array_equal(
+            state.execute(("eval_alpha", np.full(2, 0.5), [0, 1], 0)), np.zeros(2)
+        )
         out = state.execute(("prog", (("prepare", 0, 1, [0, 1]),
                                       ("deriv", 1, np.full(2, 0.1), [0, 1]),
+                                      ("branch_lnl", 1, np.full(2, 0.1), [0, 1]),
                                       ("release", 1))))
         np.testing.assert_array_equal(out[1][0], np.zeros(2))
+        np.testing.assert_array_equal(out[1][1], np.zeros(2))
+        np.testing.assert_array_equal(out[2], np.zeros(2))
 
 
 class TestTeamPlanCache:

@@ -158,3 +158,33 @@ class TestBestAcceptance:
         engine = PartitionedEngine(data, tree.copy(), initial_lengths=lengths)
         with pytest.raises(ValueError, match="accept"):
             spr_round(engine, "new", accept="random")
+
+
+class TestReturnedLikelihoodIsTheEngines:
+    """A sweep's returned lnL must be the engine's lnL afterwards: a
+    rejected move has to leave every length it optimized as it found it
+    (NNI once kept the central edge's new lengths)."""
+
+    @pytest.fixture(scope="class", params=[0, 1, 2, 3])
+    def parsimony_setup(self, request):
+        from repro.search import stepwise_addition_tree
+
+        rng = np.random.default_rng(request.param)
+        tree, lengths = random_topology_with_lengths(8, rng, mean_length=0.1)
+        aln = simulate_alignment(tree, lengths, SubstitutionModel.random_gtr(1), 1.0, 160, rng)
+        data = PartitionedAlignment(aln, uniform_scheme(160, 80))
+        start = stepwise_addition_tree(aln, np.random.default_rng(request.param))
+        return data, start
+
+    def test_nni_round(self, parsimony_setup):
+        data, start = parsimony_setup
+        engine = PartitionedEngine(data, start.copy())
+        lnl, _, _ = nni_round(engine, "new")
+        assert engine.loglikelihood() == pytest.approx(lnl, rel=1e-9)
+
+    @pytest.mark.parametrize("accept", ["first", "best"])
+    def test_spr_round(self, parsimony_setup, accept):
+        data, start = parsimony_setup
+        engine = PartitionedEngine(data, start.copy())
+        lnl, _, _ = spr_round(engine, "new", radius=2, accept=accept)
+        assert engine.loglikelihood() == pytest.approx(lnl, rel=1e-9)
