@@ -283,6 +283,34 @@ class PartitionedEngine:
         """Substitution models ``models[p]`` for the active partitions."""
         self._stacks.set_models(models, active)
 
+    def alphas(self) -> np.ndarray:
+        """``(P,)`` Gamma shapes."""
+        return self._stacks.gather("alphas")
+
+    def pinvs(self) -> np.ndarray:
+        """``(P,)`` invariable-site proportions."""
+        return self._stacks.gather("pinvs")
+
+    def exchangeabilities(self, index: int, active=None) -> np.ndarray:
+        """``(P,)`` Q-matrix exchangeability ``index`` of the active
+        partitions (1.0 elsewhere)."""
+        out = np.ones(self.n_partitions)
+        models = self._models()
+        for p in self._active_indices(active):
+            out[p] = models[p].rates[index]
+        return out
+
+    def frequency_ratios(self, index: int, active=None) -> np.ndarray:
+        """``(P,)`` stationary-frequency ratio ``index`` (against the last
+        state) of the active partitions (1.0 elsewhere)."""
+        from ..plk.frequencies import frequency_ratios
+
+        out = np.ones(self.n_partitions)
+        models = self._models()
+        for p in self._active_indices(active):
+            out[p] = frequency_ratios(models[p].frequencies)[index]
+        return out
+
     def set_exchangeabilities(self, index: int, values: np.ndarray, active=None) -> None:
         """Q-matrix exchangeability ``index`` := ``values[p]`` for the
         active partitions (one new model per partition, then one stack

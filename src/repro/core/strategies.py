@@ -273,7 +273,7 @@ def optimize_alpha(
     """
     _check_strategy(strategy)
     n_parts = engine.n_partitions
-    current = np.array([part.alpha for part in engine.parts])
+    current = engine.alphas()
 
     if strategy == "new":
         solver = BatchedBrent(
@@ -349,17 +349,16 @@ def optimize_rates(
     """
     _check_strategy(strategy)
     n_parts = engine.n_partitions
-    dna = np.array([part.data.states == 4 for part in engine.parts])
+    dna = engine.states() == 4
     counts = np.zeros(n_parts, dtype=np.int64)
     if not dna.any():
         return counts
     n_free = 5  # 6 GTR exchangeabilities, last fixed to 1
 
     for rate_idx in range(n_free):
-        current = np.array(
-            [part.model.rates[rate_idx] if dna[p] else 1.0 for p, part in enumerate(engine.parts)]
+        current = np.clip(
+            engine.exchangeabilities(rate_idx, dna), RATE_MIN * 1.01, RATE_MAX * 0.99
         )
-        current = np.clip(current, RATE_MIN * 1.01, RATE_MAX * 0.99)
 
         def setter(values: np.ndarray, active: np.ndarray, _i: int = rate_idx) -> None:
             engine.set_exchangeabilities(_i, values, active)
@@ -452,9 +451,7 @@ def optimize_pinv(
     _check_strategy(strategy)
     n_parts = engine.n_partitions
     lo, hi = 1e-6, 0.9
-    current = np.clip(
-        np.array([part.pinv for part in engine.parts]), lo * 1.01, hi * 0.99
-    )
+    current = np.clip(engine.pinvs(), lo * 1.01, hi * 0.99)
 
     if strategy == "new":
         solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
@@ -495,8 +492,6 @@ def optimize_frequencies(
     preferred over empirical ones); pass ``dna_only=False`` to include
     protein partitions.
     """
-    from ..plk.frequencies import frequency_ratios
-
     _check_strategy(strategy)
     n_parts = engine.n_partitions
     counts = np.zeros(n_parts, dtype=np.int64)
@@ -511,10 +506,7 @@ def optimize_frequencies(
         eligible = eligible_all & (states > index + 1)
         if not eligible.any():
             continue
-        current = np.ones(n_parts)
-        for p in np.flatnonzero(eligible):
-            current[p] = frequency_ratios(engine.parts[p].model.frequencies)[index]
-        current = np.clip(current, lo * 1.01, hi * 0.99)
+        current = np.clip(engine.frequency_ratios(index, eligible), lo * 1.01, hi * 0.99)
 
         def setter(values: np.ndarray, active: np.ndarray, _i: int = index) -> None:
             engine.set_frequency_ratios(_i, values, active)

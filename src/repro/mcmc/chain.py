@@ -110,7 +110,7 @@ class BayesianChain:
             recorder=self.recorder,
         )
         self.n_partitions = self.engine.n_partitions
-        self._dna = np.array([p.data.states == 4 for p in self.engine.parts])
+        self._dna = self.engine.states() == 4
         self._proposals = {
             "branch": MultiplierProposal(2 * np.log(2.0), *_BRANCH_BOUNDS),
             "alpha": MultiplierProposal(2 * np.log(1.5), *_ALPHA_BOUNDS),
@@ -218,7 +218,7 @@ class BayesianChain:
 
     def _move_alpha(self) -> None:
         proposal = self._proposals["alpha"]
-        current = np.array([part.alpha for part in self.engine.parts])
+        current = self.engine.alphas()
         for batch in self._partition_batches(np.ones(self.n_partitions, bool)):
             new, hastings = proposal.propose(current[batch], self.rng)
             delta_prior = self.priors.alpha(new) - self.priors.alpha(current[batch])
@@ -234,12 +234,7 @@ class BayesianChain:
         if not self._dna.any():
             return
         proposal = self._proposals["rate"]
-        current = np.array(
-            [
-                part.model.rates[rate_index] if self._dna[p] else 1.0
-                for p, part in enumerate(self.engine.parts)
-            ]
-        )
+        current = self.engine.exchangeabilities(rate_index, self._dna)
         for batch in self._partition_batches(self._dna):
             new, hastings = proposal.propose(current[batch], self.rng)
             delta_prior = self.priors.rate(new) - self.priors.rate(current[batch])

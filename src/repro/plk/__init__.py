@@ -22,7 +22,7 @@ from .gappy import (
     taxon_coverage,
     traversal_cost_ratio,
 )
-from .likelihood import BranchWorkspace, PartitionLikelihood
+from .likelihood import BranchWorkspace, PartitionLikelihood, PartitionView
 from .models import SubstitutionModel, n_exchange_rates
 from .newick import parse_newick, write_newick
 from .partition import (
@@ -35,6 +35,7 @@ from .partition import (
 )
 from .phylip import parse_fasta, parse_phylip, write_fasta, write_phylip
 from .repeats import NodeRepeats, repeat_profile, tip_state_codes
+from .stacking import PartitionStacks, stack_groups
 from .tree import TraversalStep, Tree
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
     "PartitionData",
     "PartitionLikelihood",
     "PartitionScheme",
+    "PartitionStacks",
+    "PartitionView",
     "PartitionedAlignment",
     "SubstitutionModel",
     "TraversalStep",
@@ -69,6 +72,7 @@ __all__ = [
     "parse_phylip",
     "ratios_to_frequencies",
     "repeat_profile",
+    "stack_groups",
     "taxon_coverage",
     "tip_state_codes",
     "traversal_cost_ratio",

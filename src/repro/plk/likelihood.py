@@ -243,18 +243,18 @@ class PartitionLikelihood(_PartitionAttributes):
         self._version = 0
         self._pinv_any = False
 
-        # Per-inner-node CLV storage, allocated on first use.  _valid maps
-        # a traversal signature (children, edges, orientation) to the
-        # bitmask of members whose stored CLV was computed from exactly
-        # that signature; clearing a member's bits marks it dirty.
-        # Topology moves (which change adjacency) and virtual-root motion
-        # (which changes orientation) are both detected (RAxML's partial
+        # Per-inner-node CLV storage (np.empty: pages are touched only
+        # when a member is first computed).  _valid maps a traversal
+        # signature (children, edges, orientation) to the bitmask of
+        # members whose stored CLV was computed from exactly that
+        # signature; clearing a member's bits marks it dirty.  Topology
+        # moves (which change adjacency) and virtual-root motion (which
+        # changes orientation) are both detected (RAxML's partial
         # traversal logic).
-        self._clv: dict[int, np.ndarray] = {}
-        self._scale: dict[int, np.ndarray] = {}
-        self._valid: dict[int, dict[tuple, int]] = {
-            node: {} for node in range(tree.n_taxa, tree.n_nodes)
-        }
+        inner = range(tree.n_taxa, tree.n_nodes)
+        self._clv = {node: np.empty((n, categories, m, states)) for node in inner}
+        self._scale = {node: np.zeros((n, m), dtype=np.int32) for node in inner}
+        self._valid: dict[int, dict[tuple, int]] = {node: {} for node in inner}
         # Transition-matrix cache: one (P, K, s, s) block per edge, valid
         # per member for the (clipped length, parameter epoch) it was
         # computed at.  Keyed on the length itself, so a direct write to
@@ -309,8 +309,8 @@ class PartitionLikelihood(_PartitionAttributes):
     def _select(self, mask: int):
         """Index for the members of ``mask``: one int (a view without the
         member axis — the kernel runs unbatched), ``slice(None)`` (all, no
-        copy) or an index array (gather/scatter)."""
-        if mask & (mask - 1) == 0:
+        copy) or an index array (gather/scatter; empty for no member)."""
+        if mask and mask & (mask - 1) == 0:
             return mask.bit_length() - 1
         if mask == self._full:
             return slice(None)
@@ -455,18 +455,24 @@ class PartitionLikelihood(_PartitionAttributes):
         t = np.minimum(np.maximum(self.lengths[edge, sel], kernel.MIN_BRANCH), kernel.MAX_BRANCH)
         epoch = self._epoch[sel]
         stale = (self._p_length[edge, sel] != t) | (self._p_epoch[edge, sel] != epoch)
-        if stale.any():
+        if stale.all():
+            slots = sel                    # no gather: every selected member
+        elif stale.any():
             slots = np.arange(self.n_slots)[sel][stale]
-            ts = t[stale]
+            t = t[stale]
+            epoch = epoch[stale]
+        else:
+            slots = None
+        if slots is not None:
             expl = np.exp(
-                (self.rates[slots] * ts[:, np.newaxis])[:, :, np.newaxis]
+                (self.rates[slots] * t[:, np.newaxis])[:, :, np.newaxis]
                 * self._eigenvalues[slots][:, np.newaxis, :]
             )                                                   # (A, K, s)
             block[slots] = (
                 self._u[slots][:, np.newaxis] * expl[:, :, np.newaxis, :]
             ) @ self._v[slots][:, np.newaxis]
-            self._p_length[edge, slots] = ts
-            self._p_epoch[edge, slots] = epoch[stale]
+            self._p_length[edge, slots] = t
+            self._p_epoch[edge, slots] = epoch
         if whole:
             self._p_whole[edge] = key
         return block[sel]
@@ -520,11 +526,7 @@ class PartitionLikelihood(_PartitionAttributes):
         return calls
 
     def _newview(self, node: int, step, sel) -> None:
-        clv = self._clv.get(node)
-        if clv is None:
-            shape = (self.n_slots, self.categories, self.width, self.states)
-            clv = self._clv[node] = np.empty(shape)
-            self._scale[node] = np.zeros((self.n_slots, self.width), dtype=np.int32)
+        clv = self._clv[node]
         clv1, sc1 = self._child(step.c1, sel)
         clv2, sc2 = self._child(step.c2, sel)
         p1 = self._transition(step.e1, sel)
@@ -556,7 +558,7 @@ class PartitionLikelihood(_PartitionAttributes):
         base = plain()
         if isinstance(mixed, tuple):
             return tuple(np.where(has, a, b) for a, b in zip(mixed, base))
-        return np.where(has[..., np.newaxis] if mixed.ndim > 1 else has, mixed, base)
+        return np.where(has[:, np.newaxis], mixed, base)
 
     def _root_logs(self, root_edge: int, sel) -> np.ndarray:
         a, b = self.tree.edge_nodes(root_edge)
@@ -593,8 +595,9 @@ class PartitionLikelihood(_PartitionAttributes):
     def site_loglikelihoods(self, root_edge: int = 0, slot: int = 0) -> np.ndarray:
         """Per-pattern log-likelihoods of one member, including the +I
         mixture; their pattern-weighted sum is its log-likelihood."""
-        self._refresh(root_edge, self._mask(slot))
-        return self._root_logs(root_edge, slot)[: self.widths[slot]]
+        mask = self._mask(slot)
+        self._refresh(root_edge, mask)
+        return self._root_logs(root_edge, self._select(mask))[: self.widths[slot]]
 
     # ------------------------------------------------------------------
     # Branch-length machinery (Newton-Raphson support)

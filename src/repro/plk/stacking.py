@@ -185,6 +185,14 @@ class PartitionStacks:
             out[:, members] = stack.lengths
         return out
 
+    def gather(self, name: str) -> np.ndarray:
+        """``(P,)`` per-member parameter array ``name`` (``"alphas"`` or
+        ``"pinvs"``) gathered from every stack."""
+        out = np.empty(self.n_partitions)
+        for stack, members in zip(self.stacks, self._members):
+            out[members] = getattr(stack, name)
+        return out
+
     def set_branch_length(self, edge: int, values, active=None) -> None:
         """Set ``edge``'s length: a scalar for every active partition, or
         a ``(P,)`` vector read at the active partitions."""
