@@ -720,14 +720,6 @@ class PartitionView(_PartitionAttributes):
         self._slot = slot
 
     @property
-    def stack(self) -> PartitionLikelihood:
-        return self._stack
-
-    @property
-    def slot(self) -> int:
-        return self._slot
-
-    @property
     def categories(self) -> int:
         return self._stack.categories
 
