@@ -205,7 +205,6 @@ class PartitionLikelihood(_PartitionAttributes):
         self.n_slots = n
         self.widths = np.array([d.n_patterns for d in self.datas], dtype=np.int64)
         self.width = int(self.widths.max())
-        self._stack = self
         self._full = (1 << n) - 1
 
         # Padded tips (n_taxa, P, m, s) and weights (P, m): all-ones rows
@@ -268,6 +267,12 @@ class PartitionLikelihood(_PartitionAttributes):
     # ------------------------------------------------------------------
     # Active sets
     # ------------------------------------------------------------------
+
+    @property
+    def _stack(self) -> PartitionLikelihood:
+        # A property, not an attribute: a self-reference would make every
+        # stack a reference cycle, freed only by the cyclic collector.
+        return self
 
     @property
     def _slot(self) -> int:
