@@ -24,10 +24,16 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Job", "JobQueue", "JobState"]
+__all__ = ["Job", "JobQueue", "JobState", "FINISHED_RETAINED"]
+
+#: Terminal jobs the queue keeps queryable by id; older ones are dropped
+#: first, so a long-running service's job table does not grow with every
+#: job it has ever served.
+FINISHED_RETAINED = 1024
 
 
 class JobState:
@@ -113,6 +119,7 @@ class JobQueue:
         self._ready = threading.Condition(self._lock)
         self._pending: list[Job] = []
         self._jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
         self._seq = itertools.count()
         #: Cumulative served cost per tenant (fairness counters).
         self.tenant_served: dict[str, float] = {}
@@ -146,7 +153,14 @@ class JobQueue:
     def _claim_key(self, job: Job):
         return (-job.priority, self.tenant_served.get(job.tenant, 0.0), job._seq)
 
-    def _reap_locked(self, now: float) -> None:
+    def _retire_locked(self, job: Job) -> None:
+        """Record a job that just became terminal; forget the oldest
+        terminal jobs beyond :data:`FINISHED_RETAINED`."""
+        self._finished.append(job.id)
+        while len(self._finished) > FINISHED_RETAINED:
+            self._jobs.pop(self._finished.popleft(), None)
+
+    def _reap_locked(self, now: float) -> list[Job]:
         expired = [
             j for j in self._pending
             if j.timeout is not None and now - j.submitted_at > j.timeout
@@ -160,16 +174,13 @@ class JobQueue:
             }
             job.finished_at = now
             job._done.set()
+            self._retire_locked(job)
+        return expired
 
     def reap(self) -> list[Job]:
         """Expire pending jobs past their queue-wait deadline; returns them."""
         with self._lock:
-            before = {j.id for j in self._pending}
-            self._reap_locked(time.time())
-            return [
-                j for jid, j in self._jobs.items()
-                if jid in before and j.state == JobState.EXPIRED
-            ]
+            return self._reap_locked(time.time())
 
     def claim(self, timeout: float | None = None) -> Job | None:
         """Take the best eligible pending job (blocks up to ``timeout``).
@@ -232,6 +243,7 @@ class JobQueue:
             job.error = error
             job.finished_at = time.time()
             job._done.set()
+            self._retire_locked(job)
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a PENDING job.  Returns False if unknown, already
@@ -245,6 +257,7 @@ class JobQueue:
             job.error = {"type": "cancelled", "message": "cancelled by client"}
             job.finished_at = time.time()
             job._done.set()
+            self._retire_locked(job)
             return True
 
     def close(self) -> None:

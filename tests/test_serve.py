@@ -107,6 +107,26 @@ class TestJobQueue:
         t.join(timeout=5)
         assert got == [None]
 
+    def test_job_table_keeps_only_recent_terminal_jobs(self):
+        """A long-running service must not hold every job it ever
+        served: the oldest terminal jobs are forgotten first, running
+        and pending ones never."""
+        from repro.serve.queue import FINISHED_RETAINED
+
+        q = JobQueue()
+        running = q.submit(_job("running"))
+        q.claim(0)
+        n = FINISHED_RETAINED + 5
+        for k in range(n):
+            q.submit(_job(f"j{k}"))
+            q.finish(q.claim(0), result={})
+        pending = q.submit(_job("pending"))
+        assert q.get("j0") is None and q.get("j4") is None
+        assert q.get("j5").state == JobState.DONE
+        assert q.get(f"j{n - 1}") is not None
+        assert q.get("running") is running and q.get("pending") is pending
+        assert sum(q.snapshot()["jobs"].values()) == FINISHED_RETAINED + 2
+
 
 # ---------------------------------------------------------------------------
 # pricing + packing
