@@ -171,7 +171,9 @@ def optimize_branch(
         # length only if it does not lower the likelihood (one extra
         # evaluation pass, as RAxML's makenewz performs).
         with _region(engine, "nr_joint"):
-            old_lnl = sum(engine.branch_loglikelihoods(workspaces, np.full(n_parts, z0[0])).tolist())
+            old_lnl = sum(
+                engine.branch_loglikelihoods(workspaces, np.full(n_parts, z0[0])).tolist()
+            )
             new_lnl = sum(engine.branch_loglikelihoods(workspaces, np.full(n_parts, z)).tolist())
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, z)

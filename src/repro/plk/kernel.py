@@ -203,7 +203,7 @@ def rescale(result: np.ndarray, scale: np.ndarray) -> None:
         result *= factor[..., np.newaxis, :, np.newaxis]
         scale[tiny] += 1
     if zero.any():
-        result[np.broadcast_to(zero[..., np.newaxis, :, np.newaxis], result.shape)] = 1.0
+        np.copyto(result, 1.0, where=zero[..., np.newaxis, :, np.newaxis])
         scale[zero] = ZERO_SCALE
 
 

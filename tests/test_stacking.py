@@ -31,6 +31,7 @@ RTOL = 1e-12
 
 
 def close(a, b):
+    """Equal to RTOL; -inf (an impossible partition) must match exactly."""
     np.testing.assert_allclose(a, b, rtol=RTOL, atol=0.0)
 
 
@@ -76,10 +77,7 @@ class TestKernelStacked:
             np.testing.assert_array_equal(scale[i, :w], s1)
             ref = kernel.evaluate(d["p"][i], o1, s1, d["tip"][i, :w], None,
                                   freqs[i], d["weights"][i, :w])
-            if np.isinf(ref):
-                assert lnl[i] == ref
-            else:
-                close(lnl[i], ref)
+            close(lnl[i], ref)
         assert np.isneginf(lnl[0]) and lnl[2] == 0.0
 
     def test_rescaling_matches(self, padded):
@@ -88,7 +86,8 @@ class TestKernelStacked:
         out, scale = kernel.newview(d["p"], tiny, None, d["p"], d["clv"], None)
         assert scale[:2].max() >= 1
         for i, w in enumerate(d["widths"]):
-            o1, s1 = kernel.newview(d["p"][i], tiny[i, :, :w], None, d["p"][i], d["clv"][i, :, :w], None)
+            o1, s1 = kernel.newview(d["p"][i], tiny[i, :, :w], None,
+                                    d["p"][i], d["clv"][i, :, :w], None)
             close(out[i, :, :w], o1)
             np.testing.assert_array_equal(scale[i, :w], s1)
 
@@ -120,7 +119,7 @@ class TestKernelStacked:
                 r1, r2 = kernel.branch_derivatives(*args)
             close([d1[i], d2[i]], [r1, r2])
             ref = kernel.sumtable_loglikelihood(*args)
-            assert lnl[i] == ref if not np.isfinite(ref) else np.isclose(lnl[i], ref, rtol=RTOL, atol=0)
+            close(lnl[i], ref)
 
     def test_unbatched_shapes_kept(self, padded):
         d = padded
@@ -233,15 +232,11 @@ class TestStackMethods:
             rec_1.begin_region("r")
             for i, slot in enumerate(slots):
                 part = singles.parts[slot]
-                want = part.loglikelihood(edge)
-                assert got[i] == want if not np.isfinite(want) else np.isclose(
-                    got[i], want, rtol=RTOL, atol=0)
+                close(got[i], part.loglikelihood(edge))
                 ws1 = part.prepare_branch(edge)
                 r1, r2 = part.branch_derivatives(ws1, z[i])
                 close([d1[i], d2[i]], [r1, r2])
-                ref = part.branch_loglikelihood(ws1, z[i])
-                assert blnl[i] == ref if not np.isfinite(ref) else np.isclose(
-                    blnl[i], ref, rtol=RTOL, atol=0)
+                close(blnl[i], part.branch_loglikelihood(ws1, z[i]))
             rec_1.end_region()
         assert _region_items(rec_s) == _region_items(rec_1)
 
