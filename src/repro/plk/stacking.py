@@ -50,8 +50,8 @@ from .tree import Tree
 __all__ = ["DISPATCH_PATTERNS", "stack_groups", "PartitionStacks"]
 
 #: One kernel dispatch priced in DNA patterns of work (EXPERIMENTS.md
-#: STACK: ~26 us fixed cost per call against ~41 ns per DNA pattern and
-#: op, measured over full traversals).
+#: STACK: 23-26 us fixed cost per call against ~41 ns per DNA pattern
+#: and op, measured over full traversals: 560-650 patterns).
 DISPATCH_PATTERNS = 650
 
 
