@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import PartitionLikelihood
+from .likelihood import PartitionLikelihood, PartitionView
 from .models import SubstitutionModel
 from .partition import PartitionData, PartitionedAlignment
 from .tree import Tree
@@ -158,8 +158,8 @@ class GappyEngine:
     its own branch lengths projected from (or optimized independently of)
     the full tree — the computational model of the paper's reference [32]
     that motivates per-partition branch lengths.  Partitions on different
-    trees cannot share a likelihood stack, so each is a one-member
-    :class:`~repro.plk.likelihood.PartitionLikelihood`.
+    trees cannot share a likelihood stack, so each is the
+    :class:`~repro.plk.likelihood.PartitionView` of a one-member stack.
 
     Parameters
     ----------
@@ -199,7 +199,7 @@ class GappyEngine:
             alphas = [1.0] * data.n_partitions
 
         self.subtrees: list[InducedSubtree] = []
-        self.parts: list[PartitionLikelihood] = []
+        self.parts: list[PartitionView] = []
         for p, block in enumerate(data.data):
             present = set(np.flatnonzero(coverage[p]).tolist())
             sub = induced_subtree(tree, present)
@@ -211,14 +211,17 @@ class GappyEngine:
                 tip_states=tips,
                 weights=block.weights,
             )
-            engine = PartitionLikelihood(
-                reduced,
-                sub.tree,
-                models[p],
-                alpha=alphas[p],
-                categories=categories,
-                index=p,
-                recorder=recorder,
+            engine = PartitionView(
+                PartitionLikelihood(
+                    [reduced],
+                    sub.tree,
+                    [models[p]],
+                    alpha=alphas[p],
+                    categories=categories,
+                    index=[p],
+                    recorder=recorder,
+                ),
+                0,
             )
             if initial_lengths is not None:
                 engine.set_branch_lengths(sub.project_lengths(initial_lengths))

@@ -25,11 +25,10 @@ no copy), one slot index (a slice view; the kernel runs unbatched, which
 is the oldPAR case at 50,000 columns), or any other subset as a boolean
 mask or index list (gathered, computed, scattered back).
 
-Built from a single :class:`~repro.plk.partition.PartitionData` the stack
-has one member and reads like a one-partition engine: scalar results and
-``alpha``/``model``/``pinv`` attributes.  Per-partition access to a larger
-stack goes through :class:`PartitionView`.  Which partitions share a stack
-is decided by :mod:`repro.plk.stacking`.
+The stack's methods return one value per active member.  Per-partition
+access — the attributes and scalar results of a one-partition engine —
+goes through :class:`PartitionView`.  Which partitions share a stack is
+decided by :mod:`repro.plk.stacking`.
 """
 from __future__ import annotations
 
@@ -68,101 +67,29 @@ class BranchWorkspace:
     epoch: np.ndarray
     slots: np.ndarray
     mask: int
-    version: int = -1
 
 
-class _PartitionAttributes:
-    """Per-partition parameters and data of one stack member (``_slot``
-    of ``_stack``): shared by :class:`PartitionView` and by a one-member
-    :class:`PartitionLikelihood`."""
-
-    @property
-    def data(self) -> PartitionData:
-        return self._stack.datas[self._slot]
-
-    @property
-    def index(self) -> int:
-        return self._stack.indices[self._slot]
-
-    @property
-    def n_patterns(self) -> int:
-        return int(self._stack.widths[self._slot])
-
-    @property
-    def model(self) -> SubstitutionModel:
-        return self._stack.models[self._slot]
-
-    @model.setter
-    def model(self, model: SubstitutionModel) -> None:
-        self._stack.set_models([model], self._slot)
-
-    @property
-    def alpha(self) -> float:
-        return float(self._stack.alphas[self._slot])
-
-    @alpha.setter
-    def alpha(self, alpha: float) -> None:
-        self._stack.set_alphas(alpha, self._slot)
-
-    @property
-    def pinv(self) -> float:
-        """Proportion of invariable sites (the +I mixture component).
-
-        0.0 (the default) disables the mixture.  Changing it does NOT
-        invalidate the conditional vectors: only the root-level mixing
-        changes — proposals/optimization of pinv are therefore the
-        cheapest parameter moves of all (one evaluation, no traversal).
-        Convention: site rate is 0 with probability pinv, else
-        Gamma(alpha, alpha) with mean 1 (no renormalization; branch
-        lengths absorb the scale, as in MrBayes/PhyML).
-        """
-        return float(self._stack.pinvs[self._slot])
-
-    @pinv.setter
-    def pinv(self, value: float) -> None:
-        self._stack.set_pinvs(value, self._slot)
-
-    @property
-    def gamma_rates(self) -> np.ndarray:
-        return self._stack.rates[self._slot]
-
-    @property
-    def eigen(self) -> EigenSystem:
-        return self._stack.eigens[self._slot]
-
-    @property
-    def branch_lengths(self) -> np.ndarray:
-        """This member's ``(n_edges,)`` lengths (a view into the stack)."""
-        return self._stack.lengths[:, self._slot]
-
-    def invariant_probabilities(self) -> np.ndarray:
-        """(m,) prior mass of the states compatible with every tip at each
-        pattern (0 for variable patterns) — the invariant component's
-        per-pattern likelihood."""
-        return self._stack.invariant_probabilities(self._slot)[: self.n_patterns]
-
-
-class PartitionLikelihood(_PartitionAttributes):
+class PartitionLikelihood:
     """Likelihood of a stack of partitions on a shared tree topology.
 
     Parameters
     ----------
     data:
-        Pattern-compressed tip data: one :class:`PartitionData` (a
-        one-member stack with scalar results) or a sequence of them, all
-        with the same state count.
+        Pattern-compressed tip data of the members, all with the same
+        state count.
     tree:
         The (shared, possibly mutated) topology.  The stack reads it on
         every traversal; after mutating the topology call
         :meth:`invalidate_all` (or targeted :meth:`invalidate_node`).
     model:
-        The substitution model (one per member for a sequence ``data``).
+        The substitution models, one per member.
     alpha:
-        Gamma shape parameter(s).
+        Gamma shape parameter(s): one for all members, or one per member.
     categories:
         Number of discrete Gamma categories (4 throughout the paper).
     index:
-        The members' positions in their scheme (used by trace recorders).
+        The members' positions in their scheme (used by trace recorders;
+        default ``0 .. P-1``).
     recorder:
         Optional kernel-operation listener with ``newview(partition, n,
         count)``, ``evaluate(partition, n)``, ``sumtable(partition, n)``
@@ -172,22 +99,21 @@ class PartitionLikelihood(_PartitionAttributes):
 
     def __init__(
         self,
-        data: PartitionData | list[PartitionData],
+        data: list[PartitionData],
         tree: Tree,
-        model: SubstitutionModel | list[SubstitutionModel],
+        model: list[SubstitutionModel],
         alpha: float | list[float] = 1.0,
         categories: int = GAMMA_CATEGORIES,
-        index: int | list[int] = 0,
+        index: list[int] | None = None,
         recorder=None,
     ):
-        single = isinstance(data, PartitionData)
-        self.datas = (data,) if single else tuple(data)
+        self.datas = tuple(data)
         n = len(self.datas)
         if n == 0:
             raise ValueError("a stack needs at least one partition")
-        models = [model] if single else list(model)
+        models = list(model)
         alphas = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (n,))
-        self.indices = (index,) if single else tuple(int(i) for i in index)
+        self.indices = tuple(range(n) if index is None else (int(i) for i in index))
         if len(models) != n or len(self.indices) != n:
             raise ValueError("need one model and one index per stack member")
         states = self.datas[0].states
@@ -236,10 +162,6 @@ class PartitionLikelihood(_PartitionAttributes):
         # sumtable built under old parameters must never be combined with
         # new eigenvalues/rates (silently wrong likelihoods, not errors).
         self._epoch = np.zeros(n, dtype=np.int64)
-        # Bumped with any member's epoch: while it stands still, every
-        # cached P(t) block and workspace is known valid without a
-        # per-member comparison.
-        self._version = 0
         self._pinv_any = False
 
         # Per-inner-node CLV storage (np.empty: pages are touched only
@@ -255,33 +177,18 @@ class PartitionLikelihood(_PartitionAttributes):
         self._scale = {node: np.zeros((n, m), dtype=np.int32) for node in inner}
         self._valid: dict[int, dict[tuple, int]] = {node: {} for node in inner}
         # Transition-matrix cache: one (P, K, s, s) block per edge, valid
-        # per member for the (clipped length, parameter epoch) it was
-        # computed at.  Keyed on the length itself, so a direct write to
-        # ``lengths`` can never be served a stale P(t).
+        # per member for the (length, parameter epoch) it was computed at.
+        # Keyed on the length itself, so a direct write to ``lengths`` can
+        # never be served a stale P(t).
         self._pmat: dict[int, np.ndarray] = {}
         self._p_length = np.full((tree.n_edges, n), np.nan)
         self._p_epoch = np.full((tree.n_edges, n), -1, dtype=np.int64)
-        self._p_whole: dict[int, tuple[bytes, int]] = {}
+        self._members = np.arange(n)
         self._subsets: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Active sets
     # ------------------------------------------------------------------
-
-    @property
-    def _stack(self) -> PartitionLikelihood:
-        # A property, not an attribute: a self-reference would make every
-        # stack a reference cycle, freed only by the cyclic collector.
-        return self
-
-    @property
-    def _slot(self) -> int:
-        if self.n_slots != 1:
-            raise AttributeError(
-                f"a stack of {self.n_slots} partitions has no single partition "
-                "attribute; use PartitionView or the vector methods"
-            )
-        return 0
 
     def _mask(self, active) -> int:
         """Bitmask of the members selected by ``active`` (None = all, an
@@ -341,7 +248,6 @@ class PartitionLikelihood(_PartitionAttributes):
 
     def _parameters_changed(self, mask: int) -> None:
         self._epoch[self._slots(mask)] += 1
-        self._version += 1
         self._invalidate(range(self.tree.n_taxa, self.tree.n_nodes), mask)
 
     def set_models(self, models, active=None) -> None:
@@ -437,38 +343,20 @@ class PartitionLikelihood(_PartitionAttributes):
 
     def _transition(self, edge: int, sel) -> np.ndarray:
         """P(t) of ``edge`` for the selected members, recomputed only for
-        members whose clipped length or parameter epoch moved."""
+        members whose length or parameter epoch moved since they were
+        last computed."""
         block = self._pmat.get(edge)
         if block is None:
             block = self._pmat[edge] = np.empty(
                 (self.n_slots, self.categories, self.states, self.states)
             )
-        if isinstance(sel, int):
-            t = min(max(float(self.lengths[edge, sel]), kernel.MIN_BRANCH), kernel.MAX_BRANCH)
-            if self._p_length[edge, sel] != t or self._p_epoch[edge, sel] != self._epoch[sel]:
-                block[sel] = self.eigens[sel].transition_matrices(t, self.rates[sel])
-                self._p_length[edge, sel] = t
-                self._p_epoch[edge, sel] = self._epoch[sel]
-            return block[sel]
-        whole = isinstance(sel, slice)
-        if whole:
-            # Every member at once: one bytes comparison of the edge's
-            # length row and the parameter version decides the common case.
-            key = (self.lengths[edge].tobytes(), self._version)
-            if self._p_whole.get(edge) == key:
-                return block
-        t = np.minimum(np.maximum(self.lengths[edge, sel], kernel.MIN_BRANCH), kernel.MAX_BRANCH)
-        epoch = self._epoch[sel]
-        stale = (self._p_length[edge, sel] != t) | (self._p_epoch[edge, sel] != epoch)
-        if stale.all():
-            slots = sel                    # no gather: every selected member
-        elif stale.any():
-            slots = np.arange(self.n_slots)[sel][stale]
-            t = t[stale]
-            epoch = epoch[stale]
-        else:
-            slots = None
-        if slots is not None:
+        stale = (self._p_length[edge, sel] != self.lengths[edge, sel]) | (
+            self._p_epoch[edge, sel] != self._epoch[sel]
+        )
+        if stale.any():
+            slots = np.atleast_1d(self._members[sel])[np.atleast_1d(stale)]
+            lengths = self.lengths[edge, slots]
+            t = np.minimum(np.maximum(lengths, kernel.MIN_BRANCH), kernel.MAX_BRANCH)
             expl = np.exp(
                 (self.rates[slots] * t[:, np.newaxis])[:, :, np.newaxis]
                 * self._eigenvalues[slots][:, np.newaxis, :]
@@ -476,10 +364,8 @@ class PartitionLikelihood(_PartitionAttributes):
             block[slots] = (
                 self._u[slots][:, np.newaxis] * expl[:, :, np.newaxis, :]
             ) @ self._v[slots][:, np.newaxis]
-            self._p_length[edge, slots] = t
-            self._p_epoch[edge, slots] = epoch
-        if whole:
-            self._p_whole[edge] = key
+            self._p_length[edge, slots] = lengths
+            self._p_epoch[edge, slots] = self._epoch[slots]
         return block[sel]
 
     def _child(self, node: int, sel) -> tuple[np.ndarray, np.ndarray | None]:
@@ -590,13 +476,6 @@ class PartitionLikelihood(_PartitionAttributes):
         self._record("evaluate", mask)
         return np.atleast_1d(lnl)
 
-    def loglikelihood(self, root_edge: int | None = None) -> float:
-        """Total log-likelihood of the stack with the virtual root on
-        ``root_edge`` (default: edge 0).  Time-reversibility makes the
-        result independent of the choice."""
-        values = self.loglikelihoods(0 if root_edge is None else root_edge)
-        return float(sum(values.tolist()))
-
     def site_loglikelihoods(self, root_edge: int = 0, slot: int = 0) -> np.ndarray:
         """Per-pattern log-likelihoods of one member, including the +I
         mixture; their pattern-weighted sum is its log-likelihood."""
@@ -631,15 +510,12 @@ class PartitionLikelihood(_PartitionAttributes):
             edge=edge, sumtable=table, scale=scale,
             n_patterns=int(self.widths[slots].sum()),
             epoch=self._epoch[slots].copy(), slots=slots, mask=mask,
-            version=self._version,
         )
 
     def _workspace_part(self, ws: BranchWorkspace, active):
         """(mask, selection, sumtable, scale) of the active members of a
         workspace (default: all the members it was prepared for)."""
-        if ws.version != self._version and not np.array_equal(
-            self._epoch[ws.slots], ws.epoch
-        ):
+        if not np.array_equal(self._epoch[ws.slots], ws.epoch):
             raise RuntimeError(
                 "stale BranchWorkspace: model parameters (alpha/rates/eigen) "
                 f"changed after prepare_branch() on edge {ws.edge} — the "
@@ -660,18 +536,17 @@ class PartitionLikelihood(_PartitionAttributes):
 
     @staticmethod
     def _lengths_for(z, sel):
-        """Clipped branch length(s) in the selection's shape."""
-        if isinstance(sel, int):
-            z = float(np.ravel(z)[0]) if np.ndim(z) else float(z)
-            return min(max(z, kernel.MIN_BRANCH), kernel.MAX_BRANCH)
-        return np.minimum(
+        """Clipped branch lengths of the selected members: a float for one
+        slot (the kernel runs unbatched), else an array."""
+        z = np.minimum(
             np.maximum(np.asarray(z, dtype=np.float64), kernel.MIN_BRANCH), kernel.MAX_BRANCH
         )
+        return float(z.reshape(-1)[0]) if isinstance(sel, int) else z
 
     def branch_loglikelihood(self, ws: BranchWorkspace, z, active=None):
         """Log-likelihood as a function of the length of ``ws.edge`` with
-        everything else fixed (cheap: no traversal).  A scalar ``z`` gives
-        a float (one member); an array gives one value per active member."""
+        everything else fixed (cheap: no traversal): one value per active
+        member at its length in ``z`` (a scalar applies to every one)."""
         mask, sel, table, scale = self._workspace_part(ws, active)
         zz = self._lengths_for(z, sel)
         site = kernel.sumtable_site_likelihoods(
@@ -684,13 +559,12 @@ class PartitionLikelihood(_PartitionAttributes):
         )
         lnl = kernel.weighted_log_sum(self._weights[sel], logs)
         self._record("derivative", mask)
-        return self._shaped(lnl, z)
+        return np.atleast_1d(lnl)
 
     def branch_derivatives(self, ws: BranchWorkspace, z, active=None):
         """(dlnL/dz, d2lnL/dz2) at branch length(s) ``z`` from the
-        sumtable — the per-iteration work of Newton-Raphson.  A scalar
-        ``z`` gives two floats (one member); an array gives two arrays
-        with one value per active member."""
+        sumtable — the per-iteration work of Newton-Raphson: two arrays
+        with one value per active member at its length in ``z``."""
         mask, sel, table, scale = self._workspace_part(ws, active)
         zz = self._lengths_for(z, sel)
         eigenvalues = self._eigenvalues[sel]
@@ -704,25 +578,84 @@ class PartitionLikelihood(_PartitionAttributes):
             ),
         )
         self._record("derivative", mask)
-        return self._shaped(d1, z), self._shaped(d2, z)
-
-    @staticmethod
-    def _shaped(value, z):
-        if np.ndim(z) == 0:
-            if np.ndim(value):
-                raise ValueError("a scalar branch length needs exactly one active member")
-            return float(value)
-        return np.atleast_1d(value)
+        return np.atleast_1d(d1), np.atleast_1d(d2)
 
 
-class PartitionView(_PartitionAttributes):
+class PartitionView:
     """One partition of a :class:`PartitionLikelihood` stack, with the
-    attributes and methods of a one-partition engine.  Every call runs
-    on the stack with this member as the active set."""
+    attributes, methods and scalar results of a one-partition engine.
+    Every call runs on the stack with this member as the active set.  A
+    partition on a tree of its own is the view of a one-member stack:
+    ``PartitionView(PartitionLikelihood([data], tree, [model]), 0)``."""
 
     def __init__(self, stack: PartitionLikelihood, slot: int):
         self._stack = stack
         self._slot = slot
+
+    @property
+    def data(self) -> PartitionData:
+        return self._stack.datas[self._slot]
+
+    @property
+    def index(self) -> int:
+        return self._stack.indices[self._slot]
+
+    @property
+    def n_patterns(self) -> int:
+        return int(self._stack.widths[self._slot])
+
+    @property
+    def model(self) -> SubstitutionModel:
+        return self._stack.models[self._slot]
+
+    @model.setter
+    def model(self, model: SubstitutionModel) -> None:
+        self._stack.set_models([model], self._slot)
+
+    @property
+    def alpha(self) -> float:
+        return float(self._stack.alphas[self._slot])
+
+    @alpha.setter
+    def alpha(self, alpha: float) -> None:
+        self._stack.set_alphas(alpha, self._slot)
+
+    @property
+    def pinv(self) -> float:
+        """Proportion of invariable sites (the +I mixture component).
+
+        0.0 (the default) disables the mixture.  Changing it does NOT
+        invalidate the conditional vectors: only the root-level mixing
+        changes — proposals/optimization of pinv are therefore the
+        cheapest parameter moves of all (one evaluation, no traversal).
+        Convention: site rate is 0 with probability pinv, else
+        Gamma(alpha, alpha) with mean 1 (no renormalization; branch
+        lengths absorb the scale, as in MrBayes/PhyML).
+        """
+        return float(self._stack.pinvs[self._slot])
+
+    @pinv.setter
+    def pinv(self, value: float) -> None:
+        self._stack.set_pinvs(value, self._slot)
+
+    @property
+    def gamma_rates(self) -> np.ndarray:
+        return self._stack.rates[self._slot]
+
+    @property
+    def eigen(self) -> EigenSystem:
+        return self._stack.eigens[self._slot]
+
+    @property
+    def branch_lengths(self) -> np.ndarray:
+        """This member's ``(n_edges,)`` lengths (a view into the stack)."""
+        return self._stack.lengths[:, self._slot]
+
+    def invariant_probabilities(self) -> np.ndarray:
+        """(m,) prior mass of the states compatible with every tip at each
+        pattern (0 for variable patterns) — the invariant component's
+        per-pattern likelihood."""
+        return self._stack.invariant_probabilities(self._slot)[: self.n_patterns]
 
     @property
     def categories(self) -> int:
@@ -761,7 +694,8 @@ class PartitionView(_PartitionAttributes):
         return self._stack.prepare_branch(edge, self._slot)
 
     def branch_loglikelihood(self, ws: BranchWorkspace, z: float) -> float:
-        return self._stack.branch_loglikelihood(ws, float(z), self._slot)
+        return float(self._stack.branch_loglikelihood(ws, z, self._slot)[0])
 
     def branch_derivatives(self, ws: BranchWorkspace, z: float) -> tuple[float, float]:
-        return self._stack.branch_derivatives(ws, float(z), self._slot)
+        d1, d2 = self._stack.branch_derivatives(ws, z, self._slot)
+        return float(d1[0]), float(d2[0])

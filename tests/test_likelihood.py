@@ -11,6 +11,7 @@ from repro.plk import (
     Alignment,
     EigenSystem,
     PartitionLikelihood,
+    PartitionView,
     PartitionedAlignment,
     SubstitutionModel,
     Tree,
@@ -24,9 +25,10 @@ from repro.seqgen import random_topology_with_lengths, simulate_alignment
 def make_engine(alignment, tree, lengths, model=None, alpha=0.9):
     scheme = uniform_scheme(alignment.n_sites, alignment.n_sites, alignment.datatype)
     data = PartitionedAlignment(alignment, scheme)
-    engine = PartitionLikelihood(
-        data.data[0], tree, model or SubstitutionModel.random_gtr(1), alpha=alpha
+    stack = PartitionLikelihood(
+        [data.data[0]], tree, [model or SubstitutionModel.random_gtr(1)], alpha=alpha
     )
+    engine = PartitionView(stack, 0)
     engine.set_branch_lengths(lengths)
     return engine
 

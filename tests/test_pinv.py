@@ -7,6 +7,7 @@ from repro.plk import (
     Alignment,
     PartitionedAlignment,
     PartitionLikelihood,
+    PartitionView,
     SubstitutionModel,
     uniform_scheme,
 )
@@ -31,7 +32,7 @@ def mixed_data():
 
 
 def make_engine(data, tree, lengths, model, pinv=0.0):
-    part = PartitionLikelihood(data.data[0], tree, model, alpha=1.0)
+    part = PartitionView(PartitionLikelihood([data.data[0]], tree, [model], alpha=1.0), 0)
     part.set_branch_lengths(lengths)
     part.pinv = pinv
     return part

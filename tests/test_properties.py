@@ -10,11 +10,16 @@ from repro.optimize import BatchedNewton, newton_optimize
 from repro.plk import (
     PartitionedAlignment,
     PartitionLikelihood,
+    PartitionView,
     SubstitutionModel,
     induced_subtree,
     uniform_scheme,
 )
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
+
+
+def one_partition(data, tree, model, alpha):
+    return PartitionView(PartitionLikelihood([data], tree, [model], alpha=alpha), 0)
 
 
 def make_case(seed: int, n_taxa: int, n_sites: int = 120):
@@ -24,7 +29,7 @@ def make_case(seed: int, n_taxa: int, n_sites: int = 120):
     alpha = float(np.exp(rng.normal(0, 0.4)))
     aln = simulate_alignment(tree, lengths, model, alpha, n_sites, rng)
     data = PartitionedAlignment(aln, uniform_scheme(n_sites, n_sites))
-    engine = PartitionLikelihood(data.data[0], tree, model, alpha=alpha)
+    engine = one_partition(data.data[0], tree, model, alpha)
     engine.set_branch_lengths(lengths)
     return tree, lengths, model, alpha, aln, engine
 
@@ -59,7 +64,7 @@ class TestRootInvariance:
         data2 = PartitionedAlignment(aln2, uniform_scheme(aln.n_sites, aln.n_sites))
         # leaf ids in the tree still refer to rows of data2 in taxa order;
         # swapping both leaves and rows is a no-op overall:
-        engine2 = PartitionLikelihood(data2.data[0], tree, model, alpha=alpha)
+        engine2 = one_partition(data2.data[0], tree, model, alpha)
         engine2.set_branch_lengths(lengths)
         # row i of data2 is old taxon perm[i]; tree leaf i expects taxon
         # aln.taxa[i] -> so this equals swapping leaves 0/1 AND their data:
@@ -79,7 +84,7 @@ class TestRootInvariance:
             aln.taxa, np.concatenate([aln.matrix, aln.matrix], axis=1), aln.datatype
         )
         d2 = PartitionedAlignment(doubled, uniform_scheme(160, 160))
-        e2 = PartitionLikelihood(d2.data[0], tree, model, alpha=alpha)
+        e2 = one_partition(d2.data[0], tree, model, alpha)
         e2.set_branch_lengths(lengths)
         assert e2.loglikelihood(0) == pytest.approx(
             2 * engine.loglikelihood(0), rel=1e-10
@@ -143,7 +148,7 @@ class TestInducedSubtrees:
 
         gappy_aln = Alignment(aln.taxa, mat, aln.datatype)
         data = PartitionedAlignment(gappy_aln, uniform_scheme(60, 60))
-        full = PartitionLikelihood(data.data[0], tree, model, alpha=1.0)
+        full = one_partition(data.data[0], tree, model, 1.0)
         full.set_branch_lengths(lengths)
         gap = GappyEngine(
             data, tree, models=[model], alphas=[1.0], initial_lengths=lengths

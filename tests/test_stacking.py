@@ -19,6 +19,7 @@ from repro.plk import (
     PartitionData,
     PartitionedAlignment,
     PartitionLikelihood,
+    PartitionView,
     SubstitutionModel,
     discrete_gamma_rates,
     kernel,
@@ -166,7 +167,9 @@ class _Singles:
 
     def __init__(self, blocks, tree, models, alphas, lengths, recorder):
         self.parts = [
-            PartitionLikelihood(b, tree, m, alpha=a, index=i, recorder=recorder)
+            PartitionView(
+                PartitionLikelihood([b], tree, [m], alpha=a, index=[i], recorder=recorder), 0
+            )
             for i, (b, m, a) in enumerate(zip(blocks, models, alphas))
         ]
         for part in self.parts:
@@ -272,6 +275,21 @@ class TestStackMethods:
         got = stack.loglikelihoods(5)
         close(got[[0, 2, 3]], np.array(want)[[0, 2, 3]])
         assert np.isneginf(got[1]) and np.isneginf(want[1])
+
+    @pytest.mark.parametrize("root", [4, 0])
+    @pytest.mark.parametrize("slots", [[0], [0, 2]], ids=["one", "strided"])
+    def test_reverted_member_length_reaches_whole_stack(self, dataset, slots, root):
+        """A rejected trial: some members' length of edge 4 is changed,
+        evaluated on those members alone, and put back.  The whole stack
+        must then read the restored length's P(t), at the trial edge as
+        root and through a traversal."""
+        stack, singles, _, _ = self._pair(dataset)
+        stack.loglikelihoods(root)
+        old = stack.lengths[4, slots].copy()
+        stack.set_branch_length(4, 1.7, slots)
+        stack.loglikelihoods(4, slots)
+        stack.set_branch_length(4, old, slots)
+        close(stack.loglikelihoods(root), [p.loglikelihood(root) for p in singles.parts])
 
     def test_stale_workspace_refused_per_member(self, dataset):
         stack, _, _, _ = self._pair(dataset)
