@@ -24,16 +24,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Job", "JobQueue", "JobState", "FINISHED_RETAINED"]
-
-#: Terminal jobs the queue keeps queryable by id; older ones are dropped
-#: first, so a long-running service's job table does not grow with every
-#: job it has ever served.
-FINISHED_RETAINED = 1024
+__all__ = ["Job", "JobQueue", "JobState"]
 
 
 class JobState:
@@ -50,7 +44,7 @@ class JobState:
     TERMINAL = frozenset({DONE, FAILED, CANCELLED, EXPIRED})
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One unit of service work: an operation against a dataset context.
 
@@ -76,6 +70,13 @@ class Job:
     finished_at: float | None = None
     _seq: int = 0
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
+
+    def _release(self) -> None:
+        """Wake the job's waiters (it is terminal now), then give it the
+        shared set event: a finished job kept in the queue's table holds
+        no lock, condition or waiter deque of its own."""
+        self._done.set()
+        self._done = _TERMINAL
 
     @property
     def finished(self) -> bool:
@@ -105,6 +106,11 @@ class Job:
         return out
 
 
+#: The already-set event every terminal job waits on.
+_TERMINAL = threading.Event()
+_TERMINAL.set()
+
+
 class JobQueue:
     """Thread-safe priority queue with per-tenant fair sharing.
 
@@ -119,7 +125,6 @@ class JobQueue:
         self._ready = threading.Condition(self._lock)
         self._pending: list[Job] = []
         self._jobs: dict[str, Job] = {}
-        self._finished: deque[str] = deque()
         self._seq = itertools.count()
         #: Cumulative served cost per tenant (fairness counters).
         self.tenant_served: dict[str, float] = {}
@@ -153,13 +158,6 @@ class JobQueue:
     def _claim_key(self, job: Job):
         return (-job.priority, self.tenant_served.get(job.tenant, 0.0), job._seq)
 
-    def _retire_locked(self, job: Job) -> None:
-        """Record a job that just became terminal; forget the oldest
-        terminal jobs beyond :data:`FINISHED_RETAINED`."""
-        self._finished.append(job.id)
-        while len(self._finished) > FINISHED_RETAINED:
-            self._jobs.pop(self._finished.popleft(), None)
-
     def _reap_locked(self, now: float) -> list[Job]:
         expired = [
             j for j in self._pending
@@ -173,8 +171,7 @@ class JobQueue:
                 "message": f"queued longer than timeout={job.timeout}s",
             }
             job.finished_at = now
-            job._done.set()
-            self._retire_locked(job)
+            job._release()
         return expired
 
     def reap(self) -> list[Job]:
@@ -242,8 +239,7 @@ class JobQueue:
             job.result = result
             job.error = error
             job.finished_at = time.time()
-            job._done.set()
-            self._retire_locked(job)
+            job._release()
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a PENDING job.  Returns False if unknown, already
@@ -256,8 +252,7 @@ class JobQueue:
             job.state = JobState.CANCELLED
             job.error = {"type": "cancelled", "message": "cancelled by client"}
             job.finished_at = time.time()
-            job._done.set()
-            self._retire_locked(job)
+            job._release()
             return True
 
     def close(self) -> None:

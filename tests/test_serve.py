@@ -107,25 +107,31 @@ class TestJobQueue:
         t.join(timeout=5)
         assert got == [None]
 
-    def test_job_table_keeps_only_recent_terminal_jobs(self):
-        """A long-running service must not hold every job it ever
-        served: the oldest terminal jobs are forgotten first, running
-        and pending ones never."""
-        from repro.serve.queue import FINISHED_RETAINED
-
+    def test_terminal_jobs_stay_queryable_and_share_one_event(self):
+        """Every finished job stays in the table (its result can be read
+        any time later), but holds no event of its own once terminal."""
         q = JobQueue()
-        running = q.submit(_job("running"))
-        q.claim(0)
-        n = FINISHED_RETAINED + 5
-        for k in range(n):
-            q.submit(_job(f"j{k}"))
-            q.finish(q.claim(0), result={})
-        pending = q.submit(_job("pending"))
-        assert q.get("j0") is None and q.get("j4") is None
-        assert q.get("j5").state == JobState.DONE
-        assert q.get(f"j{n - 1}") is not None
-        assert q.get("running") is running and q.get("pending") is pending
-        assert sum(q.snapshot()["jobs"].values()) == FINISHED_RETAINED + 2
+        jobs = []
+        for k in range(3):
+            jobs.append(q.submit(_job(f"j{k}")))
+            q.finish(q.claim(0), result={"k": k})
+        q.cancel(q.submit(_job("c")).id)
+        pending = q.submit(_job("p"))
+        assert [q.get(f"j{k}").result for k in range(3)] == [{"k": 0}, {"k": 1}, {"k": 2}]
+        assert q.get("c").state == JobState.CANCELLED
+        assert all(j.wait(0) for j in jobs) and q.get("c").wait(0)
+        assert len({id(j._done) for j in jobs} | {id(q.get("c")._done)}) == 1
+        assert not pending.wait(0) and pending._done is not jobs[0]._done
+
+    def test_waiter_blocked_before_finish_is_woken(self):
+        q = JobQueue()
+        job = q.submit(_job("w"))
+        woke = []
+        t = threading.Thread(target=lambda: woke.append(job.wait(10)))
+        t.start()
+        q.finish(q.claim(0), result={})
+        t.join(timeout=5)
+        assert woke == [True]
 
 
 # ---------------------------------------------------------------------------
