@@ -7,11 +7,10 @@ handful of raw memoryview stores.  Two instruments gate that contract:
 
 *Instrument cost vs broadcast cost* (the hard <2% gate) — the exact
 per-broadcast instrument cost is measured in isolation (the recorder
-event pair; the writer's begin/done/wait cycle, counted once per worker
-since the GIL serializes the stores) and compared against the measured
-per-broadcast wall time of a compute-bound likelihood workload with the
-plane OFF.  Both quantities are stable on a shared host, so this is the
-assertion that survives CI.
+event pair; the writer's begin/done/wait cycle, counted once per
+worker) and compared against the measured per-broadcast wall time of a
+compute-bound likelihood workload with the plane OFF.  Both quantities
+are stable on a shared host, so this is the assertion that survives CI.
 
 *End-to-end paired runs* (reported, sanity-bounded) — the same workload
 with the plane enabled and disabled, interleaved round-robin.  On an
@@ -104,7 +103,7 @@ def test_live_plane_overhead_under_budget(results_dir):
 
     def team(live):
         return ParallelPLK(
-            data, tree, models, alphas, WORKERS, backend="threads",
+            data, tree, models, alphas, WORKERS,
             initial_lengths=lengths, live=live,
         )
 
@@ -136,7 +135,7 @@ def test_live_plane_overhead_under_budget(results_dir):
     samples = live.sample()  # final rows survive close()
     lines = [
         "BENCH live overhead: compute-bound lnl broadcasts, "
-        f"{WORKERS} thread workers, {N_PARTS}x{PART_LEN} sites",
+        f"{WORKERS} worker processes, {N_PARTS}x{PART_LEN} sites",
         f"  per-broadcast compute (live off): {broadcast * 1e6:8.1f} us",
         f"  instrument cost: {instrument * 1e6:6.2f} us "
         f"(recorder pair {recorder_pair * 1e6:.2f} + "

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import write_result
-from repro.obs import summarize_profiles
 from repro.parallel import ParallelPLK
-from repro.perf import Profiler, compare_strategies
+from repro.perf import Profiler, compare_strategies, summarize_profiles
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
 
@@ -42,7 +41,7 @@ def test_real1_branch_opt_wallclock(benchmark, setup, strategy, results_dir):
 
     with ParallelPLK(
         data, tree, models, alphas, WORKERS,
-        backend="processes", initial_lengths=lengths,
+        initial_lengths=lengths,
     ) as team:
         start_cmds = team.commands_issued
 
@@ -73,7 +72,7 @@ def test_real1_new_issues_fewer_commands(setup, results_dir):
     for strategy in ("old", "new"):
         with ParallelPLK(
             data, tree, models, alphas, WORKERS,
-            backend="processes", initial_lengths=lengths,
+            initial_lengths=lengths,
         ) as team:
             t0 = time.perf_counter()
             team.optimize_branches(list(range(8)), strategy)
@@ -107,7 +106,7 @@ def test_real1_measured_profile(setup, results_dir):
         })
         with ParallelPLK(
             data, tree, models, alphas, WORKERS,
-            backend="processes", initial_lengths=lengths, profiler=profiler,
+            initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.optimize_branches(list(range(6)), strategy)
         profiles[strategy] = profiler.profile()

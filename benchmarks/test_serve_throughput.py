@@ -43,7 +43,7 @@ def _cold_submission(context) -> tuple[float, float]:
     """One cold one-shot: full build (fork) + lnl + teardown."""
     t0 = time.perf_counter()
     with ParallelPLK(context.data, context.tree, context.models,
-                     context.alphas, n_workers=WORKERS, backend="processes",
+                     context.alphas, n_workers=WORKERS,
                      initial_lengths=context.lengths) as eng:
         lnl = eng.loglikelihood(0)
     return time.perf_counter() - t0, lnl
@@ -62,7 +62,6 @@ def test_serv1_warm_pool_vs_cold_oneshot(results_dir):
 
     svc = LikelihoodService(ServiceConfig(
         workers=WORKERS, executors=1, pool_capacity=1,
-        backend="processes",
     ))
     warm_times, warm_lnls = [], []
     with svc:

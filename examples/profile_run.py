@@ -3,7 +3,7 @@
 The simulator (`examples/load_balance_study.py`) *predicts* per-thread
 busy, idle and synchronization time from a captured schedule; this script
 *measures* the same decomposition with `repro.perf` on the actual
-thread/process backends, then puts prediction and measurement side by side
+worker processes, then puts prediction and measurement side by side
 with the shared `decomposition()` vocabulary.
 
 What to look for in the output:
@@ -44,13 +44,13 @@ def main() -> None:
     print(f"{PARTITIONS} partitions, {WORKERS} worker processes, "
           f"{len(EDGES)} branches per strategy\n")
 
-    # -- measure both strategies on the real processes backend ------------
+    # -- measure both strategies on the real worker team -----------------
     profiles = {}
     for strategy in ("old", "new"):
         profiler = Profiler(meta={"strategy": strategy})
         with ParallelPLK(
             data, tree, models, alphas, WORKERS,
-            backend="processes", initial_lengths=lengths, profiler=profiler,
+            initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.optimize_branches(EDGES, strategy)
         profiles[strategy] = profiler.profile()

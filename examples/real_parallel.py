@@ -38,7 +38,7 @@ def main() -> None:
     for strategy in ("old", "new"):
         with ParallelPLK(
             data, tree, models, alphas, WORKERS,
-            backend="processes", initial_lengths=lengths,
+            initial_lengths=lengths,
         ) as team:
             lnl0 = team.loglikelihood()
             t0 = time.perf_counter()

@@ -16,7 +16,7 @@ Subpackages
     The paper's contribution: the partitioned engine, the oldPAR/newPAR
     scheduling strategies, and kernel-op trace capture.
 ``repro.parallel``
-    Real thread/process master-worker backends.
+    The real master-worker team of forked processes.
 ``repro.simmachine``
     The simulated multicore testbed (Nehalem, Clovertown, Barcelona,
     Sun x4600) replaying captured traces.

@@ -12,7 +12,7 @@ Subcommands
     Capture a paper experiment's schedule and replay it on the simulated
     platforms (regenerates Figure-3-style tables from the shell).
 ``profile``
-    Run oldPAR vs newPAR on the *real* thread/process backends with the
+    Run oldPAR vs newPAR on the *real* worker team with the
     :mod:`repro.perf` profiler attached and report each run's measured
     per-worker busy/idle decomposition (the hardware analogue of what
     ``replay`` predicts).
@@ -25,7 +25,7 @@ Subcommands
 ``balance``
     Compare all four pattern-distribution policies (``cyclic``, ``block``,
     ``weighted``, ``lpt``) on one workload: per-thread load as *predicted*
-    by the machine simulator and as *measured* on a real parallel backend,
+    by the machine simulator and as *measured* on the real worker team,
     each summarized by the imbalance ratio (max/mean thread busy time;
     1.0 = perfect).  ``--rebalance`` additionally demonstrates the
     measured-feedback loop: warmup run -> calibrated cost model ->
@@ -36,10 +36,9 @@ Subcommands
     heartbeat age, commands/s and the live imbalance ratio.  Runs a
     workload itself (rendering while it executes) or attaches to another
     process's plane by shared-memory segment name (``--plane``).
-``perfcheck``
-    Re-run the committed perf-smoke workload and diff its structural and
-    relative-performance summary against the committed baseline
-    (:mod:`repro.obs.regression`); non-zero exit on regression.
+``serve`` / ``submit``
+    The likelihood daemon (warm team pool behind a unix socket) and its
+    one-shot client (``docs/SERVICE.md``).
 
 Examples
 --------
@@ -51,12 +50,10 @@ Examples
         --partitions data/d20_5000.part --search --strategy new
     python -m repro replay --dataset d50_50000_p1000 --analysis search \
         --candidates 60
-    python -m repro profile --workers 4 --backend processes \
-        --partitions 10 --warmup --out profile.json
+    python -m repro profile --workers 4 --partitions 10 --warmup \
+        --out profile.json
     python -m repro balance --workers 4 --partitions 10 --rebalance
-    python -m repro timeline --workers 4 --backend processes \
-        --out timeline_trace.json
-    python -m repro perfcheck --baseline benchmarks/baselines/perf_smoke.json
+    python -m repro timeline --workers 4 --out timeline_trace.json
 """
 from __future__ import annotations
 
@@ -124,13 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--distribution", choices=DISTRIBUTIONS,
                      default="cyclic")
 
-    def add_workload_args(p, workers_default: int = 4) -> None:
+    def add_workload_args(p) -> None:
         p.add_argument("--taxa", type=int, default=12)
         p.add_argument("--sites", type=int, default=2_000)
         p.add_argument("--partitions", type=int, default=10)
-        p.add_argument("--workers", type=int, default=workers_default)
-        p.add_argument("--backend", choices=("threads", "processes"),
-                       default="processes")
+        p.add_argument("--workers", type=int, default=4)
         p.add_argument("--distribution", choices=DISTRIBUTIONS,
                        default="cyclic")
         p.add_argument("--edges", type=int, default=6,
@@ -153,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="measure oldPAR vs newPAR on the real parallel backends",
+        help="measure oldPAR vs newPAR on the real worker team",
     )
     add_workload_args(prof)
     prof.add_argument("--warmup", action="store_true",
@@ -216,22 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "busy worker is reported stalled")
     top.set_defaults(live=True)
 
-    chk = sub.add_parser(
-        "perfcheck",
-        help="run the perf-smoke workload and diff against the committed "
-        "baseline (non-zero exit on regression)",
-    )
-    chk.add_argument("--baseline", default="benchmarks/baselines/perf_smoke.json",
-                     help="baseline summary path (default: %(default)s)")
-    chk.add_argument("--update", action="store_true",
-                     help="freeze the fresh measurements as the new baseline "
-                     "instead of checking against it")
-    chk.add_argument("--out-trace",
-                     help="also write the newPAR run's Chrome trace-event "
-                     "JSON here (CI artifact)")
-    add_workload_args(chk, workers_default=2)
-    chk.set_defaults(taxa=8, sites=400, partitions=6, edges=4, backend="threads")
-
     srv = sub.add_parser(
         "serve",
         help="run the likelihood daemon: warm team pool + job queue "
@@ -241,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="unix socket path (default: %(default)s)")
     srv.add_argument("--workers", type=int, default=2,
                      help="workers per team (default: %(default)s)")
-    srv.add_argument("--backend", choices=("threads", "processes"),
-                     default="threads")
     srv.add_argument("--distribution", choices=DISTRIBUTIONS, default="cyclic")
     srv.add_argument("--executors", type=int, default=2,
                      help="concurrent job executors (default: %(default)s)")
@@ -298,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_workload(args: argparse.Namespace) -> str | None:
-    """Sanity-check the shared profile/timeline/perfcheck workload flags;
+    """Sanity-check the shared profile/timeline/balance/top workload flags;
     returns an error string (for stderr) or None."""
     if min(args.partitions, args.workers, args.edges, args.sites) < 1:
         return "--partitions, --workers, --edges and --sites must be >= 1"
@@ -504,15 +481,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profiled_strategies(
-    args: argparse.Namespace, warmup: bool = False, lives: dict | None = None
-) -> dict:
+def _run_profiled_strategies(args: argparse.Namespace, lives: dict) -> dict:
     """Run the shared workload under both strategies with a profiler
     attached; returns ``{"old": RunProfile, "new": RunProfile}``.
 
     With ``--live`` a fresh :class:`~repro.obs.live.LiveTelemetry` is
-    bound per strategy run; pass ``lives`` (an out-dict) to receive them
-    keyed by strategy.
+    bound per strategy run and stored in ``lives`` (an out-dict) keyed
+    by strategy.
     """
     from .parallel import ParallelPLK
     from .perf import Profiler
@@ -521,23 +496,21 @@ def _run_profiled_strategies(
     profiles = {}
     for strategy in ("old", "new"):
         live = None
-        if getattr(args, "live", False):
+        if args.live:
             from .obs import LiveTelemetry
 
-            live = LiveTelemetry(events_path=getattr(args, "events", None))
-            if lives is not None:
-                lives[strategy] = live
+            live = lives[strategy] = LiveTelemetry(events_path=args.events)
         profiler = Profiler(meta={
             "strategy": strategy, "taxa": args.taxa, "sites": data.scheme.n_sites,
             "partitions": data.n_partitions, "edges": len(edges),
-            "seed": args.seed, "warmup": bool(warmup),
+            "seed": args.seed, "warmup": bool(args.warmup),
         })
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
-            backend=args.backend, distribution=args.distribution,
+            distribution=args.distribution,
             initial_lengths=lengths, profiler=profiler, live=live,
         ) as team:
-            if warmup:
+            if args.warmup:
                 # Untimed pass absorbs worker start-up / allocator / cache
                 # warm-up; the measured pass then starts from the warmed
                 # (partially optimized) state.
@@ -567,13 +540,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         f"profiling {args.partitions} partitions x "
         f"~{max(args.sites // args.partitions, 1)} sites, "
-        f"{args.workers} {args.backend} workers, {args.edges} branches"
+        f"{args.workers} workers, {args.edges} branches"
         + (", alpha" if args.alpha else "")
         + (", warmup pass" if args.warmup else "")
         + (", live plane" if args.live else "")
     )
     lives: dict = {}
-    profiles = _run_profiled_strategies(args, warmup=args.warmup, lives=lives)
+    profiles = _run_profiled_strategies(args, lives)
     for strategy in ("old", "new"):
         prof = profiles[strategy]
         print(f"\n{strategy}PAR\n{prof.summary()}")
@@ -649,12 +622,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         profiler = Profiler(meta={"strategy": args.strategy})
         print(
             f"tracing {data.n_partitions} partitions, {args.workers} "
-            f"{args.backend} workers, {len(edges)} branches, "
+            f"workers, {len(edges)} branches, "
             f"strategy={args.strategy}"
         )
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
-            backend=args.backend, distribution=args.distribution,
+            distribution=args.distribution,
             initial_lengths=lengths, profiler=profiler,
             tracer=tracer, metrics=metrics, telemetry=telemetry,
             live=bool(getattr(args, "live", False)),
@@ -725,7 +698,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     data, tree, lengths, models, alphas, edges = _build_workload(args)
     print(f"balance study: {data.n_partitions} partitions x "
           f"~{max(args.sites // args.partitions, 1)} sites, "
-          f"{args.workers} {args.backend} workers, {len(edges)} branches, "
+          f"{args.workers} workers, {len(edges)} branches, "
           f"strategy={args.strategy}, platform={machine.name}")
 
     # Capture the schedule once with a sequential pass over the same work
@@ -746,7 +719,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         })
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
-            backend=args.backend, distribution=policy,
+            distribution=policy,
             initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.optimize_branches(edges, args.strategy)
@@ -766,7 +739,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         print(f"  predicted ({machine.name} T={args.workers}) "
               f"busy/thread [ms]: {fmt_busy(sim.busy_seconds)}   "
               f"imbalance {sim.imbalance:.3f}")
-        print(f"  measured  ({args.backend} x{args.workers}) "
+        print(f"  measured  (processes x{args.workers}) "
               f"busy/thread [ms]: {fmt_busy(prof.busy_seconds)}   "
               f"imbalance {prof.imbalance:.3f}")
 
@@ -846,7 +819,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     with ParallelPLK(
         data, tree, models, alphas, args.workers,
-        backend=args.backend, distribution=args.distribution,
+        distribution=args.distribution,
         initial_lengths=lengths, metrics=metrics, live=live,
     ) as team:
         print(f"live plane segment: {live.plane.name}  "
@@ -878,60 +851,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perfcheck(args: argparse.Namespace) -> int:
-    from .obs import check_profiles, load_baseline, write_baseline
-
-    baseline_path = Path(args.baseline)
-    baseline = None
-    if not args.update:
-        if not baseline_path.exists():
-            print(f"error: baseline {baseline_path} not found "
-                  "(run with --update to create it)", file=sys.stderr)
-            return 2
-        baseline = load_baseline(baseline_path)
-        # Re-run exactly the workload the baseline froze; CLI workload
-        # flags only shape a --update run.
-        for key, value in baseline.get("workload", {}).items():
-            setattr(args, key, value)
-
-    error = _validate_workload(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(f"perf-smoke workload: {args.partitions} partitions, "
-          f"{args.workers} {args.backend} workers, {args.edges} branches"
-          + (", alpha" if args.alpha else ""))
-    profiles = _run_profiled_strategies(args, warmup=True)
-
-    if args.out_trace:
-        from .obs import profile_to_chrome, write_chrome_trace
-
-        out = write_chrome_trace(args.out_trace, profile_to_chrome(profiles["new"]))
-        print(f"wrote {out}")
-
-    if args.update:
-        workload = {
-            key: getattr(args, key)
-            for key in ("taxa", "sites", "partitions", "workers", "backend",
-                        "distribution", "edges", "alpha", "seed")
-        }
-        write_baseline(baseline_path, profiles, workload)
-        print(f"froze baseline {baseline_path}")
-        return 0
-
-    report = check_profiles(profiles, baseline)
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.daemon import LikelihoodService, ServiceConfig, serve_forever
 
     try:
         config = ServiceConfig(
             workers=args.workers,
-            backend=args.backend,
             distribution=args.distribution,
             executors=args.executors,
             pool_capacity=args.pool_capacity,
@@ -946,7 +871,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     service = LikelihoodService(config)
     print(f"repro serve: {args.executors} executors, pool capacity "
-          f"{args.pool_capacity}, {args.workers}-worker {args.backend} teams; "
+          f"{args.pool_capacity}, {args.workers}-worker teams; "
           f"listening on {args.socket}",
           flush=True)
     serve_forever(service, args.socket)
@@ -1005,7 +930,6 @@ def main(argv: list[str] | None = None) -> int:
         "balance": _cmd_balance,
         "timeline": _cmd_timeline,
         "top": _cmd_top,
-        "perfcheck": _cmd_perfcheck,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
     }

@@ -181,7 +181,7 @@ def optimize_branch(
 
     if strategy == "new":
         solver = BatchedNewton(BRANCH_MIN, BRANCH_MAX, ztol, max_iter)
-        # Fused opening region (the parallel backends' prepare+deriv
+        # Fused opening region (the worker team's prepare+deriv
         # Program): sumtable setup and the first derivative pass share
         # ONE region — one broadcast/barrier instead of two.  The
         # simulator charges dispatch + barrier once per region, so the

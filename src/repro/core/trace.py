@@ -46,7 +46,7 @@ __all__ = [
 KNOWN_OPS = ("newview", "sumtable", "derivative", "evaluate")
 
 # Region kinds shared between the simulator's predicted schedule and the
-# real backends' measured schedule (repro.perf).  The first four are the
+# real team's measured schedule (repro.perf).  The first four are the
 # kernel ops above; "control" covers parameter updates and bookkeeping
 # commands whose cost is pure synchronization (no per-pattern work).
 REGION_KINDS = KNOWN_OPS + ("control",)

@@ -1,5 +1,5 @@
 """Observability for analysis runs: span tracing, metrics, convergence
-telemetry, timeline export, and perf-regression checking.
+telemetry and timeline export.
 
 Four composable pieces, each with a zero-overhead null default (mirroring
 :class:`~repro.perf.profiler.NullProfiler`):
@@ -14,7 +14,7 @@ Four composable pieces, each with a zero-overhead null default (mirroring
   per-partition convergence boolean vector recorded per iteration;
 * exporters — Chrome trace-event JSON (loadable in Perfetto) and an ASCII
   terminal timeline, from live traces, measured RunProfiles, or simulated
-  SimulationResults; plus baseline regression checks for CI.
+  SimulationResults.
 
 A fifth, RUNTIME piece lives in :mod:`repro.obs.live` (``live=True`` on
 :class:`~repro.parallel.ParallelPLK`): per-worker shared-memory heartbeat
@@ -51,14 +51,6 @@ from .live import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NullMetrics
 from .prometheus import prometheus_text
-from .regression import (
-    RegressionReport,
-    check_profiles,
-    load_baseline,
-    profile_summary,
-    summarize_profiles,
-    write_baseline,
-)
 from .tracer import MASTER_LANE, NullTracer, Span, Tracer
 
 __all__ = [
@@ -92,10 +84,4 @@ __all__ = [
     "validate_chrome_trace",
     "ascii_timeline",
     "profile_ascii_timeline",
-    "RegressionReport",
-    "check_profiles",
-    "load_baseline",
-    "profile_summary",
-    "summarize_profiles",
-    "write_baseline",
 ]

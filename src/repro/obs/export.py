@@ -3,8 +3,8 @@
 Three sources feed the same timeline shape — one *master* lane (the
 command stream) plus one lane per worker:
 
-* a live :class:`~repro.obs.tracer.Tracer` (real timestamps; the parallel
-  backends synthesize worker busy spans from measured execute seconds);
+* a live :class:`~repro.obs.tracer.Tracer` (real timestamps; the worker
+  team synthesizes worker busy spans from measured execute seconds);
 * a measured :class:`~repro.perf.profile.RunProfile` (no absolute
   timestamps are stored, so commands are laid back to back — each record's
   wall time on the master lane, each worker's busy seconds inside it);

@@ -145,16 +145,24 @@ def sample_plane(
 # -- flight recorder -----------------------------------------------------
 
 
+def _event_dict(entry: tuple) -> dict:
+    """A recorder entry ``(seq, t, event, fields)`` as its event dict."""
+    seq, t, event, fields = entry
+    return {"seq": seq, "t": t, "event": event, **fields}
+
+
 class FlightRecorder:
     """Bounded ring buffer of structured run events.
 
-    Events are small dicts (``seq``, wall-clock ``t``, ``event`` name,
-    free-form fields) appended under a lock — the master's broadcast
+    Each event is a ``seq`` number, a wall-clock ``t``, an ``event`` name
+    and free-form fields, appended under a lock — the master's broadcast
     loop, a :class:`HealthMonitor` thread and a
     :class:`~repro.parallel.balance.Rebalancer` may all record
-    concurrently.  The buffer keeps the LAST ``capacity`` events, so a
-    post-mortem always shows the moments before the failure, however
-    long the run.
+    concurrently.  The ring stores plain ``(seq, t, event, fields)``
+    tuples, so the per-broadcast :meth:`record` builds no dict;
+    :meth:`events` and :meth:`dump` build them on the way out.  The
+    buffer keeps the LAST ``capacity`` events, so a post-mortem always
+    shows the moments before the failure, however long the run.
     """
 
     enabled = True
@@ -163,7 +171,7 @@ class FlightRecorder:
         if capacity < 1:
             raise ValueError("need capacity >= 1")
         self.capacity = capacity
-        self._events: deque[dict] = deque(maxlen=capacity)
+        self._events: deque[tuple] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
 
@@ -171,19 +179,26 @@ class FlightRecorder:
         with self._lock:
             return len(self._events)
 
-    def record(self, event: str, **fields) -> dict:
-        """Append one event; returns the stored dict (stamped seq + t)."""
-        entry = {"seq": 0, "t": time.time(), "event": event, **fields}
+    def record(self, event: str, **fields) -> None:
+        """Append one event, stamped with the next ``seq`` and ``t``."""
+        self._append(event, fields)
+
+    def _append(self, event: str, fields: dict) -> tuple:
+        # record() without re-packing the fields, returning the stored
+        # entry: LiveTelemetry calls this twice per broadcast and streams
+        # the entry.
+        t = time.time()
         with self._lock:
             self._seq += 1
-            entry["seq"] = self._seq
+            entry = (self._seq, t, event, fields)
             self._events.append(entry)
         return entry
 
     def events(self) -> list[dict]:
-        """The buffered events, oldest first."""
+        """The buffered events as dicts, oldest first."""
         with self._lock:
-            return list(self._events)
+            entries = list(self._events)
+        return [_event_dict(entry) for entry in entries]
 
     def clear(self) -> None:
         with self._lock:
@@ -207,8 +222,8 @@ class NullFlightRecorder:
     def __len__(self) -> int:
         return 0
 
-    def record(self, event: str, **fields) -> dict:
-        return {}
+    def record(self, event: str, **fields) -> None:
+        return None
 
     def events(self) -> list[dict]:
         return []
@@ -417,11 +432,10 @@ class LiveTelemetry:
         self.record("run_start", plane=plane.name, **self.run_config)
         return self
 
-    def record(self, event: str, **fields) -> dict:
-        entry = self.recorder.record(event, **fields)
+    def record(self, event: str, **fields) -> None:
+        entry = self.recorder._append(event, fields)
         if self.events_path is not None:
-            self._stream(entry)
-        return entry
+            self._stream(_event_dict(entry))
 
     def postmortem(self, reason: str, rank: int | None = None) -> str | None:
         """Dump the flight recorder as a JSONL post-mortem file.
@@ -535,8 +549,8 @@ class NullLiveTelemetry:
     def bind(self, plane, metrics=None, run_config=None) -> "NullLiveTelemetry":
         return self
 
-    def record(self, event: str, **fields) -> dict:
-        return {}
+    def record(self, event: str, **fields) -> None:
+        return None
 
     def postmortem(self, reason: str, rank: int | None = None) -> None:
         return None

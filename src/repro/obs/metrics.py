@@ -1,14 +1,13 @@
 """A small thread-safe metrics registry: counters, gauges, histograms.
 
-The parallel backends and the optimizers publish machine-readable run
+The worker team and the optimizers publish machine-readable run
 statistics here — broadcasts by region kind, the barrier-wait
 distribution, per-partition iterations-to-convergence — so a run can be
-summarized, diffed against a baseline (:mod:`repro.obs.regression`) or
-shipped to any metrics sink as one JSON snapshot.
+summarized or shipped to any metrics sink as one JSON snapshot.
 
 Instruments are created on first use (``registry.counter("x").inc()``)
-and every mutation is lock-protected, because the ``threads`` backend's
-workers may publish concurrently with the master.  :class:`NullMetrics`
+and every mutation is lock-protected, because the service's executor
+threads share one registry and publish concurrently.  :class:`NullMetrics`
 is the zero-overhead default: hot paths guard with
 ``if metrics.enabled:`` and never reach a method call.
 """

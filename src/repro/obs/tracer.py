@@ -7,7 +7,7 @@ monotonic clock so they can be exported as a Chrome trace-event timeline
 (:mod:`repro.obs.export`) and inspected in Perfetto.
 
 Spans carry a ``lane``: lane 0 is the master's command stream; lanes
-``1..W`` are the worker timelines (the parallel backends synthesize worker
+``1..W`` are the worker timelines (the worker team synthesizes worker
 busy spans from each command's measured per-worker execute seconds).
 
 :class:`NullTracer` is the default everywhere a tracer is accepted and

@@ -1,6 +1,6 @@
 """Real parallel execution of the PLK: pattern distribution policies
-(static and cost-aware), a measured-feedback rebalancer, plus thread- and
-process-based master/worker backends executing the same schedule the
+(static and cost-aware), a measured-feedback rebalancer, plus the
+process-based master/worker team executing the same schedule the
 simulator replays."""
 from .distribution import (
     DISTRIBUTIONS,

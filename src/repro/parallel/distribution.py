@@ -151,7 +151,7 @@ def partition_thread_counts(
 
 def cyclic_indices(offset: int, length: int, n_threads: int, thread: int) -> np.ndarray:
     """Partition-local pattern indices owned by ``thread`` under the
-    cyclic policy (used by the real parallel backends to slice tip data).
+    cyclic policy (used by the real worker team to slice tip data).
 
     >>> cyclic_indices(0, 10, 4, 1).tolist()
     [1, 5, 9]

@@ -1,29 +1,24 @@
-"""Real parallel PLK execution: thread-team and process-team backends.
+"""Real parallel PLK execution on one team of forked worker processes.
 
-Both backends execute the same master/worker protocol the simulator
-models: the master broadcasts a command, every worker executes it over its
+The team executes the same master/worker protocol the simulator models:
+the master broadcasts a command, every worker executes it over its
 pattern slice, partial results are reduced.  On top of the raw protocol,
 :class:`ParallelPLK` implements branch-length and alpha optimization under
 both scheduling strategies, so real wall-clock oldPAR/newPAR comparisons
 can be measured on the host machine (benchmark REAL1).
 
-Backend notes
--------------
-``threads``
-    ``threading`` workers + barriers.  NumPy's BLAS kernels release the
-    GIL, so large slices see real concurrency; small slices are dominated
-    by the interpreter and synchronize frequently — which is faithful to
-    the phenomenon under study, if not to absolute C speeds.
-``processes``
-    Forked workers with pipe-based command/response (mpi4py-style
-    master/worker).  True parallelism; the per-command pipe round-trip
-    plays the role of the Pthreads barrier.
+Team notes
+----------
+Workers are forked processes with pipe-based command/response
+(mpi4py-style master/worker): true parallelism, and the per-command pipe
+round-trip plays the role of the Pthreads barrier.  There is no thread
+team: the GIL serializes the interpreter work between numpy calls, and
+processes won at every measured width (EXPERIMENTS.md, ONE TEAM).
 """
 from __future__ import annotations
 
 import itertools
 import pickle
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -78,103 +73,14 @@ class WorkerError(RuntimeError):
         super().__init__(msg)
 
 
-# Result-slot tags used by both backends' reply protocol.
+def check_backend(backend: str) -> None:
+    """Reject every ``backend`` value but ``"processes"``, the one team."""
+    if backend != "processes":
+        raise ValueError(f"backend must be 'processes', got {backend!r}")
+
+
+# Result-slot tags of the reply protocol.
 _OK, _ERR = "ok", "err"
-
-
-class _ThreadTeam:
-    """Barrier-synchronized thread workers.
-
-    Protocol guarantees:
-
-    * a worker ALWAYS reaches the done-barrier, even when ``execute``
-      raises — the exception travels back in the worker's result slot and
-      the master re-raises the first one as :class:`WorkerError` *after*
-      the barrier completes, so the team stays usable;
-    * ``close()`` is idempotent (``with team: ... team.close()`` is fine).
-    """
-
-    def __init__(self, states: list[WorkerState]):
-        self.states = states
-        self.n = len(states)
-        self._cmd: tuple | None = None
-        self._timed = False
-        self._results: list = [None] * self.n
-        self._start = threading.Barrier(self.n + 1)
-        self._done = threading.Barrier(self.n + 1)
-        self._stop = False
-        self._closed = False
-        self._threads = [
-            threading.Thread(target=self._loop, args=(i,), daemon=True)
-            for i in range(self.n)
-        ]
-        for t in self._threads:
-            t.start()
-
-    def _loop(self, rank: int) -> None:
-        stats = self.states[rank].stats
-        while True:
-            if stats is None:
-                self._start.wait()
-            else:
-                t_wait = time.perf_counter()
-                self._start.wait()
-                stats.wait(time.perf_counter() - t_wait)
-            if self._stop:
-                return
-            try:
-                if self._timed:
-                    value, busy = self.states[rank].execute_timed(self._cmd)
-                    self._results[rank] = (_OK, value, busy)
-                else:
-                    self._results[rank] = (_OK, self.states[rank].execute(self._cmd), 0.0)
-            except BaseException as exc:  # noqa: BLE001 - shipped to the master
-                self._results[rank] = (_ERR, exc, traceback.format_exc())
-            self._done.wait()
-
-    def _exchange(self, cmd: tuple, timed: bool) -> tuple[list, list[float]]:
-        if self._closed:
-            raise RuntimeError("worker team is closed")
-        self._cmd = cmd
-        self._timed = timed
-        self._start.wait()
-        self._done.wait()
-        results: list = [None] * self.n
-        times = [0.0] * self.n
-        failure: WorkerError | None = None
-        for rank, (tag, payload, extra) in enumerate(self._results):
-            if tag == _ERR:
-                if failure is None:
-                    failure = WorkerError(rank, payload, extra)
-            else:
-                results[rank] = payload
-                times[rank] = extra
-        if failure is not None:
-            raise failure
-        return results, times
-
-    def broadcast(self, cmd: tuple) -> list:
-        return self._exchange(cmd, timed=False)[0]
-
-    def broadcast_timed(self, cmd: tuple) -> tuple[list, list[float]]:
-        """As :meth:`broadcast`, plus each worker's execute() seconds."""
-        return self._exchange(cmd, timed=True)
-
-    def comms_stats(self) -> dict:
-        """Bytes-moved counters (all zero: threads share memory)."""
-        return {"pipe_tx_bytes": 0, "pipe_rx_bytes": 0, "shm_rx_bytes": 0}
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._stop = True
-        try:
-            self._start.wait(timeout=5)
-        except threading.BrokenBarrierError:
-            pass
-        for t in self._threads:
-            t.join(timeout=5)
 
 
 def _process_worker_main(
@@ -219,7 +125,9 @@ class _ProcessTeam:
     """Forked process workers with pipe command/response channels.
 
     Worker-side exceptions are caught in the child and shipped back over
-    the pipe (same slot protocol as :class:`_ThreadTeam`).  If a child
+    the pipe as an ``_ERR`` reply; the master re-raises the first one as
+    :class:`WorkerError` after every reply is in, so the team stays
+    usable.  ``close()`` is idempotent.  If a child
     *dies* outright, the master's ``recv`` sees ``EOFError``: the team is
     then terminated cleanly (no leaked processes) and a
     :class:`WorkerError` names the dead rank.
@@ -348,7 +256,9 @@ class ParallelPLK:
     n_workers:
         Team size.
     backend:
-        ``"threads"`` or ``"processes"``.
+        Must be ``"processes"``, the only team.  The keyword survives
+        because ``perfbench/workloads.py`` still passes it; any other
+        value raises :class:`ValueError`.
     distribution:
         Pattern-assignment policy — ``"cyclic"`` (RAxML default),
         ``"block"``, or the cost-aware ``"weighted"`` / ``"lpt"`` (built
@@ -397,7 +307,7 @@ class ParallelPLK:
         models: list,
         alphas: list[float],
         n_workers: int,
-        backend: str = "threads",
+        backend: str = "processes",
         distribution: str | DistributionPlan = "cyclic",
         initial_lengths: np.ndarray | None = None,
         categories: int = 4,
@@ -409,8 +319,7 @@ class ParallelPLK:
     ):
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        if backend not in ("threads", "processes"):
-            raise ValueError("backend must be 'threads' or 'processes'")
+        check_backend(backend)
         if profiler is None:
             from ..perf import NullProfiler
 
@@ -456,33 +365,20 @@ class ParallelPLK:
             slice_partition_data(data, n_workers, w, self.plan)
             for w in range(n_workers)
         ]
-        # The stats plane must exist BEFORE the team: thread workers bind
-        # their row before the loops start, forked workers inherit the
-        # mapping.  The engine owns it (closed in close(), after the
-        # team) so post-mortems can still read the final rows.
+        # The stats plane must exist BEFORE the team, so the forked
+        # workers inherit the mapping.  The engine owns it (closed in
+        # close(), after the team) so post-mortems can still read the
+        # final rows.
         self._stats_plane: WorkerStatsPlane | None = None
         if self.live.enabled:
             self._stats_plane = WorkerStatsPlane(n_workers)
-        if backend == "threads":
-            states = [
-                WorkerState(sl, tree.copy(), models, alphas, initial_lengths,
-                            categories)
+        self._team = _ProcessTeam(
+            [
+                (sl, tree.copy(), models, alphas, initial_lengths, categories)
                 for sl in worker_slices
-            ]
-            for w, state in enumerate(states):
-                state.rank = w
-                if self._stats_plane is not None:
-                    state.attach_stats(self._stats_plane.row(w), w)
-            self._team: _ThreadTeam | _ProcessTeam = _ThreadTeam(states)
-        else:
-            self._team = _ProcessTeam(
-                [
-                    (sl, tree.copy(), models, alphas, initial_lengths,
-                     categories)
-                    for sl in worker_slices
-                ],
-                stats_plane=self._stats_plane,
-            )
+            ],
+            stats_plane=self._stats_plane,
+        )
         self.profiler.bind(backend=backend, n_workers=n_workers,
                            distribution=self.distribution,
                            live=self.live.enabled)

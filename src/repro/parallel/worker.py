@@ -1,4 +1,4 @@
-"""Worker-side state and command execution for the real parallel backends.
+"""Worker-side state and command execution for the real parallel team.
 
 Every worker owns a *pattern slice* of each partition (cyclic or block
 assignment, fixed at startup — RAxML's data-parallel ownership: likelihood
@@ -49,7 +49,8 @@ _ACTIVE_ARG = {
 _PLAN_CACHE: dict[tuple[int, int, str], DistributionPlan] = {}
 
 # Captured at import (pre-fork): lets ``_cmd_die`` distinguish a forked
-# process child (hard ``os._exit``) from the thread backend (SystemExit).
+# process child (hard ``os._exit``) from a state executed in the master
+# process itself, as unit tests do (SystemExit).
 _MAIN_PID = os.getpid()
 
 
@@ -265,7 +266,7 @@ class WorkerState:
 
     def _cmd_die(self, rank: int) -> None:
         """Kill worker ``rank`` outright (``os._exit`` in a process child,
-        an uncatchable exception under the thread backend) — the chaos
+        ``SystemExit`` when executed in the master process) — the chaos
         hook the serve failure-path tests use to prove a team death
         mid-job surfaces as a structured error, not a hung client."""
         if self.rank == rank:

@@ -2,7 +2,7 @@
 
 The simulator predicts a per-thread busy/idle/sync decomposition from a
 captured trace (:func:`repro.simmachine.simulate_trace`); the profiler
-measures the same decomposition on the real backends
+measures the same decomposition on the real worker team
 (:class:`repro.perf.RunProfile`).  Both expose ``decomposition()`` with
 identical keys, so comparing a prediction against a measurement — the
 paper's implicit validation step — is one function call.

@@ -33,7 +33,10 @@ import numpy as np
 
 from ..core.trace import REGION_KINDS
 
-__all__ = ["CommandRecord", "RunProfile"]
+__all__ = ["CommandRecord", "RunProfile", "profile_summary", "summarize_profiles"]
+
+#: Format version of :func:`summarize_profiles` documents.
+SUMMARY_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -259,3 +262,49 @@ class RunProfile:
     @classmethod
     def load(cls, path: str | Path) -> "RunProfile":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def profile_summary(profile: RunProfile) -> dict:
+    """One RunProfile as compact, committable summary stats."""
+    kind_counts: dict[str, int] = {}
+    for rec in profile.records:
+        kind_counts[rec.kind] = kind_counts.get(rec.kind, 0) + 1
+    return {
+        "backend": profile.backend,
+        "n_workers": profile.n_workers,
+        "distribution": profile.distribution,
+        "n_regions": profile.n_regions,
+        "kind_counts": dict(sorted(kind_counts.items())),
+        "kind_seconds": {
+            k: round(v, 6) for k, v in sorted(profile.kind_seconds().items())
+        },
+        "total_seconds": round(profile.total_seconds, 6),
+        "sync_seconds": round(profile.sync_seconds, 6),
+        "busy_seconds": [round(float(b), 6) for b in profile.busy_seconds],
+        "idle_seconds": [round(float(i), 6) for i in profile.idle_seconds],
+        "efficiency": round(profile.efficiency, 6),
+        "load_balance": round(profile.load_balance, 6),
+        "meta": dict(profile.meta),
+    }
+
+
+def summarize_profiles(profiles: dict) -> dict:
+    """Strategy-name -> RunProfile mapping as one summary document (a few
+    dozen numbers: what benchmarks commit instead of per-record dumps)."""
+    summary = {
+        "version": SUMMARY_VERSION,
+        "strategies": {name: profile_summary(p) for name, p in profiles.items()},
+    }
+    if "old" in profiles and "new" in profiles:
+        old, new = profiles["old"], profiles["new"]
+        summary["derived"] = {
+            "command_ratio": (
+                old.n_regions / new.n_regions if new.n_regions else float("inf")
+            ),
+            "wall_ratio": (
+                new.total_seconds / old.total_seconds
+                if old.total_seconds > 0 else float("inf")
+            ),
+            "efficiency_gain": new.efficiency - old.efficiency,
+        }
+    return summary

@@ -1,4 +1,4 @@
-"""Opt-in instrumentation of the real parallel backends.
+"""Opt-in instrumentation of the real worker team.
 
 :class:`Profiler` sits on the master's broadcast path
 (:meth:`repro.parallel.ParallelPLK._broadcast` delegates to
@@ -14,8 +14,7 @@ Typical use::
     from repro.perf import Profiler
 
     prof = Profiler()
-    with ParallelPLK(data, tree, models, alphas, 4,
-                     backend="processes", profiler=prof) as team:
+    with ParallelPLK(data, tree, models, alphas, 4, profiler=prof) as team:
         team.optimize_branches(range(6), "new")
     profile = prof.profile()          # RunProfile
     print(profile.summary())

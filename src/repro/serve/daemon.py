@@ -43,7 +43,8 @@ from ..obs.live import FLIGHT_DIR_ENV, FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.prometheus import prometheus_text
 from ..obs.tracer import NullTracer
-from ..parallel.engine import ParallelPLK, WorkerError
+from ..parallel.distribution import DISTRIBUTIONS
+from ..parallel.engine import ParallelPLK, WorkerError, check_backend
 from . import protocol
 from .cache import ServeCache
 from .pool import TeamPool, price_job
@@ -78,10 +79,14 @@ def _check_edge(key: str, edge, n_edges: int) -> None:
 
 @dataclass
 class ServiceConfig:
-    """Engine and scheduling configuration for one service instance."""
+    """Engine and scheduling configuration for one service instance.
+
+    ``backend`` has one legal value, ``"processes"``; it is kept only
+    because ``perfbench/workloads.py`` still passes it.
+    """
 
     workers: int = 2
-    backend: str = "threads"
+    backend: str = "processes"
     distribution: str = "cyclic"
     categories: int = 4
     executors: int = 2
@@ -104,6 +109,14 @@ class ServiceConfig:
             raise ValueError("workers must be >= 1")
         if self.executors < 1:
             raise ValueError("executors must be >= 1")
+        check_backend(self.backend)
+        if self.distribution not in DISTRIBUTIONS:
+            raise ValueError(
+                f"distribution must be one of {DISTRIBUTIONS}, "
+                f"got {self.distribution!r}"
+            )
+        if self.categories < 1:
+            raise ValueError("categories must be >= 1")
 
 
 class LikelihoodService:

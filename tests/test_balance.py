@@ -297,7 +297,7 @@ class TestBackendIntegration:
         data, tree, lengths, models, alphas, seq = workload
         ref = seq.loglikelihood(0)
         with ParallelPLK(
-            data, tree, models, alphas, 3, backend="threads",
+            data, tree, models, alphas, 3,
             distribution=policy, initial_lengths=lengths,
         ) as par:
             assert par.distribution == policy
@@ -308,7 +308,7 @@ class TestBackendIntegration:
         plan = build_plan(PartitionLayout.from_alignment(data), 2, "lpt")
         ref = seq.loglikelihood(0)
         with ParallelPLK(
-            data, tree, models, alphas, 2, backend="threads",
+            data, tree, models, alphas, 2,
             distribution=plan, initial_lengths=lengths,
         ) as par:
             assert par.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
@@ -318,7 +318,7 @@ class TestBackendIntegration:
         plan = build_plan(PartitionLayout.from_alignment(data), 3, "lpt")
         with pytest.raises(ValueError, match="threads"):
             ParallelPLK(
-                data, tree, models, alphas, 2, backend="threads",
+                data, tree, models, alphas, 2,
                 distribution=plan, initial_lengths=lengths,
             )
 

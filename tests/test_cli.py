@@ -1,6 +1,4 @@
 """Command-line interface tests (in-process main() invocations)."""
-from pathlib import Path
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -33,6 +31,17 @@ class TestParser:
         )
         assert args.command == "simulate"
         assert args.partition_length == 1_000
+
+    @pytest.mark.parametrize("argv", [
+        ["perfcheck"],
+        ["profile", "--backend", "processes"],
+        ["serve", "--backend", "processes"],
+    ])
+    def test_removed_team_options_rejected(self, argv, capsys):
+        """One worker team: no ``--backend`` flag, no ``perfcheck``."""
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
 
     def test_analyze_defaults(self):
         args = build_parser().parse_args(["analyze", "--alignment", "a.phy"])
@@ -148,7 +157,6 @@ class TestProfile:
                 "--sites", "600",
                 "--partitions", "6",
                 "--workers", "2",
-                "--backend", "threads",
                 "--edges", "2",
                 "--seed", "3",
                 "--out", str(out_path),
@@ -176,7 +184,7 @@ class TestProfile:
             [
                 "profile",
                 "--taxa", "6", "--sites", "300", "--partitions", "3",
-                "--workers", "2", "--backend", "threads",
+                "--workers", "2",
                 "--edges", "2", "--warmup",
             ]
         )
@@ -199,7 +207,7 @@ class TestProfile:
 
 _TINY_WORKLOAD = [
     "--taxa", "6", "--sites", "300", "--partitions", "3",
-    "--workers", "2", "--backend", "threads", "--edges", "2",
+    "--workers", "2", "--edges", "2",
 ]
 
 
@@ -242,52 +250,6 @@ class TestTimeline:
         out = capsys.readouterr().out
         assert "[old]" in out and "worker 1" in out
         validate_chrome_trace(json.loads(out_path.read_text()))
-
-
-class TestPerfcheck:
-    def test_missing_baseline_errors(self, capsys, tmp_path):
-        rc = main(["perfcheck", "--baseline", str(tmp_path / "none.json")])
-        assert rc == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_update_then_check(self, capsys, tmp_path):
-        import json
-
-        baseline = tmp_path / "base.json"
-        rc = main(
-            ["perfcheck", "--update", "--baseline", str(baseline),
-             *_TINY_WORKLOAD]
-        )
-        assert rc == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        # the tiny test workload is timing-jittery; relax the wall-clock
-        # checks through the baseline's own tolerances override
-        doc = json.loads(baseline.read_text())
-        doc["tolerances"] = {"wall_ratio_slack": 2.0, "efficiency_drop": 0.3}
-        baseline.write_text(json.dumps(doc))
-        trace_path = tmp_path / "smoke_trace.json"
-        rc = main(
-            ["perfcheck", "--baseline", str(baseline),
-             "--out-trace", str(trace_path)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, out
-        assert "PASS" in out
-        assert trace_path.exists()
-
-    def test_committed_baseline_loads(self):
-        from repro.obs import load_baseline
-
-        baseline = load_baseline(
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "baselines" / "perf_smoke.json"
-        )
-        assert {"taxa", "workers", "backend", "edges"} <= set(
-            baseline["workload"]
-        )
-        assert "old" in baseline["strategies"]
-        assert "new" in baseline["strategies"]
 
 
 class TestCheckpointFlow:

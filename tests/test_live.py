@@ -44,7 +44,7 @@ from repro.parallel.shm import (
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["processes"]
 
 
 @pytest.fixture(scope="module")
@@ -374,13 +374,48 @@ def test_shm_team_has_stats_plane_and_cleans_up(setup):
     assert live_segments() == before
 
 
+@pytest.mark.timeout(120)
+def test_live_plane_does_not_change_the_schedule(setup):
+    """The same newPAR branch smoothing plus alpha run, once with the
+    live plane off and once on: identical broadcasts, every worker
+    executes exactly the worker commands of the unobserved run, results
+    are bitwise equal, and the plane leaves no segment behind."""
+    from repro.perf import Profiler
+
+    _, tree, *_ = setup
+    edges = list(range(tree.n_edges))
+    before = live_segments()
+    runs = {}
+    for arm, live in (("off", None), ("on", LiveTelemetry())):
+        profiler = Profiler()
+        with make_team(setup, "processes", live=live,
+                       profiler=profiler) as team:
+            lengths = team.optimize_branches(edges, "new")
+            alphas = team.optimize_alpha("new")
+            lnl = team.loglikelihood(0)
+            runs[arm] = {
+                "issued": team.commands_issued,
+                "worker_commands": profiler.profile().n_commands,
+                "samples": team.live.sample(),
+                "lengths": lengths, "alphas": alphas, "lnl": lnl,
+            }
+    off, on = runs["off"], runs["on"]
+    assert on["issued"] == off["issued"]
+    assert on["worker_commands"] == off["worker_commands"]
+    assert [s.commands for s in on["samples"]] == [off["worker_commands"]] * 2
+    assert on["lnl"] == off["lnl"]
+    assert np.array_equal(on["lengths"], off["lengths"])
+    assert np.array_equal(on["alphas"], off["alphas"])
+    assert live_segments() == before
+
+
 class TestStallDetection:
     @pytest.mark.timeout(30)
     def test_induced_stall_detected_within_threshold(self, setup):
         """The acceptance drill: wedge one worker inside a command and
         the monitor must flag exactly that rank before the command ends."""
         live = LiveTelemetry(stall_threshold=0.2)
-        with make_team(setup, "threads", live=live) as team:
+        with make_team(setup, "processes", live=live) as team:
             team.loglikelihood(0)  # all rows warm and idle
 
             def wedge():
@@ -431,7 +466,7 @@ class TestNullParity:
     def test_null_telemetry_is_inert(self, tmp_path):
         null = NullLiveTelemetry()
         assert null.bind(None) is null
-        assert null.record("dispatch") == {}
+        assert null.record("dispatch") is None
         assert null.postmortem("worker_death", rank=0) is None
         assert null.sample() == [] and null.stalled() == []
         assert null.imbalance() == 1.0
@@ -441,7 +476,7 @@ class TestNullParity:
     @pytest.mark.timeout(60)
     def test_disabled_team_creates_no_stats_segment(self, setup):
         before = live_segments()
-        with make_team(setup, "threads") as team:  # live defaults off
+        with make_team(setup, "processes") as team:  # live defaults off
             assert isinstance(team.live, NullLiveTelemetry)
             assert team._stats_plane is None
             team.loglikelihood(0)
@@ -450,7 +485,7 @@ class TestNullParity:
 
     @pytest.mark.timeout(60)
     def test_live_true_constructs_default_telemetry(self, setup):
-        with make_team(setup, "threads", live=True) as team:
+        with make_team(setup, "processes", live=True) as team:
             assert isinstance(team.live, LiveTelemetry)
             team.loglikelihood(0)
             assert team.live.sample()
@@ -505,8 +540,8 @@ class TestPrometheus:
         assert "repro_wall_count 5" in text
 
     def test_run_info_labels(self):
-        text = prometheus_text(run_config={"backend": "threads", "distribution": "lpt"})
-        assert 'repro_run_info{backend="threads",distribution="lpt"} 1' in text
+        text = prometheus_text(run_config={"backend": "processes", "distribution": "lpt"})
+        assert 'repro_run_info{backend="processes",distribution="lpt"} 1' in text
 
     def test_live_worker_families(self):
         sample = WorkerSample(
@@ -538,10 +573,10 @@ class TestDashboard:
     def test_renders_lane_per_worker(self):
         text = render_dashboard(
             [self._sample(rank=0), self._sample(rank=1, phase="idle")],
-            run_config={"backend": "threads", "distribution": "lpt"},
+            run_config={"backend": "processes", "distribution": "lpt"},
             imbalance=1.25,
         )
-        assert "backend=threads" in text and "distribution=lpt" in text
+        assert "backend=processes" in text and "distribution=lpt" in text
         assert "imbalance 1.250" in text
         assert "w0" in text and "w1" in text and "idle" in text
 
@@ -584,12 +619,12 @@ class TestExportRunConfig:
         profiler = Profiler()
         live = LiveTelemetry()
         with make_team(
-            setup, "threads", profiler=profiler, live=live
+            setup, "processes", profiler=profiler, live=live
         ) as team:
             team.loglikelihood(0)
         events = profile_to_chrome(profiler.profile())
         cfg = [e for e in events if e.get("name") == "run_config"]
-        assert cfg and cfg[0]["args"]["backend"] == "threads"
+        assert cfg and cfg[0]["args"]["backend"] == "processes"
         assert cfg[0]["args"]["live"] is True  # the meta stamp rode along
 
 
@@ -599,7 +634,7 @@ class TestExportRunConfig:
 class TestTopCLI:
     WORKLOAD = [
         "--taxa", "6", "--sites", "200", "--partitions", "2",
-        "--workers", "2", "--backend", "threads", "--edges", "2",
+        "--workers", "2", "--edges", "2",
     ]
 
     def test_run_mode_renders_lanes(self, capsys):

@@ -1,6 +1,5 @@
 """repro.obs tests: span tracing, thread-safe metrics, convergence
-telemetry invariants, Chrome trace-event export, and the perf-regression
-baseline checks."""
+telemetry invariants and Chrome trace-event export."""
 import json
 import threading
 
@@ -18,15 +17,11 @@ from repro.obs import (
     NullTracer,
     Tracer,
     ascii_timeline,
-    check_profiles,
-    load_baseline,
     profile_ascii_timeline,
     profile_to_chrome,
     simulation_to_chrome,
-    summarize_profiles,
     tracer_to_chrome,
     validate_chrome_trace,
-    write_baseline,
     write_chrome_trace,
 )
 from repro.optimize import BatchedBrent, BatchedNewton
@@ -146,8 +141,8 @@ class TestMetrics:
         assert reg.names() == ["a", "b"]
 
     def test_concurrent_increments(self):
-        """The threads backend publishes from worker threads concurrently
-        with the master: no increment may be lost."""
+        """The service's executor threads publish into one registry
+        concurrently: no increment may be lost."""
         reg = MetricsRegistry()
         n_threads, per_thread = 8, 2_000
 
@@ -318,8 +313,8 @@ class TestEngineObservability:
 
 
 class TestParallelObservability:
-    def test_observed_broadcasts_threads(self, small_setup):
-        """A traced + profiled newPAR run on the threads backend: master
+    def test_observed_broadcasts(self, small_setup):
+        """A traced + profiled newPAR run on a 2-worker team: master
         lane plus one lane per worker, broadcast counters matching the
         command count, barrier-wait samples, and monotonic per-partition
         convergence masks with one Brent round per eval broadcast."""
@@ -330,7 +325,7 @@ class TestParallelObservability:
         tracer, metrics, tel = Tracer(), MetricsRegistry(), ConvergenceTelemetry()
         profiler = Profiler()
         with ParallelPLK(
-            data, tree, models, alphas, 2, backend="threads",
+            data, tree, models, alphas, 2,
             initial_lengths=lengths, profiler=profiler,
             tracer=tracer, metrics=metrics, telemetry=tel,
         ) as team:
@@ -368,7 +363,7 @@ class TestParallelObservability:
 
         data, tree, lengths, models, alphas = small_setup
         with ParallelPLK(
-            data, tree, models, alphas, 2, backend="threads",
+            data, tree, models, alphas, 2,
             initial_lengths=lengths,
         ) as team:
             team.loglikelihood(0)
@@ -389,7 +384,7 @@ def _sample_profile():
         CommandRecord("set_bl", "control", 0.1, (0.0, 0.0)),
         CommandRecord("lnl", "evaluate", 0.3, (0.25, 0.25)),
     ]
-    return RunProfile(backend="threads", n_workers=2, records=records)
+    return RunProfile(backend="processes", n_workers=2, records=records)
 
 
 class TestChromeExport:
@@ -483,74 +478,3 @@ class TestAsciiTimeline:
 
     def test_empty_trace(self):
         assert ascii_timeline(Tracer()) == "(no spans recorded)"
-
-
-# ----------------------------------------------------------------------
-# Regression baseline
-# ----------------------------------------------------------------------
-
-
-def _strategy_profiles():
-    old = RunProfile(backend="threads", n_workers=2, records=[
-        CommandRecord("prepare", "sumtable", 0.2, (0.08, 0.09))
-        for _ in range(12)
-    ] + [CommandRecord("deriv", "derivative", 0.2, (0.09, 0.09))
-         for _ in range(12)])
-    new = RunProfile(backend="threads", n_workers=2, records=[
-        CommandRecord("prepare", "sumtable", 0.2, (0.095, 0.095))
-        for _ in range(4)
-    ] + [CommandRecord("deriv", "derivative", 0.2, (0.095, 0.09))
-         for _ in range(4)])
-    return {"old": old, "new": new}
-
-
-class TestRegression:
-    def test_summary_derived_ratios(self):
-        summary = summarize_profiles(_strategy_profiles())
-        assert summary["derived"]["command_ratio"] == pytest.approx(3.0)
-        assert summary["derived"]["wall_ratio"] == pytest.approx(8 / 24)
-        assert summary["strategies"]["old"]["kind_counts"] == {
-            "derivative": 12, "sumtable": 12,
-        }
-
-    def test_self_check_passes(self, tmp_path):
-        profiles = _strategy_profiles()
-        write_baseline(tmp_path / "base.json", profiles, workload={"taxa": 6})
-        baseline = load_baseline(tmp_path / "base.json")
-        assert baseline["workload"] == {"taxa": 6}
-        report = check_profiles(profiles, baseline)
-        assert report.ok, report.failures
-        assert "PASS" in report.summary()
-
-    def test_region_explosion_fails(self, tmp_path):
-        profiles = _strategy_profiles()
-        write_baseline(tmp_path / "base.json", profiles, workload={})
-        baseline = load_baseline(tmp_path / "base.json")
-        bloated = dict(profiles)
-        bloated["new"] = RunProfile(
-            backend="threads", n_workers=2,
-            records=profiles["new"].records * 4,
-        )
-        report = check_profiles(bloated, baseline)
-        assert not report.ok
-        assert any("new.n_regions" in f for f in report.failures)
-        assert any("command_ratio" in f for f in report.failures)
-
-    def test_efficiency_regression_fails(self, tmp_path):
-        profiles = _strategy_profiles()
-        write_baseline(tmp_path / "base.json", profiles, workload={})
-        baseline = load_baseline(tmp_path / "base.json")
-        slow = dict(profiles)
-        # newPAR workers now mostly idle: efficiency collapses
-        slow["new"] = RunProfile(backend="threads", n_workers=2, records=[
-            CommandRecord(r.op, r.kind, r.wall, (0.02, 0.05))
-            for r in profiles["new"].records
-        ])
-        report = check_profiles(slow, baseline)
-        assert any("derived.efficiency" in f for f in report.failures)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ValueError):
-            load_baseline(path)

@@ -1,4 +1,4 @@
-"""Real parallel-backend tests (threads and processes).
+"""Real parallel-team tests (forked worker processes).
 
 The headline invariant: parallel log-likelihoods and optimization results
 are bitwise-independent of the worker count and distribution policy, and
@@ -50,14 +50,14 @@ class TestSlicing:
             slice_partition_data(data, 2, 0, "striped")
 
 
-class TestThreadsBackend:
+class TestProcessesBackend:
     def test_matches_sequential(self, setup):
         data, tree, lengths, models, alphas, seq = setup
         ref = seq.loglikelihood(0)
-        for workers in (1, 2, 5):
+        for workers in (1, 2, 3, 5):
             with ParallelPLK(
                 data, tree, models, alphas, workers,
-                backend="threads", initial_lengths=lengths,
+                initial_lengths=lengths,
             ) as par:
                 assert par.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
 
@@ -65,7 +65,7 @@ class TestThreadsBackend:
         data, tree, lengths, models, alphas, seq = setup
         ref = seq.loglikelihood(0)
         with ParallelPLK(
-            data, tree, models, alphas, 3, backend="threads",
+            data, tree, models, alphas, 3,
             distribution="block", initial_lengths=lengths,
         ) as par:
             assert par.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
@@ -83,7 +83,7 @@ class TestThreadsBackend:
         )
         ref = seq2.loglikelihood(0)
         with ParallelPLK(
-            tiny, tree, models, alphas, 6, backend="threads",
+            tiny, tree, models, alphas, 6,
             initial_lengths=lengths,
         ) as par:
             assert par.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
@@ -92,7 +92,7 @@ class TestThreadsBackend:
         data, tree, lengths, models, alphas, seq = setup
         ref = seq.partition_loglikelihoods(0)
         with ParallelPLK(
-            data, tree, models, alphas, 3, backend="threads",
+            data, tree, models, alphas, 3,
             initial_lengths=lengths,
         ) as par:
             np.testing.assert_allclose(par.partition_loglikelihoods(0), ref, atol=1e-8)
@@ -102,7 +102,7 @@ class TestThreadsBackend:
         z = {}
         for strategy in ("old", "new"):
             with ParallelPLK(
-                data, tree, models, alphas, 3, backend="threads",
+                data, tree, models, alphas, 3,
                 initial_lengths=lengths,
             ) as par:
                 z[strategy] = par.optimize_branch(
@@ -117,7 +117,7 @@ class TestThreadsBackend:
         issued = {}
         for strategy in ("old", "new"):
             with ParallelPLK(
-                data, tree, models, alphas, 2, backend="threads",
+                data, tree, models, alphas, 2,
                 initial_lengths=lengths,
             ) as par:
                 base = par.commands_issued
@@ -135,27 +135,17 @@ class TestThreadsBackend:
         optimize_alpha(seq_eng, "new")
         ref = np.array([p.alpha for p in seq_eng.parts])
         with ParallelPLK(
-            data, tree, models, alphas, 3, backend="threads",
+            data, tree, models, alphas, 3,
             initial_lengths=lengths,
         ) as par:
             got = par.optimize_alpha("new", guess=np.array(alphas))
         np.testing.assert_allclose(got, ref, rtol=0.05)
 
 
-class TestProcessesBackend:
-    def test_matches_sequential(self, setup):
-        data, tree, lengths, models, alphas, seq = setup
-        ref = seq.loglikelihood(0)
-        with ParallelPLK(
-            data, tree, models, alphas, 3, backend="processes",
-            initial_lengths=lengths,
-        ) as par:
-            assert par.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
-
     def test_state_mutations_propagate(self, setup):
         data, tree, lengths, models, alphas, _ = setup
         with ParallelPLK(
-            data, tree, models, alphas, 2, backend="processes",
+            data, tree, models, alphas, 2,
             initial_lengths=lengths,
         ) as par:
             before = par.loglikelihood(0)
@@ -168,7 +158,7 @@ class TestProcessesBackend:
     def test_set_alpha_and_model(self, setup):
         data, tree, lengths, models, alphas, _ = setup
         with ParallelPLK(
-            data, tree, models, alphas, 2, backend="processes",
+            data, tree, models, alphas, 2,
             initial_lengths=lengths,
         ) as par:
             before = par.loglikelihood(0)
@@ -184,6 +174,13 @@ class TestValidation:
         data, tree, lengths, models, alphas, _ = setup
         with pytest.raises(ValueError, match="backend"):
             ParallelPLK(data, tree, models, alphas, 2, backend="mpi")
+
+    def test_threads_backend_is_gone(self, setup):
+        """Forked processes are the only team: the removed thread team's
+        name is rejected like any other unknown backend."""
+        data, tree, lengths, models, alphas, _ = setup
+        with pytest.raises(ValueError, match="processes"):
+            ParallelPLK(data, tree, models, alphas, 2, backend="threads")
 
     def test_bad_worker_count(self, setup):
         data, tree, lengths, models, alphas, _ = setup

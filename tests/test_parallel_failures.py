@@ -2,9 +2,9 @@
 team, dead processes must not leak, and close() must be idempotent.
 
 These are regression tests for real deadlocks: before the fix, a worker
-exception between the start- and done-barriers left the master blocked on
-the barrier forever (threads), and a dead child left ``conn.recv()``
-raising bare ``EOFError`` with the remaining processes leaked.
+exception could leave the master blocked forever, and a dead child left
+``conn.recv()`` raising bare ``EOFError`` with the remaining processes
+leaked.
 """
 import json
 
@@ -16,7 +16,7 @@ from repro.parallel import ParallelPLK, WorkerError
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["processes"]
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ class TestPostmortemFlightDump:
         from repro.obs.live import LiveTelemetry
 
         live = LiveTelemetry(postmortem_dir=str(tmp_path))
-        with make_team(setup, "threads", live=live) as team:
+        with make_team(setup, "processes", live=live) as team:
             with pytest.raises(WorkerError):
                 team._broadcast(("explode",))
         events = self._load_dump(live.last_postmortem)
@@ -248,7 +248,7 @@ class TestIdempotentClose:
 class TestIdleWorkersEndToEnd:
     @pytest.mark.timeout(60)
     def test_partition_shorter_than_team(self, setup, backend):
-        """The paper's m'_p < T case on both real backends: a partition
+        """The paper's m'_p < T case on the real team: a partition
         with fewer patterns than workers leaves workers idle but the full
         old/new optimization pipeline stays correct."""
         _, tree, lengths, models, alphas = setup

@@ -1,5 +1,6 @@
-"""repro.perf profiler tests: record arithmetic, backend instrumentation,
-JSON round-trips, and predicted-vs-measured comparison plumbing."""
+"""repro.perf profiler tests: record arithmetic, team instrumentation,
+JSON round-trips, committed summaries, and predicted-vs-measured
+comparison plumbing."""
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.perf import (
     RunProfile,
     compare_decompositions,
     compare_strategies,
+    summarize_profiles,
 )
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
@@ -61,7 +63,7 @@ class TestRunProfileAggregation:
             CommandRecord("deriv", "derivative", 0.5, (0.3, 0.1)),
             CommandRecord("set_bl", "control", 0.1, (0.0, 0.0)),
         ]
-        return RunProfile(backend="threads", n_workers=2, records=records)
+        return RunProfile(backend="processes", n_workers=2, records=records)
 
     def test_totals(self):
         p = self._profile()
@@ -93,7 +95,7 @@ class TestRunProfileAggregation:
         path = tmp_path / "prof.json"
         p.save(path)
         back = RunProfile.load(path)
-        assert back.backend == "threads" and back.n_workers == 2
+        assert back.backend == "processes" and back.n_workers == 2
         assert back.meta == {"strategy": "new"}
         assert back.n_regions == 3
         assert back.total_seconds == pytest.approx(p.total_seconds)
@@ -101,6 +103,25 @@ class TestRunProfileAggregation:
         # the file embeds the summary decomposition for external readers
         raw = json.loads(path.read_text())
         assert raw["summary"]["efficiency"] == pytest.approx(p.efficiency)
+
+
+class TestProfileSummary:
+    def test_summary_derived_ratios(self):
+        def profile(n, busy):
+            records = [CommandRecord("prepare", "sumtable", 0.2, busy)] * n
+            records += [CommandRecord("deriv", "derivative", 0.2, busy)] * n
+            return RunProfile(backend="processes", n_workers=2, records=records)
+
+        summary = summarize_profiles({
+            "old": profile(12, (0.08, 0.09)),
+            "new": profile(4, (0.095, 0.095)),
+        })
+        assert summary["version"] == 1
+        assert summary["derived"]["command_ratio"] == pytest.approx(3.0)
+        assert summary["derived"]["wall_ratio"] == pytest.approx(8 / 24)
+        assert summary["strategies"]["old"]["kind_counts"] == {
+            "derivative": 12, "sumtable": 12,
+        }
 
 
 class TestVocabulary:
@@ -118,7 +139,7 @@ class TestVocabulary:
         assert command_kind("stop") == "control"
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["processes"])
 class TestLiveProfiling:
     def test_records_match_commands_and_decompose(self, setup, backend):
         data, tree, lengths, models, alphas = setup
@@ -164,7 +185,7 @@ class TestStrategyComparison:
         for strategy in ("old", "new"):
             profiler = Profiler()
             with ParallelPLK(
-                data, tree, models, alphas, 4, backend="processes",
+                data, tree, models, alphas, 4,
                 initial_lengths=lengths, profiler=profiler,
             ) as team:
                 team.optimize_branches([0, 1, 2], strategy)
@@ -192,7 +213,7 @@ class TestStrategyComparison:
 
         profiler = Profiler()
         with ParallelPLK(
-            data, tree, models, alphas, 3, backend="threads",
+            data, tree, models, alphas, 3,
             initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.optimize_branch(0, "new", z0=np.full(4, 0.1))
@@ -210,7 +231,7 @@ class TestStrategyComparison:
         data, tree, lengths, models, alphas = setup
         profiler = Profiler()
         with ParallelPLK(
-            data, tree, models, alphas, 2, backend="threads",
+            data, tree, models, alphas, 2,
             initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.loglikelihood(0)

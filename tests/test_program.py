@@ -34,7 +34,6 @@ def setup():
 
 def make_team(setup, **kw):
     data, tree, lengths, models, alphas = setup
-    kw.setdefault("backend", "threads")
     return ParallelPLK(
         data, tree, models, alphas, 2, initial_lengths=lengths, **kw
     )
@@ -248,7 +247,7 @@ class TestSequentialStrategyFusion:
         """The sequential newPAR driver now opens ONE region holding the
         sumtable setup and the first derivative pass — the region the
         simulator charges a single sync for, mirroring the parallel
-        backends' fused prepare+deriv program."""
+        team's fused prepare+deriv program."""
         data, tree, lengths, models, alphas = setup
         recorder = TraceRecorder()
         engine = PartitionedEngine(

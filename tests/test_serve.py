@@ -191,13 +191,13 @@ class TestServeCache:
 
 
 # ---------------------------------------------------------------------------
-# service integration (threads backend: cheap, deterministic)
+# service integration (2-worker process teams)
 
 
 @pytest.fixture(scope="module")
 def service():
     svc = LikelihoodService(ServiceConfig(
-        workers=2, executors=4, pool_capacity=2, backend="threads",
+        workers=2, executors=4, pool_capacity=2,
         allow_chaos=True,
     ))
     with svc:
@@ -209,7 +209,7 @@ def oneshot_lnl():
     """The one-shot reference: an identically-configured cold engine."""
     ctx = build_context(DS)
     with ParallelPLK(ctx.data, ctx.tree, ctx.models, ctx.alphas,
-                     n_workers=2, backend="threads",
+                     n_workers=2,
                      initial_lengths=ctx.lengths) as eng:
         return eng.loglikelihood(0)
 
@@ -261,7 +261,7 @@ def test_batching_fuses_same_dataset_lnl_jobs(oneshot_lnl):
     """With ONE executor, a burst of lnl jobs for one dataset drains into
     a single fused program (batched counter > 0), all results correct."""
     svc = LikelihoodService(ServiceConfig(
-        workers=2, executors=1, pool_capacity=1, backend="threads",
+        workers=2, executors=1, pool_capacity=1,
         batch_limit=8,
     ))
     client = LocalClient(svc)
@@ -297,7 +297,7 @@ def test_worker_death_returns_structured_error(tmp_path):
     a worker_death error + flight-recorder post-mortem — never a hung
     client — and the next job gets a fresh team."""
     svc = LikelihoodService(ServiceConfig(
-        workers=2, executors=1, pool_capacity=1, backend="processes",
+        workers=2, executors=1, pool_capacity=1,
         allow_chaos=True, postmortem_dir=str(tmp_path),
     ))
     with svc:
@@ -319,7 +319,7 @@ def test_worker_death_returns_structured_error(tmp_path):
 def test_service_level_timeout_and_cancellation():
     """With no executors running, pending jobs expire past their queue
     deadline and cancellation removes them."""
-    svc = LikelihoodService(ServiceConfig(workers=2, backend="threads"))
+    svc = LikelihoodService(ServiceConfig(workers=2))
     client = LocalClient(svc)  # note: never started — jobs stay pending
     expired_id = client.submit({"op": "loglikelihood", "dataset": DS},
                                timeout=0.01)
@@ -363,12 +363,25 @@ def test_config_rejects_nonpositive_counts(field, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "s.sock")
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"distribution": "nope"}, "distribution"),
+    ({"backend": "nope"}, "backend"),
+    ({"backend": "threads"}, "backend"),
+    ({"categories": 0}, "categories"),
+])
+def test_config_rejects_unbuildable_teams(kwargs, match):
+    """A config no team factory can build would fail every job with a
+    pool error, so it is rejected at construction instead."""
+    with pytest.raises(ValueError, match=match):
+        ServiceConfig(**kwargs)
+
+
 @pytest.mark.timeout(120)
 def test_team_build_failure_fails_batch_not_executor(oneshot_lnl):
     """An exception from the team factory during checkout fails the batch
     with a pool error; the (only) executor survives to serve the next job."""
     svc = LikelihoodService(ServiceConfig(
-        workers=2, executors=1, pool_capacity=1, backend="threads",
+        workers=2, executors=1, pool_capacity=1,
     ))
     real_factory = svc.pool.factory
 
@@ -405,7 +418,7 @@ def test_protocol_round_trip():
 def test_socket_daemon_round_trip(tmp_path, oneshot_lnl):
     path = str(tmp_path / "repro.sock")
     svc = LikelihoodService(ServiceConfig(
-        workers=2, executors=2, backend="threads"
+        workers=2, executors=2,
     ))
     ready = threading.Event()
     t = threading.Thread(target=serve_forever, args=(svc, path, ready),
@@ -428,7 +441,7 @@ def test_socket_daemon_round_trip(tmp_path, oneshot_lnl):
 
 @pytest.mark.timeout(120)
 def test_chaos_requires_opt_in():
-    svc = LikelihoodService(ServiceConfig(workers=2, backend="threads"))
+    svc = LikelihoodService(ServiceConfig(workers=2))
     with pytest.raises(ValueError, match="allow_chaos"):
         svc.submit({"op": "chaos_die", "dataset": DS})
     with pytest.raises(ValueError, match="unknown op"):

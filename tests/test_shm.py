@@ -35,7 +35,7 @@ class TestProcessTeamSegments:
     def make_team(self, setup, **kw):
         data, tree, lengths, models, alphas = setup
         return ParallelPLK(
-            data, tree, models, alphas, 2, backend="processes",
+            data, tree, models, alphas, 2,
             initial_lengths=lengths, **kw,
         )
 
@@ -62,11 +62,3 @@ class TestProcessTeamSegments:
         assert stats["pipe_tx_bytes"] > 0
         assert stats["pipe_rx_bytes"] > 0
         assert stats["shm_rx_bytes"] == 0
-
-    def test_threads_backend_moves_no_bytes(self, setup):
-        data, tree, lengths, models, alphas = setup
-        with ParallelPLK(data, tree, models, alphas, 2, backend="threads",
-                         initial_lengths=lengths) as team:
-            assert team.comms_stats() == {
-                "pipe_tx_bytes": 0, "pipe_rx_bytes": 0, "shm_rx_bytes": 0,
-            }
