@@ -54,7 +54,15 @@ class TestProcessesBackend:
     def test_matches_sequential(self, setup):
         data, tree, lengths, models, alphas, seq = setup
         ref = seq.loglikelihood(0)
-        for workers in (1, 2, 3, 5):
+        with ParallelPLK(
+            data, tree, models, alphas, 3, initial_lengths=lengths,
+        ) as par:
+            assert par.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
+
+    def test_matches_sequential_across_team_sizes(self, setup):
+        data, tree, lengths, models, alphas, seq = setup
+        ref = seq.loglikelihood(0)
+        for workers in (1, 2, 5):
             with ParallelPLK(
                 data, tree, models, alphas, workers,
                 initial_lengths=lengths,
