@@ -167,22 +167,21 @@ class BatchedBrent:
             # Parabolic interpolation through (v, w, x); golden fallback.
             # (Lanes excluded by the mask carry inf objective values; their
             # proposals are computed but never used, so NaNs are harmless.)
-            with np.errstate(invalid="ignore"):
+            # ``e`` and ``d`` are rebound below, never written in place.
+            with np.errstate(divide="ignore", invalid="ignore"):
                 r = (x - w) * (fx - fv)
                 q = (x - v) * (fx - fw)
                 p = (x - v) * q - (x - w) * r
                 q = 2.0 * (q - r)
                 p = np.where(q > 0.0, -p, p)
                 q = np.abs(q)
-            etemp = e.copy()
-            use_para = (
-                (np.abs(etemp) > tol1)
-                & (np.abs(p) < np.abs(0.5 * q * etemp))
-                & (p > q * (a - x))
-                & (p < q * (b - x))
-                & (q != 0.0)
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
+                use_para = (
+                    (np.abs(e) > tol1)
+                    & (np.abs(p) < np.abs(0.5 * q * e))
+                    & (p > q * (a - x))
+                    & (p < q * (b - x))
+                    & (q != 0.0)
+                )
                 d_para = np.where(q != 0.0, p / q, 0.0)
             u_para = x + d_para
             # Parabolic step must not land within tol2 of a bound.
@@ -191,21 +190,19 @@ class BatchedBrent:
                 np.where(xm - x >= 0.0, tol1, -tol1),
                 d_para,
             )
-            e_para = d.copy()
             # Golden-section step.
             e_gold = np.where(x >= xm, a - x, b - x)
             d_gold = _GOLD * e_gold
+            e = np.where(use_para, d, e_gold)
             d = np.where(use_para, d_para, d_gold)
-            e = np.where(use_para, e_para, e_gold)
             # Never step less than tol1.
             step = np.where(np.abs(d) >= tol1, d, np.where(d >= 0.0, tol1, -tol1))
             u = x + step
 
-            fu = np.full(k, np.inf)
-            fu[active] = np.asarray(fn(u, active), dtype=np.float64)[active]
+            fu = np.where(active, np.asarray(fn(u, active), dtype=np.float64), np.inf)
             if observer is not None:
                 observer.iteration(u, active)
-            iterations[active] += 1
+            iterations += active
             rounds += 1
 
             # --- bookkeeping (vectorized NR updates, active lanes only) --

@@ -104,42 +104,42 @@ class BatchedNewton:
         active = lanes.copy()
         iterations = np.zeros(k, dtype=np.int64)
         rounds = 0
+        lower, upper, ztol = self.lower, self.upper, self.ztol
 
         for _ in range(self.max_iter):
             if not active.any():
                 break
-            d1 = np.zeros(k)
-            d2 = np.zeros(k)
             if first_eval is not None:
                 r1, r2 = first_eval
                 first_eval = None
             else:
                 r1, r2 = fn(z, active)
-            d1[active] = np.asarray(r1, dtype=np.float64)[active]
-            d2[active] = np.asarray(r2, dtype=np.float64)[active]
+            # Inactive entries of the oracle's answer are never read.
+            d1 = np.where(active, r1, 0.0)
+            d2 = np.where(active, r2, 0.0)
             if observer is not None:
                 observer.iteration(z, active)
-            iterations[active] += 1
+            iterations += active
             rounds += 1
 
-            concave = d2 < 0.0
+            # Newton where locally concave; elsewhere damped gradient
+            # ascent, sign(d1) * min(|d1|, 1) * max(|z|/4, 1e-3).
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton_step = np.where(concave, -d1 / d2, 0.0)
-            # Fallback where not concave: damped gradient ascent.
-            grad_step = np.sign(d1) * np.minimum(np.abs(d1), 1.0) * np.maximum(
-                0.25 * np.abs(z), 1e-3
-            )
-            step = np.where(concave, newton_step, grad_step)
-            step = np.clip(step, -_MAX_STEP, _MAX_STEP)
-            z_new = np.clip(z + step, self.lower, self.upper)
+                step = np.where(
+                    d2 < 0.0,
+                    -d1 / d2,
+                    np.minimum(np.maximum(d1, -1.0), 1.0)
+                    * np.maximum(0.25 * np.abs(z), 1e-3),
+                )
+            step = np.minimum(np.maximum(step, -_MAX_STEP), _MAX_STEP)
+            z_new = np.minimum(np.maximum(z + step, lower), upper)
             moved = np.abs(z_new - z)
             z = np.where(active, z_new, z)
 
             # A lane converges when its actual movement drops below ztol
             # (including being pinned at a bound with the gradient pointing
             # outward) or its gradient vanishes.
-            settled = (moved < self.ztol) | (np.abs(d1) < 1e-10)
-            active &= ~settled
+            active &= ~((moved < ztol) | (np.abs(d1) < 1e-10))
 
         converged = lanes & ~active
         return NewtonResult(z=z, iterations=iterations, rounds=rounds, converged=converged)

@@ -60,19 +60,34 @@ class EigenSystem:
 
     @classmethod
     def from_model(cls, model: SubstitutionModel) -> "EigenSystem":
-        q = model.q_matrix()
-        pi = model.frequencies
+        return cls.from_models([model])[0]
+
+    @classmethod
+    def from_models(cls, models) -> list["EigenSystem"]:
+        """Eigensystems of several models of one state count, from ONE
+        batched ``eigh`` over ``(A, s, s)``.  LAPACK still runs once per
+        matrix, so each result equals a one-model decomposition bit for
+        bit; only the per-call dispatch is shared.  Building each Q stays
+        per model."""
+        models = list(models)
+        if not models:
+            return []
+        q = np.stack([m.q_matrix() for m in models])                # (A, s, s)
+        pi = np.stack([m.frequencies for m in models])              # (A, s)
         sqrt_pi = np.sqrt(pi)
-        b = (sqrt_pi[:, None] * q) / sqrt_pi[None, :]
+        b = (sqrt_pi[:, :, np.newaxis] * q) / sqrt_pi[:, np.newaxis, :]
         # Enforce exact symmetry before eigh (q construction is symmetric up
         # to rounding).
-        b = 0.5 * (b + b.T)
+        b = 0.5 * (b + np.swapaxes(b, -1, -2))
         lam, w = np.linalg.eigh(b)
-        u = w / sqrt_pi[:, None]
-        v = w.T * sqrt_pi[None, :]
+        u = w / sqrt_pi[:, :, np.newaxis]
+        v = np.swapaxes(w, -1, -2) * sqrt_pi[:, np.newaxis, :]
         for arr in (lam, u, v):
             arr.setflags(write=False)
-        return cls(eigenvalues=lam, u=u, v=v, frequencies=pi)
+        return [
+            cls(eigenvalues=lam[i], u=u[i], v=v[i], frequencies=m.frequencies)
+            for i, m in enumerate(models)
+        ]
 
     @classmethod
     def for_model(cls, model: SubstitutionModel) -> "EigenSystem":
@@ -83,13 +98,25 @@ class EigenSystem:
         them, including in forked worker children) shares a single
         eigendecomposition instead of recomputing ``eigh`` per request.
         """
-        key = id(model)
-        eigen = _EIGEN_CACHE.get(key)
-        if eigen is None:
-            eigen = cls.from_model(model)
-            _EIGEN_CACHE[key] = eigen
-            weakref.finalize(model, _EIGEN_CACHE.pop, key, None)
-        return eigen
+        return cls.for_models([model])[0]
+
+    @classmethod
+    def for_models(cls, models) -> list["EigenSystem"]:
+        """Memoized :meth:`from_models`: the models without a cached
+        eigensystem are decomposed together, in one ``eigh`` per state
+        count."""
+        models = list(models)
+        missing: dict[int, dict[int, SubstitutionModel]] = {}
+        for model in models:
+            if id(model) not in _EIGEN_CACHE:
+                missing.setdefault(model.states, {})[id(model)] = model
+        for group in missing.values():
+            group = list(group.values())
+            for model, eigen in zip(group, cls.from_models(group)):
+                key = id(model)
+                _EIGEN_CACHE[key] = eigen
+                weakref.finalize(model, _EIGEN_CACHE.pop, key, None)
+        return [_EIGEN_CACHE[id(m)] for m in models]
 
     @property
     def states(self) -> int:

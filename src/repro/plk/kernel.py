@@ -11,7 +11,12 @@ paper parallelizes over alignment patterns:
   ``makenewz`` machinery: precompute per-site eigenbasis coefficients for a
   branch, then obtain the log-likelihood and its first and second
   derivatives w.r.t. the branch length in O(m * K * states) per
-  Newton-Raphson iteration (no tree re-traversal).
+  Newton-Raphson iteration (no tree re-traversal).  These take the
+  ``(K, m, states)`` layout and are the reference; the partition stack
+  runs the same algebra as :func:`branch_table` (the sumtable as
+  ``(m, K * states)``) + :func:`table_slopes` + :func:`slope_derivatives`,
+  where one Newton round is an exp and one GEMM, the category sum
+  happening inside the contraction.
 
 Array layout: CLVs are ``(K, m, states)`` C-contiguous, category-major, so
 every operation is a batched BLAS matmul over the pattern axis and a worker
@@ -45,6 +50,8 @@ defeat the contiguous ``result.min()`` fast path at every ancestor node.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -62,6 +69,12 @@ __all__ = [
     "weighted_log_sum",
     "evaluate",
     "make_sumtable",
+    "branch_table",
+    "branch_coefficients",
+    "table_site_likelihoods",
+    "table_slopes",
+    "slope_derivatives",
+    "slope_derivatives_pinv",
     "branch_derivatives",
     "branch_derivatives_pinv",
     "mix_invariant_loglikelihoods",
@@ -99,15 +112,18 @@ def zero_pattern_mask(scale: np.ndarray | None) -> np.ndarray | None:
     return scale >= _ZERO_CUTOFF
 
 
-def propagate(p: np.ndarray, clv: np.ndarray) -> np.ndarray:
+def propagate(p: np.ndarray, clv: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Move a conditional vector across a branch: ``out[...,k,m,s] =
     sum_t p[...,k,s,t] * clv[...,k,m,t]``.
 
     ``clv`` may be a tip indicator matrix ``(..., m, states)`` (categories
     do not differentiate tips; one dimension fewer than ``p``) or a full
-    CLV ``(..., K, m, states)``.
+    CLV ``(..., K, m, states)``.  With ``transposed``, ``p`` holds the
+    matrices with their last two axes already swapped (C-contiguous: the
+    layout the matmul reads), which saves a caller that reuses one P(t)
+    across calls — the stack's cache — a copy per call.
     """
-    pt = np.ascontiguousarray(np.swapaxes(p, -1, -2))
+    pt = p if transposed else np.ascontiguousarray(np.swapaxes(p, -1, -2))
     if clv.ndim < p.ndim:
         return np.matmul(clv[..., np.newaxis, :, :], pt)
     return np.matmul(clv, pt)
@@ -121,6 +137,7 @@ def newview(
     clv2: np.ndarray,
     scale2: np.ndarray | None,
     out: np.ndarray | None = None,
+    transposed: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pruning step: the CLV of a parent from its two children.
 
@@ -128,7 +145,7 @@ def newview(
     ----------
     p1, p2:
         ``(..., K, states, states)`` transition matrices of the child
-        branches.
+        branches (their transposes with ``transposed``).
     clv1, clv2:
         Child CLVs ``(..., K, m, states)`` or tip matrices
         ``(..., m, states)``.
@@ -141,8 +158,8 @@ def newview(
     -------
     (clv, scale): the parent CLV and its accumulated scaling counter.
     """
-    left = propagate(p1, clv1)
-    right = propagate(p2, clv2)
+    left = propagate(p1, clv1, transposed)
+    right = propagate(p2, clv2, transposed)
     if out is None:
         result = left
         np.multiply(left, right, out=result)
@@ -212,9 +229,10 @@ def root_site_likelihoods(
     clv_left: np.ndarray,
     clv_right: np.ndarray,
     frequencies: np.ndarray,
+    transposed: bool = False,
 ) -> np.ndarray:
     """Per-pattern, category-averaged likelihoods at the virtual root."""
-    moved = propagate(p, clv_right)            # (..., K, m, s)
+    moved = propagate(p, clv_right, transposed)    # (..., K, m, s)
     if clv_left.ndim < p.ndim:
         clv_left = clv_left[..., np.newaxis, :, :]
     weighted = clv_left * frequencies[..., np.newaxis, np.newaxis, :]
@@ -325,6 +343,12 @@ def make_sumtable(
     iteration then costs only an exp + two weighted sums (exactly RAxML's
     ``makenewz`` split between sumtable setup and the core iteration).
     """
+    left, right = _sumtable_factors(clv_left, clv_right, u, v, frequencies)
+    return left * right
+
+
+def _sumtable_factors(clv_left, clv_right, u, v, frequencies):
+    """The two ``(..., K, m, j)`` factors whose product is the sumtable."""
     if clv_left.ndim < u.ndim + 1:
         clv_left = clv_left[..., np.newaxis, :, :]
     if clv_right.ndim < u.ndim + 1:
@@ -333,7 +357,63 @@ def make_sumtable(
     left = np.matmul(clv_left, piu[..., np.newaxis, :, :])       # (..., K, m, j)
     vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
     right = np.matmul(clv_right, vt[..., np.newaxis, :, :])      # (..., K, m, j)
-    return left * right
+    return left, right
+
+
+def branch_table(
+    clv_left: np.ndarray,
+    clv_right: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    frequencies: np.ndarray,
+) -> np.ndarray:
+    """:func:`make_sumtable` in the Newton layout ``(..., m, K * s)``:
+    pattern-major, with the Gamma categories and eigenmodes flattened
+    into one axis, so the category sum happens inside the contraction
+    against a :func:`branch_coefficients` basis (one GEMM per round)."""
+    left, right = _sumtable_factors(clv_left, clv_right, u, v, frequencies)
+    shape = np.broadcast_shapes(left.shape, right.shape)      # a tip has K = 1
+    k, m, j = shape[-3:]
+    table = np.empty(shape[:-3] + (m, k, j))
+    np.multiply(np.swapaxes(left, -3, -2), np.swapaxes(right, -3, -2), out=table)
+    return table.reshape(table.shape[:-2] + (k * j,))
+
+
+def branch_coefficients(
+    eigenvalues: np.ndarray, rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The epoch-fixed half of a Newton round on a :func:`branch_table`:
+    ``coef[..., k*s + j] = r_k lambda_j`` (``(..., K*s)``) and
+    ``powers[..., k*s + j, :] = [1, c, c^2] / K`` (``(..., K*s, 3)``),
+    the derivative basis before its exponential (the category mean is
+    folded in)."""
+    coef = rates[..., :, np.newaxis] * eigenvalues[..., np.newaxis, :]
+    coef = coef.reshape(coef.shape[:-2] + (-1,))
+    k = rates.shape[-1]
+    powers = np.empty(coef.shape + (3,))
+    powers[..., 0] = 1.0 / k
+    np.divide(coef, k, out=powers[..., 1])
+    np.multiply(coef, powers[..., 1], out=powers[..., 2])
+    return coef, powers
+
+
+def table_site_likelihoods(
+    table: np.ndarray, coef: np.ndarray, z, categories: int
+) -> np.ndarray:
+    """Per-pattern (still scaled) Gamma-mixture likelihoods from a
+    :func:`branch_table` at branch length ``z``: one matmul."""
+    expo = np.exp(coef * np.asarray(z)[..., np.newaxis])
+    return np.matmul(table, expo[..., np.newaxis])[..., 0] / categories
+
+
+def table_slopes(table: np.ndarray, coef: np.ndarray, powers: np.ndarray, z) -> np.ndarray:
+    """``(..., m, 3)``: per-pattern site likelihoods and their first two
+    branch-length derivatives from a :func:`branch_table` — an exp and
+    ONE matmul against the ``(..., K*s, 3)`` basis ``[e, c e, c^2 e] / K``
+    (``e = exp(c z)``; ``coef`` and ``powers`` from
+    :func:`branch_coefficients`)."""
+    expo = np.exp(coef * np.asarray(z)[..., np.newaxis])
+    return np.matmul(table, powers * expo[..., np.newaxis])
 
 
 def _exponentials(eigenvalues, rates, z):
@@ -439,6 +519,17 @@ def branch_derivatives_pinv(
     dominates).
     """
     g, g1, g2 = _site_and_slopes(sumtable, eigenvalues, rates, z)
+    return _pinv_derivatives(g, g1, g2, weights, scale, pinv, inv_prob)
+
+
+def slope_derivatives_pinv(slopes, weights, scale, pinv, inv_prob):
+    """:func:`branch_derivatives_pinv` from :func:`table_slopes` output."""
+    return _pinv_derivatives(
+        slopes[..., 0], slopes[..., 1], slopes[..., 2], weights, scale, pinv, inv_prob
+    )
+
+
+def _pinv_derivatives(g, g1, g2, weights, scale, pinv, inv_prob):
     if scale is not None:
         unscale = np.exp(-scale.astype(np.float64) * LOG_SCALE_FACTOR)
         g = g * unscale
@@ -490,4 +581,33 @@ def branch_derivatives(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio1 = d1 / site
         ratio2 = d2 / site
+    return _derivative_sums(weights, ratio1, ratio2, scale)
+
+
+def slope_derivatives(
+    slopes: np.ndarray,
+    live_weights: np.ndarray,
+    weights: np.ndarray,
+    scale: np.ndarray | None,
+):
+    """:func:`branch_derivatives` from :func:`table_slopes` output: one
+    ratio ``[l'/l, l''/l]`` and ONE weighted matmul.
+
+    ``live_weights`` are the pattern weights with the dead
+    (:data:`ZERO_SCALE`) patterns zeroed, so no per-call dead scan is
+    needed: a dead pattern's flushed dummies give finite ratios that
+    meet weight 0.  Should the sums come out non-finite (a pattern whose
+    likelihood is exactly 0 without the sentinel), the same values are
+    recomputed with :func:`branch_derivatives`'s drop-undefined-ratios
+    handling, so the result is always that function's.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = slopes[..., 1:] / slopes[..., :1]                  # (..., m, 2)
+        ratios[..., 1] -= ratios[..., 0] * ratios[..., 0]
+        sums = np.matmul(live_weights[..., np.newaxis, :], ratios)[..., 0, :]
+    if math.isfinite(sums.sum()):
+        return sums[..., 0], sums[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio1 = slopes[..., 1] / slopes[..., 0]
+        ratio2 = slopes[..., 2] / slopes[..., 0]
     return _derivative_sums(weights, ratio1, ratio2, scale)

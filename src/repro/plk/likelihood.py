@@ -32,7 +32,7 @@ decided by :mod:`repro.plk.stacking`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,27 +46,58 @@ from .tree import Tree
 __all__ = ["PartitionLikelihood", "PartitionView", "BranchWorkspace"]
 
 
+def _check_alphas(values) -> None:
+    """Gamma shapes must be finite and positive (checked on the whole
+    vector; NaN fails both comparisons)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size and not (values.min() > 0.0 and values.max() < np.inf):
+        raise ValueError("alpha must be finite and > 0")
+
+
 @dataclass
 class BranchWorkspace:
     """Precomputed state for Newton-Raphson on one branch of the stack
-    members in ``slots``: the eigenbasis sumtable plus the total scaling
-    counter of the two subtrees meeting at the branch.  With one member
-    the arrays carry no member axis (``(K, m, s)`` and ``(m,)``).
+    members in ``slots``.  Everything a round needs besides the lengths
+    is fixed here, so a round is an exp, one GEMM and one weighted matmul
+    (:func:`~repro.plk.kernel.table_slopes`,
+    :func:`~repro.plk.kernel.slope_derivatives`):
+
+    * ``table`` — the eigenbasis sumtable in the Newton layout
+      ``(A, m, K*s)`` (:func:`~repro.plk.kernel.branch_table`);
+    * ``coef`` — ``r_k lambda_j``, ``(A, K*s)``, and ``powers`` —
+      ``[1, c, c^2] / K``, ``(A, K*s, 3)`` (the derivative basis before its
+      exponential);
+    * ``weights`` — the pattern weights ``(A, m)``, and ``live_weights``
+      the same with the dead (``ZERO_SCALE``) patterns zeroed;
+    * ``scale`` — the total scaling counter ``(A, m)`` of the two subtrees
+      meeting at the branch.
+
+    With one member the arrays carry no member axis.
 
     ``epoch`` snapshots the members' model-parameter epochs at preparation
     time: the sumtable embeds the eigenvectors and implicitly pairs with
     the rates/eigenvalues of that moment, so consuming it after an
     alpha/rates/eigen update would silently mix old and new parameters —
     the stack refuses such stale workspaces (see
-    :meth:`PartitionLikelihood.branch_loglikelihood`)."""
+    :meth:`PartitionLikelihood.branch_loglikelihood`).  ``generation`` is
+    the stack's parameter generation the epochs were last found current
+    at: while it is unchanged the per-member comparison is skipped.
+    ``parts`` caches the gathered workspace of each member subset used so
+    far (a Newton run keeps one active set for several rounds)."""
 
     edge: int
-    sumtable: np.ndarray
+    table: np.ndarray
+    coef: np.ndarray
+    powers: np.ndarray
+    weights: np.ndarray
+    live_weights: np.ndarray
     scale: np.ndarray | None
     n_patterns: int
     epoch: np.ndarray
+    generation: int
     slots: np.ndarray
     mask: int
+    parts: dict = field(default_factory=dict, repr=False)
 
 
 class PartitionLikelihood:
@@ -146,22 +177,27 @@ class PartitionLikelihood:
         # Per-member parameters, stacked for the kernel.
         self.lengths = np.full((tree.n_edges, n), 0.1)
         self.models: list[SubstitutionModel] = list(models)
-        self.eigens: list[EigenSystem] = [EigenSystem.for_model(m) for m in models]
+        self.eigens: list[EigenSystem] = EigenSystem.for_models(models)
+        _check_alphas(alphas)
         self.alphas = np.array(alphas)
         self.pinvs = np.zeros(n)
-        self.rates = np.empty((n, categories))
+        self.rates = discrete_gamma_rates(self.alphas, categories)
         self._eigenvalues = np.empty((n, states))
         self._u = np.empty((n, states, states))
         self._v = np.empty((n, states, states))
+        # P(t)^T[l, i] = sum_j exp(lambda_j r t) V[j, l] U[i, j]: the
+        # products V[j, l] U[i, j] as (P, s, s*s), one GEMM operand.
+        self._pt_basis = np.empty((n, states, states * states))
         self._frequencies = np.empty((n, states))
-        for i in range(n):
-            self._load_model(i)
-            self.rates[i] = discrete_gamma_rates(self.alphas[i], categories)
+        self._load_models(slice(None))
         # Counts model-parameter updates (alpha/rates/eigen) per member.
         # Snapshotted into every BranchWorkspace and checked on use: a
         # sumtable built under old parameters must never be combined with
         # new eigenvalues/rates (silently wrong likelihoods, not errors).
+        # The generation counts updates of the whole stack, so a check
+        # finds an untouched stack without comparing per member.
         self._epoch = np.zeros(n, dtype=np.int64)
+        self._generation = 0
         self._pinv_any = False
 
         # Per-inner-node CLV storage (np.empty: pages are touched only
@@ -176,14 +212,15 @@ class PartitionLikelihood:
         self._clv = {node: np.empty((n, categories, m, states)) for node in inner}
         self._scale = {node: np.zeros((n, m), dtype=np.int32) for node in inner}
         self._valid: dict[int, dict[tuple, int]] = {node: {} for node in inner}
-        # Transition-matrix cache: one (P, K, s, s) block per edge, valid
-        # per member for the (length, parameter epoch) it was computed at.
-        # Keyed on the length itself, so a direct write to ``lengths`` can
-        # never be served a stale P(t).
-        self._pmat: dict[int, np.ndarray] = {}
+        # Transition-matrix cache: P(t)^T (the layout the propagation
+        # matmul reads) per (member, edge), valid for the (length,
+        # parameter epoch) it was computed at.  Keyed on the length itself,
+        # so a direct write to ``lengths`` can never be served a stale
+        # P(t).  (np.empty: pages are touched when first computed.)
+        self._pmat = np.empty((n, tree.n_edges, categories, states, states))
         self._p_length = np.full((tree.n_edges, n), np.nan)
         self._p_epoch = np.full((tree.n_edges, n), -1, dtype=np.int64)
-        self._members = np.arange(n)
+        self._n_taxa = tree.n_taxa
         self._subsets: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -239,42 +276,53 @@ class PartitionLikelihood:
     # Parameters
     # ------------------------------------------------------------------
 
-    def _load_model(self, i: int) -> None:
-        eigen = self.eigens[i]
-        self._eigenvalues[i] = eigen.eigenvalues
-        self._u[i] = eigen.u
-        self._v[i] = eigen.v
-        self._frequencies[i] = self.models[i].frequencies
+    def _load_models(self, slots) -> None:
+        """Copy the eigensystems and frequencies of ``slots`` into the
+        stacked kernel arrays."""
+        members = range(self.n_slots)[slots] if isinstance(slots, slice) else slots
+        eigens = [self.eigens[i] for i in members]
+        self._eigenvalues[slots] = [e.eigenvalues for e in eigens]
+        self._u[slots] = [e.u for e in eigens]
+        self._v[slots] = [e.v for e in eigens]
+        u, v = self._u[slots], self._v[slots]
+        self._pt_basis[slots] = (
+            v[:, :, :, np.newaxis] * np.swapaxes(u, -1, -2)[:, :, np.newaxis, :]
+        ).reshape(len(u), self.states, -1)
+        self._frequencies[slots] = [self.models[i].frequencies for i in members]
 
     def _parameters_changed(self, mask: int) -> None:
         self._epoch[self._slots(mask)] += 1
+        self._generation += 1
         self._invalidate(range(self.tree.n_taxa, self.tree.n_nodes), mask)
 
     def set_models(self, models, active=None) -> None:
         """Replace the substitution models of the active members (one
-        model per active member, ascending)."""
+        model per active member, ascending).  The new eigensystems come
+        from one batched decomposition."""
         mask = self._mask(active)
-        slots = self._slots(mask).tolist()
+        slots = self._slots(mask)
         models = list(models)
         if len(models) != len(slots):
             raise ValueError("need one model per active member")
-        for i, model in zip(slots, models):
-            if model.states != self.states:
-                raise ValueError("cannot change the state-space of a partition")
+        if any(model.states != self.states for model in models):
+            raise ValueError("cannot change the state-space of a partition")
+        eigens = EigenSystem.for_models(models)
+        for i, model, eigen in zip(slots.tolist(), models, eigens):
             self.models[i] = model
-            self.eigens[i] = EigenSystem.for_model(model)
-            self._load_model(i)
+            self.eigens[i] = eigen
+        self._load_models(slots)
         self._parameters_changed(mask)
 
     def set_alphas(self, values, active=None) -> None:
         """Set the Gamma shapes of the active members (a scalar, or one
-        value per active member)."""
+        value per active member): one rate computation for all of them.
+        Raises ``ValueError`` for a non-finite or non-positive shape."""
         mask = self._mask(active)
         slots = self._slots(mask)
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), slots.shape)
-        for i, alpha in zip(slots.tolist(), values.tolist()):
-            self.alphas[i] = alpha
-            self.rates[i] = discrete_gamma_rates(alpha, self.categories)
+        _check_alphas(values)
+        self.alphas[slots] = values
+        self.rates[slots] = discrete_gamma_rates(values, self.categories)
         self._parameters_changed(mask)
 
     def set_pinvs(self, values, active=None) -> None:
@@ -342,35 +390,42 @@ class PartitionLikelihood:
                 }
 
     def _transition(self, edge: int, sel) -> np.ndarray:
-        """P(t) of ``edge`` for the selected members, recomputed only for
-        members whose length or parameter epoch moved since they were
-        last computed."""
-        block = self._pmat.get(edge)
-        if block is None:
-            block = self._pmat[edge] = np.empty(
-                (self.n_slots, self.categories, self.states, self.states)
-            )
-        stale = (self._p_length[edge, sel] != self.lengths[edge, sel]) | (
-            self._p_epoch[edge, sel] != self._epoch[sel]
-        )
-        if stale.any():
-            slots = np.atleast_1d(self._members[sel])[np.atleast_1d(stale)]
-            lengths = self.lengths[edge, slots]
-            t = np.minimum(np.maximum(lengths, kernel.MIN_BRANCH), kernel.MAX_BRANCH)
-            expl = np.exp(
-                (self.rates[slots] * t[:, np.newaxis])[:, :, np.newaxis]
-                * self._eigenvalues[slots][:, np.newaxis, :]
-            )                                                   # (A, K, s)
-            block[slots] = (
-                self._u[slots][:, np.newaxis] * expl[:, :, np.newaxis, :]
-            ) @ self._v[slots][:, np.newaxis]
-            self._p_length[edge, slots] = lengths
-            self._p_epoch[edge, slots] = self._epoch[slots]
-        return block[sel]
+        """P(t)^T of ``edge`` for the selected members.  A hit is two byte
+        comparisons of the edge's whole row of (length, parameter epoch)
+        keys against those the cache was computed at."""
+        if (
+            self.lengths[edge].tobytes() != self._p_length[edge].tobytes()
+            or self._epoch.tobytes() != self._p_epoch[edge].tobytes()
+        ):
+            self._update_transitions([edge])
+        return self._pmat[sel, edge]
+
+    def _update_transitions(self, edges) -> None:
+        """Bring the P(t)^T of ``edges`` up to date.  If any (edge,
+        member) key moved, every member of these edges is recomputed —
+        one exp and one GEMM per member with the edges and categories as
+        rows — so an entry's bits never depend on which others were stale
+        with it."""
+        lengths = self.lengths[edges]                               # (E', P)
+        if not (
+            (self._p_length[edges] != lengths).any()
+            or (self._p_epoch[edges] != self._epoch).any()
+        ):
+            return
+        t = np.minimum(np.maximum(lengths, kernel.MIN_BRANCH), kernel.MAX_BRANCH).T
+        expl = np.exp(
+            (t[:, :, np.newaxis] * self.rates[:, np.newaxis, :])[..., np.newaxis]
+            * self._eigenvalues[:, np.newaxis, np.newaxis, :]
+        )                                                           # (P, E', K, s)
+        n, e, k, s = expl.shape
+        pt = np.matmul(expl.reshape(n, e * k, s), self._pt_basis)  # (P, E'K, s*s)
+        self._pmat[:, edges] = pt.reshape(n, e, k, s, s)
+        self._p_length[edges] = lengths
+        self._p_epoch[edges] = self._epoch
 
     def _child(self, node: int, sel) -> tuple[np.ndarray, np.ndarray | None]:
         """CLV (or tip matrix) plus scaling counter of the selected members."""
-        if self.tree.is_leaf(node):
+        if node < self._n_taxa:
             return self._tips[node][sel], None
         return self._clv[node][sel], self._scale[node][sel]
 
@@ -381,25 +436,30 @@ class PartitionLikelihood:
         return self._refresh(root_edge, self._mask(active))
 
     def _refresh(self, root_edge: int, mask: int) -> int:
-        counts = None if self.recorder is None else np.zeros(self.n_slots, dtype=np.int64)
+        # Which members each step recomputes follows from the validity
+        # bits alone, so the whole schedule is known before any kernel
+        # call, and the P(t) of every edge it crosses is brought up to
+        # date in one batch.
         recomputed: dict[int, int] = {}
-        calls = 0
-        tree = self.tree
-        for step in tree.postorder(root_edge):
-            node = step.node
-            (parent,) = [
-                nb for nb in tree.neighbors(node) if nb != step.c1 and nb != step.c2
-            ]
-            sig = (step.c1, step.e1, step.c2, step.e2, parent)
-            valid = self._valid[node]
+        todo = []
+        for step in self.tree.postorder(root_edge):
             need = (
-                (mask & ~valid.get(sig, 0))
+                (mask & ~self._valid[step.node].get(step.sig, 0))
                 | recomputed.get(step.c1, 0)
                 | recomputed.get(step.c2, 0)
             )
-            if not need:
-                continue
-            self._newview(node, step, self._select(need))
+            if need:
+                recomputed[step.node] = need
+                todo.append((step, need))
+        if not todo:
+            return 0
+        self._update_transitions([e for step, _ in todo for e in (step.e1, step.e2)])
+        counts = None if self.recorder is None else np.zeros(self.n_slots, dtype=np.int64)
+        for step, need in todo:
+            sel = self._select(need)
+            self._newview(step, sel)
+            valid = self._valid[step.node]
+            sig = step.sig
             for other in [s for s in valid if s != sig and valid[s] & need]:
                 bits = valid[other] & ~need
                 if bits:
@@ -407,26 +467,27 @@ class PartitionLikelihood:
                 else:
                     del valid[other]
             valid[sig] = valid.get(sig, 0) | need
-            recomputed[node] = need
-            calls += 1
             if counts is not None:
-                counts[self._select(need)] += 1
+                counts[sel] += 1
         if counts is not None:
             for i in np.flatnonzero(counts).tolist():
                 self.recorder.newview(self.indices[i], int(self.widths[i]), int(counts[i]))
-        return calls
+        return len(todo)
 
-    def _newview(self, node: int, step, sel) -> None:
+    def _newview(self, step, sel) -> None:
+        node = step.node
         clv = self._clv[node]
         clv1, sc1 = self._child(step.c1, sel)
         clv2, sc2 = self._child(step.c2, sel)
-        p1 = self._transition(step.e1, sel)
-        p2 = self._transition(step.e2, sel)
+        p1 = self._pmat[sel, step.e1]
+        p2 = self._pmat[sel, step.e2]
         if isinstance(sel, np.ndarray):
-            clv[sel], self._scale[node][sel] = kernel.newview(p1, clv1, sc1, p2, clv2, sc2)
+            clv[sel], self._scale[node][sel] = kernel.newview(
+                p1, clv1, sc1, p2, clv2, sc2, transposed=True
+            )
         else:
             _, self._scale[node][sel] = kernel.newview(
-                p1, clv1, sc1, p2, clv2, sc2, out=clv[sel]
+                p1, clv1, sc1, p2, clv2, sc2, out=clv[sel], transposed=True
             )
 
     # ------------------------------------------------------------------
@@ -456,7 +517,8 @@ class PartitionLikelihood:
         clv_a, sc_a = self._child(a, sel)
         clv_b, sc_b = self._child(b, sel)
         site = kernel.root_site_likelihoods(
-            self._transition(root_edge, sel), clv_a, clv_b, self._frequencies[sel]
+            self._transition(root_edge, sel), clv_a, clv_b, self._frequencies[sel],
+            transposed=True,
         )
         scale = kernel.combine_scales(sc_a, sc_b)
         return self._mixed(
@@ -488,7 +550,7 @@ class PartitionLikelihood:
     # ------------------------------------------------------------------
 
     def prepare_branch(self, edge: int, active=None) -> BranchWorkspace:
-        """Validate the CLVs flanking ``edge`` and build its sumtable for
+        """Validate the CLVs flanking ``edge`` and build its workspace for
         the active members."""
         mask = self._mask(active)
         self._refresh(edge, mask)
@@ -496,43 +558,58 @@ class PartitionLikelihood:
         a, b = self.tree.edge_nodes(edge)
         clv_a, sc_a = self._child(a, sel)
         clv_b, sc_b = self._child(b, sel)
-        table = kernel.make_sumtable(
+        table = kernel.branch_table(
             clv_a, clv_b, self._u[sel], self._v[sel], self._frequencies[sel]
         )
+        coef, powers = kernel.branch_coefficients(self._eigenvalues[sel], self.rates[sel])
         # A copy: the stored counters are updated in place by later
         # traversals, the workspace must keep this moment's.
         scale = kernel.combine_scales(sc_a, sc_b)
         if scale is sc_a or scale is sc_b:
             scale = scale.copy()
+        weights = self._weights[sel]
+        dead = kernel.zero_pattern_mask(scale)
+        live = np.where(dead, 0.0, weights) if dead is not None and dead.any() else weights
         self._record("sumtable", mask)
         slots = self._slots(mask)
         return BranchWorkspace(
-            edge=edge, sumtable=table, scale=scale,
+            edge=edge, table=table, coef=coef, powers=powers,
+            weights=weights, live_weights=live, scale=scale,
             n_patterns=int(self.widths[slots].sum()),
-            epoch=self._epoch[slots].copy(), slots=slots, mask=mask,
+            epoch=self._epoch[slots].copy(), generation=self._generation,
+            slots=slots, mask=mask,
         )
 
     def _workspace_part(self, ws: BranchWorkspace, active):
-        """(mask, selection, sumtable, scale) of the active members of a
-        workspace (default: all the members it was prepared for)."""
-        if not np.array_equal(self._epoch[ws.slots], ws.epoch):
-            raise RuntimeError(
-                "stale BranchWorkspace: model parameters (alpha/rates/eigen) "
-                f"changed after prepare_branch() on edge {ws.edge} — the "
-                "sumtable would be combined with mismatched eigenvalues/"
-                "rates; re-prepare the branch"
-            )
+        """(mask, selection, workspace) for the active members of ``ws``
+        (default: all the members it was prepared for); a subset comes as
+        a workspace of gathered arrays."""
+        if ws.generation != self._generation:
+            if not np.array_equal(self._epoch[ws.slots], ws.epoch):
+                raise RuntimeError(
+                    "stale BranchWorkspace: model parameters (alpha/rates/eigen) "
+                    f"changed after prepare_branch() on edge {ws.edge} — the "
+                    "sumtable would be combined with mismatched eigenvalues/"
+                    "rates; re-prepare the branch"
+                )
+            ws.generation = self._generation
         mask = ws.mask if active is None else self._mask(active)
         if mask == ws.mask:
-            return mask, self._select(mask), ws.sumtable, ws.scale
-        if mask & ~ws.mask:
-            raise ValueError("active members were not prepared in this workspace")
-        sel = self._select(mask)
-        pos = np.searchsorted(ws.slots, self._slots(mask))
-        if isinstance(sel, int):
-            pos = int(pos[0])
-        scale = None if ws.scale is None else ws.scale[pos]
-        return mask, sel, ws.sumtable[pos], scale
+            return mask, self._select(mask), ws
+        part = ws.parts.get(mask)
+        if part is None:
+            if mask & ~ws.mask:
+                raise ValueError("active members were not prepared in this workspace")
+            sel = self._select(mask)
+            pos = np.searchsorted(ws.slots, self._slots(mask))
+            if isinstance(sel, int):
+                pos = int(pos[0])
+            part = ws.parts[mask] = replace(
+                ws, table=ws.table[pos], coef=ws.coef[pos], powers=ws.powers[pos],
+                weights=ws.weights[pos], live_weights=ws.live_weights[pos],
+                scale=None if ws.scale is None else ws.scale[pos], parts={},
+            )
+        return mask, self._select(mask), part
 
     @staticmethod
     def _lengths_for(z, sel):
@@ -547,34 +624,30 @@ class PartitionLikelihood:
         """Log-likelihood as a function of the length of ``ws.edge`` with
         everything else fixed (cheap: no traversal): one value per active
         member at its length in ``z`` (a scalar applies to every one)."""
-        mask, sel, table, scale = self._workspace_part(ws, active)
+        mask, sel, ws = self._workspace_part(ws, active)
         zz = self._lengths_for(z, sel)
-        site = kernel.sumtable_site_likelihoods(
-            table, self._eigenvalues[sel], self.rates[sel], zz
-        )
+        site = kernel.table_site_likelihoods(ws.table, ws.coef, zz, self.categories)
+        scale = ws.scale
         logs = self._mixed(
             sel,
             lambda: kernel.scaled_log_likelihoods(site, scale),
             lambda pinv, inv: kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv),
         )
-        lnl = kernel.weighted_log_sum(self._weights[sel], logs)
+        lnl = kernel.weighted_log_sum(ws.weights, logs)
         self._record("derivative", mask)
         return np.atleast_1d(lnl)
 
     def branch_derivatives(self, ws: BranchWorkspace, z, active=None):
         """(dlnL/dz, d2lnL/dz2) at branch length(s) ``z`` from the
-        sumtable — the per-iteration work of Newton-Raphson: two arrays
+        workspace — the per-iteration work of Newton-Raphson: two arrays
         with one value per active member at its length in ``z``."""
-        mask, sel, table, scale = self._workspace_part(ws, active)
-        zz = self._lengths_for(z, sel)
-        eigenvalues = self._eigenvalues[sel]
-        rates = self.rates[sel]
-        weights = self._weights[sel]
+        mask, sel, ws = self._workspace_part(ws, active)
+        slopes = kernel.table_slopes(ws.table, ws.coef, ws.powers, self._lengths_for(z, sel))
         d1, d2 = self._mixed(
             sel,
-            lambda: kernel.branch_derivatives(table, eigenvalues, rates, zz, weights, scale),
-            lambda pinv, inv: kernel.branch_derivatives_pinv(
-                table, eigenvalues, rates, zz, weights, scale, pinv, inv
+            lambda: kernel.slope_derivatives(slopes, ws.live_weights, ws.weights, ws.scale),
+            lambda pinv, inv: kernel.slope_derivatives_pinv(
+                slopes, ws.weights, ws.scale, pinv, inv
             ),
         )
         self._record("derivative", mask)

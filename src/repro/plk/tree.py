@@ -18,21 +18,30 @@ import numpy as np
 __all__ = ["Tree", "TraversalStep"]
 
 
-class TraversalStep(tuple):
+class TraversalStep:
     """One pruning step: compute node ``node``'s conditional vector from
-    children ``c1``/``c2`` across edges ``e1``/``e2`` (a named 5-tuple:
-    ``(node, c1, e1, c2, e2)``)."""
+    children ``c1``/``c2`` across edges ``e1``/``e2``.
 
-    __slots__ = ()
+    ``parent`` is the third neighbour, the one the vector points toward
+    (for an endpoint of the root edge, the mate across the root), and
+    ``sig`` is ``(c1, e1, c2, e2, parent)``: the inputs and orientation a
+    stored vector was computed from.  Steps are built once per cached
+    traversal, so readers pay plain attribute loads."""
 
-    def __new__(cls, node: int, c1: int, e1: int, c2: int, e2: int):
-        return super().__new__(cls, (node, c1, e1, c2, e2))
+    __slots__ = ("node", "c1", "e1", "c2", "e2", "parent", "sig")
 
-    node = property(lambda self: self[0])
-    c1 = property(lambda self: self[1])
-    e1 = property(lambda self: self[2])
-    c2 = property(lambda self: self[3])
-    e2 = property(lambda self: self[4])
+    def __init__(self, node: int, c1: int, e1: int, c2: int, e2: int, parent: int):
+        self.node = node
+        self.c1 = c1
+        self.e1 = e1
+        self.c2 = c2
+        self.e2 = e2
+        self.parent = parent
+        self.sig = (c1, e1, c2, e2, parent)
+
+    def __repr__(self) -> str:
+        return (f"TraversalStep(node={self.node}, c1={self.c1}, e1={self.e1}, "
+                f"c2={self.c2}, e2={self.e2}, parent={self.parent})")
 
 
 class Tree:
@@ -231,18 +240,18 @@ class Tree:
             node, expanded = stack.pop()
             if self.is_leaf(node):
                 continue
-            kids = [nb for nb in self._adj[node] if parent[node] != nb]
-            if parent[node] == -1:
+            up = int(parent[node])
+            if up == -1:
                 # Root-edge endpoints: the mate across the root is not a child.
-                mate = b if node == a else a
-                kids = [nb for nb in kids if nb != mate]
+                up = b if node == a else a
+            kids = [nb for nb in self._adj[node] if nb != up]
             if len(kids) != 2:
                 raise AssertionError(f"inner node {node} has {len(kids)} children")
             if expanded:
                 c1, c2 = kids
                 steps.append(
                     TraversalStep(
-                        node, c1, self._adj[node][c1], c2, self._adj[node][c2]
+                        node, c1, self._adj[node][c1], c2, self._adj[node][c2], up
                     )
                 )
             elif node not in seen:
