@@ -379,6 +379,15 @@ class ParallelPLK:
             ],
             stats_plane=self._stats_plane,
         )
+        # The master issues every parameter write, so it knows the team's
+        # current (E, P) branch lengths and (P,) alphas: the optimizers
+        # start from (and guard against) these, as the sequential
+        # strategies start from the engine's.
+        self._lengths = np.full((tree.n_edges, self.n_partitions), 0.1)
+        if initial_lengths is not None:
+            initial = np.asarray(initial_lengths, dtype=np.float64)
+            self._lengths[:] = initial if initial.ndim == 2 else initial[:, np.newaxis]
+        self._alphas = np.array(alphas, dtype=np.float64)
         self.profiler.bind(backend=backend, n_workers=n_workers,
                            distribution=self.distribution,
                            live=self.live.enabled)
@@ -524,18 +533,16 @@ class ParallelPLK:
         replaying the snapshot through the normal command vocabulary
         keeps warm results bitwise-identical to one-shot runs.
         """
+        lengths = np.asarray(lengths, float)
+        alphas = np.asarray(alphas, float)
         steps = [
             ("set_bl", edge, float(value), None)
-            for edge, value in enumerate(np.asarray(lengths, float))
+            for edge, value in enumerate(lengths)
         ]
-        steps.append(
-            (
-                "set_alpha_vec",
-                np.asarray(alphas, float),
-                list(range(self.n_partitions)),
-            )
-        )
+        steps.append(("set_alpha_vec", alphas, list(range(self.n_partitions))))
         self.run_program(steps)
+        self._lengths[:] = lengths[:, np.newaxis]
+        self._alphas[:] = alphas
 
     def close(self) -> None:
         self._team.close()
@@ -566,9 +573,11 @@ class ParallelPLK:
 
     def set_branch_length(self, edge: int, value: float, partition: int | None = None) -> None:
         self._broadcast(("set_bl", edge, value, partition))
+        self._lengths[edge, slice(None) if partition is None else partition] = value
 
     def set_alpha(self, partition: int, alpha: float) -> None:
         self._broadcast(("set_alpha", partition, alpha))
+        self._alphas[partition] = alpha
 
     def set_model(self, partition: int, model) -> None:
         self._broadcast(("set_model", partition, model))
@@ -596,10 +605,11 @@ class ParallelPLK:
         ztol: float = 1e-6,
     ) -> np.ndarray:
         """Per-partition Newton-Raphson on one branch under the chosen
-        strategy; returns the optimized per-partition lengths."""
+        strategy; returns the optimized per-partition lengths.  ``z0``
+        defaults to the current lengths of ``edge``."""
         n = self.n_partitions
         if z0 is None:
-            z0 = np.full(n, 0.1)
+            z0 = self._lengths[edge].copy()
         if strategy == "new":
             z0 = np.asarray(z0, float)
             every = list(range(n))
@@ -647,6 +657,7 @@ class ParallelPLK:
             new_lnl = np.sum(new_parts, axis=0)
             out = np.where(new_lnl >= old_lnl, res.z, z0)
             self._broadcast(("set_bl_vec", edge, out))
+            self._lengths[edge] = out
             return out
         if strategy == "old":
             out = np.zeros(n)
@@ -682,7 +693,9 @@ class ParallelPLK:
         self, edges: list[int], strategy: str = "new",
         lengths0: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Optimize a set of branches once each; returns (len(edges), P)."""
+        """Optimize a set of branches once each; returns (len(edges), P).
+        ``lengths0[i]`` is the start for ``edges[i]`` (default: the
+        current lengths)."""
         out = np.zeros((len(edges), self.n_partitions))
         for i, edge in enumerate(edges):
             z0 = None if lengths0 is None else lengths0[i]
@@ -696,16 +709,18 @@ class ParallelPLK:
         xtol: float = 1e-3, root_edge: int = 0,
     ) -> np.ndarray:
         """Per-partition Brent on the Gamma shape under the chosen
-        strategy; returns the optimized alphas."""
+        strategy; returns the optimized alphas.  ``guess`` defaults to the
+        current alphas."""
         n = self.n_partitions
         if guess is None:
-            guess = np.ones(n)
+            guess = self._alphas.copy()
         if strategy == "new":
             solver = BatchedBrent(np.full(n, _ALPHA_MIN), np.full(n, _ALPHA_MAX), xtol)
 
             def fn(x: np.ndarray, active_mask: np.ndarray) -> np.ndarray:
                 active = [int(i) for i in np.flatnonzero(active_mask)]
                 parts = self._broadcast(("eval_alpha", np.asarray(x, float), active, root_edge))
+                self._alphas[active] = x[active]
                 return np.sum(parts, axis=0)
 
             with self.tracer.span("optimize_alpha", cat="optimizer", strategy="new"):
@@ -715,6 +730,7 @@ class ParallelPLK:
                 )
             # One vectorized write instead of P set_alpha broadcasts.
             self._broadcast(("set_alpha_vec", res.x, list(range(n))))
+            self._alphas[:] = res.x
             return res.x
         if strategy == "old":
             out = np.zeros(n)
@@ -725,6 +741,7 @@ class ParallelPLK:
                     xs = np.zeros(n)
                     xs[_p] = float(x[0])
                     parts = self._broadcast(("eval_alpha", xs, [_p], root_edge))
+                    self._alphas[_p] = xs[_p]
                     return np.array([np.sum(parts, axis=0)[_p]])
 
                 with self.tracer.span("optimize_alpha", cat="optimizer",

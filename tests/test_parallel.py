@@ -149,6 +149,32 @@ class TestProcessesBackend:
             got = par.optimize_alpha("new", guess=np.array(alphas))
         np.testing.assert_allclose(got, ref, rtol=0.05)
 
+    def test_defaults_start_from_the_current_parameters(self, setup):
+        """Without ``z0``/``lengths0``/``guess`` the team's optimizers
+        start from (and guard against) the current branch lengths and
+        alphas, as the sequential strategies do: a smoothing pass, alpha
+        and a second pass from off-optimum alphas end at the one-process
+        log-likelihood to 1e-9 relative."""
+        from repro.core import optimize_alpha, optimize_branch_lengths, smoothing_edge_order
+
+        data, tree, lengths, models, _, _ = setup
+        alphas = [0.5, 0.5, 0.5]
+        order = smoothing_edge_order(tree)
+        seq_eng = PartitionedEngine(
+            data, tree.copy(), models=models, alphas=alphas, initial_lengths=lengths
+        )
+        optimize_branch_lengths(seq_eng, "new", passes=1, edges=order)
+        optimize_alpha(seq_eng, "new")
+        optimize_branch_lengths(seq_eng, "new", passes=1, edges=order)
+        ref = seq_eng.loglikelihood(0)
+        with ParallelPLK(
+            data, tree, models, alphas, 2, initial_lengths=lengths,
+        ) as par:
+            par.optimize_branches(order)
+            np.testing.assert_allclose(par.optimize_alpha(), seq_eng.alphas(), rtol=1e-6)
+            par.optimize_branches(order)
+            got = par.loglikelihood(0)
+        assert got == pytest.approx(ref, rel=1e-9)
 
     def test_state_mutations_propagate(self, setup):
         data, tree, lengths, models, alphas, _ = setup
