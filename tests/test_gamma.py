@@ -85,3 +85,27 @@ class TestProperties:
         discrete variance is bounded by the true Gamma variance 1/alpha."""
         rates = discrete_gamma_rates(alpha, 4)
         assert rates.var() <= 1.0 / alpha + 1e-9
+
+
+class TestVectorised:
+    """An array of shapes gives the scalar calls' rows bit for bit."""
+
+    ALPHAS = np.array([0.001, 0.02, 0.05, 0.3, 0.5, 1.0, 2.7, 50.0, 1000.0, 5000.0])
+
+    @pytest.mark.parametrize("median", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_rows_equal_scalar_calls(self, k, median):
+        batched = discrete_gamma_rates(self.ALPHAS, k, median=median)
+        assert batched.shape == (len(self.ALPHAS), k)
+        scalar = np.stack([discrete_gamma_rates(a, k, median=median) for a in self.ALPHAS])
+        np.testing.assert_array_equal(batched, scalar)
+
+    def test_clamp_ends(self):
+        rates = discrete_gamma_rates(self.ALPHAS, 4)
+        np.testing.assert_array_equal(rates[0], rates[1])    # 0.001 -> 0.02
+        np.testing.assert_array_equal(rates[-1], rates[-2])  # 5000 -> 1000
+
+    def test_scalar_shapes_kept(self):
+        assert discrete_gamma_rates(0.7, 4).shape == (4,)
+        assert discrete_gamma_rates(np.float64(0.7), 4).shape == (4,)
+        assert discrete_gamma_rates([0.7], 4).shape == (1, 4)
