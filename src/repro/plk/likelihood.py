@@ -32,7 +32,7 @@ decided by :mod:`repro.plk.stacking`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,9 +81,7 @@ class BranchWorkspace:
     the stack refuses such stale workspaces (see
     :meth:`PartitionLikelihood.branch_loglikelihood`).  ``generation`` is
     the stack's parameter generation the epochs were last found current
-    at: while it is unchanged the per-member comparison is skipped.
-    ``parts`` caches the gathered workspace of each member subset used so
-    far (a Newton run keeps one active set for several rounds)."""
+    at: while it is unchanged the per-member comparison is skipped."""
 
     edge: int
     table: np.ndarray
@@ -97,7 +95,6 @@ class BranchWorkspace:
     generation: int
     slots: np.ndarray
     mask: int
-    parts: dict = field(default_factory=dict, repr=False)
 
 
 class PartitionLikelihood:
@@ -596,20 +593,17 @@ class PartitionLikelihood:
         mask = ws.mask if active is None else self._mask(active)
         if mask == ws.mask:
             return mask, self._select(mask), ws
-        part = ws.parts.get(mask)
-        if part is None:
-            if mask & ~ws.mask:
-                raise ValueError("active members were not prepared in this workspace")
-            sel = self._select(mask)
-            pos = np.searchsorted(ws.slots, self._slots(mask))
-            if isinstance(sel, int):
-                pos = int(pos[0])
-            part = ws.parts[mask] = replace(
-                ws, table=ws.table[pos], coef=ws.coef[pos], powers=ws.powers[pos],
-                weights=ws.weights[pos], live_weights=ws.live_weights[pos],
-                scale=None if ws.scale is None else ws.scale[pos], parts={},
-            )
-        return mask, self._select(mask), part
+        if mask & ~ws.mask:
+            raise ValueError("active members were not prepared in this workspace")
+        sel = self._select(mask)
+        pos = np.searchsorted(ws.slots, self._slots(mask))
+        if isinstance(sel, int):
+            pos = int(pos[0])
+        return mask, sel, replace(
+            ws, table=ws.table[pos], coef=ws.coef[pos], powers=ws.powers[pos],
+            weights=ws.weights[pos], live_weights=ws.live_weights[pos],
+            scale=None if ws.scale is None else ws.scale[pos],
+        )
 
     @staticmethod
     def _lengths_for(z, sel):
