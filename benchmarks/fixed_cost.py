@@ -7,7 +7,9 @@ Run from the repository root::
 Part 1 times the stack operations one ``modelopt_par`` worker runs, on the
 same shape: 8 taxa, 16 DNA partitions of 30 patterns in one stack.  Each
 figure is the minimum over ``--repeats`` rounds of the mean over
-``--calls`` calls, in microseconds.
+``--calls`` calls, in microseconds.  The rounds visit every operation (and
+in part 2 every width) in turn, so a slow phase of a shared host hits
+them all alike and the minimum filters it out.
 
 Part 2 is the dispatch-cost fit of EXPERIMENTS.md STACK: a one-member
 stack at widths 30 to 1,920, a full traversal (every newview plus the
@@ -32,14 +34,16 @@ WIDTH = 30
 FIT_WIDTHS = (30, 60, 120, 240, 480, 960, 1920)
 
 
-def _time(fn, calls: int, repeats: int) -> float:
-    """Minimum over ``repeats`` of the mean seconds per call of ``fn``."""
-    best = float("inf")
+def _time(fns: dict, calls: int, repeats: int) -> dict[str, float]:
+    """Minimum over ``repeats`` round-robin rounds of the mean seconds per
+    call of each function in ``fns``."""
+    best = dict.fromkeys(fns, float("inf"))
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / calls)
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best[name] = min(best[name], (time.perf_counter() - t0) / calls)
     return best
 
 
@@ -67,10 +71,12 @@ def stack_ops(calls: int, repeats: int) -> dict[str, float]:
     z_new = z * 1.3
     alphas = (np.linspace(0.3, 2.0, N_PARTS), np.linspace(0.4, 2.5, N_PARTS))
     flip = [0]
+    # A second scheme for the setter, which would make the workspaces stale.
+    other = PartitionStacks(list(data.data), tree, models, [1.0] * N_PARTS)
 
     def set_alphas():
         flip[0] ^= 1
-        stacks.set_alphas(alphas[flip[0]])
+        other.set_alphas(alphas[flip[0]])
 
     def guard():
         stacks.branch_loglikelihoods(workspaces, z)
@@ -81,45 +87,51 @@ def stack_ops(calls: int, repeats: int) -> dict[str, float]:
         stack.lengths[edge] = 0.1 + 0.01 * flip[0]
         stack._transition(edge, slice(None))
 
+    def p_hit():
+        stack._transition(edge, slice(None))
+
     def traversal():
         stack.invalidate_all()
         stack.loglikelihoods(0)
 
-    out = {
-        "derivative round": _time(
-            lambda: stacks.branch_derivatives(workspaces, z), calls, repeats
-        ),
-        "guard (2 x branch_loglikelihoods)": _time(guard, calls, repeats),
-        f"set_alphas ({N_PARTS} members)": _time(set_alphas, calls, repeats),
-    }
-    out["P(t) miss"] = _time(p_miss, calls, repeats)
-    stack._transition(edge, slice(None))
-    out["P(t) hit"] = _time(lambda: stack._transition(edge, slice(None)), calls, repeats)
-    out["one traversal (invalidate + loglikelihoods)"] = _time(
-        traversal, max(calls // 4, 1), repeats
-    )
+    def derivative_round():
+        stacks.branch_derivatives(workspaces, z)
+
+    out = _time({
+        "derivative round": derivative_round,
+        "guard (2 x branch_loglikelihoods)": guard,
+        f"set_alphas ({N_PARTS} members)": set_alphas,
+        "P(t) miss": p_miss,
+        "P(t) hit": p_hit,
+    }, calls, repeats)
+    out.update(_time(
+        {"one traversal (invalidate + loglikelihoods)": traversal},
+        max(calls // 4, 1), repeats,
+    ))
     return {k: v * 1e6 for k, v in out.items()}
 
 
 def dispatch_fit(calls: int, repeats: int) -> dict[str, tuple[float, float]]:
     """(fixed us, per-pattern ns) of a full traversal and a derivative call."""
-    traversal, derivative, widths = [], [], []
+    full, deriv, widths = {}, {}, []
     for width in FIT_WIDTHS:
         tree, lengths, data, models = _data(1, width, seed=11)
         stack = PartitionLikelihood(list(data.data), tree, models)
         stack.set_branch_lengths(lengths)
         widths.append(int(stack.width))
 
-        def full():
+        def traversal(stack=stack):
             stack.invalidate_all()
             stack.loglikelihoods(0)
 
-        traversal.append(_time(full, max(calls // 8, 3), repeats))
-        ws = stack.prepare_branch(1)
-        z = np.array([lengths[1]])
-        derivative.append(_time(lambda: stack.branch_derivatives(ws, z), calls, repeats))
+        def derivative(stack=stack, ws=stack.prepare_branch(1), z=np.array([lengths[1]])):
+            stack.branch_derivatives(ws, z)
+
+        full[width], deriv[width] = traversal, derivative
     out = {}
-    for name, times in (("full traversal", traversal), ("branch_derivatives", derivative)):
+    for name, fns, n in (("full traversal", full, max(calls // 8, 3)),
+                         ("branch_derivatives", deriv, calls)):
+        times = list(_time(fns, n, repeats).values())
         slope, fixed = np.polyfit(widths, times, 1)
         out[name] = (fixed * 1e6, slope * 1e9)
     return out
@@ -127,8 +139,8 @@ def dispatch_fit(calls: int, repeats: int) -> dict[str, tuple[float, float]]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=200)
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--calls", type=int, default=40)
+    parser.add_argument("--repeats", type=int, default=40)
     parser.add_argument("--skip-fit", action="store_true")
     args = parser.parse_args()
     print(f"stack ops ({N_TAXA} taxa, {N_PARTS} x {WIDTH} DNA patterns, one stack):")
