@@ -39,10 +39,6 @@ class TraversalStep:
         self.parent = parent
         self.sig = (c1, e1, c2, e2, parent)
 
-    def __repr__(self) -> str:
-        return (f"TraversalStep(node={self.node}, c1={self.c1}, e1={self.e1}, "
-                f"c2={self.c2}, e2={self.e2}, parent={self.parent})")
-
 
 class Tree:
     """A mutable unrooted binary tree.
