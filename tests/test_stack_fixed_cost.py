@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import PartitionedEngine
 from repro.plk import (
+    EigenSystem,
     PartitionData,
     PartitionedAlignment,
     PartitionLikelihood,
@@ -189,10 +190,7 @@ class TestKernelFallback:
         k, m, s = 4, 12, 4
         sumtable = rng.random((k, m, s)) + 0.1
         sumtable[:, 7, :] = 0.0
-        eigen = SubstitutionModel.random_gtr(8)
-        from repro.plk import EigenSystem
-
-        lam = EigenSystem.from_model(eigen).eigenvalues
+        lam = EigenSystem.from_model(SubstitutionModel.random_gtr(8)).eigenvalues
         rates = discrete_gamma_rates(0.7, k)
         weights = rng.integers(1, 4, m).astype(float)
         scale = np.zeros(m, dtype=np.int32)
