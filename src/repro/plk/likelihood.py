@@ -398,27 +398,33 @@ class PartitionLikelihood:
         return self._pmat[sel, edge]
 
     def _update_transitions(self, edges) -> None:
-        """Bring the P(t)^T of ``edges`` up to date.  If any (edge,
-        member) key moved, every member of these edges is recomputed —
-        one exp and one GEMM per member with the edges and categories as
-        rows — so an entry's bits never depend on which others were stale
-        with it."""
+        """Bring the P(t)^T of ``edges`` up to date.  Only the block of
+        edges and members that hold a moved (length, epoch) key is
+        recomputed: one exp and one GEMM per member, with its stale edges
+        and the categories as rows."""
+        edges = np.asarray(edges)
         lengths = self.lengths[edges]                               # (E', P)
-        if not (
-            (self._p_length[edges] != lengths).any()
-            or (self._p_epoch[edges] != self._epoch).any()
-        ):
+        stale = (self._p_length[edges] != lengths) | (self._p_epoch[edges] != self._epoch)
+        rows = stale.any(1)
+        if not rows.any():
             return
+        edges, lengths, cols = edges[rows], lengths[rows], stale.any(0)
+        if cols.all():
+            members, block, keys = slice(None), (slice(None), edges), edges
+        else:
+            members = np.flatnonzero(cols)
+            block, keys = np.ix_(members, edges), np.ix_(edges, members)
+            lengths = lengths[:, members]
         t = np.minimum(np.maximum(lengths, kernel.MIN_BRANCH), kernel.MAX_BRANCH).T
         expl = np.exp(
-            (t[:, :, np.newaxis] * self.rates[:, np.newaxis, :])[..., np.newaxis]
-            * self._eigenvalues[:, np.newaxis, np.newaxis, :]
-        )                                                           # (P, E', K, s)
+            (t[:, :, np.newaxis] * self.rates[members][:, np.newaxis, :])[..., np.newaxis]
+            * self._eigenvalues[members][:, np.newaxis, np.newaxis, :]
+        )                                                           # (P', E', K, s)
         n, e, k, s = expl.shape
-        pt = np.matmul(expl.reshape(n, e * k, s), self._pt_basis)  # (P, E'K, s*s)
-        self._pmat[:, edges] = pt.reshape(n, e, k, s, s)
-        self._p_length[edges] = lengths
-        self._p_epoch[edges] = self._epoch
+        pt = np.matmul(expl.reshape(n, e * k, s), self._pt_basis[members])
+        self._pmat[block] = pt.reshape(n, e, k, s, s)
+        self._p_length[keys] = lengths
+        self._p_epoch[keys] = self._epoch[members]
 
     def _child(self, node: int, sel) -> tuple[np.ndarray, np.ndarray | None]:
         """CLV (or tip matrix) plus scaling counter of the selected members."""

@@ -228,6 +228,45 @@ class TestStaleMultiMemberWorkspace:
             stack.branch_derivatives(other, z[:2])
 
 
+class TestTransitionCacheUpdates:
+    """A refresh recomputes only the block of edges and members whose
+    (length, epoch) key moved; the poisoned entries outside it stay as
+    they are, and the recomputed ones equal the eigensystem's P(t)."""
+
+    def _poisoned(self, sixteen):
+        stack = _stack(sixteen)
+        stack.loglikelihoods(0)
+        stack._pmat[...] = np.nan
+        return stack
+
+    def _check(self, stack, edges, members):
+        for i in range(N_MEMBERS):
+            for e in range(stack.tree.n_edges):
+                got = stack._pmat[i, e]
+                if e in edges and i in members:
+                    want = EigenSystem.for_model(stack.models[i]).transition_matrices(
+                        stack.lengths[e, i], stack.rates[i]
+                    )
+                    np.testing.assert_allclose(
+                        got, np.swapaxes(want, -1, -2), rtol=RTOL, atol=1e-15
+                    )
+                else:
+                    assert np.isnan(got).all()
+
+    def test_one_member_update(self, sixteen):
+        stack = self._poisoned(sixteen)
+        stack.set_alphas(0.7, 3)
+        stack.invalidate_all(3)
+        stack.loglikelihoods(0)
+        self._check(stack, range(stack.tree.n_edges), [3])
+
+    def test_one_edge_update(self, sixteen):
+        stack = self._poisoned(sixteen)
+        stack.set_branch_length(4, 0.21)
+        stack.loglikelihoods(0)
+        self._check(stack, [4], range(N_MEMBERS))
+
+
 class TestAlphaValidation:
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
     def test_set_alphas_rejects(self, sixteen, bad):
