@@ -103,19 +103,13 @@ class EigenSystem:
     @classmethod
     def for_models(cls, models) -> list["EigenSystem"]:
         """Memoized :meth:`from_models`: the models without a cached
-        eigensystem are decomposed together, in one ``eigh`` per state
-        count."""
+        eigensystem are decomposed together, in one ``eigh``."""
         models = list(models)
-        missing: dict[int, dict[int, SubstitutionModel]] = {}
-        for model in models:
-            if id(model) not in _EIGEN_CACHE:
-                missing.setdefault(model.states, {})[id(model)] = model
-        for group in missing.values():
-            group = list(group.values())
-            for model, eigen in zip(group, cls.from_models(group)):
-                key = id(model)
-                _EIGEN_CACHE[key] = eigen
-                weakref.finalize(model, _EIGEN_CACHE.pop, key, None)
+        missing = list({id(m): m for m in models if id(m) not in _EIGEN_CACHE}.values())
+        for model, eigen in zip(missing, cls.from_models(missing)):
+            key = id(model)
+            _EIGEN_CACHE[key] = eigen
+            weakref.finalize(model, _EIGEN_CACHE.pop, key, None)
         return [_EIGEN_CACHE[id(m)] for m in models]
 
     @property
