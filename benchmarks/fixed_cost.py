@@ -7,7 +7,7 @@ Run from the repository root::
 Part 1 times the stack operations one ``modelopt_par`` worker runs, on the
 same shape: 8 taxa, 16 DNA partitions of 30 patterns in one stack.  Each
 figure is the minimum over ``--repeats`` rounds of the mean over
-``--calls`` calls, in microseconds.  The rounds visit every operation (and
+``CALLS`` calls, in microseconds.  The rounds visit every operation (and
 in part 2 every width) in turn, so a slow phase of a shared host hits
 them all alike and the minimum filters it out.
 
@@ -32,6 +32,7 @@ N_TAXA = 8
 N_PARTS = 16
 WIDTH = 30
 FIT_WIDTHS = (30, 60, 120, 240, 480, 960, 1920)
+CALLS = 40
 
 
 def _time(fns: dict, calls: int, repeats: int) -> dict[str, float]:
@@ -58,7 +59,7 @@ def _data(n_parts: int, columns: int, seed: int):
     return tree, lengths, data, models
 
 
-def stack_ops(calls: int, repeats: int) -> dict[str, float]:
+def stack_ops(repeats: int) -> dict[str, float]:
     """Microseconds per operation on a 16-member stack."""
     tree, lengths, data, models = _data(N_PARTS, WIDTH, seed=5)
     stacks = PartitionStacks(list(data.data), tree, models, [1.0] * N_PARTS)
@@ -103,15 +104,15 @@ def stack_ops(calls: int, repeats: int) -> dict[str, float]:
         f"set_alphas ({N_PARTS} members)": set_alphas,
         "P(t) miss": p_miss,
         "P(t) hit": p_hit,
-    }, calls, repeats)
+    }, CALLS, repeats)
     out.update(_time(
         {"one traversal (invalidate + loglikelihoods)": traversal},
-        max(calls // 4, 1), repeats,
+        CALLS // 4, repeats,
     ))
     return {k: v * 1e6 for k, v in out.items()}
 
 
-def dispatch_fit(calls: int, repeats: int) -> dict[str, tuple[float, float]]:
+def dispatch_fit(repeats: int) -> dict[str, tuple[float, float]]:
     """(fixed us, per-pattern ns) of a full traversal and a derivative call."""
     full, deriv, widths = {}, {}, []
     for width in FIT_WIDTHS:
@@ -129,8 +130,8 @@ def dispatch_fit(calls: int, repeats: int) -> dict[str, tuple[float, float]]:
 
         full[width], deriv[width] = traversal, derivative
     out = {}
-    for name, fns, n in (("full traversal", full, max(calls // 8, 3)),
-                         ("branch_derivatives", deriv, calls)):
+    for name, fns, n in (("full traversal", full, CALLS // 8),
+                         ("branch_derivatives", deriv, CALLS)):
         times = list(_time(fns, n, repeats).values())
         slope, fixed = np.polyfit(widths, times, 1)
         out[name] = (fixed * 1e6, slope * 1e9)
@@ -139,19 +140,15 @@ def dispatch_fit(calls: int, repeats: int) -> dict[str, tuple[float, float]]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=40)
     parser.add_argument("--repeats", type=int, default=40)
-    parser.add_argument("--skip-fit", action="store_true")
     args = parser.parse_args()
     print(f"stack ops ({N_TAXA} taxa, {N_PARTS} x {WIDTH} DNA patterns, one stack):")
-    for name, us in stack_ops(args.calls, args.repeats).items():
+    for name, us in stack_ops(args.repeats).items():
         print(f"  {name:45s} {us:9.1f} us")
-    if not args.skip_fit:
-        print("dispatch-cost fit (one-member stack, widths "
-              f"{FIT_WIDTHS[0]}-{FIT_WIDTHS[-1]}):")
-        for name, (fixed, per) in dispatch_fit(args.calls, args.repeats).items():
-            print(f"  {name:20s} fixed {fixed:7.1f} us  per pattern {per:6.1f} ns"
-                  f"  fixed = {fixed * 1e3 / per:6.0f} patterns")
+    print(f"dispatch-cost fit (one-member stack, widths {FIT_WIDTHS[0]}-{FIT_WIDTHS[-1]}):")
+    for name, (fixed, per) in dispatch_fit(args.repeats).items():
+        print(f"  {name:20s} fixed {fixed:7.1f} us  per pattern {per:6.1f} ns"
+              f"  fixed = {fixed * 1e3 / per:6.0f} patterns")
 
 
 if __name__ == "__main__":
