@@ -343,12 +343,6 @@ def make_sumtable(
     iteration then costs only an exp + two weighted sums (exactly RAxML's
     ``makenewz`` split between sumtable setup and the core iteration).
     """
-    left, right = _sumtable_factors(clv_left, clv_right, u, v, frequencies)
-    return left * right
-
-
-def _sumtable_factors(clv_left, clv_right, u, v, frequencies):
-    """The two ``(..., K, m, j)`` factors whose product is the sumtable."""
     if clv_left.ndim < u.ndim + 1:
         clv_left = clv_left[..., np.newaxis, :, :]
     if clv_right.ndim < u.ndim + 1:
@@ -357,7 +351,7 @@ def _sumtable_factors(clv_left, clv_right, u, v, frequencies):
     left = np.matmul(clv_left, piu[..., np.newaxis, :, :])       # (..., K, m, j)
     vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
     right = np.matmul(clv_right, vt[..., np.newaxis, :, :])      # (..., K, m, j)
-    return left, right
+    return left * right
 
 
 def branch_table(
@@ -371,12 +365,10 @@ def branch_table(
     pattern-major, with the Gamma categories and eigenmodes flattened
     into one axis, so the category sum happens inside the contraction
     against a :func:`branch_coefficients` basis (one GEMM per round)."""
-    left, right = _sumtable_factors(clv_left, clv_right, u, v, frequencies)
-    shape = np.broadcast_shapes(left.shape, right.shape)      # a tip has K = 1
-    k, m, j = shape[-3:]
-    table = np.empty(shape[:-3] + (m, k, j))
-    np.multiply(np.swapaxes(left, -3, -2), np.swapaxes(right, -3, -2), out=table)
-    return table.reshape(table.shape[:-2] + (k * j,))
+    table = make_sumtable(clv_left, clv_right, u, v, frequencies)  # (..., K, m, j)
+    k, m, j = table.shape[-3:]
+    table = np.ascontiguousarray(np.swapaxes(table, -3, -2))
+    return table.reshape(table.shape[:-3] + (m, k * j))
 
 
 def branch_coefficients(
