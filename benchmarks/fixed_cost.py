@@ -5,7 +5,9 @@ Run from the repository root::
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/fixed_cost.py
 
 Part 1 times the stack operations one ``modelopt_par`` worker runs, on the
-same shape: 8 taxa, 16 DNA partitions of 30 patterns in one stack.  Each
+same shape: 8 taxa, 16 DNA partitions of 30 patterns in one stack.  The
+edge-stacked round is one ``"tree"`` Newton round over all 13 edges; the
+per-edge round it replaces is "derivative round".  Each
 figure is the minimum over ``--repeats`` rounds of the mean over
 ``CALLS`` calls, in microseconds.  The rounds visit every operation (and
 in part 2 every width) in turn, so a slow phase of a shared host hits
@@ -23,6 +25,7 @@ import time
 
 import numpy as np
 
+from repro.core.strategies import smoothing_edge_order
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.plk.likelihood import PartitionLikelihood
 from repro.plk.stacking import PartitionStacks
@@ -70,6 +73,9 @@ def stack_ops(repeats: int) -> dict[str, float]:
     workspaces = stacks.prepare_branches(edge)
     z = np.full(N_PARTS, lengths[edge])
     z_new = z * 1.3
+    order = smoothing_edge_order(tree)
+    edge_workspaces = stacks.prepare_edges(order)
+    z_edges = np.repeat(lengths[order, np.newaxis], N_PARTS, axis=1)
     alphas = (np.linspace(0.3, 2.0, N_PARTS), np.linspace(0.4, 2.5, N_PARTS))
     flip = [0]
     # A second scheme for the setter, which would make the workspaces stale.
@@ -98,8 +104,12 @@ def stack_ops(repeats: int) -> dict[str, float]:
     def derivative_round():
         stacks.branch_derivatives(workspaces, z)
 
+    def edge_round():
+        stacks.edge_derivatives(edge_workspaces, z_edges)
+
     out = _time({
         "derivative round": derivative_round,
+        f"edge-stacked derivative round ({len(order)} edges)": edge_round,
         "guard (2 x branch_loglikelihoods)": guard,
         f"set_alphas ({N_PARTS} members)": set_alphas,
         "P(t) miss": p_miss,

@@ -12,10 +12,10 @@ Subcommands
     Capture a paper experiment's schedule and replay it on the simulated
     platforms (regenerates Figure-3-style tables from the shell).
 ``profile``
-    Run oldPAR vs newPAR on the *real* worker team with the
-    :mod:`repro.perf` profiler attached and report each run's measured
-    per-worker busy/idle decomposition (the hardware analogue of what
-    ``replay`` predicts).
+    Run oldPAR, newPAR and the tree-wide branch schedule on the *real*
+    worker team with the :mod:`repro.perf` profiler attached and report
+    each run's measured per-worker busy/idle decomposition (the hardware
+    analogue of what ``replay`` predicts).
 ``timeline``
     Run one profiled + traced workload (or load a saved profile JSON) and
     export it as a Chrome trace-event timeline — one lane per worker plus
@@ -148,14 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="measure oldPAR vs newPAR on the real worker team",
+        help="measure oldPAR, newPAR and the tree schedule on the real worker team",
     )
     add_workload_args(prof)
     prof.add_argument("--warmup", action="store_true",
                       help="run the workload once untimed first (worker "
                       "start-up, allocator and cache warm-up), then reset "
                       "the profiler and measure a second pass")
-    prof.add_argument("--out", help="write both RunProfiles as JSON here")
+    prof.add_argument("--out", help="write the three RunProfiles as JSON here")
 
     tl = sub.add_parser(
         "timeline",
@@ -481,9 +481,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The branch-length schedules ``repro profile`` runs, each with the
+#: alpha strategy it pairs with (``"tree"`` smooths branches only).
+_PROFILED = {"old": "old", "new": "new", "tree": "new"}
+
+
 def _run_profiled_strategies(args: argparse.Namespace, lives: dict) -> dict:
-    """Run the shared workload under both strategies with a profiler
-    attached; returns ``{"old": RunProfile, "new": RunProfile}``.
+    """Run the shared workload under every branch-length schedule with a
+    profiler attached; returns ``{"old": RunProfile, "new": RunProfile,
+    "tree": RunProfile}``.
 
     With ``--live`` a fresh :class:`~repro.obs.live.LiveTelemetry` is
     bound per strategy run and stored in ``lives`` (an out-dict) keyed
@@ -494,7 +500,7 @@ def _run_profiled_strategies(args: argparse.Namespace, lives: dict) -> dict:
 
     data, tree, lengths, models, alphas, edges = _build_workload(args)
     profiles = {}
-    for strategy in ("old", "new"):
+    for strategy, alpha_strategy in _PROFILED.items():
         live = None
         if args.live:
             from .obs import LiveTelemetry
@@ -516,11 +522,11 @@ def _run_profiled_strategies(args: argparse.Namespace, lives: dict) -> dict:
                 # (partially optimized) state.
                 team.optimize_branches(edges, strategy)
                 if args.alpha:
-                    team.optimize_alpha(strategy)
+                    team.optimize_alpha(alpha_strategy)
                 profiler.reset()
             team.optimize_branches(edges, strategy)
             if args.alpha:
-                team.optimize_alpha(strategy)
+                team.optimize_alpha(alpha_strategy)
             stats = team.comms_stats()
         profiles[strategy] = profiler.profile()
         profiles[strategy].meta.update(stats)
@@ -530,7 +536,7 @@ def _run_profiled_strategies(args: argparse.Namespace, lives: dict) -> dict:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .perf import compare_strategies
+    from .perf import compare_decompositions, compare_strategies
 
     error = _validate_workload(args)
     if error:
@@ -547,7 +553,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     lives: dict = {}
     profiles = _run_profiled_strategies(args, lives)
-    for strategy in ("old", "new"):
+    for strategy in _PROFILED:
         prof = profiles[strategy]
         print(f"\n{strategy}PAR\n{prof.summary()}")
         pipe = prof.meta["pipe_tx_bytes"] + prof.meta["pipe_rx_bytes"]
@@ -557,6 +563,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"  live: imbalance {live.imbalance():.3f}, "
                   f"{len(live.recorder)} flight events buffered")
     print("\n" + compare_strategies(profiles["old"], profiles["new"]).summary())
+    print("\n" + compare_decompositions(
+        profiles["new"], profiles["tree"], labels=("new", "tree")).summary())
 
     if args.prom and "new" in lives:
         out = Path(args.prom)

@@ -23,7 +23,7 @@ import numpy as np
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..plk.likelihood import BranchWorkspace, PartitionView
+from ..plk.likelihood import BranchWorkspace, EdgeWorkspace, PartitionView
 from ..plk.models import SubstitutionModel
 from ..plk.partition import PartitionedAlignment
 from ..plk.stacking import PartitionStacks
@@ -231,6 +231,12 @@ class PartitionedEngine:
         :meth:`set_branch_length`)."""
         self._stacks.set_branch_length(edge, values, active)
 
+    def set_edges_lengths(self, edges, values: np.ndarray, active=None) -> None:
+        """``(E, P)`` per-partition lengths of the listed edges in one
+        call: ``values[i, p]`` for ``edges[i]`` and every active
+        partition p."""
+        self._stacks.set_branch_lengths(values, active, edges)
+
     def set_all_branch_lengths(self, lengths: np.ndarray) -> None:
         self._global_lengths[:] = lengths
         if self.branch_mode == "proportional":
@@ -373,6 +379,22 @@ class PartitionedEngine:
         """``(P,)`` log-likelihoods at per-partition lengths ``z`` of the
         prepared edge (the Newton monotonicity guard)."""
         return self._stacks.branch_loglikelihoods(workspaces, z, active)
+
+    def prepare_edges(self, edges, active=None) -> list[EdgeWorkspace | None]:
+        """Sumtables for every listed edge in the active partitions: one
+        edge-stacked workspace per stack, no region of its own."""
+        return self._stacks.prepare_edges(edges, active)
+
+    def edge_derivatives(self, workspaces, z: np.ndarray, active=None):
+        """``(d1, d2)``, each ``(E, P)``: derivatives at the ``(E, P)``
+        lengths ``z`` for the lanes of the ``(E, P)`` mask ``active``
+        (default: every prepared lane)."""
+        return self._stacks.edge_derivatives(workspaces, z, active)
+
+    def edge_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
+        """``(E, P)`` log-likelihoods, each as a function of its own
+        edge's length at ``z``."""
+        return self._stacks.edge_loglikelihoods(workspaces, z, active)
 
     def prepare_branch_all(self, edge: int, label: str = "prepare") -> list[BranchWorkspace | None]:
         """Sumtables for ``edge`` in every partition, in ONE region (the

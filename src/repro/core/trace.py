@@ -63,9 +63,12 @@ COMMAND_KINDS = {
     "branch_lnl": "evaluate",
     "eval_alpha": "evaluate",
     "prepare": "sumtable",
+    "prepare_edges": "sumtable",
     "deriv": "derivative",
+    "deriv_edges": "derivative",
     "set_bl": "control",
     "set_bl_vec": "control",
+    "set_bl_edges": "control",
     "set_alpha": "control",
     "set_alpha_vec": "control",
     "set_model": "control",

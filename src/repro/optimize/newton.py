@@ -24,9 +24,21 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["NewtonResult", "BatchedNewton", "newton_optimize"]
+__all__ = ["NewtonResult", "BatchedNewton", "newton_optimize", "TREE_SWEEPS", "tree_sweeps"]
 
 _MAX_STEP = 2.0  # cap on |dz| per iteration, in branch-length units
+
+#: Jacobi sweeps per tree-wide smoothing pass (``strategy="tree"``).  Two
+#: sweeps end above one per-branch ``"new"`` pass on every seed measured
+#: (EXPERIMENTS.md TREE).
+TREE_SWEEPS = 2
+#: Step halvings the full-lnL guard tries before it puts a partition's
+#: pre-sweep lengths back.
+GUARD_HALVINGS = 3
+#: A drop the guard ignores, relative to the partition's lnL: two full
+#: traversals at lengths a converged lane barely moved differ by
+#: rounding alone.
+GUARD_RTOL = 1e-12
 
 
 @dataclass
@@ -165,3 +177,74 @@ def newton_optimize(
 
     res = solver.run(vec_fn, np.array([z0]))
     return float(res.z[0]), int(res.iterations[0]), bool(res.converged[0])
+
+
+def tree_sweeps(
+    z: np.ndarray,
+    opening: Callable,
+    deriv: Callable,
+    solver: BatchedNewton,
+    telemetry,
+    write_first: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One tree-wide smoothing pass: :data:`TREE_SWEEPS` Jacobi sweeps
+    over the ``(E, P)`` lengths ``z`` of E edges in P partitions, every
+    length fixed during a sweep.  Returns the final lengths and the
+    per-partition Newton iteration counts.
+
+    The engine side comes as two callbacks, each one parallel region:
+
+    * ``opening(z, write, live, z_first) -> (lnl, first)`` writes the
+      ``z`` columns of the ``(P,)`` mask ``write`` (None: nothing),
+      returns the full lnL of the ``live`` partitions and — unless
+      ``z_first`` is None (the closing guard) — prepares every edge for
+      them and returns the first derivative round at ``z_first``;
+    * ``deriv(z, active) -> (d1, d2)`` is one further round over the
+      lanes of the ``(E, P)`` mask ``active``.
+
+    A sweep's lnL guard is the opening of the next one (or the closing
+    region), so its prepare is speculative.  Where a live partition's
+    lnL fell below its pre-sweep value its step is halved — up to
+    :data:`GUARD_HALVINGS` times, then its pre-sweep lengths come back
+    and it sits out the rest of the pass (a repeated sweep from the same
+    lengths would take the same step) — and the opening is repeated.
+    Each repeat is one round of a ``tree_guard`` telemetry log, so a pass
+    costs (Newton rounds) + 1 + (guard rounds) regions."""
+    n_edges, n_parts = z.shape
+    live = np.ones(n_parts, dtype=bool)
+    write = live.copy() if write_first else None
+    counts = np.zeros(n_parts, dtype=np.int64)
+    baseline = start = None
+    for sweep in range(TREE_SWEEPS + 1):
+        closing = sweep == TREE_SWEEPS
+        lnl, first = opening(z, write, live, None if closing else solver.initial_point(z))
+        if baseline is not None:
+            tries = np.zeros(n_parts, dtype=np.int64)
+            log = None
+            floor = baseline - GUARD_RTOL * np.abs(baseline)
+            while (dropped := live & (lnl < floor)).any():
+                if log is None and telemetry.enabled:
+                    log = telemetry.start("tree_guard", n_parts)
+                if log is not None:
+                    log.iteration(lnl, dropped)
+                halve = dropped & (tries < GUARD_HALVINGS)
+                z = np.where(halve, 0.5 * (start + z), np.where(dropped, start, z))
+                tries += halve
+                live = live & ~(dropped & ~halve)
+                lnl, first = opening(
+                    z, dropped, live, None if closing else solver.initial_point(z)
+                )
+        if closing:
+            break
+        baseline, start = lnl, z
+        res = solver.run(
+            lambda zz, active: tuple(d.ravel() for d in deriv(
+                zz.reshape(n_edges, n_parts), active.reshape(n_edges, n_parts))),
+            z.ravel(), mask=np.broadcast_to(live, z.shape).ravel(),
+            observer=telemetry.start("nr_tree", n_edges * n_parts),
+            first_eval=(first[0].ravel(), first[1].ravel()),
+        )
+        z = res.z.reshape(n_edges, n_parts)
+        counts += res.iterations.reshape(n_edges, n_parts).sum(axis=0)
+        write = live.copy()
+    return z, counts

@@ -31,7 +31,7 @@ from ..core.trace import describe_command
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..optimize.newton import BatchedNewton, newton_optimize
+from ..optimize.newton import BatchedNewton, newton_optimize, tree_sweeps
 from ..optimize.brent import BatchedBrent
 from ..plk.partition import PartitionedAlignment
 from ..plk.tree import Tree
@@ -235,6 +235,11 @@ class _ProcessTeam:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5)
+
+
+def _reduce_pairs(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the workers' partial ``(d1, d2)`` derivative replies."""
+    return np.sum([p[0] for p in parts], axis=0), np.sum([p[1] for p in parts], axis=0)
 
 
 @dataclass
@@ -592,10 +597,9 @@ class ParallelPLK:
     def branch_derivatives(
         self, handle: _PreparedBranch, z: np.ndarray, active: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        parts = self._broadcast(("deriv", handle.token, np.asarray(z, float), active))
-        d1 = np.sum([p[0] for p in parts], axis=0)
-        d2 = np.sum([p[1] for p in parts], axis=0)
-        return d1, d2
+        return _reduce_pairs(
+            self._broadcast(("deriv", handle.token, np.asarray(z, float), active))
+        )
 
     def release(self, handle: _PreparedBranch) -> None:
         self._broadcast(("release", handle.token))
@@ -625,10 +629,7 @@ class ParallelPLK:
                     ("deriv", token, z_first, every),
                 )
             )
-            first_eval = (
-                np.sum([d[0] for d in deriv_parts], axis=0),
-                np.sum([d[1] for d in deriv_parts], axis=0),
-            )
+            first_eval = _reduce_pairs(deriv_parts)
 
             def fn(z: np.ndarray, active_mask: np.ndarray):
                 active = [int(i) for i in np.flatnonzero(active_mask)]
@@ -690,17 +691,66 @@ class ParallelPLK:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def optimize_branches(
-        self, edges: list[int], strategy: str = "new",
+        self, edges: list[int], strategy: str = "tree",
         lengths0: np.ndarray | None = None,
     ) -> np.ndarray:
         """Optimize a set of branches once each; returns (len(edges), P).
         ``lengths0[i]`` is the start for ``edges[i]`` (default: the
-        current lengths)."""
+        current lengths).  ``"old"``/``"new"`` walk the edges one at a
+        time (:meth:`optimize_branch`); ``"tree"`` runs one pass of
+        Jacobi sweeps over all of them (:meth:`_tree_pass`)."""
+        if strategy == "tree":
+            return self._tree_pass(list(edges), lengths0)
         out = np.zeros((len(edges), self.n_partitions))
         for i, edge in enumerate(edges):
             z0 = None if lengths0 is None else lengths0[i]
             out[i] = self.optimize_branch(edge, strategy, z0)
         return out
+
+    def _tree_pass(self, edges: list[int], lengths0) -> np.ndarray:
+        """One ``"tree"`` pass, the schedule of
+        :func:`repro.core.strategies._tree_pass` on the team.
+
+        Each sweep opens with ONE program: write the previous sweep's
+        lengths, every live partition's full lnL (the guard of that
+        sweep), prepare every edge and the first edge-stacked derivative
+        round, so the guard rides speculatively on the next sweep's
+        opening and costs a barrier only when it fires.  Every further
+        Newton round is one ``deriv_edges`` broadcast, so a pass costs
+        (Newton rounds) + 1 barriers when the guard does not fire."""
+        n, n_edges = self.n_partitions, len(edges)
+        root = edges[0]
+        token = next(self._token)
+        z = (self._lengths[edges] if lengths0 is None
+             else np.asarray(lengths0, float).reshape(n_edges, n))
+
+        def opening(z, write, live, z_first):
+            active = np.flatnonzero(live).tolist()
+            steps = [] if write is None else [
+                ("set_bl_edges", edges, z, np.flatnonzero(write).tolist())
+            ]
+            guard = len(steps)
+            steps.append(("lnl_parts", root, active))
+            if z_first is None:
+                steps.append(("release", token))
+            else:
+                steps += [("prepare_edges", edges, token, active),
+                          ("deriv_edges", token, z_first, np.broadcast_to(live, z.shape))]
+            results = self.run_program(steps)
+            lnl = np.sum(results[guard], axis=0)
+            return lnl, None if z_first is None else _reduce_pairs(results[-1])
+
+        def deriv(z, active):
+            return _reduce_pairs(self._broadcast(("deriv_edges", token, z, active)))
+
+        with self.tracer.span("optimize_branches", cat="optimizer",
+                              strategy="tree", edges=n_edges):
+            z, _ = tree_sweeps(
+                z, opening, deriv, BatchedNewton(_BRANCH_MIN, _BRANCH_MAX),
+                self.telemetry, write_first=lengths0 is not None,
+            )
+        self._lengths[edges] = z
+        return z
 
     # -- alpha optimization ---------------------------------------------------
 

@@ -150,6 +150,7 @@ STAT_OPS = (
     "?", "lnl", "lnl_parts", "prepare", "deriv", "branch_lnl", "release",
     "set_bl", "set_alpha", "set_model", "set_bl_vec", "set_alpha_vec",
     "eval_alpha", "prog", "stall", "die",
+    "prepare_edges", "deriv_edges", "set_bl_edges",
 )
 
 _OP_CODES = {op: i for i, op in enumerate(STAT_OPS)}

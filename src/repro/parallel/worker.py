@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..plk.likelihood import BranchWorkspace
+from ..plk.likelihood import BranchWorkspace, EdgeWorkspace
 from ..plk.partition import PartitionData, PartitionedAlignment
 from ..plk.stacking import PartitionStacks
 from ..plk.tree import Tree
@@ -35,7 +35,9 @@ __all__ = ["slice_partition_data", "WorkerState"]
 
 # Position of the active-partition list inside each command tuple, for
 # the live plane's patterns-processed counter.  Commands without an
-# entry either touch every partition ("lnl") or none (control ops).
+# entry either touch every partition ("lnl"), every listed edge of their
+# partitions ("prepare_edges", "deriv_edges": see _command_patterns) or
+# none (control ops).
 _ACTIVE_ARG = {
     "lnl_parts": 2, "eval_alpha": 2, "prepare": 3, "deriv": 3, "branch_lnl": 3,
 }
@@ -113,7 +115,7 @@ class _Handle:
     """Worker-local sumtable storage for one prepare/derive cycle."""
 
     token: int
-    workspaces: list[BranchWorkspace | None]
+    workspaces: list[BranchWorkspace | EdgeWorkspace | None]
 
 
 class WorkerState:
@@ -138,8 +140,8 @@ class WorkerState:
         # dispatch path then pays one attribute read, nothing else.
         self.stats: WorkerStatsWriter | None = None
         self.rank = 0
-        self._slice_patterns = tuple(sl.n_patterns for sl in slices)
-        self._total_patterns = sum(self._slice_patterns)
+        self._slice_patterns = np.array([sl.n_patterns for sl in slices], dtype=np.int64)
+        self._total_patterns = int(self._slice_patterns.sum())
 
     def attach_stats(self, row: np.ndarray, rank: int) -> None:
         """Bind this worker to row ``rank`` of a
@@ -154,10 +156,14 @@ class WorkerState:
         op = cmd[0]
         if op in ("lnl",):
             return self._total_patterns
+        if op == "prepare_edges":  # (op, edges, token, partitions)
+            return len(cmd[1]) * int(self._slice_patterns[cmd[3]].sum())
+        if op == "deriv_edges":    # (op, token, z, (E, P) lane mask)
+            return int(np.asarray(cmd[3]).sum(axis=0) @ self._slice_patterns)
         idx = _ACTIVE_ARG.get(op)
         if idx is None:
             return 0
-        return int(sum(self._slice_patterns[p] for p in cmd[idx]))
+        return int(self._slice_patterns[list(cmd[idx])].sum())
 
     # Command dispatch ---------------------------------------------------
 
@@ -217,6 +223,22 @@ class WorkerState:
         the prepared sumtables (the Newton monotonicity-guard pass)."""
         return self.engine.branch_loglikelihoods(self._handles[token].workspaces, z, active)
 
+    def _cmd_prepare_edges(self, edges: list[int], token: int, partitions: list[int]) -> None:
+        """Edge-stacked sumtables of every listed edge (one per stack);
+        a handle under the same token is dropped first, so two sweeps'
+        tables are never held at once."""
+        self._handles.pop(token, None)
+        self._handles[token] = _Handle(
+            token=token, workspaces=self.engine.prepare_edges(edges, partitions)
+        )
+
+    def _cmd_deriv_edges(
+        self, token: int, z: np.ndarray, active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Partial ``(E, P)`` (d1, d2) sums over the lanes of the ``(E, P)``
+        mask ``active`` at the ``(E, P)`` lengths z."""
+        return self.engine.edge_derivatives(self._handles[token].workspaces, z, active)
+
     def _cmd_release(self, token: int) -> None:
         self._handles.pop(token, None)
 
@@ -235,6 +257,13 @@ class WorkerState:
         """Per-partition branch lengths for one edge in ONE command (the
         fused replacement for P separate ``set_bl`` broadcasts)."""
         self.engine.set_branch_length(edge, values)
+
+    def _cmd_set_bl_edges(
+        self, edges: list[int], values: np.ndarray, partitions: list[int]
+    ) -> None:
+        """``(E, P)`` lengths of the listed edges for the given partitions
+        in ONE command (the tree schedule's bulk write)."""
+        self.engine.set_branch_lengths(values, partitions, edges)
 
     def _cmd_set_alpha_vec(self, x: np.ndarray, active: list[int]) -> None:
         """Per-partition alphas in ONE command (fused ``set_alpha``)."""

@@ -360,13 +360,19 @@ def branch_table(
     u: np.ndarray,
     v: np.ndarray,
     frequencies: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`make_sumtable` in the Newton layout ``(..., m, K * s)``:
     pattern-major, with the Gamma categories and eigenmodes flattened
     into one axis, so the category sum happens inside the contraction
-    against a :func:`branch_coefficients` basis (one GEMM per round)."""
+    against a :func:`branch_coefficients` basis (one GEMM per round).
+    ``out`` (a contiguous ``(..., m, K * s)`` array) receives the table
+    in place of a new one."""
     table = make_sumtable(clv_left, clv_right, u, v, frequencies)  # (..., K, m, j)
     k, m, j = table.shape[-3:]
+    if out is not None:
+        np.copyto(out.reshape(table.shape[:-3] + (m, k, j)), np.swapaxes(table, -3, -2))
+        return out
     table = np.ascontiguousarray(np.swapaxes(table, -3, -2))
     return table.reshape(table.shape[:-3] + (m, k * j))
 

@@ -43,7 +43,7 @@ from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
 
-__all__ = ["PartitionLikelihood", "PartitionView", "BranchWorkspace"]
+__all__ = ["PartitionLikelihood", "PartitionView", "BranchWorkspace", "EdgeWorkspace"]
 
 
 def _check_alphas(values) -> None:
@@ -91,6 +91,36 @@ class BranchWorkspace:
     live_weights: np.ndarray
     scale: np.ndarray | None
     n_patterns: int
+    epoch: np.ndarray
+    generation: int
+    slots: np.ndarray
+    mask: int
+
+
+@dataclass
+class EdgeWorkspace:
+    """:class:`BranchWorkspace` for several edges at once: the arrays
+    carry a leading edge axis and always a member axis, so one Newton
+    round over every ``(edge, member)`` lane is one kernel call.
+
+    * ``table`` — ``(E, A, m, K*s)``, edge ``edges[e]``'s sumtable;
+    * ``coef`` ``(A, K*s)`` and ``powers`` ``(A, K*s, 3)`` — as for one
+      edge (they depend on the member's parameters, not on the edge);
+    * ``weights`` ``(A, m)``; ``live_weights`` the same, or ``(E, A, m)``
+      with each edge's dead (``ZERO_SCALE``) patterns zeroed;
+    * ``scale`` — ``(E, A, m)`` total scaling counters per edge.
+
+    ``epoch``, ``generation``, ``slots`` and ``mask`` follow the
+    :class:`BranchWorkspace` rules: a workspace prepared before a model
+    parameter update of one of its members is refused."""
+
+    edges: np.ndarray
+    table: np.ndarray
+    coef: np.ndarray
+    powers: np.ndarray
+    weights: np.ndarray
+    live_weights: np.ndarray
+    scale: np.ndarray
     epoch: np.ndarray
     generation: int
     slots: np.ndarray
@@ -356,17 +386,27 @@ class PartitionLikelihood:
             [n for n in self.tree.edge_nodes(edge) if not self.tree.is_leaf(n)], mask
         )
 
-    def set_branch_lengths(self, values: np.ndarray, active=None) -> None:
+    def set_branch_lengths(self, values: np.ndarray, active=None, edges=None) -> None:
         """Replace whole length vectors: ``(n_edges,)`` for every active
-        member, or ``(n_edges, A)`` with one column per active member."""
+        member, or ``(n_edges, A)`` with one column per active member.
+        With ``edges`` only those rows are written (``values`` then has
+        one row per listed edge) and only the CLVs at their ends are
+        invalidated."""
         values = np.asarray(values, dtype=np.float64)
-        if values.shape[0] != self.tree.n_edges or values.ndim > 2:
+        if edges is None:
+            rows = np.arange(self.tree.n_edges)
+            nodes = range(self.tree.n_taxa, self.tree.n_nodes)
+        else:
+            rows = np.asarray(edges, dtype=np.int64)
+            nodes = {n for e in rows.tolist() for n in self.tree.edge_nodes(e)
+                     if not self.tree.is_leaf(n)}
+        if values.shape[0] != len(rows) or values.ndim > 2:
             raise ValueError("branch-length vector has wrong shape")
         mask = self._mask(active)
         if values.ndim == 1:
             values = values[:, np.newaxis]
-        self.lengths[:, self._slots(mask)] = values
-        self._invalidate(range(self.tree.n_taxa, self.tree.n_nodes), mask)
+        self.lengths[np.ix_(rows, self._slots(mask))] = values
+        self._invalidate(nodes, mask)
 
     def invalidate_all(self, active=None) -> None:
         """Mark every inner CLV stale (model change / bulk topology edit)."""
@@ -583,19 +623,24 @@ class PartitionLikelihood:
             slots=slots, mask=mask,
         )
 
-    def _workspace_part(self, ws: BranchWorkspace, active):
-        """(mask, selection, workspace) for the active members of ``ws``
-        (default: all the members it was prepared for); a subset comes as
-        a workspace of gathered arrays."""
+    def _check_current(self, ws, where: str) -> None:
+        """Refuse a workspace whose members' model parameters changed
+        since it was prepared (``where`` names its edges)."""
         if ws.generation != self._generation:
             if not np.array_equal(self._epoch[ws.slots], ws.epoch):
                 raise RuntimeError(
-                    "stale BranchWorkspace: model parameters (alpha/rates/eigen) "
-                    f"changed after prepare_branch() on edge {ws.edge} — the "
+                    f"stale {type(ws).__name__}: model parameters (alpha/rates/"
+                    f"eigen) changed after it was prepared on {where} — the "
                     "sumtable would be combined with mismatched eigenvalues/"
                     "rates; re-prepare the branch"
                 )
             ws.generation = self._generation
+
+    def _workspace_part(self, ws: BranchWorkspace, active):
+        """(mask, selection, workspace) for the active members of ``ws``
+        (default: all the members it was prepared for); a subset comes as
+        a workspace of gathered arrays."""
+        self._check_current(ws, f"edge {ws.edge}")
         mask = ws.mask if active is None else self._mask(active)
         if mask == ws.mask:
             return mask, self._select(mask), ws
@@ -652,6 +697,118 @@ class PartitionLikelihood:
         )
         self._record("derivative", mask)
         return np.atleast_1d(d1), np.atleast_1d(d2)
+
+    # -- every listed edge at once ---------------------------------------
+
+    def prepare_edges(self, edges, active=None) -> EdgeWorkspace:
+        """One :class:`EdgeWorkspace` for ``edges`` and the active
+        members.  The edges are visited in the given order, each after
+        re-rooting the CLVs on it (listed in
+        :func:`~repro.core.strategies.smoothing_edge_order`, every visit
+        costs O(1) newviews) and its sumtable written into its row of the
+        stacked table."""
+        mask = self._mask(active)
+        slots = self._slots(mask)
+        sel = slice(None) if mask == self._full else slots
+        edges = np.asarray(edges, dtype=np.int64)
+        u, v, freqs = self._u[sel], self._v[sel], self._frequencies[sel]
+        table = np.empty((len(edges), len(slots), self.width, self.categories * self.states))
+        scale = np.zeros((len(edges), len(slots), self.width), dtype=np.int32)
+        for i, edge in enumerate(edges.tolist()):
+            self._refresh(edge, mask)
+            a, b = self.tree.edge_nodes(edge)
+            clv_a, sc_a = self._child(a, sel)
+            clv_b, sc_b = self._child(b, sel)
+            kernel.branch_table(clv_a, clv_b, u, v, freqs, out=table[i])
+            for sc in (sc_a, sc_b):
+                if sc is not None:
+                    scale[i] += sc
+            self._record("sumtable", mask)
+        coef, powers = kernel.branch_coefficients(self._eigenvalues[sel], self.rates[sel])
+        weights = self._weights[sel]
+        dead = kernel.zero_pattern_mask(scale)
+        live = np.where(dead, 0.0, weights) if dead is not None and dead.any() else weights
+        return EdgeWorkspace(
+            edges=edges, table=table, coef=coef, powers=powers, weights=weights,
+            live_weights=live, scale=scale, epoch=self._epoch[slots].copy(),
+            generation=self._generation, slots=slots, mask=mask,
+        )
+
+    def _edge_lanes(self, ws: EdgeWorkspace, z, active):
+        """The arrays a round over the ``(E, A)`` lane mask ``active``
+        (None: every lane) of ``ws`` computes on:
+        ``(lanes, sel, table, coef, powers, z, weights, live, scale)``.
+        While more than half the lanes are active the whole block is
+        computed on the workspace's own arrays (``lanes`` is None; the
+        others are zeroed after); otherwise the active lanes are gathered
+        into one leading lane axis (``lanes`` holds their edge and member
+        indices), so a round never copies more than half the table.
+        ``sel`` indexes each lane's member parameters."""
+        self._check_current(ws, f"edges {ws.edges.tolist()}")
+        z = np.minimum(np.maximum(np.asarray(z, dtype=np.float64), kernel.MIN_BRANCH),
+                       kernel.MAX_BRANCH)
+        if active is None or 2 * np.count_nonzero(active) > active.size:
+            return (None, ws.slots, ws.table, ws.coef, ws.powers, z, ws.weights,
+                    ws.live_weights, ws.scale)
+        e, a = lanes = np.nonzero(active)
+        live = ws.live_weights[a] if ws.live_weights.ndim == 2 else ws.live_weights[e, a]
+        return (lanes, ws.slots[a], ws.table[e, a], ws.coef[a], ws.powers[a], z[e, a],
+                ws.weights[a], live, ws.scale[e, a])
+
+    def _record_lanes(self, op: str, ws: EdgeWorkspace, active) -> None:
+        if self.recorder is None:
+            return
+        if active is None:
+            for _ in range(len(ws.edges)):
+                self._record(op, ws.mask)
+            return
+        emit = getattr(self.recorder, op)
+        for i in ws.slots[np.nonzero(active)[1]].tolist():
+            emit(self.indices[i], int(self.widths[i]))
+
+    @staticmethod
+    def _scatter(lanes, active, shape, *values):
+        """Results as ``(E, A)`` arrays, 0 outside ``active``."""
+        if lanes is None:
+            if active is None:
+                return values
+            return tuple(np.where(active, v, 0.0) for v in values)
+        out = []
+        for v in values:
+            full = np.zeros(shape)
+            full[lanes] = v
+            out.append(full)
+        return tuple(out)
+
+    def edge_derivatives(self, ws: EdgeWorkspace, z, active=None):
+        """(dlnL/dz, d2lnL/dz2), each ``(E, A)``: every active lane's
+        derivatives at its length in ``z`` (``(E, A)``) — one Newton
+        round over every listed edge in one kernel call."""
+        lanes, sel, table, coef, powers, zz, weights, live, scale = self._edge_lanes(
+            ws, z, active
+        )
+        slopes = kernel.table_slopes(table, coef, powers, zz)
+        d1, d2 = self._mixed(
+            sel,
+            lambda: kernel.slope_derivatives(slopes, live, weights, scale),
+            lambda pinv, inv: kernel.slope_derivatives_pinv(slopes, weights, scale, pinv, inv),
+        )
+        self._record_lanes("derivative", ws, active)
+        return self._scatter(lanes, active, ws.table.shape[:2], d1, d2)
+
+    def edge_loglikelihoods(self, ws: EdgeWorkspace, z, active=None) -> np.ndarray:
+        """``(E, A)`` log-likelihoods as functions of each listed edge's
+        length alone, at the lengths ``z`` (0 outside ``active``)."""
+        lanes, sel, table, coef, _, zz, weights, _, scale = self._edge_lanes(ws, z, active)
+        site = kernel.table_site_likelihoods(table, coef, zz, self.categories)
+        logs = self._mixed(
+            sel,
+            lambda: kernel.scaled_log_likelihoods(site, scale),
+            lambda pinv, inv: kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv),
+        )
+        lnl = kernel.weighted_log_sum(weights, logs)
+        self._record_lanes("derivative", ws, active)
+        return self._scatter(lanes, active, ws.table.shape[:2], lnl)[0]
 
 
 class PartitionView:

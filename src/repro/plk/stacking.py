@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .likelihood import BranchWorkspace, PartitionLikelihood, PartitionView
+from .likelihood import BranchWorkspace, EdgeWorkspace, PartitionLikelihood, PartitionView
 from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
@@ -177,6 +177,48 @@ class PartitionStacks:
             out[parts] = stack.branch_loglikelihood(ws, z[parts], sub)
         return out
 
+    def prepare_edges(self, edges, active=None) -> list[EdgeWorkspace | None]:
+        """One edge-stacked workspace per stack (None where no member is
+        active)."""
+        out: list[EdgeWorkspace | None] = [None] * len(self.stacks)
+        for k, stack, sub, _ in self._split(active):
+            out[k] = stack.prepare_edges(edges, sub)
+        return out
+
+    def _edge_stacks(self, workspaces, active):
+        """``(stack, workspace, partitions, lane mask)`` per stack with an
+        active lane; ``active`` is an ``(E, P)`` mask over partitions
+        (None: every prepared lane), the lane mask None for all lanes."""
+        for stack, members, ws in zip(self.stacks, self._members, workspaces):
+            if ws is None:
+                continue
+            parts = members[ws.slots]
+            lanes = None if active is None else active[:, parts]
+            if lanes is not None:
+                if not lanes.any():
+                    continue
+                if lanes.all():
+                    lanes = None
+            yield stack, ws, parts, lanes
+
+    def edge_derivatives(self, workspaces, z: np.ndarray, active=None):
+        """(d1, d2), each ``(E, P)``, at the ``(E, P)`` lengths ``z`` for
+        the lanes of the ``(E, P)`` mask ``active`` (default: every
+        prepared lane); 0 elsewhere."""
+        d1 = np.zeros(z.shape)
+        d2 = np.zeros(z.shape)
+        for stack, ws, parts, lanes in self._edge_stacks(workspaces, active):
+            d1[:, parts], d2[:, parts] = stack.edge_derivatives(ws, z[:, parts], lanes)
+        return d1, d2
+
+    def edge_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
+        """``(E, P)`` log-likelihoods at the ``(E, P)`` lengths ``z``, each
+        a function of its own edge's length alone."""
+        out = np.zeros(z.shape)
+        for stack, ws, parts, lanes in self._edge_stacks(workspaces, active):
+            out[:, parts] = stack.edge_loglikelihoods(ws, z[:, parts], lanes)
+        return out
+
     # -- parameters -----------------------------------------------------------
 
     def branch_lengths(self) -> np.ndarray:
@@ -201,12 +243,15 @@ class PartitionStacks:
         for _, stack, sub, parts in self._split(active):
             stack.set_branch_length(edge, values if values.ndim == 0 else values[parts], sub)
 
-    def set_branch_lengths(self, lengths: np.ndarray, active=None) -> None:
+    def set_branch_lengths(self, lengths: np.ndarray, active=None, edges=None) -> None:
         """Replace whole length vectors: ``(n_edges,)`` shared, or
-        ``(n_edges, P)`` one column per partition."""
+        ``(n_edges, P)`` one column per partition; with ``edges``, only
+        those rows (``lengths`` has one row per listed edge)."""
         lengths = np.asarray(lengths, dtype=np.float64)
         for _, stack, sub, parts in self._split(active):
-            stack.set_branch_lengths(lengths if lengths.ndim == 1 else lengths[:, parts], sub)
+            stack.set_branch_lengths(
+                lengths if lengths.ndim == 1 else lengths[:, parts], sub, edges
+            )
 
     def set_alphas(self, values: np.ndarray, active=None) -> None:
         values = np.asarray(values, dtype=np.float64)

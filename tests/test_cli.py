@@ -167,7 +167,7 @@ class TestProfile:
         assert "oldPAR" in out and "newPAR" in out
         assert "efficiency" in out
         payload = json.loads(out_path.read_text())
-        assert set(payload) == {"old", "new"}
+        assert set(payload) == {"old", "new", "tree"}
         for strategy, blob in payload.items():
             from repro.perf import RunProfile
 
@@ -175,9 +175,11 @@ class TestProfile:
             assert profile.n_workers == 2
             assert profile.n_regions > 0
             assert profile.meta["strategy"] == strategy
-        # oldPAR issues more region broadcasts than newPAR
+        # oldPAR issues more region broadcasts than newPAR, and newPAR
+        # more than the tree-wide schedule
         assert (len(payload["old"]["records"])
-                > len(payload["new"]["records"]))
+                > len(payload["new"]["records"])
+                > len(payload["tree"]["records"]))
 
     def test_warmup_flag(self, capsys):
         rc = main(

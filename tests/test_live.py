@@ -328,6 +328,31 @@ class TestLiveTeamIntegration:
         assert live_segments() == before  # engine unlinked the plane
 
     @pytest.mark.timeout(60)
+    def test_tree_pass_counts_exact_patterns(self, setup, backend):
+        """A tree pass reports the patterns its edge-stacked commands
+        touched, summed over workers: the full lnL of every partition at
+        both sweep openings and the closing guard, every edge's sumtable
+        at both openings, and one pattern pass per Newton lane-round."""
+        from repro.core import smoothing_edge_order
+        from repro.obs import ConvergenceTelemetry
+
+        data, tree, *_ = setup
+        order = smoothing_edge_order(tree)
+        live, tel = LiveTelemetry(), ConvergenceTelemetry()
+        with make_team(setup, backend, live=live, telemetry=tel) as team:
+            team.optimize_branches(order, "tree")
+            samples = live.sample()
+        assert not tel.by_name("tree_guard")
+        widths = data.pattern_counts()
+        lanes = sum(
+            log.iterations_per_lane().reshape(len(order), -1) @ widths
+            for log in tel.by_name("nr_tree")
+        )
+        expected = 3 * widths.sum() + 2 * len(order) * widths.sum() + lanes.sum()
+        assert expected > 0
+        assert sum(s.patterns for s in samples) == expected
+
+    @pytest.mark.timeout(60)
     def test_final_samples_survive_close(self, setup, backend):
         live = LiveTelemetry()
         with make_team(setup, backend, live=live) as team:

@@ -133,6 +133,27 @@ class TestProcessesBackend:
                 issued[strategy] = par.commands_issued - base
         assert issued["old"] > 1.5 * issued["new"]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tree_pass_matches_sequential(self, setup, workers):
+        """One tree-wide smoothing pass on the team equals the one-process
+        pass to 1e-9 on every length and on the lnL, whatever the team
+        size."""
+        from repro.core import optimize_branch_lengths, smoothing_edge_order
+
+        data, tree, lengths, models, alphas, _ = setup
+        order = smoothing_edge_order(tree)
+        seq_eng = PartitionedEngine(
+            data, tree.copy(), models=models, alphas=alphas, initial_lengths=lengths
+        )
+        optimize_branch_lengths(seq_eng, "tree", passes=1, edges=order)
+        with ParallelPLK(
+            data, tree, models, alphas, workers, initial_lengths=lengths,
+        ) as par:
+            got = par.optimize_branches(order)
+            lnl = par.loglikelihood(0)
+        np.testing.assert_allclose(got, seq_eng.branch_lengths()[order], rtol=1e-9, atol=1e-12)
+        assert lnl == pytest.approx(seq_eng.loglikelihood(0), rel=1e-9)
+
     def test_alpha_opt_matches_sequential(self, setup):
         from repro.core import optimize_alpha
 
@@ -155,6 +176,15 @@ class TestProcessesBackend:
         alphas, as the sequential strategies do: a smoothing pass, alpha
         and a second pass from off-optimum alphas end at the one-process
         log-likelihood to 1e-9 relative."""
+        self._smooth_alpha_smooth(setup, "new")
+
+    def test_defaults_start_from_the_current_parameters_tree(self, setup):
+        """The same under the tree-wide schedule, the default of both
+        smoothing entry points."""
+        self._smooth_alpha_smooth(setup, "tree")
+
+    @staticmethod
+    def _smooth_alpha_smooth(setup, strategy):
         from repro.core import optimize_alpha, optimize_branch_lengths, smoothing_edge_order
 
         data, tree, lengths, models, _, _ = setup
@@ -163,16 +193,16 @@ class TestProcessesBackend:
         seq_eng = PartitionedEngine(
             data, tree.copy(), models=models, alphas=alphas, initial_lengths=lengths
         )
-        optimize_branch_lengths(seq_eng, "new", passes=1, edges=order)
+        optimize_branch_lengths(seq_eng, strategy, passes=1, edges=order)
         optimize_alpha(seq_eng, "new")
-        optimize_branch_lengths(seq_eng, "new", passes=1, edges=order)
+        optimize_branch_lengths(seq_eng, strategy, passes=1, edges=order)
         ref = seq_eng.loglikelihood(0)
         with ParallelPLK(
             data, tree, models, alphas, 2, initial_lengths=lengths,
         ) as par:
-            par.optimize_branches(order)
+            par.optimize_branches(order, strategy)
             np.testing.assert_allclose(par.optimize_alpha(), seq_eng.alphas(), rtol=1e-6)
-            par.optimize_branches(order)
+            par.optimize_branches(order, strategy)
             got = par.loglikelihood(0)
         assert got == pytest.approx(ref, rel=1e-9)
 

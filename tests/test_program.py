@@ -8,10 +8,11 @@ import pytest
 
 from repro.core import PartitionedEngine, TraceRecorder
 from repro.core import strategies
-from repro.core.strategies import optimize_branch_lengths
+from repro.core.strategies import optimize_branch_lengths, smoothing_edge_order
 from repro.core.trace import describe_command
 from repro.obs import ConvergenceTelemetry, MetricsRegistry
 from repro.optimize import BatchedBrent, BatchedNewton
+from repro.optimize.newton import TREE_SWEEPS
 from repro.parallel import ParallelPLK, Program, slice_partition_data
 from repro.parallel.program import program_steps
 from repro.parallel.worker import WorkerState
@@ -51,6 +52,16 @@ class TestDescribeCommand:
         assert label == "prog(prepare+deriv)"
         assert kind == "sumtable"
         assert n == 2
+
+    def test_edge_stacked_commands(self):
+        assert describe_command(("prepare_edges", [0, 1], 1, [0]))[1] == "sumtable"
+        assert describe_command(("deriv_edges", 1, None, None))[1] == "derivative"
+        assert describe_command(("set_bl_edges", [0], None, [0]))[1] == "control"
+        opening = ("prog", (("set_bl_edges", [0], None, [0]), ("lnl_parts", 0, [0]),
+                            ("prepare_edges", [0], 1, [0]), ("deriv_edges", 1, None, None)))
+        assert describe_command(opening) == (
+            "prog(set_bl_edges+lnl_parts+prepare_edges+deriv_edges)", "evaluate", 4,
+        )
 
     def test_all_control_program(self):
         cmd = ("prog", (("release", 1), ("set_bl", 0, 0.1, None)))
@@ -212,6 +223,55 @@ class TestFusedOptimizerEquivalence:
         assert lnl == pytest.approx(seq.loglikelihood(0), abs=1e-8)
         (seq_log,) = seq_tel.by_name("nr_branch")
         assert seq_log.rounds == log.rounds
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("start", [None, 10.0], ids=["quiet", "guard-fires"])
+    def test_tree_pass_barrier_count(self, setup, start):
+        """One tree pass: each sweep's opening program carries its first
+        Newton round, every further round is one broadcast, one closing
+        program guards the last sweep, and every guard round (read from
+        the ``tree_guard`` logs) costs one more program.  Starting every
+        branch at 10 forces the guard to fire.  Lengths, lnL and logs
+        equal the sequential pass's."""
+        data, tree, lengths, models, alphas = setup
+        init = lengths if start is None else np.full(tree.n_edges, start)
+        order = smoothing_edge_order(tree)
+        m, tel, seq_tel = MetricsRegistry(), ConvergenceTelemetry(), ConvergenceTelemetry()
+        seq = PartitionedEngine(
+            data, tree.copy(), models=list(models), alphas=list(alphas),
+            initial_lengths=init, telemetry=seq_tel,
+        )
+        optimize_branch_lengths(seq, "tree", passes=1, edges=order)
+        with ParallelPLK(data, tree, models, alphas, 2, initial_lengths=init,
+                         metrics=m, telemetry=tel) as team:
+            out = team.optimize_branches(order)
+            lnl = team.loglikelihood(0)
+        sweeps, guards = tel.by_name("nr_tree"), tel.by_name("tree_guard")
+        assert len(sweeps) == TREE_SWEEPS
+        assert bool(guards) == (start is not None)
+        # lnl is the extra broadcast after the pass's.
+        assert m.snapshot()["broadcasts.total"]["value"] == (
+            sum(log.n_rounds for log in sweeps) + 1
+            + sum(log.n_rounds for log in guards) + 1
+        )
+        np.testing.assert_allclose(out, seq.branch_lengths()[order], rtol=1e-9, atol=1e-12)
+        assert lnl == pytest.approx(seq.loglikelihood(0), rel=1e-9)
+        assert [(log.name, log.rounds) for log in tel.logs] == [
+            (log.name, log.rounds) for log in seq_tel.logs
+        ]
+
+    @pytest.mark.timeout(60)
+    def test_barriers_tree_below_new_below_old(self, setup):
+        """The paper's invariant carried to the branch axis: on the same
+        edges, the tree-wide pass needs fewer barriers than the newPAR
+        walk, which needs fewer than the oldPAR walk."""
+        order = smoothing_edge_order(setup[1])
+        barriers = {}
+        for strategy in ("old", "new", "tree"):
+            with make_team(setup) as team:
+                team.optimize_branches(order, strategy)
+                barriers[strategy] = team.commands_issued
+        assert barriers["tree"] < barriers["new"] < barriers["old"]
 
     @pytest.mark.timeout(60)
     def test_optimize_alpha_barrier_count(self, setup):
