@@ -6,17 +6,20 @@ Run from the repository root::
 
 Part 1 times the stack operations one ``modelopt_par`` worker runs, on the
 same shape: 8 taxa, 16 DNA partitions of 30 patterns in one stack.  The
-edge-stacked round is one ``"tree"`` Newton round over all 13 edges; the
-per-edge round it replaces is "derivative round".  Each
-figure is the minimum over ``--repeats`` rounds of the mean over
+per-branch rows (prepare, derivative rounds, guard) run on a one-edge
+workspace, ``prepare_edges([edge])``, as every per-branch schedule does:
+a round over every partition, and a round with one active lane (the
+oldPAR round, and a newPAR round with one partition left).  The
+edge-stacked round is one ``"tree"`` Newton round over all 13 edges.
+Each figure is the minimum over ``--repeats`` rounds of the mean over
 ``CALLS`` calls, in microseconds.  The rounds visit every operation (and
 in part 2 every width) in turn, so a slow phase of a shared host hits
 them all alike and the minimum filters it out.
 
 Part 2 is the dispatch-cost fit of EXPERIMENTS.md STACK: a one-member
 stack at widths 30 to 1,920, a full traversal (every newview plus the
-evaluate) and one ``branch_derivatives`` call, fitted as
-``fixed + per_pattern * width``.
+evaluate) and one ``edge_derivatives`` call on a one-edge workspace,
+fitted as ``fixed + per_pattern * width``.
 """
 from __future__ import annotations
 
@@ -70,9 +73,11 @@ def stack_ops(repeats: int) -> dict[str, float]:
     (stack,) = stacks.stacks
     edge = 2
     stacks.loglikelihoods(0)
-    workspaces = stacks.prepare_branches(edge)
-    z = np.full(N_PARTS, lengths[edge])
+    workspaces = stacks.prepare_edges([edge])
+    z = np.full((1, N_PARTS), lengths[edge])
     z_new = z * 1.3
+    one_lane = np.zeros((1, N_PARTS), dtype=bool)
+    one_lane[0, 1] = True
     order = smoothing_edge_order(tree)
     edge_workspaces = stacks.prepare_edges(order)
     z_edges = np.repeat(lengths[order, np.newaxis], N_PARTS, axis=1)
@@ -85,9 +90,12 @@ def stack_ops(repeats: int) -> dict[str, float]:
         flip[0] ^= 1
         other.set_alphas(alphas[flip[0]])
 
+    def prepare():
+        stacks.prepare_edges([edge])
+
     def guard():
-        stacks.branch_loglikelihoods(workspaces, z)
-        stacks.branch_loglikelihoods(workspaces, z_new)
+        stacks.edge_loglikelihoods(workspaces, z)
+        stacks.edge_loglikelihoods(workspaces, z_new)
 
     def p_miss():
         flip[0] ^= 1
@@ -102,15 +110,20 @@ def stack_ops(repeats: int) -> dict[str, float]:
         stack.loglikelihoods(0)
 
     def derivative_round():
-        stacks.branch_derivatives(workspaces, z)
+        stacks.edge_derivatives(workspaces, z)
+
+    def one_lane_round():
+        stacks.edge_derivatives(workspaces, z, one_lane)
 
     def edge_round():
         stacks.edge_derivatives(edge_workspaces, z_edges)
 
     out = _time({
+        "prepare (one edge)": prepare,
         "derivative round": derivative_round,
+        "one-lane derivative round": one_lane_round,
         f"edge-stacked derivative round ({len(order)} edges)": edge_round,
-        "guard (2 x branch_loglikelihoods)": guard,
+        "guard (2 x edge_loglikelihoods)": guard,
         f"set_alphas ({N_PARTS} members)": set_alphas,
         "P(t) miss": p_miss,
         "P(t) hit": p_hit,
@@ -135,13 +148,13 @@ def dispatch_fit(repeats: int) -> dict[str, tuple[float, float]]:
             stack.invalidate_all()
             stack.loglikelihoods(0)
 
-        def derivative(stack=stack, ws=stack.prepare_branch(1), z=np.array([lengths[1]])):
-            stack.branch_derivatives(ws, z)
+        def derivative(stack=stack, ws=stack.prepare_edges([1]), z=np.array([[lengths[1]]])):
+            stack.edge_derivatives(ws, z)
 
         full[width], deriv[width] = traversal, derivative
     out = {}
     for name, fns, n in (("full traversal", full, CALLS // 8),
-                         ("branch_derivatives", deriv, CALLS)):
+                         ("edge_derivatives", deriv, CALLS)):
         times = list(_time(fns, n, repeats).values())
         slope, fixed = np.polyfit(widths, times, 1)
         out[name] = (fixed * 1e6, slope * 1e9)

@@ -23,7 +23,7 @@ import numpy as np
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..plk.likelihood import BranchWorkspace, EdgeWorkspace, PartitionView
+from ..plk.likelihood import EdgeWorkspace, PartitionView
 from ..plk.models import SubstitutionModel
 from ..plk.partition import PartitionedAlignment
 from ..plk.stacking import PartitionStacks
@@ -365,21 +365,6 @@ class PartitionedEngine:
     # Newton-Raphson plumbing shared by the strategies
     # ------------------------------------------------------------------
 
-    def prepare_branches(self, edge: int, active=None) -> list[BranchWorkspace | None]:
-        """Sumtables for ``edge`` in the active partitions (one call per
-        stack, no region of its own)."""
-        return self._stacks.prepare_branches(edge, active)
-
-    def branch_derivatives(self, workspaces, z: np.ndarray, active=None):
-        """``(d1, d2)``, each ``(P,)``: first and second derivatives at
-        per-partition lengths ``z`` for the active prepared partitions."""
-        return self._stacks.branch_derivatives(workspaces, z, active)
-
-    def branch_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
-        """``(P,)`` log-likelihoods at per-partition lengths ``z`` of the
-        prepared edge (the Newton monotonicity guard)."""
-        return self._stacks.branch_loglikelihoods(workspaces, z, active)
-
     def prepare_edges(self, edges, active=None) -> list[EdgeWorkspace | None]:
         """Sumtables for every listed edge in the active partitions: one
         edge-stacked workspace per stack, no region of its own."""
@@ -396,17 +381,18 @@ class PartitionedEngine:
         edge's length at ``z``."""
         return self._stacks.edge_loglikelihoods(workspaces, z, active)
 
-    def prepare_branch_all(self, edge: int, label: str = "prepare") -> list[BranchWorkspace | None]:
-        """Sumtables for ``edge`` in every partition, in ONE region (the
-        newPAR grouping)."""
-        self.recorder.begin_region(label)
-        out = self.prepare_branches(edge)
+    def prepare_branch_all(self, edge: int) -> list[EdgeWorkspace | None]:
+        """The one-edge workspaces of ``edge`` in every partition, in ONE
+        region (the newPAR grouping)."""
+        self.recorder.begin_region("prepare")
+        out = self.prepare_edges([edge])
         self.recorder.end_region()
         return out
 
-    def prepare_branch_one(self, edge: int, partition: int) -> list[BranchWorkspace | None]:
-        """Sumtable for one partition (its own region — the oldPAR way)."""
+    def prepare_branch_one(self, edge: int, partition: int) -> list[EdgeWorkspace | None]:
+        """The one-edge workspace of one partition (its own region — the
+        oldPAR way)."""
         self.recorder.begin_region("prepare")
-        out = self.prepare_branches(edge, [partition])
+        out = self.prepare_edges([edge], [partition])
         self.recorder.end_region()
         return out

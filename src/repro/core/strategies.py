@@ -153,7 +153,7 @@ def optimize_branch(
 
         def prop_fn(b: float) -> tuple[float, float]:
             with _region(engine, "nr_proportional"):
-                g1, g2 = engine.branch_derivatives(workspaces, scalers * b)
+                g1, g2 = _branch_derivatives(engine, workspaces, scalers * b)
             return sum((scalers * g1).tolist()), sum((scalers * scalers * g2).tolist())
 
         b0 = float(engine.global_lengths[edge])
@@ -161,8 +161,8 @@ def optimize_branch(
             prop_fn, b0, BRANCH_MIN, BRANCH_MAX, ztol, max_iter
         )
         with _region(engine, "nr_proportional"):
-            old_lnl = sum(engine.branch_loglikelihoods(workspaces, scalers * b0).tolist())
-            new_lnl = sum(engine.branch_loglikelihoods(workspaces, scalers * b).tolist())
+            old_lnl = sum(_branch_lnls(engine, workspaces, scalers * b0).tolist())
+            new_lnl = sum(_branch_lnls(engine, workspaces, scalers * b).tolist())
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, b)
         return np.full(n_parts, iters, dtype=np.int64)
@@ -172,7 +172,7 @@ def optimize_branch(
 
         def joint_fn(z: float) -> tuple[float, float]:
             with _region(engine, "nr_joint"):
-                d1, d2 = engine.branch_derivatives(workspaces, np.full(n_parts, z))
+                d1, d2 = _branch_derivatives(engine, workspaces, np.full(n_parts, z))
             return float(sum(d1.tolist())), float(sum(d2.tolist()))
 
         z, iters, _ = newton_optimize(
@@ -182,10 +182,8 @@ def optimize_branch(
         # length only if it does not lower the likelihood (one extra
         # evaluation pass, as RAxML's makenewz performs).
         with _region(engine, "nr_joint"):
-            old_lnl = sum(
-                engine.branch_loglikelihoods(workspaces, np.full(n_parts, z0[0])).tolist()
-            )
-            new_lnl = sum(engine.branch_loglikelihoods(workspaces, np.full(n_parts, z)).tolist())
+            old_lnl = sum(_branch_lnls(engine, workspaces, np.full(n_parts, z0[0])).tolist())
+            new_lnl = sum(_branch_lnls(engine, workspaces, np.full(n_parts, z)).tolist())
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, z)
         return np.full(n_parts, iters, dtype=np.int64)
@@ -199,12 +197,12 @@ def optimize_branch(
         # fusion shows up directly in predicted sync seconds.
         z_first = solver.initial_point(z0)
         with _region(engine, "nr_new"):
-            workspaces = engine.prepare_branches(edge)
-            first = engine.branch_derivatives(workspaces, z_first)
+            workspaces = engine.prepare_edges([edge])
+            first = _branch_derivatives(engine, workspaces, z_first)
 
         def batched_fn(z: np.ndarray, active: np.ndarray):
             with _region(engine, "nr_new"):
-                return engine.branch_derivatives(workspaces, z, active)
+                return _branch_derivatives(engine, workspaces, z, active)
 
         res = solver.run(
             batched_fn, z0, observer=engine.telemetry.start("nr_branch", n_parts),
@@ -213,8 +211,8 @@ def optimize_branch(
         # Monotonicity guard (one batched evaluation region): keep each
         # partition's new length only where the likelihood improved.
         with _region(engine, "nr_new"):
-            improved = engine.branch_loglikelihoods(workspaces, res.z) >= (
-                engine.branch_loglikelihoods(workspaces, z0)
+            improved = _branch_lnls(engine, workspaces, res.z) >= (
+                _branch_lnls(engine, workspaces, z0)
             )
             engine.set_edge_lengths(edge, res.z, improved)
         _observe_iterations(engine, "nr_branch", res.iterations)
@@ -230,7 +228,7 @@ def optimize_branch(
 
         def scalar_fn(z: float, _p: int = p, _only=only, _ws=workspaces) -> tuple[float, float]:
             with _region(engine, "nr_old"):
-                d1, d2 = engine.branch_derivatives(_ws, np.full(n_parts, z), _only)
+                d1, d2 = _branch_derivatives(engine, _ws, np.full(n_parts, z), _only)
             return float(d1[_p]), float(d2[_p])
 
         z, iters, _ = newton_optimize(
@@ -238,13 +236,29 @@ def optimize_branch(
         )
         trial = np.full(n_parts, z)
         with _region(engine, "nr_old"):
-            accept = engine.branch_loglikelihoods(workspaces, trial, only)[p] >= (
-                engine.branch_loglikelihoods(workspaces, z0, only)[p]
+            accept = _branch_lnls(engine, workspaces, trial, only)[p] >= (
+                _branch_lnls(engine, workspaces, z0, only)[p]
             )
         if accept:
             engine.set_edge_lengths(edge, trial, only)
         counts[p] = iters
     return counts
+
+
+def _branch_derivatives(engine: PartitionedEngine, workspaces, z: np.ndarray, active=None):
+    """``(d1, d2)``, each ``(P,)``, at the ``(P,)`` lengths ``z`` of the
+    edge of the one-edge ``workspaces``, for the partitions of the
+    ``(P,)`` mask ``active`` (default: every prepared one)."""
+    lanes = None if active is None else active[np.newaxis]
+    d1, d2 = engine.edge_derivatives(workspaces, z[np.newaxis], lanes)
+    return d1[0], d2[0]
+
+
+def _branch_lnls(engine: PartitionedEngine, workspaces, z: np.ndarray, active=None) -> np.ndarray:
+    """``(P,)`` log-likelihoods at the lengths ``z`` of the edge of the
+    one-edge ``workspaces`` (the Newton monotonicity guard)."""
+    lanes = None if active is None else active[np.newaxis]
+    return engine.edge_loglikelihoods(workspaces, z[np.newaxis], lanes)[0]
 
 
 def optimize_branch_lengths(
@@ -335,31 +349,55 @@ def optimize_alpha(
     is much more work per column between barriers.
     """
     _check_strategy(strategy)
-    n_parts = engine.n_partitions
     current = engine.alphas()
 
     if strategy == "new":
-        solver = BatchedBrent(
-            np.full(n_parts, ALPHA_MIN), np.full(n_parts, ALPHA_MAX), xtol, max_iter
+        return _new_brent(
+            engine, "brent_alpha_new", "brent_alpha", engine.set_alphas, current,
+            ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
         )
-
-        def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-            with _region(engine, "brent_alpha_new"):
-                engine.set_alphas(x, active)
-                return -engine.loglikelihoods(root_edge, active)
-
-        res = solver.run(
-            batched_fn, guess=current,
-            observer=engine.telemetry.start("brent_alpha", n_parts),
-        )
-        engine.set_alphas(res.x)
-        _observe_iterations(engine, "brent_alpha", res.iterations)
-        return res.iterations
-
     return _old_brent(
         engine, "brent_alpha_old", engine.set_alphas, current,
         ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
     )
+
+
+def _new_brent(
+    engine: PartitionedEngine,
+    label: str,
+    name: str,
+    setter,
+    current: np.ndarray,
+    lo: float,
+    hi: float,
+    xtol: float,
+    max_iter: int,
+    root_edge: int,
+    eligible: np.ndarray | None = None,
+) -> np.ndarray:
+    """newPAR Brent: one lock-step solve over every (eligible) partition,
+    each objective evaluation one region ``label`` over the still-active
+    partitions; the telemetry and metrics see it as ``name``.
+    ``setter(values, active)`` applies a ``(P,)`` parameter vector.
+    Returns the per-partition iteration counts (0 where not eligible)."""
+    n_parts = engine.n_partitions
+    solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
+
+    def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
+        with _region(engine, label):
+            setter(x, active)
+            return -engine.loglikelihoods(root_edge, active)
+
+    res = solver.run(
+        batched_fn, guess=current, mask=eligible,
+        observer=engine.telemetry.start(name, n_parts),
+    )
+    setter(res.x, eligible)
+    if eligible is None:
+        _observe_iterations(engine, name, res.iterations)
+        return res.iterations
+    _observe_iterations(engine, name, res.iterations[eligible])
+    return np.where(eligible, res.iterations, 0)
 
 
 def _old_brent(
@@ -427,22 +465,10 @@ def optimize_rates(
             engine.set_exchangeabilities(_i, values, active)
 
         if strategy == "new":
-            solver = BatchedBrent(
-                np.full(n_parts, RATE_MIN), np.full(n_parts, RATE_MAX), xtol, max_iter
+            counts += _new_brent(
+                engine, "brent_rate_new", "brent_rate", setter, current,
+                RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna,
             )
-
-            def batched_fn(x: np.ndarray, active: np.ndarray, _set=setter) -> np.ndarray:
-                with _region(engine, "brent_rate_new"):
-                    _set(x, active)
-                    return -engine.loglikelihoods(root_edge, active)
-
-            res = solver.run(
-                batched_fn, guess=current, mask=dna,
-                observer=engine.telemetry.start("brent_rate", n_parts),
-            )
-            setter(res.x, dna)
-            _observe_iterations(engine, "brent_rate", res.iterations[dna])
-            counts += np.where(dna, res.iterations, 0)
         else:
             counts += _old_brent(
                 engine, "brent_rate_old", setter, current,
@@ -470,26 +496,14 @@ def optimize_scalers(
     _check_strategy(strategy)
     if engine.branch_mode != "proportional":
         raise ValueError("scalers only exist in proportional mode")
-    n_parts = engine.n_partitions
     lo, hi = 0.02, 50.0
     current = np.clip(engine.scalers, lo * 1.01, hi * 0.99)
 
     if strategy == "new":
-        solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
-
-        def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-            with _region(engine, "brent_scaler_new"):
-                engine.set_scalers(x, active)
-                return -engine.loglikelihoods(root_edge, active)
-
-        res = solver.run(
-            batched_fn, guess=current,
-            observer=engine.telemetry.start("brent_scaler", n_parts),
+        return _new_brent(
+            engine, "brent_scaler_new", "brent_scaler", engine.set_scalers, current,
+            lo, hi, xtol, max_iter, root_edge,
         )
-        engine.set_scalers(res.x)
-        _observe_iterations(engine, "brent_scaler", res.iterations)
-        return res.iterations
-
     return _old_brent(
         engine, "brent_scaler_old", engine.set_scalers, current,
         lo, hi, xtol, max_iter, root_edge,
@@ -512,26 +526,14 @@ def optimize_pinv(
     per-partition barriers hurt relatively most).
     """
     _check_strategy(strategy)
-    n_parts = engine.n_partitions
     lo, hi = 1e-6, 0.9
     current = np.clip(engine.pinvs(), lo * 1.01, hi * 0.99)
 
     if strategy == "new":
-        solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
-
-        def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-            with _region(engine, "brent_pinv_new"):
-                engine.set_pinvs(x, active)
-                return -engine.loglikelihoods(root_edge, active)
-
-        res = solver.run(
-            batched_fn, guess=current,
-            observer=engine.telemetry.start("brent_pinv", n_parts),
+        return _new_brent(
+            engine, "brent_pinv_new", "brent_pinv", engine.set_pinvs, current,
+            lo, hi, xtol, max_iter, root_edge,
         )
-        engine.set_pinvs(res.x)
-        _observe_iterations(engine, "brent_pinv", res.iterations)
-        return res.iterations
-
     return _old_brent(
         engine, "brent_pinv_old", engine.set_pinvs, current,
         lo, hi, xtol, max_iter, root_edge,
@@ -575,20 +577,10 @@ def optimize_frequencies(
             engine.set_frequency_ratios(_i, values, active)
 
         if strategy == "new":
-            solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
-
-            def batched_fn(x: np.ndarray, active: np.ndarray, _set=setter) -> np.ndarray:
-                with _region(engine, "brent_freq_new"):
-                    _set(x, active)
-                    return -engine.loglikelihoods(root_edge, active)
-
-            res = solver.run(
-                batched_fn, guess=current, mask=eligible,
-                observer=engine.telemetry.start("brent_freq", n_parts),
+            counts += _new_brent(
+                engine, "brent_freq_new", "brent_freq", setter, current,
+                lo, hi, xtol, max_iter, root_edge, eligible=eligible,
             )
-            setter(res.x, eligible)
-            _observe_iterations(engine, "brent_freq", res.iterations[eligible])
-            counts += np.where(eligible, res.iterations, 0)
         else:
             counts += _old_brent(
                 engine, "brent_freq_old", setter, current,

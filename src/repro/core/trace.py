@@ -60,14 +60,11 @@ REGION_KINDS = KNOWN_OPS + ("control",)
 COMMAND_KINDS = {
     "lnl": "evaluate",
     "lnl_parts": "evaluate",
-    "branch_lnl": "evaluate",
+    "lnl_edges": "evaluate",
     "eval_alpha": "evaluate",
-    "prepare": "sumtable",
     "prepare_edges": "sumtable",
-    "deriv": "derivative",
     "deriv_edges": "derivative",
     "set_bl": "control",
-    "set_bl_vec": "control",
     "set_bl_edges": "control",
     "set_alpha": "control",
     "set_alpha_vec": "control",
@@ -77,10 +74,16 @@ COMMAND_KINDS = {
     # worker-death chaos drill.
     "stall": "control",
     "die": "control",
-    # Fused programs are classified by their first non-control step via
+    # Fused programs are classified by their highest-priority step via
     # describe_command(); this entry is the all-control degenerate case.
     "prog": "control",
 }
+
+#: Which step kind names a fused program: the first of these any of its
+#: steps has (else "control").  A program that prepares sumtables is a
+#: sumtable region whatever else it does, so the tree schedule's sweep
+#: opening (which also evaluates) shows its sumtable time.
+_PROGRAM_KIND_ORDER = ("sumtable", "evaluate", "derivative")
 
 
 def command_kind(op: str) -> str:
@@ -94,21 +97,19 @@ def describe_command(cmd: tuple) -> tuple[str, str, int]:
     Plain commands describe themselves (``n_commands == 1``).  A fused
     program ``("prog", steps)`` is ONE broadcast/barrier executing
     ``len(steps)`` worker commands: it is labelled ``prog(op1+op2+...)``
-    and classified by its first non-control step, so e.g. a
-    prepare+derivative program profiles as a single sumtable region —
-    one barrier, not two.  This is the same accounting the simulator
-    applies: a multi-op region is charged dispatch + barrier once.
+    and classified by the highest-priority kind among its steps
+    (sumtable > evaluate > derivative > control), so e.g. a
+    prepare+derivative program, or a sweep opening that also evaluates,
+    profiles as a single sumtable region — one barrier, not two.  This
+    is the same accounting the simulator applies: a multi-op region is
+    charged dispatch + barrier once.
     """
     op = cmd[0]
     if op != "prog":
         return op, command_kind(op), 1
     ops = [step[0] for step in cmd[1]]
-    kind = "control"
-    for o in ops:
-        k = command_kind(o)
-        if k != "control":
-            kind = k
-            break
+    kinds = {command_kind(o) for o in ops}
+    kind = next((k for k in _PROGRAM_KIND_ORDER if k in kinds), "control")
     return "prog(" + "+".join(ops) + ")", kind, len(ops)
 
 

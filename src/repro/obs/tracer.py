@@ -36,7 +36,7 @@ class Span:
     Attributes
     ----------
     name:
-        What happened (``"deriv"``, ``"optimize_alpha"``, ``"spr"``, ...).
+        What happened (``"deriv_edges"``, ``"optimize_alpha"``, ``"spr"``, ...).
     cat:
         Grouping category — a region kind (``"derivative"``), or
         ``"optimizer"`` / ``"search"`` / ``"broadcast"``.

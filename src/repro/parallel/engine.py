@@ -21,7 +21,6 @@ import itertools
 import pickle
 import time
 import traceback
-from dataclasses import dataclass
 
 import multiprocessing as mp
 
@@ -240,13 +239,6 @@ class _ProcessTeam:
 def _reduce_pairs(parts: list) -> tuple[np.ndarray, np.ndarray]:
     """Sum the workers' partial ``(d1, d2)`` derivative replies."""
     return np.sum([p[0] for p in parts], axis=0), np.sum([p[1] for p in parts], axis=0)
-
-
-@dataclass
-class _PreparedBranch:
-    token: int
-    edge: int
-    partitions: tuple[int, ...]
 
 
 class ParallelPLK:
@@ -589,58 +581,46 @@ class ParallelPLK:
 
     # -- branch optimization -------------------------------------------------
 
-    def prepare_branch(self, edge: int, partitions: list[int]) -> _PreparedBranch:
-        token = next(self._token)
-        self._broadcast(("prepare", edge, token, list(partitions)))
-        return _PreparedBranch(token=token, edge=edge, partitions=tuple(partitions))
-
-    def branch_derivatives(
-        self, handle: _PreparedBranch, z: np.ndarray, active: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _reduce_pairs(
-            self._broadcast(("deriv", handle.token, np.asarray(z, float), active))
-        )
-
-    def release(self, handle: _PreparedBranch) -> None:
-        self._broadcast(("release", handle.token))
-
     def optimize_branch(
         self, edge: int, strategy: str = "new", z0: np.ndarray | None = None,
         ztol: float = 1e-6,
     ) -> np.ndarray:
         """Per-partition Newton-Raphson on one branch under the chosen
         strategy; returns the optimized per-partition lengths.  ``z0``
-        defaults to the current lengths of ``edge``."""
+        defaults to the current lengths of ``edge``.  Every exchange is
+        an edge command over the one-edge workspace ``[edge]``, with
+        ``(1, P)`` lengths and lane masks."""
         n = self.n_partitions
         if z0 is None:
             z0 = self._lengths[edge].copy()
+        z0 = np.asarray(z0, float)
+        token = next(self._token)
         if strategy == "new":
-            z0 = np.asarray(z0, float)
             every = list(range(n))
+            lanes = np.ones((1, n), dtype=bool)
             solver = BatchedNewton(_BRANCH_MIN, _BRANCH_MAX, ztol)
             # Fused opening exchange: sumtable setup AND the first
             # derivative pass in ONE broadcast/barrier.
-            token = next(self._token)
-            handle = _PreparedBranch(token=token, edge=edge, partitions=tuple(every))
-            z_first = solver.initial_point(z0)
             _, deriv_parts = self.run_program(
                 (
-                    ("prepare", edge, token, every),
-                    ("deriv", token, z_first, every),
+                    ("prepare_edges", [edge], token, every),
+                    ("deriv_edges", token, solver.initial_point(z0)[np.newaxis], lanes),
                 )
             )
-            first_eval = _reduce_pairs(deriv_parts)
+            d1, d2 = _reduce_pairs(deriv_parts)
 
             def fn(z: np.ndarray, active_mask: np.ndarray):
-                active = [int(i) for i in np.flatnonzero(active_mask)]
-                return self.branch_derivatives(handle, z, active)
+                g1, g2 = _reduce_pairs(self._broadcast(
+                    ("deriv_edges", token, z[np.newaxis], active_mask[np.newaxis])
+                ))
+                return g1[0], g2[0]
 
             with self.tracer.span("optimize_branch", cat="optimizer",
                                   edge=edge, strategy="new"):
                 res = solver.run(
                     fn, z0,
                     observer=self.telemetry.start("nr_branch", n),
-                    first_eval=first_eval,
+                    first_eval=(d1[0], d2[0]),
                 )
             # Monotonicity guard (matches the sequential strategies): both
             # guard evaluations and the workspace release in one barrier;
@@ -649,40 +629,44 @@ class ParallelPLK:
             # than a fourth program step.
             old_parts, new_parts, _ = self.run_program(
                 (
-                    ("branch_lnl", handle.token, z0, every),
-                    ("branch_lnl", handle.token, res.z, every),
-                    ("release", handle.token),
+                    ("lnl_edges", token, z0[np.newaxis], lanes),
+                    ("lnl_edges", token, res.z[np.newaxis], lanes),
+                    ("release", token),
                 )
             )
-            old_lnl = np.sum(old_parts, axis=0)
-            new_lnl = np.sum(new_parts, axis=0)
+            old_lnl = np.sum(old_parts, axis=0)[0]
+            new_lnl = np.sum(new_parts, axis=0)[0]
             out = np.where(new_lnl >= old_lnl, res.z, z0)
-            self._broadcast(("set_bl_vec", edge, out))
+            self._broadcast(("set_bl_edges", [edge], out[np.newaxis], every))
             self._lengths[edge] = out
             return out
         if strategy == "old":
             out = np.zeros(n)
             for p in range(n):
-                handle = self.prepare_branch(edge, [p])
+                lane = np.zeros((1, n), dtype=bool)
+                lane[0, p] = True
+                self._broadcast(("prepare_edges", [edge], token, [p]))
 
-                def fn(z: float, _p: int = p, _h=handle):
-                    d1, d2 = self.branch_derivatives(_h, np.full(n, z), [_p])
-                    return float(d1[_p]), float(d2[_p])
+                def fn(z: float, _p: int = p, _lane=lane):
+                    d1, d2 = _reduce_pairs(self._broadcast(
+                        ("deriv_edges", token, np.full((1, n), z), _lane)
+                    ))
+                    return float(d1[0, _p]), float(d2[0, _p])
 
                 with self.tracer.span("optimize_branch", cat="optimizer",
                                       edge=edge, strategy="old", partition=p):
                     z, _, _ = newton_optimize(
                         fn, float(z0[p]), _BRANCH_MIN, _BRANCH_MAX, ztol
                     )
-                zs_old = np.full(n, float(z0[p]))
-                zs_new = np.full(n, z)
+                zs_old = np.full((1, n), float(z0[p]))
+                zs_new = np.full((1, n), z)
                 old_lnl = np.sum(
-                    self._broadcast(("branch_lnl", handle.token, zs_old, [p])), axis=0
-                )[p]
+                    self._broadcast(("lnl_edges", token, zs_old, lane)), axis=0
+                )[0, p]
                 new_lnl = np.sum(
-                    self._broadcast(("branch_lnl", handle.token, zs_new, [p])), axis=0
-                )[p]
-                self.release(handle)
+                    self._broadcast(("lnl_edges", token, zs_new, lane)), axis=0
+                )[0, p]
+                self._broadcast(("release", token))
                 if new_lnl < old_lnl:
                     z = float(z0[p])
                 self.set_branch_length(edge, z, p)

@@ -27,7 +27,7 @@ __all__ = ["Program", "WIRE_VERSION", "program_steps"]
 #: ``(tag, payload, busy)`` reply.  Documented as a protocol reference in
 #: ``docs/ARCHITECTURE.md``; bump on any incompatible change to the
 #: command vocabulary or reply framing.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class Program:
 
     @property
     def label(self) -> str:
-        """Human-readable tag, e.g. ``"prog(prepare+deriv)"``."""
+        """Human-readable tag, e.g. ``"prog(prepare_edges+deriv_edges)"``."""
         return describe_command(self.command)[0]
 
 

@@ -147,8 +147,8 @@ _PHASE_IDLE, _PHASE_BUSY = 0.0, 1.0
 
 #: Worker ops encodable in ``STAT_OP`` (index 0 is the unknown-op code).
 STAT_OPS = (
-    "?", "lnl", "lnl_parts", "prepare", "deriv", "branch_lnl", "release",
-    "set_bl", "set_alpha", "set_model", "set_bl_vec", "set_alpha_vec",
+    "?", "lnl", "lnl_parts", "lnl_edges", "release",
+    "set_bl", "set_alpha", "set_model", "set_alpha_vec",
     "eval_alpha", "prog", "stall", "die",
     "prepare_edges", "deriv_edges", "set_bl_edges",
 )
@@ -183,7 +183,7 @@ class WorkerStatsPlane:
     """
 
     _MAGIC = 20090914.0  # ICPP 2009 + layout salt
-    VERSION = 2.0
+    VERSION = 3.0
 
     def __init__(self, n_workers: int):
         if n_workers < 1:

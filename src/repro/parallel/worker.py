@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..plk.likelihood import BranchWorkspace, EdgeWorkspace
+from ..plk.likelihood import EdgeWorkspace
 from ..plk.partition import PartitionData, PartitionedAlignment
 from ..plk.stacking import PartitionStacks
 from ..plk.tree import Tree
@@ -36,11 +36,9 @@ __all__ = ["slice_partition_data", "WorkerState"]
 # Position of the active-partition list inside each command tuple, for
 # the live plane's patterns-processed counter.  Commands without an
 # entry either touch every partition ("lnl"), every listed edge of their
-# partitions ("prepare_edges", "deriv_edges": see _command_patterns) or
-# none (control ops).
-_ACTIVE_ARG = {
-    "lnl_parts": 2, "eval_alpha": 2, "prepare": 3, "deriv": 3, "branch_lnl": 3,
-}
+# partitions ("prepare_edges", "deriv_edges", "lnl_edges": see
+# _command_patterns) or none (control ops).
+_ACTIVE_ARG = {"lnl_parts": 2, "eval_alpha": 2}
 
 
 # One DistributionPlan per (alignment, team size, policy), so slicing a
@@ -115,7 +113,7 @@ class _Handle:
     """Worker-local sumtable storage for one prepare/derive cycle."""
 
     token: int
-    workspaces: list[BranchWorkspace | EdgeWorkspace | None]
+    workspaces: list[EdgeWorkspace | None]
 
 
 class WorkerState:
@@ -158,7 +156,7 @@ class WorkerState:
             return self._total_patterns
         if op == "prepare_edges":  # (op, edges, token, partitions)
             return len(cmd[1]) * int(self._slice_patterns[cmd[3]].sum())
-        if op == "deriv_edges":    # (op, token, z, (E, P) lane mask)
+        if op in ("deriv_edges", "lnl_edges"):  # (op, token, z, (E, P) lane mask)
             return int(np.asarray(cmd[3]).sum(axis=0) @ self._slice_patterns)
         idx = _ACTIVE_ARG.get(op)
         if idx is None:
@@ -205,24 +203,6 @@ class WorkerState:
 
     # -- branch-length machinery ------------------------------------------
 
-    def _cmd_prepare(self, edge: int, token: int, partitions: list[int]) -> None:
-        self._handles[token] = _Handle(
-            token=token, workspaces=self.engine.prepare_branches(edge, partitions)
-        )
-
-    def _cmd_deriv(
-        self, token: int, z: np.ndarray, active: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partial (d1, d2) sums for the active partitions at lengths z."""
-        return self.engine.branch_derivatives(self._handles[token].workspaces, z, active)
-
-    def _cmd_branch_lnl(
-        self, token: int, z: np.ndarray, active: list[int]
-    ) -> np.ndarray:
-        """Partial per-partition log-likelihoods at branch lengths z, from
-        the prepared sumtables (the Newton monotonicity-guard pass)."""
-        return self.engine.branch_loglikelihoods(self._handles[token].workspaces, z, active)
-
     def _cmd_prepare_edges(self, edges: list[int], token: int, partitions: list[int]) -> None:
         """Edge-stacked sumtables of every listed edge (one per stack);
         a handle under the same token is dropped first, so two sweeps'
@@ -239,6 +219,12 @@ class WorkerState:
         mask ``active`` at the ``(E, P)`` lengths z."""
         return self.engine.edge_derivatives(self._handles[token].workspaces, z, active)
 
+    def _cmd_lnl_edges(self, token: int, z: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """Partial ``(E, P)`` log-likelihoods at the ``(E, P)`` lengths z,
+        from the prepared sumtables (the per-branch Newton monotonicity
+        guard)."""
+        return self.engine.edge_loglikelihoods(self._handles[token].workspaces, z, active)
+
     def _cmd_release(self, token: int) -> None:
         self._handles.pop(token, None)
 
@@ -253,16 +239,11 @@ class WorkerState:
     def _cmd_set_model(self, partition: int, model) -> None:
         self.parts[partition].model = model
 
-    def _cmd_set_bl_vec(self, edge: int, values: np.ndarray) -> None:
-        """Per-partition branch lengths for one edge in ONE command (the
-        fused replacement for P separate ``set_bl`` broadcasts)."""
-        self.engine.set_branch_length(edge, values)
-
     def _cmd_set_bl_edges(
         self, edges: list[int], values: np.ndarray, partitions: list[int]
     ) -> None:
         """``(E, P)`` lengths of the listed edges for the given partitions
-        in ONE command (the tree schedule's bulk write)."""
+        in ONE command (the bulk write of every branch schedule)."""
         self.engine.set_branch_lengths(values, partitions, edges)
 
     def _cmd_set_alpha_vec(self, x: np.ndarray, active: list[int]) -> None:

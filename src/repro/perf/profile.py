@@ -46,7 +46,7 @@ class CommandRecord:
     Attributes
     ----------
     op:
-        The worker command name (``"deriv"``, ``"lnl"``, ...).
+        The worker command name (``"deriv_edges"``, ``"lnl"``, ...).
     kind:
         Its region kind from the shared trace vocabulary
         (:data:`repro.core.trace.COMMAND_KINDS`).

@@ -22,7 +22,7 @@ from .gappy import (
     taxon_coverage,
     traversal_cost_ratio,
 )
-from .likelihood import BranchWorkspace, PartitionLikelihood, PartitionView
+from .likelihood import EdgeWorkspace, PartitionLikelihood, PartitionView
 from .models import SubstitutionModel, n_exchange_rates
 from .newick import parse_newick, write_newick
 from .partition import (
@@ -41,9 +41,9 @@ from .tree import TraversalStep, Tree
 __all__ = [
     "AA",
     "Alignment",
-    "BranchWorkspace",
     "DNA",
     "DataType",
+    "EdgeWorkspace",
     "EigenSystem",
     "GAMMA_CATEGORIES",
     "GappyEngine",

@@ -32,7 +32,7 @@ decided by :mod:`repro.plk.stacking`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
 
-__all__ = ["PartitionLikelihood", "PartitionView", "BranchWorkspace", "EdgeWorkspace"]
+__all__ = ["PartitionLikelihood", "PartitionView", "EdgeWorkspace"]
 
 
 def _check_alphas(values) -> None:
@@ -54,67 +54,44 @@ def _check_alphas(values) -> None:
         raise ValueError("alpha must be finite and > 0")
 
 
-@dataclass
-class BranchWorkspace:
-    """Precomputed state for Newton-Raphson on one branch of the stack
-    members in ``slots``.  Everything a round needs besides the lengths
-    is fixed here, so a round is an exp, one GEMM and one weighted matmul
-    (:func:`~repro.plk.kernel.table_slopes`,
-    :func:`~repro.plk.kernel.slope_derivatives`):
+def _lead(x: np.ndarray, ndim: int) -> np.ndarray:
+    """``x`` with leading unit axes added up to ``ndim`` (a view)."""
+    return x[(np.newaxis,) * (ndim - x.ndim)]
 
-    * ``table`` — the eigenbasis sumtable in the Newton layout
-      ``(A, m, K*s)`` (:func:`~repro.plk.kernel.branch_table`);
+
+@dataclass
+class EdgeWorkspace:
+    """Precomputed state for Newton-Raphson on the listed ``edges`` of the
+    stack members in ``slots``.  Everything a round needs besides the
+    lengths is fixed here, so one round over every ``(edge, member)``
+    lane is an exp, one GEMM and one weighted matmul
+    (:func:`~repro.plk.kernel.table_slopes`,
+    :func:`~repro.plk.kernel.slope_derivatives`).  One edge is the case
+    E = 1.
+
+    * ``table`` — ``(E, A, m, K*s)``: row e is the eigenbasis sumtable of
+      ``edges[e]`` in the Newton layout
+      (:func:`~repro.plk.kernel.branch_table`);
     * ``coef`` — ``r_k lambda_j``, ``(A, K*s)``, and ``powers`` —
       ``[1, c, c^2] / K``, ``(A, K*s, 3)`` (the derivative basis before its
-      exponential);
-    * ``weights`` — the pattern weights ``(A, m)``, and ``live_weights``
-      the same with the dead (``ZERO_SCALE``) patterns zeroed;
-    * ``scale`` — the total scaling counter ``(A, m)`` of the two subtrees
-      meeting at the branch.
-
-    With one member the arrays carry no member axis.
+      exponential; they depend on the member's parameters, not on the
+      edge);
+    * ``weights`` — the pattern weights ``(A, m)``; ``live_weights`` the
+      same, or ``(E, A, m)`` with each edge's dead (``ZERO_SCALE``)
+      patterns zeroed;
+    * ``scale`` — ``(E, A, m)``: the total scaling counter of the two
+      subtrees meeting at each edge.
 
     ``epoch`` snapshots the members' model-parameter epochs at preparation
     time: the sumtable embeds the eigenvectors and implicitly pairs with
     the rates/eigenvalues of that moment, so consuming it after an
     alpha/rates/eigen update would silently mix old and new parameters —
     the stack refuses such stale workspaces (see
-    :meth:`PartitionLikelihood.branch_loglikelihood`).  ``generation`` is
+    :meth:`PartitionLikelihood.edge_derivatives`).  ``generation`` is
     the stack's parameter generation the epochs were last found current
     at: while it is unchanged the per-member comparison is skipped."""
 
-    edge: int
-    table: np.ndarray
-    coef: np.ndarray
-    powers: np.ndarray
-    weights: np.ndarray
-    live_weights: np.ndarray
-    scale: np.ndarray | None
-    n_patterns: int
-    epoch: np.ndarray
-    generation: int
-    slots: np.ndarray
-    mask: int
-
-
-@dataclass
-class EdgeWorkspace:
-    """:class:`BranchWorkspace` for several edges at once: the arrays
-    carry a leading edge axis and always a member axis, so one Newton
-    round over every ``(edge, member)`` lane is one kernel call.
-
-    * ``table`` — ``(E, A, m, K*s)``, edge ``edges[e]``'s sumtable;
-    * ``coef`` ``(A, K*s)`` and ``powers`` ``(A, K*s, 3)`` — as for one
-      edge (they depend on the member's parameters, not on the edge);
-    * ``weights`` ``(A, m)``; ``live_weights`` the same, or ``(E, A, m)``
-      with each edge's dead (``ZERO_SCALE``) patterns zeroed;
-    * ``scale`` — ``(E, A, m)`` total scaling counters per edge.
-
-    ``epoch``, ``generation``, ``slots`` and ``mask`` follow the
-    :class:`BranchWorkspace` rules: a workspace prepared before a model
-    parameter update of one of its members is refused."""
-
-    edges: np.ndarray
+    edges: list[int]
     table: np.ndarray
     coef: np.ndarray
     powers: np.ndarray
@@ -218,7 +195,7 @@ class PartitionLikelihood:
         self._frequencies = np.empty((n, states))
         self._load_models(slice(None))
         # Counts model-parameter updates (alpha/rates/eigen) per member.
-        # Snapshotted into every BranchWorkspace and checked on use: a
+        # Snapshotted into every EdgeWorkspace and checked on use: a
         # sumtable built under old parameters must never be combined with
         # new eigenvalues/rates (silently wrong likelihoods, not errors).
         # The generation counts updates of the whole stack, so a check
@@ -592,162 +569,94 @@ class PartitionLikelihood:
     # Branch-length machinery (Newton-Raphson support)
     # ------------------------------------------------------------------
 
-    def prepare_branch(self, edge: int, active=None) -> BranchWorkspace:
-        """Validate the CLVs flanking ``edge`` and build its workspace for
-        the active members."""
-        mask = self._mask(active)
-        self._refresh(edge, mask)
-        sel = self._select(mask)
-        a, b = self.tree.edge_nodes(edge)
-        clv_a, sc_a = self._child(a, sel)
-        clv_b, sc_b = self._child(b, sel)
-        table = kernel.branch_table(
-            clv_a, clv_b, self._u[sel], self._v[sel], self._frequencies[sel]
-        )
-        coef, powers = kernel.branch_coefficients(self._eigenvalues[sel], self.rates[sel])
-        # A copy: the stored counters are updated in place by later
-        # traversals, the workspace must keep this moment's.
-        scale = kernel.combine_scales(sc_a, sc_b)
-        if scale is sc_a or scale is sc_b:
-            scale = scale.copy()
-        weights = self._weights[sel]
-        dead = kernel.zero_pattern_mask(scale)
-        live = np.where(dead, 0.0, weights) if dead is not None and dead.any() else weights
-        self._record("sumtable", mask)
-        slots = self._slots(mask)
-        return BranchWorkspace(
-            edge=edge, table=table, coef=coef, powers=powers,
-            weights=weights, live_weights=live, scale=scale,
-            n_patterns=int(self.widths[slots].sum()),
-            epoch=self._epoch[slots].copy(), generation=self._generation,
-            slots=slots, mask=mask,
-        )
-
-    def _check_current(self, ws, where: str) -> None:
+    def _check_current(self, ws: EdgeWorkspace) -> None:
         """Refuse a workspace whose members' model parameters changed
-        since it was prepared (``where`` names its edges)."""
+        since it was prepared."""
         if ws.generation != self._generation:
             if not np.array_equal(self._epoch[ws.slots], ws.epoch):
                 raise RuntimeError(
-                    f"stale {type(ws).__name__}: model parameters (alpha/rates/"
-                    f"eigen) changed after it was prepared on {where} — the "
-                    "sumtable would be combined with mismatched eigenvalues/"
-                    "rates; re-prepare the branch"
+                    "stale EdgeWorkspace: model parameters (alpha/rates/eigen) "
+                    f"changed after it was prepared on edges {ws.edges} "
+                    "— the sumtable would be combined with mismatched "
+                    "eigenvalues/rates; re-prepare the branch"
                 )
             ws.generation = self._generation
-
-    def _workspace_part(self, ws: BranchWorkspace, active):
-        """(mask, selection, workspace) for the active members of ``ws``
-        (default: all the members it was prepared for); a subset comes as
-        a workspace of gathered arrays."""
-        self._check_current(ws, f"edge {ws.edge}")
-        mask = ws.mask if active is None else self._mask(active)
-        if mask == ws.mask:
-            return mask, self._select(mask), ws
-        if mask & ~ws.mask:
-            raise ValueError("active members were not prepared in this workspace")
-        sel = self._select(mask)
-        pos = np.searchsorted(ws.slots, self._slots(mask))
-        if isinstance(sel, int):
-            pos = int(pos[0])
-        return mask, sel, replace(
-            ws, table=ws.table[pos], coef=ws.coef[pos], powers=ws.powers[pos],
-            weights=ws.weights[pos], live_weights=ws.live_weights[pos],
-            scale=None if ws.scale is None else ws.scale[pos],
-        )
-
-    @staticmethod
-    def _lengths_for(z, sel):
-        """Clipped branch lengths of the selected members: a float for one
-        slot (the kernel runs unbatched), else an array."""
-        z = np.minimum(
-            np.maximum(np.asarray(z, dtype=np.float64), kernel.MIN_BRANCH), kernel.MAX_BRANCH
-        )
-        return float(z.reshape(-1)[0]) if isinstance(sel, int) else z
-
-    def branch_loglikelihood(self, ws: BranchWorkspace, z, active=None):
-        """Log-likelihood as a function of the length of ``ws.edge`` with
-        everything else fixed (cheap: no traversal): one value per active
-        member at its length in ``z`` (a scalar applies to every one)."""
-        mask, sel, ws = self._workspace_part(ws, active)
-        zz = self._lengths_for(z, sel)
-        site = kernel.table_site_likelihoods(ws.table, ws.coef, zz, self.categories)
-        scale = ws.scale
-        logs = self._mixed(
-            sel,
-            lambda: kernel.scaled_log_likelihoods(site, scale),
-            lambda pinv, inv: kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv),
-        )
-        lnl = kernel.weighted_log_sum(ws.weights, logs)
-        self._record("derivative", mask)
-        return np.atleast_1d(lnl)
-
-    def branch_derivatives(self, ws: BranchWorkspace, z, active=None):
-        """(dlnL/dz, d2lnL/dz2) at branch length(s) ``z`` from the
-        workspace — the per-iteration work of Newton-Raphson: two arrays
-        with one value per active member at its length in ``z``."""
-        mask, sel, ws = self._workspace_part(ws, active)
-        slopes = kernel.table_slopes(ws.table, ws.coef, ws.powers, self._lengths_for(z, sel))
-        d1, d2 = self._mixed(
-            sel,
-            lambda: kernel.slope_derivatives(slopes, ws.live_weights, ws.weights, ws.scale),
-            lambda pinv, inv: kernel.slope_derivatives_pinv(
-                slopes, ws.weights, ws.scale, pinv, inv
-            ),
-        )
-        self._record("derivative", mask)
-        return np.atleast_1d(d1), np.atleast_1d(d2)
-
-    # -- every listed edge at once ---------------------------------------
 
     def prepare_edges(self, edges, active=None) -> EdgeWorkspace:
         """One :class:`EdgeWorkspace` for ``edges`` and the active
         members.  The edges are visited in the given order, each after
         re-rooting the CLVs on it (listed in
         :func:`~repro.core.strategies.smoothing_edge_order`, every visit
-        costs O(1) newviews) and its sumtable written into its row of the
-        stacked table."""
+        costs O(1) newviews) and its sumtable becomes its row of the
+        stacked table.  One member is computed unbatched on views (as
+        every traversal is); its arrays get their member axis after."""
         mask = self._mask(active)
         slots = self._slots(mask)
-        sel = slice(None) if mask == self._full else slots
-        edges = np.asarray(edges, dtype=np.int64)
-        u, v, freqs = self._u[sel], self._v[sel], self._frequencies[sel]
-        table = np.empty((len(edges), len(slots), self.width, self.categories * self.states))
-        scale = np.zeros((len(edges), len(slots), self.width), dtype=np.int32)
-        for i, edge in enumerate(edges.tolist()):
-            self._refresh(edge, mask)
-            a, b = self.tree.edge_nodes(edge)
-            clv_a, sc_a = self._child(a, sel)
-            clv_b, sc_b = self._child(b, sel)
-            kernel.branch_table(clv_a, clv_b, u, v, freqs, out=table[i])
-            for sc in (sc_a, sc_b):
-                if sc is not None:
-                    scale[i] += sc
-            self._record("sumtable", mask)
+        sel = self._select(mask)
+        edges = [int(e) for e in edges]
+        params = self._u[sel], self._v[sel], self._frequencies[sel]
+        if len(edges) == 1:
+            table, scale = self._edge_row(edges[0], mask, sel, params)
+            table = _lead(table, 4)
+            # A copy: later traversals update the stored counters in place.
+            scale = np.array(scale, ndmin=3)
+        else:
+            table = np.empty((len(edges), len(slots), self.width, self.categories * self.states))
+            scale = np.empty(table.shape[:3], dtype=np.int32)
+            for i, edge in enumerate(edges):
+                _, scale[i] = self._edge_row(edge, mask, sel, params, table[i])
         coef, powers = kernel.branch_coefficients(self._eigenvalues[sel], self.rates[sel])
-        weights = self._weights[sel]
+        weights = _lead(self._weights[sel], 2)
         dead = kernel.zero_pattern_mask(scale)
-        live = np.where(dead, 0.0, weights) if dead is not None and dead.any() else weights
+        live = np.where(dead, 0.0, weights) if dead.any() else weights
         return EdgeWorkspace(
-            edges=edges, table=table, coef=coef, powers=powers, weights=weights,
-            live_weights=live, scale=scale, epoch=self._epoch[slots].copy(),
-            generation=self._generation, slots=slots, mask=mask,
+            edges=edges, table=table, coef=_lead(coef, 2), powers=_lead(powers, 3),
+            weights=weights, live_weights=live, scale=scale,
+            epoch=self._epoch[slots].copy(), generation=self._generation,
+            slots=slots, mask=mask,
         )
+
+    def _edge_row(self, edge: int, mask: int, sel, params, out=None):
+        """``(sumtable, total scaling counter)`` of ``edge`` for the
+        members ``sel``, after re-rooting their CLVs on it; ``params`` are
+        their ``(u, v, frequencies)``, ``out`` receives the table."""
+        self._refresh(edge, mask)
+        a, b = self.tree.edge_nodes(edge)
+        clv_a, sc_a = self._child(a, sel)
+        clv_b, sc_b = self._child(b, sel)
+        self._record("sumtable", mask)
+        table = kernel.branch_table(clv_a, clv_b, *params, out=out)
+        return table, kernel.combine_scales(sc_a, sc_b)
 
     def _edge_lanes(self, ws: EdgeWorkspace, z, active):
         """The arrays a round over the ``(E, A)`` lane mask ``active``
         (None: every lane) of ``ws`` computes on:
         ``(lanes, sel, table, coef, powers, z, weights, live, scale)``.
-        While more than half the lanes are active the whole block is
-        computed on the workspace's own arrays (``lanes`` is None; the
-        others are zeroed after); otherwise the active lanes are gathered
-        into one leading lane axis (``lanes`` holds their edge and member
-        indices), so a round never copies more than half the table.
+
+        * One active lane (one edge of one member — every oldPAR round):
+          basic-index views, an int slot and a float length, so the
+          kernel runs unbatched and nothing is copied; ``lanes`` is its
+          ``(edge, member)`` index.
+        * More than half the lanes active: the whole block on the
+          workspace's own arrays (``lanes`` is None; the others are
+          zeroed after).
+        * Otherwise the active lanes are gathered into one leading lane
+          axis (``lanes`` holds their edge and member indices), so a
+          round never copies more than half the table.
+
         ``sel`` indexes each lane's member parameters."""
-        self._check_current(ws, f"edges {ws.edges.tolist()}")
+        self._check_current(ws)
+        n_edges, n_members = ws.table.shape[:2]
+        n_lanes = n_edges * n_members if active is None else np.count_nonzero(active)
+        if n_lanes == 1:
+            e, a = (0, 0) if active is None else divmod(int(active.argmax()), n_members)
+            live = ws.live_weights[a] if ws.live_weights.ndim == 2 else ws.live_weights[e, a]
+            z = min(max(float(z[e, a]), kernel.MIN_BRANCH), kernel.MAX_BRANCH)
+            return ((e, a), int(ws.slots[a]), ws.table[e, a], ws.coef[a], ws.powers[a], z,
+                    ws.weights[a], live, ws.scale[e, a])
         z = np.minimum(np.maximum(np.asarray(z, dtype=np.float64), kernel.MIN_BRANCH),
                        kernel.MAX_BRANCH)
-        if active is None or 2 * np.count_nonzero(active) > active.size:
+        if active is None or 2 * n_lanes > active.size:
             return (None, ws.slots, ws.table, ws.coef, ws.powers, z, ws.weights,
                     ws.live_weights, ws.scale)
         e, a = lanes = np.nonzero(active)
@@ -920,12 +829,16 @@ class PartitionView:
     def site_loglikelihoods(self, root_edge: int = 0) -> np.ndarray:
         return self._stack.site_loglikelihoods(root_edge, self._slot)
 
-    def prepare_branch(self, edge: int) -> BranchWorkspace:
-        return self._stack.prepare_branch(edge, self._slot)
+    def prepare_branch(self, edge: int) -> EdgeWorkspace:
+        """The one-edge workspace of ``edge`` for this member."""
+        return self._stack.prepare_edges([edge], self._slot)
 
-    def branch_loglikelihood(self, ws: BranchWorkspace, z: float) -> float:
-        return float(self._stack.branch_loglikelihood(ws, z, self._slot)[0])
+    def branch_loglikelihood(self, ws: EdgeWorkspace, z: float) -> float:
+        """Log-likelihood at length ``z`` of the edge of ``ws`` (from
+        :meth:`prepare_branch`)."""
+        return float(self._stack.edge_loglikelihoods(ws, np.full((1, 1), z))[0, 0])
 
-    def branch_derivatives(self, ws: BranchWorkspace, z: float) -> tuple[float, float]:
-        d1, d2 = self._stack.branch_derivatives(ws, z, self._slot)
-        return float(d1[0]), float(d2[0])
+    def branch_derivatives(self, ws: EdgeWorkspace, z: float) -> tuple[float, float]:
+        """(dlnL/dz, d2lnL/dz2) at length ``z`` of the edge of ``ws``."""
+        d1, d2 = self._stack.edge_derivatives(ws, np.full((1, 1), z))
+        return float(d1[0, 0]), float(d2[0, 0])

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .likelihood import BranchWorkspace, EdgeWorkspace, PartitionLikelihood, PartitionView
+from .likelihood import EdgeWorkspace, PartitionLikelihood, PartitionView
 from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
@@ -79,6 +79,14 @@ def stack_groups(widths, states, categories: int = 4) -> list[list[int]]:
     return sorted((sorted(g) for g in groups), key=lambda g: g[0])
 
 
+def _columns(parts: np.ndarray):
+    """Partition indices as an index into the columns of an ``(E, P)``
+    array: a slice (a view, where a fancy index would copy) when they are
+    consecutive."""
+    lo, hi = int(parts[0]), int(parts[-1]) + 1
+    return slice(lo, hi) if hi - lo == len(parts) else parts
+
+
 class PartitionStacks:
     """The partitions of one scheme on one tree, held as stacks.
 
@@ -111,6 +119,7 @@ class PartitionStacks:
             for g in groups
         ]
         self._members = [np.asarray(g, dtype=np.int64) for g in groups]
+        self._columns = [_columns(m) for m in self._members]
         self.parts: list[PartitionView] = [None] * self.n_partitions  # type: ignore[list-item]
         for stack, members in zip(self.stacks, self._members):
             for slot, p in enumerate(members.tolist()):
@@ -135,46 +144,12 @@ class PartitionStacks:
             elif sub.any():
                 yield k, stack, sub, members[sub]
 
-    @staticmethod
-    def _ws_members(ws: BranchWorkspace, members: np.ndarray, sub) -> np.ndarray:
-        return members[ws.slots] if sub is None else members[sub]
-
     # -- likelihood ---------------------------------------------------------
 
     def loglikelihoods(self, root_edge: int = 0, active=None) -> np.ndarray:
         out = np.zeros(self.n_partitions)
         for _, stack, sub, parts in self._split(active):
             out[parts] = stack.loglikelihoods(root_edge, sub)
-        return out
-
-    def prepare_branches(self, edge: int, active=None) -> list[BranchWorkspace | None]:
-        """One workspace per stack (None where no member is active)."""
-        out: list[BranchWorkspace | None] = [None] * len(self.stacks)
-        for k, stack, sub, _ in self._split(active):
-            out[k] = stack.prepare_branch(edge, sub)
-        return out
-
-    def branch_derivatives(self, workspaces, z: np.ndarray, active=None):
-        """(d1, d2) ``(P,)`` at per-partition lengths ``z``; ``active``
-        defaults to every prepared partition."""
-        d1 = np.zeros(self.n_partitions)
-        d2 = np.zeros(self.n_partitions)
-        for k, stack, sub, _ in self._split(active):
-            ws = workspaces[k]
-            if ws is None:
-                continue
-            parts = self._ws_members(ws, self._members[k], sub)
-            d1[parts], d2[parts] = stack.branch_derivatives(ws, z[parts], sub)
-        return d1, d2
-
-    def branch_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
-        out = np.zeros(self.n_partitions)
-        for k, stack, sub, _ in self._split(active):
-            ws = workspaces[k]
-            if ws is None:
-                continue
-            parts = self._ws_members(ws, self._members[k], sub)
-            out[parts] = stack.branch_loglikelihood(ws, z[parts], sub)
         return out
 
     def prepare_edges(self, edges, active=None) -> list[EdgeWorkspace | None]:
@@ -186,13 +161,16 @@ class PartitionStacks:
         return out
 
     def _edge_stacks(self, workspaces, active):
-        """``(stack, workspace, partitions, lane mask)`` per stack with an
-        active lane; ``active`` is an ``(E, P)`` mask over partitions
+        """``(stack, workspace, columns, lane mask)`` per stack with an
+        active lane: ``columns`` index the workspace's partitions in an
+        ``(E, P)`` array; ``active`` is an ``(E, P)`` mask over partitions
         (None: every prepared lane), the lane mask None for all lanes."""
-        for stack, members, ws in zip(self.stacks, self._members, workspaces):
+        for stack, members, columns, ws in zip(
+            self.stacks, self._members, self._columns, workspaces
+        ):
             if ws is None:
                 continue
-            parts = members[ws.slots]
+            parts = columns if len(ws.slots) == stack.n_slots else _columns(members[ws.slots])
             lanes = None if active is None else active[:, parts]
             if lanes is not None:
                 if not lanes.any():

@@ -1,12 +1,16 @@
-"""Every listed edge at once equals one edge at a time.
+"""Every listed edge at once equals the reference kernel one edge and
+one partition at a time.
 
 :meth:`~repro.plk.stacking.PartitionStacks.prepare_edges` builds one
 edge-stacked workspace per stack; a Newton round over its ``(edges x
-partitions)`` lanes must give each lane the per-edge
-``branch_derivatives`` / ``branch_loglikelihoods`` value to 1e-12
-relative, for every lane mask.  Covered: DNA and AA (two stacks), +I, a
-dead (``ZERO_SCALE``) pattern, a zero-width member, a worker slice owning
-no pattern of a partition, and partial ``(E, P)`` masks.
+partitions)`` lanes must give each lane the value of the reference
+kernel (:func:`~repro.plk.kernel.make_sumtable` +
+:func:`~repro.plk.kernel.branch_derivatives` /
+:func:`~repro.plk.kernel.branch_derivatives_pinv`) on a one-member stack
+of that partition to 1e-12 relative, for every lane mask.  Covered: DNA
+and AA (two stacks), +I, a dead (``ZERO_SCALE``) pattern, a zero-width
+member, a worker slice owning no pattern of a partition, and partial
+``(E, P)`` masks.
 """
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from repro.plk import (
     Alignment,
     PartitionData,
     PartitionedAlignment,
+    PartitionLikelihood,
     SubstitutionModel,
+    kernel,
     parse_partition_file,
 )
 from repro.plk.stacking import PartitionStacks
@@ -59,27 +65,65 @@ def _blocks(data):
 
 
 def _stacks(dataset, pinv=None):
+    """The five blocks as stacks, and as one-member stacks (the
+    reference's)."""
     tree, lengths, data, models, alphas = dataset
     models = models[:3] + [models[2], models[3]]
     alphas = alphas[:3] + [alphas[2], alphas[3]]
-    stacks = PartitionStacks(_blocks(data), tree, models, alphas)
+    blocks = _blocks(data)
+    stacks = PartitionStacks(blocks, tree, models, alphas)
     stacks.set_branch_lengths(lengths)
     if pinv is not None:
         stacks.set_pinvs(np.asarray(pinv))
-    return stacks
+    return stacks, _singles(blocks, tree, models, alphas, lengths, pinv)
 
 
-def _per_edge(stacks, order, z, active):
-    """The reference: one prepared workspace and one call per edge."""
-    d1, d2, lnl = (np.zeros(z.shape) for _ in range(3))
-    for i, edge in enumerate(order):
-        lanes = None if active is None else np.flatnonzero(active[i])
-        if lanes is not None and not len(lanes):
-            continue
-        ws = stacks.prepare_branches(edge)
-        d1[i], d2[i] = stacks.branch_derivatives(ws, z[i], lanes)
-        lnl[i] = stacks.branch_loglikelihoods(ws, z[i], lanes)
+def _singles(blocks, tree, models, alphas, lengths, pinv=None):
+    singles = []
+    for p, block in enumerate(blocks):
+        single = PartitionLikelihood([block], tree, [models[p]], alpha=alphas[p])
+        single.set_branch_lengths(lengths)
+        if pinv is not None:
+            single.set_pinvs(pinv[p])
+        singles.append(single)
+    return singles
+
+
+def _reference(single, edge, z):
+    """(d1, d2, lnl) of a one-member stack at length ``z`` of ``edge``,
+    from :func:`kernel.make_sumtable` and the reference functions."""
+    single.refresh(edge)
+    a, b = single.tree.edge_nodes(edge)
+    clv_a, sc_a = single._child(a, 0)
+    clv_b, sc_b = single._child(b, 0)
+    table = kernel.make_sumtable(clv_a, clv_b, single._u[0], single._v[0],
+                                 single._frequencies[0])
+    scale = kernel.combine_scales(sc_a, sc_b)
+    weights = single._weights[0]
+    args = (table, single._eigenvalues[0], single.rates[0], z, weights, scale)
+    pinv = single.pinvs[0]
+    if pinv > 0.0:
+        inv = single.invariant_probabilities(0)
+        d1, d2 = kernel.branch_derivatives_pinv(*args, pinv, inv)
+        site = kernel.sumtable_site_likelihoods(*args[:4])
+        lnl = kernel.weighted_log_sum(
+            weights, kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv)
+        )
+    else:
+        d1, d2 = kernel.branch_derivatives(*args)
+        lnl = kernel.sumtable_loglikelihood(*args)
     return d1, d2, lnl
+
+
+def _per_edge(singles, order, z, active):
+    """The reference for every lane of ``active`` (None: all), 0
+    elsewhere."""
+    out = np.zeros((3,) + z.shape)
+    for i, edge in enumerate(order):
+        for p, single in enumerate(singles):
+            if active is None or active[i, p]:
+                out[:, i, p] = _reference(single, edge, z[i, p])
+    return out
 
 
 #: Lane masks: every lane, most lanes (the whole block is computed and
@@ -99,7 +143,7 @@ def _mask(which, shape, rng):
 @pytest.mark.parametrize("pinv", [None, (0.2, 0.0, 0.35, 0.1, 0.3)], ids=["plain", "pinv"])
 @pytest.mark.parametrize("which", MASKS)
 def test_edge_stack_equals_per_edge(dataset, pinv, which):
-    stacks = _stacks(dataset, pinv)
+    stacks, singles = _stacks(dataset, pinv)
     assert len(stacks.stacks) >= 2  # DNA and AA never share a stack
     order = smoothing_edge_order(stacks.stacks[0].tree)
     rng = np.random.default_rng(MASKS.index(which))
@@ -108,7 +152,7 @@ def test_edge_stack_equals_per_edge(dataset, pinv, which):
     ws = stacks.prepare_edges(order)
     d1, d2 = stacks.edge_derivatives(ws, z, active)
     lnl = stacks.edge_loglikelihoods(ws, z, active)
-    r1, r2, rl = _per_edge(stacks, order, z, active)
+    r1, r2, rl = _per_edge(singles, order, z, active)
     close(d1, r1)
     close(d2, r2)
     close(lnl, rl)
@@ -121,23 +165,24 @@ def test_edge_stack_equals_per_edge(dataset, pinv, which):
 
 
 def test_subset_of_edges_and_partitions(dataset):
-    stacks = _stacks(dataset)
+    stacks, singles = _stacks(dataset)
     order = [4, 0, 7]
     ws = stacks.prepare_edges(order, [0, 2, 4])
     assert ws[0].table.shape[:2] == (3, 2)
     z = np.full((3, 5), 0.2)
     d1, d2 = stacks.edge_derivatives(ws, z)
-    r1, r2, _ = _per_edge(stacks, order, z, np.tile([True, False, True, False, True], (3, 1)))
+    r1, r2, _ = _per_edge(singles, order, z, np.tile([True, False, True, False, True], (3, 1)))
     close(d1, r1)
     close(d2, r2)
 
 
 def test_worker_slice_without_patterns_of_a_partition(dataset):
     """Sliced over 12 workers, worker 11 owns none of partition c's 10
-    patterns but some of a's; the edge commands equal the per-edge
-    ones on that worker."""
+    patterns but some of a's; the edge commands equal the reference on
+    that worker's slices."""
     tree, lengths, data, models, alphas = dataset
-    state = WorkerState(slice_partition_data(data, 12, 11), tree.copy(), models, alphas, lengths)
+    slices = slice_partition_data(data, 12, 11)
+    state = WorkerState(slices, tree.copy(), models, alphas, lengths)
     widths = [part.n_patterns for part in state.parts]
     assert widths[2] == 0 and widths[0] > 0
     order = smoothing_edge_order(tree)
@@ -146,16 +191,16 @@ def test_worker_slice_without_patterns_of_a_partition(dataset):
     active[::2, 0] = False
     state.execute(("prepare_edges", order, 1, [0, 1, 2, 3]))
     d1, d2 = state.execute(("deriv_edges", 1, z, active))
-    for i, edge in enumerate(order):
-        state.execute(("prepare", edge, 2, [0, 1, 2, 3]))
-        r1, r2 = state.execute(("deriv", 2, z[i], np.flatnonzero(active[i]).tolist()))
-        close(d1[i], r1)
-        close(d2[i], r2)
+    lnl = state.execute(("lnl_edges", 1, z, active))
+    r1, r2, rl = _per_edge(_singles(slices, tree, models, alphas, lengths), order, z, active)
+    close(d1, r1)
+    close(d2, r2)
+    close(lnl, rl)
     assert (d1[:, 2] == 0.0).all()
 
 
 def test_stale_edge_workspace_refused(dataset):
-    stacks = _stacks(dataset)
+    stacks, _ = _stacks(dataset)
     order = [0, 1, 2]
     ws = stacks.prepare_edges(order, [0, 2])
     z = np.full((3, 5), 0.1)

@@ -119,7 +119,7 @@ class TestWorkerStatsPlane:
             owner.close()
 
     def test_op_codes_round_trip(self):
-        for op in ("lnl", "prog", "deriv", "stall"):
+        for op in ("lnl", "prog", "deriv_edges", "lnl_edges", "stall"):
             assert op_name(op_code(op)) == op
         assert op_code("no_such_op") == 0
         assert op_name(999.0) == "?"

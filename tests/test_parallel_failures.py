@@ -17,6 +17,8 @@ from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
 
 BACKENDS = ["processes"]
+#: A (1, P) lane mask for the two partitions of ``setup``.
+LANES = np.ones((1, 2), dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,7 @@ class TestFailingWorker:
         with make_team(setup, backend) as team:
             before = team.loglikelihood(0)
             with pytest.raises(WorkerError):
-                team._broadcast(("deriv", 12345, np.zeros(2), [0]))  # bad token
+                team._broadcast(("deriv_edges", 12345, np.zeros((1, 2)), LANES))  # bad token
             assert team.loglikelihood(0) == pytest.approx(before, abs=1e-10)
 
     @pytest.mark.timeout(30)
@@ -79,7 +81,7 @@ class TestFailingWorkerMidProgram:
             with pytest.raises(WorkerError) as exc_info:
                 team.run_program((
                     ("lnl", 0),
-                    ("deriv", 99999, np.zeros(2), [0]),  # bad token
+                    ("deriv_edges", 99999, np.zeros((1, 2)), LANES),  # bad token
                 ))
             assert exc_info.value.rank == 0
             # the team protocol completed, so it stays usable
@@ -142,7 +144,7 @@ class TestDeadProcessWorker:
         with make_team(setup, "processes", live=live) as team:
             before = team.loglikelihood(0)
             with pytest.raises(WorkerError):
-                team.run_program((("lnl", 0), ("deriv", 4242, np.zeros(2), [0])))
+                team.run_program((("lnl", 0), ("deriv_edges", 4242, np.zeros((1, 2)), LANES)))
             assert team.loglikelihood(0) == pytest.approx(before, abs=1e-10)
 
 

@@ -42,26 +42,39 @@ def make_team(setup, **kw):
 
 class TestDescribeCommand:
     def test_plain_command(self):
-        assert describe_command(("deriv", 0, None, [0])) == (
-            "deriv", "derivative", 1,
+        assert describe_command(("deriv_edges", 0, None, None)) == (
+            "deriv_edges", "derivative", 1,
         )
 
-    def test_program_classified_by_first_noncontrol_step(self):
-        cmd = ("prog", (("prepare", 0, 1, [0]), ("deriv", 1, None, [0])))
+    def test_program_classified_by_highest_priority_step(self):
+        """sumtable > evaluate > derivative > control, whatever the step
+        order: the per-branch opening, its guard, and the tree sweep's
+        opening (which evaluates before it prepares)."""
+        cmd = ("prog", (("prepare_edges", [0], 1, [0]), ("deriv_edges", 1, None, None)))
         label, kind, n = describe_command(cmd)
-        assert label == "prog(prepare+deriv)"
+        assert label == "prog(prepare_edges+deriv_edges)"
         assert kind == "sumtable"
         assert n == 2
+        guard = ("prog", (("lnl_edges", 1, None, None), ("lnl_edges", 1, None, None),
+                          ("release", 1)))
+        assert describe_command(guard)[1] == "evaluate"
+        assert describe_command(("prog", (("deriv_edges", 1, None, None), ("lnl", 0))))[1] == (
+            "evaluate"
+        )
+        opening = ("prog", (("set_bl_edges", [0], None, [0]), ("lnl_parts", 0, [0]),
+                            ("prepare_edges", [0], 1, [0]), ("deriv_edges", 1, None, None)))
+        assert describe_command(opening) == (
+            "prog(set_bl_edges+lnl_parts+prepare_edges+deriv_edges)", "sumtable", 4,
+        )
+        closing = ("prog", (("set_bl_edges", [0], None, [0]), ("lnl_parts", 0, [0]),
+                            ("release", 1)))
+        assert describe_command(closing)[1] == "evaluate"
 
     def test_edge_stacked_commands(self):
         assert describe_command(("prepare_edges", [0, 1], 1, [0]))[1] == "sumtable"
         assert describe_command(("deriv_edges", 1, None, None))[1] == "derivative"
+        assert describe_command(("lnl_edges", 1, None, None))[1] == "evaluate"
         assert describe_command(("set_bl_edges", [0], None, [0]))[1] == "control"
-        opening = ("prog", (("set_bl_edges", [0], None, [0]), ("lnl_parts", 0, [0]),
-                            ("prepare_edges", [0], 1, [0]), ("deriv_edges", 1, None, None)))
-        assert describe_command(opening) == (
-            "prog(set_bl_edges+lnl_parts+prepare_edges+deriv_edges)", "evaluate", 4,
-        )
 
     def test_all_control_program(self):
         cmd = ("prog", (("release", 1), ("set_bl", 0, 0.1, None)))
@@ -99,9 +112,9 @@ class TestWorkerProgram:
         )
         fused, plain = mk(), mk()
         steps = (
-            ("prepare", 0, 9, [0, 1, 2]),
-            ("deriv", 9, np.full(3, 0.05), [0, 1, 2]),
-            ("set_bl_vec", 0, np.full(3, 0.2)),
+            ("prepare_edges", [0], 9, [0, 1, 2]),
+            ("deriv_edges", 9, np.full((1, 3), 0.05), np.ones((1, 3), dtype=bool)),
+            ("set_bl_edges", [0], np.full((1, 3), 0.2), [0, 1, 2]),
             ("lnl", 0),
             ("release", 9),
         )
@@ -110,7 +123,7 @@ class TestWorkerProgram:
         assert len(out) == len(steps)
         np.testing.assert_allclose(out[1][0], ref[1][0])
         np.testing.assert_allclose(out[1][1], ref[1][1])
-        # the lnl step sees the set_bl_vec that preceded it in the program
+        # the lnl step sees the set_bl_edges that preceded it in the program
         assert out[3] == pytest.approx(ref[3], abs=1e-10)
         before = plain.execute(("lnl", 0))
         assert out[3] == pytest.approx(before, abs=1e-10)
@@ -119,15 +132,18 @@ class TestWorkerProgram:
 class TestEngineRunProgram:
     def test_fused_exchange_equals_separate_broadcasts(self, setup):
         with make_team(setup) as team:
-            handle = team.prepare_branch(0, [0, 1, 2])
-            z = np.full(3, 0.1)
-            d1_ref, d2_ref = team.branch_derivatives(handle, z, [0, 1, 2])
-            team.release(handle)
+            z = np.full((1, 3), 0.1)
+            lanes = np.ones((1, 3), dtype=bool)
+            team._broadcast(("prepare_edges", [0], 1, [0, 1, 2]))
+            parts = team._broadcast(("deriv_edges", 1, z, lanes))
+            d1_ref = np.sum([p[0] for p in parts], axis=0)
+            d2_ref = np.sum([p[1] for p in parts], axis=0)
+            team._broadcast(("release", 1))
 
             token = 7_000
             prog = Program(steps=(
-                ("prepare", 0, token, [0, 1, 2]),
-                ("deriv", token, z, [0, 1, 2]),
+                ("prepare_edges", [0], token, [0, 1, 2]),
+                ("deriv_edges", token, z, lanes),
                 ("release", token),
             ))
             _, deriv_parts, _ = team.run_program(prog)
@@ -201,7 +217,7 @@ class TestFusedOptimizerEquivalence:
     @pytest.mark.timeout(60)
     def test_optimize_branch_barrier_count(self, setup):
         """One prepare+deriv program, one broadcast per further Newton
-        evaluation, one guard program, one set_bl_vec — and the same
+        evaluation, one guard program, one set_bl_edges — and the same
         lengths, likelihood and iteration log as the sequential engine."""
         m, tel = MetricsRegistry(), ConvergenceTelemetry()
         seq_tel = ConvergenceTelemetry()
@@ -343,13 +359,14 @@ class TestZeroWidthFastPath:
         np.testing.assert_array_equal(
             state.execute(("eval_alpha", np.full(2, 0.5), [0, 1], 0)), np.zeros(2)
         )
-        out = state.execute(("prog", (("prepare", 0, 1, [0, 1]),
-                                      ("deriv", 1, np.full(2, 0.1), [0, 1]),
-                                      ("branch_lnl", 1, np.full(2, 0.1), [0, 1]),
+        lanes = np.ones((1, 2), dtype=bool)
+        out = state.execute(("prog", (("prepare_edges", [0], 1, [0, 1]),
+                                      ("deriv_edges", 1, np.full((1, 2), 0.1), lanes),
+                                      ("lnl_edges", 1, np.full((1, 2), 0.1), lanes),
                                       ("release", 1))))
-        np.testing.assert_array_equal(out[1][0], np.zeros(2))
-        np.testing.assert_array_equal(out[1][1], np.zeros(2))
-        np.testing.assert_array_equal(out[2], np.zeros(2))
+        np.testing.assert_array_equal(out[1][0], np.zeros((1, 2)))
+        np.testing.assert_array_equal(out[1][1], np.zeros((1, 2)))
+        np.testing.assert_array_equal(out[2], np.zeros((1, 2)))
 
 
 class TestTeamPlanCache:

@@ -1,11 +1,12 @@
 """The stack's per-member-free paths.
 
 Batched setters make one special-function / eigensolver call per stack,
-not one per member; the Newton workspace (sumtable as ``(A, m, K*s)``,
-one GEMM per round) gives the reference kernel's values to 1e-12 with a
-dead pattern, with +I and with a partial active set; a stale multi-member
-workspace is still refused; and Gamma shapes that are NaN or not positive
-are rejected.
+not one per member; the one-edge Newton workspace (sumtable as
+``(1, A, m, K*s)``, one GEMM per round) gives the reference kernel's
+values to 1e-12 with a dead pattern, with +I, with a partial active set
+and with one active lane (basic-index views, the kernel unbatched); a
+stale multi-member workspace is still refused; and Gamma shapes that are
+NaN or not positive are rejected.
 """
 import numpy as np
 import pytest
@@ -153,12 +154,12 @@ class TestWorkspaceAgainstReference:
         slots = list(range(N_MEMBERS)) if active is None else active
         z = np.linspace(0.03, 0.9, N_MEMBERS)[slots]
         for edge in (0, 4, stack.tree.n_edges - 1):
-            ws = stack.prepare_branch(edge, active)
-            d1, d2 = stack.branch_derivatives(ws, z, active)
-            lnl = stack.branch_loglikelihood(ws, z, active)
+            ws = stack.prepare_edges([edge], active)
+            d1, d2 = stack.edge_derivatives(ws, z[np.newaxis])
+            lnl = stack.edge_loglikelihoods(ws, z[np.newaxis])[0]
             r1, r2, rl = _reference(stack, edge, slots, z)
-            close(d1, r1)
-            close(d2, r2)
+            close(d1[0], r1)
+            close(d2[0], r2)
             close(lnl, rl)
         if 1 in slots:  # the dead pattern fits no state, so +I cannot rescue it
             assert np.isneginf(lnl[slots.index(1)])
@@ -167,18 +168,22 @@ class TestWorkspaceAgainstReference:
     def test_subset_of_a_workspace(self, sixteen, pinv):
         stack = _stack(sixteen, np.linspace(0.3, 2.0, N_MEMBERS))
         stack.set_pinvs(PINVS[pinv])
-        ws = stack.prepare_branch(3)
+        ws = stack.prepare_edges([3])
         slots = ACTIVE["partial"]
-        z = np.linspace(0.05, 0.6, len(slots))
-        flags = np.zeros(N_MEMBERS, dtype=bool)
-        flags[slots] = True
-        r1, r2, rl = _reference(stack, 3, slots, z)
-        d1, d2 = stack.branch_derivatives(ws, z, flags)
-        close(d1, r1)
-        close(d2, r2)
-        close(stack.branch_loglikelihood(ws, z, slots), rl)
-        d1, d2 = stack.branch_derivatives(ws, z[2:3], slots[2])  # one slot: unbatched
-        close([d1[0], d2[0]], [r1[2], r2[2]])
+        z = np.zeros((1, N_MEMBERS))
+        z[0, slots] = np.linspace(0.05, 0.6, len(slots))
+        lanes = np.zeros((1, N_MEMBERS), dtype=bool)
+        lanes[0, slots] = True
+        r1, r2, rl = _reference(stack, 3, slots, z[0, slots])
+        d1, d2 = stack.edge_derivatives(ws, z, lanes)
+        close(d1[0, slots], r1)
+        close(d2[0, slots], r2)
+        assert (d1[~lanes] == 0.0).all() and (d2[~lanes] == 0.0).all()
+        close(stack.edge_loglikelihoods(ws, z, lanes)[0, slots], rl)
+        one = np.zeros_like(lanes)
+        one[0, slots[2]] = True  # one lane: basic-index views, the kernel unbatched
+        d1, d2 = stack.edge_derivatives(ws, z, one)
+        close([d1[0, slots[2]], d2[0, slots[2]]], [r1[2], r2[2]])
 
 
 class TestKernelFallback:
@@ -208,24 +213,25 @@ class TestKernelFallback:
 class TestStaleMultiMemberWorkspace:
     def test_refused_after_a_member_changes(self, sixteen):
         stack = _stack(sixteen)
-        ws = stack.prepare_branch(2)
-        z = np.full(N_MEMBERS, 0.1)
-        stack.branch_derivatives(ws, z)
-        sub = [0, 3, 8]
-        stack.branch_derivatives(ws, z[sub], sub)
-        other = stack.prepare_branch(2, [0, 1])
+        ws = stack.prepare_edges([2])
+        z = np.full((1, N_MEMBERS), 0.1)
+        stack.edge_derivatives(ws, z)
+        sub = np.zeros((1, N_MEMBERS), dtype=bool)
+        sub[0, [0, 3, 8]] = True
+        stack.edge_derivatives(ws, z, sub)
+        other = stack.prepare_edges([2], [0, 1])
         stack.set_alphas(0.7, 3)
         with pytest.raises(RuntimeError, match="stale"):
-            stack.branch_derivatives(ws, z)
+            stack.edge_derivatives(ws, z)
         with pytest.raises(RuntimeError, match="stale"):
-            stack.branch_derivatives(ws, z[sub], sub)
+            stack.edge_derivatives(ws, z, sub)
         with pytest.raises(RuntimeError, match="stale"):
-            stack.branch_loglikelihood(ws, z)
+            stack.edge_loglikelihoods(ws, z)
         # members 0 and 1 did not change: their workspace stays usable
-        stack.branch_derivatives(other, z[:2])
+        stack.edge_derivatives(other, z[:, :2])
         stack.set_models([SubstitutionModel.random_gtr(77)], 1)
         with pytest.raises(RuntimeError, match="stale"):
-            stack.branch_derivatives(other, z[:2])
+            stack.edge_derivatives(other, z[:, :2])
 
 
 class TestTransitionCacheUpdates:

@@ -228,9 +228,9 @@ class TestStackMethods:
         for edge in (0, 4, stack.tree.n_edges - 1):
             rec_s.begin_region("r")
             got = stack.loglikelihoods(edge, active)
-            ws = stack.prepare_branch(edge, active)
-            d1, d2 = stack.branch_derivatives(ws, z, active)
-            blnl = stack.branch_loglikelihood(ws, z, active)
+            ws = stack.prepare_edges([edge], active)
+            d1, d2 = stack.edge_derivatives(ws, z[np.newaxis])
+            blnl = stack.edge_loglikelihoods(ws, z[np.newaxis])[0]
             rec_s.end_region()
             rec_1.begin_region("r")
             for i, slot in enumerate(slots):
@@ -238,7 +238,7 @@ class TestStackMethods:
                 close(got[i], part.loglikelihood(edge))
                 ws1 = part.prepare_branch(edge)
                 r1, r2 = part.branch_derivatives(ws1, z[i])
-                close([d1[i], d2[i]], [r1, r2])
+                close([d1[0, i], d2[0, i]], [r1, r2])
                 close(blnl[i], part.branch_loglikelihood(ws1, z[i]))
             rec_1.end_region()
         assert _region_items(rec_s) == _region_items(rec_1)
@@ -248,9 +248,9 @@ class TestStackMethods:
         lnl = stack.loglikelihoods(0)
         assert np.isneginf(lnl[1])
         assert lnl[3] == 0.0 and singles.parts[3].loglikelihood(0) == 0.0
-        ws = stack.prepare_branch(2)
-        d1, d2 = stack.branch_derivatives(ws, np.full(4, 0.1))
-        assert np.isfinite(d1).all() and d1[3] == 0.0 and d2[3] == 0.0
+        ws = stack.prepare_edges([2])
+        d1, d2 = stack.edge_derivatives(ws, np.full((1, 4), 0.1))
+        assert np.isfinite(d1).all() and d1[0, 3] == 0.0 and d2[0, 3] == 0.0
 
     def test_site_loglikelihoods_and_refresh_counts(self, dataset):
         stack, singles, _, _ = self._pair(dataset)
@@ -293,12 +293,12 @@ class TestStackMethods:
 
     def test_stale_workspace_refused_per_member(self, dataset):
         stack, _, _, _ = self._pair(dataset)
-        ws = stack.prepare_branch(1, [0, 2])
+        ws = stack.prepare_edges([1], [0, 2])
         stack.set_alphas(0.7, 3)  # another member: workspace still valid
-        stack.branch_derivatives(ws, np.array([0.1, 0.1]))
+        stack.edge_derivatives(ws, np.full((1, 2), 0.1))
         stack.set_alphas(0.7, 2)
         with pytest.raises(RuntimeError, match="stale"):
-            stack.branch_derivatives(ws, np.array([0.1, 0.1]))
+            stack.edge_derivatives(ws, np.full((1, 2), 0.1))
 
 
 class TestDeepScaling:
@@ -315,7 +315,7 @@ class TestDeepScaling:
         stack = PartitionLikelihood(blocks, tree, models, alpha=[0.5, 0.6, 0.4],
                                     index=[0, 1, 2])
         stack.set_branch_lengths(lengths)
-        assert stack.prepare_branch(0).scale.max() > 0
+        assert stack.prepare_edges([0]).scale.max() > 0
         singles = _Singles(blocks, tree, models, [0.5, 0.6, 0.4], lengths, None)
         for edge in (0, 17, tree.n_edges - 1):
             close(stack.loglikelihoods(edge), [p.loglikelihood(edge) for p in singles.parts])
@@ -334,13 +334,13 @@ class TestEngineStacks:
             for p in ([0, 1, 2, 3] if active is None else active):
                 want[p] = singles.parts[p].loglikelihood(0)
             close(engine.loglikelihoods(0, active), want)
-        ws = engine.prepare_branches(3)
-        z = np.array([0.1, 0.2, 0.3, 0.4])
-        d1, d2 = engine.branch_derivatives(ws, z, [0, 3])
+        ws = engine.prepare_edges([3])
+        z = np.array([[0.1, 0.2, 0.3, 0.4]])
+        d1, d2 = engine.edge_derivatives(ws, z, np.array([[True, False, False, True]]))
         for p in (0, 3):
             part = singles.parts[p]
-            close([d1[p], d2[p]], part.branch_derivatives(part.prepare_branch(3), z[p]))
-        assert d1[1] == d1[2] == 0.0
+            close([d1[0, p], d2[0, p]], part.branch_derivatives(part.prepare_branch(3), z[0, p]))
+        assert d1[0, 1] == d1[0, 2] == 0.0
 
     def test_views_keep_per_partition_attributes(self, dataset):
         tree, lengths, data, models, alphas = dataset
@@ -361,7 +361,8 @@ class TestEngineStacks:
         )
         assert state.execute(("lnl", 0)) == 0.0
         np.testing.assert_array_equal(state.execute(("lnl_parts", 0, [0, 3])), np.zeros(4))
-        state.execute(("prepare", 1, 5, [0, 1, 2, 3]))
-        d1, d2 = state.execute(("deriv", 5, np.full(4, 0.2), [1, 3]))
-        np.testing.assert_array_equal(d1, np.zeros(4))
-        np.testing.assert_array_equal(d2, np.zeros(4))
+        state.execute(("prepare_edges", [1], 5, [0, 1, 2, 3]))
+        lanes = np.array([[False, True, False, True]])
+        d1, d2 = state.execute(("deriv_edges", 5, np.full((1, 4), 0.2), lanes))
+        np.testing.assert_array_equal(d1, np.zeros((1, 4)))
+        np.testing.assert_array_equal(d2, np.zeros((1, 4)))

@@ -52,25 +52,29 @@ class TestCommands:
 
     def test_prepare_deriv_release_cycle(self, worker_setup):
         worker = make_worker(worker_setup)
-        worker.execute(("prepare", 2, 7, [0, 1, 2]))
-        d1, d2 = worker.execute(("deriv", 7, np.full(3, 0.1), [0, 2]))
-        assert d1[1] == 0.0  # inactive partition untouched
-        assert np.isfinite(d1[[0, 2]]).all()
+        worker.execute(("prepare_edges", [2], 7, [0, 1, 2]))
+        lanes = np.array([[True, False, True]])
+        d1, d2 = worker.execute(("deriv_edges", 7, np.full((1, 3), 0.1), lanes))
+        assert d1[0, 1] == 0.0  # inactive partition untouched
+        assert np.isfinite(d1[0, [0, 2]]).all()
         worker.execute(("release", 7))
         with pytest.raises(KeyError):
-            worker.execute(("deriv", 7, np.full(3, 0.1), [0]))
+            worker.execute(("deriv_edges", 7, np.full((1, 3), 0.1), lanes))
 
     def test_release_is_idempotent(self, worker_setup):
         worker = make_worker(worker_setup)
         worker.execute(("release", 123))  # never prepared: no error
 
     def test_branch_lnl_command(self, worker_setup):
+        """The per-branch guard, ``lnl_edges``, reads the full lnL at the
+        current length from the prepared one-edge sumtable."""
         worker = make_worker(worker_setup)
-        worker.execute(("prepare", 1, 9, [0]))
+        worker.execute(("prepare_edges", [1], 9, [0]))
         base = worker.execute(("lnl_parts", 1, [0]))[0]
         via_table = worker.execute(
-            ("branch_lnl", 9, np.full(3, worker.parts[0].branch_lengths[1]), [0])
-        )[0]
+            ("lnl_edges", 9, np.full((1, 3), worker.parts[0].branch_lengths[1]),
+             np.array([[True, False, False]]))
+        )[0, 0]
         assert via_table == pytest.approx(base, abs=1e-8)
 
     def test_parameter_mutations(self, worker_setup):
@@ -111,6 +115,8 @@ class TestEmptySlices:
         assert any(sl.n_patterns == 0 for sl in slices)
         lnl = worker.execute(("lnl", 0))
         assert lnl == 0.0 or np.isfinite(lnl)
-        worker.execute(("prepare", 0, 1, [0, 1, 2]))
-        d1, d2 = worker.execute(("deriv", 1, np.full(3, 0.1), [0, 1, 2]))
+        worker.execute(("prepare_edges", [0], 1, [0, 1, 2]))
+        d1, d2 = worker.execute(
+            ("deriv_edges", 1, np.full((1, 3), 0.1), np.ones((1, 3), dtype=bool))
+        )
         assert np.isfinite(d1).all()
