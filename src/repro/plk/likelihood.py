@@ -54,11 +54,6 @@ def _check_alphas(values) -> None:
         raise ValueError("alpha must be finite and > 0")
 
 
-def _lead(x: np.ndarray, ndim: int) -> np.ndarray:
-    """``x`` with leading unit axes added up to ``ndim`` (a view)."""
-    return x[(np.newaxis,) * (ndim - x.ndim)]
-
-
 @dataclass
 class EdgeWorkspace:
     """Precomputed state for Newton-Raphson on the listed ``edges`` of the
@@ -593,11 +588,12 @@ class PartitionLikelihood:
         mask = self._mask(active)
         slots = self._slots(mask)
         sel = self._select(mask)
+        lead = (np.newaxis,) if isinstance(sel, int) else ()  # the member axis
         edges = [int(e) for e in edges]
         params = self._u[sel], self._v[sel], self._frequencies[sel]
         if len(edges) == 1:
             table, scale = self._edge_row(edges[0], mask, sel, params)
-            table = _lead(table, 4)
+            table = table[(np.newaxis,) + lead]
             # A copy: later traversals update the stored counters in place.
             scale = np.array(scale, ndmin=3)
         else:
@@ -606,11 +602,11 @@ class PartitionLikelihood:
             for i, edge in enumerate(edges):
                 _, scale[i] = self._edge_row(edge, mask, sel, params, table[i])
         coef, powers = kernel.branch_coefficients(self._eigenvalues[sel], self.rates[sel])
-        weights = _lead(self._weights[sel], 2)
+        weights = self._weights[sel][lead]
         dead = kernel.zero_pattern_mask(scale)
         live = np.where(dead, 0.0, weights) if dead.any() else weights
         return EdgeWorkspace(
-            edges=edges, table=table, coef=_lead(coef, 2), powers=_lead(powers, 3),
+            edges=edges, table=table, coef=coef[lead], powers=powers[lead],
             weights=weights, live_weights=live, scale=scale,
             epoch=self._epoch[slots].copy(), generation=self._generation,
             slots=slots, mask=mask,

@@ -179,10 +179,22 @@ class PartitionStacks:
                     lanes = None
             yield stack, ws, parts, lanes
 
+    def _whole(self, workspaces) -> EdgeWorkspace | None:
+        """The workspace of the one stack when it holds every partition:
+        its ``(E, A)`` lanes are then the ``(E, P)`` ones, so a round on
+        it needs no split and no scatter (None otherwise)."""
+        ws = workspaces[0]
+        if len(workspaces) == 1 and ws is not None and len(ws.slots) == self.n_partitions:
+            return ws
+        return None
+
     def edge_derivatives(self, workspaces, z: np.ndarray, active=None):
         """(d1, d2), each ``(E, P)``, at the ``(E, P)`` lengths ``z`` for
         the lanes of the ``(E, P)`` mask ``active`` (default: every
         prepared lane); 0 elsewhere."""
+        ws = self._whole(workspaces)
+        if ws is not None:
+            return self.stacks[0].edge_derivatives(ws, z, active)
         d1 = np.zeros(z.shape)
         d2 = np.zeros(z.shape)
         for stack, ws, parts, lanes in self._edge_stacks(workspaces, active):
@@ -192,6 +204,9 @@ class PartitionStacks:
     def edge_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
         """``(E, P)`` log-likelihoods at the ``(E, P)`` lengths ``z``, each
         a function of its own edge's length alone."""
+        ws = self._whole(workspaces)
+        if ws is not None:
+            return self.stacks[0].edge_loglikelihoods(ws, z, active)
         out = np.zeros(z.shape)
         for stack, ws, parts, lanes in self._edge_stacks(workspaces, active):
             out[:, parts] = stack.edge_loglikelihoods(ws, z[:, parts], lanes)
