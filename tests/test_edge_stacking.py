@@ -64,13 +64,13 @@ def _blocks(data):
     return [a, dead, c, empty, d]
 
 
-def _stacks(dataset, pinv=None):
-    """The five blocks as stacks, and as one-member stacks (the
-    reference's)."""
+def _stacks(dataset, pinv=None, n_blocks=5):
+    """The first ``n_blocks`` blocks as stacks, and as one-member stacks
+    (the reference's)."""
     tree, lengths, data, models, alphas = dataset
-    models = models[:3] + [models[2], models[3]]
-    alphas = alphas[:3] + [alphas[2], alphas[3]]
-    blocks = _blocks(data)
+    models = (models[:3] + [models[2], models[3]])[:n_blocks]
+    alphas = (alphas[:3] + [alphas[2], alphas[3]])[:n_blocks]
+    blocks = _blocks(data)[:n_blocks]
     stacks = PartitionStacks(blocks, tree, models, alphas)
     stacks.set_branch_lengths(lengths)
     if pinv is not None:
@@ -162,6 +162,29 @@ def test_edge_stack_equals_per_edge(dataset, pinv, which):
     assert (d1[:, 3] == 0.0).all() and (d2[:, 3] == 0.0).all()  # zero width
     if active is not None:
         assert (d1[~active] == 0.0).all() and (lnl[~active] == 0.0).all()
+
+
+@pytest.mark.parametrize("pinv", [None, (0.2, 0.0, 0.35, 0.1)], ids=["plain", "pinv"])
+def test_one_stack_holding_every_partition(dataset, pinv):
+    """The DNA blocks alone form one stack that holds every partition, so
+    a round is one stack call whose lanes are the ``(E, P)`` ones; every
+    mask (none, all, all true, no lane, few, most) equals the reference,
+    for every edge at once and for one edge."""
+    stacks, singles = _stacks(dataset, pinv, n_blocks=4)
+    assert len(stacks.stacks) == 1
+    order = smoothing_edge_order(stacks.stacks[0].tree)
+    rng = np.random.default_rng(11)
+    for edges in (order, order[2:3]):
+        z = rng.uniform(0.01, 0.6, (len(edges), 4))
+        ws = stacks.prepare_edges(edges)
+        for active in (None, np.ones(z.shape, dtype=bool), np.zeros(z.shape, dtype=bool),
+                       rng.random(z.shape) < 0.25, rng.random(z.shape) < 0.9):
+            d1, d2 = stacks.edge_derivatives(ws, z, active)
+            lnl = stacks.edge_loglikelihoods(ws, z, active)
+            r1, r2, rl = _per_edge(singles, edges, z, active)
+            close(d1, r1)
+            close(d2, r2)
+            close(lnl, rl)
 
 
 def test_subset_of_edges_and_partitions(dataset):
