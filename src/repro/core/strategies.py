@@ -161,8 +161,8 @@ def optimize_branch(
             prop_fn, b0, BRANCH_MIN, BRANCH_MAX, ztol, max_iter
         )
         with _region(engine, "nr_proportional"):
-            old_lnl = sum(_branch_lnls(engine, workspaces, scalers * b0).tolist())
-            new_lnl = sum(_branch_lnls(engine, workspaces, scalers * b).tolist())
+            old_lnl = sum(_branch_loglikelihoods(engine, workspaces, scalers * b0).tolist())
+            new_lnl = sum(_branch_loglikelihoods(engine, workspaces, scalers * b).tolist())
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, b)
         return np.full(n_parts, iters, dtype=np.int64)
@@ -182,8 +182,12 @@ def optimize_branch(
         # length only if it does not lower the likelihood (one extra
         # evaluation pass, as RAxML's makenewz performs).
         with _region(engine, "nr_joint"):
-            old_lnl = sum(_branch_lnls(engine, workspaces, np.full(n_parts, z0[0])).tolist())
-            new_lnl = sum(_branch_lnls(engine, workspaces, np.full(n_parts, z)).tolist())
+            old_lnl = sum(
+                _branch_loglikelihoods(engine, workspaces, np.full(n_parts, z0[0])).tolist()
+            )
+            new_lnl = sum(
+                _branch_loglikelihoods(engine, workspaces, np.full(n_parts, z)).tolist()
+            )
         if new_lnl >= old_lnl:
             engine.set_branch_length(edge, z)
         return np.full(n_parts, iters, dtype=np.int64)
@@ -211,8 +215,8 @@ def optimize_branch(
         # Monotonicity guard (one batched evaluation region): keep each
         # partition's new length only where the likelihood improved.
         with _region(engine, "nr_new"):
-            improved = _branch_lnls(engine, workspaces, res.z) >= (
-                _branch_lnls(engine, workspaces, z0)
+            improved = _branch_loglikelihoods(engine, workspaces, res.z) >= (
+                _branch_loglikelihoods(engine, workspaces, z0)
             )
             engine.set_edge_lengths(edge, res.z, improved)
         _observe_iterations(engine, "nr_branch", res.iterations)
@@ -236,8 +240,8 @@ def optimize_branch(
         )
         trial = np.full(n_parts, z)
         with _region(engine, "nr_old"):
-            accept = _branch_lnls(engine, workspaces, trial, only)[p] >= (
-                _branch_lnls(engine, workspaces, z0, only)[p]
+            accept = _branch_loglikelihoods(engine, workspaces, trial, only)[p] >= (
+                _branch_loglikelihoods(engine, workspaces, z0, only)[p]
             )
         if accept:
             engine.set_edge_lengths(edge, trial, only)
@@ -254,7 +258,9 @@ def _branch_derivatives(engine: PartitionedEngine, workspaces, z: np.ndarray, ac
     return d1[0], d2[0]
 
 
-def _branch_lnls(engine: PartitionedEngine, workspaces, z: np.ndarray, active=None) -> np.ndarray:
+def _branch_loglikelihoods(
+    engine: PartitionedEngine, workspaces, z: np.ndarray, active=None
+) -> np.ndarray:
     """``(P,)`` log-likelihoods at the lengths ``z`` of the edge of the
     one-edge ``workspaces`` (the Newton monotonicity guard)."""
     lanes = None if active is None else active[np.newaxis]
