@@ -1,36 +1,17 @@
-"""ABL1 — Ablation: the four pattern-distribution policies.
+"""ABL1 — Ablation: the cyclic and block pattern-distribution policies.
 
 The paper (Section IV): "We use a cyclic distribution of the m' distinct
 alignment patterns to threads, mainly to allow for better load-balance in
 phylogenomic datasets that can contain DNA as well as AA data."
 
-Part 1 replays the paper's schedules under the block (contiguous-chunk)
+The test replays the paper's schedules under the block (contiguous-chunk)
 baseline: each partition then concentrates on few threads, so even
 newPAR's batched regions lose balance — cyclic is what makes newPAR work.
-
-Part 2 goes beyond the paper with the cost-aware policies on genuinely
-mixed DNA+AA data.  Cyclic treats every pattern as equal, so the ~25x
-more expensive AA patterns land wherever the per-partition remainders
-fall; ``weighted`` (cost-aware cyclic) and ``lpt`` (longest-processing-
-time chunk packing) place them by cost and drive the per-thread busy-time
-imbalance toward 1.0.  See docs/LOAD_BALANCE.md ("Reading the ablation"
-in EXPERIMENTS.md) for how to interpret the table.
+EXPERIMENTS.md (ABL1b) records why no cost-aware policy is compared here.
 """
-import numpy as np
 import pytest
 
 from conftest import write_result
-from repro.core.analysis import run_model_optimization
-from repro.parallel import DISTRIBUTIONS, CostModel, PartitionLayout, build_plan
-from repro.plk import (
-    AA,
-    DNA,
-    Alignment,
-    Partition,
-    PartitionedAlignment,
-    PartitionScheme,
-)
-from repro.seqgen import random_topology_with_lengths, simulate_alignment
 from repro.simmachine import X4600, simulate_trace
 
 DATASET = "d50_50000_p1000"
@@ -42,49 +23,6 @@ def traces(get_trace):
         s: get_trace(DATASET, "search", s, max_candidates=300)
         for s in ("old", "new")
     }
-
-
-def _mixed_dataset(seed: int = 11):
-    """A phylogenomic-style supermatrix: 8 short expensive AA partitions
-    of irregular length followed by 8 long cheap DNA partitions (the shape
-    the paper names as cyclic distribution's motivation).  The irregular
-    AA lengths make cyclic's remainder placement collide — several threads
-    end up owning visibly more ~25x-cost AA patterns than others."""
-    from repro.plk import SubstitutionModel
-
-    rng = np.random.default_rng(seed)
-    tree, lengths = random_topology_with_lengths(10, rng)
-    blocks: list[np.ndarray] = []
-    parts: list[Partition] = []
-    offset = 0
-    aa_sites = (9, 13, 21, 11, 17, 10, 19, 14)
-    for p in range(16):
-        if p < 8:
-            n_sites, dtype = aa_sites[p], AA
-            model = SubstitutionModel.synthetic_aa(seed + p)
-        else:
-            n_sites, dtype = 200, DNA
-            model = SubstitutionModel.random_gtr(seed + p)
-        sub = simulate_alignment(
-            tree, lengths, model, 1.0, n_sites, rng
-        )
-        blocks.append(sub.matrix)
-        parts.append(
-            Partition(f"{dtype.name.lower()}{p}", dtype,
-                      ((offset, offset + n_sites),))
-        )
-        offset += n_sites
-    aln = Alignment(tree.taxa, np.concatenate(blocks, axis=1), DNA)
-    return PartitionedAlignment(aln, PartitionScheme(tuple(parts))), tree, lengths
-
-
-@pytest.fixture(scope="module")
-def mixed_trace():
-    data, tree, lengths = _mixed_dataset()
-    run = run_model_optimization(
-        data, tree, strategy="new", initial_lengths=lengths, max_rounds=1
-    )
-    return run.trace
 
 
 def test_abl1_cyclic_vs_block(benchmark, traces, results_dir):
@@ -113,70 +51,6 @@ def test_abl1_cyclic_vs_block(benchmark, traces, results_dir):
     # ... and hits per-partition regions catastrophically: under block,
     # a p1000 partition lands on ~1/3 of the 16 threads.
     assert by_key[("old", "block")] > 1.5 * by_key[("old", "cyclic")]
-
-
-def _schedule_cost_model(trace, machine, n_threads) -> CostModel:
-    """Per-pattern seconds including each partition's actual schedule
-    activity: total simulated op-seconds of the partition divided by its
-    pattern count.  This is the measured-feedback idea of
-    :class:`repro.parallel.Rebalancer` applied at per-partition
-    granularity — an analytic ``states**2`` weight alone is NOT enough
-    here, because partitions converge after different iteration counts
-    and a plan balancing raw pattern cost can still be activity-lumpy
-    (docs/LOAD_BALANCE.md discusses this failure mode)."""
-    from repro.simmachine.costmodel import seconds_per_pattern
-
-    per = np.zeros(len(trace.pattern_counts))
-    for (p, op), pattern_ops in trace.partition_op_totals().items():
-        per[p] += pattern_ops * seconds_per_pattern(
-            op, int(trace.states[p]), trace.categories, machine, n_threads
-        )
-    per /= np.maximum(trace.pattern_counts, 1)
-    return CostModel(np.maximum(per, np.finfo(float).tiny), unit="seconds")
-
-
-def test_abl1_four_policies_mixed_data(benchmark, mixed_trace, results_dir):
-    """The cost-aware extension: on mixed DNA+AA data the weighted and
-    LPT policies — driven by the schedule-calibrated cost model — beat
-    plain cyclic on per-thread busy-time balance."""
-
-    def table():
-        layout = PartitionLayout.from_trace(mixed_trace)
-        cost = _schedule_cost_model(mixed_trace, X4600, 16)
-        rows = []
-        for policy in DISTRIBUTIONS:
-            if policy in ("weighted", "lpt"):
-                dist = build_plan(layout, 16, policy, cost_model=cost)
-            else:
-                dist = policy
-            r = simulate_trace(mixed_trace, X4600, 16, dist)
-            rows.append(
-                (policy, r.total_seconds, r.efficiency, r.imbalance)
-            )
-        return rows
-
-    rows = benchmark.pedantic(table, rounds=1, iterations=1)
-    lines = [
-        "ABL1b: four policies, mixed 8xAA(9-21) + 8xDNA(200), "
-        "newPAR model-opt, x4600 @ 16",
-        "(weighted/lpt plans use the schedule-calibrated cost model)",
-        f"{'policy':<9} {'time':>9} {'efficiency':>11} {'imbalance':>10}",
-        "-" * 42,
-    ]
-    for policy, t, eff, imb in rows:
-        lines.append(f"{policy:<9} {t:9.2f} {eff:11.1%} {imb:10.3f}")
-    lines.append("(imbalance = max/mean per-thread busy seconds; 1.000 = perfect)")
-    write_result(results_dir, "abl1_four_policies", "\n".join(lines))
-
-    by_policy = {r[0]: r for r in rows}
-    imb = {policy: r[3] for policy, r in by_policy.items()}
-    # The cost-aware policies beat plain cyclic on busy-time balance ...
-    assert imb["weighted"] < imb["cyclic"]
-    assert imb["lpt"] < imb["cyclic"]
-    # ... and block, which stacks whole AA partitions on few threads, is
-    # by far the worst.
-    assert imb["block"] > imb["cyclic"]
-    assert imb["block"] > 1.2 * min(imb["weighted"], imb["lpt"])
 
 
 def test_abl1_block_concentrates_partitions():

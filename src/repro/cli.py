@@ -23,13 +23,10 @@ Subcommands
     — alongside an ASCII rendering, the metrics snapshot and the
     per-partition convergence telemetry.
 ``balance``
-    Compare all four pattern-distribution policies (``cyclic``, ``block``,
-    ``weighted``, ``lpt``) on one workload: per-thread load as *predicted*
-    by the machine simulator and as *measured* on the real worker team,
-    each summarized by the imbalance ratio (max/mean thread busy time;
-    1.0 = perfect).  ``--rebalance`` additionally demonstrates the
-    measured-feedback loop: warmup run -> calibrated cost model ->
-    LPT replan -> re-measured imbalance.
+    Compare the two pattern-distribution policies (``cyclic``, ``block``)
+    on one workload: per-thread load as *predicted* by the machine
+    simulator and as *measured* on the real worker team, each summarized
+    by the imbalance ratio (max/mean thread busy time; 1.0 = perfect).
 ``top``
     A refreshing ASCII dashboard over the live telemetry plane
     (:mod:`repro.obs.live`): per-worker lanes showing busy fraction,
@@ -52,7 +49,7 @@ Examples
         --candidates 60
     python -m repro profile --workers 4 --partitions 10 --warmup \
         --out profile.json
-    python -m repro balance --workers 4 --partitions 10 --rebalance
+    python -m repro balance --workers 4 --partitions 10
     python -m repro timeline --workers 4 --out timeline_trace.json
 """
 from __future__ import annotations
@@ -121,13 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--distribution", choices=DISTRIBUTIONS,
                      default="cyclic")
 
-    def add_workload_args(p) -> None:
+    def add_workload_args(p, distribution: bool = True) -> None:
         p.add_argument("--taxa", type=int, default=12)
         p.add_argument("--sites", type=int, default=2_000)
         p.add_argument("--partitions", type=int, default=10)
         p.add_argument("--workers", type=int, default=4)
-        p.add_argument("--distribution", choices=DISTRIBUTIONS,
-                       default="cyclic")
+        if distribution:  # `balance` runs every policy
+            p.add_argument("--distribution", choices=DISTRIBUTIONS,
+                           default="cyclic")
         p.add_argument("--edges", type=int, default=6,
                        help="branches to optimize per strategy")
         p.add_argument("--alpha", action="store_true",
@@ -174,19 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bal = sub.add_parser(
         "balance",
-        help="compare the four distribution policies: predicted vs "
+        help="compare the distribution policies: predicted vs "
         "measured per-thread load and imbalance ratio",
     )
-    add_workload_args(bal)
+    add_workload_args(bal, distribution=False)
     bal.add_argument("--platform", default="nehalem",
                      help="simulated platform for the prediction "
                      "(nehalem / clovertown / barcelona / x4600; "
                      "default: %(default)s)")
     bal.add_argument("--strategy", choices=("old", "new"), default="new")
-    bal.add_argument("--rebalance", action="store_true",
-                     help="also demonstrate the measured-feedback loop: "
-                     "warmup run -> calibrated cost model -> LPT replan -> "
-                     "re-measured imbalance")
 
     top = sub.add_parser(
         "top",
@@ -679,13 +673,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_balance(args: argparse.Namespace) -> int:
     from .core import PartitionedEngine, TraceRecorder
     from .core.strategies import optimize_alpha, optimize_branch_lengths
-    from .parallel import (
-        DISTRIBUTIONS,
-        ParallelPLK,
-        PartitionLayout,
-        Rebalancer,
-        build_plan,
-    )
+    from .parallel import DISTRIBUTIONS, ParallelPLK
     from .perf import Profiler
     from .simmachine import get_platform, simulate_trace
 
@@ -722,9 +710,7 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     trace = recorder.finalize(engine.pattern_counts(), engine.states())
 
     def measured(policy):
-        profiler = Profiler(meta={
-            "policy": getattr(policy, "policy", policy), "seed": args.seed,
-        })
+        profiler = Profiler(meta={"policy": policy, "seed": args.seed})
         with ParallelPLK(
             data, tree, models, alphas, args.workers,
             distribution=policy,
@@ -758,16 +744,6 @@ def _cmd_balance(args: argparse.Namespace) -> int:
         print(f"{policy:<10} {pred:>10.3f} {meas:>10.3f}")
     print("(imbalance ratio = max/mean per-thread busy time; 1.000 = perfect)")
 
-    if args.rebalance:
-        layout = PartitionLayout.from_alignment(data)
-        warm_plan = build_plan(layout, args.workers, args.distribution)
-        warm = measured(warm_plan)
-        replanned = Rebalancer(layout, args.workers).rebalance(warm_plan, warm)
-        tuned = measured(replanned)
-        print(f"\nrebalance: warmup ({warm_plan.policy}) measured imbalance "
-              f"{warm.imbalance:.3f} -> calibrated {replanned.policy} replan "
-              f"predicted {replanned.imbalance():.3f}, "
-              f"measured {tuned.imbalance:.3f}")
     return 0
 
 

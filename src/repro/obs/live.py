@@ -12,11 +12,10 @@ story with it.  This module is the runtime tier:
   counters, current op;
 * :class:`HealthMonitor` — samples heartbeats on the master, flags
   stalled workers (phase busy with an aging heartbeat past a threshold)
-  and feeds the balance model's
-  :func:`~repro.parallel.balance.imbalance_ratio` with *measured-so-far*
-  busy seconds for a live imbalance gauge;
+  and feeds :func:`~repro.parallel.distribution.imbalance_ratio` with
+  *measured-so-far* busy seconds for a live imbalance gauge;
 * :class:`FlightRecorder` — a bounded ring buffer of structured events
-  (program dispatch, barrier exit, rebalance decisions, worker death)
+  (program dispatch, barrier exit, stalls, worker death)
   that survives the crash it describes: when a worker dies or a
   :class:`~repro.parallel.engine.WorkerError` propagates,
   :class:`LiveTelemetry` dumps it as a post-mortem JSONL file;
@@ -31,7 +30,7 @@ Every class has a ``Null*`` counterpart mirroring
 costs one attribute read on the hot path when disabled.
 
 Imports reference :mod:`repro.parallel` SUBMODULES only (``shm``,
-``balance``); the package itself would be circular — ``repro.parallel``
+``distribution``); the package itself would be circular — ``repro.parallel``
 imports the engine, which lazily imports this module.
 """
 from __future__ import annotations
@@ -43,7 +42,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from ..parallel.balance import imbalance_ratio
+from ..parallel.distribution import imbalance_ratio
 from ..parallel.shm import (
     STAT_BUSY,
     STAT_COMMANDS,
@@ -156,10 +155,9 @@ class FlightRecorder:
 
     Each event is a ``seq`` number, a wall-clock ``t``, an ``event`` name
     and free-form fields, appended under a lock — the master's broadcast
-    loop, a :class:`HealthMonitor` thread and a
-    :class:`~repro.parallel.balance.Rebalancer` may all record
-    concurrently.  The ring stores plain ``(seq, t, event, fields)``
-    tuples, so the per-broadcast :meth:`record` builds no dict;
+    loop and a :class:`HealthMonitor` thread may record concurrently.
+    The ring stores plain ``(seq, t, event, fields)`` tuples, so the
+    per-broadcast :meth:`record` builds no dict;
     :meth:`events` and :meth:`dump` build them on the way out.  The
     buffer keeps the LAST ``capacity`` events, so a post-mortem always
     shows the moments before the failure, however long the run.
@@ -260,8 +258,8 @@ class HealthMonitor:
     died without its row ever returning to idle.  Idle workers never
     stall (an idle team is healthy, merely unemployed).
 
-    ``check()`` also computes the live imbalance: the balance model's
-    :func:`~repro.parallel.balance.imbalance_ratio` over measured-so-far
+    ``check()`` also computes the live imbalance:
+    :func:`~repro.parallel.distribution.imbalance_ratio` over measured-so-far
     busy seconds — the same quantity the post-hoc profile reports,
     available mid-run.
     """

@@ -13,13 +13,13 @@ global pattern vector) equalizes raw pattern counts but concentrates each
 partition — and each datatype — on few threads, which is catastrophic for
 per-partition operations; it exists here as the ablation baseline.
 
-Two further *cost-aware* policies — ``weighted`` (cost-aware cyclic) and
-``lpt`` (longest-processing-time greedy bin packing) — weigh patterns by a
-per-partition cost model instead of treating every pattern as equal.  They
-need the *whole* partition layout at once (a pattern's placement depends
-on every other partition's cost), so they are built as a global
-:class:`~repro.parallel.balance.DistributionPlan` rather than through the
-per-partition helpers in this module; see :mod:`repro.parallel.balance`.
+Both policies are *static*: a thread's share of a partition depends only
+on that partition's geometry, so each worker slices its patterns one
+partition at a time and no global plan exists.  This module also owns
+the currency the policies are judged in: :func:`pattern_weight` (the
+relative cost of one pattern, ``categories * states**2``) and
+:func:`imbalance_ratio` (max over mean thread load), plus the
+:class:`PartitionLayout` the service prices jobs over.
 
 Conventions shared by every helper here (units are **counts**, not
 seconds):
@@ -33,26 +33,25 @@ seconds):
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
     "DISTRIBUTIONS",
-    "STATIC_DISTRIBUTIONS",
+    "PartitionLayout",
     "cyclic_partition_counts",
     "block_partition_counts",
     "partition_thread_counts",
     "cyclic_indices",
     "block_indices",
+    "imbalance_ratio",
+    "pattern_weight",
 ]
 
-#: Every known pattern-distribution policy.  The first two are *static*
-#: (a thread's share of a partition depends only on that partition's
-#: geometry); the last two are *cost-aware* and require a global
-#: :class:`~repro.parallel.balance.DistributionPlan`.
-DISTRIBUTIONS = ("cyclic", "block", "weighted", "lpt")
-
-#: Policies computable partition-by-partition with the helpers below.
-STATIC_DISTRIBUTIONS = ("cyclic", "block")
+#: Every pattern-distribution policy: RAxML's cyclic default and the
+#: block ablation baseline.
+DISTRIBUTIONS = ("cyclic", "block")
 
 
 def _check_geometry(offset: int, length: int, n_threads: int, total: int | None = None) -> None:
@@ -125,12 +124,7 @@ def block_partition_counts(
 def partition_thread_counts(
     policy: str, offset: int, length: int, total: int, n_threads: int
 ) -> np.ndarray:
-    """Dispatch on a *static* distribution policy name.
-
-    The cost-aware policies (``weighted``, ``lpt``) cannot be computed for
-    one partition in isolation — a thread's share depends on every other
-    partition's cost — so asking for them here raises and points at
-    :func:`repro.parallel.balance.build_plan`.
+    """Per-thread pattern **counts** of one partition under a policy name.
 
     >>> int(partition_thread_counts("cyclic", 0, 10, 100, 4).sum())
     10
@@ -141,11 +135,6 @@ def partition_thread_counts(
         return cyclic_partition_counts(offset, length, n_threads)
     if policy == "block":
         return block_partition_counts(offset, length, total, n_threads)
-    if policy in DISTRIBUTIONS:
-        raise ValueError(
-            f"policy {policy!r} is cost-aware and needs the whole layout; "
-            "build a repro.parallel.balance.DistributionPlan via build_plan()"
-        )
     raise ValueError(f"unknown distribution {policy!r}; known: {DISTRIBUTIONS}")
 
 
@@ -189,3 +178,87 @@ def block_indices(
     start = max(lo - offset, 0)
     stop = max(min(hi - offset, length), 0)
     return np.arange(start, stop)
+
+
+def pattern_weight(states: int, categories: int = 4) -> float:
+    """Relative compute cost of one pattern (dimensionless cost units).
+
+    The PLK inner loops are dominated by the ``states x states``
+    propagation per Gamma category, so the weight is
+    ``categories * states**2`` — which makes an AA pattern exactly the
+    paper's ~25x a DNA pattern:
+
+    >>> pattern_weight(4, 4)
+    64.0
+    >>> pattern_weight(20, 4) / pattern_weight(4, 4)
+    25.0
+    """
+    if states < 2 or categories < 1:
+        raise ValueError("need states >= 2 and categories >= 1")
+    return float(categories * states * states)
+
+
+def imbalance_ratio(loads) -> float:
+    """Max over mean thread load (dimensionless; 1.0 = perfect balance).
+
+    A region lasts until its most-loaded thread finishes, so makespan /
+    ideal-makespan equals ``max(load) / mean(load)``.  All-idle teams
+    count as balanced:
+
+    >>> imbalance_ratio([2.0, 2.0, 2.0, 2.0])
+    1.0
+    >>> imbalance_ratio([4.0, 0.0, 0.0, 0.0])
+    4.0
+    >>> imbalance_ratio([0.0, 0.0])
+    1.0
+    """
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.size == 0:
+        raise ValueError("need at least one thread load")
+    mean = float(loads.mean())
+    if mean <= 0.0:
+        return 1.0
+    return float(loads.max()) / mean
+
+
+@dataclass(frozen=True)
+class PartitionLayout:
+    """A dataset's partition geometry, what a job is priced over.
+
+    Attributes
+    ----------
+    lengths:
+        Per-partition distinct-pattern counts ``m'_p`` (counts, >= 0).
+    states:
+        Per-partition state-space sizes (4 for DNA, 20 for AA).
+    categories:
+        Gamma rate categories K (count; shared by all partitions).
+
+    >>> PartitionLayout((30, 10), (4, 20)).categories
+    4
+    """
+
+    lengths: tuple[int, ...]
+    states: tuple[int, ...]
+    categories: int = 4
+
+    def __post_init__(self) -> None:
+        if len(self.lengths) != len(self.states):
+            raise ValueError("need one state count per partition")
+        if not self.lengths:
+            raise ValueError("empty layout")
+        if any(length < 0 for length in self.lengths):
+            raise ValueError("pattern counts must be non-negative")
+        if any(s < 2 for s in self.states):
+            raise ValueError("state counts must be >= 2")
+        if self.categories < 1:
+            raise ValueError("need at least one rate category")
+
+    @classmethod
+    def from_alignment(cls, data, categories: int = 4) -> "PartitionLayout":
+        """Layout of a :class:`~repro.plk.partition.PartitionedAlignment`."""
+        return cls(
+            lengths=tuple(int(d.n_patterns) for d in data.data),
+            states=tuple(int(d.states) for d in data.data),
+            categories=categories,
+        )

@@ -34,7 +34,7 @@ from ..optimize.newton import BatchedNewton, newton_optimize, tree_sweeps
 from ..optimize.brent import BatchedBrent
 from ..plk.partition import PartitionedAlignment
 from ..plk.tree import Tree
-from .balance import DistributionPlan, PartitionLayout, build_plan, imbalance_ratio
+from .distribution import imbalance_ratio
 from .program import Program
 from .shm import WorkerStatsPlane
 from .worker import WorkerState, slice_partition_data
@@ -236,6 +236,12 @@ class _ProcessTeam:
                 proc.join(timeout=5)
 
 
+def _lane_mask(active: np.ndarray) -> np.ndarray | None:
+    """An edge command's lane mask on the wire: None (every prepared
+    lane) when all lanes are live, so no all-true array is pickled."""
+    return None if active.all() else active
+
+
 def _reduce_pairs(parts: list) -> tuple[np.ndarray, np.ndarray]:
     """Sum the workers' partial ``(d1, d2)`` derivative replies."""
     return np.sum([p[0] for p in parts], axis=0), np.sum([p[1] for p in parts], axis=0)
@@ -257,14 +263,8 @@ class ParallelPLK:
         because ``perfbench/workloads.py`` still passes it; any other
         value raises :class:`ValueError`.
     distribution:
-        Pattern-assignment policy — ``"cyclic"`` (RAxML default),
-        ``"block"``, or the cost-aware ``"weighted"`` / ``"lpt"`` (built
-        with the analytic datatype-cost model) — or a prebuilt
-        :class:`~repro.parallel.balance.DistributionPlan` (e.g. a
-        calibrated plan from a
-        :class:`~repro.parallel.balance.Rebalancer`).  The resolved plan
-        is exposed as ``self.plan`` and its policy name as
-        ``self.distribution``.
+        Pattern-assignment policy: ``"cyclic"`` (RAxML default) or
+        ``"block"``; any other name raises :class:`ValueError`.
     profiler:
         A :class:`repro.perf.Profiler` to record per-command region
         timings (master wall time + each worker's execute time), or
@@ -305,7 +305,7 @@ class ParallelPLK:
         alphas: list[float],
         n_workers: int,
         backend: str = "processes",
-        distribution: str | DistributionPlan = "cyclic",
+        distribution: str = "cyclic",
         initial_lengths: np.ndarray | None = None,
         categories: int = 4,
         profiler=None,
@@ -340,26 +340,13 @@ class ParallelPLK:
         self.backend = backend
         self.commands_issued = 0
         self._token = itertools.count()
-        if isinstance(distribution, DistributionPlan):
-            if distribution.n_threads != n_workers:
-                raise ValueError(
-                    f"plan built for {distribution.n_threads} threads, "
-                    f"team has {n_workers}"
-                )
-            self.plan = distribution
-        else:
-            self.plan = build_plan(
-                PartitionLayout.from_alignment(data, categories),
-                n_workers,
-                distribution,
-            )
-        self.distribution = self.plan.policy
+        self.distribution = distribution
         # Cumulative per-worker busy seconds (total and by region kind),
         # feeding the metrics imbalance gauges on observed broadcasts.
         self._busy_total = np.zeros(n_workers)
         self._busy_kind: dict[str, np.ndarray] = {}
         worker_slices = [
-            slice_partition_data(data, n_workers, w, self.plan)
+            slice_partition_data(data, n_workers, w, distribution)
             for w in range(n_workers)
         ]
         # The stats plane must exist BEFORE the team, so the forked
@@ -597,21 +584,20 @@ class ParallelPLK:
         token = next(self._token)
         if strategy == "new":
             every = list(range(n))
-            lanes = np.ones((1, n), dtype=bool)
             solver = BatchedNewton(_BRANCH_MIN, _BRANCH_MAX, ztol)
             # Fused opening exchange: sumtable setup AND the first
             # derivative pass in ONE broadcast/barrier.
             _, deriv_parts = self.run_program(
                 (
                     ("prepare_edges", [edge], token, every),
-                    ("deriv_edges", token, solver.initial_point(z0)[np.newaxis], lanes),
+                    ("deriv_edges", token, solver.initial_point(z0)[np.newaxis], None),
                 )
             )
             d1, d2 = _reduce_pairs(deriv_parts)
 
             def fn(z: np.ndarray, active_mask: np.ndarray):
                 g1, g2 = _reduce_pairs(self._broadcast(
-                    ("deriv_edges", token, z[np.newaxis], active_mask[np.newaxis])
+                    ("deriv_edges", token, z[np.newaxis], _lane_mask(active_mask[np.newaxis]))
                 ))
                 return g1[0], g2[0]
 
@@ -629,8 +615,8 @@ class ParallelPLK:
             # than a fourth program step.
             old_parts, new_parts, _ = self.run_program(
                 (
-                    ("lnl_edges", token, z0[np.newaxis], lanes),
-                    ("lnl_edges", token, res.z[np.newaxis], lanes),
+                    ("lnl_edges", token, z0[np.newaxis], None),
+                    ("lnl_edges", token, res.z[np.newaxis], None),
                     ("release", token),
                 )
             )
@@ -719,13 +705,14 @@ class ParallelPLK:
                 steps.append(("release", token))
             else:
                 steps += [("prepare_edges", edges, token, active),
-                          ("deriv_edges", token, z_first, np.broadcast_to(live, z.shape))]
+                          ("deriv_edges", token, z_first,
+                           _lane_mask(np.broadcast_to(live, z.shape)))]
             results = self.run_program(steps)
             lnl = np.sum(results[guard], axis=0)
             return lnl, None if z_first is None else _reduce_pairs(results[-1])
 
         def deriv(z, active):
-            return _reduce_pairs(self._broadcast(("deriv_edges", token, z, active)))
+            return _reduce_pairs(self._broadcast(("deriv_edges", token, z, _lane_mask(active))))
 
         with self.tracer.span("optimize_branches", cat="optimizer",
                               strategy="tree", edges=n_edges):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from ..plk.likelihood import EdgeWorkspace
 from ..plk.partition import PartitionData, PartitionedAlignment
 from ..plk.stacking import PartitionStacks
 from ..plk.tree import Tree
-from .balance import DistributionPlan, PartitionLayout, build_plan
+from .distribution import DISTRIBUTIONS, block_indices, cyclic_indices
 from .shm import WorkerStatsWriter
 
 __all__ = ["slice_partition_data", "WorkerState"]
@@ -41,63 +40,36 @@ __all__ = ["slice_partition_data", "WorkerState"]
 _ACTIVE_ARG = {"lnl_parts": 2, "eval_alpha": 2}
 
 
-# One DistributionPlan per (alignment, team size, policy), so slicing a
-# team worker-by-worker with a policy *name* builds the plan once, not
-# once per worker.  Keyed by object identity (PartitionedAlignment holds
-# ndarrays and is unhashable); a weakref finalizer evicts the entry when
-# the alignment is collected, so a recycled id() can never alias.
-_PLAN_CACHE: dict[tuple[int, int, str], DistributionPlan] = {}
-
 # Captured at import (pre-fork): lets ``_cmd_die`` distinguish a forked
 # process child (hard ``os._exit``) from a state executed in the master
 # process itself, as unit tests do (SystemExit).
 _MAIN_PID = os.getpid()
 
 
-def _team_plan(
-    data: PartitionedAlignment, n_workers: int, policy: str
-) -> DistributionPlan:
-    key = (id(data), n_workers, policy)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = build_plan(PartitionLayout.from_alignment(data), n_workers, policy)
-        _PLAN_CACHE[key] = plan
-        weakref.finalize(data, _PLAN_CACHE.pop, key, None)
-    return plan
-
-
 def slice_partition_data(
     data: PartitionedAlignment,
     n_workers: int,
     worker: int,
-    distribution: str | DistributionPlan = "cyclic",
+    distribution: str = "cyclic",
 ) -> list[PartitionData]:
     """The pattern slices worker ``worker`` owns, one per partition.
 
-    ``distribution`` is a policy name (a
-    :class:`~repro.parallel.balance.DistributionPlan` is built with the
-    analytic cost model and cached per (alignment, team size, policy))
-    or a prebuilt plan (what
-    :class:`~repro.parallel.engine.ParallelPLK` passes).
-
-    Invariant: all workers of one team MUST be sliced from the same
-    plan — pattern ownership is a partition of the alignment, so mixing
-    plans would drop or double-count patterns.  Policy-name calls uphold
-    this via the cache (repeated calls for the same alignment/team size
-    reuse one plan object); callers juggling several plans for one
-    alignment must pass the plan explicitly.
+    ``distribution`` is ``"cyclic"`` or ``"block"``; both place a
+    partition's patterns from its global offset alone, so the workers of
+    one team, each sliced by its own call, tile every partition exactly.
     """
-    if isinstance(distribution, DistributionPlan):
-        plan = distribution
-        if plan.n_threads != n_workers:
-            raise ValueError(
-                f"plan built for {plan.n_threads} threads, team has {n_workers}"
-            )
-    else:
-        plan = _team_plan(data, n_workers, distribution)
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}; known: {DISTRIBUTIONS}")
+    counts = data.pattern_counts()
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    total = int(counts.sum())
     slices: list[PartitionData] = []
     for p, block in enumerate(data.data):
-        idx = plan.thread_indices(p, worker)
+        offset, length = int(offsets[p]), int(counts[p])
+        if distribution == "cyclic":
+            idx = cyclic_indices(offset, length, n_workers, worker)
+        else:
+            idx = block_indices(offset, length, total, n_workers, worker)
         slices.append(
             PartitionData(
                 partition=block.partition,
@@ -114,6 +86,9 @@ class _Handle:
 
     token: int
     workspaces: list[EdgeWorkspace | None]
+    #: Patterns one round over every prepared lane touches (edges x the
+    #: prepared partitions' widths), for the live plane's counter.
+    patterns: int
 
 
 class WorkerState:
@@ -157,6 +132,9 @@ class WorkerState:
         if op == "prepare_edges":  # (op, edges, token, partitions)
             return len(cmd[1]) * int(self._slice_patterns[cmd[3]].sum())
         if op in ("deriv_edges", "lnl_edges"):  # (op, token, z, (E, P) lane mask)
+            if cmd[3] is None:  # every prepared lane
+                handle = self._handles.get(cmd[1])
+                return 0 if handle is None else handle.patterns
             return int(np.asarray(cmd[3]).sum(axis=0) @ self._slice_patterns)
         idx = _ACTIVE_ARG.get(op)
         if idx is None:
@@ -209,14 +187,17 @@ class WorkerState:
         tables are never held at once."""
         self._handles.pop(token, None)
         self._handles[token] = _Handle(
-            token=token, workspaces=self.engine.prepare_edges(edges, partitions)
+            token=token,
+            workspaces=self.engine.prepare_edges(edges, partitions),
+            patterns=len(edges) * int(self._slice_patterns[partitions].sum()),
         )
 
     def _cmd_deriv_edges(
         self, token: int, z: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Partial ``(E, P)`` (d1, d2) sums over the lanes of the ``(E, P)``
-        mask ``active`` at the ``(E, P)`` lengths z."""
+        mask ``active`` (None: every prepared lane) at the ``(E, P)``
+        lengths z."""
         return self.engine.edge_derivatives(self._handles[token].workspaces, z, active)
 
     def _cmd_lnl_edges(self, token: int, z: np.ndarray, active: np.ndarray) -> np.ndarray:

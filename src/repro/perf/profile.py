@@ -181,7 +181,7 @@ class RunProfile:
         :attr:`repro.simmachine.simulator.SimulationResult.imbalance` so a
         measured profile and a simulated prediction report the same load
         metric."""
-        from ..parallel.balance import imbalance_ratio
+        from ..parallel.distribution import imbalance_ratio
 
         return imbalance_ratio(self.busy_seconds)
 

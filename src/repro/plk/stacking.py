@@ -7,7 +7,7 @@ most of the call, so :class:`~repro.plk.likelihood.PartitionLikelihood`
 runs every op over a padded ``(P, K, m, s)`` stack of partitions in ONE
 call.  Padding is not free: every member is computed at the widest
 member's width.  The rule here prices both in the cost units of
-:func:`repro.parallel.balance.pattern_weight`:
+:func:`repro.parallel.distribution.pattern_weight`:
 
 * partitions are stacked by state count (a stack has one ``s``);
 * within one state count they are taken in descending width, and a
@@ -58,7 +58,7 @@ DISPATCH_PATTERNS = 650
 def stack_groups(widths, states, categories: int = 4) -> list[list[int]]:
     """Partition indices grouped into stacks (each group ascending; groups
     ordered by their first member)."""
-    from ..parallel.balance import pattern_weight
+    from ..parallel.distribution import pattern_weight
 
     widths = [int(w) for w in widths]
     states = [int(s) for s in states]

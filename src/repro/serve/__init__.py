@@ -8,8 +8,8 @@ it, the way BEAGLE serves diverse clients behind one likelihood API:
 * :mod:`repro.serve.queue` — job lifecycle (priorities, per-tenant
   fairness, queue-wait timeouts, cancellation);
 * :mod:`repro.serve.pool` — warm :class:`~repro.parallel.engine.ParallelPLK`
-  teams checked out and returned without teardown, priced onto teams by
-  the :mod:`repro.parallel.balance` cost model;
+  teams checked out and returned without teardown, jobs priced by
+  :func:`~repro.parallel.distribution.pattern_weight`;
 * :mod:`repro.serve.cache` — cross-request contexts (datasets, trees,
   models with memoized eigensystems) with memory-pressure LRU eviction;
 * :mod:`repro.serve.daemon` — the :class:`LikelihoodService` executor

@@ -63,7 +63,7 @@ class AnalysisContext:
 
 
 def _build_simulated(spec: dict) -> AnalysisContext:
-    from ..parallel.balance import PartitionLayout
+    from ..parallel.distribution import PartitionLayout
     from ..plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
     from ..seqgen import random_topology_with_lengths, simulate_alignment
 
@@ -97,7 +97,7 @@ def _build_simulated(spec: dict) -> AnalysisContext:
 def _build_files(spec: dict) -> AnalysisContext:
     from pathlib import Path
 
-    from ..parallel.balance import PartitionLayout
+    from ..parallel.distribution import PartitionLayout
     from ..plk import (
         PartitionedAlignment,
         SubstitutionModel,

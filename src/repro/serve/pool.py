@@ -5,17 +5,15 @@ prime every worker's partition engines.  A one-shot run pays it per
 invocation; the pool pays it once per (dataset, engine-config) and keeps
 the team *warm* — forked-and-ready — between requests.
 
-Scheduling is cost-aware in the :mod:`repro.parallel.balance` currency:
+Scheduling is cost-aware in the currency the pattern distribution is
+judged in:
 
-* :func:`price_job` prices a request with the same
-  :class:`~repro.parallel.balance.CostModel` that prices partition work,
-  so queue fairness, team packing and load balancing all speak one unit;
+* :func:`price_job` prices a request as its partitions' widths times
+  :func:`~repro.parallel.distribution.pattern_weight`, so queue fairness
+  and team checkout speak one unit;
 * :meth:`TeamPool.checkout` is *online least-loaded packing*: among idle
   replicas for a dataset it picks the team with the least cumulative
-  served cost;
-* :func:`pack_jobs` is the offline LPT counterpart (the same greedy
-  heap idiom as ``balance._lpt_indices``) used to split a drained batch
-  across several idle teams.
+  served cost.
 
 Hermeticity: a warm team that ran a parameter-mutating job is restored
 to its initial snapshot via
@@ -26,17 +24,16 @@ runs.
 """
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..parallel.balance import CostModel
+from ..parallel.distribution import pattern_weight
 from ..parallel.engine import WorkerError
 
-__all__ = ["TeamPool", "WarmTeam", "pack_jobs", "price_job"]
+__all__ = ["TeamPool", "WarmTeam", "price_job"]
 
 
 #: Relative cost of one service op against one full-traversal evaluation
@@ -50,19 +47,23 @@ OP_WEIGHT = {
 }
 
 
-def price_job(spec: dict, layout, cost_model: CostModel | None = None) -> float:
-    """Predicted cost of a job spec over a dataset layout, in
-    :class:`~repro.parallel.balance.CostModel` units.
+def price_job(spec: dict, layout) -> float:
+    """Predicted cost of a job spec over a dataset layout: the sum over
+    partitions of width times
+    :func:`~repro.parallel.distribution.pattern_weight`, times the op's
+    weight.
 
-    >>> from repro.parallel.balance import PartitionLayout
+    >>> from repro.parallel import PartitionLayout
     >>> layout = PartitionLayout((100, 100), (4, 4))
     >>> lnl = price_job({"op": "loglikelihood"}, layout)
     >>> opt = price_job({"op": "optimize_branches", "edges": [0, 1, 2]}, layout)
     >>> opt / lnl
     18.0
     """
-    model = cost_model if cost_model is not None else CostModel.analytic(layout)
-    base = float(model.partition_costs(layout).sum())
+    base = sum(
+        width * pattern_weight(states, layout.categories)
+        for width, states in zip(layout.lengths, layout.states)
+    )
     op = spec.get("op", "loglikelihood")
     weight = OP_WEIGHT.get(op, 1.0)
     edges = spec.get("edges")
@@ -70,28 +71,6 @@ def price_job(spec: dict, layout, cost_model: CostModel | None = None) -> float:
         n_edges = len(edges) if hasattr(edges, "__len__") else int(edges)
         weight *= max(n_edges, 1)
     return base * weight
-
-
-def pack_jobs(costs, n_teams: int) -> list[list[int]]:
-    """LPT-pack job indices onto ``n_teams`` by descending cost (the
-    greedy heap idiom of ``balance._lpt_indices``, applied to jobs).
-
-    >>> pack_jobs([5.0, 3.0, 3.0, 2.0, 1.0], 2)
-    [[0, 3], [1, 2, 4]]
-    """
-    if n_teams < 1:
-        raise ValueError("need at least one team")
-    heap = [(0.0, t) for t in range(n_teams)]
-    heapq.heapify(heap)
-    groups: list[list[int]] = [[] for _ in range(n_teams)]
-    order = sorted(range(len(costs)), key=lambda i: -float(costs[i]))
-    for i in order:
-        load, t = heapq.heappop(heap)
-        groups[t].append(i)
-        heapq.heappush(heap, (load + float(costs[i]), t))
-    for group in groups:
-        group.sort()
-    return groups
 
 
 @dataclass

@@ -15,9 +15,9 @@ Scheduling order within :meth:`JobQueue.claim` is strict priority
 classes; inside a class, the tenant with the least *cumulative served
 cost* goes first (cost-weighted fair sharing — a tenant submitting huge
 analyses cannot starve a tenant submitting small ones), and ties fall
-back to submission order.  Served cost uses the same units as
-:class:`repro.parallel.balance.CostModel` prices work in, so fairness
-and team packing speak one currency.
+back to submission order.  Served cost is in
+:func:`repro.parallel.distribution.pattern_weight` units, the currency
+team checkout uses too.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ class Job:
     (e.g. ``"loglikelihood"``) and a ``dataset`` description the
     :class:`~repro.serve.cache.ServeCache` can build a context from.
     ``cost`` is the scheduler's predicted cost in
-    :class:`~repro.parallel.balance.CostModel` units, priced at submit
+    :func:`~repro.parallel.distribution.pattern_weight` units, priced at submit
     time by :func:`repro.serve.pool.price_job`.
     """
 
@@ -266,7 +266,7 @@ class JobQueue:
     def imbalance(self) -> float:
         """max/mean over per-tenant served cost (1.0 = perfectly fair);
         the ``serve.tenant_imbalance`` gauge."""
-        from ..parallel.balance import imbalance_ratio
+        from ..parallel.distribution import imbalance_ratio
 
         served = [v for v in self.tenant_served.values() if v > 0]
         if not served:

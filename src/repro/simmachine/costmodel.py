@@ -75,9 +75,9 @@ def bytes_per_pattern(op: str, states: int, categories: int) -> float:
 def relative_pattern_cost(states: int, categories: int = 4) -> float:
     """Machine-independent relative cost of one pattern (dimensionless).
 
-    This is the analytic weight the cost-aware distribution policies use
-    (``K * s^2``, the dominant term of every kernel op above) — the same
-    value :func:`repro.parallel.balance.pattern_weight` returns, re-exported
+    This is the analytic per-pattern weight (``K * s^2``, the dominant
+    term of every kernel op above) — the same value
+    :func:`repro.parallel.distribution.pattern_weight` returns, re-exported
     here so simulator-side code does not need to import the parallel
     package.
 
@@ -86,7 +86,7 @@ def relative_pattern_cost(states: int, categories: int = 4) -> float:
     >>> relative_pattern_cost(20) / relative_pattern_cost(4)
     25.0
     """
-    from ..parallel.balance import pattern_weight
+    from ..parallel.distribution import pattern_weight
 
     return pattern_weight(states, categories)
 

@@ -59,7 +59,7 @@ class SimulationResult:
         """Max over mean per-thread busy seconds (1.0 = perfect balance) —
         the load metric the distribution policies minimize; directly
         comparable with :attr:`repro.perf.RunProfile.imbalance`."""
-        from ..parallel.balance import imbalance_ratio
+        from ..parallel.distribution import imbalance_ratio
 
         return imbalance_ratio(self.busy_seconds)
 
@@ -93,17 +93,16 @@ def simulate_trace(
 ) -> SimulationResult:
     """Replay ``trace`` with ``n_threads`` workers on ``machine``.
 
-    ``distribution`` is any policy name from
-    :data:`repro.parallel.DISTRIBUTIONS` (``cyclic``, ``block``,
-    ``weighted``, ``lpt``) or a prebuilt
-    :class:`~repro.parallel.balance.DistributionPlan`; ``None`` (the
-    default) uses the policy stamped on the trace at capture time
-    (``trace.distribution``, itself defaulting to ``cyclic``).
+    ``distribution`` is a policy name from
+    :data:`repro.parallel.DISTRIBUTIONS` (``cyclic`` or ``block``);
+    ``None`` (the default) uses the policy stamped on the trace at
+    capture time (``trace.distribution``, itself defaulting to
+    ``cyclic``).
     """
-    # Imported lazily: repro.parallel.balance itself imports nothing from
-    # simmachine, but going through the repro.parallel package here at
-    # module scope would create an import cycle.
-    from ..parallel.balance import DistributionPlan, PartitionLayout, build_plan
+    # Imported lazily: repro.parallel.distribution itself imports nothing
+    # from simmachine, but going through the repro.parallel package here
+    # at module scope would create an import cycle.
+    from ..parallel.distribution import partition_thread_counts
 
     if trace.pattern_counts is None or trace.states is None:
         raise ValueError("trace not finalized: missing dataset geometry")
@@ -120,20 +119,14 @@ def simulate_trace(
 
     if distribution is None:
         distribution = getattr(trace, "distribution", "cyclic")
-    if isinstance(distribution, DistributionPlan):
-        plan = distribution
-        if plan.n_threads != t:
-            raise ValueError(
-                f"plan built for {plan.n_threads} threads, simulating {t}"
-            )
-    else:
-        plan = build_plan(PartitionLayout.from_trace(trace), t, distribution)
-
-    # Per-partition per-thread counts are fixed per plan (they do not
+    # Per-partition per-thread counts are fixed per policy (they do not
     # change between regions).
-    shares: dict[int, np.ndarray] = {
-        p: plan.counts[p] for p in range(len(counts))
-    }
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    n_patterns = int(np.sum(counts))
+    share_matrix = np.stack([
+        partition_thread_counts(distribution, int(offsets[p]), int(n), n_patterns, t)
+        for p, n in enumerate(counts)
+    ])  # (P, T)
 
     busy = np.zeros(t)
     idle = np.zeros(t)
@@ -145,7 +138,6 @@ def simulate_trace(
     overhead = dispatch + barrier
 
     n_parts = len(counts)
-    share_matrix = np.stack([shares[p] for p in range(n_parts)])  # (P, T)
     active_per_part = np.maximum((share_matrix > 0).sum(axis=1), 1)
     max_share = share_matrix.max(axis=1).astype(np.float64)
     from .costmodel import _OP_INDEX  # op name -> row in the spp table
@@ -231,13 +223,13 @@ def simulate_trace(
         region_busy[:] = 0.0
         working = np.zeros(t, dtype=bool)
         for item in region.items:
-            working |= shares[item.partition] > 0
+            working |= share_matrix[item.partition] > 0
         active = max(int(working.sum()), 1)
         for item in region.items:
             spp = seconds_per_pattern(
                 item.op, int(trace.states[item.partition]), categories, machine, active
             )
-            region_busy += shares[item.partition] * (item.count * spp)
+            region_busy += share_matrix[item.partition] * (item.count * spp)
         span = float(region_busy.max())
         busy += region_busy
         idle += span - region_busy
@@ -249,7 +241,7 @@ def simulate_trace(
     return SimulationResult(
         machine=machine.name,
         n_threads=t,
-        distribution=plan.policy,
+        distribution=distribution,
         total_seconds=total,
         busy_seconds=busy,
         idle_seconds=idle,

@@ -36,9 +36,16 @@ class TestParser:
         ["perfcheck"],
         ["profile", "--backend", "processes"],
         ["serve", "--backend", "processes"],
+        ["profile", "--distribution", "lpt"],
+        ["replay", "--dataset", "r125_19839", "--distribution", "weighted"],
+        ["serve", "--distribution", "lpt"],
+        ["balance", "--rebalance"],
+        ["balance", "--distribution", "cyclic"],
     ])
     def test_removed_team_options_rejected(self, argv, capsys):
-        """One worker team: no ``--backend`` flag, no ``perfcheck``."""
+        """One worker team: no ``--backend`` flag, no ``perfcheck``; two
+        distribution policies: no ``weighted``/``lpt``, no ``--rebalance``,
+        and ``balance`` (which runs both) takes no ``--distribution``."""
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(argv)
         assert exc_info.value.code == 2

@@ -4,9 +4,9 @@ Two failure modes this guards against:
 
 * a Markdown document linking to a file that was moved/renamed (the
   docs set cross-references README, DESIGN, EXPERIMENTS and docs/);
-* the executable examples in the distribution/balance docstrings
-  drifting from the code they document (they double as the worked
-  examples referenced by docs/LOAD_BALANCE.md).
+* the executable examples in the distribution docstrings drifting from
+  the code they document (they double as the worked examples referenced
+  by docs/LOAD_BALANCE.md).
 """
 import doctest
 import re
@@ -49,7 +49,7 @@ def test_internal_links_resolve(doc):
 
 @pytest.mark.parametrize("doc", DOCS)
 def test_referenced_repo_paths_exist(doc):
-    """Paths like ``src/repro/parallel/balance.py`` quoted in the docs
+    """Paths like ``src/repro/parallel/distribution.py`` quoted in the docs
     (the pointer tables) must exist — they are how readers navigate."""
     text = (REPO / doc).read_text()
     for quoted in re.findall(r"`((?:src|tests|benchmarks|docs|examples)/[\w./-]+)`", text):
@@ -60,7 +60,6 @@ def test_referenced_repo_paths_exist(doc):
     "module_name",
     [
         "repro.parallel.distribution",
-        "repro.parallel.balance",
         "repro.simmachine.costmodel",
         "repro.simmachine.machine",
         "repro.obs.prometheus",
@@ -83,7 +82,7 @@ def test_service_handbook_examples_run():
     shared globals: the first block builds the in-process service the
     later blocks drive, and the last block stops it.  This keeps the
     operator's handbook honest the same way module doctests keep the
-    balance/distribution docstrings honest."""
+    distribution docstrings honest."""
     text = (REPO / "docs" / "SERVICE.md").read_text()
     blocks = [b for b in _FENCED_PYTHON.findall(text) if ">>>" in b]
     assert len(blocks) >= 3, "SERVICE.md lost its executable examples"

@@ -353,6 +353,24 @@ class TestLiveTeamIntegration:
         assert sum(s.patterns for s in samples) == expected
 
     @pytest.mark.timeout(60)
+    def test_branch_counts_exact_patterns(self, setup, backend):
+        """A per-branch ``new`` optimization sends no lane mask when every
+        lane is live, so the workers count from the token's prepared
+        partitions: the edge's sumtable, one pattern pass per Newton
+        lane-round, and both guard evaluations."""
+        from repro.obs import ConvergenceTelemetry
+
+        data = setup[0]
+        live, tel = LiveTelemetry(), ConvergenceTelemetry()
+        with make_team(setup, backend, live=live, telemetry=tel) as team:
+            team.optimize_branch(0, "new")
+            samples = live.sample()
+        widths = data.pattern_counts()
+        (log,) = tel.by_name("nr_branch")
+        expected = 3 * widths.sum() + log.iterations_per_lane() @ widths
+        assert sum(s.patterns for s in samples) == expected
+
+    @pytest.mark.timeout(60)
     def test_final_samples_survive_close(self, setup, backend):
         live = LiveTelemetry()
         with make_team(setup, backend, live=live) as team:

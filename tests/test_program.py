@@ -367,24 +367,3 @@ class TestZeroWidthFastPath:
         np.testing.assert_array_equal(out[1][0], np.zeros((1, 2)))
         np.testing.assert_array_equal(out[1][1], np.zeros((1, 2)))
         np.testing.assert_array_equal(out[2], np.zeros((1, 2)))
-
-
-class TestTeamPlanCache:
-    def test_policy_name_builds_one_plan_per_team(self, setup, monkeypatch):
-        import repro.parallel.worker as worker_mod
-
-        data, *_ = setup
-        calls = []
-        real = worker_mod.build_plan
-
-        def counting(layout, n_workers, policy):
-            calls.append(policy)
-            return real(layout, n_workers, policy)
-
-        monkeypatch.setattr(worker_mod, "build_plan", counting)
-        slices = [slice_partition_data(data, 3, w, "block") for w in range(3)]
-        assert len(calls) == 1
-        # and every worker was sliced from that same plan: the slices tile
-        # each partition exactly.
-        for p, n_pat in enumerate(data.pattern_counts()):
-            assert sum(sl[p].n_patterns for sl in slices) == n_pat

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.parallel import PartitionLayout
 from repro.parallel.engine import ParallelPLK
 from repro.serve import (
     Job,
@@ -27,7 +28,7 @@ from repro.serve import (
 )
 from repro.serve.cache import build_context
 from repro.serve.daemon import serve_forever
-from repro.serve.pool import pack_jobs, price_job
+from repro.serve.pool import price_job
 from repro.serve import protocol
 
 #: The shared tiny dataset: every test that asks for this spec hits the
@@ -146,11 +147,12 @@ def test_price_job_scales_with_op_and_edges():
     assert opt3 == pytest.approx(18 * lnl)
 
 
-def test_pack_jobs_is_balanced_lpt():
-    groups = pack_jobs([5.0, 3.0, 3.0, 2.0, 1.0], 2)
-    loads = [sum([5.0, 3.0, 3.0, 2.0, 1.0][i] for i in g) for g in groups]
-    assert sorted(i for g in groups for i in g) == [0, 1, 2, 3, 4]
-    assert max(loads) / (sum(loads) / 2) <= 8.0 / 7.0  # LPT bound here: 8 vs 6
+def test_price_job_is_width_times_pattern_weight():
+    """A job's price is the sum over partitions of width x
+    ``pattern_weight`` (an AA pattern 25x a DNA one), times the op weight."""
+    layout = PartitionLayout((30, 10, 0), (4, 20, 4), categories=2)
+    assert price_job({"op": "loglikelihood"}, layout) == 30 * 32 + 10 * 800
+    assert price_job({"op": "optimize_alpha"}, layout) == 10 * (30 * 32 + 10 * 800)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,8 @@ def test_config_rejects_nonpositive_counts(field, tmp_path, capsys):
     ({"backend": "nope"}, "backend"),
     ({"backend": "threads"}, "backend"),
     ({"categories": 0}, "categories"),
+    ({"distribution": "weighted"}, "distribution"),
+    ({"distribution": "lpt"}, "distribution"),
 ])
 def test_config_rejects_unbuildable_teams(kwargs, match):
     """A config no team factory can build would fail every job with a
