@@ -6,11 +6,13 @@ likelihood stacks over one shared tree topology (:class:`~repro.plk.
 stacking.PartitionStacks`: one :class:`~repro.plk.likelihood.
 PartitionLikelihood` per group of same-state, similar-width partitions),
 and exposes the whole-alignment operations the search and optimization
-layers need: total and per-partition log-likelihoods, the Newton-Raphson
-branch machinery and parameter setters as vector calls over an active
-partition set, branch-length get/set in *joint* (one length per branch,
-shared by all partitions), *per-partition* (unlinked, Fig. 2 of the paper)
-or *proportional* mode, and bulk invalidation after topology moves.
+layers need: total and per-partition log-likelihoods, parameter setters
+as vector calls over an active partition set, branch-length get/set in
+*joint* (one length per branch, shared by all partitions),
+*per-partition* (unlinked, Fig. 2 of the paper) or *proportional* mode,
+bulk invalidation after topology moves, and :meth:`~PartitionedEngine.run`,
+which executes one region of worker commands (the Newton-Raphson and
+Brent schedules of :mod:`repro.core.strategies`) on the stacks.
 ``parts[p]`` is partition p's per-partition view.
 
 Every kernel operation flows through the engine's recorder, so any analysis
@@ -23,7 +25,7 @@ import numpy as np
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..plk.likelihood import EdgeWorkspace, PartitionView
+from ..plk.likelihood import PartitionView
 from ..plk.models import SubstitutionModel
 from ..plk.partition import PartitionedAlignment
 from ..plk.stacking import PartitionStacks
@@ -131,6 +133,11 @@ class PartitionedEngine:
         self._stacks = PartitionStacks(
             list(data.data), tree, list(models), list(alphas), categories
         )
+        # Imported here: repro.parallel imports the strategies, which
+        # import this module.
+        from ..parallel.worker import WorkerState
+
+        self._worker = WorkerState(self._stacks)
         self.recorder = recorder if recorder is not None else NullRecorder()
         self.parts: list[PartitionView] = self._stacks.parts
         # Proportional mode: shared lengths + one multiplier per partition.
@@ -231,12 +238,6 @@ class PartitionedEngine:
         :meth:`set_branch_length`)."""
         self._stacks.set_branch_length(edge, values, active)
 
-    def set_edges_lengths(self, edges, values: np.ndarray, active=None) -> None:
-        """``(E, P)`` per-partition lengths of the listed edges in one
-        call: ``values[i, p]`` for ``edges[i]`` and every active
-        partition p."""
-        self._stacks.set_branch_lengths(values, active, edges)
-
     def set_all_branch_lengths(self, lengths: np.ndarray) -> None:
         self._global_lengths[:] = lengths
         if self.branch_mode == "proportional":
@@ -264,9 +265,14 @@ class PartitionedEngine:
 
     def set_scalers(self, values: np.ndarray, active=None) -> None:
         """Set the active partitions' length multipliers (proportional
-        mode); each rescales every branch of its partition, so its
-        likelihood arrays are fully invalidated — the same cost profile
-        as an alpha change."""
+        mode)."""
+        self._worker.execute(self.scaler_step(values, active))
+
+    def scaler_step(self, values: np.ndarray, active=None) -> tuple:
+        """Take ``values[p]`` as the length multipliers of the active
+        partitions (proportional mode) and return the :meth:`run` step
+        that rescales every branch of theirs, so their likelihood arrays
+        are fully invalidated — the cost profile of an alpha change."""
         if self.branch_mode != "proportional":
             raise ValueError("scalers only exist in proportional mode")
         values = np.asarray(values, dtype=np.float64)
@@ -275,9 +281,8 @@ class PartitionedEngine:
         if (values[chosen] <= 0).any():
             raise ValueError("scalers must be positive")
         self._scalers[chosen] = values[chosen]
-        self._stacks.set_branch_lengths(
-            self._global_lengths[:, np.newaxis] * self._scalers, chosen
-        )
+        return ("set_bl_edges", None, self._global_lengths[:, np.newaxis] * self._scalers,
+                np.flatnonzero(chosen).tolist())
 
     # -- model parameters ------------------------------------------------------
 
@@ -319,16 +324,21 @@ class PartitionedEngine:
 
     def set_exchangeabilities(self, index: int, values: np.ndarray, active=None) -> None:
         """Q-matrix exchangeability ``index`` := ``values[p]`` for the
-        active partitions (one new model per partition, then one stack
-        update)."""
+        active partitions."""
+        self._worker.execute(self.exchangeability_step(index, values, active))
+
+    def exchangeability_step(self, index: int, values: np.ndarray, active=None) -> tuple:
+        """The :meth:`run` step of :meth:`set_exchangeabilities`: one new
+        model per active partition, then one stack update."""
         models = list(self._models())
         for p in self._active_indices(active):
             models[p] = models[p].with_rate(index, float(values[p]))
-        self.set_models(models, active)
+        return ("set_models", models, active)
 
-    def set_frequency_ratios(self, index: int, values: np.ndarray, active=None) -> None:
-        """Stationary-frequency ratio ``index`` (against the last state)
-        := ``values[p]`` for the active partitions."""
+    def frequency_ratio_step(self, index: int, values: np.ndarray, active=None) -> tuple:
+        """The :meth:`run` step setting stationary-frequency ratio
+        ``index`` (against the last state) := ``values[p]`` for the
+        active partitions."""
         from ..plk.frequencies import frequency_ratios, ratios_to_frequencies
 
         models = list(self._models())
@@ -336,7 +346,7 @@ class PartitionedEngine:
             ratios = frequency_ratios(models[p].frequencies)
             ratios[index] = float(values[p])
             models[p] = models[p].with_frequencies(ratios_to_frequencies(ratios))
-        self.set_models(models, active)
+        return ("set_models", models, active)
 
     def _models(self) -> list[SubstitutionModel]:
         return [part.model for part in self.parts]
@@ -362,37 +372,22 @@ class PartitionedEngine:
         self._stacks.invalidate(nodes)
 
     # ------------------------------------------------------------------
-    # Newton-Raphson plumbing shared by the strategies
+    # Regions
     # ------------------------------------------------------------------
 
-    def prepare_edges(self, edges, active=None) -> list[EdgeWorkspace | None]:
-        """Sumtables for every listed edge in the active partitions: one
-        edge-stacked workspace per stack, no region of its own."""
-        return self._stacks.prepare_edges(edges, active)
-
-    def edge_derivatives(self, workspaces, z: np.ndarray, active=None):
-        """``(d1, d2)``, each ``(E, P)``: derivatives at the ``(E, P)``
-        lengths ``z`` for the lanes of the ``(E, P)`` mask ``active``
-        (default: every prepared lane)."""
-        return self._stacks.edge_derivatives(workspaces, z, active)
-
-    def edge_loglikelihoods(self, workspaces, z: np.ndarray, active=None) -> np.ndarray:
-        """``(E, P)`` log-likelihoods, each as a function of its own
-        edge's length at ``z``."""
-        return self._stacks.edge_loglikelihoods(workspaces, z, active)
-
-    def prepare_branch_all(self, edge: int) -> list[EdgeWorkspace | None]:
-        """The one-edge workspaces of ``edge`` in every partition, in ONE
-        region (the newPAR grouping)."""
-        self.recorder.begin_region("prepare")
-        out = self.prepare_edges([edge])
-        self.recorder.end_region()
-        return out
-
-    def prepare_branch_one(self, edge: int, partition: int) -> list[EdgeWorkspace | None]:
-        """The one-edge workspace of one partition (its own region — the
-        oldPAR way)."""
-        self.recorder.begin_region("prepare")
-        out = self.prepare_edges([edge], [partition])
-        self.recorder.end_region()
-        return out
+    def run(self, label: str, steps) -> list:
+        """Execute one parallel region: the worker commands ``steps``
+        (:class:`~repro.parallel.worker.WorkerState` vocabulary) in order
+        on this engine's own stacks, recorded as ONE region ``label`` and
+        — when a tracer is attached — timed as one span.  Returns each
+        step's result (None for writes).  The worker team's
+        :meth:`~repro.parallel.engine.ParallelPLK.run` sends the same
+        steps as one broadcast, so one schedule drives both engines."""
+        self.recorder.begin_region(label)
+        try:
+            if not self.tracer.enabled:
+                return [self._worker.execute(step) for step in steps]
+            with self.tracer.span(label, cat="region"):
+                return [self._worker.execute(step) for step in steps]
+        finally:
+            self.recorder.end_region()

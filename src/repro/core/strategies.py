@@ -31,8 +31,6 @@ number of edges (see :func:`optimize_branch_lengths`).
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..obs.metrics import ITERATION_BUCKETS
@@ -69,23 +67,6 @@ BRANCH_MIN, BRANCH_MAX = 1e-8, 50.0
 def _check_strategy(strategy: str, allowed: tuple = STRATEGIES) -> None:
     if strategy not in allowed:
         raise ValueError(f"strategy must be one of {allowed}, got {strategy!r}")
-
-
-@contextmanager
-def _region(engine: PartitionedEngine, label: str):
-    """Bracket one parallel region: recorded for the simulator and — when
-    a tracer is attached — timestamped as one span (each batched optimizer
-    iteration evaluates through exactly one region, so these spans ARE the
-    per-iteration timeline)."""
-    engine.recorder.begin_region(label)
-    try:
-        if engine.tracer.enabled:
-            with engine.tracer.span(label, cat="region"):
-                yield
-        else:
-            yield
-    finally:
-        engine.recorder.end_region()
 
 
 def _observe_iterations(engine: PartitionedEngine, name: str, iterations) -> None:
@@ -130,6 +111,18 @@ def _only(n_parts: int, p: int) -> np.ndarray:
     return mask
 
 
+def _indices(active) -> list[int] | None:
+    """A ``(P,)`` active mask as the partition list of a worker command
+    (None stays None: every partition)."""
+    return None if active is None else np.flatnonzero(active).tolist()
+
+
+def _lanes(active: np.ndarray) -> np.ndarray | None:
+    """An edge command's lane mask: None (every prepared lane) when all
+    lanes are live, so the worker team pickles no all-true array."""
+    return None if active.all() else active
+
+
 def optimize_branch(
     engine: PartitionedEngine,
     edge: int,
@@ -138,133 +131,96 @@ def optimize_branch(
     max_iter: int = 64,
 ) -> np.ndarray:
     """Optimize one branch; returns the per-partition iteration counts
-    (useful for load-balance diagnostics)."""
+    (useful for load-balance diagnostics).
+
+    Every region is one :meth:`~PartitionedEngine.run` call over the
+    one-edge workspace ``[edge]``, with ``(1, P)`` lengths and lane
+    masks, so the worker team
+    (:class:`~repro.parallel.engine.ParallelPLK`) executes the same
+    schedule with one broadcast per region."""
     _check_strategy(strategy)
     n_parts = engine.n_partitions
     z0 = engine.branch_lengths()[edge]  # (P,)
 
-    if engine.branch_mode == "proportional":
-        # Newton-Raphson on the SHARED length b; partition p evaluates at
-        # s_p * b, contributing a chain-rule factor s_p (s_p^2 for the
-        # curvature).  Like joint mode, every iteration spans all
-        # partitions, so the strategies produce the same schedule.
-        workspaces = engine.prepare_branch_all(edge)
-        scalers = engine.scalers
+    def guard(label: str, z_old: np.ndarray, z_new: np.ndarray, lanes=None):
+        """``(P,)`` lnLs at ``z_old`` and at ``z_new``: Newton-Raphson can
+        overshoot, so a new length is kept only where it does not lower
+        the likelihood (one extra evaluation pass, as RAxML's makenewz)."""
+        old, new = engine.run(label, [("lnl_edges", z_old[np.newaxis], lanes),
+                                      ("lnl_edges", z_new[np.newaxis], lanes)])
+        return old[0], new[0]
 
-        def prop_fn(b: float) -> tuple[float, float]:
-            with _region(engine, "nr_proportional"):
-                g1, g2 = _branch_derivatives(engine, workspaces, scalers * b)
-            return sum((scalers * g1).tolist()), sum((scalers * scalers * g2).tolist())
+    if engine.branch_mode != "per_partition":
+        # One length shared by all partitions (proportional: partition p
+        # evaluates at s_p * b, contributing a chain-rule factor s_p, s_p^2
+        # for the curvature), so every iteration spans all partitions and
+        # the strategies produce the same schedule.
+        label = "nr_" + engine.branch_mode
+        if engine.branch_mode == "joint":
+            scalers, b0 = np.ones(n_parts), float(z0[0])
+        else:
+            scalers, b0 = engine.scalers, float(engine.global_lengths[edge])
+        engine.run("prepare", [("prepare_edges", [edge], None)])
 
-        b0 = float(engine.global_lengths[edge])
-        b, iters, _ = newton_optimize(
-            prop_fn, b0, BRANCH_MIN, BRANCH_MAX, ztol, max_iter
-        )
-        with _region(engine, "nr_proportional"):
-            old_lnl = sum(_branch_loglikelihoods(engine, workspaces, scalers * b0).tolist())
-            new_lnl = sum(_branch_loglikelihoods(engine, workspaces, scalers * b).tolist())
-        if new_lnl >= old_lnl:
+        def shared_fn(b: float) -> tuple[float, float]:
+            ((d1, d2),) = engine.run(label, [("deriv_edges", (scalers * b)[np.newaxis], None)])
+            return sum((scalers * d1[0]).tolist()), sum((scalers * scalers * d2[0]).tolist())
+
+        b, iters, _ = newton_optimize(shared_fn, b0, BRANCH_MIN, BRANCH_MAX, ztol, max_iter)
+        old, new = guard(label, scalers * b0, scalers * b)
+        if sum(new.tolist()) >= sum(old.tolist()):
             engine.set_branch_length(edge, b)
-        return np.full(n_parts, iters, dtype=np.int64)
-
-    if engine.branch_mode == "joint":
-        workspaces = engine.prepare_branch_all(edge)
-
-        def joint_fn(z: float) -> tuple[float, float]:
-            with _region(engine, "nr_joint"):
-                d1, d2 = _branch_derivatives(engine, workspaces, np.full(n_parts, z))
-            return float(sum(d1.tolist())), float(sum(d2.tolist()))
-
-        z, iters, _ = newton_optimize(
-            joint_fn, float(z0[0]), BRANCH_MIN, BRANCH_MAX, ztol, max_iter
-        )
-        # Monotonicity guard: Newton-Raphson can overshoot; keep the new
-        # length only if it does not lower the likelihood (one extra
-        # evaluation pass, as RAxML's makenewz performs).
-        with _region(engine, "nr_joint"):
-            old_lnl = sum(
-                _branch_loglikelihoods(engine, workspaces, np.full(n_parts, z0[0])).tolist()
-            )
-            new_lnl = sum(
-                _branch_loglikelihoods(engine, workspaces, np.full(n_parts, z)).tolist()
-            )
-        if new_lnl >= old_lnl:
-            engine.set_branch_length(edge, z)
         return np.full(n_parts, iters, dtype=np.int64)
 
     if strategy == "new":
         solver = BatchedNewton(BRANCH_MIN, BRANCH_MAX, ztol, max_iter)
-        # Fused opening region (the worker team's prepare+deriv
-        # Program): sumtable setup and the first derivative pass share
-        # ONE region — one broadcast/barrier instead of two.  The
-        # simulator charges dispatch + barrier once per region, so the
+        # Fused opening region: sumtable setup and the first derivative
+        # pass share ONE region — one broadcast/barrier instead of two.
+        # The simulator charges dispatch + barrier once per region, so the
         # fusion shows up directly in predicted sync seconds.
         z_first = solver.initial_point(z0)
-        with _region(engine, "nr_new"):
-            workspaces = engine.prepare_edges([edge])
-            first = _branch_derivatives(engine, workspaces, z_first)
+        _, (d1, d2) = engine.run("nr_new", [("prepare_edges", [edge], None),
+                                            ("deriv_edges", z_first[np.newaxis], None)])
 
         def batched_fn(z: np.ndarray, active: np.ndarray):
-            with _region(engine, "nr_new"):
-                return _branch_derivatives(engine, workspaces, z, active)
+            ((g1, g2),) = engine.run(
+                "nr_new", [("deriv_edges", z[np.newaxis], _lanes(active[np.newaxis]))]
+            )
+            return g1[0], g2[0]
 
         res = solver.run(
             batched_fn, z0, observer=engine.telemetry.start("nr_branch", n_parts),
-            first_eval=first,
+            first_eval=(d1[0], d2[0]),
         )
-        # Monotonicity guard (one batched evaluation region): keep each
-        # partition's new length only where the likelihood improved.
-        with _region(engine, "nr_new"):
-            improved = _branch_loglikelihoods(engine, workspaces, res.z) >= (
-                _branch_loglikelihoods(engine, workspaces, z0)
-            )
-            engine.set_edge_lengths(edge, res.z, improved)
+        # Monotonicity guard (one batched evaluation region); the write
+        # needs its reduced sums, so it is a region of its own.
+        old, new = guard("nr_new", z0, res.z)
+        engine.run("nr_new", [("set_bl_edges", [edge], res.z[np.newaxis],
+                               _indices(new >= old))])
         _observe_iterations(engine, "nr_branch", res.iterations)
         return res.iterations
 
-    # oldPAR: one partition at a time — the same calls with a
-    # one-partition active set, so every NR iteration is a command whose
+    # oldPAR: one partition at a time — the same commands with a
+    # one-partition active set, so every NR iteration is a region whose
     # only work is this partition's m'_p patterns.
     counts = np.zeros(n_parts, dtype=np.int64)
     for p in range(n_parts):
-        only = _only(n_parts, p)
-        workspaces = engine.prepare_branch_one(edge, p)
+        lanes = _only(n_parts, p)[np.newaxis]
+        engine.run("prepare", [("prepare_edges", [edge], [p])])
 
-        def scalar_fn(z: float, _p: int = p, _only=only, _ws=workspaces) -> tuple[float, float]:
-            with _region(engine, "nr_old"):
-                d1, d2 = _branch_derivatives(engine, _ws, np.full(n_parts, z), _only)
-            return float(d1[_p]), float(d2[_p])
+        def scalar_fn(z: float, _p: int = p, _lanes=lanes) -> tuple[float, float]:
+            ((d1, d2),) = engine.run("nr_old", [("deriv_edges", np.full((1, n_parts), z), _lanes)])
+            return float(d1[0, _p]), float(d2[0, _p])
 
         z, iters, _ = newton_optimize(
             scalar_fn, float(z0[p]), BRANCH_MIN, BRANCH_MAX, ztol, max_iter
         )
         trial = np.full(n_parts, z)
-        with _region(engine, "nr_old"):
-            accept = _branch_loglikelihoods(engine, workspaces, trial, only)[p] >= (
-                _branch_loglikelihoods(engine, workspaces, z0, only)[p]
-            )
-        if accept:
-            engine.set_edge_lengths(edge, trial, only)
+        old, new = guard("nr_old", z0, trial, lanes)
+        if new[p] >= old[p]:
+            engine.run("nr_old", [("set_bl_edges", [edge], trial[np.newaxis], [p])])
         counts[p] = iters
     return counts
-
-
-def _branch_derivatives(engine: PartitionedEngine, workspaces, z: np.ndarray, active=None):
-    """``(d1, d2)``, each ``(P,)``, at the ``(P,)`` lengths ``z`` of the
-    edge of the one-edge ``workspaces``, for the partitions of the
-    ``(P,)`` mask ``active`` (default: every prepared one)."""
-    lanes = None if active is None else active[np.newaxis]
-    d1, d2 = engine.edge_derivatives(workspaces, z[np.newaxis], lanes)
-    return d1[0], d2[0]
-
-
-def _branch_loglikelihoods(
-    engine: PartitionedEngine, workspaces, z: np.ndarray, active=None
-) -> np.ndarray:
-    """``(P,)`` log-likelihoods at the lengths ``z`` of the edge of the
-    one-edge ``workspaces`` (the Newton monotonicity guard)."""
-    lanes = None if active is None else active[np.newaxis]
-    return engine.edge_loglikelihoods(workspaces, z[np.newaxis], lanes)[0]
 
 
 def optimize_branch_lengths(
@@ -302,31 +258,28 @@ def _tree_pass(engine: PartitionedEngine, order: list[int], ztol: float) -> np.n
     """One ``"tree"`` pass (:func:`~repro.optimize.newton.tree_sweeps`)
     over the edges of ``order``, every region labelled ``nr_tree``.
 
-    The regions are the worker team's programs: a sweep's opening region
-    writes the previous sweep's lengths, computes every live partition's
-    full lnL (that sweep's guard, on the walk's first edge as root, so
-    the prepare walk starts from the oriented CLVs), prepares all edges
-    and runs the first derivative round.  Returns the per-partition
-    Newton iteration counts."""
+    A sweep's opening region writes the previous sweep's lengths,
+    computes every live partition's full lnL (that sweep's guard, on the
+    walk's first edge as root, so the prepare walk starts from the
+    oriented CLVs), prepares all edges and runs the first derivative
+    round; the closing region frees the workspace.  Returns the
+    per-partition Newton iteration counts."""
     root = order[0]
-    workspaces: list = []
 
     def opening(z, write, live, z_first):
-        with _region(engine, "nr_tree"):
-            if write is not None:
-                engine.set_edges_lengths(order, z, write)
-            lnl = engine.loglikelihoods(root, live)
-            if z_first is None:
-                return lnl, None
-            workspaces.clear()  # the last sweep's tables go before the new ones
-            workspaces.extend(engine.prepare_edges(order, live))
-            return lnl, engine.edge_derivatives(
-                workspaces, z_first, np.broadcast_to(live, z.shape)
-            )
+        steps = [] if write is None else [("set_bl_edges", order, z, _indices(write))]
+        guard = len(steps)
+        steps.append(("lnl_parts", root, _indices(live)))
+        if z_first is None:
+            steps.append(("release",))
+        else:
+            steps += [("prepare_edges", order, _indices(live)),
+                      ("deriv_edges", z_first, _lanes(np.broadcast_to(live, z.shape)))]
+        results = engine.run("nr_tree", steps)
+        return results[guard], None if z_first is None else results[-1]
 
     def deriv(z, active):
-        with _region(engine, "nr_tree"):
-            return engine.edge_derivatives(workspaces, z, active)
+        return engine.run("nr_tree", [("deriv_edges", z, _lanes(active))])[0]
 
     _, counts = tree_sweeps(
         engine.branch_lengths()[order], opening, deriv,
@@ -357,13 +310,16 @@ def optimize_alpha(
     _check_strategy(strategy)
     current = engine.alphas()
 
+    def step(values, active):
+        return ("set_alpha_vec", values, active)
+
     if strategy == "new":
         return _new_brent(
-            engine, "brent_alpha_new", "brent_alpha", engine.set_alphas, current,
+            engine, "brent_alpha_new", "brent_alpha", step, current,
             ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
         )
     return _old_brent(
-        engine, "brent_alpha_old", engine.set_alphas, current,
+        engine, "brent_alpha_old", step, current,
         ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
     )
 
@@ -372,7 +328,7 @@ def _new_brent(
     engine: PartitionedEngine,
     label: str,
     name: str,
-    setter,
+    step,
     current: np.ndarray,
     lo: float,
     hi: float,
@@ -382,23 +338,24 @@ def _new_brent(
     eligible: np.ndarray | None = None,
 ) -> np.ndarray:
     """newPAR Brent: one lock-step solve over every (eligible) partition,
-    each objective evaluation one region ``label`` over the still-active
-    partitions; the telemetry and metrics see it as ``name``.
-    ``setter(values, active)`` applies a ``(P,)`` parameter vector.
-    Returns the per-partition iteration counts (0 where not eligible)."""
+    each objective evaluation one region ``label`` that writes the trial
+    values and evaluates the still-active partitions; the telemetry and
+    metrics see it as ``name``.  ``step(values, active)`` is the write
+    step of a ``(P,)`` parameter vector for the partition list ``active``
+    (None: all); the final write is a region of its own.  Returns the
+    per-partition iteration counts (0 where not eligible)."""
     n_parts = engine.n_partitions
     solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
 
     def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-        with _region(engine, label):
-            setter(x, active)
-            return -engine.loglikelihoods(root_edge, active)
+        parts = _indices(active)
+        return -engine.run(label, [step(x, parts), ("lnl_parts", root_edge, parts)])[1]
 
     res = solver.run(
         batched_fn, guess=current, mask=eligible,
         observer=engine.telemetry.start(name, n_parts),
     )
-    setter(res.x, eligible)
+    engine.run(label, [step(res.x, _indices(eligible))])
     if eligible is None:
         _observe_iterations(engine, name, res.iterations)
         return res.iterations
@@ -409,7 +366,7 @@ def _new_brent(
 def _old_brent(
     engine: PartitionedEngine,
     label: str,
-    setter,
+    step,
     current: np.ndarray,
     lo: float,
     hi: float,
@@ -419,22 +376,21 @@ def _old_brent(
     eligible: np.ndarray | None = None,
 ) -> np.ndarray:
     """oldPAR Brent: one scalar optimization per (eligible) partition,
-    each objective evaluation one region over a one-partition active set.
-    ``setter(values, active)`` applies a ``(P,)`` parameter vector."""
+    each objective evaluation one region over a one-partition active set,
+    and a final write region per partition.  ``step`` is as for
+    :func:`_new_brent`."""
     n_parts = engine.n_partitions
     counts = np.zeros(n_parts, dtype=np.int64)
     todo = range(n_parts) if eligible is None else np.flatnonzero(eligible).tolist()
     for p in todo:
-        only = _only(n_parts, p)
 
-        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p, _only=only) -> np.ndarray:
-            with _region(engine, label):
-                setter(np.full(n_parts, x[0]), _only)
-                return -engine.loglikelihoods(root_edge, _only)[_p : _p + 1]
+        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p) -> np.ndarray:
+            write = step(np.full(n_parts, x[0]), [_p])
+            return -engine.run(label, [write, ("lnl_parts", root_edge, [_p])])[1][_p : _p + 1]
 
         solver = BatchedBrent(np.array([lo]), np.array([hi]), xtol, max_iter)
         res = solver.run(scalar_fn, guess=np.array([current[p]]))
-        setter(np.full(n_parts, res.x[0]), only)
+        engine.run(label, [step(np.full(n_parts, res.x[0]), [p])])
         counts[p] = res.iterations[0]
     return counts
 
@@ -467,17 +423,17 @@ def optimize_rates(
             engine.exchangeabilities(rate_idx, dna), RATE_MIN * 1.01, RATE_MAX * 0.99
         )
 
-        def setter(values: np.ndarray, active: np.ndarray, _i: int = rate_idx) -> None:
-            engine.set_exchangeabilities(_i, values, active)
+        def step(values: np.ndarray, active, _i: int = rate_idx) -> tuple:
+            return engine.exchangeability_step(_i, values, active)
 
         if strategy == "new":
             counts += _new_brent(
-                engine, "brent_rate_new", "brent_rate", setter, current,
+                engine, "brent_rate_new", "brent_rate", step, current,
                 RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna,
             )
         else:
             counts += _old_brent(
-                engine, "brent_rate_old", setter, current,
+                engine, "brent_rate_old", step, current,
                 RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna,
             )
     return counts
@@ -507,11 +463,11 @@ def optimize_scalers(
 
     if strategy == "new":
         return _new_brent(
-            engine, "brent_scaler_new", "brent_scaler", engine.set_scalers, current,
+            engine, "brent_scaler_new", "brent_scaler", engine.scaler_step, current,
             lo, hi, xtol, max_iter, root_edge,
         )
     return _old_brent(
-        engine, "brent_scaler_old", engine.set_scalers, current,
+        engine, "brent_scaler_old", engine.scaler_step, current,
         lo, hi, xtol, max_iter, root_edge,
     )
 
@@ -535,13 +491,16 @@ def optimize_pinv(
     lo, hi = 1e-6, 0.9
     current = np.clip(engine.pinvs(), lo * 1.01, hi * 0.99)
 
+    def step(values, active):
+        return ("set_pinvs", values, active)
+
     if strategy == "new":
         return _new_brent(
-            engine, "brent_pinv_new", "brent_pinv", engine.set_pinvs, current,
+            engine, "brent_pinv_new", "brent_pinv", step, current,
             lo, hi, xtol, max_iter, root_edge,
         )
     return _old_brent(
-        engine, "brent_pinv_old", engine.set_pinvs, current,
+        engine, "brent_pinv_old", step, current,
         lo, hi, xtol, max_iter, root_edge,
     )
 
@@ -579,17 +538,17 @@ def optimize_frequencies(
             continue
         current = np.clip(engine.frequency_ratios(index, eligible), lo * 1.01, hi * 0.99)
 
-        def setter(values: np.ndarray, active: np.ndarray, _i: int = index) -> None:
-            engine.set_frequency_ratios(_i, values, active)
+        def step(values: np.ndarray, active, _i: int = index) -> tuple:
+            return engine.frequency_ratio_step(_i, values, active)
 
         if strategy == "new":
             counts += _new_brent(
-                engine, "brent_freq_new", "brent_freq", setter, current,
+                engine, "brent_freq_new", "brent_freq", step, current,
                 lo, hi, xtol, max_iter, root_edge, eligible=eligible,
             )
         else:
             counts += _old_brent(
-                engine, "brent_freq_old", setter, current,
+                engine, "brent_freq_old", step, current,
                 lo, hi, xtol, max_iter, root_edge, eligible=eligible,
             )
     return counts

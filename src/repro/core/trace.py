@@ -54,21 +54,19 @@ REGION_KINDS = KNOWN_OPS + ("control",)
 # Master-broadcast command -> region kind.  One broadcast == one region:
 # this is the dictionary that lets a measured RunProfile and a simulated
 # SimulationResult speak the same per-region vocabulary.  Likelihood
-# evaluations ("lnl", "eval_alpha", ...) internally perform newview work
+# evaluations ("lnl", "lnl_parts", ...) internally perform newview work
 # too; they are classified by their terminal reduction, matching how the
 # strategy drivers label the simulator's regions.
 COMMAND_KINDS = {
     "lnl": "evaluate",
     "lnl_parts": "evaluate",
     "lnl_edges": "evaluate",
-    "eval_alpha": "evaluate",
     "prepare_edges": "sumtable",
     "deriv_edges": "derivative",
-    "set_bl": "control",
     "set_bl_edges": "control",
-    "set_alpha": "control",
     "set_alpha_vec": "control",
-    "set_model": "control",
+    "set_models": "control",
+    "set_pinvs": "control",
     "release": "control",
     # Fault injection: live-plane stall drills and the serve tier's
     # worker-death chaos drill.

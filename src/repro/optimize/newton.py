@@ -185,7 +185,6 @@ def tree_sweeps(
     deriv: Callable,
     solver: BatchedNewton,
     telemetry,
-    write_first: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One tree-wide smoothing pass: :data:`TREE_SWEEPS` Jacobi sweeps
     over the ``(E, P)`` lengths ``z`` of E edges in P partitions, every
@@ -212,7 +211,7 @@ def tree_sweeps(
     costs (Newton rounds) + 1 + (guard rounds) regions."""
     n_edges, n_parts = z.shape
     live = np.ones(n_parts, dtype=bool)
-    write = live.copy() if write_first else None
+    write = None
     counts = np.zeros(n_parts, dtype=np.int64)
     baseline = start = None
     for sweep in range(TREE_SWEEPS + 1):

@@ -2,10 +2,12 @@
 
 The team executes the same master/worker protocol the simulator models:
 the master broadcasts a command, every worker executes it over its
-pattern slice, partial results are reduced.  On top of the raw protocol,
-:class:`ParallelPLK` implements branch-length and alpha optimization under
-both scheduling strategies, so real wall-clock oldPAR/newPAR comparisons
-can be measured on the host machine (benchmark REAL1).
+pattern slice, partial results are reduced.  :meth:`ParallelPLK.run`
+sends one region of worker commands as one broadcast, so the schedules
+of :mod:`repro.core.strategies` — written once, on
+:meth:`~repro.core.engine.PartitionedEngine.run` — drive the team too,
+and real wall-clock oldPAR/newPAR comparisons can be measured on the
+host machine (benchmark REAL1).
 
 Team notes
 ----------
@@ -17,7 +19,6 @@ processes won at every measured width (EXPERIMENTS.md, ONE TEAM).
 """
 from __future__ import annotations
 
-import itertools
 import pickle
 import time
 import traceback
@@ -30,19 +31,13 @@ from ..core.trace import describe_command
 from ..obs.convergence import NullTelemetry
 from ..obs.metrics import NullMetrics
 from ..obs.tracer import NullTracer
-from ..optimize.newton import BatchedNewton, newton_optimize, tree_sweeps
-from ..optimize.brent import BatchedBrent
 from ..plk.partition import PartitionedAlignment
 from ..plk.tree import Tree
 from .distribution import imbalance_ratio
-from .program import Program
 from .shm import WorkerStatsPlane
 from .worker import WorkerState, slice_partition_data
 
 __all__ = ["ParallelPLK", "WorkerError"]
-
-_BRANCH_MIN, _BRANCH_MAX = 1e-8, 50.0
-_ALPHA_MIN, _ALPHA_MAX = 0.02, 100.0
 
 # Bucket edges for the commands-per-barrier histogram (a plain command is
 # 1; the fused optimizer programs land at 2-3; headroom above).
@@ -86,7 +81,7 @@ def _process_worker_main(
     conn, slices, tree, models, alphas, lengths, categories,
     stats_row=None, rank=0,
 ):
-    state = WorkerState(slices, tree, models, alphas, lengths, categories)
+    state = WorkerState.from_slices(slices, tree, models, alphas, lengths, categories)
     state.rank = rank
     if stats_row is not None:
         state.attach_stats(stats_row, rank)
@@ -236,15 +231,17 @@ class _ProcessTeam:
                 proc.join(timeout=5)
 
 
-def _lane_mask(active: np.ndarray) -> np.ndarray | None:
-    """An edge command's lane mask on the wire: None (every prepared
-    lane) when all lanes are live, so no all-true array is pickled."""
-    return None if active.all() else active
-
-
-def _reduce_pairs(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the workers' partial ``(d1, d2)`` derivative replies."""
-    return np.sum([p[0] for p in parts], axis=0), np.sum([p[1] for p in parts], axis=0)
+def _reduce(parts: list):
+    """One step's per-worker partial results summed: None for writes, a
+    float for ``lnl``, elementwise for the ``(d1, d2)`` pairs."""
+    first = parts[0]
+    if first is None:
+        return None
+    if isinstance(first, float):
+        return float(sum(parts))
+    if isinstance(first, tuple):
+        return tuple(np.sum(x, axis=0) for x in zip(*parts))
+    return np.sum(parts, axis=0)
 
 
 class ParallelPLK:
@@ -339,7 +336,6 @@ class ParallelPLK:
         self.n_workers = n_workers
         self.backend = backend
         self.commands_issued = 0
-        self._token = itertools.count()
         self.distribution = distribution
         # Cumulative per-worker busy seconds (total and by region kind),
         # feeding the metrics imbalance gauges on observed broadcasts.
@@ -479,21 +475,37 @@ class ParallelPLK:
                     )
         return results
 
-    def run_program(self, steps) -> list[list]:
-        """Execute an ordered list of worker commands as ONE fused
-        broadcast (a single barrier: the workers run the steps back to
-        back and reply once).
+    def run(self, label: str, steps) -> list:
+        """Execute one region of worker commands as ONE broadcast (a
+        one-step region goes out as the plain command): the workers run
+        the steps back to back and reply once.  Returns each step's
+        result reduced over the workers (None for writes); the master's
+        copy of the lengths and alphas follows the write steps.  ``label``
+        names the region, as for
+        :meth:`~repro.core.engine.PartitionedEngine.run`."""
+        steps = tuple(tuple(step) for step in steps)
+        if len(steps) == 1:
+            per_worker = [[reply] for reply in self._broadcast(steps[0])]
+        else:
+            per_worker = self._broadcast(("prog", steps))
+        for step in steps:
+            self._follow(step)
+        return [_reduce([worker[i] for worker in per_worker]) for i in range(len(steps))]
 
-        ``steps`` is a :class:`~repro.parallel.program.Program` or an
-        iterable of command tuples.  Returns, per step, the list of
-        per-worker partial results — exactly what ``len(steps)``
-        separate broadcasts would have produced, minus the barriers.
-        """
-        if isinstance(steps, Program):
-            steps = steps.steps
-        steps = tuple(tuple(s) for s in steps)
-        per_worker = self._broadcast(("prog", steps))
-        return [[worker[i] for worker in per_worker] for i in range(len(steps))]
+    def _follow(self, step: tuple) -> None:
+        """Apply a write step to the master's ``(E, P)`` lengths and
+        ``(P,)`` alphas (an index list None: all)."""
+        if step[0] == "set_bl_edges":
+            _, edges, values, parts = step
+            n_edges, n_parts = self._lengths.shape
+            rows = np.arange(n_edges) if edges is None else np.asarray(edges, int)
+            cols = np.arange(n_parts) if parts is None else np.asarray(parts, int)
+            values = np.asarray(values, float).reshape(len(rows), -1)  # (E,) is shared
+            self._lengths[np.ix_(rows, cols)] = np.broadcast_to(values, (len(rows), n_parts))[:, cols]
+        elif step[0] == "set_alpha_vec":
+            _, x, parts = step
+            cols = slice(None) if parts is None else parts
+            self._alphas[cols] = np.asarray(x, float)[cols]
 
     def comms_stats(self) -> dict:
         """The team's cumulative bytes-moved counters."""
@@ -509,24 +521,16 @@ class ParallelPLK:
     def restore_parameters(
         self, lengths: np.ndarray, alphas: list[float]
     ) -> None:
-        """Reset every branch length and every partition alpha in ONE
-        fused program (a single barrier).
+        """Reset every branch length (``(E,)``, shared by all partitions)
+        and every partition alpha in ONE region (a single barrier).
 
         A warm team reused across requests (``repro.serve``) must hand
         each job the same parameter state a cold engine starts from;
         replaying the snapshot through the normal command vocabulary
         keeps warm results bitwise-identical to one-shot runs.
         """
-        lengths = np.asarray(lengths, float)
-        alphas = np.asarray(alphas, float)
-        steps = [
-            ("set_bl", edge, float(value), None)
-            for edge, value in enumerate(lengths)
-        ]
-        steps.append(("set_alpha_vec", alphas, list(range(self.n_partitions))))
-        self.run_program(steps)
-        self._lengths[:] = lengths[:, np.newaxis]
-        self._alphas[:] = alphas
+        self.run("restore", [("set_bl_edges", None, np.asarray(lengths, float), None),
+                             ("set_alpha_vec", np.asarray(alphas, float), None)])
 
     def close(self) -> None:
         self._team.close()
@@ -543,232 +547,47 @@ class ParallelPLK:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- reductions --------------------------------------------------------
+    # -- the engine surface of repro.core.strategies ---------------------
+
+    #: Every partition owns its branch lengths on the team.
+    branch_mode = "per_partition"
+
+    def branch_lengths(self) -> np.ndarray:
+        """``(E, P)`` current branch lengths (the master's copy)."""
+        return self._lengths.copy()
+
+    def alphas(self) -> np.ndarray:
+        """``(P,)`` current Gamma shapes (the master's copy)."""
+        return self._alphas.copy()
 
     def loglikelihood(self, root_edge: int = 0) -> float:
-        return float(sum(self._broadcast(("lnl", root_edge))))
+        return self.run("loglikelihood", [("lnl", root_edge)])[0]
 
     def partition_loglikelihoods(
         self, root_edge: int = 0, active: list[int] | None = None
     ) -> np.ndarray:
-        active = list(range(self.n_partitions)) if active is None else active
-        parts = self._broadcast(("lnl_parts", root_edge, active))
-        return np.sum(parts, axis=0)
+        return self.run("loglikelihood", [("lnl_parts", root_edge, active)])[0]
 
-    def set_branch_length(self, edge: int, value: float, partition: int | None = None) -> None:
-        self._broadcast(("set_bl", edge, value, partition))
-        self._lengths[edge, slice(None) if partition is None else partition] = value
+    def optimize_branches(self, edges: list[int], strategy: str = "tree") -> np.ndarray:
+        """One smoothing pass over ``edges`` from their current lengths
+        (:func:`~repro.core.strategies.optimize_branch_lengths`): the
+        ``"old"``/``"new"`` per-branch walks or the ``"tree"`` Jacobi
+        sweeps.  Returns the ``(len(edges), P)`` optimized lengths."""
+        # Imported here: repro.core imports this package (through obs).
+        from ..core.strategies import optimize_branch_lengths
 
-    def set_alpha(self, partition: int, alpha: float) -> None:
-        self._broadcast(("set_alpha", partition, alpha))
-        self._alphas[partition] = alpha
-
-    def set_model(self, partition: int, model) -> None:
-        self._broadcast(("set_model", partition, model))
-
-    # -- branch optimization -------------------------------------------------
-
-    def optimize_branch(
-        self, edge: int, strategy: str = "new", z0: np.ndarray | None = None,
-        ztol: float = 1e-6,
-    ) -> np.ndarray:
-        """Per-partition Newton-Raphson on one branch under the chosen
-        strategy; returns the optimized per-partition lengths.  ``z0``
-        defaults to the current lengths of ``edge``.  Every exchange is
-        an edge command over the one-edge workspace ``[edge]``, with
-        ``(1, P)`` lengths and lane masks."""
-        n = self.n_partitions
-        if z0 is None:
-            z0 = self._lengths[edge].copy()
-        z0 = np.asarray(z0, float)
-        token = next(self._token)
-        if strategy == "new":
-            every = list(range(n))
-            solver = BatchedNewton(_BRANCH_MIN, _BRANCH_MAX, ztol)
-            # Fused opening exchange: sumtable setup AND the first
-            # derivative pass in ONE broadcast/barrier.
-            _, deriv_parts = self.run_program(
-                (
-                    ("prepare_edges", [edge], token, every),
-                    ("deriv_edges", token, solver.initial_point(z0)[np.newaxis], None),
-                )
-            )
-            d1, d2 = _reduce_pairs(deriv_parts)
-
-            def fn(z: np.ndarray, active_mask: np.ndarray):
-                g1, g2 = _reduce_pairs(self._broadcast(
-                    ("deriv_edges", token, z[np.newaxis], _lane_mask(active_mask[np.newaxis]))
-                ))
-                return g1[0], g2[0]
-
-            with self.tracer.span("optimize_branch", cat="optimizer",
-                                  edge=edge, strategy="new"):
-                res = solver.run(
-                    fn, z0,
-                    observer=self.telemetry.start("nr_branch", n),
-                    first_eval=(d1[0], d2[0]),
-                )
-            # Monotonicity guard (matches the sequential strategies): both
-            # guard evaluations and the workspace release in one barrier;
-            # the accept/reject decision needs the reduced sums, so the
-            # parameter write is a second (vectorized) broadcast rather
-            # than a fourth program step.
-            old_parts, new_parts, _ = self.run_program(
-                (
-                    ("lnl_edges", token, z0[np.newaxis], None),
-                    ("lnl_edges", token, res.z[np.newaxis], None),
-                    ("release", token),
-                )
-            )
-            old_lnl = np.sum(old_parts, axis=0)[0]
-            new_lnl = np.sum(new_parts, axis=0)[0]
-            out = np.where(new_lnl >= old_lnl, res.z, z0)
-            self._broadcast(("set_bl_edges", [edge], out[np.newaxis], every))
-            self._lengths[edge] = out
-            return out
-        if strategy == "old":
-            out = np.zeros(n)
-            for p in range(n):
-                lane = np.zeros((1, n), dtype=bool)
-                lane[0, p] = True
-                self._broadcast(("prepare_edges", [edge], token, [p]))
-
-                def fn(z: float, _p: int = p, _lane=lane):
-                    d1, d2 = _reduce_pairs(self._broadcast(
-                        ("deriv_edges", token, np.full((1, n), z), _lane)
-                    ))
-                    return float(d1[0, _p]), float(d2[0, _p])
-
-                with self.tracer.span("optimize_branch", cat="optimizer",
-                                      edge=edge, strategy="old", partition=p):
-                    z, _, _ = newton_optimize(
-                        fn, float(z0[p]), _BRANCH_MIN, _BRANCH_MAX, ztol
-                    )
-                zs_old = np.full((1, n), float(z0[p]))
-                zs_new = np.full((1, n), z)
-                old_lnl = np.sum(
-                    self._broadcast(("lnl_edges", token, zs_old, lane)), axis=0
-                )[0, p]
-                new_lnl = np.sum(
-                    self._broadcast(("lnl_edges", token, zs_new, lane)), axis=0
-                )[0, p]
-                self._broadcast(("release", token))
-                if new_lnl < old_lnl:
-                    z = float(z0[p])
-                self.set_branch_length(edge, z, p)
-                out[p] = z
-            return out
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    def optimize_branches(
-        self, edges: list[int], strategy: str = "tree",
-        lengths0: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Optimize a set of branches once each; returns (len(edges), P).
-        ``lengths0[i]`` is the start for ``edges[i]`` (default: the
-        current lengths).  ``"old"``/``"new"`` walk the edges one at a
-        time (:meth:`optimize_branch`); ``"tree"`` runs one pass of
-        Jacobi sweeps over all of them (:meth:`_tree_pass`)."""
-        if strategy == "tree":
-            return self._tree_pass(list(edges), lengths0)
-        out = np.zeros((len(edges), self.n_partitions))
-        for i, edge in enumerate(edges):
-            z0 = None if lengths0 is None else lengths0[i]
-            out[i] = self.optimize_branch(edge, strategy, z0)
-        return out
-
-    def _tree_pass(self, edges: list[int], lengths0) -> np.ndarray:
-        """One ``"tree"`` pass, the schedule of
-        :func:`repro.core.strategies._tree_pass` on the team.
-
-        Each sweep opens with ONE program: write the previous sweep's
-        lengths, every live partition's full lnL (the guard of that
-        sweep), prepare every edge and the first edge-stacked derivative
-        round, so the guard rides speculatively on the next sweep's
-        opening and costs a barrier only when it fires.  Every further
-        Newton round is one ``deriv_edges`` broadcast, so a pass costs
-        (Newton rounds) + 1 barriers when the guard does not fire."""
-        n, n_edges = self.n_partitions, len(edges)
-        root = edges[0]
-        token = next(self._token)
-        z = (self._lengths[edges] if lengths0 is None
-             else np.asarray(lengths0, float).reshape(n_edges, n))
-
-        def opening(z, write, live, z_first):
-            active = np.flatnonzero(live).tolist()
-            steps = [] if write is None else [
-                ("set_bl_edges", edges, z, np.flatnonzero(write).tolist())
-            ]
-            guard = len(steps)
-            steps.append(("lnl_parts", root, active))
-            if z_first is None:
-                steps.append(("release", token))
-            else:
-                steps += [("prepare_edges", edges, token, active),
-                          ("deriv_edges", token, z_first,
-                           _lane_mask(np.broadcast_to(live, z.shape)))]
-            results = self.run_program(steps)
-            lnl = np.sum(results[guard], axis=0)
-            return lnl, None if z_first is None else _reduce_pairs(results[-1])
-
-        def deriv(z, active):
-            return _reduce_pairs(self._broadcast(("deriv_edges", token, z, _lane_mask(active))))
-
+        edges = list(edges)
         with self.tracer.span("optimize_branches", cat="optimizer",
-                              strategy="tree", edges=n_edges):
-            z, _ = tree_sweeps(
-                z, opening, deriv, BatchedNewton(_BRANCH_MIN, _BRANCH_MAX),
-                self.telemetry, write_first=lengths0 is not None,
-            )
-        self._lengths[edges] = z
-        return z
+                              strategy=strategy, edges=len(edges)):
+            optimize_branch_lengths(self, strategy, passes=1, edges=edges)
+        return self._lengths[edges]
 
-    # -- alpha optimization ---------------------------------------------------
+    def optimize_alpha(self, strategy: str = "new") -> np.ndarray:
+        """Per-partition Brent on the Gamma shape from the current alphas
+        (:func:`~repro.core.strategies.optimize_alpha`); returns the
+        optimized alphas."""
+        from ..core.strategies import optimize_alpha
 
-    def optimize_alpha(
-        self, strategy: str = "new", guess: np.ndarray | None = None,
-        xtol: float = 1e-3, root_edge: int = 0,
-    ) -> np.ndarray:
-        """Per-partition Brent on the Gamma shape under the chosen
-        strategy; returns the optimized alphas.  ``guess`` defaults to the
-        current alphas."""
-        n = self.n_partitions
-        if guess is None:
-            guess = self._alphas.copy()
-        if strategy == "new":
-            solver = BatchedBrent(np.full(n, _ALPHA_MIN), np.full(n, _ALPHA_MAX), xtol)
-
-            def fn(x: np.ndarray, active_mask: np.ndarray) -> np.ndarray:
-                active = [int(i) for i in np.flatnonzero(active_mask)]
-                parts = self._broadcast(("eval_alpha", np.asarray(x, float), active, root_edge))
-                self._alphas[active] = x[active]
-                return np.sum(parts, axis=0)
-
-            with self.tracer.span("optimize_alpha", cat="optimizer", strategy="new"):
-                res = solver.run(
-                    fn, guess=np.asarray(guess, float),
-                    observer=self.telemetry.start("brent_alpha", n),
-                )
-            # One vectorized write instead of P set_alpha broadcasts.
-            self._broadcast(("set_alpha_vec", res.x, list(range(n))))
-            self._alphas[:] = res.x
-            return res.x
-        if strategy == "old":
-            out = np.zeros(n)
-            for p in range(n):
-                solver = BatchedBrent(np.array([_ALPHA_MIN]), np.array([_ALPHA_MAX]), xtol)
-
-                def fn(x: np.ndarray, active_mask: np.ndarray, _p: int = p) -> np.ndarray:
-                    xs = np.zeros(n)
-                    xs[_p] = float(x[0])
-                    parts = self._broadcast(("eval_alpha", xs, [_p], root_edge))
-                    self._alphas[_p] = xs[_p]
-                    return np.array([np.sum(parts, axis=0)[_p]])
-
-                with self.tracer.span("optimize_alpha", cat="optimizer",
-                                      strategy="old", partition=p):
-                    res = solver.run(fn, guess=np.array([float(guess[p])]))
-                self.set_alpha(p, float(res.x[0]))
-                out[p] = res.x[0]
-            return out
-        raise ValueError(f"unknown strategy {strategy!r}")
+        with self.tracer.span("optimize_alpha", cat="optimizer", strategy=strategy):
+            optimize_alpha(self, strategy)
+        return self._alphas.copy()

@@ -27,7 +27,7 @@ __all__ = ["Program", "WIRE_VERSION", "program_steps"]
 #: ``(tag, payload, busy)`` reply.  Documented as a protocol reference in
 #: ``docs/ARCHITECTURE.md``; bump on any incompatible change to the
 #: command vocabulary or reply framing.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 
 @dataclass(frozen=True)

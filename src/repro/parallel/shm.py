@@ -148,9 +148,8 @@ _PHASE_IDLE, _PHASE_BUSY = 0.0, 1.0
 #: Worker ops encodable in ``STAT_OP`` (index 0 is the unknown-op code).
 STAT_OPS = (
     "?", "lnl", "lnl_parts", "lnl_edges", "release",
-    "set_bl", "set_alpha", "set_model", "set_alpha_vec",
-    "eval_alpha", "prog", "stall", "die",
-    "prepare_edges", "deriv_edges", "set_bl_edges",
+    "prepare_edges", "deriv_edges", "set_bl_edges", "set_alpha_vec",
+    "set_models", "set_pinvs", "prog", "stall", "die",
 )
 
 _OP_CODES = {op: i for i, op in enumerate(STAT_OPS)}
@@ -183,7 +182,7 @@ class WorkerStatsPlane:
     """
 
     _MAGIC = 20090914.0  # ICPP 2009 + layout salt
-    VERSION = 3.0
+    VERSION = 4.0
 
     def __init__(self, n_workers: int):
         if n_workers < 1:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +30,6 @@ from .distribution import DISTRIBUTIONS, block_indices, cyclic_indices
 from .shm import WorkerStatsWriter
 
 __all__ = ["slice_partition_data", "WorkerState"]
-
-# Position of the active-partition list inside each command tuple, for
-# the live plane's patterns-processed counter.  Commands without an
-# entry either touch every partition ("lnl"), every listed edge of their
-# partitions ("prepare_edges", "deriv_edges", "lnl_edges": see
-# _command_patterns) or none (control ops).
-_ACTIVE_ARG = {"lnl_parts": 2, "eval_alpha": 2}
-
 
 # Captured at import (pre-fork): lets ``_cmd_die`` distinguish a forked
 # process child (hard ``os._exit``) from a state executed in the master
@@ -80,41 +71,41 @@ def slice_partition_data(
     return slices
 
 
-@dataclass
-class _Handle:
-    """Worker-local sumtable storage for one prepare/derive cycle."""
-
-    token: int
-    workspaces: list[EdgeWorkspace | None]
-    #: Patterns one round over every prepared lane touches (edges x the
-    #: prepared partitions' widths), for the live plane's counter.
-    patterns: int
-
-
 class WorkerState:
-    """Executes master commands against this worker's pattern slices."""
+    """Executes master commands against one set of partition stacks: a
+    worker's pattern slices on the team, or the whole alignment inside
+    the one-process engine (:meth:`~repro.core.engine.PartitionedEngine.run`).
 
-    def __init__(
-        self,
+    One workspace slot holds the sumtables of the last ``prepare_edges``;
+    each prepare replaces its contents and ``release`` empties it."""
+
+    def __init__(self, stacks: PartitionStacks):
+        self.stacks = stacks
+        self.parts = stacks.parts
+        #: (workspaces, patterns one round over every prepared lane touches).
+        self._slot: tuple[list[EdgeWorkspace | None], int] | None = None
+        # Live telemetry (repro.obs.live): disabled by default — the hot
+        # dispatch path then pays one attribute read, nothing else.
+        self.stats: WorkerStatsWriter | None = None
+        self.rank = 0
+        self._slice_patterns = np.array([p.n_patterns for p in stacks.parts], dtype=np.int64)
+        self._total_patterns = int(self._slice_patterns.sum())
+
+    @classmethod
+    def from_slices(
+        cls,
         slices: list[PartitionData],
         tree: Tree,
         models: list,
         alphas: list[float],
         initial_lengths: np.ndarray | None = None,
         categories: int = 4,
-    ):
-        self.tree = tree
-        self.engine = PartitionStacks(slices, tree, models, alphas, categories)
-        self.parts = self.engine.parts
+    ) -> "WorkerState":
+        """A worker over its own stacks of ``slices``."""
+        stacks = PartitionStacks(slices, tree, models, alphas, categories)
         if initial_lengths is not None:
-            self.engine.set_branch_lengths(initial_lengths)
-        self._handles: dict[int, _Handle] = {}
-        # Live telemetry (repro.obs.live): disabled by default — the hot
-        # dispatch path then pays one attribute read, nothing else.
-        self.stats: WorkerStatsWriter | None = None
-        self.rank = 0
-        self._slice_patterns = np.array([sl.n_patterns for sl in slices], dtype=np.int64)
-        self._total_patterns = int(self._slice_patterns.sum())
+            stacks.set_branch_lengths(initial_lengths)
+        return cls(stacks)
 
     def attach_stats(self, row: np.ndarray, rank: int) -> None:
         """Bind this worker to row ``rank`` of a
@@ -123,23 +114,28 @@ class WorkerState:
         self.rank = int(rank)
         self.stats = WorkerStatsWriter(row, self.rank)
 
+    def _patterns(self, partitions) -> int:
+        """Patterns of the given partitions (None: all) on THIS worker."""
+        if partitions is None:
+            return self._total_patterns
+        return int(self._slice_patterns[list(partitions)].sum())
+
     def _command_patterns(self, cmd: tuple) -> int:
         """Alignment patterns one command touches on THIS worker (the
-        live plane's throughput counter; control ops count zero)."""
+        live plane's throughput counter; writes and control ops count
+        zero)."""
         op = cmd[0]
-        if op in ("lnl",):
+        if op == "lnl":
             return self._total_patterns
-        if op == "prepare_edges":  # (op, edges, token, partitions)
-            return len(cmd[1]) * int(self._slice_patterns[cmd[3]].sum())
-        if op in ("deriv_edges", "lnl_edges"):  # (op, token, z, (E, P) lane mask)
-            if cmd[3] is None:  # every prepared lane
-                handle = self._handles.get(cmd[1])
-                return 0 if handle is None else handle.patterns
-            return int(np.asarray(cmd[3]).sum(axis=0) @ self._slice_patterns)
-        idx = _ACTIVE_ARG.get(op)
-        if idx is None:
-            return 0
-        return int(self._slice_patterns[list(cmd[idx])].sum())
+        if op == "lnl_parts":  # (op, root_edge, partitions)
+            return self._patterns(cmd[2])
+        if op == "prepare_edges":  # (op, edges, partitions)
+            return len(cmd[1]) * self._patterns(cmd[2])
+        if op in ("deriv_edges", "lnl_edges"):  # (op, z, (E, P) lane mask)
+            if cmd[2] is None:  # every prepared lane
+                return 0 if self._slot is None else self._slot[1]
+            return int(np.asarray(cmd[2]).sum(axis=0) @ self._slice_patterns)
+        return 0
 
     # Command dispatch ---------------------------------------------------
 
@@ -173,71 +169,61 @@ class WorkerState:
 
     def _cmd_lnl(self, root_edge: int) -> float:
         """Partial total log-likelihood over all partitions."""
-        return float(sum(self.engine.loglikelihoods(root_edge).tolist()))
+        return float(sum(self.stacks.loglikelihoods(root_edge).tolist()))
 
-    def _cmd_lnl_parts(self, root_edge: int, active: list[int]) -> np.ndarray:
+    def _cmd_lnl_parts(self, root_edge: int, active: list[int] | None) -> np.ndarray:
         """Partial per-partition log-likelihoods for the active set."""
-        return self.engine.loglikelihoods(root_edge, active)
+        return self.stacks.loglikelihoods(root_edge, active)
 
     # -- branch-length machinery ------------------------------------------
 
-    def _cmd_prepare_edges(self, edges: list[int], token: int, partitions: list[int]) -> None:
-        """Edge-stacked sumtables of every listed edge (one per stack);
-        a handle under the same token is dropped first, so two sweeps'
-        tables are never held at once."""
-        self._handles.pop(token, None)
-        self._handles[token] = _Handle(
-            token=token,
-            workspaces=self.engine.prepare_edges(edges, partitions),
-            patterns=len(edges) * int(self._slice_patterns[partitions].sum()),
-        )
+    def _cmd_prepare_edges(self, edges: list[int], partitions: list[int] | None) -> None:
+        """Edge-stacked sumtables of every listed edge (one per stack) in
+        the slot; the previous contents go first, so two sets of tables
+        are never held at once."""
+        self._slot = None
+        self._slot = (self.stacks.prepare_edges(edges, partitions),
+                      len(edges) * self._patterns(partitions))
 
-    def _cmd_deriv_edges(
-        self, token: int, z: np.ndarray, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _workspaces(self) -> list[EdgeWorkspace | None]:
+        if self._slot is None:
+            raise RuntimeError("no prepared workspace: prepare_edges first")
+        return self._slot[0]
+
+    def _cmd_deriv_edges(self, z: np.ndarray, active: np.ndarray | None):
         """Partial ``(E, P)`` (d1, d2) sums over the lanes of the ``(E, P)``
         mask ``active`` (None: every prepared lane) at the ``(E, P)``
         lengths z."""
-        return self.engine.edge_derivatives(self._handles[token].workspaces, z, active)
+        return self.stacks.edge_derivatives(self._workspaces(), z, active)
 
-    def _cmd_lnl_edges(self, token: int, z: np.ndarray, active: np.ndarray) -> np.ndarray:
+    def _cmd_lnl_edges(self, z: np.ndarray, active: np.ndarray | None) -> np.ndarray:
         """Partial ``(E, P)`` log-likelihoods at the ``(E, P)`` lengths z,
         from the prepared sumtables (the per-branch Newton monotonicity
         guard)."""
-        return self.engine.edge_loglikelihoods(self._handles[token].workspaces, z, active)
+        return self.stacks.edge_loglikelihoods(self._workspaces(), z, active)
 
-    def _cmd_release(self, token: int) -> None:
-        self._handles.pop(token, None)
+    def _cmd_release(self) -> None:
+        self._slot = None
 
-    # -- parameter updates -------------------------------------------------
+    # -- parameter writes (partitions: indices, None for all) --------------
 
-    def _cmd_set_bl(self, edge: int, value: float, partition: int | None) -> None:
-        self.engine.set_branch_length(edge, value, None if partition is None else [partition])
+    def _cmd_set_bl_edges(self, edges: list[int] | None, values: np.ndarray,
+                          partitions: list[int] | None) -> None:
+        """Lengths of the listed edges (None: every edge) for the given
+        partitions: ``values`` is ``(E,)`` shared or ``(E, P)``."""
+        self.stacks.set_branch_lengths(values, partitions, edges)
 
-    def _cmd_set_alpha(self, partition: int, alpha: float) -> None:
-        self.parts[partition].alpha = alpha
+    def _cmd_set_alpha_vec(self, x: np.ndarray, active: list[int] | None) -> None:
+        """Gamma shapes ``x[p]`` of the active partitions."""
+        self.stacks.set_alphas(x, active)
 
-    def _cmd_set_model(self, partition: int, model) -> None:
-        self.parts[partition].model = model
+    def _cmd_set_pinvs(self, x: np.ndarray, active: list[int] | None) -> None:
+        """Invariable-site proportions ``x[p]`` of the active partitions."""
+        self.stacks.set_pinvs(x, active)
 
-    def _cmd_set_bl_edges(
-        self, edges: list[int], values: np.ndarray, partitions: list[int]
-    ) -> None:
-        """``(E, P)`` lengths of the listed edges for the given partitions
-        in ONE command (the bulk write of every branch schedule)."""
-        self.engine.set_branch_lengths(values, partitions, edges)
-
-    def _cmd_set_alpha_vec(self, x: np.ndarray, active: list[int]) -> None:
-        """Per-partition alphas in ONE command (fused ``set_alpha``)."""
-        self.engine.set_alphas(x, active)
-
-    def _cmd_eval_alpha(
-        self, x: np.ndarray, active: list[int], root_edge: int
-    ) -> np.ndarray:
-        """Set trial alphas and return partial NEGATIVE log-likelihoods
-        (one fused command per Brent round — the newPAR schedule)."""
-        self.engine.set_alphas(x, active)
-        return -self.engine.loglikelihoods(root_edge, active)
+    def _cmd_set_models(self, models: list, active: list[int] | None) -> None:
+        """Substitution models ``models[p]`` of the active partitions."""
+        self.stacks.set_models(models, active)
 
     # -- fused programs ----------------------------------------------------
 

@@ -277,14 +277,10 @@ class LikelihoodService:
             return
         try:
             if len(batch) > 1:
-                steps = tuple(
+                lnls = team.engine.run("loglikelihood", [
                     ("lnl", int(j.spec.get("root_edge", 0))) for j in batch
-                )
-                per_step = team.engine.run_program(steps)
-                outcomes = [
-                    {"lnl": float(sum(parts)), "batched": len(batch)}
-                    for parts in per_step
-                ]
+                ])
+                outcomes = [{"lnl": lnl, "batched": len(batch)} for lnl in lnls]
             else:
                 outcomes = [self._run_op(team, batch[0])]
             for job in batch:

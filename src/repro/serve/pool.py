@@ -41,7 +41,6 @@ __all__ = ["TeamPool", "WarmTeam", "price_job"]
 #: costs to be *comparable*, not exact seconds.
 OP_WEIGHT = {
     "loglikelihood": 1.0,
-    "optimize_branch": 6.0,   # per edge: prepare + Newton rounds
     "optimize_branches": 6.0, # per edge in spec["edges"]
     "optimize_alpha": 10.0,   # Brent evaluations
 }
@@ -67,7 +66,7 @@ def price_job(spec: dict, layout) -> float:
     op = spec.get("op", "loglikelihood")
     weight = OP_WEIGHT.get(op, 1.0)
     edges = spec.get("edges")
-    if op in ("optimize_branch", "optimize_branches") and edges is not None:
+    if op == "optimize_branches" and edges is not None:
         n_edges = len(edges) if hasattr(edges, "__len__") else int(edges)
         weight *= max(n_edges, 1)
     return base * weight

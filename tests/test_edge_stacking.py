@@ -205,16 +205,16 @@ def test_worker_slice_without_patterns_of_a_partition(dataset):
     that worker's slices."""
     tree, lengths, data, models, alphas = dataset
     slices = slice_partition_data(data, 12, 11)
-    state = WorkerState(slices, tree.copy(), models, alphas, lengths)
+    state = WorkerState.from_slices(slices, tree.copy(), models, alphas, lengths)
     widths = [part.n_patterns for part in state.parts]
     assert widths[2] == 0 and widths[0] > 0
     order = smoothing_edge_order(tree)
     z = np.random.default_rng(3).uniform(0.05, 0.4, (len(order), 4))
     active = np.ones(z.shape, dtype=bool)
     active[::2, 0] = False
-    state.execute(("prepare_edges", order, 1, [0, 1, 2, 3]))
-    d1, d2 = state.execute(("deriv_edges", 1, z, active))
-    lnl = state.execute(("lnl_edges", 1, z, active))
+    state.execute(("prepare_edges", order, [0, 1, 2, 3]))
+    d1, d2 = state.execute(("deriv_edges", z, active))
+    lnl = state.execute(("lnl_edges", z, active))
     r1, r2, rl = _per_edge(_singles(slices, tree, models, alphas, lengths), order, z, active)
     close(d1, r1)
     close(d2, r2)

@@ -87,9 +87,9 @@ class TestRegions:
         )
         eng.loglikelihood()
         n0 = len(rec.trace.regions)
-        eng.prepare_branch_all(0)
+        eng.run("prepare", [("prepare_edges", [0], None)])
         assert len(rec.trace.regions) == n0 + 1  # one region for all parts
-        eng.prepare_branch_one(0, 1)
+        eng.run("prepare", [("prepare_edges", [0], [1])])
         assert len(rec.trace.regions) == n0 + 2
         assert rec.trace.regions[-1].active_partitions() == {1}
 

@@ -355,15 +355,15 @@ class TestLiveTeamIntegration:
     @pytest.mark.timeout(60)
     def test_branch_counts_exact_patterns(self, setup, backend):
         """A per-branch ``new`` optimization sends no lane mask when every
-        lane is live, so the workers count from the token's prepared
-        partitions: the edge's sumtable, one pattern pass per Newton
-        lane-round, and both guard evaluations."""
+        lane is live, so the workers count from the partitions prepared
+        in their workspace slot: the edge's sumtable, one pattern pass per
+        Newton lane-round, and both guard evaluations."""
         from repro.obs import ConvergenceTelemetry
 
         data = setup[0]
         live, tel = LiveTelemetry(), ConvergenceTelemetry()
         with make_team(setup, backend, live=live, telemetry=tel) as team:
-            team.optimize_branch(0, "new")
+            team.optimize_branches([0], "new")
             samples = live.sample()
         widths = data.pattern_counts()
         (log,) = tel.by_name("nr_branch")
@@ -398,7 +398,7 @@ class TestLiveTeamIntegration:
         live = LiveTelemetry()
         with make_team(setup, backend, live=live) as team:
             base = sum(s.commands for s in live.sample())
-            team.run_program((("lnl", 0), ("lnl", 0), ("lnl", 0)))
+            team.run("lnl", [("lnl", 0), ("lnl", 0), ("lnl", 0)])
             after = sum(s.commands for s in live.sample())
         assert after - base >= 3 * 2  # 3 steps x 2 workers
 

@@ -317,7 +317,7 @@ class TestParallelObservability:
         """A traced + profiled newPAR run on a 2-worker team: master
         lane plus one lane per worker, broadcast counters matching the
         command count, barrier-wait samples, and monotonic per-partition
-        convergence masks with one Brent round per eval broadcast."""
+        convergence masks with one Brent round per evaluation program."""
         from repro.parallel import ParallelPLK
         from repro.perf import Profiler
 
@@ -329,7 +329,7 @@ class TestParallelObservability:
             initial_lengths=lengths, profiler=profiler,
             tracer=tracer, metrics=metrics, telemetry=tel,
         ) as team:
-            team.optimize_branch(0, "new", z0=np.full(3, lengths[0]))
+            team.optimize_branches([0], "new")
             team.optimize_alpha("new")
             issued = team.commands_issued
 
@@ -345,13 +345,13 @@ class TestParallelObservability:
         assert snap["region_wall_seconds"]["count"] == issued
 
         names = {s.name for s in tracer.spans if s.lane == MASTER_LANE}
-        assert {"optimize_branch", "optimize_alpha"} <= names
+        assert {"optimize_branches", "optimize_alpha"} <= names
 
         assert all(log.is_monotonic() for log in tel.logs)
         (alpha_log,) = tel.by_name("brent_alpha")
         assert alpha_log.n_lanes == team.n_partitions
-        # one recorded Brent round per eval_alpha broadcast
-        evals = sum(1 for r in profiler.records if r.op == "eval_alpha")
+        # one recorded Brent round per write+evaluate program
+        evals = sum(1 for r in profiler.records if r.op == "prog(set_alpha_vec+lnl_parts)")
         assert alpha_log.n_rounds == evals
         events = validate_chrome_trace(tracer_to_chrome(tracer))
         assert {ev["tid"] for ev in events if ev["ph"] == "X"} == {0, 1, 2}
@@ -381,7 +381,7 @@ def _sample_profile():
     records = [
         CommandRecord("prepare", "sumtable", 0.4, (0.2, 0.3)),
         CommandRecord("deriv", "derivative", 0.5, (0.4, 0.1)),
-        CommandRecord("set_bl", "control", 0.1, (0.0, 0.0)),
+        CommandRecord("set_bl_edges", "control", 0.1, (0.0, 0.0)),
         CommandRecord("lnl", "evaluate", 0.3, (0.25, 0.25)),
     ]
     return RunProfile(backend="processes", n_workers=2, records=records)

@@ -113,9 +113,7 @@ class TestProcessesBackend:
                 data, tree, models, alphas, 3,
                 initial_lengths=lengths,
             ) as par:
-                z[strategy] = par.optimize_branch(
-                    1, strategy, z0=np.full(3, lengths[1])
-                )
+                (z[strategy],) = par.optimize_branches([1], strategy)
         np.testing.assert_allclose(z["old"], z["new"], atol=1e-4)
 
     def test_command_count_reflects_strategy(self, setup):
@@ -129,30 +127,52 @@ class TestProcessesBackend:
                 initial_lengths=lengths,
             ) as par:
                 base = par.commands_issued
-                par.optimize_branch(0, strategy, z0=np.full(3, lengths[0]))
+                par.optimize_branches([0], strategy)
                 issued[strategy] = par.commands_issued - base
         assert issued["old"] > 1.5 * issued["new"]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_tree_pass_matches_sequential(self, setup, workers):
-        """One tree-wide smoothing pass on the team equals the one-process
-        pass to 1e-9 on every length and on the lnL, whatever the team
-        size."""
-        from repro.core import optimize_branch_lengths, smoothing_edge_order
+        """One schedule, two engines: old, new and tree smoothing passes,
+        then old and new alpha, on the team and on the one-process engine
+        end at the same lengths and alphas to 1e-9, with identical
+        convergence logs, whatever the team size — and the team sends one
+        broadcast per ``run`` call of the one-process engine."""
+        from repro.core import optimize_alpha, optimize_branch_lengths, smoothing_edge_order
+        from repro.obs import ConvergenceTelemetry
 
         data, tree, lengths, models, alphas, _ = setup
         order = smoothing_edge_order(tree)
+        seq_tel, tel = ConvergenceTelemetry(), ConvergenceTelemetry()
         seq_eng = PartitionedEngine(
-            data, tree.copy(), models=models, alphas=alphas, initial_lengths=lengths
+            data, tree.copy(), models=models, alphas=alphas, initial_lengths=lengths,
+            telemetry=seq_tel,
         )
-        optimize_branch_lengths(seq_eng, "tree", passes=1, edges=order)
+        runs = []
+        real_run = seq_eng.run
+        seq_eng.run = lambda label, steps: runs.append(label) or real_run(label, steps)
         with ParallelPLK(
-            data, tree, models, alphas, workers, initial_lengths=lengths,
+            data, tree, models, alphas, workers, initial_lengths=lengths, telemetry=tel,
         ) as par:
-            got = par.optimize_branches(order)
+            for strategy in ("old", "new", "tree"):
+                n_runs, issued = len(runs), par.commands_issued
+                optimize_branch_lengths(seq_eng, strategy, passes=1, edges=order)
+                got = par.optimize_branches(order, strategy)
+                np.testing.assert_allclose(
+                    got, seq_eng.branch_lengths()[order], rtol=1e-9, atol=1e-12
+                )
+                assert par.commands_issued - issued == len(runs) - n_runs
+            for strategy in ("old", "new"):
+                n_runs, issued = len(runs), par.commands_issued
+                optimize_alpha(seq_eng, strategy)
+                np.testing.assert_allclose(par.optimize_alpha(strategy), seq_eng.alphas(),
+                                           rtol=1e-9)
+                assert par.commands_issued - issued == len(runs) - n_runs
             lnl = par.loglikelihood(0)
-        np.testing.assert_allclose(got, seq_eng.branch_lengths()[order], rtol=1e-9, atol=1e-12)
         assert lnl == pytest.approx(seq_eng.loglikelihood(0), rel=1e-9)
+        assert [(log.name, log.rounds) for log in tel.logs] == [
+            (log.name, log.rounds) for log in seq_tel.logs
+        ]
 
     def test_alpha_opt_matches_sequential(self, setup):
         from repro.core import optimize_alpha
@@ -167,15 +187,14 @@ class TestProcessesBackend:
             data, tree, models, alphas, 3,
             initial_lengths=lengths,
         ) as par:
-            got = par.optimize_alpha("new", guess=np.array(alphas))
+            got = par.optimize_alpha("new")
         np.testing.assert_allclose(got, ref, rtol=0.05)
 
     def test_defaults_start_from_the_current_parameters(self, setup):
-        """Without ``z0``/``lengths0``/``guess`` the team's optimizers
-        start from (and guard against) the current branch lengths and
-        alphas, as the sequential strategies do: a smoothing pass, alpha
-        and a second pass from off-optimum alphas end at the one-process
-        log-likelihood to 1e-9 relative."""
+        """The team's optimizers start from (and guard against) the
+        current branch lengths and alphas, as the sequential strategies
+        do: a smoothing pass, alpha and a second pass from off-optimum
+        alphas end at the one-process log-likelihood to 1e-9 relative."""
         self._smooth_alpha_smooth(setup, "new")
 
     def test_defaults_start_from_the_current_parameters_tree(self, setup):
@@ -213,10 +232,12 @@ class TestProcessesBackend:
             initial_lengths=lengths,
         ) as par:
             before = par.loglikelihood(0)
-            par.set_branch_length(2, 1.7)
+            par.run("write", [("set_bl_edges", [2], np.array([1.7]), None)])
+            assert par.branch_lengths()[2].tolist() == [1.7] * 3
             mid = par.loglikelihood(0)
             assert mid != pytest.approx(before)
-            par.set_branch_length(2, float(lengths[2]))
+            par.restore_parameters(lengths, alphas)
+            np.testing.assert_array_equal(par.branch_lengths(), np.tile(lengths[:, None], 3))
             assert par.loglikelihood(0) == pytest.approx(before, abs=1e-8)
 
     def test_set_alpha_and_model(self, setup):
@@ -226,9 +247,10 @@ class TestProcessesBackend:
             initial_lengths=lengths,
         ) as par:
             before = par.loglikelihood(0)
-            par.set_alpha(0, 5.0)
+            par.run("write", [("set_alpha_vec", np.array([5.0, 0.0, 0.0]), [0])])
+            assert par.alphas().tolist() == [5.0, *alphas[1:]]
             assert par.loglikelihood(0) != pytest.approx(before)
-            par.set_model(1, SubstitutionModel.jc69())
+            par.run("write", [("set_models", [None, SubstitutionModel.jc69(), None], [1])])
             # still finite and evaluable
             assert np.isfinite(par.loglikelihood(0))
 

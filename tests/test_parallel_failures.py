@@ -60,7 +60,8 @@ class TestFailingWorker:
         with make_team(setup, backend) as team:
             before = team.loglikelihood(0)
             with pytest.raises(WorkerError):
-                team._broadcast(("deriv_edges", 12345, np.zeros((1, 2)), LANES))  # bad token
+                # a derivative before any prepare_edges
+                team._broadcast(("deriv_edges", np.zeros((1, 2)), LANES))
             assert team.loglikelihood(0) == pytest.approx(before, abs=1e-10)
 
     @pytest.mark.timeout(30)
@@ -79,10 +80,10 @@ class TestFailingWorkerMidProgram:
         a failing plain broadcast: one WorkerError, no barrier deadlock."""
         with make_team(setup, backend) as team:
             with pytest.raises(WorkerError) as exc_info:
-                team.run_program((
+                team.run("failing", [
                     ("lnl", 0),
-                    ("deriv_edges", 99999, np.zeros((1, 2)), LANES),  # bad token
-                ))
+                    ("deriv_edges", np.zeros((1, 2)), LANES),  # nothing prepared
+                ])
             assert exc_info.value.rank == 0
             # the team protocol completed, so it stays usable
             team.loglikelihood(0)
@@ -91,7 +92,7 @@ class TestFailingWorkerMidProgram:
     def test_close_after_mid_program_exception(self, setup, backend):
         team = make_team(setup, backend)
         with pytest.raises(WorkerError):
-            team.run_program((("lnl", 0), ("explode",)))
+            team.run("failing", [("lnl", 0), ("explode",)])
         team.close()
 
 
@@ -127,7 +128,7 @@ class TestDeadProcessWorker:
             victim.terminate()
             victim.join(timeout=10)
             with pytest.raises(WorkerError, match="worker"):
-                team.run_program((("lnl", 0), ("lnl", 0)))
+                team.run("lnl", [("lnl", 0), ("lnl", 0)])
             for proc in team._team.procs:
                 proc.join(timeout=10)
                 assert not proc.is_alive()
@@ -144,7 +145,7 @@ class TestDeadProcessWorker:
         with make_team(setup, "processes", live=live) as team:
             before = team.loglikelihood(0)
             with pytest.raises(WorkerError):
-                team.run_program((("lnl", 0), ("deriv_edges", 4242, np.zeros((1, 2)), LANES)))
+                team.run("failing", [("lnl", 0), ("deriv_edges", np.zeros((1, 2)), LANES)])
             assert team.loglikelihood(0) == pytest.approx(before, abs=1e-10)
 
 
@@ -198,7 +199,7 @@ class TestPostmortemFlightDump:
             victim.terminate()
             victim.join(timeout=10)
             with pytest.raises(WorkerError, match="worker"):
-                team.run_program((("lnl", 0), ("lnl", 0)))
+                team.run("lnl", [("lnl", 0), ("lnl", 0)])
         assert live_segments() == before
         events = self._load_dump(live.last_postmortem)
         deaths = [e for e in events if e["event"] == "worker_death"]
@@ -272,9 +273,7 @@ class TestIdleWorkersEndToEnd:
                 initial_lengths=lengths,
             ) as team:
                 assert team.loglikelihood(0) == pytest.approx(ref, abs=1e-8)
-                out[strategy] = team.optimize_branch(
-                    0, strategy, z0=np.full(2, lengths[0])
-                )
+                out[strategy] = team.optimize_branches([0], strategy)
         np.testing.assert_allclose(out["old"], out["new"], atol=1e-4)
 
     @pytest.mark.timeout(60)

@@ -61,7 +61,7 @@ class TestRunProfileAggregation:
         records = [
             CommandRecord("prepare", "sumtable", 1.0, (0.4, 0.8)),
             CommandRecord("deriv", "derivative", 0.5, (0.3, 0.1)),
-            CommandRecord("set_bl", "control", 0.1, (0.0, 0.0)),
+            CommandRecord("set_bl_edges", "control", 0.1, (0.0, 0.0)),
         ]
         return RunProfile(backend="processes", n_workers=2, records=records)
 
@@ -149,7 +149,7 @@ class TestLiveProfiling:
             initial_lengths=lengths, profiler=profiler,
         ) as team:
             team.loglikelihood(0)
-            team.optimize_branch(0, "new", z0=np.full(4, lengths[0]))
+            team.optimize_branches([0], "new")
             issued = team.commands_issued
         profile = profiler.profile()
         assert profile.backend == backend
@@ -178,21 +178,43 @@ class TestLiveProfiling:
 
 class TestStrategyComparison:
     def test_new_beats_old_efficiency(self, setup):
-        """The acceptance criterion: measured newPAR parallel efficiency
-        strictly exceeds oldPAR's at 4 workers."""
+        """The acceptance criterion: newPAR's parallel efficiency exceeds
+        oldPAR's at 4 workers.  The structure behind it is asserted on
+        exact counts (fewer barriers, more commands per barrier, the same
+        on every repeat); the efficiency itself on the median of 5
+        interleaved old/new pairs from the same start lengths, since one
+        wall-clock sample on a shared host can invert it."""
         data, tree, lengths, models, alphas = setup
-        profiles = {}
-        for strategy in ("old", "new"):
-            profiler = Profiler()
-            with ParallelPLK(
-                data, tree, models, alphas, 4,
-                initial_lengths=lengths, profiler=profiler,
-            ) as team:
-                team.optimize_branches([0, 1, 2], strategy)
-            profiles[strategy] = profiler.profile()
-        assert profiles["new"].efficiency > profiles["old"].efficiency
-        cmp = compare_strategies(profiles["old"], profiles["new"])
-        assert cmp.efficiency_ratio > 1.0
+        profilers = {s: Profiler() for s in ("old", "new")}
+        teams = {
+            s: ParallelPLK(data, tree, models, alphas, 4,
+                           initial_lengths=lengths, profiler=profilers[s])
+            for s in profilers
+        }
+        profiles = {s: [] for s in profilers}
+        try:
+            for _ in range(5):
+                for s, team in teams.items():
+                    team.restore_parameters(lengths, alphas)
+                    profilers[s].reset()
+                    team.optimize_branches([0, 1, 2], s)
+                    profiles[s].append(profilers[s].profile())
+        finally:
+            for team in teams.values():
+                team.close()
+        counts = {
+            s: {(p.n_regions, p.n_commands) for p in runs} for s, runs in profiles.items()
+        }
+        assert all(len(c) == 1 for c in counts.values())  # deterministic
+        old, new = profiles["old"][0], profiles["new"][0]
+        assert new.n_regions < old.n_regions
+        assert new.commands_per_barrier > old.commands_per_barrier
+
+        def median(runs):
+            return float(np.median([p.efficiency for p in runs]))
+
+        assert median(profiles["new"]) > median(profiles["old"])
+        cmp = compare_strategies(old, new)
         assert "old" in cmp.summary() and "new" in cmp.summary()
 
     def test_compare_against_simulator_prediction(self, setup):
@@ -216,7 +238,7 @@ class TestStrategyComparison:
             data, tree, models, alphas, 3,
             initial_lengths=lengths, profiler=profiler,
         ) as team:
-            team.optimize_branch(0, "new", z0=np.full(4, 0.1))
+            team.optimize_branches([0], "new")
         measured = profiler.profile()
 
         cmp = compare_decompositions(

@@ -42,7 +42,7 @@ def make_team(setup, **kw):
 
 class TestDescribeCommand:
     def test_plain_command(self):
-        assert describe_command(("deriv_edges", 0, None, None)) == (
+        assert describe_command(("deriv_edges", None, None)) == (
             "deriv_edges", "derivative", 1,
         )
 
@@ -50,40 +50,39 @@ class TestDescribeCommand:
         """sumtable > evaluate > derivative > control, whatever the step
         order: the per-branch opening, its guard, and the tree sweep's
         opening (which evaluates before it prepares)."""
-        cmd = ("prog", (("prepare_edges", [0], 1, [0]), ("deriv_edges", 1, None, None)))
+        cmd = ("prog", (("prepare_edges", [0], [0]), ("deriv_edges", None, None)))
         label, kind, n = describe_command(cmd)
         assert label == "prog(prepare_edges+deriv_edges)"
         assert kind == "sumtable"
         assert n == 2
-        guard = ("prog", (("lnl_edges", 1, None, None), ("lnl_edges", 1, None, None),
-                          ("release", 1)))
+        guard = ("prog", (("lnl_edges", None, None), ("lnl_edges", None, None)))
         assert describe_command(guard)[1] == "evaluate"
-        assert describe_command(("prog", (("deriv_edges", 1, None, None), ("lnl", 0))))[1] == (
+        assert describe_command(("prog", (("deriv_edges", None, None), ("lnl", 0))))[1] == (
             "evaluate"
         )
         opening = ("prog", (("set_bl_edges", [0], None, [0]), ("lnl_parts", 0, [0]),
-                            ("prepare_edges", [0], 1, [0]), ("deriv_edges", 1, None, None)))
+                            ("prepare_edges", [0], [0]), ("deriv_edges", None, None)))
         assert describe_command(opening) == (
             "prog(set_bl_edges+lnl_parts+prepare_edges+deriv_edges)", "sumtable", 4,
         )
         closing = ("prog", (("set_bl_edges", [0], None, [0]), ("lnl_parts", 0, [0]),
-                            ("release", 1)))
+                            ("release",)))
         assert describe_command(closing)[1] == "evaluate"
 
     def test_edge_stacked_commands(self):
-        assert describe_command(("prepare_edges", [0, 1], 1, [0]))[1] == "sumtable"
-        assert describe_command(("deriv_edges", 1, None, None))[1] == "derivative"
-        assert describe_command(("lnl_edges", 1, None, None))[1] == "evaluate"
+        assert describe_command(("prepare_edges", [0, 1], [0]))[1] == "sumtable"
+        assert describe_command(("deriv_edges", None, None))[1] == "derivative"
+        assert describe_command(("lnl_edges", None, None))[1] == "evaluate"
         assert describe_command(("set_bl_edges", [0], None, [0]))[1] == "control"
 
     def test_all_control_program(self):
-        cmd = ("prog", (("release", 1), ("set_bl", 0, 0.1, None)))
+        cmd = ("prog", (("release",), ("set_alpha_vec", None, None)))
         assert describe_command(cmd)[1] == "control"
 
 
 class TestProgramDataclass:
     def test_wire_format_and_label(self):
-        prog = Program(steps=(("lnl", 0), ("release", 3)))
+        prog = Program(steps=(("lnl", 0), ("release",)))
         assert prog.command == ("prog", prog.steps)
         assert prog.label == "prog(lnl+release)"
 
@@ -99,24 +98,24 @@ class TestProgramDataclass:
 
     def test_program_steps(self):
         assert program_steps(("lnl", 0)) == (("lnl", 0),)
-        steps = (("lnl", 0), ("release", 1))
+        steps = (("lnl", 0), ("release",))
         assert program_steps(("prog", steps)) == steps
 
 
 class TestWorkerProgram:
     def test_steps_run_in_order_and_match_separate_execution(self, setup):
         data, tree, lengths, models, alphas = setup
-        mk = lambda: WorkerState(  # noqa: E731
+        mk = lambda: WorkerState.from_slices(  # noqa: E731
             slice_partition_data(data, 1, 0), tree.copy(), models, alphas,
             lengths,
         )
         fused, plain = mk(), mk()
         steps = (
-            ("prepare_edges", [0], 9, [0, 1, 2]),
-            ("deriv_edges", 9, np.full((1, 3), 0.05), np.ones((1, 3), dtype=bool)),
+            ("prepare_edges", [0], [0, 1, 2]),
+            ("deriv_edges", np.full((1, 3), 0.05), np.ones((1, 3), dtype=bool)),
             ("set_bl_edges", [0], np.full((1, 3), 0.2), [0, 1, 2]),
             ("lnl", 0),
-            ("release", 9),
+            ("release",),
         )
         out = fused.execute(("prog", steps))
         ref = [plain.execute(s) for s in steps]
@@ -131,31 +130,27 @@ class TestWorkerProgram:
 
 class TestEngineRunProgram:
     def test_fused_exchange_equals_separate_broadcasts(self, setup):
+        """``run`` sends a region as one broadcast (a one-step region as
+        the plain command) and reduces each step over the workers."""
         with make_team(setup) as team:
             z = np.full((1, 3), 0.1)
             lanes = np.ones((1, 3), dtype=bool)
-            team._broadcast(("prepare_edges", [0], 1, [0, 1, 2]))
-            parts = team._broadcast(("deriv_edges", 1, z, lanes))
-            d1_ref = np.sum([p[0] for p in parts], axis=0)
-            d2_ref = np.sum([p[1] for p in parts], axis=0)
-            team._broadcast(("release", 1))
+            prepare = ("prepare_edges", [0], [0, 1, 2])
+            deriv = ("deriv_edges", z, lanes)
+            team.run("prepare", [prepare])
+            ((d1_ref, d2_ref),) = team.run("nr", [deriv])
+            team.run("release", [("release",)])
+            assert team.commands_issued == 3
 
-            token = 7_000
-            prog = Program(steps=(
-                ("prepare_edges", [0], token, [0, 1, 2]),
-                ("deriv_edges", token, z, lanes),
-                ("release", token),
-            ))
-            _, deriv_parts, _ = team.run_program(prog)
-            d1 = np.sum([p[0] for p in deriv_parts], axis=0)
-            d2 = np.sum([p[1] for p in deriv_parts], axis=0)
+            _, (d1, d2), _ = team.run("nr", [prepare, deriv, ("release",)])
+            assert team.commands_issued == 4
         np.testing.assert_allclose(d1, d1_ref, atol=1e-12)
         np.testing.assert_allclose(d2, d2_ref, atol=1e-12)
 
     def test_one_barrier_per_program(self, setup):
         metrics = MetricsRegistry()
         with make_team(setup, metrics=metrics) as team:
-            team.run_program((("lnl", 0), ("lnl", 0), ("lnl", 0)))
+            team.run("lnl", [("lnl", 0), ("lnl", 0), ("lnl", 0)])
         snap = metrics.snapshot()
         assert snap["broadcasts.total"]["value"] == 1
         assert snap["commands.total"]["value"] == 3
@@ -217,14 +212,14 @@ class TestFusedOptimizerEquivalence:
     @pytest.mark.timeout(60)
     def test_optimize_branch_barrier_count(self, setup):
         """One prepare+deriv program, one broadcast per further Newton
-        evaluation, one guard program, one set_bl_edges — and the same
-        lengths, likelihood and iteration log as the sequential engine."""
+        evaluation, one guard program (both evaluations), one
+        set_bl_edges — and the same lengths, likelihood and iteration log
+        as the sequential engine."""
         m, tel = MetricsRegistry(), ConvergenceTelemetry()
         seq_tel = ConvergenceTelemetry()
         seq = make_engine(setup, seq_tel)
-        z0 = seq.branch_lengths()[0].copy()
         with make_team(setup, metrics=m, telemetry=tel) as team:
-            out = team.optimize_branch(0, "new", z0=z0)
+            (out,) = team.optimize_branches([0], "new")
             lnl = team.loglikelihood(0)
         snap = m.snapshot()
         (log,) = tel.by_name("nr_branch")
@@ -232,7 +227,7 @@ class TestFusedOptimizerEquivalence:
         assert evals >= 2
         # lnl is the extra fifth broadcast after the optimizer's.
         assert snap["broadcasts.total"]["value"] == 1 + (evals - 1) + 1 + 1 + 1
-        assert snap["commands.total"]["value"] == 2 + (evals - 1) + 3 + 1 + 1
+        assert snap["commands.total"]["value"] == 2 + (evals - 1) + 2 + 1 + 1
 
         strategies.optimize_branch(seq, 0, "new")
         np.testing.assert_allclose(out, seq.branch_lengths()[0], atol=1e-9)
@@ -295,9 +290,8 @@ class TestFusedOptimizerEquivalence:
         the same alphas as the sequential engine."""
         m, tel = MetricsRegistry(), ConvergenceTelemetry()
         seq = make_engine(setup)
-        _, _, _, _, alphas = setup
         with make_team(setup, metrics=m, telemetry=tel) as team:
-            out = team.optimize_alpha("new", guess=np.asarray(alphas))
+            out = team.optimize_alpha("new")
         (log,) = tel.by_name("brent_alpha")
         assert m.snapshot()["broadcasts.total"]["value"] == log.n_rounds + 1
 
@@ -347,7 +341,7 @@ class TestZeroWidthFastPath:
         tiny = PartitionedAlignment(tiny_aln, uniform_scheme(6, 3))
         # With far more workers than patterns, the last worker owns zero
         # patterns of every partition.
-        state = WorkerState(
+        state = WorkerState.from_slices(
             slice_partition_data(tiny, 6, 5), tree.copy(), models[:2],
             alphas[:2], lengths,
         )
@@ -356,14 +350,12 @@ class TestZeroWidthFastPath:
         np.testing.assert_array_equal(
             state.execute(("lnl_parts", 0, [0, 1])), np.zeros(2)
         )
-        np.testing.assert_array_equal(
-            state.execute(("eval_alpha", np.full(2, 0.5), [0, 1], 0)), np.zeros(2)
-        )
+        state.execute(("set_alpha_vec", np.full(2, 0.5), None))
         lanes = np.ones((1, 2), dtype=bool)
-        out = state.execute(("prog", (("prepare_edges", [0], 1, [0, 1]),
-                                      ("deriv_edges", 1, np.full((1, 2), 0.1), lanes),
-                                      ("lnl_edges", 1, np.full((1, 2), 0.1), lanes),
-                                      ("release", 1))))
+        out = state.execute(("prog", (("prepare_edges", [0], [0, 1]),
+                                      ("deriv_edges", np.full((1, 2), 0.1), lanes),
+                                      ("lnl_edges", np.full((1, 2), 0.1), lanes),
+                                      ("release",))))
         np.testing.assert_array_equal(out[1][0], np.zeros((1, 2)))
         np.testing.assert_array_equal(out[1][1], np.zeros((1, 2)))
         np.testing.assert_array_equal(out[2], np.zeros((1, 2)))

@@ -57,7 +57,7 @@ class TestProcessTeamSegments:
 
     def test_replies_travel_over_the_pipe(self, setup):
         with self.make_team(setup) as team:
-            team.optimize_branch(0, "new", z0=np.full(3, 0.1))
+            team.optimize_branches([0], "new")
             stats = team.comms_stats()
         assert stats["pipe_tx_bytes"] > 0
         assert stats["pipe_rx_bytes"] > 0

@@ -334,9 +334,11 @@ class TestEngineStacks:
             for p in ([0, 1, 2, 3] if active is None else active):
                 want[p] = singles.parts[p].loglikelihood(0)
             close(engine.loglikelihoods(0, active), want)
-        ws = engine.prepare_edges([3])
         z = np.array([[0.1, 0.2, 0.3, 0.4]])
-        d1, d2 = engine.edge_derivatives(ws, z, np.array([[True, False, False, True]]))
+        _, (d1, d2) = engine.run("nr", [
+            ("prepare_edges", [3], None),
+            ("deriv_edges", z, np.array([[True, False, False, True]])),
+        ])
         for p in (0, 3):
             part = singles.parts[p]
             close([d1[0, p], d2[0, p]], part.branch_derivatives(part.prepare_branch(3), z[0, p]))
@@ -355,14 +357,14 @@ class TestEngineStacks:
 
     def test_worker_with_no_patterns_returns_zeros(self, dataset):
         tree, lengths, data, models, alphas = dataset
-        state = WorkerState(
+        state = WorkerState.from_slices(
             [_zero_width(b) for b in slice_partition_data(data, 2, 0)],
             tree.copy(), models, alphas, lengths,
         )
         assert state.execute(("lnl", 0)) == 0.0
         np.testing.assert_array_equal(state.execute(("lnl_parts", 0, [0, 3])), np.zeros(4))
-        state.execute(("prepare_edges", [1], 5, [0, 1, 2, 3]))
+        state.execute(("prepare_edges", [1], [0, 1, 2, 3]))
         lanes = np.array([[False, True, False, True]])
-        d1, d2 = state.execute(("deriv_edges", 5, np.full((1, 4), 0.2), lanes))
+        d1, d2 = state.execute(("deriv_edges", np.full((1, 4), 0.2), lanes))
         np.testing.assert_array_equal(d1, np.zeros((1, 4)))
         np.testing.assert_array_equal(d2, np.zeros((1, 4)))

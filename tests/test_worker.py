@@ -23,7 +23,7 @@ def worker_setup():
 def make_worker(setup, n_workers=1, rank=0):
     data, tree, lengths, models, alphas = setup
     slices = slice_partition_data(data, n_workers, rank, "cyclic")
-    return WorkerState(slices, tree.copy(), models, alphas, lengths)
+    return WorkerState.from_slices(slices, tree.copy(), models, alphas, lengths)
 
 
 class TestCommands:
@@ -52,27 +52,27 @@ class TestCommands:
 
     def test_prepare_deriv_release_cycle(self, worker_setup):
         worker = make_worker(worker_setup)
-        worker.execute(("prepare_edges", [2], 7, [0, 1, 2]))
+        worker.execute(("prepare_edges", [2], [0, 1, 2]))
         lanes = np.array([[True, False, True]])
-        d1, d2 = worker.execute(("deriv_edges", 7, np.full((1, 3), 0.1), lanes))
+        d1, d2 = worker.execute(("deriv_edges", np.full((1, 3), 0.1), lanes))
         assert d1[0, 1] == 0.0  # inactive partition untouched
         assert np.isfinite(d1[0, [0, 2]]).all()
-        worker.execute(("release", 7))
-        with pytest.raises(KeyError):
-            worker.execute(("deriv_edges", 7, np.full((1, 3), 0.1), lanes))
+        worker.execute(("release",))
+        with pytest.raises(RuntimeError, match="prepare_edges first"):
+            worker.execute(("deriv_edges", np.full((1, 3), 0.1), lanes))
 
     def test_release_is_idempotent(self, worker_setup):
         worker = make_worker(worker_setup)
-        worker.execute(("release", 123))  # never prepared: no error
+        worker.execute(("release",))  # never prepared: no error
 
     def test_branch_lnl_command(self, worker_setup):
         """The per-branch guard, ``lnl_edges``, reads the full lnL at the
         current length from the prepared one-edge sumtable."""
         worker = make_worker(worker_setup)
-        worker.execute(("prepare_edges", [1], 9, [0]))
+        worker.execute(("prepare_edges", [1], [0]))
         base = worker.execute(("lnl_parts", 1, [0]))[0]
         via_table = worker.execute(
-            ("lnl_edges", 9, np.full((1, 3), worker.parts[0].branch_lengths[1]),
+            ("lnl_edges", np.full((1, 3), worker.parts[0].branch_lengths[1]),
              np.array([[True, False, False]]))
         )[0, 0]
         assert via_table == pytest.approx(base, abs=1e-8)
@@ -80,18 +80,23 @@ class TestCommands:
     def test_parameter_mutations(self, worker_setup):
         worker = make_worker(worker_setup)
         before = worker.execute(("lnl", 0))
-        worker.execute(("set_alpha", 0, 5.0))
+        worker.execute(("set_alpha_vec", np.array([5.0, 0.0, 0.0]), [0]))
         after_alpha = worker.execute(("lnl", 0))
         assert after_alpha != pytest.approx(before)
-        worker.execute(("set_bl", 3, 2.0, None))
+        worker.execute(("set_bl_edges", [3], np.array([2.0]), None))
         assert worker.execute(("lnl", 0)) != pytest.approx(after_alpha)
-        worker.execute(("set_model", 2, SubstitutionModel.jc69()))
+        worker.execute(("set_models", [None, None, SubstitutionModel.jc69()], [2]))
         assert np.isfinite(worker.execute(("lnl", 0)))
+        worker.execute(("set_pinvs", np.array([0.0, 0.3, 0.0]), [1]))
+        assert worker.parts[1].pinv == 0.3
 
-    def test_eval_alpha_fused_command(self, worker_setup):
+    def test_alpha_round_program(self, worker_setup):
+        """A newPAR Brent round: write the trial alphas, evaluate the
+        active partitions."""
         worker = make_worker(worker_setup)
-        out = worker.execute(("eval_alpha", np.array([2.0, 1.0, 1.0]), [0], 0))
-        assert out[0] > 0  # negative lnl
+        _, out = worker.execute(("prog", (("set_alpha_vec", np.array([2.0, 1.0, 1.0]), [0]),
+                                          ("lnl_parts", 0, [0]))))
+        assert out[0] < 0 and out[1] == out[2] == 0.0
         assert worker.parts[0].alpha == 2.0
 
     def test_unknown_command_rejected(self, worker_setup):
@@ -111,12 +116,12 @@ class TestEmptySlices:
         aln = simulate_alignment(t2, l2, models[0], 1.0, 6, tiny_rng)
         small = PartitionedAlignment(aln, uniform_scheme(6, 2))
         slices = slice_partition_data(small, 8, 7, "cyclic")
-        worker = WorkerState(slices, t2.copy(), models, alphas, l2)
+        worker = WorkerState.from_slices(slices, t2.copy(), models, alphas, l2)
         assert any(sl.n_patterns == 0 for sl in slices)
         lnl = worker.execute(("lnl", 0))
         assert lnl == 0.0 or np.isfinite(lnl)
-        worker.execute(("prepare_edges", [0], 1, [0, 1, 2]))
+        worker.execute(("prepare_edges", [0], [0, 1, 2]))
         d1, d2 = worker.execute(
-            ("deriv_edges", 1, np.full((1, 3), 0.1), np.ones((1, 3), dtype=bool))
+            ("deriv_edges", np.full((1, 3), 0.1), np.ones((1, 3), dtype=bool))
         )
         assert np.isfinite(d1).all()
