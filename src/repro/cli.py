@@ -6,8 +6,8 @@ Subcommands
     Generate a benchmark dataset (alignment + partition file + true tree).
 ``analyze``
     Model-parameter optimization and/or tree search on a PHYLIP/FASTA
-    alignment with a RAxML-style partition file, under either scheduling
-    strategy, optionally on real parallel workers.
+    alignment with a RAxML-style partition file, under the oldPAR,
+    newPAR or tree schedule.
 ``replay``
     Capture a paper experiment's schedule and replay it on the simulated
     platforms (regenerates Figure-3-style tables from the shell).
@@ -44,7 +44,7 @@ Examples
     python -m repro simulate --taxa 20 --sites 5000 --partition-length 1000 \
         --out data/d20_5000
     python -m repro analyze --alignment data/d20_5000.phy \
-        --partitions data/d20_5000.part --search --strategy new
+        --partitions data/d20_5000.part --search
     python -m repro replay --dataset d50_50000_p1000 --analysis search \
         --candidates 60
     python -m repro profile --workers 4 --partitions 10 --warmup \
@@ -90,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: single partition)")
     ana.add_argument("--tree", help="starting tree (Newick; default: "
                      "randomized stepwise-addition parsimony)")
-    ana.add_argument("--strategy", choices=("old", "new"), default="new")
+    ana.add_argument("--strategy", choices=("old", "new", "tree"), default="tree",
+                     help="old/newPAR, or tree: newPAR Brent with tree-wide "
+                     "branch smoothing and, with --search, lazy SPR "
+                     "scoring (default: %(default)s)")
     ana.add_argument("--branch-mode", choices=("joint", "per_partition"),
                      default="per_partition")
     ana.add_argument("--search", action="store_true",

@@ -579,8 +579,12 @@ def optimize_model(
     the schedule is captured — both oldPAR and newPAR accept it, since the
     policy only shapes how each recorded region is later split across
     threads, never the region sequence itself.
+
+    ``"tree"`` runs the Brent phases as ``"new"`` and smooths the
+    branches with the tree-wide sweep (:func:`optimize_branch_lengths`).
     """
-    _check_strategy(strategy)
+    _check_strategy(strategy, BRANCH_STRATEGIES)
+    brent = "new" if strategy == "tree" else strategy
     if distribution is not None:
         from ..parallel.distribution import DISTRIBUTIONS
 
@@ -594,14 +598,14 @@ def optimize_model(
         with engine.tracer.span("opt_round", cat="optimizer",
                                 round=round_idx, strategy=strategy):
             if include_rates:
-                optimize_rates(engine, strategy)
+                optimize_rates(engine, brent)
             if include_frequencies:
-                optimize_frequencies(engine, strategy)
-            optimize_alpha(engine, strategy)
+                optimize_frequencies(engine, brent)
+            optimize_alpha(engine, brent)
             if include_invariant:
-                optimize_pinv(engine, strategy)
+                optimize_pinv(engine, brent)
             if engine.branch_mode == "proportional":
-                optimize_scalers(engine, strategy)
+                optimize_scalers(engine, brent)
             if include_branches:
                 optimize_branch_lengths(engine, strategy, passes=branch_passes)
             new_lnl = engine.loglikelihood()

@@ -61,6 +61,7 @@ COMMAND_KINDS = {
     "lnl": "evaluate",
     "lnl_parts": "evaluate",
     "lnl_edges": "evaluate",
+    "lnl_regrafts": "evaluate",
     "prepare_edges": "sumtable",
     "deriv_edges": "derivative",
     "set_bl_edges": "control",

@@ -88,9 +88,10 @@ class BatchedNewton:
     def initial_point(self, z0: np.ndarray) -> np.ndarray:
         """The first point :meth:`run` evaluates derivatives at for this
         start — callers that fuse the opening derivative pass into a
-        preceding exchange (the worker team's prepare+deriv
-        :class:`~repro.parallel.program.Program`) must evaluate exactly
-        this point and hand the values back via ``first_eval``."""
+        preceding exchange (the ``prepare_edges`` + ``deriv_edges``
+        region of :func:`~repro.core.strategies.optimize_branch`) must
+        evaluate exactly this point and hand the values back via
+        ``first_eval``."""
         return np.clip(np.asarray(z0, dtype=np.float64), self.lower, self.upper)
 
     def run(

@@ -13,7 +13,6 @@ from .distribution import (
     pattern_weight,
 )
 from .engine import ParallelPLK, WorkerError
-from .program import Program
 from .shm import WorkerStatsPlane, live_segments
 from .worker import WorkerState, slice_partition_data
 
@@ -21,7 +20,6 @@ __all__ = [
     "DISTRIBUTIONS",
     "ParallelPLK",
     "PartitionLayout",
-    "Program",
     "WorkerError",
     "WorkerState",
     "WorkerStatsPlane",

@@ -149,7 +149,7 @@ _PHASE_IDLE, _PHASE_BUSY = 0.0, 1.0
 STAT_OPS = (
     "?", "lnl", "lnl_parts", "lnl_edges", "release",
     "prepare_edges", "deriv_edges", "set_bl_edges", "set_alpha_vec",
-    "set_models", "set_pinvs", "prog", "stall", "die",
+    "set_models", "set_pinvs", "prog", "stall", "die", "lnl_regrafts",
 )
 
 _OP_CODES = {op: i for i, op in enumerate(STAT_OPS)}

@@ -10,6 +10,13 @@ partial result (a partial log-likelihood or partial derivative sums),
 which the master reduces.  One command == one region of the simulator's
 vocabulary.
 
+Many commands can travel as ONE broadcast: the master sends
+``("prog", steps)``, each worker executes the steps back to back over its
+private pattern slice and returns one partial result per step, and the
+collective completion of that exchange is the only barrier.  Worker-side
+results are reduction-ready partials, so the master reduces exactly as it
+would for ``len(steps)`` separate broadcasts.
+
 A worker may own ZERO patterns of a short partition (the paper's
 ``m'_p < T`` worst case): that member of its stack is all padding at
 weight 0 and contributes exactly 0 to every reduction — it simply idles
@@ -29,7 +36,15 @@ from ..plk.tree import Tree
 from .distribution import DISTRIBUTIONS, block_indices, cyclic_indices
 from .shm import WorkerStatsWriter
 
-__all__ = ["slice_partition_data", "WorkerState"]
+__all__ = ["WIRE_VERSION", "slice_partition_data", "WorkerState"]
+
+#: Version of the master<->worker wire protocol: the command vocabulary
+#: (the ``_cmd_*`` methods of :class:`WorkerState`), the ``("prog",
+#: steps)`` fusion format and the pickled ``(tag, payload, busy)`` reply.
+#: Documented as a protocol reference in ``docs/ARCHITECTURE.md``; bump on
+#: any incompatible change to the command vocabulary or reply framing
+#: (adding a command is compatible).
+WIRE_VERSION = 4
 
 # Captured at import (pre-fork): lets ``_cmd_die`` distinguish a forked
 # process child (hard ``os._exit``) from a state executed in the master
@@ -131,6 +146,8 @@ class WorkerState:
             return self._patterns(cmd[2])
         if op == "prepare_edges":  # (op, edges, partitions)
             return len(cmd[1]) * self._patterns(cmd[2])
+        if op == "lnl_regrafts":  # (op, prune_edge, targets)
+            return len(cmd[2]) * self._total_patterns
         if op in ("deriv_edges", "lnl_edges"):  # (op, z, (E, P) lane mask)
             if cmd[2] is None:  # every prepared lane
                 return 0 if self._slot is None else self._slot[1]
@@ -174,6 +191,11 @@ class WorkerState:
     def _cmd_lnl_parts(self, root_edge: int, active: list[int] | None) -> np.ndarray:
         """Partial per-partition log-likelihoods for the active set."""
         return self.stacks.loglikelihoods(root_edge, active)
+
+    def _cmd_lnl_regrafts(self, prune_edge: int, targets: list[int]) -> np.ndarray:
+        """Partial ``(T, P)`` lazy-SPR log-likelihoods of regrafting the
+        subtree on ``prune_edge`` into each target edge."""
+        return self.stacks.regraft_loglikelihoods(prune_edge, targets)
 
     # -- branch-length machinery ------------------------------------------
 

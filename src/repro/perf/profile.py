@@ -56,8 +56,8 @@ class CommandRecord:
         Per-worker ``execute()`` seconds, length ``n_workers``.
     n_commands:
         Worker commands this broadcast executed — 1 for a plain command,
-        ``len(steps)`` for a fused :class:`~repro.parallel.program.Program`
-        (one region/barrier amortized over several commands).
+        ``len(steps)`` for a fused ``("prog", steps)`` program (one
+        region/barrier amortized over several commands).
     """
 
     op: str

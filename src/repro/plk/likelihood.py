@@ -221,6 +221,19 @@ class PartitionLikelihood:
         self._p_epoch = np.full((tree.n_edges, n), -1, dtype=np.int64)
         self._n_taxa = tree.n_taxa
         self._subsets: dict[int, np.ndarray] = {}
+        # Outside (pre-order) CLVs of the lazy SPR scorer, one per node,
+        # allocated by the first regraft_loglikelihoods call.  Entry x
+        # holds the conditional of everything but x's subtree, at x's
+        # parent, in the tree pruned at the last prune edge scored.
+        # _changes counts invalidations (every topology, length or
+        # parameter change clears inner CLV bits through _invalidate);
+        # the outside bits are per (node, member) and hold while
+        # (prune edge, _changes) is the key they were computed under.
+        self._changes = 0
+        self._outside: np.ndarray | None = None
+        self._outside_scale: np.ndarray | None = None
+        self._outside_key: tuple[int, int] | None = None
+        self._outside_bits: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Active sets
@@ -390,6 +403,7 @@ class PartitionLikelihood:
             self._invalidate([node], self._mask(active))
 
     def _invalidate(self, nodes, mask: int) -> None:
+        self._changes += 1
         keep = ~mask
         for node in nodes:
             valid = self._valid[node]
@@ -427,16 +441,22 @@ class PartitionLikelihood:
             members = np.flatnonzero(cols)
             block, keys = np.ix_(members, edges), np.ix_(edges, members)
             lengths = lengths[:, members]
-        t = np.minimum(np.maximum(lengths, kernel.MIN_BRANCH), kernel.MAX_BRANCH).T
-        expl = np.exp(
-            (t[:, :, np.newaxis] * self.rates[members][:, np.newaxis, :])[..., np.newaxis]
-            * self._eigenvalues[members][:, np.newaxis, np.newaxis, :]
-        )                                                           # (P', E', K, s)
-        n, e, k, s = expl.shape
-        pt = np.matmul(expl.reshape(n, e * k, s), self._pt_basis[members])
-        self._pmat[block] = pt.reshape(n, e, k, s, s)
+        self._pmat[block] = np.swapaxes(self._transitions_at(lengths, members), 0, 1)
         self._p_length[keys] = lengths
         self._p_epoch[keys] = self._epoch[members]
+
+    def _transitions_at(self, lengths: np.ndarray, sel) -> np.ndarray:
+        """``(L, A, K, s, s)`` P(t)^T at the ``(L, A)`` lengths of the
+        members ``sel`` (a slice or index array), uncached: one exp and
+        one GEMM per member, with the lengths and categories as rows."""
+        t = np.minimum(np.maximum(lengths, kernel.MIN_BRANCH), kernel.MAX_BRANCH).T
+        expl = np.exp(
+            (t[:, :, np.newaxis] * self.rates[sel][:, np.newaxis, :])[..., np.newaxis]
+            * self._eigenvalues[sel][:, np.newaxis, np.newaxis, :]
+        )                                                           # (A, L, K, s)
+        n, e, k, s = expl.shape
+        pt = np.matmul(expl.reshape(n, e * k, s), self._pt_basis[sel])
+        return np.swapaxes(pt.reshape(n, e, k, s, s), 0, 1)
 
     def _child(self, node: int, sel) -> tuple[np.ndarray, np.ndarray | None]:
         """CLV (or tip matrix) plus scaling counter of the selected members."""
@@ -559,6 +579,134 @@ class PartitionLikelihood:
         mask = self._mask(slot)
         self._refresh(root_edge, mask)
         return self._root_logs(root_edge, self._select(mask))[: self.widths[slot]]
+
+    # ------------------------------------------------------------------
+    # Lazy SPR: every regraft of one prune edge in one call
+    # ------------------------------------------------------------------
+
+    def _members(self, mask: int):
+        """:meth:`_select` with the member axis kept (one member is a
+        one-long slice)."""
+        sel = self._select(mask)
+        return slice(sel, sel + 1) if isinstance(sel, int) else sel
+
+    def regraft_loglikelihoods(self, prune_edge: int, targets, active=None) -> np.ndarray:
+        """``(T, A)`` log-likelihoods of regrafting the subtree that hangs
+        on ``prune_edge`` into each edge of ``targets`` (edges of the
+        pruned tree, e.g. :func:`~repro.search.moves.spr_targets`), at
+        RAxML's lazy lengths: the target edge split in half, the pruned
+        edge keeping its length, the two edges the prune fuses summed.
+
+        One post-order pass (the CLVs oriented toward ``prune_edge``) and
+        one pre-order pass over the pruned tree (the outside CLVs, only as
+        far as the targets reach) give both directional CLVs of every
+        target edge; the targets are then scored in ONE kernel call over
+        a ``(targets, members)`` axis.  The tree is not modified."""
+        mask = self._mask(active)
+        sel = self._members(mask)
+        tree = self.tree
+        s, a = tree.edge_nodes(prune_edge)
+        if tree.is_leaf(a):
+            s, a = a, s
+        self._refresh(prune_edge, mask)
+        parent = tree.orientation(prune_edge)
+        children = [x if parent[x] == y else y for x, y in map(tree.edge_nodes, targets)]
+        computed = self._refresh_outside(prune_edge, a, parent, children, mask)
+
+        lengths = self.lengths[:, sel]
+        half = self._transitions_at(lengths[list(targets)] / 2.0, sel)  # (T, A, K, s, s)
+        shape = half.shape[:-2] + (self.width, self.states)
+        down = np.empty(shape)
+        down_scale = np.zeros(shape[:2] + (self.width,), dtype=np.int32)
+        for i, x in enumerate(children):
+            if x < self._n_taxa:
+                down[i] = self._tips[x][sel][:, np.newaxis]
+            else:
+                down[i] = self._clv[x][sel]
+                down_scale[i] = self._scale[x][sel]
+        index = (children, sel) if isinstance(sel, slice) else np.ix_(children, sel)
+        insert, scale = kernel.newview(
+            half, down, down_scale, half, self._outside[index], self._outside_scale[index],
+            transposed=True,
+        )
+        sub, sub_scale = self._child(s, sel)
+        site = kernel.root_site_likelihoods(
+            self._transition(prune_edge, sel), insert, sub, self._frequencies[sel],
+            transposed=True,
+        )
+        scale = kernel.combine_scales(scale, sub_scale)
+        logs = self._mixed(
+            sel,
+            lambda: kernel.scaled_log_likelihoods(site, scale),
+            lambda pinv, inv: kernel.mix_invariant_loglikelihoods(site, scale, pinv, inv),
+        )
+        if self.recorder is not None:
+            for i in self._slots(mask).tolist():
+                n, p = int(self.widths[i]), self.indices[i]
+                self.recorder.newview(p, n, computed[i] + len(children))
+                for _ in children:
+                    self.recorder.evaluate(p, n)
+        return kernel.weighted_log_sum(self._weights[sel], logs)
+
+    def _refresh_outside(self, prune_edge: int, a: int, parent, children, mask: int) -> np.ndarray:
+        """Make the outside CLV of every node in ``children`` (and of its
+        ancestors up to the fused edge) valid for the members of ``mask``
+        in the tree pruned at ``prune_edge`` (junction ``a``, dissolved;
+        ``parent`` is the orientation toward ``prune_edge``).  Returns
+        the per-member number of outside CLVs computed."""
+        tree = self.tree
+        if self._outside is None:
+            n, k, m, s = self.n_slots, self.categories, self.width, self.states
+            self._outside = np.empty((tree.n_nodes, n, k, m, s))
+            self._outside_scale = np.zeros((tree.n_nodes, n, m), dtype=np.int32)
+        key = (prune_edge, self._changes)
+        if self._outside_key != key:
+            self._outside_key = key
+            self._outside_bits = {}
+        b, c = (nb for nb in tree.neighbors(a) if parent[nb] == a)
+        order: list[int] = []  # ancestors first
+        seen = {b, c}
+        for child in children:
+            if child in (b, c):
+                raise ValueError(f"a target of prune edge {prune_edge} is next to its junction")
+            chain = []
+            node = child
+            while node not in seen:
+                if parent[node] < 0:
+                    raise ValueError(f"a target of prune edge {prune_edge} is in its subtree")
+                seen.add(node)
+                chain.append(node)
+                node = int(parent[node])
+            order.extend(reversed(chain))
+
+        counts = np.zeros(self.n_slots, dtype=np.int64)
+        bits = self._outside_bits
+        for x in order:
+            need = mask & ~bits.get(x, 0)
+            if not need:
+                continue
+            sel = self._members(need)
+            y = int(parent[x])
+            up = int(parent[y])
+            sib = next(nb for nb in tree.neighbors(y) if nb != x and nb != up)
+            if up == a:
+                # The prune fuses (a, b) and (a, c) into one edge b-c.
+                mate = c if y == b else b
+                fused = self.lengths[tree.edge_between(a, b), sel] + self.lengths[
+                    tree.edge_between(a, c), sel]
+                p_up = self._transitions_at(fused[np.newaxis], sel)[0]
+                up_clv, up_scale = self._child(mate, sel)
+            else:
+                p_up = self._transition(tree.edge_between(y, up), sel)
+                up_clv, up_scale = self._outside[y][sel], self._outside_scale[y][sel]
+            sib_clv, sib_scale = self._child(sib, sel)
+            self._outside[x][sel], self._outside_scale[x][sel] = kernel.newview(
+                self._transition(tree.edge_between(y, sib), sel), sib_clv, sib_scale,
+                p_up, up_clv, up_scale, transposed=True,
+            )
+            bits[x] = bits.get(x, 0) | need
+            counts[sel] += 1
+        return counts
 
     # ------------------------------------------------------------------
     # Branch-length machinery (Newton-Raphson support)

@@ -152,6 +152,15 @@ class PartitionStacks:
             out[parts] = stack.loglikelihoods(root_edge, sub)
         return out
 
+    def regraft_loglikelihoods(self, prune_edge: int, targets) -> np.ndarray:
+        """``(T, P)`` lazy-SPR log-likelihoods of regrafting the subtree on
+        ``prune_edge`` into each target edge (one call per stack; see
+        :meth:`~repro.plk.likelihood.PartitionLikelihood.regraft_loglikelihoods`)."""
+        out = np.zeros((len(targets), self.n_partitions))
+        for stack, members in zip(self.stacks, self._members):
+            out[:, members] = stack.regraft_loglikelihoods(prune_edge, targets)
+        return out
+
     def prepare_edges(self, edges, active=None) -> list[EdgeWorkspace | None]:
         """One edge-stacked workspace per stack (None where no member is
         active)."""

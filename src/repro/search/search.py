@@ -8,7 +8,10 @@ Newton-Raphson work whose per-partition imbalance the paper studies) with
 smoothing).  The optimization strategy ("old" per-partition vs "new"
 simultaneous) threads through every optimizer call, so a search run
 recorded with a :class:`~repro.core.trace.TraceRecorder` captures the full
-oldPAR or newPAR schedule for the machine simulator.
+oldPAR or newPAR schedule for the machine simulator.  ``"tree"`` (the
+default of :func:`tree_search`) puts the regraft targets of a prune edge
+on one axis: all are scored at their lazy lengths in one region and only
+a short list is applied and smoothed.
 """
 from __future__ import annotations
 
@@ -17,17 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.engine import PartitionedEngine
-from ..core.strategies import (
-    optimize_alpha,
-    optimize_branch_lengths,
-    optimize_model,
-)
+from ..core.strategies import BRANCH_STRATEGIES, optimize_branch_lengths, optimize_model
 from .moves import nni_swap, spr_move, spr_targets
 
 __all__ = ["SearchResult", "spr_round", "nni_round", "tree_search"]
 
 #: minimum log-likelihood gain for accepting a topology move
 ACCEPT_EPS = 1e-3
+
+#: Regrafts per prune edge that ``strategy="tree"`` applies and smooths
+#: after scoring all of them at their lazy lengths (EXPERIMENTS.md LAZY
+#: SPR: the short-list sweep).
+SHORT_LIST = 2
 
 
 @dataclass
@@ -54,27 +58,28 @@ def spr_round(
     radius: int = 5,
     best_lnl: float | None = None,
     max_candidates: int | None = None,
-    accept: str = "first",
 ) -> tuple[float, int, int]:
     """One SPR sweep: try pruning every eligible branch and regrafting
-    within ``radius``.
+    within ``radius``; the first regraft of a prune edge that improves
+    the likelihood by more than :data:`ACCEPT_EPS` is kept.
 
-    Each candidate is scored after a 1-pass Newton-Raphson optimization of
-    the three branches around the insertion point (RAxML's lazy-SPR local
-    optimization), using the selected strategy.  ``max_candidates`` bounds
-    the number of evaluated rearrangements (used by the benchmark harness
-    to cap trace-capture cost on the 50,000-column datasets).
-
-    ``accept`` selects the acceptance policy per prune edge:
-    ``"first"`` (default) greedily keeps the first improving regraft;
-    ``"best"`` scores every regraft of the prune edge and applies the best
-    improvement (closer to RAxML's evaluate-all-then-apply behaviour,
-    costlier per sweep).
+    ``"old"`` and ``"new"`` score each candidate after a 1-pass
+    Newton-Raphson optimization of the three branches around the
+    insertion point (RAxML's lazy-SPR local optimization), using that
+    strategy.  ``"tree"`` scores every regraft of a prune edge at its
+    lazy lengths in one region (:func:`_lazy_prune`) and smooths only the
+    :data:`SHORT_LIST` best; with lengths shared across partitions (joint
+    and proportional modes) it walks the candidates as ``"new"`` does.
+    ``max_candidates`` bounds the number of evaluated rearrangements
+    (used by the benchmark harness to cap trace-capture cost on the
+    50,000-column datasets).
 
     Returns ``(lnl, accepted, evaluated)``.
     """
-    if accept not in ("first", "best"):
-        raise ValueError("accept must be 'first' or 'best'")
+    if strategy not in BRANCH_STRATEGIES:
+        raise ValueError(f"strategy must be one of {BRANCH_STRATEGIES}, got {strategy!r}")
+    lazy = strategy == "tree" and engine.branch_mode == "per_partition"
+    per_candidate = "new" if strategy == "tree" else strategy
     tree = engine.tree
     if best_lnl is None:
         best_lnl = engine.loglikelihood()
@@ -93,8 +98,17 @@ def spr_round(
             targets = spr_targets(tree, prune_edge, radius)
         except ValueError:
             continue
-        best_target: int | None = None
-        best_target_lnl = best_lnl
+        if lazy:
+            if max_candidates is not None:
+                targets = targets[: max_candidates - evaluated]
+            if not targets:
+                continue
+            evaluated += len(targets)
+            lnl = _lazy_prune(engine, prune_edge, targets, best_lnl)
+            if lnl is not None:
+                best_lnl = lnl
+                accepted += 1
+            continue
         for target in targets:
             if max_candidates is not None and evaluated >= max_candidates:
                 break
@@ -109,29 +123,50 @@ def spr_round(
                                     prune=int(prune_edge), target=int(target)):
                 engine.invalidate_topology(move.invalidate)
                 optimize_branch_lengths(
-                    engine, strategy, passes=1, edges=move.changed_edges
+                    engine, per_candidate, passes=1, edges=move.changed_edges
                 )
                 lnl = engine.loglikelihood(root_edge=target)
-            if accept == "first" and lnl > best_lnl + ACCEPT_EPS:
+            if lnl > best_lnl + ACCEPT_EPS:
                 best_lnl = lnl
                 accepted += 1
                 break  # re-derive targets for the changed topology
-            if accept == "best" and lnl > best_target_lnl + ACCEPT_EPS:
-                best_target = target
-                best_target_lnl = lnl
             move.undo()
             engine.invalidate_topology(move.invalidate)
             _restore_lengths(engine, move.changed_edges, saved)
-        if accept == "best" and best_target is not None:
-            # Re-apply the winning move (its branch lengths re-optimize).
-            move = spr_move(tree, prune_edge, best_target)
-            engine.invalidate_topology(move.invalidate)
-            optimize_branch_lengths(
-                engine, strategy, passes=1, edges=move.changed_edges
-            )
-            best_lnl = engine.loglikelihood(root_edge=best_target)
-            accepted += 1
     return best_lnl, accepted, evaluated
+
+
+def _lazy_prune(
+    engine: PartitionedEngine, prune_edge: int, targets: list[int], best_lnl: float
+) -> float | None:
+    """Score every regraft of ``prune_edge`` into ``targets`` at RAxML's
+    lazy lengths in ONE region (one kernel call per stack over a
+    ``(targets, partitions)`` axis), then apply the :data:`SHORT_LIST`
+    best, best first: each starts from its lazy lengths, has its three
+    branches smoothed by the per-branch ``"new"`` walk and is kept if it
+    beats ``best_lnl`` by more than :data:`ACCEPT_EPS`; otherwise it is
+    undone.  Returns the new lnL, or None when no candidate is kept."""
+    tree = engine.tree
+    (scores,) = engine.run("spr_lazy", [("lnl_regrafts", prune_edge, targets)])
+    totals = scores.sum(axis=1)
+    for i in np.argsort(-totals, kind="stable")[:SHORT_LIST].tolist():
+        target = targets[i]
+        saved = engine.branch_lengths()
+        move = spr_move(tree, prune_edge, target)
+        e_ab, e_ac, _ = edges = move.changed_edges
+        lazy = np.stack([saved[e_ab] + saved[e_ac], saved[target] / 2.0, saved[target] / 2.0])
+        with engine.tracer.span("spr", cat="search",
+                                prune=int(prune_edge), target=int(target)):
+            engine.invalidate_topology(move.invalidate)
+            engine.run("spr_lazy", [("set_bl_edges", edges, lazy, None)])
+            optimize_branch_lengths(engine, "new", passes=1, edges=edges)
+            lnl = engine.loglikelihood(root_edge=target)
+        if lnl > best_lnl + ACCEPT_EPS:
+            return lnl
+        move.undo()
+        engine.invalidate_topology(move.invalidate)
+        engine.run("spr_lazy", [("set_bl_edges", edges, saved[edges], None)])
+    return None
 
 
 def nni_round(
@@ -139,8 +174,9 @@ def nni_round(
     strategy: str = "new",
     best_lnl: float | None = None,
 ) -> tuple[float, int, int]:
-    """One NNI sweep over all internal edges (cheaper than SPR; used by
-    the quickstart example and as a refinement pass)."""
+    """One NNI sweep over all internal edges (cheaper than SPR; a
+    refinement pass for callers of their own — :func:`tree_search` runs
+    SPR only)."""
     tree = engine.tree
     if best_lnl is None:
         best_lnl = engine.loglikelihood()
@@ -177,27 +213,18 @@ def nni_round(
 
 def tree_search(
     engine: PartitionedEngine,
-    strategy: str = "new",
+    strategy: str = "tree",
     radius: int = 5,
     max_rounds: int = 10,
     epsilon: float = 0.1,
     model_rounds: int = 1,
-    moves: str = "spr",
     max_candidates: int | None = None,
-    accept: str = "first",
 ) -> SearchResult:
-    """Full ML tree search: alternate topology sweeps with model-parameter
-    optimization until the likelihood improves by less than ``epsilon``
-    per round (the structure of the paper's "full ML tree search"
-    experiment).
-
-    Parameters
-    ----------
-    moves:
-        ``"spr"`` (default), ``"nni"``, or ``"both"``.
-    """
-    if moves not in ("spr", "nni", "both"):
-        raise ValueError("moves must be 'spr', 'nni' or 'both'")
+    """Full ML tree search: alternate SPR sweeps (:func:`spr_round`) with
+    model-parameter optimization (:func:`~repro.core.strategies.
+    optimize_model`) until the likelihood improves by less than
+    ``epsilon`` per round (the structure of the paper's "full ML tree
+    search" experiment).  ``strategy`` threads through both phases."""
     lnl = optimize_model(
         engine, strategy, max_rounds=model_rounds, include_rates=True
     )
@@ -208,16 +235,9 @@ def tree_search(
     for rounds in range(1, max_rounds + 1):
         before = lnl
         with engine.tracer.span("search_round", cat="search", round=rounds):
-            if moves in ("spr", "both"):
-                lnl, acc, ev = spr_round(
-                    engine, strategy, radius, lnl, max_candidates, accept
-                )
-                total_accepted += acc
-                total_evaluated += ev
-            if moves in ("nni", "both"):
-                lnl, acc, ev = nni_round(engine, strategy, lnl)
-                total_accepted += acc
-                total_evaluated += ev
+            lnl, acc, ev = spr_round(engine, strategy, radius, lnl, max_candidates)
+            total_accepted += acc
+            total_evaluated += ev
             lnl = optimize_model(
                 engine, strategy, max_rounds=model_rounds, include_rates=False
             )

@@ -23,7 +23,7 @@ shutdown    --
 Versioning: ``PROTOCOL_VERSION`` covers this framing and op vocabulary
 (the daemon reports it in ``ping``); the *inner* master<->worker command
 vocabulary is versioned separately as
-:data:`repro.parallel.program.WIRE_VERSION` — both are documented in
+:data:`repro.parallel.worker.WIRE_VERSION` — both are documented in
 ``docs/ARCHITECTURE.md``.
 """
 from __future__ import annotations

@@ -52,7 +52,7 @@ class TestParser:
 
     def test_analyze_defaults(self):
         args = build_parser().parse_args(["analyze", "--alignment", "a.phy"])
-        assert args.strategy == "new"
+        assert args.strategy == "tree"
         assert args.branch_mode == "per_partition"
         assert not args.search
 

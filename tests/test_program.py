@@ -13,8 +13,7 @@ from repro.core.trace import describe_command
 from repro.obs import ConvergenceTelemetry, MetricsRegistry
 from repro.optimize import BatchedBrent, BatchedNewton
 from repro.optimize.newton import TREE_SWEEPS
-from repro.parallel import ParallelPLK, Program, slice_partition_data
-from repro.parallel.program import program_steps
+from repro.parallel import ParallelPLK, slice_partition_data
 from repro.parallel.worker import WorkerState
 from repro.plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
@@ -78,28 +77,6 @@ class TestDescribeCommand:
     def test_all_control_program(self):
         cmd = ("prog", (("release",), ("set_alpha_vec", None, None)))
         assert describe_command(cmd)[1] == "control"
-
-
-class TestProgramDataclass:
-    def test_wire_format_and_label(self):
-        prog = Program(steps=(("lnl", 0), ("release",)))
-        assert prog.command == ("prog", prog.steps)
-        assert prog.label == "prog(lnl+release)"
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Program(steps=())
-
-    def test_rejects_nesting_and_stop(self):
-        with pytest.raises(ValueError):
-            Program(steps=(("prog", (("lnl", 0),)),))
-        with pytest.raises(ValueError):
-            Program(steps=(("stop",),))
-
-    def test_program_steps(self):
-        assert program_steps(("lnl", 0)) == (("lnl", 0),)
-        steps = (("lnl", 0), ("release",))
-        assert program_steps(("prog", steps)) == steps
 
 
 class TestWorkerProgram:

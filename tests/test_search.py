@@ -103,10 +103,14 @@ class TestTreeSearch:
         start.validate()
 
     def test_bad_moves_arg(self, search_setup):
+        """The search is SPR only: ``moves=`` (and ``spr_round``'s
+        ``accept=``) are gone."""
         tree, lengths, data = search_setup
         engine = PartitionedEngine(data, tree.copy(), initial_lengths=lengths)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             tree_search(engine, moves="tbr")
+        with pytest.raises(TypeError):
+            spr_round(engine, "new", accept="best")
 
     def test_trace_capture_during_search(self, search_setup):
         """Searches emit well-formed region traces."""
@@ -119,45 +123,6 @@ class TestTreeSearch:
         trace = rec.finalize(engine.pattern_counts(), engine.states())
         assert trace.n_regions > 0
         assert all(region.items for region in trace.regions)
-
-
-class TestBestAcceptance:
-    def test_best_mode_improves(self, search_setup):
-        tree, lengths, data = search_setup
-        start = wrong_start(tree)
-        engine = PartitionedEngine(data, start, initial_lengths=lengths)
-        before = engine.loglikelihood()
-        lnl, accepted, evaluated = spr_round(
-            engine, "new", radius=3, accept="best"
-        )
-        assert lnl >= before - 1e-9
-        assert accepted >= 1
-        assert lnl == pytest.approx(engine.loglikelihood(), abs=1e-8)
-
-    def test_best_mode_recovers_truth(self, search_setup):
-        tree, lengths, data = search_setup
-        start = wrong_start(tree)
-        engine = PartitionedEngine(data, start, initial_lengths=lengths)
-        spr_round(engine, "new", radius=3, accept="best")
-        assert start.robinson_foulds(tree) == 0
-
-    def test_best_never_below_first(self, search_setup):
-        """Per sweep, evaluating all targets cannot do worse than greedy
-        first-improvement."""
-        tree, lengths, data = search_setup
-        results = {}
-        for policy in ("first", "best"):
-            start = wrong_start(tree)
-            engine = PartitionedEngine(data, start, initial_lengths=lengths)
-            lnl, *_ = spr_round(engine, "new", radius=3, accept=policy)
-            results[policy] = lnl
-        assert results["best"] >= results["first"] - 1e-6
-
-    def test_bad_policy(self, search_setup):
-        tree, lengths, data = search_setup
-        engine = PartitionedEngine(data, tree.copy(), initial_lengths=lengths)
-        with pytest.raises(ValueError, match="accept"):
-            spr_round(engine, "new", accept="random")
 
 
 class TestReturnedLikelihoodIsTheEngines:
@@ -182,9 +147,9 @@ class TestReturnedLikelihoodIsTheEngines:
         lnl, _, _ = nni_round(engine, "new")
         assert engine.loglikelihood() == pytest.approx(lnl, rel=1e-9)
 
-    @pytest.mark.parametrize("accept", ["first", "best"])
-    def test_spr_round(self, parsimony_setup, accept):
+    @pytest.mark.parametrize("strategy", ["new", "tree"])
+    def test_spr_round(self, parsimony_setup, strategy):
         data, start = parsimony_setup
         engine = PartitionedEngine(data, start.copy())
-        lnl, _, _ = spr_round(engine, "new", radius=2, accept=accept)
+        lnl, _, _ = spr_round(engine, strategy, radius=2)
         assert engine.loglikelihood() == pytest.approx(lnl, rel=1e-9)
