@@ -1,16 +1,19 @@
 """LIVE — Overhead gate for the live telemetry plane.
 
 The live plane's contract is "observability you can leave on": every
-broadcast pays one flight-recorder event pair on the master plus one
-seqlock-guarded stats-row update per worker — all O(1) appends and a
-handful of raw memoryview stores.  Two instruments gate that contract:
+broadcast pays the live sink on the master (the exchange record handed
+to :meth:`~repro.obs.live.LiveTelemetry.on_exchange`, one flight event)
+plus one seqlock-guarded stats-row update per worker — all O(1) appends
+and a handful of raw memoryview stores.  Two instruments gate that
+contract:
 
 *Instrument cost vs broadcast cost* (the hard <2% gate) — the exact
-per-broadcast instrument cost is measured in isolation (the recorder
-event pair; the writer's begin/done/wait cycle, counted once per
-worker) and compared against the measured per-broadcast wall time of a
-compute-bound likelihood workload with the plane OFF.  Both quantities
-are stable on a shared host, so this is the assertion that survives CI.
+per-broadcast instrument cost is measured in isolation (the building of
+the exchange record plus the live sink; the writer's begin/done/wait
+cycle, counted once per worker) and compared against the measured
+per-broadcast wall time of a compute-bound likelihood workload with the
+plane OFF.  Both quantities are stable on a shared host, so this is the
+assertion that survives CI.
 
 *End-to-end paired runs* (reported, sanity-bounded) — the same workload
 with the plane enabled and disabled, interleaved round-robin.  On an
@@ -69,18 +72,24 @@ def _round_seconds(team):
 
 
 def instrument_cost_seconds():
-    """Measured per-broadcast instrument cost: the master's two flight
-    events plus every worker's begin/done/wait stats cycle."""
+    """Measured per-broadcast instrument cost: the master's exchange
+    record and live sink plus every worker's begin/done/wait stats
+    cycle."""
+    from repro.core.trace import describe_command
     from repro.obs.live import LiveTelemetry
     from repro.parallel.shm import WorkerStatsPlane, WorkerStatsWriter
+    from repro.perf import CommandRecord
 
     n = 20_000
     live = LiveTelemetry()
+    cmd, busy = ("lnl", 0), [1e-3] * WORKERS
     t0 = time.perf_counter()
     for _ in range(n):
-        live.record("dispatch", op="lnl", kind="evaluate", n_commands=1)
-        live.record("barrier_exit", op="lnl", kind="evaluate", wall=1e-3)
-    recorder_pair = (time.perf_counter() - t0) / n
+        start = time.perf_counter()
+        wall = time.perf_counter() - start
+        op, kind, n_cmds = describe_command(cmd)
+        live.on_exchange(CommandRecord(op, kind, wall, tuple(busy), n_cmds), start)
+    live_sink = (time.perf_counter() - t0) / n
 
     plane = WorkerStatsPlane(1)
     writer = WorkerStatsWriter(plane.row(0), 0)
@@ -91,12 +100,12 @@ def instrument_cost_seconds():
         writer.wait(1e-4)
     writer_cycle = (time.perf_counter() - t0) / n
     plane.close()
-    return recorder_pair, writer_cycle
+    return live_sink, writer_cycle
 
 
 @pytest.mark.timeout(600)
 def test_live_plane_overhead_under_budget(results_dir):
-    from repro.obs.live import LiveTelemetry, NullLiveTelemetry
+    from repro.obs.live import LiveTelemetry
 
     data, tree, lengths, models, alphas = build()
     before = live_segments()
@@ -111,7 +120,7 @@ def test_live_plane_overhead_under_budget(results_dir):
     with team(None) as off, team(live) as on:
         # exactly one extra segment for the enabled arm, zero for the
         # disabled one
-        assert isinstance(off.live, NullLiveTelemetry)
+        assert off.live is None
         assert off._stats_plane is None
         assert len(live_segments()) == len(before) + 1
         for arm in (off, on):  # warm caches and code paths
@@ -123,8 +132,8 @@ def test_live_plane_overhead_under_budget(results_dir):
     # teardown is exact: no stats plane (or anything else) left behind
     assert live_segments() == before
 
-    recorder_pair, writer_cycle = instrument_cost_seconds()
-    instrument = recorder_pair + WORKERS * writer_cycle
+    live_sink, writer_cycle = instrument_cost_seconds()
+    instrument = live_sink + WORKERS * writer_cycle
     broadcast = min(off_rounds) / CALLS_PER_ROUND
     instrument_ratio = instrument / broadcast
 
@@ -138,7 +147,7 @@ def test_live_plane_overhead_under_budget(results_dir):
         f"{WORKERS} worker processes, {N_PARTS}x{PART_LEN} sites",
         f"  per-broadcast compute (live off): {broadcast * 1e6:8.1f} us",
         f"  instrument cost: {instrument * 1e6:6.2f} us "
-        f"(recorder pair {recorder_pair * 1e6:.2f} + "
+        f"(live sink {live_sink * 1e6:.2f} + "
         f"{WORKERS} x writer cycle {writer_cycle * 1e6:.2f})",
         f"  instrument overhead: {instrument_ratio * 100:.3f}%  "
         f"(budget {INSTRUMENT_BUDGET:.0%})",

@@ -643,7 +643,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         events = tracer_to_chrome(tracer, run_config={
             "backend": team.backend, "n_workers": team.n_workers,
             "distribution": team.distribution, "strategy": args.strategy,
-            "live": team.live.enabled,
+            "live": team.live is not None,
         })
         print(ascii_timeline(tracer, width=args.width))
         snap = metrics.snapshot()

@@ -1,28 +1,35 @@
 """Observability for analysis runs: span tracing, metrics, convergence
 telemetry and timeline export.
 
-Four composable pieces, each with a zero-overhead null default (mirroring
-:class:`~repro.perf.profiler.NullProfiler`):
+Four composable pieces, each off by default:
 
-* :class:`Tracer` / :class:`NullTracer` — timestamped spans for every
-  optimizer round, lock-step iteration, broadcast and SPR move, on a
-  master lane plus synthesized worker lanes;
-* :class:`MetricsRegistry` / :class:`NullMetrics` — thread-safe counters,
-  gauges and histograms (broadcasts by kind, barrier-wait distribution),
-  snapshotable to JSON;
-* :class:`ConvergenceTelemetry` / :class:`NullTelemetry` — the paper's
-  per-partition convergence boolean vector recorded per iteration;
+* :class:`Tracer` — timestamped spans for every optimizer round,
+  lock-step iteration, broadcast and SPR move, on a master lane plus one
+  lane per worker;
+* :class:`MetricsRegistry` — thread-safe counters, gauges and histograms
+  (broadcasts by kind, barrier-wait distribution), snapshotable to JSON;
+* :class:`ConvergenceTelemetry` — the paper's per-partition convergence
+  boolean vector recorded per iteration;
 * exporters — Chrome trace-event JSON (loadable in Perfetto) and an ASCII
   terminal timeline, from live traces, measured RunProfiles, or simulated
   SimulationResults.
+
+The null stand-ins (:class:`NullTracer`, :class:`NullMetrics`,
+:class:`NullTelemetry`) let instrumented code skip its guard where it is
+not hot.  On a worker team there is one exchange path
+(:meth:`repro.parallel.ParallelPLK._broadcast`): every broadcast is
+clocked once, and each attached observer — the tracer, the metrics
+(:class:`~repro.obs.metrics.ExchangeMetrics`), a
+:class:`~repro.perf.Profiler` and the live plane — receives the same one
+:class:`~repro.perf.CommandRecord`.
 
 A fifth, RUNTIME piece lives in :mod:`repro.obs.live` (``live=True`` on
 :class:`~repro.parallel.ParallelPLK`): per-worker shared-memory heartbeat
 rows, a :class:`~repro.obs.live.HealthMonitor` for stall detection and
 live imbalance, a :class:`~repro.obs.live.FlightRecorder` ring buffer
-that dumps a JSONL post-mortem on worker death, Prometheus/JSONL
-streaming exporters and the ``repro top`` dashboard — see
-``docs/OBSERVABILITY.md`` for the two-tier overview.
+(one ``exchange`` event per broadcast) that dumps a JSONL post-mortem on
+worker death, Prometheus/JSONL streaming exporters and the ``repro top``
+dashboard — see ``docs/OBSERVABILITY.md`` for the two-tier overview.
 
 See the README's "Observability" section for a walkthrough and
 ``python -m repro timeline --help`` for the CLI entry point.
@@ -42,9 +49,7 @@ from .live import (
     HealthMonitor,
     HealthReport,
     LiveTelemetry,
-    NullFlightRecorder,
     NullHealthMonitor,
-    NullLiveTelemetry,
     WorkerSample,
     render_dashboard,
     sample_plane,
@@ -67,12 +72,10 @@ __all__ = [
     "ConvergenceTelemetry",
     "NullTelemetry",
     "LiveTelemetry",
-    "NullLiveTelemetry",
     "HealthMonitor",
     "NullHealthMonitor",
     "HealthReport",
     "FlightRecorder",
-    "NullFlightRecorder",
     "WorkerSample",
     "sample_plane",
     "render_dashboard",

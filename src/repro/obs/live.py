@@ -15,7 +15,7 @@ story with it.  This module is the runtime tier:
   and feeds :func:`~repro.parallel.distribution.imbalance_ratio` with
   *measured-so-far* busy seconds for a live imbalance gauge;
 * :class:`FlightRecorder` — a bounded ring buffer of structured events
-  (program dispatch, barrier exit, stalls, worker death)
+  (one ``exchange`` per broadcast, stalls, worker death)
   that survives the crash it describes: when a worker dies or a
   :class:`~repro.parallel.engine.WorkerError` propagates,
   :class:`LiveTelemetry` dumps it as a post-mortem JSONL file;
@@ -25,9 +25,10 @@ story with it.  This module is the runtime tier:
 * :func:`render_dashboard` — the per-worker ASCII lanes behind
   ``repro top``.
 
-Every class has a ``Null*`` counterpart mirroring
-:class:`~repro.obs.tracer.NullTracer`: the plane is off by default and
-costs one attribute read on the hot path when disabled.
+The plane is off by default: the engine then holds ``live=None``,
+creates no shared-memory segment and hands it no records.
+:class:`NullHealthMonitor` stands in for the monitor of a plane that is
+not bound.
 
 Imports reference :mod:`repro.parallel` SUBMODULES only (``shm``,
 ``distribution``); the package itself would be circular — ``repro.parallel``
@@ -60,12 +61,10 @@ __all__ = [
     "WorkerSample",
     "sample_plane",
     "FlightRecorder",
-    "NullFlightRecorder",
     "HealthMonitor",
     "NullHealthMonitor",
     "HealthReport",
     "LiveTelemetry",
-    "NullLiveTelemetry",
     "render_dashboard",
 ]
 
@@ -163,8 +162,6 @@ class FlightRecorder:
     shows the moments before the failure, however long the run.
     """
 
-    enabled = True
-
     def __init__(self, capacity: int = 512):
         if capacity < 1:
             raise ValueError("need capacity >= 1")
@@ -183,7 +180,7 @@ class FlightRecorder:
 
     def _append(self, event: str, fields: dict) -> tuple:
         # record() without re-packing the fields, returning the stored
-        # entry: LiveTelemetry calls this twice per broadcast and streams
+        # entry: LiveTelemetry calls this once per broadcast and streams
         # the entry.
         t = time.time()
         with self._lock:
@@ -208,28 +205,6 @@ class FlightRecorder:
         with open(path, "w") as fh:
             for entry in events:
                 fh.write(json.dumps(entry) + "\n")
-        return path
-
-
-class NullFlightRecorder:
-    """Discards everything; the zero-overhead default."""
-
-    enabled = False
-    capacity = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def record(self, event: str, **fields) -> None:
-        return None
-
-    def events(self) -> list[dict]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def dump(self, path: str) -> str:
         return path
 
 
@@ -270,14 +245,14 @@ class HealthMonitor:
         self,
         plane: WorkerStatsPlane,
         stall_threshold: float = 5.0,
-        recorder: FlightRecorder | NullFlightRecorder | None = None,
+        recorder: FlightRecorder | None = None,
         metrics=None,
     ):
         if stall_threshold <= 0.0:
             raise ValueError("stall_threshold must be positive")
         self.plane = plane
         self.stall_threshold = float(stall_threshold)
-        self.recorder = recorder if recorder is not None else NullFlightRecorder()
+        self.recorder = recorder
         self.metrics = metrics
         # Ranks already reported stalled, so a wedged worker produces one
         # flight event per episode, not one per poll.
@@ -311,11 +286,12 @@ class HealthMonitor:
             if rank not in self._reported:
                 self._reported.add(rank)
                 sample = samples[rank]
-                self.recorder.record(
-                    "stall", rank=rank, op=sample.op,
-                    heartbeat_age=round(sample.heartbeat_age, 6),
-                    threshold=self.stall_threshold,
-                )
+                if self.recorder is not None:
+                    self.recorder.record(
+                        "stall", rank=rank, op=sample.op,
+                        heartbeat_age=round(sample.heartbeat_age, 6),
+                        threshold=self.stall_threshold,
+                    )
         self._reported.intersection_update(stalled)
         if self.metrics is not None and self.metrics.enabled:
             self.metrics.gauge("live.imbalance").set(ratio)
@@ -374,18 +350,18 @@ class LiveTelemetry:
     :meth:`bind` it to the worker-stats plane it creates before the team
     starts.  From then on:
 
-    * every broadcast records ``dispatch`` / ``barrier_exit`` events in
-      the :class:`FlightRecorder` ring buffer (and, when ``events_path``
-      is set, appends them to a JSONL stream);
+    * every broadcast's record lands as ONE ``exchange`` event (op, kind,
+      commands, wall) in the :class:`FlightRecorder` ring buffer (and,
+      when ``events_path`` is set, on a JSONL stream) —
+      :meth:`on_exchange`;
     * :meth:`monitor` hands out the bound :class:`HealthMonitor`;
-    * a worker death or error triggers :meth:`postmortem`, dumping the
-      ring buffer as JSONL next to the run.
+    * a worker death or error records the in-flight op and triggers
+      :meth:`postmortem`, dumping the ring buffer as JSONL next to the
+      run — :meth:`on_worker_error`.
 
     The engine owns the plane's lifecycle; :meth:`close` only releases
     the event stream.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -434,6 +410,23 @@ class LiveTelemetry:
         entry = self.recorder._append(event, fields)
         if self.events_path is not None:
             self._stream(_event_dict(entry))
+
+    def on_exchange(self, record, start: float) -> None:
+        """One broadcast's :class:`~repro.perf.CommandRecord` as one
+        ``exchange`` flight event."""
+        self.record("exchange", op=record.op, kind=record.kind,
+                    n_commands=record.n_commands, wall=record.wall)
+
+    def on_worker_error(self, op: str, exc) -> None:
+        """A :class:`~repro.parallel.engine.WorkerError` during ``op``:
+        record it and dump the post-mortem.  An ``EOFError``/``OSError``
+        original means the process died outright (``worker_death``);
+        anything else is a worker-side exception shipped back
+        (``worker_error``)."""
+        died = isinstance(exc.original, (EOFError, OSError))
+        event = "worker_death" if died else "worker_error"
+        self.record(event, rank=exc.rank, op=op, error=repr(exc.original))
+        self.postmortem(reason=event, rank=exc.rank)
 
     def postmortem(self, reason: str, rank: int | None = None) -> str | None:
         """Dump the flight recorder as a JSONL post-mortem file.
@@ -528,51 +521,6 @@ class LiveTelemetry:
                 self._events_fh = open(self.events_path, "a")
             self._events_fh.write(json.dumps(entry) + "\n")
             self._events_fh.flush()
-
-
-class NullLiveTelemetry:
-    """No live plane; the zero-cost default (``live=None``).
-
-    The engine's hot path pays one ``live.enabled`` attribute read; no
-    shared-memory segment is created, nothing is recorded.
-    """
-
-    enabled = False
-    plane = None
-    metrics = None
-    run_config: dict = {}
-    recorder = NullFlightRecorder()
-    last_postmortem = None
-
-    def bind(self, plane, metrics=None, run_config=None) -> "NullLiveTelemetry":
-        return self
-
-    def record(self, event: str, **fields) -> None:
-        return None
-
-    def postmortem(self, reason: str, rank: int | None = None) -> None:
-        return None
-
-    def monitor(self) -> NullHealthMonitor:
-        return NullHealthMonitor()
-
-    def sample(self) -> list[WorkerSample]:
-        return []
-
-    def stalled(self) -> list[int]:
-        return []
-
-    def imbalance(self) -> float:
-        return 1.0
-
-    def prometheus(self) -> str:
-        return ""
-
-    def dashboard(self, width: int = 78) -> str:
-        return ""
-
-    def close(self) -> None:
-        pass
 
 
 # -- dashboard rendering -------------------------------------------------

@@ -7,7 +7,9 @@ summarized or shipped to any metrics sink as one JSON snapshot.
 
 Instruments are created on first use (``registry.counter("x").inc()``)
 and every mutation is lock-protected, because the service's executor
-threads share one registry and publish concurrently.  :class:`NullMetrics`
+threads share one registry and publish concurrently.  The instruments
+of one registry share its lock, so :class:`ExchangeMetrics` publishes a
+whole exchange under one acquisition.  :class:`NullMetrics`
 is the zero-overhead default: hot paths guard with
 ``if metrics.enabled:`` and never reach a method call.
 """
@@ -23,6 +25,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullMetrics",
+    "ExchangeMetrics",
     "DEFAULT_BUCKETS",
     "ITERATION_BUCKETS",
 ]
@@ -33,6 +36,10 @@ DEFAULT_BUCKETS = tuple(10.0 ** (e / 2.0) for e in range(-13, 3))
 
 #: Bucket bounds for optimizer iteration counts (1 .. max_iter-ish).
 ITERATION_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 100.0)
+
+#: Bucket bounds for the commands-per-barrier histogram (a plain command
+#: is 1; the fused optimizer programs land at 2-3; headroom above).
+COMMANDS_PER_BARRIER_BUCKETS = (1.5, 2.5, 3.5, 4.5, 6.5, 8.5, 16.5)
 
 
 class Counter:
@@ -104,13 +111,19 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = bisect_right(self.bounds, value)
         with self._lock:
-            self._counts[idx] += 1
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+            self._add(value)
+
+    def _add(self, value: float) -> None:
+        # The caller holds the lock.  Comparisons, not min()/max(): this
+        # runs once per worker and exchange on a metered team.
+        self._counts[bisect_right(self.bounds, value)] += 1
+        self._count += 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     @property
     def count(self) -> int:
@@ -204,6 +217,7 @@ class MetricsRegistry:
             inst = self._instruments.get(name)
             if inst is None:
                 inst = cls(name, *args)
+                inst._lock = self._lock  # shared: see ExchangeMetrics
                 self._instruments[name] = inst
             elif not isinstance(inst, cls):
                 raise TypeError(
@@ -235,3 +249,74 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent)
+
+
+def _imbalance(loads: list[float]) -> float:
+    """Max over mean load, 1.0 when all idle (as
+    :func:`repro.parallel.distribution.imbalance_ratio`, on floats)."""
+    mean = sum(loads) / len(loads)
+    return max(loads) / mean if mean > 0.0 else 1.0
+
+
+class ExchangeMetrics:
+    """Publishes a worker team's exchange records to a registry.
+
+    Per broadcast: ``broadcasts.total`` and ``broadcasts.<kind>``,
+    ``commands.total`` and the ``commands_per_barrier`` histogram, the
+    ``comms.pipe_bytes`` gauge (``pipe_bytes()`` is the team's cumulative
+    count), the ``region_wall_seconds`` / ``sync_seconds`` histograms,
+    one ``barrier_wait_seconds`` sample per worker, and the ``imbalance``
+    / ``imbalance.<kind>`` gauges over cumulative worker busy time
+    (1.0 = perfect balance).
+
+    A serve team publishes every exchange, so this path is kept cheap:
+    every instrument is looked up once (the per-kind ones on the first
+    record of that kind), cumulative busy times are plain floats, and one
+    exchange is published under ONE acquisition of the registry's lock,
+    which its instruments share.
+    """
+
+    def __init__(self, registry: MetricsRegistry, n_workers: int, pipe_bytes):
+        self._registry = registry
+        self._lock = registry._lock
+        self._pipe_bytes = pipe_bytes
+        self._broadcasts = registry.counter("broadcasts.total")
+        self._commands = registry.counter("commands.total")
+        self._per_barrier = registry.histogram(
+            "commands_per_barrier", bounds=COMMANDS_PER_BARRIER_BUCKETS)
+        self._pipe = registry.gauge("comms.pipe_bytes")
+        self._wall = registry.histogram("region_wall_seconds")
+        self._sync = registry.histogram("sync_seconds")
+        self._wait = registry.histogram("barrier_wait_seconds")
+        self._imbalance = registry.gauge("imbalance")
+        self._busy = [0.0] * n_workers
+        #: kind -> (broadcasts counter, imbalance gauge, cumulative busy).
+        self._kinds: dict[str, tuple[Counter, Gauge, list[float]]] = {}
+
+    def on_exchange(self, record, start: float) -> None:
+        """Publish one :class:`~repro.perf.CommandRecord`."""
+        per_kind = self._kinds.get(record.kind)
+        if per_kind is None:
+            per_kind = self._kinds[record.kind] = (
+                self._registry.counter(f"broadcasts.{record.kind}"),
+                self._registry.gauge(f"imbalance.{record.kind}"),
+                [0.0] * len(self._busy),
+            )
+        kind_count, kind_gauge, kind_busy = per_kind
+        busy, wall, total, wait = record.busy, record.wall, self._busy, self._wait
+        span = max(busy)
+        pipe_bytes = float(self._pipe_bytes())
+        with self._lock:
+            self._broadcasts._value += 1.0
+            kind_count._value += 1.0
+            self._commands._value += record.n_commands
+            self._per_barrier._add(float(record.n_commands))
+            self._pipe._value = pipe_bytes
+            self._wall._add(wall)
+            self._sync._add(max(wall - span, 0.0))
+            for w, b in enumerate(busy):
+                wait._add(span - b)
+                total[w] += b
+                kind_busy[w] += b
+            self._imbalance._value = _imbalance(total)
+            kind_gauge._value = _imbalance(kind_busy)

@@ -7,14 +7,15 @@ monotonic clock so they can be exported as a Chrome trace-event timeline
 (:mod:`repro.obs.export`) and inspected in Perfetto.
 
 Spans carry a ``lane``: lane 0 is the master's command stream; lanes
-``1..W`` are the worker timelines (the worker team synthesizes worker
-busy spans from each command's measured per-worker execute seconds).
+``1..W`` are the worker timelines.  On a worker team both come from the
+one record the engine builds per broadcast (:meth:`Tracer.on_exchange`):
+the master span is the exchange's wall time, each worker span that
+worker's own execute seconds.
 
 :class:`NullTracer` is the default everywhere a tracer is accepted and
-follows the repo's :class:`~repro.perf.profiler.NullProfiler` /
-:class:`~repro.core.trace.NullRecorder` pattern: instrumented code guards
-the hot path with ``if tracer.enabled:`` (an attribute read, no method
-call), so an untraced run pays nothing.
+follows the repo's :class:`~repro.core.trace.NullRecorder` pattern:
+instrumented code guards the hot path with ``if tracer.enabled:`` (an
+attribute read, no method call), so an untraced run pays nothing.
 """
 from __future__ import annotations
 
@@ -144,6 +145,19 @@ class Tracer:
                     duration=max(duration, 0.0), lane=lane, args=args)
         with self._lock:
             self.spans.append(span)
+
+    def on_exchange(self, record, start: float) -> None:
+        """One broadcast's spans from its
+        :class:`~repro.perf.CommandRecord`: the exchange on the master
+        lane and each worker's busy seconds on its lane, all starting at
+        ``start`` (a ``time.perf_counter()`` reading)."""
+        t0 = start - self._epoch
+        op, kind = record.op, record.kind
+        spans = [Span(op, kind, t0, record.wall, MASTER_LANE, {})]
+        spans += [Span(op, kind, t0, busy, w + 1, {})
+                  for w, busy in enumerate(record.busy) if busy > 0.0]
+        with self._lock:
+            self.spans.extend(spans)
 
     def instant(self, name: str, cat: str = "", lane: int = MASTER_LANE, **args) -> None:
         """Record a zero-duration marker (e.g. "partition 3 converged")."""

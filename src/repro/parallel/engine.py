@@ -29,20 +29,15 @@ import numpy as np
 
 from ..core.trace import describe_command
 from ..obs.convergence import NullTelemetry
-from ..obs.metrics import NullMetrics
+from ..obs.metrics import ExchangeMetrics, NullMetrics
 from ..obs.tracer import NullTracer
+from ..perf.profile import CommandRecord
 from ..plk.partition import PartitionedAlignment
 from ..plk.tree import Tree
-from .distribution import imbalance_ratio
 from .shm import WorkerStatsPlane
 from .worker import WorkerState, slice_partition_data
 
 __all__ = ["ParallelPLK", "WorkerError"]
-
-# Bucket edges for the commands-per-barrier histogram (a plain command is
-# 1; the fused optimizer programs land at 2-3; headroom above).
-_COMMANDS_PER_BARRIER_BUCKETS = (1.5, 2.5, 3.5, 4.5, 6.5, 8.5, 16.5)
-
 
 class WorkerError(RuntimeError):
     """An exception raised (or a crash suffered) by one worker, surfaced on
@@ -89,7 +84,7 @@ def _process_worker_main(
     while True:
         t_wait = time.perf_counter() if stats is not None else 0.0
         try:
-            cmd, timed = conn.recv()
+            cmd = conn.recv()
         except (EOFError, OSError):
             return
         if stats is not None:
@@ -98,11 +93,11 @@ def _process_worker_main(
             conn.close()
             return
         try:
-            if timed:
-                value, busy = state.execute_timed(cmd)
-            else:
-                value, busy = state.execute(cmd), 0.0
-            reply = (_OK, value, busy)
+            # Every reply carries this worker's own busy seconds: timed
+            # here, so dispatch, barrier and IPC time are excluded.
+            t0 = time.perf_counter()
+            value = state.execute(cmd)
+            reply = (_OK, value, time.perf_counter() - t0)
         except BaseException as exc:  # noqa: BLE001 - shipped to the master
             tb = traceback.format_exc()
             try:
@@ -159,12 +154,14 @@ class _ProcessTeam:
             self.conns.append(parent)
             self.procs.append(proc)
 
-    def _exchange(self, cmd: tuple, timed: bool) -> tuple[list, list[float]]:
+    def exchange(self, cmd: tuple) -> tuple[list, list[float]]:
+        """Send ``cmd`` to every worker and wait for every reply: each
+        worker's result and its own execute() seconds."""
         if self._closed:
             raise RuntimeError("worker team is closed")
         # One pickle for the whole team (not one per worker); byte-counted
         # send/recv so the comms metrics see real traffic.
-        payload = pickle.dumps((cmd, timed))
+        payload = pickle.dumps(cmd)
         for rank, conn in enumerate(self.conns):
             try:
                 conn.send_bytes(payload)
@@ -198,13 +195,6 @@ class _ProcessTeam:
             raise failure
         return results, times
 
-    def broadcast(self, cmd: tuple) -> list:
-        return self._exchange(cmd, timed=False)[0]
-
-    def broadcast_timed(self, cmd: tuple) -> tuple[list, list[float]]:
-        """As :meth:`broadcast`, plus each worker's execute() seconds."""
-        return self._exchange(cmd, timed=True)
-
     def comms_stats(self) -> dict:
         """Cumulative pipe bytes moved (``shm_rx_bytes`` is always 0:
         every reply travels over the pipe)."""
@@ -220,7 +210,7 @@ class _ProcessTeam:
         self._closed = True
         for conn in self.conns:
             try:
-                conn.send((("stop",), False))
+                conn.send(("stop",))
                 conn.close()
             except (BrokenPipeError, OSError):
                 pass
@@ -262,36 +252,35 @@ class ParallelPLK:
     distribution:
         Pattern-assignment policy: ``"cyclic"`` (RAxML default) or
         ``"block"``; any other name raises :class:`ValueError`.
-    profiler:
-        A :class:`repro.perf.Profiler` to record per-command region
-        timings (master wall time + each worker's execute time), or
-        ``None`` for the zero-overhead :class:`repro.perf.NullProfiler`.
-    tracer:
-        A :class:`repro.obs.Tracer` turning every broadcast into a
-        timestamped span on the master lane — plus, when a profiler is
-        also attached, a busy span per worker lane — or ``None`` for the
-        zero-overhead :class:`repro.obs.NullTracer` (the unobserved
-        broadcast path is guarded by one attribute read; no method calls
-        are added).
-    metrics:
-        A :class:`repro.obs.MetricsRegistry` counting broadcasts by region
-        kind and (with a profiler attached) filling the barrier-wait and
-        region-wall histograms, or ``None`` to discard.
+    profiler, tracer, metrics, live:
+        The exchange observers, each off with ``None``.  Every broadcast
+        is clocked once (master wall time, plus each worker's own execute
+        seconds from its reply); when any observer is attached, the
+        exchange becomes ONE :class:`~repro.perf.CommandRecord` handed to
+        each of them:
+
+        * ``profiler`` — a :class:`repro.perf.Profiler` keeps the records
+          (the per-region busy/idle decomposition);
+        * ``tracer`` — a :class:`repro.obs.Tracer` turns each record into
+          a span on the master lane and a busy span per worker lane;
+        * ``metrics`` — a :class:`repro.obs.MetricsRegistry` counts
+          broadcasts by region kind and fills the barrier-wait,
+          region-wall and sync histograms and the imbalance gauges
+          (:class:`repro.obs.metrics.ExchangeMetrics`);
+        * ``live`` — ``True`` for defaults, or a configured
+          :class:`repro.obs.live.LiveTelemetry`: every worker updates a
+          lock-free shared-memory stats row (heartbeat, busy/wait
+          seconds, commands, patterns) after each command, a
+          :class:`~repro.obs.live.HealthMonitor` can sample stalls and
+          live imbalance mid-run, each record lands as one ``exchange``
+          event in the bounded :class:`~repro.obs.live.FlightRecorder`
+          ring, and a worker failure dumps that ring as a post-mortem
+          JSONL file.  ``None``/``False`` (default) leaves ``self.live``
+          None and creates no stats plane.
     telemetry:
         A :class:`repro.obs.ConvergenceTelemetry` recording the batched
         optimizers' per-partition convergence vectors, or ``None`` to
         discard.
-    live:
-        The live telemetry plane (:mod:`repro.obs.live`): ``True`` for
-        defaults, or a configured :class:`repro.obs.live.LiveTelemetry`.
-        When enabled, every worker updates a lock-free shared-memory
-        stats row (heartbeat, busy/wait seconds, commands, patterns)
-        after each command, a :class:`~repro.obs.live.HealthMonitor` can
-        sample stalls and live imbalance mid-run, and worker failures
-        auto-dump the bounded :class:`~repro.obs.live.FlightRecorder`
-        ring buffer as a post-mortem JSONL file.  ``None``/``False``
-        (default) installs the zero-cost
-        :class:`~repro.obs.live.NullLiveTelemetry`.
     """
 
     def __init__(
@@ -314,33 +303,22 @@ class ParallelPLK:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         check_backend(backend)
-        if profiler is None:
-            from ..perf import NullProfiler
-
-            profiler = NullProfiler()
         self.profiler = profiler
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else NullMetrics()
         self.telemetry = telemetry if telemetry is not None else NullTelemetry()
-        # Imported lazily: obs.live depends on parallel.shm, so a
-        # module-level import here would be circular at package load.
-        from ..obs.live import LiveTelemetry, NullLiveTelemetry
+        if live is True:
+            # Imported lazily: obs.live depends on parallel.shm, so a
+            # module-level import here would be circular at package load.
+            from ..obs.live import LiveTelemetry
 
-        if not live:
-            self.live = NullLiveTelemetry()
-        elif live is True:
-            self.live = LiveTelemetry()
-        else:
-            self.live = live
+            live = LiveTelemetry()
+        self.live = live or None
         self.n_partitions = data.n_partitions
         self.n_workers = n_workers
         self.backend = backend
         self.commands_issued = 0
         self.distribution = distribution
-        # Cumulative per-worker busy seconds (total and by region kind),
-        # feeding the metrics imbalance gauges on observed broadcasts.
-        self._busy_total = np.zeros(n_workers)
-        self._busy_kind: dict[str, np.ndarray] = {}
         worker_slices = [
             slice_partition_data(data, n_workers, w, distribution)
             for w in range(n_workers)
@@ -350,7 +328,7 @@ class ParallelPLK:
         # close(), after the team) so post-mortems can still read the
         # final rows.
         self._stats_plane: WorkerStatsPlane | None = None
-        if self.live.enabled:
+        if self.live is not None:
             self._stats_plane = WorkerStatsPlane(n_workers)
         self._team = _ProcessTeam(
             [
@@ -368,111 +346,53 @@ class ParallelPLK:
             initial = np.asarray(initial_lengths, dtype=np.float64)
             self._lengths[:] = initial if initial.ndim == 2 else initial[:, np.newaxis]
         self._alphas = np.array(alphas, dtype=np.float64)
-        self.profiler.bind(backend=backend, n_workers=n_workers,
-                           distribution=self.distribution,
-                           live=self.live.enabled)
-        if self.live.enabled:
+        observers = []
+        if profiler is not None:
+            profiler.bind(backend=backend, n_workers=n_workers,
+                          distribution=self.distribution,
+                          live=self.live is not None)
+            observers.append(profiler.on_exchange)
+        if self.tracer.enabled:
+            observers.append(self.tracer.on_exchange)
+        if self.metrics.enabled:
+            team = self._team
+            observers.append(ExchangeMetrics(
+                self.metrics, n_workers,
+                lambda: team.pipe_tx_bytes + team.pipe_rx_bytes,
+            ).on_exchange)
+        if self.live is not None:
             self.live.bind(self._stats_plane, metrics=self.metrics, run_config={
                 "backend": backend,
                 "distribution": self.distribution, "n_workers": n_workers,
                 "n_partitions": self.n_partitions,
             })
+            observers.append(self.live.on_exchange)
+        self._observers = tuple(observers)
 
     # ------------------------------------------------------------------
 
     def _broadcast(self, cmd: tuple) -> list:
+        """The one exchange path: send ``cmd`` to the team, clock it, and
+        hand each attached observer one record of it (none is built when
+        no observer is attached).  A :class:`WorkerError` reaches the live
+        plane, which writes its post-mortem, before it is re-raised."""
         self.commands_issued += 1
-        # Hot path: with the null defaults this adds two attribute reads
-        # and zero method calls over the bare profiler dispatch.
-        if self.live.enabled:
-            return self._broadcast_live(cmd)
-        if not (self.tracer.enabled or self.metrics.enabled):
-            return self.profiler.broadcast(self._team, cmd)
-        return self._broadcast_observed(cmd)
-
-    def _broadcast_live(self, cmd: tuple) -> list:
-        """One broadcast under the live plane: the flight recorder sees
-        the dispatch and the barrier exit, and a :class:`WorkerError`
-        (worker exception, or a dead process) triggers an automatic
-        post-mortem dump of the ring buffer before re-raising."""
-        live = self.live
-        op, kind, n_cmds = describe_command(cmd)
-        live.record("dispatch", op=op, kind=kind, n_commands=n_cmds)
-        t0 = time.perf_counter()
+        start = time.perf_counter()
         try:
-            if self.tracer.enabled or self.metrics.enabled:
-                results = self._broadcast_observed(cmd)
-            else:
-                results = self.profiler.broadcast(self._team, cmd)
+            results, busy = self._team.exchange(cmd)
         except WorkerError as exc:
-            # EOFError/OSError originals mean the process died outright;
-            # anything else is a worker-side exception shipped back.
-            died = isinstance(exc.original, (EOFError, OSError))
-            event = "worker_death" if died else "worker_error"
-            live.record(event, rank=exc.rank, op=op,
-                        error=repr(exc.original))
-            live.postmortem(reason=event, rank=exc.rank)
+            if self.live is not None:
+                self.live.on_worker_error(describe_command(cmd)[0], exc)
             raise
-        live.record("barrier_exit", op=op, kind=kind,
-                    wall=time.perf_counter() - t0)
-        return results
-
-    def _broadcast_observed(self, cmd: tuple) -> list:
-        """One observed broadcast: a master-lane span for the command, a
-        busy span per worker lane and the barrier-wait histogram samples
-        (the latter two only when a :class:`~repro.perf.Profiler` is
-        attached — worker execute seconds come from its timed exchange).
-        A fused program traces as ONE span (label ``prog(op1+op2+...)``)
-        and counts as one broadcast of its dominant kind; the
-        ``commands.total`` counter and ``commands_per_barrier`` histogram
-        record how many worker commands the barrier amortized."""
-        tracer, metrics, profiler = self.tracer, self.metrics, self.profiler
-        op, kind, n_cmds = describe_command(cmd)
-        n_before = len(profiler.records) if profiler.enabled else 0
-        t0 = tracer.now() if tracer.enabled else 0.0
-        results = profiler.broadcast(self._team, cmd)
-        record = None
-        if profiler.enabled and len(profiler.records) > n_before:
-            record = profiler.records[-1]
-        if tracer.enabled:
-            tracer.add_span(op, kind, 0, t0, tracer.now() - t0)
-            if record is not None:
-                for w, busy in enumerate(record.busy):
-                    if busy > 0.0:
-                        tracer.add_span(op, kind, w + 1, t0, busy)
-        if metrics.enabled:
-            metrics.counter("broadcasts.total").inc()
-            metrics.counter(f"broadcasts.{kind}").inc()
-            metrics.counter("commands.total").inc(n_cmds)
-            metrics.histogram(
-                "commands_per_barrier", bounds=_COMMANDS_PER_BARRIER_BUCKETS
-            ).observe(float(n_cmds))
-            stats = self._team.comms_stats()
-            metrics.gauge("comms.pipe_bytes").set(
-                stats["pipe_tx_bytes"] + stats["pipe_rx_bytes"]
-            )
-            if record is not None:
-                metrics.histogram("region_wall_seconds").observe(record.wall)
-                metrics.histogram("sync_seconds").observe(record.sync)
-                wait = metrics.histogram("barrier_wait_seconds")
-                for idle in record.idle:
-                    wait.observe(idle)
-                # Imbalance gauges: cumulative max/mean worker busy time,
-                # overall and per region kind (1.0 = perfect balance).
-                busy = np.asarray(record.busy)
-                self._busy_total += busy
-                kind_busy = self._busy_kind.setdefault(
-                    kind, np.zeros(self.n_workers)
-                )
-                kind_busy += busy
-                if self._busy_total.any():
-                    metrics.gauge("imbalance").set(
-                        imbalance_ratio(self._busy_total)
-                    )
-                if kind_busy.any():
-                    metrics.gauge(f"imbalance.{kind}").set(
-                        imbalance_ratio(kind_busy)
-                    )
+        if self._observers:
+            wall = time.perf_counter() - start
+            # A fused program is ONE record (one barrier) labelled
+            # "prog(op1+op2+...)" of its dominant kind, carrying its
+            # worker-command count.
+            op, kind, n_cmds = describe_command(cmd)
+            record = CommandRecord(op, kind, wall, tuple(busy), n_cmds)
+            for observe in self._observers:
+                observe(record, start)
         return results
 
     def run(self, label: str, steps) -> list:
@@ -534,7 +454,8 @@ class ParallelPLK:
 
     def close(self) -> None:
         self._team.close()
-        self.live.close()
+        if self.live is not None:
+            self.live.close()
         # The engine owns the stats plane (not the team): it must outlive
         # a worker death so the post-mortem above could read final rows.
         if self._stats_plane is not None:

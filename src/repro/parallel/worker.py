@@ -40,11 +40,12 @@ __all__ = ["WIRE_VERSION", "slice_partition_data", "WorkerState"]
 
 #: Version of the master<->worker wire protocol: the command vocabulary
 #: (the ``_cmd_*`` methods of :class:`WorkerState`), the ``("prog",
-#: steps)`` fusion format and the pickled ``(tag, payload, busy)`` reply.
-#: Documented as a protocol reference in ``docs/ARCHITECTURE.md``; bump on
-#: any incompatible change to the command vocabulary or reply framing
-#: (adding a command is compatible).
-WIRE_VERSION = 4
+#: steps)`` fusion format, the pickled bare command frame and the pickled
+#: ``(tag, payload, busy)`` reply (every reply carries the worker's busy
+#: seconds).  Documented as a protocol reference in
+#: ``docs/ARCHITECTURE.md``; bump on any incompatible change to the command
+#: vocabulary or the framing (adding a command is compatible).
+WIRE_VERSION = 5
 
 # Captured at import (pre-fork): lets ``_cmd_die`` distinguish a forked
 # process child (hard ``os._exit``) from a state executed in the master
@@ -172,15 +173,6 @@ class WorkerState:
             return handler(*cmd[1:])
         finally:
             stats.done(time.perf_counter() - t0, self._command_patterns(cmd))
-
-    def execute_timed(self, cmd: tuple):
-        """Execute plus this worker's own busy seconds for the command —
-        the measured quantity behind :mod:`repro.perf`'s per-worker
-        busy/idle decomposition.  Self-timed inside the worker, so
-        dispatch, barrier and IPC time are excluded."""
-        t0 = time.perf_counter()
-        value = self.execute(cmd)
-        return value, time.perf_counter() - t0
 
     # -- likelihood ------------------------------------------------------
 

@@ -2,15 +2,14 @@
 per-worker busy times, the derived barrier-wait (load-imbalance)
 decomposition, and comparison against :mod:`repro.simmachine`
 predictions.  Opt-in: pass a :class:`Profiler` to
-:class:`~repro.parallel.ParallelPLK`; the default :class:`NullProfiler`
-leaves the broadcast hot path untouched."""
+:class:`~repro.parallel.ParallelPLK` and it keeps the one record the
+engine builds per broadcast; without one, nothing is kept."""
 from .compare import ProfileComparison, compare_decompositions, compare_strategies
 from .profile import CommandRecord, RunProfile, profile_summary, summarize_profiles
-from .profiler import NullProfiler, Profiler
+from .profiler import Profiler
 
 __all__ = [
     "CommandRecord",
-    "NullProfiler",
     "ProfileComparison",
     "Profiler",
     "RunProfile",

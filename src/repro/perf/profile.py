@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +40,11 @@ __all__ = ["CommandRecord", "RunProfile", "profile_summary", "summarize_profiles
 SUMMARY_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CommandRecord:
+class CommandRecord(NamedTuple):
     """Timing of one broadcast command (one parallel region).
+
+    An immutable tuple: the engine builds one per observed exchange and
+    hands the same record to every attached observer.
 
     Attributes
     ----------

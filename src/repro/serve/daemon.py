@@ -351,13 +351,13 @@ class LikelihoodService:
             return {"alphas": [float(a) for a in alphas],
                     "lnl": float(engine.loglikelihood())}
         if op == "chaos_die":
-            engine._broadcast(("die", int(spec.get("rank", 0))))
+            engine.run("chaos", [("die", int(spec.get("rank", 0)))])
             return {}
         if op == "chaos_raise":
             # An op no worker implements: exercises the worker-side
             # exception path (shipped back, team survives protocol-wise
             # but the error still fails the job).
-            engine._broadcast(("no_such_op",))
+            engine.run("chaos", [("no_such_op",)])
             return {}
         raise ValueError(f"unhandled op {op!r}")
 

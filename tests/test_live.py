@@ -18,9 +18,7 @@ from repro.obs.live import (
     FlightRecorder,
     HealthMonitor,
     LiveTelemetry,
-    NullFlightRecorder,
     NullHealthMonitor,
-    NullLiveTelemetry,
     WorkerSample,
     render_dashboard,
 )
@@ -324,7 +322,7 @@ class TestLiveTeamIntegration:
                 assert s.busy_seconds > 0.0
                 assert s.heartbeat_age < 30.0
             events = {e["event"] for e in live.recorder.events()}
-            assert {"run_start", "dispatch", "barrier_exit"} <= events
+            assert {"run_start", "exchange"} <= events
         assert live_segments() == before  # engine unlinked the plane
 
     @pytest.mark.timeout(60)
@@ -389,7 +387,7 @@ class TestLiveTeamIntegration:
         events = [json.loads(line) for line in open(events_path)]
         names = [e["event"] for e in events]
         assert names[0] == "run_start" and names[-1] == "run_end"
-        assert "dispatch" in names and "barrier_exit" in names
+        assert names.count("exchange") == team.commands_issued
         start = events[0]
         assert start["backend"] == backend and start["n_workers"] == 2
 
@@ -439,7 +437,7 @@ def test_live_plane_does_not_change_the_schedule(setup):
             runs[arm] = {
                 "issued": team.commands_issued,
                 "worker_commands": profiler.profile().n_commands,
-                "samples": team.live.sample(),
+                "samples": live.sample() if live else [],
                 "lengths": lengths, "alphas": alphas, "lnl": lnl,
             }
     off, on = runs["off"], runs["on"]
@@ -488,9 +486,7 @@ def _public_api(cls):
 
 class TestNullParity:
     @pytest.mark.parametrize("real,null", [
-        (LiveTelemetry, NullLiveTelemetry),
         (HealthMonitor, NullHealthMonitor),
-        (FlightRecorder, NullFlightRecorder),
     ])
     def test_null_mirrors_public_api(self, real, null):
         missing = _public_api(real) - _public_api(null)
@@ -500,27 +496,14 @@ class TestNullParity:
         assert not methods, f"{null.__name__} missing {sorted(methods)}"
 
     def test_enabled_flags(self):
-        assert LiveTelemetry.enabled and HealthMonitor.enabled
-        assert FlightRecorder.enabled
-        assert not NullLiveTelemetry.enabled
+        assert HealthMonitor.enabled
         assert not NullHealthMonitor.enabled
-        assert not NullFlightRecorder.enabled
-
-    def test_null_telemetry_is_inert(self, tmp_path):
-        null = NullLiveTelemetry()
-        assert null.bind(None) is null
-        assert null.record("dispatch") is None
-        assert null.postmortem("worker_death", rank=0) is None
-        assert null.sample() == [] and null.stalled() == []
-        assert null.imbalance() == 1.0
-        assert null.prometheus() == "" and null.dashboard() == ""
-        null.close()  # no-op, no error
 
     @pytest.mark.timeout(60)
     def test_disabled_team_creates_no_stats_segment(self, setup):
         before = live_segments()
         with make_team(setup, "processes") as team:  # live defaults off
-            assert isinstance(team.live, NullLiveTelemetry)
+            assert team.live is None
             assert team._stats_plane is None
             team.loglikelihood(0)
             assert live_segments() == before

@@ -178,8 +178,10 @@ class TestPostmortemFlightDump:
         deaths = [e for e in events if e["event"] == "worker_death"]
         assert deaths, "dump missing the worker_death event"
         assert deaths[-1]["rank"] == 1  # the offending worker
-        # the run's story leads up to the death: dispatches were buffered
-        assert any(e["event"] == "dispatch" for e in events)
+        # the run's story leads up to the death: the healthy exchange
+        # was buffered, and the death names the op in flight
+        assert any(e["event"] == "exchange" for e in events)
+        assert deaths[-1]["op"] == "lnl"
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs)
 

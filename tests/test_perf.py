@@ -10,7 +10,6 @@ from repro.core.trace import COMMAND_KINDS, command_kind
 from repro.parallel import ParallelPLK
 from repro.perf import (
     CommandRecord,
-    NullProfiler,
     Profiler,
     RunProfile,
     compare_decompositions,
@@ -172,8 +171,7 @@ class TestLiveProfiling:
             initial_lengths=lengths,
         ) as team:
             team.loglikelihood(0)
-            assert isinstance(team.profiler, NullProfiler)
-            assert not team.profiler.enabled
+            assert team.profiler is None
 
 
 class TestStrategyComparison:
