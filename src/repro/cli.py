@@ -63,6 +63,14 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
+#: The branch-length schedules, each with the alpha schedule it pairs
+#: with (``"tree"`` smooths branches only; its Brent runs as newPAR).
+#: ``repro profile`` runs all three; ``--strategy`` picks one.
+_PROFILED = {"old": "old", "new": "new", "tree": "new"}
+
+#: Commands that run :func:`repro.seqgen.profiling_workload` on a team.
+_TEAM_COMMANDS = ("profile", "timeline", "balance", "top")
+
 
 def build_parser() -> argparse.ArgumentParser:
     from .parallel.distribution import DISTRIBUTIONS
@@ -90,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: single partition)")
     ana.add_argument("--tree", help="starting tree (Newick; default: "
                      "randomized stepwise-addition parsimony)")
-    ana.add_argument("--strategy", choices=("old", "new", "tree"), default="tree",
+    ana.add_argument("--strategy", choices=tuple(_PROFILED), default="tree",
                      help="old/newPAR, or tree: newPAR Brent with tree-wide "
                      "branch smoothing and, with --search, lazy SPR "
                      "scoring (default: %(default)s)")
@@ -134,24 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", action="store_true",
                        help="also profile Gamma-shape (Brent) optimization")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--live", action="store_true",
-                       help="enable the live telemetry plane "
-                       "(repro.obs.live): per-worker shared-memory "
-                       "heartbeat rows, flight recorder with post-mortem "
-                       "JSONL dumps on worker death, live imbalance")
-        p.add_argument("--prom", metavar="PATH",
-                       help="with --live: write a Prometheus text-format "
-                       "snapshot (metrics + per-worker gauges) here after "
-                       "the run")
-        p.add_argument("--events", metavar="PATH",
-                       help="with --live: append the flight-recorder "
-                       "event stream here as JSONL while running")
 
     prof = sub.add_parser(
         "profile",
         help="measure oldPAR, newPAR and the tree schedule on the real worker team",
     )
     add_workload_args(prof)
+    prof.add_argument("--live", action="store_true",
+                      help="enable the live telemetry plane "
+                      "(repro.obs.live): per-worker shared-memory "
+                      "heartbeat rows, flight recorder with post-mortem "
+                      "JSONL dumps on worker death, live imbalance")
+    prof.add_argument("--prom", metavar="PATH",
+                      help="with --live: write a Prometheus text-format "
+                      "snapshot (metrics + per-worker gauges) here after "
+                      "the run")
+    prof.add_argument("--events", metavar="PATH",
+                      help="with --live: append the flight-recorder "
+                      "event stream here as JSONL while running")
     prof.add_argument("--warmup", action="store_true",
                       help="run the workload once untimed first (worker "
                       "start-up, allocator and cache warm-up), then reset "
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export a run as a Chrome trace-event (Perfetto) timeline",
     )
     add_workload_args(tl)
-    tl.add_argument("--strategy", choices=("old", "new"), default="new")
+    tl.add_argument("--strategy", choices=tuple(_PROFILED), default="new")
     tl.add_argument("--profile", dest="profile_json",
                     help="render a saved profile JSON (from 'repro profile "
                     "--out') instead of running a fresh workload")
@@ -183,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulated platform for the prediction "
                      "(nehalem / clovertown / barcelona / x4600; "
                      "default: %(default)s)")
-    bal.add_argument("--strategy", choices=("old", "new"), default="new")
+    bal.add_argument("--strategy", choices=tuple(_PROFILED), default="new")
 
     top = sub.add_parser(
         "top",
@@ -206,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--stall-threshold", type=float, default=5.0,
                      help="seconds without heartbeat progress before a "
                      "busy worker is reported stalled")
-    top.set_defaults(live=True)
 
     srv = sub.add_parser(
         "serve",
@@ -288,24 +295,27 @@ def _validate_workload(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _build_workload(args: argparse.Namespace):
-    """Simulate the shared profiling workload; returns
-    ``(data, tree, lengths, models, alphas, edges)``."""
-    from .plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
-    from .seqgen import random_topology_with_lengths, simulate_alignment
+def _team(args: argparse.Namespace, workload: tuple, distribution: str,
+          **observers):
+    """The worker team of a team command, on ``workload``."""
+    from .parallel import ParallelPLK
 
-    rng = np.random.default_rng(args.seed)
-    tree, lengths = random_topology_with_lengths(args.taxa, rng)
-    part_len = max(args.sites // args.partitions, 1)
-    sites = part_len * args.partitions
-    aln = simulate_alignment(
-        tree, lengths, SubstitutionModel.random_gtr(0), 1.0, sites, rng
-    )
-    data = PartitionedAlignment(aln, uniform_scheme(sites, part_len))
-    models = [SubstitutionModel.random_gtr(p) for p in range(data.n_partitions)]
-    alphas = [1.0] * data.n_partitions
-    edges = list(range(args.edges))
-    return data, tree, lengths, models, alphas, edges
+    data, tree, lengths, models, alphas = workload
+    return ParallelPLK(data, tree, models, alphas, args.workers,
+                       distribution=distribution, initial_lengths=lengths,
+                       **observers)
+
+
+def _run_pass(engine, args: argparse.Namespace, strategy: str) -> None:
+    """One pass of a team command on either engine: smooth the first
+    ``--edges`` branches under ``strategy`` and, with ``--alpha``, run its
+    paired alpha schedule."""
+    from .core.strategies import optimize_alpha, optimize_branch_lengths
+
+    optimize_branch_lengths(engine, strategy, passes=1,
+                            edges=list(range(args.edges)))
+    if args.alpha:
+        optimize_alpha(engine, _PROFILED[strategy])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -332,80 +342,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .core import PartitionedEngine, TraceRecorder, optimize_model
-    from .plk import (
-        PartitionedAlignment,
-        parse_newick,
-        parse_partition_file,
-        parse_phylip,
-        parse_fasta,
-        uniform_scheme,
-        write_newick,
+    import json
+
+    from .core import (
+        PartitionedEngine,
+        TraceRecorder,
+        engine_from_checkpoint,
+        optimize_model,
     )
+    from .plk import parse_newick, read_partitioned_alignment, write_newick
     from .search import stepwise_addition_tree, tree_search
 
-    text = Path(args.alignment).read_text()
-    if text.lstrip().startswith(">"):
-        alignment = parse_fasta(text)
-    else:
-        alignment = parse_phylip(text)
-    print(f"alignment: {alignment.n_taxa} taxa x {alignment.n_sites} sites")
-
-    if args.partitions:
-        scheme = parse_partition_file(Path(args.partitions).read_text())
-    else:
-        scheme = uniform_scheme(alignment.n_sites, alignment.n_sites)
-
-    def build_data(aln):
-        data = PartitionedAlignment(aln, scheme)
-        print(
-            f"partitions: {data.n_partitions}, distinct patterns: {data.n_patterns}"
-        )
-        return data
+    # The rows follow the leaf order of the checkpoint's or the given tree.
+    state = taxa = lengths = None
+    if args.resume:
+        state = json.loads(Path(args.resume).read_text())
+        taxa = state["taxa"]
+    elif args.tree:
+        tree, lengths = parse_newick(Path(args.tree).read_text())
+        taxa = tree.taxa
+    try:
+        data = read_partitioned_alignment(args.alignment, args.partitions, taxa)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"alignment: {data.n_taxa} taxa x {data.alignment.n_sites} sites")
+    print(f"partitions: {data.n_partitions}, distinct patterns: {data.n_patterns}")
 
     recorder = TraceRecorder()
-    if args.resume:
-        import json
-
-        from .core import engine_from_checkpoint
-        from .plk import Alignment
-
-        state = json.loads(Path(args.resume).read_text())
-        ckpt_taxa = tuple(state["taxa"])
-        if set(ckpt_taxa) != set(alignment.taxa):
-            print("error: checkpoint and alignment taxa differ", file=sys.stderr)
-            return 2
-        if ckpt_taxa != alignment.taxa:
-            order = [alignment.taxa.index(name) for name in ckpt_taxa]
-            alignment = Alignment(
-                ckpt_taxa, alignment.matrix[order], alignment.datatype
-            )
-        data = build_data(alignment)
+    if state is not None:
         engine = engine_from_checkpoint(data, state)
         engine.recorder = recorder
         tree = engine.tree
         print(f"resumed from checkpoint {args.resume}")
     else:
-        if args.tree:
-            tree, lengths = parse_newick(Path(args.tree).read_text())
-            if set(tree.taxa) != set(alignment.taxa):
-                print("error: tree and alignment taxa differ", file=sys.stderr)
-                return 2
-            if tuple(tree.taxa) != alignment.taxa:
-                # Newick numbers leaves by appearance order; permute the
-                # alignment rows so leaf i carries the data of taxon i.
-                from .plk import Alignment
-
-                order = [alignment.taxa.index(name) for name in tree.taxa]
-                alignment = Alignment(
-                    tuple(tree.taxa), alignment.matrix[order], alignment.datatype
-                )
-        else:
+        if taxa is None:
             rng = np.random.default_rng(args.seed)
-            tree = stepwise_addition_tree(alignment, rng)
-            lengths = None
+            tree = stepwise_addition_tree(data.alignment, rng)
             print("starting tree: randomized stepwise-addition parsimony")
-        data = build_data(alignment)
         engine = PartitionedEngine(
             data,
             tree,
@@ -429,7 +403,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           f"strategy={args.strategy}, branch_mode={args.branch_mode})")
 
     for i, part in enumerate(engine.parts):
-        print(f"  partition {scheme[i].name}: alpha={part.alpha:.4f} "
+        print(f"  partition {data.scheme[i].name}: alpha={part.alpha:.4f} "
               f"tree-length={part.branch_lengths.sum():.4f}")
 
     if args.trace_summary:
@@ -478,67 +452,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The branch-length schedules ``repro profile`` runs, each with the
-#: alpha strategy it pairs with (``"tree"`` smooths branches only).
-_PROFILED = {"old": "old", "new": "new", "tree": "new"}
-
-
-def _run_profiled_strategies(args: argparse.Namespace, lives: dict) -> dict:
-    """Run the shared workload under every branch-length schedule with a
-    profiler attached; returns ``{"old": RunProfile, "new": RunProfile,
-    "tree": RunProfile}``.
-
-    With ``--live`` a fresh :class:`~repro.obs.live.LiveTelemetry` is
-    bound per strategy run and stored in ``lives`` (an out-dict) keyed
-    by strategy.
-    """
-    from .parallel import ParallelPLK
-    from .perf import Profiler
-
-    data, tree, lengths, models, alphas, edges = _build_workload(args)
-    profiles = {}
-    for strategy, alpha_strategy in _PROFILED.items():
-        live = None
-        if args.live:
-            from .obs import LiveTelemetry
-
-            live = lives[strategy] = LiveTelemetry(events_path=args.events)
-        profiler = Profiler(meta={
-            "strategy": strategy, "taxa": args.taxa, "sites": data.scheme.n_sites,
-            "partitions": data.n_partitions, "edges": len(edges),
-            "seed": args.seed, "warmup": bool(args.warmup),
-        })
-        with ParallelPLK(
-            data, tree, models, alphas, args.workers,
-            distribution=args.distribution,
-            initial_lengths=lengths, profiler=profiler, live=live,
-        ) as team:
-            if args.warmup:
-                # Untimed pass absorbs worker start-up / allocator / cache
-                # warm-up; the measured pass then starts from the warmed
-                # (partially optimized) state.
-                team.optimize_branches(edges, strategy)
-                if args.alpha:
-                    team.optimize_alpha(alpha_strategy)
-                profiler.reset()
-            team.optimize_branches(edges, strategy)
-            if args.alpha:
-                team.optimize_alpha(alpha_strategy)
-            stats = team.comms_stats()
-        profiles[strategy] = profiler.profile()
-        profiles[strategy].meta.update(stats)
-    return profiles
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .perf import compare_decompositions, compare_strategies
-
-    error = _validate_workload(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    from .perf import Profiler, compare_decompositions, compare_strategies
+    from .seqgen import profiling_workload
 
     print(
         f"profiling {args.partitions} partitions x "
@@ -548,15 +468,36 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         + (", warmup pass" if args.warmup else "")
         + (", live plane" if args.live else "")
     )
-    lives: dict = {}
-    profiles = _run_profiled_strategies(args, lives)
+    workload = profiling_workload(args.taxa, args.sites, args.partitions, args.seed)
+    sites = workload[0].scheme.n_sites
+    profiles, lives = {}, {}
     for strategy in _PROFILED:
-        prof = profiles[strategy]
+        live = None
+        if args.live:
+            from .obs import LiveTelemetry
+
+            live = lives[strategy] = LiveTelemetry(events_path=args.events)
+        profiler = Profiler(meta={
+            "strategy": strategy, "taxa": args.taxa, "sites": sites,
+            "partitions": args.partitions, "edges": args.edges,
+            "seed": args.seed, "warmup": bool(args.warmup),
+        })
+        with _team(args, workload, args.distribution,
+                   profiler=profiler, live=live) as team:
+            if args.warmup:
+                # Untimed pass absorbs worker start-up / allocator / cache
+                # warm-up; the measured pass then starts from the warmed
+                # (partially optimized) state.
+                _run_pass(team, args, strategy)
+                profiler.reset()
+            _run_pass(team, args, strategy)
+            stats = team.comms_stats()
+        prof = profiles[strategy] = profiler.profile()
+        prof.meta.update(stats)
         print(f"\n{strategy}PAR\n{prof.summary()}")
         pipe = prof.meta["pipe_tx_bytes"] + prof.meta["pipe_rx_bytes"]
         print(f"  pipe traffic: {pipe} B")
-        if strategy in lives:
-            live = lives[strategy]
+        if live is not None:
             print(f"  live: imbalance {live.imbalance():.3f}, "
                   f"{len(live.recorder)} flight events buffered")
     print("\n" + compare_strategies(profiles["old"], profiles["new"]).summary())
@@ -589,16 +530,15 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         MetricsRegistry,
         Tracer,
         ascii_timeline,
-        profile_ascii_timeline,
-        profile_to_chrome,
+        profile_run_config,
+        replay_profile,
         tracer_to_chrome,
         validate_chrome_trace,
         write_chrome_trace,
     )
+    from .perf import Profiler, RunProfile
 
     if args.profile_json:
-        from .perf import RunProfile
-
         payload = json.loads(Path(args.profile_json).read_text())
         if "records" in payload:
             profiles = {payload.get("meta", {}).get("strategy", "run"):
@@ -610,42 +550,25 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         print(f"timeline of {args.profile_json} [{key}]: "
               f"{profile.n_regions} regions, {profile.n_workers} "
               f"{profile.backend} workers")
-        events = profile_to_chrome(profile)
-        print(profile_ascii_timeline(profile, width=args.width))
+        tracer = replay_profile(profile)
     else:
-        from .parallel import ParallelPLK
-        from .perf import Profiler
+        from .seqgen import profiling_workload
 
-        error = _validate_workload(args)
-        if error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        data, tree, lengths, models, alphas, edges = _build_workload(args)
+        workload = profiling_workload(args.taxa, args.sites, args.partitions,
+                                      args.seed)
         tracer = Tracer()
         metrics = MetricsRegistry()
         telemetry = ConvergenceTelemetry()
         profiler = Profiler(meta={"strategy": args.strategy})
         print(
-            f"tracing {data.n_partitions} partitions, {args.workers} "
-            f"workers, {len(edges)} branches, "
+            f"tracing {args.partitions} partitions, {args.workers} "
+            f"workers, {args.edges} branches, "
             f"strategy={args.strategy}"
         )
-        with ParallelPLK(
-            data, tree, models, alphas, args.workers,
-            distribution=args.distribution,
-            initial_lengths=lengths, profiler=profiler,
-            tracer=tracer, metrics=metrics, telemetry=telemetry,
-            live=bool(getattr(args, "live", False)),
-        ) as team:
-            team.optimize_branches(edges, args.strategy)
-            if args.alpha:
-                team.optimize_alpha(args.strategy)
-        events = tracer_to_chrome(tracer, run_config={
-            "backend": team.backend, "n_workers": team.n_workers,
-            "distribution": team.distribution, "strategy": args.strategy,
-            "live": team.live is not None,
-        })
-        print(ascii_timeline(tracer, width=args.width))
+        with _team(args, workload, args.distribution, profiler=profiler,
+                   tracer=tracer, metrics=metrics, telemetry=telemetry) as team:
+            _run_pass(team, args, args.strategy)
+        profile = profiler.profile()
         snap = metrics.snapshot()
         counts = {
             name.removeprefix("broadcasts."): int(inst["value"])
@@ -665,6 +588,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
                   f"mean={waits['mean']*1e6:.1f}us max={waits['max']*1e6:.1f}us")
         print(telemetry.summary())
 
+    print(ascii_timeline(tracer, width=args.width))
+    events = tracer_to_chrome(tracer, run_config=profile_run_config(profile))
     validate_chrome_trace(events)
     out = write_chrome_trace(args.out, events)
     lanes = sorted({ev["tid"] for ev in events if ev.get("ph") == "X"})
@@ -675,15 +600,11 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 def _cmd_balance(args: argparse.Namespace) -> int:
     from .core import PartitionedEngine, TraceRecorder
-    from .core.strategies import optimize_alpha, optimize_branch_lengths
-    from .parallel import DISTRIBUTIONS, ParallelPLK
+    from .parallel import DISTRIBUTIONS
     from .perf import Profiler
+    from .seqgen import profiling_workload
     from .simmachine import get_platform, simulate_trace
 
-    error = _validate_workload(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     try:
         machine = get_platform(args.platform)
     except KeyError as exc:
@@ -694,35 +615,22 @@ def _cmd_balance(args: argparse.Namespace) -> int:
               f"predict {args.workers} threads", file=sys.stderr)
         return 2
 
-    data, tree, lengths, models, alphas, edges = _build_workload(args)
+    workload = profiling_workload(args.taxa, args.sites, args.partitions, args.seed)
+    data, tree, lengths, models, alphas = workload
     print(f"balance study: {data.n_partitions} partitions x "
           f"~{max(args.sites // args.partitions, 1)} sites, "
-          f"{args.workers} workers, {len(edges)} branches, "
+          f"{args.workers} workers, {args.edges} branches, "
           f"strategy={args.strategy}, platform={machine.name}")
 
-    # Capture the schedule once with a sequential pass over the same work
+    # Capture the schedule once with a one-process run of the same pass
     # the team executes; every policy is then predicted from this trace.
     recorder = TraceRecorder()
     engine = PartitionedEngine(
         data, tree.copy(), models=list(models), alphas=list(alphas),
         initial_lengths=lengths, recorder=recorder,
     )
-    optimize_branch_lengths(engine, args.strategy, passes=1, edges=edges)
-    if args.alpha:
-        optimize_alpha(engine, args.strategy)
+    _run_pass(engine, args, args.strategy)
     trace = recorder.finalize(engine.pattern_counts(), engine.states())
-
-    def measured(policy):
-        profiler = Profiler(meta={"policy": policy, "seed": args.seed})
-        with ParallelPLK(
-            data, tree, models, alphas, args.workers,
-            distribution=policy,
-            initial_lengths=lengths, profiler=profiler,
-        ) as team:
-            team.optimize_branches(edges, args.strategy)
-            if args.alpha:
-                team.optimize_alpha(args.strategy)
-        return profiler.profile()
 
     def fmt_busy(busy):
         return " ".join(f"{b * 1e3:8.2f}" for b in busy)
@@ -730,7 +638,10 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     rows = []
     for policy in DISTRIBUTIONS:
         sim = simulate_trace(trace, machine, args.workers, policy)
-        prof = measured(policy)
+        profiler = Profiler(meta={"policy": policy, "seed": args.seed})
+        with _team(args, workload, policy, profiler=profiler) as team:
+            _run_pass(team, args, args.strategy)
+        prof = profiler.profile()
         rows.append((policy, sim.imbalance, prof.imbalance))
         print(f"\n== {policy} ==")
         print(f"  predicted ({machine.name} T={args.workers}) "
@@ -785,34 +696,25 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import threading
 
     from .obs import LiveTelemetry, MetricsRegistry
-    from .parallel import ParallelPLK, WorkerError
+    from .parallel import WorkerError
+    from .seqgen import profiling_workload
 
-    error = _validate_workload(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    data, tree, lengths, models, alphas, edges = _build_workload(args)
+    workload = profiling_workload(args.taxa, args.sites, args.partitions, args.seed)
     live = LiveTelemetry(stall_threshold=args.stall_threshold)
-    metrics = MetricsRegistry()
     failures: list[BaseException] = []
 
-    def workload(team: ParallelPLK) -> None:
+    def run(team) -> None:
         try:
-            team.optimize_branches(edges, "new")
-            if args.alpha:
-                team.optimize_alpha("new")
+            _run_pass(team, args, "new")
         except BaseException as exc:  # noqa: BLE001 - reported after join
             failures.append(exc)
 
-    with ParallelPLK(
-        data, tree, models, alphas, args.workers,
-        distribution=args.distribution,
-        initial_lengths=lengths, metrics=metrics, live=live,
-    ) as team:
+    with _team(args, workload, args.distribution,
+               metrics=MetricsRegistry(), live=live) as team:
         print(f"live plane segment: {live.plane.name}  "
               f"(attach with: repro top --plane {live.plane.name} "
               "--frames N)")
-        runner = threading.Thread(target=workload, args=(team,), daemon=True)
+        runner = threading.Thread(target=run, args=(team,), daemon=True)
         runner.start()
         frames = 0
         while runner.is_alive() and (args.frames == 0 or frames < args.frames):
@@ -909,6 +811,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _TEAM_COMMANDS:
+        error = _validate_workload(args)
+        if error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     handlers = {
         "simulate": _cmd_simulate,
         "analyze": _cmd_analyze,

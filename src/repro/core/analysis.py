@@ -48,7 +48,6 @@ def _make_engine(
     initial_lengths: np.ndarray | None,
     recorder: TraceRecorder,
     seed: int,
-    distribution: str = "cyclic",
 ) -> PartitionedEngine:
     """Engine with slightly perturbed per-partition starting models, so the
     optimizers genuinely iterate (all-identical starting points would give
@@ -73,7 +72,6 @@ def _make_engine(
         branch_mode=branch_mode,
         initial_lengths=initial_lengths,
         recorder=recorder,
-        distribution=distribution,
     )
 
 
@@ -85,23 +83,14 @@ def run_model_optimization(
     initial_lengths: np.ndarray | None = None,
     max_rounds: int = 3,
     seed: int = 0,
-    distribution: str = "cyclic",
 ) -> AnalysisRun:
     """The paper's "optimization of ML model parameters (without tree
-    search) on a fixed input tree" experiment.
-
-    ``distribution`` stamps the intended parallel pattern-distribution
-    policy onto the captured trace (the simulator's default replay policy).
-    """
+    search) on a fixed input tree" experiment."""
     recorder = TraceRecorder()
     work_tree = tree.copy()
-    engine = _make_engine(
-        data, work_tree, branch_mode, initial_lengths, recorder, seed, distribution
-    )
+    engine = _make_engine(data, work_tree, branch_mode, initial_lengths, recorder, seed)
     lnl = optimize_model(engine, strategy=strategy, max_rounds=max_rounds)
-    trace = recorder.finalize(
-        engine.pattern_counts(), engine.states(), distribution=engine.distribution
-    )
+    trace = recorder.finalize(engine.pattern_counts(), engine.states())
     return AnalysisRun(
         loglikelihood=lnl,
         trace=trace,
@@ -120,7 +109,6 @@ def run_tree_search(
     max_rounds: int = 1,
     max_candidates: int | None = None,
     seed: int = 0,
-    distribution: str = "cyclic",
 ) -> AnalysisRun:
     """The paper's "full ML tree search (on a fixed input tree for
     reproducibility)" experiment.
@@ -134,9 +122,7 @@ def run_tree_search(
 
     recorder = TraceRecorder()
     work_tree = tree.copy()
-    engine = _make_engine(
-        data, work_tree, branch_mode, initial_lengths, recorder, seed, distribution
-    )
+    engine = _make_engine(data, work_tree, branch_mode, initial_lengths, recorder, seed)
     result = tree_search(
         engine,
         strategy=strategy,
@@ -144,9 +130,7 @@ def run_tree_search(
         max_rounds=max_rounds,
         max_candidates=max_candidates,
     )
-    trace = recorder.finalize(
-        engine.pattern_counts(), engine.states(), distribution=engine.distribution
-    )
+    trace = recorder.finalize(engine.pattern_counts(), engine.states())
     return AnalysisRun(
         loglikelihood=result.loglikelihood,
         trace=trace,

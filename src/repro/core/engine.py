@@ -77,12 +77,6 @@ class PartitionedEngine:
         A :class:`repro.obs.ConvergenceTelemetry` recording each batched
         optimizer's per-partition convergence vector per iteration
         (default: discard).
-    distribution:
-        The pattern-distribution policy intended for parallel execution
-        of the captured schedule (any name in
-        :data:`repro.parallel.DISTRIBUTIONS`).  The sequential engine's
-        numbers do not depend on it; it is stamped onto finalized traces
-        so simulator replays default to the intended policy.
     """
 
     def __init__(
@@ -98,20 +92,12 @@ class PartitionedEngine:
         tracer=None,
         metrics=None,
         telemetry=None,
-        distribution: str = "cyclic",
     ):
         if branch_mode not in BRANCH_MODES:
             raise ValueError(f"branch_mode must be one of {BRANCH_MODES}")
-        from ..parallel.distribution import DISTRIBUTIONS
-
-        if distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {DISTRIBUTIONS}, got {distribution!r}"
-            )
         self.data = data
         self.tree = tree
         self.branch_mode = branch_mode
-        self.distribution = distribution
         self.categories = categories
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else NullMetrics()

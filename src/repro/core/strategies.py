@@ -564,7 +564,6 @@ def optimize_model(
     include_frequencies: bool = False,
     include_invariant: bool = False,
     branch_passes: int = 1,
-    distribution: str | None = None,
 ) -> float:
     """Full model-parameter optimization on a fixed topology (the paper's
     "optimization of ML model parameters (without tree search) on a fixed
@@ -574,25 +573,11 @@ def optimize_model(
     log-likelihood improves by less than ``epsilon`` (RAxML's default
     likelihood epsilon is 0.1).  Returns the final log-likelihood.
 
-    ``distribution`` (any name in :data:`repro.parallel.DISTRIBUTIONS`)
-    sets the engine's intended parallel pattern-distribution policy before
-    the schedule is captured — both oldPAR and newPAR accept it, since the
-    policy only shapes how each recorded region is later split across
-    threads, never the region sequence itself.
-
     ``"tree"`` runs the Brent phases as ``"new"`` and smooths the
     branches with the tree-wide sweep (:func:`optimize_branch_lengths`).
     """
     _check_strategy(strategy, BRANCH_STRATEGIES)
     brent = "new" if strategy == "tree" else strategy
-    if distribution is not None:
-        from ..parallel.distribution import DISTRIBUTIONS
-
-        if distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {DISTRIBUTIONS}, got {distribution!r}"
-            )
-        engine.distribution = distribution
     lnl = engine.loglikelihood()
     for round_idx in range(max_rounds):
         with engine.tracer.span("opt_round", cat="optimizer",

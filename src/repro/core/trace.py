@@ -148,18 +148,12 @@ class Region:
 @dataclass
 class Trace:
     """A recorded analysis schedule plus the dataset geometry needed to
-    cost it (per-partition pattern counts and state-space sizes).
-
-    ``distribution`` is the pattern-distribution policy the capturing run
-    intended (see :data:`repro.parallel.DISTRIBUTIONS`); the simulator
-    uses it as the default replay policy, and any other policy can still
-    be requested explicitly at replay time."""
+    cost it (per-partition pattern counts and state-space sizes)."""
 
     regions: list[Region] = field(default_factory=list)
     pattern_counts: np.ndarray | None = None   # (P,) m'_p
     states: np.ndarray | None = None           # (P,) 4 or 20
     categories: int = 4
-    distribution: str = "cyclic"
 
     @property
     def n_regions(self) -> int:
@@ -243,16 +237,14 @@ class TraceRecorder:
         pattern_counts: np.ndarray,
         states: np.ndarray,
         categories: int = 4,
-        distribution: str = "cyclic",
     ) -> Trace:
         """Attach dataset geometry (pattern **counts** and state sizes)
-        and the intended replay policy, and return the trace."""
+        and return the trace."""
         if self._open is not None:
             raise RuntimeError("finalize() with a region still open")
         self.trace.pattern_counts = np.asarray(pattern_counts, dtype=np.int64)
         self.trace.states = np.asarray(states, dtype=np.int64)
         self.trace.categories = categories
-        self.trace.distribution = distribution
         return self.trace
 
 
@@ -289,11 +281,9 @@ class NullRecorder:
         pattern_counts: np.ndarray,
         states: np.ndarray,
         categories: int = 4,
-        distribution: str = "cyclic",
     ) -> Trace:
         """Attach dataset geometry to the (empty) trace and return it."""
         self.trace.pattern_counts = np.asarray(pattern_counts, dtype=np.int64)
         self.trace.states = np.asarray(states, dtype=np.int64)
         self.trace.categories = categories
-        self.trace.distribution = distribution
         return self.trace

@@ -11,8 +11,8 @@ Four composable pieces, each off by default:
 * :class:`ConvergenceTelemetry` — the paper's per-partition convergence
   boolean vector recorded per iteration;
 * exporters — Chrome trace-event JSON (loadable in Perfetto) and an ASCII
-  terminal timeline, from live traces, measured RunProfiles, or simulated
-  SimulationResults.
+  terminal timeline of a tracer: a live run's, or a saved RunProfile's
+  records replayed into one (:func:`replay_profile`).
 
 The null stand-ins (:class:`NullTracer`, :class:`NullMetrics`,
 :class:`NullTelemetry`) let instrumented code skip its guard where it is
@@ -37,9 +37,8 @@ See the README's "Observability" section for a walkthrough and
 from .convergence import ConvergenceLog, ConvergenceTelemetry, NullTelemetry
 from .export import (
     ascii_timeline,
-    profile_ascii_timeline,
-    profile_to_chrome,
-    simulation_to_chrome,
+    profile_run_config,
+    replay_profile,
     tracer_to_chrome,
     validate_chrome_trace,
     write_chrome_trace,
@@ -81,10 +80,9 @@ __all__ = [
     "render_dashboard",
     "prometheus_text",
     "tracer_to_chrome",
-    "profile_to_chrome",
-    "simulation_to_chrome",
+    "replay_profile",
+    "profile_run_config",
     "write_chrome_trace",
     "validate_chrome_trace",
     "ascii_timeline",
-    "profile_ascii_timeline",
 ]

@@ -1,15 +1,11 @@
 """Timeline exporters: Chrome trace-event JSON (Perfetto) and ASCII.
 
-Three sources feed the same timeline shape — one *master* lane (the
-command stream) plus one lane per worker:
-
-* a live :class:`~repro.obs.tracer.Tracer` (real timestamps; the worker
-  team synthesizes worker busy spans from measured execute seconds);
-* a measured :class:`~repro.perf.profile.RunProfile` (no absolute
-  timestamps are stored, so commands are laid back to back — each record's
-  wall time on the master lane, each worker's busy seconds inside it);
-* a simulated :class:`~repro.simmachine.simulator.SimulationResult`
-  (aggregate decomposition only: per-thread busy/idle blocks).
+Both render a :class:`~repro.obs.tracer.Tracer`: one *master* lane (the
+command stream) plus one lane per worker.  A live run's tracer receives
+every exchange's :class:`~repro.perf.CommandRecord` as it happens; a
+saved :class:`~repro.perf.profile.RunProfile` holds the same records
+without timestamps, and :func:`replay_profile` lays them back to back
+into a tracer through the same :meth:`Tracer.on_exchange`.
 
 The Chrome trace-event format is the stable subset Perfetto and
 ``chrome://tracing`` both load: complete events (``"ph": "X"``) with
@@ -25,12 +21,11 @@ from .tracer import MASTER_LANE, Span, Tracer
 
 __all__ = [
     "tracer_to_chrome",
-    "profile_to_chrome",
-    "simulation_to_chrome",
+    "replay_profile",
+    "profile_run_config",
     "write_chrome_trace",
     "validate_chrome_trace",
     "ascii_timeline",
-    "profile_ascii_timeline",
 ]
 
 _PID = 1
@@ -120,82 +115,36 @@ def tracer_to_chrome(tracer: Tracer, run_config: dict | None = None) -> list[dic
     return events
 
 
-def profile_to_chrome(profile, run_config: dict | None = None) -> list[dict]:
-    """A measured :class:`~repro.perf.profile.RunProfile` as Chrome events.
+def replay_profile(profile) -> Tracer:
+    """A measured :class:`~repro.perf.profile.RunProfile` replayed into a
+    :class:`Tracer`.
 
     Records carry durations, not timestamps, so the timeline is
     *reconstructed*: command ``i`` starts where command ``i-1``'s wall
-    time ended.  Worker ``w``'s busy span sits at the start of its
-    command; the gap to the command's end is its measured barrier wait.
-
-    The run configuration is stamped into the metadata events —
-    defaulting to what the profile itself recorded (backend, team size,
-    distribution, plus the live/strategy meta stamps).
+    time ended, and each worker's busy span sits at the start of its
+    command (the gap to the command's end is its barrier wait).
     """
-    if run_config is None:
-        run_config = {
-            "backend": profile.backend,
-            "n_workers": profile.n_workers,
-            "distribution": profile.distribution,
-        }
-        for key in ("live", "strategy"):
-            if key in profile.meta:
-                run_config[key] = profile.meta[key]
-    lanes = [MASTER_LANE] + [w + 1 for w in range(profile.n_workers)]
-    events = _metadata_events(lanes, run_config=run_config)
-    cursor = 0.0
+    tracer = Tracer()
+    tracer._epoch = cursor = 0.0  # the records' clock starts at 0
     for rec in profile.records:
-        events.append({
-            "name": rec.op, "cat": rec.kind, "ph": "X",
-            "ts": cursor * _US, "dur": rec.wall * _US,
-            "pid": _PID, "tid": MASTER_LANE,
-            "args": {"span": rec.span, "sync": rec.sync},
-        })
-        for w, busy in enumerate(rec.busy):
-            if busy > 0.0:
-                events.append({
-                    "name": rec.op, "cat": rec.kind, "ph": "X",
-                    "ts": cursor * _US, "dur": busy * _US,
-                    "pid": _PID, "tid": w + 1,
-                    "args": {"idle": rec.idle[w]},
-                })
+        tracer.on_exchange(rec, cursor)
         cursor += rec.wall
-    return events
+    return tracer
 
 
-def simulation_to_chrome(result) -> list[dict]:
-    """A :class:`~repro.simmachine.simulator.SimulationResult` as Chrome
-    events.  The simulator reports aggregate per-thread totals, so each
-    thread lane shows one busy block followed by one idle block, and the
-    master lane shows the makespan split into compute vs synchronization."""
-    lanes = [MASTER_LANE] + [t + 1 for t in range(result.n_threads)]
-    names = {MASTER_LANE: f"master ({result.machine})"}
-    events = _metadata_events(lanes, names)
-    compute = max(result.total_seconds - result.sync_seconds, 0.0)
-    events.append({
-        "name": "compute", "cat": "summary", "ph": "X",
-        "ts": 0.0, "dur": compute * _US, "pid": _PID, "tid": MASTER_LANE,
-        "args": {"n_regions": result.n_regions},
-    })
-    events.append({
-        "name": "sync", "cat": "summary", "ph": "X",
-        "ts": compute * _US, "dur": result.sync_seconds * _US,
-        "pid": _PID, "tid": MASTER_LANE,
-        "args": {"distribution": result.distribution},
-    })
-    for t in range(result.n_threads):
-        busy = float(result.busy_seconds[t])
-        idle = float(result.idle_seconds[t])
-        events.append({
-            "name": "busy", "cat": "summary", "ph": "X",
-            "ts": 0.0, "dur": busy * _US, "pid": _PID, "tid": t + 1,
-        })
-        if idle > 0.0:
-            events.append({
-                "name": "idle", "cat": "summary", "ph": "X",
-                "ts": busy * _US, "dur": idle * _US, "pid": _PID, "tid": t + 1,
-            })
-    return events
+def profile_run_config(profile) -> dict:
+    """The run configuration a profile recorded — backend, team size,
+    distribution, plus its live/strategy meta stamps — for the
+    ``run_config`` metadata of an exported timeline."""
+    run_config = {
+        "backend": profile.backend,
+        "n_workers": profile.n_workers,
+        "distribution": profile.distribution,
+    }
+    for key in ("live", "strategy"):
+        if key in profile.meta:
+            run_config[key] = profile.meta[key]
+    return run_config
 
 
 def write_chrome_trace(path: str | Path, events: list[dict]) -> Path:
@@ -243,31 +192,6 @@ def _bin_char(fraction: float) -> str:
     if fraction > 0.0:
         idx = max(idx, 1)  # any work at all is visible
     return _SHADE[idx]
-
-
-def profile_ascii_timeline(profile, width: int = 72) -> str:
-    """Render a :class:`RunProfile` as a terminal timeline.
-
-    The master row letters each time bin by its dominant region kind
-    (N/S/D/E/c); each worker row shades its bins by busy fraction
-    (`` .:=#``), so oldPAR's starved barriers appear as pale stripes.
-    """
-    starts, kinds = [], []
-    cursor = 0.0
-    for rec in profile.records:
-        starts.append(cursor)
-        kinds.append(rec.kind)
-        cursor += rec.wall
-    total = cursor
-    spans = [
-        [(starts[i], starts[i] + rec.busy[w]) for i, rec in enumerate(profile.records)]
-        for w in range(profile.n_workers)
-    ]
-    return _render_ascii(
-        total, kinds, starts,
-        [f"worker {w}" for w in range(profile.n_workers)], spans,
-        [rec.wall for rec in profile.records], width,
-    )
 
 
 def ascii_timeline(tracer: Tracer, width: int = 72) -> str:

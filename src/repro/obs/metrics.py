@@ -211,6 +211,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: imbalance gauge name -> cumulative busy seconds per rank, summed
+        #: over every team publishing here (see ExchangeMetrics).
+        self._rank_busy: dict[str, list[float]] = {}
 
     def _get(self, name: str, cls, *args):
         with self._lock:
@@ -263,11 +266,16 @@ class ExchangeMetrics:
 
     Per broadcast: ``broadcasts.total`` and ``broadcasts.<kind>``,
     ``commands.total`` and the ``commands_per_barrier`` histogram, the
-    ``comms.pipe_bytes`` gauge (``pipe_bytes()`` is the team's cumulative
-    count), the ``region_wall_seconds`` / ``sync_seconds`` histograms,
-    one ``barrier_wait_seconds`` sample per worker, and the ``imbalance``
-    / ``imbalance.<kind>`` gauges over cumulative worker busy time
-    (1.0 = perfect balance).
+    ``comms.pipe_bytes`` gauge, the ``region_wall_seconds`` /
+    ``sync_seconds`` histograms, one ``barrier_wait_seconds`` sample per
+    worker, and the ``imbalance`` / ``imbalance.<kind>`` gauges over
+    cumulative worker busy time (1.0 = perfect balance).
+
+    Several teams may publish to one registry (the service's warm
+    teams do), so the gauges are registry-wide: each exchange adds its
+    team's pipe-byte delta (``pipe_bytes()`` is the team's cumulative
+    count), and imbalance is taken over the per-rank busy totals of every
+    team, a narrower team's missing ranks counting as 0.
 
     A serve team publishes every exchange, so this path is kept cheap:
     every instrument is looked up once (the per-kind ones on the first
@@ -289,9 +297,19 @@ class ExchangeMetrics:
         self._sync = registry.histogram("sync_seconds")
         self._wait = registry.histogram("barrier_wait_seconds")
         self._imbalance = registry.gauge("imbalance")
-        self._busy = [0.0] * n_workers
+        self._n_workers = n_workers
+        self._sent = 0  # team pipe bytes already added to the gauge
+        self._busy = self._rank_busy("imbalance")
         #: kind -> (broadcasts counter, imbalance gauge, cumulative busy).
         self._kinds: dict[str, tuple[Counter, Gauge, list[float]]] = {}
+
+    def _rank_busy(self, gauge: str) -> list[float]:
+        """The registry's shared per-rank busy totals behind ``gauge``,
+        at least this team's width (ranks only ever get added)."""
+        with self._lock:
+            busy = self._registry._rank_busy.setdefault(gauge, [])
+            busy.extend([0.0] * (self._n_workers - len(busy)))
+        return busy
 
     def on_exchange(self, record, start: float) -> None:
         """Publish one :class:`~repro.perf.CommandRecord`."""
@@ -300,18 +318,20 @@ class ExchangeMetrics:
             per_kind = self._kinds[record.kind] = (
                 self._registry.counter(f"broadcasts.{record.kind}"),
                 self._registry.gauge(f"imbalance.{record.kind}"),
-                [0.0] * len(self._busy),
+                self._rank_busy(f"imbalance.{record.kind}"),
             )
         kind_count, kind_gauge, kind_busy = per_kind
         busy, wall, total, wait = record.busy, record.wall, self._busy, self._wait
         span = max(busy)
-        pipe_bytes = float(self._pipe_bytes())
+        pipe_bytes = self._pipe_bytes()
+        sent = pipe_bytes - self._sent
+        self._sent = pipe_bytes
         with self._lock:
             self._broadcasts._value += 1.0
             kind_count._value += 1.0
             self._commands._value += record.n_commands
             self._per_barrier._add(float(record.n_commands))
-            self._pipe._value = pipe_bytes
+            self._pipe._value += sent
             self._wall._add(wall)
             self._sync._add(max(wall - span, 0.0))
             for w, b in enumerate(busy):

@@ -149,13 +149,15 @@ class Tracer:
     def on_exchange(self, record, start: float) -> None:
         """One broadcast's spans from its
         :class:`~repro.perf.CommandRecord`: the exchange on the master
-        lane and each worker's busy seconds on its lane, all starting at
+        lane (args: its ``sync`` seconds) and each worker's busy seconds
+        on its lane (args: its ``idle`` seconds), all starting at
         ``start`` (a ``time.perf_counter()`` reading)."""
         t0 = start - self._epoch
         op, kind = record.op, record.kind
-        spans = [Span(op, kind, t0, record.wall, MASTER_LANE, {})]
-        spans += [Span(op, kind, t0, busy, w + 1, {})
-                  for w, busy in enumerate(record.busy) if busy > 0.0]
+        spans = [Span(op, kind, t0, record.wall, MASTER_LANE, {"sync": record.sync})]
+        spans += [Span(op, kind, t0, busy, w + 1, {"idle": idle})
+                  for w, (busy, idle) in enumerate(zip(record.busy, record.idle))
+                  if busy > 0.0]
         with self._lock:
             self.spans.extend(spans)
 

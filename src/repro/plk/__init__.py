@@ -31,6 +31,7 @@ from .partition import (
     PartitionedAlignment,
     PartitionScheme,
     parse_partition_file,
+    read_partitioned_alignment,
     uniform_scheme,
 )
 from .phylip import parse_fasta, parse_phylip, write_fasta, write_phylip
@@ -71,6 +72,7 @@ __all__ = [
     "parse_partition_file",
     "parse_phylip",
     "ratios_to_frequencies",
+    "read_partitioned_alignment",
     "repeat_profile",
     "stack_groups",
     "taxon_coverage",

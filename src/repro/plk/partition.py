@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .alignment import Alignment, compress_columns
 from .datatypes import DataType, get_datatype
+from .phylip import parse_fasta, parse_phylip
 
 __all__ = [
     "Partition",
@@ -29,6 +31,7 @@ __all__ = [
     "PartitionData",
     "PartitionedAlignment",
     "parse_partition_file",
+    "read_partitioned_alignment",
     "uniform_scheme",
 ]
 
@@ -241,3 +244,36 @@ class PartitionedAlignment:
     def pattern_counts(self) -> np.ndarray:
         """(n_partitions,) per-partition distinct pattern counts m'_p."""
         return np.array([d.n_patterns for d in self.data], dtype=np.int64)
+
+
+def read_partitioned_alignment(
+    alignment: str | Path,
+    partitions: str | Path | None = None,
+    taxa: tuple[str, ...] | None = None,
+) -> PartitionedAlignment:
+    """Read an analysis's alignment and partition files.
+
+    ``alignment`` is FASTA if its first non-blank character is ``>``,
+    PHYLIP otherwise; ``partitions`` is a RAxML-style partition file
+    (default: one partition over every column).  ``taxa`` is a tree's
+    leaf names in leaf order: Newick numbers leaves by appearance, so the
+    rows are put in that order and leaf ``i`` carries taxon ``i``'s data.
+    Raises ``ValueError`` when the taxon sets differ; rows already in
+    that order are not copied.
+    """
+    text = Path(alignment).read_text()
+    aln = parse_fasta(text) if text.lstrip().startswith(">") else parse_phylip(text)
+    if taxa is not None and tuple(taxa) != aln.taxa:
+        if set(taxa) != set(aln.taxa):
+            raise ValueError(
+                "tree and alignment taxa differ: only in the alignment "
+                f"{sorted(set(aln.taxa) - set(taxa))}, only in the tree "
+                f"{sorted(set(taxa) - set(aln.taxa))}"
+            )
+        order = [aln.taxa.index(name) for name in taxa]
+        aln = Alignment(tuple(taxa), aln.matrix[order], aln.datatype)
+    if partitions is None:
+        scheme = uniform_scheme(aln.n_sites, aln.n_sites)
+    else:
+        scheme = parse_partition_file(Path(partitions).read_text())
+    return PartitionedAlignment(aln, scheme)

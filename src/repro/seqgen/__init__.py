@@ -4,6 +4,7 @@ from .datasets import (
     PAPER_SIMULATED,
     Dataset,
     paper_dataset,
+    profiling_workload,
     realworld_standin,
     simulated_dataset,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "default_taxa",
     "gappy_dataset",
     "paper_dataset",
+    "profiling_workload",
     "random_topology_with_lengths",
     "realworld_standin",
     "scheme_from_lengths",

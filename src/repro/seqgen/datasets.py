@@ -54,6 +54,7 @@ __all__ = [
     "PAPER_SIMULATED",
     "PAPER_REALWORLD",
     "paper_dataset",
+    "profiling_workload",
 ]
 
 #: The paper's 12 simulated datasets: (taxa, columns).
@@ -199,6 +200,28 @@ def realworld_standin(name: str, seed: int = 7) -> Dataset:
     return _simulate_partitioned(
         name, tree, lengths, scheme, dtype, seed, unique_columns=True
     )
+
+
+def profiling_workload(taxa: int, sites: int, partitions: int, seed: int):
+    """The small simulated workload the CLI's team commands (``repro
+    profile``/``timeline``/``balance``/``top``) and a ``{"kind":
+    "simulated"}`` serve dataset run on: one seeded topology, one GTR
+    simulation on it, ``partitions`` equal blocks (``sites`` rounded down
+    to a multiple), and per-partition ``random_gtr(p)`` models with
+    alphas of 1.0.
+
+    Returns ``(data, tree, lengths, models, alphas)``.
+    """
+    rng = np.random.default_rng(seed)
+    tree, lengths = random_topology_with_lengths(taxa, rng)
+    part_len = max(sites // partitions, 1)
+    sites = part_len * partitions
+    aln = simulate_alignment(
+        tree, lengths, SubstitutionModel.random_gtr(0), 1.0, sites, rng
+    )
+    data = PartitionedAlignment(aln, uniform_scheme(sites, part_len))
+    models = [SubstitutionModel.random_gtr(p) for p in range(data.n_partitions)]
+    return data, tree, lengths, models, [1.0] * data.n_partitions
 
 
 def paper_dataset(name: str, seed: int = 42) -> Dataset:

@@ -62,96 +62,55 @@ class AnalysisContext:
         return self.data.n_partitions
 
 
-def _build_simulated(spec: dict) -> AnalysisContext:
-    from ..parallel.distribution import PartitionLayout
-    from ..plk import PartitionedAlignment, SubstitutionModel, uniform_scheme
-    from ..seqgen import random_topology_with_lengths, simulate_alignment
-
-    taxa = int(spec.get("taxa", 8))
-    partitions = int(spec.get("partitions", 4))
-    sites = int(spec.get("sites", 400))
-    seed = int(spec.get("seed", 42))
-
-    rng = np.random.default_rng(seed)
-    tree, lengths = random_topology_with_lengths(taxa, rng)
-    part_len = max(sites // partitions, 1)
-    sites = part_len * partitions
-    aln = simulate_alignment(
-        tree, lengths, SubstitutionModel.random_gtr(0), 1.0, sites, rng
-    )
-    data = PartitionedAlignment(aln, uniform_scheme(sites, part_len))
-    models = [SubstitutionModel.random_gtr(p) for p in range(data.n_partitions)]
-    alphas = [1.0] * data.n_partitions
-    return AnalysisContext(
-        key="",
-        spec=spec,
-        data=data,
-        tree=tree,
-        lengths=lengths,
-        models=models,
-        alphas=alphas,
-        layout=PartitionLayout.from_alignment(data),
-    )
-
-
-def _build_files(spec: dict) -> AnalysisContext:
+def _read(spec: dict) -> tuple:
+    """``(data, tree, lengths, models, alphas)`` of a dataset spec."""
     from pathlib import Path
 
-    from ..parallel.distribution import PartitionLayout
-    from ..plk import (
-        PartitionedAlignment,
-        SubstitutionModel,
-        parse_fasta,
-        parse_newick,
-        parse_partition_file,
-        parse_phylip,
-        uniform_scheme,
+    from ..plk import SubstitutionModel, parse_newick, read_partitioned_alignment
+    from ..seqgen import profiling_workload
+
+    kind = spec.get("kind", "simulated")
+    if kind == "simulated":
+        return profiling_workload(
+            int(spec.get("taxa", 8)), int(spec.get("sites", 400)),
+            int(spec.get("partitions", 4)), int(spec.get("seed", 42)),
+        )
+    if kind == "files":
+        tree, lengths = parse_newick(Path(spec["tree"]).read_text())
+        data = read_partitioned_alignment(
+            spec["alignment"], spec.get("partitions"), tree.taxa
+        )
+        models = [SubstitutionModel.random_gtr(p) for p in range(data.n_partitions)]
+        return data, tree, lengths, models, [1.0] * data.n_partitions
+    raise ValueError(
+        f"unknown dataset kind {kind!r} (expected one of ['files', 'simulated'])"
     )
-
-    text = Path(spec["alignment"]).read_text()
-    alignment = parse_fasta(text) if text.lstrip().startswith(">") else parse_phylip(text)
-    if "partitions" in spec:
-        scheme = parse_partition_file(Path(spec["partitions"]).read_text())
-    else:
-        scheme = uniform_scheme(alignment.n_sites, alignment.n_sites)
-    data = PartitionedAlignment(alignment, scheme)
-    tree, lengths = parse_newick(Path(spec["tree"]).read_text())
-    models = [SubstitutionModel.random_gtr(p) for p in range(data.n_partitions)]
-    alphas = [1.0] * data.n_partitions
-    return AnalysisContext(
-        key="",
-        spec=spec,
-        data=data,
-        tree=tree,
-        lengths=lengths,
-        models=models,
-        alphas=alphas,
-        layout=PartitionLayout.from_alignment(data),
-    )
-
-
-_BUILDERS = {"simulated": _build_simulated, "files": _build_files}
 
 
 def build_context(spec: dict) -> AnalysisContext:
     """Build an :class:`AnalysisContext` from a dataset spec dict.
 
-    ``spec["kind"]`` selects the builder: ``"simulated"`` (taxa, sites,
-    partitions, seed — mirrors the CLI's shared profiling workload) or
-    ``"files"`` (alignment, tree, optional partitions paths).
+    ``spec["kind"]`` selects the reader: ``"simulated"`` (taxa, sites,
+    partitions, seed — :func:`repro.seqgen.profiling_workload`, the CLI's
+    team workload) or ``"files"`` (alignment, tree, optional partitions
+    paths — :func:`repro.plk.read_partitioned_alignment`, rows matched to
+    the tree's leaves by taxon name; a differing taxon set raises
+    ``ValueError``).
     """
+    from ..parallel.distribution import PartitionLayout
     from ..plk.eigen import EigenSystem
 
-    kind = spec.get("kind", "simulated")
-    builder = _BUILDERS.get(kind)
-    if builder is None:
-        raise ValueError(
-            f"unknown dataset kind {kind!r} (expected one of {sorted(_BUILDERS)})"
-        )
-    ctx = builder(spec)
-    ctx.key = fingerprint(spec)
-    ctx.nbytes = sum(
-        p.tip_states.nbytes + p.weights.nbytes for p in ctx.data.data
+    data, tree, lengths, models, alphas = _read(spec)
+    ctx = AnalysisContext(
+        key=fingerprint(spec),
+        spec=spec,
+        data=data,
+        tree=tree,
+        lengths=lengths,
+        models=models,
+        alphas=alphas,
+        layout=PartitionLayout.from_alignment(data),
+        nbytes=sum(p.tip_states.nbytes + p.weights.nbytes for p in data.data),
     )
     # Warm the process-wide eigensystem memo now, off any engine's
     # critical path; subsequent PartitionLikelihood builds (and forked

@@ -89,15 +89,12 @@ def simulate_trace(
     trace: Trace,
     machine: MachineSpec,
     n_threads: int,
-    distribution=None,
+    distribution: str = "cyclic",
 ) -> SimulationResult:
     """Replay ``trace`` with ``n_threads`` workers on ``machine``.
 
     ``distribution`` is a policy name from
-    :data:`repro.parallel.DISTRIBUTIONS` (``cyclic`` or ``block``);
-    ``None`` (the default) uses the policy stamped on the trace at
-    capture time (``trace.distribution``, itself defaulting to
-    ``cyclic``).
+    :data:`repro.parallel.DISTRIBUTIONS` (``cyclic`` or ``block``).
     """
     # Imported lazily: repro.parallel.distribution itself imports nothing
     # from simmachine, but going through the repro.parallel package here
@@ -117,8 +114,6 @@ def simulate_trace(
     categories = trace.categories
     t = n_threads
 
-    if distribution is None:
-        distribution = getattr(trace, "distribution", "cyclic")
     # Per-partition per-thread counts are fixed per policy (they do not
     # change between regions).
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -255,11 +250,11 @@ def speedup_curve(
     trace: Trace,
     machine: MachineSpec,
     thread_counts: list[int],
-    distribution: str | None = None,
+    distribution: str = "cyclic",
 ) -> dict[int, float]:
     """Speedups over the 1-thread replay for each thread count (the
     quantity plotted in paper Fig. 6).  ``distribution`` accepts any
-    policy name (default: the trace's capture-time policy)."""
+    policy name."""
     base = simulate_trace(trace, machine, 1, distribution).total_seconds
     return {
         n: base / simulate_trace(trace, machine, n, distribution).total_seconds

@@ -41,14 +41,29 @@ class TestParser:
         ["serve", "--distribution", "lpt"],
         ["balance", "--rebalance"],
         ["balance", "--distribution", "cyclic"],
+        *([command, *flag] for command in ("timeline", "balance", "top")
+          for flag in (["--live"], ["--prom", "m.prom"], ["--events", "e.jsonl"])),
     ])
     def test_removed_team_options_rejected(self, argv, capsys):
         """One worker team: no ``--backend`` flag, no ``perfcheck``; two
         distribution policies: no ``weighted``/``lpt``, no ``--rebalance``,
-        and ``balance`` (which runs both) takes no ``--distribution``."""
+        and ``balance`` (which runs both) takes no ``--distribution``;
+        the live-plane flags exist only on ``profile``, which reads them."""
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(argv)
         assert exc_info.value.code == 2
+
+    def test_option_count(self):
+        """Every flag is declared only where its command reads it."""
+        import argparse
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        n_options = sum(
+            1 for command in sub.choices.values() for action in command._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        )
+        assert n_options == 92
 
     def test_analyze_defaults(self):
         args = build_parser().parse_args(["analyze", "--alignment", "a.phy"])
@@ -131,6 +146,7 @@ class TestAnalyze:
             ]
         )
         assert rc == 2
+        assert "error: tree and alignment taxa differ" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -247,18 +263,22 @@ class TestTimeline:
         assert rc == 0
         capsys.readouterr()
         out_path = tmp_path / "trace.json"
-        rc = main(
-            [
-                "timeline",
-                "--profile", str(profile_path),
-                "--strategy", "old",
-                "--out", str(out_path),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "[old]" in out and "worker 1" in out
-        validate_chrome_trace(json.loads(out_path.read_text()))
+        for strategy in ("old", "tree"):  # every schedule profile writes
+            rc = main(
+                [
+                    "timeline",
+                    "--profile", str(profile_path),
+                    "--strategy", strategy,
+                    "--out", str(out_path),
+                ]
+            )
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert f"[{strategy}]" in out and "worker 1" in out
+            assert "across 3 lanes" in out
+            events = validate_chrome_trace(json.loads(out_path.read_text()))
+            config = next(e["args"] for e in events if e["name"] == "run_config")
+            assert config["strategy"] == strategy
 
 
 class TestCheckpointFlow:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PartitionedEngine, TraceRecorder
+from repro.core import TraceRecorder
 from repro.parallel import (
     DISTRIBUTIONS,
     ParallelPLK,
@@ -306,7 +306,7 @@ def workload():
     return data, tree, lengths, models, alphas
 
 
-def _mixed_trace(distribution="cyclic"):
+def _mixed_trace():
     lengths, states = (1, 3, 1, 3, 1, 3, 1, 3), (20, 4, 20, 4, 20, 4, 20, 4)
     rec = TraceRecorder()
     rec.begin_region("lnl")
@@ -314,7 +314,7 @@ def _mixed_trace(distribution="cyclic"):
         rec.newview(p, patterns, count=3)
         rec.evaluate(p, patterns)
     rec.end_region()
-    return rec.finalize(np.array(lengths), np.array(states), distribution=distribution)
+    return rec.finalize(np.array(lengths), np.array(states))
 
 
 class TestPolicyThreading:
@@ -329,40 +329,6 @@ class TestPolicyThreading:
             assert res.busy_seconds.sum() == pytest.approx(
                 results["cyclic"].busy_seconds.sum(), rel=0.3
             )
-
-    def test_default_policy_comes_from_trace(self):
-        res = simulate_trace(_mixed_trace("block"), NEHALEM, 2)
-        assert res.distribution == "block"
-
-    def test_engine_stamps_trace(self, workload):
-        data, tree, lengths, models, alphas = workload
-        rec = TraceRecorder()
-        engine = PartitionedEngine(
-            data, tree.copy(), models=models, alphas=alphas,
-            initial_lengths=lengths, recorder=rec, distribution="block",
-        )
-        engine.loglikelihood()
-        trace = rec.finalize(
-            engine.pattern_counts(), engine.states(),
-            distribution=engine.distribution,
-        )
-        assert trace.distribution == "block"
-
-    def test_optimize_model_accepts_policy(self, workload):
-        from repro.core import optimize_model
-
-        data, tree, lengths, models, alphas = workload
-        for strategy in ("old", "new"):
-            engine = PartitionedEngine(
-                data, tree.copy(), models=models, alphas=alphas,
-                initial_lengths=lengths,
-            )
-            optimize_model(
-                engine, strategy=strategy, max_rounds=1,
-                include_rates=False, include_branches=False,
-                distribution="block",
-            )
-            assert engine.distribution == "block"
 
 
 @pytest.mark.parametrize("policy", REMOVED + ("striped",))
@@ -384,21 +350,6 @@ class TestOtherPoliciesRejected:
         with pytest.raises(ValueError, match="distribution"):
             ParallelPLK(data, tree, models, alphas, 2,
                         distribution=policy, initial_lengths=lengths)
-
-    def test_partitioned_engine(self, policy, workload):
-        data, tree, lengths, models, alphas = workload
-        with pytest.raises(ValueError, match="distribution"):
-            PartitionedEngine(data, tree.copy(), models=models, alphas=alphas,
-                              initial_lengths=lengths, distribution=policy)
-
-    def test_optimize_model(self, policy, workload):
-        from repro.core import optimize_model
-
-        data, tree, lengths, models, alphas = workload
-        engine = PartitionedEngine(data, tree.copy(), models=models, alphas=alphas,
-                                   initial_lengths=lengths)
-        with pytest.raises(ValueError, match="distribution"):
-            optimize_model(engine, max_rounds=1, distribution=policy)
 
     def test_simulate_trace(self, policy):
         with pytest.raises(ValueError, match="unknown distribution"):

@@ -135,3 +135,27 @@ def test_worker_death_postmortem_names_the_op(setup, tmp_path):
     deaths = [e for e in events if e["event"] == "worker_death"]
     assert deaths and deaths[-1]["rank"] == 1
     assert deaths[-1]["op"] == "die"
+
+
+@pytest.mark.timeout(120)
+def test_shared_registry_gauges_span_every_team(setup):
+    """Two teams of different widths publish into one registry (as the
+    service's warm teams do): the pipe-byte gauge counts both teams'
+    bytes, and the imbalance gauges are over the rank-wise summed busy
+    time of both, the narrower team's missing rank counting as 0."""
+    data, tree, lengths, models, alphas = setup
+    registry = MetricsRegistry()
+    moved, busy = 0, np.zeros(2)
+    for n_workers in (2, 1):
+        profiler = Profiler()
+        with ParallelPLK(data, tree, models, alphas, n_workers,
+                         initial_lengths=lengths, profiler=profiler,
+                         metrics=registry) as team:
+            team.optimize_branches([0, 1], "tree")
+            team.loglikelihood(0)
+            stats = team.comms_stats()
+        moved += stats["pipe_tx_bytes"] + stats["pipe_rx_bytes"]
+        busy[:n_workers] += profiler.profile().busy_seconds
+    snap = registry.snapshot()
+    assert snap["comms.pipe_bytes"]["value"] == moved
+    assert snap["imbalance"]["value"] == pytest.approx(busy.max() / busy.mean())

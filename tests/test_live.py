@@ -639,7 +639,11 @@ class TestExportRunConfig:
 
     @pytest.mark.timeout(60)
     def test_profile_to_chrome_self_describes(self, setup):
-        from repro.obs.export import profile_to_chrome
+        from repro.obs.export import (
+            profile_run_config,
+            replay_profile,
+            tracer_to_chrome,
+        )
         from repro.perf import Profiler
 
         profiler = Profiler()
@@ -648,7 +652,9 @@ class TestExportRunConfig:
             setup, "processes", profiler=profiler, live=live
         ) as team:
             team.loglikelihood(0)
-        events = profile_to_chrome(profiler.profile())
+        profile = profiler.profile()
+        events = tracer_to_chrome(replay_profile(profile),
+                                  run_config=profile_run_config(profile))
         cfg = [e for e in events if e.get("name") == "run_config"]
         assert cfg and cfg[0]["args"]["backend"] == "processes"
         assert cfg[0]["args"]["live"] is True  # the meta stamp rode along

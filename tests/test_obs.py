@@ -17,9 +17,7 @@ from repro.obs import (
     NullTracer,
     Tracer,
     ascii_timeline,
-    profile_ascii_timeline,
-    profile_to_chrome,
-    simulation_to_chrome,
+    replay_profile,
     tracer_to_chrome,
     validate_chrome_trace,
     write_chrome_trace,
@@ -406,7 +404,7 @@ class TestChromeExport:
 
     def test_profile_export_lanes_and_reconstruction(self):
         profile = _sample_profile()
-        events = validate_chrome_trace(profile_to_chrome(profile))
+        events = validate_chrome_trace(tracer_to_chrome(replay_profile(profile)))
         lanes = {ev["tid"] for ev in events if ev["ph"] == "X"}
         assert lanes == {MASTER_LANE, 1, 2}
         master = [ev for ev in events
@@ -422,31 +420,23 @@ class TestChromeExport:
         for ev in events:
             if ev["ph"] == "X" and ev["tid"] != MASTER_LANE:
                 assert ev["dur"] <= max(m["dur"] for m in master) + 1e-9
+        # Tracer.on_exchange stamps each master span's sync seconds and
+        # each worker span's idle seconds, on a live run as on a replay
+        for ev, rec in zip(master, profile.records):
+            assert ev["args"]["sync"] == pytest.approx(rec.sync)
+        idle = [ev["args"]["idle"] for ev in events
+                if ev["ph"] == "X" and ev["tid"] == 1]
+        assert idle == pytest.approx(
+            [rec.idle[0] for rec in profile.records if rec.busy[0] > 0.0])
 
     def test_lane_metadata_names(self):
-        events = profile_to_chrome(_sample_profile())
+        events = tracer_to_chrome(replay_profile(_sample_profile()))
         names = {
             ev["tid"]: ev["args"]["name"]
             for ev in events if ev["ph"] == "M" and ev["name"] == "thread_name"
         }
         assert names[MASTER_LANE] == "master"
         assert names[1] == "worker 0" and names[2] == "worker 1"
-
-    def test_simulation_export(self, small_setup):
-        from repro.core import TraceRecorder, optimize_branch
-        from repro.simmachine import NEHALEM, simulate_trace
-
-        data, tree, lengths, models, alphas = small_setup
-        rec = TraceRecorder()
-        eng = PartitionedEngine(data, tree.copy(), models=models,
-                                alphas=alphas, initial_lengths=lengths,
-                                recorder=rec)
-        optimize_branch(eng, 0, strategy="new")
-        trace = rec.finalize(eng.pattern_counts(), eng.states())
-        result = simulate_trace(trace, NEHALEM, 2)
-        events = validate_chrome_trace(simulation_to_chrome(result))
-        lanes = {ev["tid"] for ev in events if ev["ph"] == "X"}
-        assert lanes == {MASTER_LANE, 1, 2}
 
     def test_validate_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -461,7 +451,7 @@ class TestChromeExport:
 
 class TestAsciiTimeline:
     def test_profile_rendering(self):
-        art = profile_ascii_timeline(_sample_profile(), width=40)
+        art = ascii_timeline(replay_profile(_sample_profile()), width=40)
         lines = art.splitlines()
         assert lines[0].lstrip().startswith("master")
         assert "worker 0" in art and "worker 1" in art

@@ -498,3 +498,67 @@ def test_numpy_integer_edges_accepted(service):
     assert view["state"] == "done"
     assert view["result"]["edges"] == [last]
 
+
+
+# ---------------------------------------------------------------------------
+# files datasets
+
+
+def _toy_files(tmp_path) -> dict:
+    """``repro simulate`` output as a ``files`` spec: its PHYLIP rows are
+    t0..t7, its Newick lists the leaves in another order."""
+    from repro.cli import main
+
+    out = tmp_path / "toy"
+    assert main(["simulate", "--taxa", "8", "--sites", "400",
+                 "--partition-length", "200", "--seed", "3",
+                 "--out", str(out)]) == 0
+    return {"kind": "files", "alignment": f"{out}.phy",
+            "partitions": f"{out}.part", "tree": f"{out}.nwk"}
+
+
+@pytest.mark.timeout(120)
+def test_files_rows_matched_to_leaves_by_name(tmp_path):
+    from repro.core import PartitionedEngine
+    from repro.plk import (
+        Alignment,
+        PartitionedAlignment,
+        SubstitutionModel,
+        parse_newick,
+        parse_partition_file,
+        parse_phylip,
+    )
+
+    ds = _toy_files(tmp_path)
+    aln = parse_phylip(open(ds["alignment"]).read())
+    tree, lengths = parse_newick(open(ds["tree"]).read())
+    assert aln.taxa != tree.taxa  # the rows are not in leaf order
+    order = [aln.taxa.index(name) for name in tree.taxa]
+    data = PartitionedAlignment(
+        Alignment(tree.taxa, aln.matrix[order], aln.datatype),
+        parse_partition_file(open(ds["partitions"]).read()),
+    )
+    n = data.n_partitions
+    expected = PartitionedEngine(
+        data, tree, models=[SubstitutionModel.random_gtr(p) for p in range(n)],
+        alphas=[1.0] * n, initial_lengths=lengths,
+    ).loglikelihood()
+    with LikelihoodService(ServiceConfig(workers=2, executors=1,
+                                         pool_capacity=1)) as svc:
+        view = LocalClient(svc).run({"op": "loglikelihood", "dataset": ds},
+                                    wait=60)
+    assert view["state"] == "done"
+    assert view["result"]["lnl"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_files_differing_taxon_set_rejected_at_submit(tmp_path):
+    ds = _toy_files(tmp_path)
+    newick = open(ds["tree"]).read()
+    assert "t7:" in newick
+    other = tmp_path / "other.nwk"
+    other.write_text(newick.replace("t7:", "x7:"))
+    svc = LikelihoodService(ServiceConfig(workers=2))  # never started
+    with pytest.raises(ValueError, match="taxa differ"):
+        svc.submit({"op": "loglikelihood",
+                    "dataset": {**ds, "tree": str(other)}})
+    assert svc.queue.depth() == 0
