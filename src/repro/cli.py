@@ -61,12 +61,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+from .core.strategies import (BRANCH_STRATEGIES, PARTITION_SCHEDULE, optimize_alpha,
+                              optimize_branch_lengths)
 
-#: The branch-length schedules, each with the alpha schedule it pairs
-#: with (``"tree"`` smooths branches only; its Brent runs as newPAR).
-#: ``repro profile`` runs all three; ``--strategy`` picks one.
-_PROFILED = {"old": "old", "new": "new", "tree": "new"}
+__all__ = ["main", "build_parser"]
 
 #: Commands that run :func:`repro.seqgen.profiling_workload` on a team.
 _TEAM_COMMANDS = ("profile", "timeline", "balance", "top")
@@ -98,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: single partition)")
     ana.add_argument("--tree", help="starting tree (Newick; default: "
                      "randomized stepwise-addition parsimony)")
-    ana.add_argument("--strategy", choices=tuple(_PROFILED), default="tree",
+    ana.add_argument("--strategy", choices=BRANCH_STRATEGIES, default="tree",
                      help="old/newPAR, or tree: newPAR Brent with tree-wide "
                      "branch smoothing and, with --search, lazy SPR "
                      "scoring (default: %(default)s)")
@@ -171,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export a run as a Chrome trace-event (Perfetto) timeline",
     )
     add_workload_args(tl)
-    tl.add_argument("--strategy", choices=tuple(_PROFILED), default="new")
+    tl.add_argument("--strategy", choices=BRANCH_STRATEGIES, default="new")
     tl.add_argument("--profile", dest="profile_json",
                     help="render a saved profile JSON (from 'repro profile "
                     "--out') instead of running a fresh workload")
@@ -191,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulated platform for the prediction "
                      "(nehalem / clovertown / barcelona / x4600; "
                      "default: %(default)s)")
-    bal.add_argument("--strategy", choices=tuple(_PROFILED), default="new")
+    bal.add_argument("--strategy", choices=BRANCH_STRATEGIES, default="new")
 
     top = sub.add_parser(
         "top",
@@ -309,13 +307,12 @@ def _team(args: argparse.Namespace, workload: tuple, distribution: str,
 def _run_pass(engine, args: argparse.Namespace, strategy: str) -> None:
     """One pass of a team command on either engine: smooth the first
     ``--edges`` branches under ``strategy`` and, with ``--alpha``, run its
-    paired alpha schedule."""
-    from .core.strategies import optimize_alpha, optimize_branch_lengths
-
+    paired alpha schedule (``PARTITION_SCHEDULE``: tree's Brent runs as
+    newPAR)."""
     optimize_branch_lengths(engine, strategy, passes=1,
                             edges=list(range(args.edges)))
     if args.alpha:
-        optimize_alpha(engine, _PROFILED[strategy])
+        optimize_alpha(engine, PARTITION_SCHEDULE[strategy])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -471,7 +468,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     workload = profiling_workload(args.taxa, args.sites, args.partitions, args.seed)
     sites = workload[0].scheme.n_sites
     profiles, lives = {}, {}
-    for strategy in _PROFILED:
+    for strategy in BRANCH_STRATEGIES:
         live = None
         if args.live:
             from .obs import LiveTelemetry

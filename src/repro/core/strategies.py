@@ -41,6 +41,7 @@ from .engine import PartitionedEngine
 __all__ = [
     "STRATEGIES",
     "BRANCH_STRATEGIES",
+    "PARTITION_SCHEDULE",
     "TREE_SWEEPS",
     "optimize_branch",
     "optimize_branch_lengths",
@@ -54,9 +55,11 @@ __all__ = [
 ]
 
 STRATEGIES = ("old", "new")
-#: The branch-length smoothing schedules: the two per-branch walks and
-#: the tree-wide Jacobi sweep.
-BRANCH_STRATEGIES = STRATEGIES + ("tree",)
+#: The branch-length smoothing schedules (the two per-branch walks and
+#: the tree-wide Jacobi sweep), each with the per-partition schedule of
+#: :data:`STRATEGIES` its per-branch walks and Brent phases run as.
+PARTITION_SCHEDULE = {"old": "old", "new": "new", "tree": "new"}
+BRANCH_STRATEGIES = tuple(PARTITION_SCHEDULE)
 
 #: Optimizer bounds, mirroring RAxML's compile-time limits.
 ALPHA_MIN, ALPHA_MAX = 0.02, 100.0
@@ -106,9 +109,7 @@ def smoothing_edge_order(tree) -> list[int]:
 
 def _only(n_parts: int, p: int) -> np.ndarray:
     """The one-partition active set of oldPAR."""
-    mask = np.zeros(n_parts, dtype=bool)
-    mask[p] = True
-    return mask
+    return np.arange(n_parts) == p
 
 
 def _indices(active) -> list[int] | None:
@@ -137,18 +138,12 @@ def optimize_branch(
     one-edge workspace ``[edge]``, with ``(1, P)`` lengths and lane
     masks, so the worker team
     (:class:`~repro.parallel.engine.ParallelPLK`) executes the same
-    schedule with one broadcast per region."""
+    schedule with one broadcast per region.  newPAR is one
+    :func:`_newton_branch` solve over every partition, oldPAR one solve
+    per partition over its one-partition mask."""
     _check_strategy(strategy)
     n_parts = engine.n_partitions
     z0 = engine.branch_lengths()[edge]  # (P,)
-
-    def guard(label: str, z_old: np.ndarray, z_new: np.ndarray, lanes=None):
-        """``(P,)`` lnLs at ``z_old`` and at ``z_new``: Newton-Raphson can
-        overshoot, so a new length is kept only where it does not lower
-        the likelihood (one extra evaluation pass, as RAxML's makenewz)."""
-        old, new = engine.run(label, [("lnl_edges", z_old[np.newaxis], lanes),
-                                      ("lnl_edges", z_new[np.newaxis], lanes)])
-        return old[0], new[0]
 
     if engine.branch_mode != "per_partition":
         # One length shared by all partitions (proportional: partition p
@@ -167,60 +162,77 @@ def optimize_branch(
             return sum((scalers * d1[0]).tolist()), sum((scalers * scalers * d2[0]).tolist())
 
         b, iters, _ = newton_optimize(shared_fn, b0, BRANCH_MIN, BRANCH_MAX, ztol, max_iter)
-        old, new = guard(label, scalers * b0, scalers * b)
-        if sum(new.tolist()) >= sum(old.tolist()):
+        # Newton-Raphson can overshoot, so the new length is kept only if
+        # it does not lower the likelihood (one extra evaluation pass, as
+        # RAxML's makenewz).
+        old, new = engine.run(label, [("lnl_edges", (scalers * b0)[np.newaxis], None),
+                                      ("lnl_edges", (scalers * b)[np.newaxis], None)])
+        if sum(new[0].tolist()) >= sum(old[0].tolist()):
             engine.set_branch_length(edge, b)
         return np.full(n_parts, iters, dtype=np.int64)
 
     if strategy == "new":
-        solver = BatchedNewton(BRANCH_MIN, BRANCH_MAX, ztol, max_iter)
-        # Fused opening region: sumtable setup and the first derivative
-        # pass share ONE region — one broadcast/barrier instead of two.
-        # The simulator charges dispatch + barrier once per region, so the
-        # fusion shows up directly in predicted sync seconds.
-        z_first = solver.initial_point(z0)
-        _, (d1, d2) = engine.run("nr_new", [("prepare_edges", [edge], None),
-                                            ("deriv_edges", z_first[np.newaxis], None)])
+        return _newton_branch(engine, edge, z0, np.ones(n_parts, dtype=bool),
+                              "nr_new", ztol, max_iter)
+    # oldPAR: one partition at a time, so every NR iteration is a region
+    # whose only work is this partition's m'_p patterns.
+    return sum(_newton_branch(engine, edge, z0, _only(n_parts, p), "nr_old", ztol, max_iter)
+               for p in range(n_parts))
 
-        def batched_fn(z: np.ndarray, active: np.ndarray):
-            ((g1, g2),) = engine.run(
-                "nr_new", [("deriv_edges", z[np.newaxis], _lanes(active[np.newaxis]))]
-            )
-            return g1[0], g2[0]
 
-        res = solver.run(
-            batched_fn, z0, observer=engine.telemetry.start("nr_branch", n_parts),
-            first_eval=(d1[0], d2[0]),
-        )
-        # Monotonicity guard (one batched evaluation region); the write
-        # needs its reduced sums, so it is a region of its own.
-        old, new = guard("nr_new", z0, res.z)
-        engine.run("nr_new", [("set_bl_edges", [edge], res.z[np.newaxis],
-                               _indices(new >= old))])
-        _observe_iterations(engine, "nr_branch", res.iterations)
-        return res.iterations
+def _newton_branch(
+    engine: PartitionedEngine,
+    edge: int,
+    z0: np.ndarray,
+    lanes: np.ndarray,
+    label: str,
+    ztol: float,
+    max_iter: int,
+) -> np.ndarray:
+    """One lock-step Newton solve of ``edge``'s ``(P,)`` lengths from
+    ``z0`` over the partitions of the ``(P,)`` mask ``lanes``, every
+    region labelled ``label``; returns the per-partition iteration counts
+    (0 outside ``lanes``).
 
-    # oldPAR: one partition at a time — the same commands with a
-    # one-partition active set, so every NR iteration is a region whose
-    # only work is this partition's m'_p patterns.
-    counts = np.zeros(n_parts, dtype=np.int64)
-    for p in range(n_parts):
-        lanes = _only(n_parts, p)[np.newaxis]
-        engine.run("prepare", [("prepare_edges", [edge], [p])])
+    The two schedules differ only in two regions.  newPAR (``"nr_new"``)
+    fuses the sumtable setup and the first derivative pass into ONE
+    opening region (one broadcast/barrier instead of two, which the
+    simulator charges once) and always issues its write region; oldPAR
+    prepares in a ``"prepare"`` region of its own and writes only a
+    length the guard accepted."""
+    fused = label == "nr_new"
+    solver = BatchedNewton(BRANCH_MIN, BRANCH_MAX, ztol, max_iter)
+    first = None
+    if fused:
+        _, (d1, d2) = engine.run(label, [
+            ("prepare_edges", [edge], None),
+            ("deriv_edges", solver.initial_point(z0)[np.newaxis], None),
+        ])
+        first = (d1[0], d2[0])
+    else:
+        engine.run("prepare", [("prepare_edges", [edge], _indices(lanes))])
 
-        def scalar_fn(z: float, _p: int = p, _lanes=lanes) -> tuple[float, float]:
-            ((d1, d2),) = engine.run("nr_old", [("deriv_edges", np.full((1, n_parts), z), _lanes)])
-            return float(d1[0, _p]), float(d2[0, _p])
+    def batched_fn(z: np.ndarray, active: np.ndarray):
+        ((g1, g2),) = engine.run(label, [("deriv_edges", z[np.newaxis], _lanes(active[None]))])
+        return g1[0], g2[0]
 
-        z, iters, _ = newton_optimize(
-            scalar_fn, float(z0[p]), BRANCH_MIN, BRANCH_MAX, ztol, max_iter
-        )
-        trial = np.full(n_parts, z)
-        old, new = guard("nr_old", z0, trial, lanes)
-        if new[p] >= old[p]:
-            engine.run("nr_old", [("set_bl_edges", [edge], trial[np.newaxis], [p])])
-        counts[p] = iters
-    return counts
+    n_parts = engine.n_partitions
+    res = solver.run(
+        batched_fn, z0, mask=lanes,
+        observer=engine.telemetry.start("nr_branch", n_parts), first_eval=first,
+    )
+    # Monotonicity guard (one evaluation region): Newton-Raphson can
+    # overshoot, so a new length is kept only where it does not lower the
+    # likelihood (as RAxML's makenewz).  The write needs the guard's
+    # reduced sums, so it is a region of its own.
+    live = _lanes(lanes[np.newaxis])
+    old, new = engine.run(label, [("lnl_edges", z0[np.newaxis], live),
+                                  ("lnl_edges", res.z[np.newaxis], live)])
+    keep = lanes & (new[0] >= old[0])
+    if fused or keep.any():
+        engine.run(label, [("set_bl_edges", [edge], res.z[np.newaxis], _indices(keep))])
+    _observe_iterations(engine, "nr_branch", res.iterations[lanes])
+    return res.iterations
 
 
 def optimize_branch_lengths(
@@ -244,7 +256,7 @@ def optimize_branch_lengths(
     order = smoothing_edge_order(engine.tree) if edges is None else list(edges)
     totals = np.zeros(engine.n_partitions, dtype=np.int64)
     tree_wide = strategy == "tree" and engine.branch_mode == "per_partition"
-    per_branch = "new" if strategy == "tree" else strategy
+    per_branch = PARTITION_SCHEDULE[strategy]
     for _ in range(max(passes, 1)):
         if tree_wide:
             totals += _tree_pass(engine, order, ztol)
@@ -293,6 +305,52 @@ def _tree_pass(engine: PartitionedEngine, order: list[int], ztol: float) -> np.n
 # Model parameters (Brent)
 # ----------------------------------------------------------------------
 
+def _brent(
+    engine: PartitionedEngine,
+    strategy: str,
+    name: str,
+    step,
+    current: np.ndarray,
+    lo: float,
+    hi: float,
+    xtol: float,
+    max_iter: int,
+    root_edge: int,
+    eligible: np.ndarray | None = None,
+) -> np.ndarray:
+    """Brent on one ``(P,)`` model parameter from ``current``: newPAR
+    runs one lock-step solve over every (``eligible``) partition, oldPAR
+    one solve per eligible partition over its one-partition mask.
+
+    Each objective evaluation is one region ``f"{name}_{strategy}"``
+    that writes the trial values and evaluates the still-active
+    partitions; ``step(values, active)`` is the write step of a ``(P,)``
+    parameter vector for the partition list ``active`` (None: all), and
+    each solve's final write is a region of its own.  The telemetry and
+    metrics see every solve as ``name``.  Returns the per-partition
+    iteration counts (0 where not eligible)."""
+    n_parts = engine.n_partitions
+    label = f"{name}_{strategy}"
+    solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
+
+    def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
+        parts = _indices(active)
+        return -engine.run(label, [step(x, parts), ("lnl_parts", root_edge, parts)])[1]
+
+    def solve(mask: np.ndarray | None) -> np.ndarray:
+        res = solver.run(batched_fn, guess=current, mask=mask,
+                         observer=engine.telemetry.start(name, n_parts))
+        engine.run(label, [step(res.x, _indices(mask))])
+        _observe_iterations(engine, name, res.iterations if mask is None
+                            else res.iterations[mask])
+        return res.iterations
+
+    if strategy == "new":
+        return solve(eligible)
+    todo = range(n_parts) if eligible is None else np.flatnonzero(eligible).tolist()
+    return sum((solve(_only(n_parts, p)) for p in todo), np.zeros(n_parts, dtype=np.int64))
+
+
 def optimize_alpha(
     engine: PartitionedEngine,
     strategy: str = "new",
@@ -308,91 +366,12 @@ def optimize_alpha(
     is much more work per column between barriers.
     """
     _check_strategy(strategy)
-    current = engine.alphas()
 
     def step(values, active):
         return ("set_alpha_vec", values, active)
 
-    if strategy == "new":
-        return _new_brent(
-            engine, "brent_alpha_new", "brent_alpha", step, current,
-            ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
-        )
-    return _old_brent(
-        engine, "brent_alpha_old", step, current,
-        ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge,
-    )
-
-
-def _new_brent(
-    engine: PartitionedEngine,
-    label: str,
-    name: str,
-    step,
-    current: np.ndarray,
-    lo: float,
-    hi: float,
-    xtol: float,
-    max_iter: int,
-    root_edge: int,
-    eligible: np.ndarray | None = None,
-) -> np.ndarray:
-    """newPAR Brent: one lock-step solve over every (eligible) partition,
-    each objective evaluation one region ``label`` that writes the trial
-    values and evaluates the still-active partitions; the telemetry and
-    metrics see it as ``name``.  ``step(values, active)`` is the write
-    step of a ``(P,)`` parameter vector for the partition list ``active``
-    (None: all); the final write is a region of its own.  Returns the
-    per-partition iteration counts (0 where not eligible)."""
-    n_parts = engine.n_partitions
-    solver = BatchedBrent(np.full(n_parts, lo), np.full(n_parts, hi), xtol, max_iter)
-
-    def batched_fn(x: np.ndarray, active: np.ndarray) -> np.ndarray:
-        parts = _indices(active)
-        return -engine.run(label, [step(x, parts), ("lnl_parts", root_edge, parts)])[1]
-
-    res = solver.run(
-        batched_fn, guess=current, mask=eligible,
-        observer=engine.telemetry.start(name, n_parts),
-    )
-    engine.run(label, [step(res.x, _indices(eligible))])
-    if eligible is None:
-        _observe_iterations(engine, name, res.iterations)
-        return res.iterations
-    _observe_iterations(engine, name, res.iterations[eligible])
-    return np.where(eligible, res.iterations, 0)
-
-
-def _old_brent(
-    engine: PartitionedEngine,
-    label: str,
-    step,
-    current: np.ndarray,
-    lo: float,
-    hi: float,
-    xtol: float,
-    max_iter: int,
-    root_edge: int,
-    eligible: np.ndarray | None = None,
-) -> np.ndarray:
-    """oldPAR Brent: one scalar optimization per (eligible) partition,
-    each objective evaluation one region over a one-partition active set,
-    and a final write region per partition.  ``step`` is as for
-    :func:`_new_brent`."""
-    n_parts = engine.n_partitions
-    counts = np.zeros(n_parts, dtype=np.int64)
-    todo = range(n_parts) if eligible is None else np.flatnonzero(eligible).tolist()
-    for p in todo:
-
-        def scalar_fn(x: np.ndarray, active: np.ndarray, _p: int = p) -> np.ndarray:
-            write = step(np.full(n_parts, x[0]), [_p])
-            return -engine.run(label, [write, ("lnl_parts", root_edge, [_p])])[1][_p : _p + 1]
-
-        solver = BatchedBrent(np.array([lo]), np.array([hi]), xtol, max_iter)
-        res = solver.run(scalar_fn, guess=np.array([current[p]]))
-        engine.run(label, [step(np.full(n_parts, res.x[0]), [p])])
-        counts[p] = res.iterations[0]
-    return counts
+    return _brent(engine, strategy, "brent_alpha", step, engine.alphas(),
+                  ALPHA_MIN, ALPHA_MAX, xtol, max_iter, root_edge)
 
 
 def optimize_rates(
@@ -426,16 +405,8 @@ def optimize_rates(
         def step(values: np.ndarray, active, _i: int = rate_idx) -> tuple:
             return engine.exchangeability_step(_i, values, active)
 
-        if strategy == "new":
-            counts += _new_brent(
-                engine, "brent_rate_new", "brent_rate", step, current,
-                RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna,
-            )
-        else:
-            counts += _old_brent(
-                engine, "brent_rate_old", step, current,
-                RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna,
-            )
+        counts += _brent(engine, strategy, "brent_rate", step, current,
+                         RATE_MIN, RATE_MAX, xtol, max_iter, root_edge, eligible=dna)
     return counts
 
 
@@ -460,16 +431,8 @@ def optimize_scalers(
         raise ValueError("scalers only exist in proportional mode")
     lo, hi = 0.02, 50.0
     current = np.clip(engine.scalers, lo * 1.01, hi * 0.99)
-
-    if strategy == "new":
-        return _new_brent(
-            engine, "brent_scaler_new", "brent_scaler", engine.scaler_step, current,
-            lo, hi, xtol, max_iter, root_edge,
-        )
-    return _old_brent(
-        engine, "brent_scaler_old", engine.scaler_step, current,
-        lo, hi, xtol, max_iter, root_edge,
-    )
+    return _brent(engine, strategy, "brent_scaler", engine.scaler_step, current,
+                  lo, hi, xtol, max_iter, root_edge)
 
 
 def optimize_pinv(
@@ -494,15 +457,8 @@ def optimize_pinv(
     def step(values, active):
         return ("set_pinvs", values, active)
 
-    if strategy == "new":
-        return _new_brent(
-            engine, "brent_pinv_new", "brent_pinv", step, current,
-            lo, hi, xtol, max_iter, root_edge,
-        )
-    return _old_brent(
-        engine, "brent_pinv_old", step, current,
-        lo, hi, xtol, max_iter, root_edge,
-    )
+    return _brent(engine, strategy, "brent_pinv", step, current,
+                  lo, hi, xtol, max_iter, root_edge)
 
 
 def optimize_frequencies(
@@ -541,16 +497,8 @@ def optimize_frequencies(
         def step(values: np.ndarray, active, _i: int = index) -> tuple:
             return engine.frequency_ratio_step(_i, values, active)
 
-        if strategy == "new":
-            counts += _new_brent(
-                engine, "brent_freq_new", "brent_freq", step, current,
-                lo, hi, xtol, max_iter, root_edge, eligible=eligible,
-            )
-        else:
-            counts += _old_brent(
-                engine, "brent_freq_old", step, current,
-                lo, hi, xtol, max_iter, root_edge, eligible=eligible,
-            )
+        counts += _brent(engine, strategy, "brent_freq", step, current,
+                         lo, hi, xtol, max_iter, root_edge, eligible=eligible)
     return counts
 
 
@@ -577,7 +525,7 @@ def optimize_model(
     branches with the tree-wide sweep (:func:`optimize_branch_lengths`).
     """
     _check_strategy(strategy, BRANCH_STRATEGIES)
-    brent = "new" if strategy == "tree" else strategy
+    brent = PARTITION_SCHEDULE[strategy]
     lnl = engine.loglikelihood()
     for round_idx in range(max_rounds):
         with engine.tracer.span("opt_round", cat="optimizer",

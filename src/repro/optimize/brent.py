@@ -72,8 +72,10 @@ class BatchedBrent:
     The objective is supplied to :meth:`run` as
     ``fn(x: (k,) float array, active: (k,) bool array) -> (k,) float``;
     entries where ``active`` is False are never read.  Lanes may also be
-    excluded from the whole run via the ``mask`` argument (used by oldPAR
-    to run one partition at a time through the same code path).
+    excluded from the whole run via the ``mask`` argument: oldPAR runs one
+    partition at a time as a solve masked to that one lane.  Every step is
+    elementwise per lane (the only cross-lane step is the ``active.any()``
+    stopping test), so a lane's iterates do not depend on the others.
 
     An ``observer`` with an ``iteration(x, active)`` method (e.g. a
     :class:`repro.obs.ConvergenceLog`) receives every lock-step round's
@@ -246,10 +248,11 @@ def brent_minimize(
 ) -> tuple[float, float, int]:
     """Scalar bounded Brent minimization.
 
-    Returns ``(x, f(x), n_evaluations)``.  This is the oldPAR code path:
-    each partition runs through here on its own, one objective evaluation —
-    and hence one thread barrier — per iteration, touching only that
-    partition's patterns.
+    Returns ``(x, f(x), n_evaluations)``: a convenience wrapper running
+    :class:`BatchedBrent` on one lane.  oldPAR does not come through here;
+    it runs each partition as a P-lane :class:`BatchedBrent` solve masked
+    to that partition (:func:`repro.core.strategies._brent`), which takes
+    bitwise the same iterates.
     """
     solver = BatchedBrent(np.array([lower]), np.array([upper]), xtol, max_iter)
 

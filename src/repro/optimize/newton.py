@@ -8,7 +8,9 @@ one pass over the branch's alignment patterns to form ``dlnL/dz`` and
 The batched variant is newPAR's core: one Newton state machine per
 partition advances in lock step, so each iteration's derivative pass covers
 *all unconverged partitions at once* and the per-barrier work stays near
-the full alignment width.  Partitions that converge are retired via the
+the full alignment width.  oldPAR runs the same solver masked to one
+partition at a time (every step is elementwise per lane, so a masked lane
+takes the iterates of a one-lane solve).  Partitions that converge are retired via the
 convergence mask; iteration counts per partition are returned because they
 drive the load-balance analysis.
 
@@ -166,7 +168,11 @@ def newton_optimize(
     ztol: float = 1e-6,
     max_iter: int = 64,
 ) -> tuple[float, int, bool]:
-    """Scalar Newton-Raphson maximization (the oldPAR per-partition path).
+    """Scalar Newton-Raphson maximization: :class:`BatchedNewton` on one
+    lane.  It drives the shared-length walk of
+    :func:`~repro.core.strategies.optimize_branch` (joint and proportional
+    modes: one lane of summed derivatives); the per-partition walks of
+    oldPAR and newPAR run :class:`BatchedNewton` over a ``(P,)`` mask.
 
     Returns ``(z, n_iterations, converged)``.
     """

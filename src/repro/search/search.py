@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.engine import PartitionedEngine
-from ..core.strategies import BRANCH_STRATEGIES, optimize_branch_lengths, optimize_model
+from ..core.strategies import (BRANCH_STRATEGIES, PARTITION_SCHEDULE, optimize_branch_lengths,
+                               optimize_model)
 from .moves import nni_swap, spr_move, spr_targets
 
 __all__ = ["SearchResult", "spr_round", "nni_round", "tree_search"]
@@ -79,7 +80,7 @@ def spr_round(
     if strategy not in BRANCH_STRATEGIES:
         raise ValueError(f"strategy must be one of {BRANCH_STRATEGIES}, got {strategy!r}")
     lazy = strategy == "tree" and engine.branch_mode == "per_partition"
-    per_candidate = "new" if strategy == "tree" else strategy
+    per_candidate = PARTITION_SCHEDULE[strategy]
     tree = engine.tree
     if best_lnl is None:
         best_lnl = engine.loglikelihood()

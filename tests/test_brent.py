@@ -153,3 +153,32 @@ class TestBatched:
         guess = np.random.default_rng(seed).uniform(0.5, 9.5, k)
         res = solver.run(fn, guess=guess)
         np.testing.assert_allclose(res.x, t, atol=1e-3)
+
+    @given(
+        st.lists(st.floats(0.1, 9.9), min_size=2, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_masked_lane_is_the_one_lane_solve(self, targets, data):
+        """oldPAR's solve: a k-lane run masked to lane p takes bitwise the
+        iterates of the one-lane run, whatever the other lanes hold."""
+        t = np.array(targets)
+        k = len(t)
+        p = data.draw(st.integers(0, k - 1))
+        guess = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k)))
+
+        def curve(x, t):
+            return np.abs(x - t) ** 1.5 + np.sin(3.0 * x)
+
+        def fn(x, active):  # inactive lanes answer NaN: never read
+            return np.where(active, curve(x, t), np.nan)
+
+        masked = BatchedBrent(np.full(k, 0.0), np.full(k, 10.0), xtol=1e-6).run(
+            fn, guess=guess, mask=np.arange(k) == p
+        )
+        one = BatchedBrent(np.zeros(1), np.full(1, 10.0), xtol=1e-6).run(
+            lambda x, active: curve(x, t[p : p + 1]), guess=guess[p : p + 1]
+        )
+        assert masked.x[p] == one.x[0] and masked.fx[p] == one.fx[0]
+        assert masked.iterations[p] == one.iterations[0]
+        assert masked.iterations.sum() == one.iterations[0]

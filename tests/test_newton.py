@@ -111,3 +111,31 @@ class TestBatched:
         )
         np.testing.assert_allclose(res.z, m, atol=1e-4)
         assert res.converged.all()
+
+    @given(
+        st.lists(st.tuples(st.floats(0.2, 20.0), st.floats(0.5, 10.0)), min_size=2, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_masked_lane_is_the_one_lane_solve(self, curves, data):
+        """oldPAR's solve: a k-lane run masked to lane p takes bitwise the
+        iterates of the one-lane run, whatever the other lanes hold."""
+        a, b = (np.array(c) for c in zip(*curves))
+        k = len(a)
+        p = data.draw(st.integers(0, k - 1))
+        z0 = np.array(data.draw(st.lists(st.floats(1e-3, 5.0), min_size=k, max_size=k)))
+
+        def oracle(a, b):  # lnL = a log z - b z, maximum at z = a / b
+            return lambda z, active: (a / z - b, -a / (z * z))
+
+        full = oracle(a, b)
+
+        def fn(z, active):  # inactive lanes answer NaN: never read
+            d1, d2 = full(z, active)
+            return np.where(active, d1, np.nan), np.where(active, d2, np.nan)
+
+        masked = BatchedNewton().run(fn, z0, mask=np.arange(k) == p)
+        one = BatchedNewton().run(oracle(a[p : p + 1], b[p : p + 1]), z0[p : p + 1])
+        assert masked.z[p] == one.z[0]
+        assert masked.iterations[p] == one.iterations[0]
+        assert masked.iterations.sum() == one.iterations[0]

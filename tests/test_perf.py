@@ -179,9 +179,15 @@ class TestStrategyComparison:
         """The acceptance criterion: newPAR's parallel efficiency exceeds
         oldPAR's at 4 workers.  The structure behind it is asserted on
         exact counts (fewer barriers, more commands per barrier, the same
-        on every repeat); the efficiency itself on the median of 5
-        interleaved old/new pairs from the same start lengths, since one
-        wall-clock sample on a shared host can invert it."""
+        on every repeat) and the efficiency on the machine simulator's
+        replay of the same schedules, captured on a one-process engine:
+        each team's non-control regions are exactly the captured trace's
+        regions.  A wall-clock efficiency of 4 workers on a shared host
+        can invert the ordering; the measured ordering is gated in
+        ``benchmarks/test_real1_processes.py``."""
+        from repro.core import PartitionedEngine, TraceRecorder, optimize_branch_lengths
+        from repro.simmachine import NEHALEM, simulate_trace
+
         data, tree, lengths, models, alphas = setup
         profilers = {s: Profiler() for s in ("old", "new")}
         teams = {
@@ -208,10 +214,16 @@ class TestStrategyComparison:
         assert new.n_regions < old.n_regions
         assert new.commands_per_barrier > old.commands_per_barrier
 
-        def median(runs):
-            return float(np.median([p.efficiency for p in runs]))
-
-        assert median(profiles["new"]) > median(profiles["old"])
+        efficiency = {}
+        for s, prof in (("old", old), ("new", new)):
+            rec = TraceRecorder()
+            engine = PartitionedEngine(data, tree.copy(), models=models, alphas=alphas,
+                                       initial_lengths=lengths, recorder=rec)
+            optimize_branch_lengths(engine, s, passes=1, edges=[0, 1, 2])
+            trace = rec.finalize(engine.pattern_counts(), engine.states())
+            assert sum(r.kind != "control" for r in prof.records) == trace.n_regions
+            efficiency[s] = simulate_trace(trace, NEHALEM, 4).efficiency
+        assert efficiency["new"] > efficiency["old"]
         cmp = compare_strategies(old, new)
         assert "old" in cmp.summary() and "new" in cmp.summary()
 

@@ -14,10 +14,14 @@ from repro.core import (
     optimize_alpha,
     optimize_branch,
     optimize_branch_lengths,
+    optimize_frequencies,
     optimize_model,
+    optimize_pinv,
     optimize_rates,
+    optimize_scalers,
     smoothing_edge_order,
 )
+from repro.obs import ConvergenceTelemetry
 
 
 def engine_pair(data, tree, lengths, branch_mode="per_partition"):
@@ -178,3 +182,55 @@ class TestMisc:
         np.testing.assert_array_equal(eng.parts[1].model.rates, aa_rates_before)
         assert counts[1] == 0
         assert counts[0] > 0
+
+
+def _dna_aa():
+    """Two DNA partitions of unequal width and one AA partition."""
+    from repro.plk import Alignment, PartitionedAlignment, SubstitutionModel
+    from repro.plk import parse_partition_file
+    from repro.seqgen import random_topology_with_lengths, simulate_alignment
+
+    rng = np.random.default_rng(5)
+    tree, lengths = random_topology_with_lengths(5, rng, mean_length=0.1)
+    dna = simulate_alignment(tree, lengths, SubstitutionModel.random_gtr(3), 0.8, 60, rng)
+    aa = simulate_alignment(tree, lengths, SubstitutionModel.synthetic_aa(4), 1.0, 12, rng)
+    alignment = Alignment(tree.taxa, np.concatenate([dna.matrix, aa.matrix], axis=1))
+    scheme = parse_partition_file("DNA, a = 1-45\nDNA, b = 46-60\nAA, c = 61-72")
+    return tree, lengths, PartitionedAlignment(alignment, scheme)
+
+
+class TestOneDriver:
+    """oldPAR runs the newPAR solvers on a one-partition mask: every
+    oldPAR solve is one telemetry log (under the newPAR name) with exactly
+    its partition live, and the logs account for every iteration the
+    optimizer reports."""
+
+    @pytest.mark.parametrize("name, run, solves, mode", [
+        pytest.param(name, run, solves, mode, id=name) for name, run, solves, mode in [
+            ("nr_branch", lambda e: optimize_branch(e, 2, "old"), [0, 1, 2], "per_partition"),
+            ("brent_alpha", lambda e: optimize_alpha(e, "old"), [0, 1, 2], "per_partition"),
+            # AA partition 2 is not eligible: 5 free rates, 3 free ratios
+            ("brent_rate", lambda e: optimize_rates(e, "old"), [0, 1] * 5, "per_partition"),
+            ("brent_pinv", lambda e: optimize_pinv(e, "old"), [0, 1, 2], "per_partition"),
+            ("brent_freq", lambda e: optimize_frequencies(e, "old"), [0, 1] * 3, "per_partition"),
+            ("brent_scaler", lambda e: optimize_scalers(e, "old"), [0, 1, 2], "proportional"),
+        ]
+    ])
+    def test_one_log_per_eligible_partition(self, name, run, solves, mode):
+        tree, lengths, data = _dna_aa()
+        telemetry = ConvergenceTelemetry()
+        engine = PartitionedEngine(data, tree, branch_mode=mode, initial_lengths=lengths,
+                                   telemetry=telemetry)
+        counts = run(engine)
+        logs = telemetry.by_name(name)
+        assert len(logs) == len(telemetry.logs) == len(solves)
+        total = np.zeros(3, dtype=np.int64)
+        for log, p in zip(logs, solves):
+            iterations = log.iterations_per_lane()
+            assert np.flatnonzero(iterations).tolist() == [p]
+            assert log.active_per_round().tolist() == [1] * log.n_rounds
+            total += iterations
+        np.testing.assert_array_equal(total, counts)
+        if len(set(solves)) == len(solves):  # one solve per partition
+            for log, p in zip(logs, solves):
+                assert log.iterations_per_lane()[p] == counts[p]
