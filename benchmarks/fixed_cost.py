@@ -11,6 +11,8 @@ workspace, ``prepare_edges([edge])``, as every per-branch schedule does:
 a round over every partition, and a round with one active lane (the
 oldPAR round, and a newPAR round with one partition left).  The
 edge-stacked round is one ``"tree"`` Newton round over all 13 edges.
+The rate column write is one Brent trial of the GTR-rate phase: one
+exchangeability of every member written and decomposed again.
 Each figure is the minimum over ``--repeats`` rounds of the mean over
 ``CALLS`` calls, in microseconds.  The rounds visit every operation (and
 in part 2 every width) in turn, so a slow phase of a shared host hits
@@ -90,6 +92,10 @@ def stack_ops(repeats: int) -> dict[str, float]:
         flip[0] ^= 1
         other.set_alphas(alphas[flip[0]])
 
+    def rate_column():
+        flip[0] ^= 1
+        other.set_column("rate", 2, alphas[flip[0]])
+
     def prepare():
         stacks.prepare_edges([edge])
 
@@ -125,6 +131,7 @@ def stack_ops(repeats: int) -> dict[str, float]:
         f"edge-stacked derivative round ({len(order)} edges)": edge_round,
         "guard (2 x edge_loglikelihoods)": guard,
         f"set_alphas ({N_PARTS} members)": set_alphas,
+        f"rate column write ({N_PARTS} members)": rate_column,
         "P(t) miss": p_miss,
         "P(t) hit": p_hit,
     }, CALLS, repeats)

@@ -276,10 +276,6 @@ class PartitionedEngine:
         """Gamma shapes ``values[p]`` for the active partitions."""
         self._stacks.set_alphas(values, active)
 
-    def set_models(self, models, active=None) -> None:
-        """Substitution models ``models[p]`` for the active partitions."""
-        self._stacks.set_models(models, active)
-
     def alphas(self) -> np.ndarray:
         """``(P,)`` Gamma shapes."""
         return self._stacks.gather("alphas")
@@ -291,22 +287,12 @@ class PartitionedEngine:
     def exchangeabilities(self, index: int, active=None) -> np.ndarray:
         """``(P,)`` Q-matrix exchangeability ``index`` of the active
         partitions (1.0 elsewhere)."""
-        out = np.ones(self.n_partitions)
-        models = self._models()
-        for p in self._active_indices(active):
-            out[p] = models[p].rates[index]
-        return out
+        return self._stacks.column("rate", index, active)
 
     def frequency_ratios(self, index: int, active=None) -> np.ndarray:
         """``(P,)`` stationary-frequency ratio ``index`` (against the last
         state) of the active partitions (1.0 elsewhere)."""
-        from ..plk.frequencies import frequency_ratios
-
-        out = np.ones(self.n_partitions)
-        models = self._models()
-        for p in self._active_indices(active):
-            out[p] = frequency_ratios(models[p].frequencies)[index]
-        return out
+        return self._stacks.column("freq_ratio", index, active)
 
     def set_exchangeabilities(self, index: int, values: np.ndarray, active=None) -> None:
         """Q-matrix exchangeability ``index`` := ``values[p]`` for the
@@ -314,34 +300,15 @@ class PartitionedEngine:
         self._worker.execute(self.exchangeability_step(index, values, active))
 
     def exchangeability_step(self, index: int, values: np.ndarray, active=None) -> tuple:
-        """The :meth:`run` step of :meth:`set_exchangeabilities`: one new
-        model per active partition, then one stack update."""
-        models = list(self._models())
-        for p in self._active_indices(active):
-            models[p] = models[p].with_rate(index, float(values[p]))
-        return ("set_models", models, active)
+        """The :meth:`run` step of :meth:`set_exchangeabilities`: one
+        column write per stack (no model object is built)."""
+        return ("set_column", "rate", index, values, active)
 
     def frequency_ratio_step(self, index: int, values: np.ndarray, active=None) -> tuple:
         """The :meth:`run` step setting stationary-frequency ratio
         ``index`` (against the last state) := ``values[p]`` for the
         active partitions."""
-        from ..plk.frequencies import frequency_ratios, ratios_to_frequencies
-
-        models = list(self._models())
-        for p in self._active_indices(active):
-            ratios = frequency_ratios(models[p].frequencies)
-            ratios[index] = float(values[p])
-            models[p] = models[p].with_frequencies(ratios_to_frequencies(ratios))
-        return ("set_models", models, active)
-
-    def _models(self) -> list[SubstitutionModel]:
-        return [part.model for part in self.parts]
-
-    def _active_indices(self, active) -> list[int]:
-        if active is None:
-            return list(range(self.n_partitions))
-        flags = np.asarray(active)
-        return (np.flatnonzero(flags) if flags.dtype == bool else flags).tolist()
+        return ("set_column", "freq_ratio", index, values, active)
 
     def set_pinvs(self, values: np.ndarray, active=None) -> None:
         """Invariable-site proportions ``values[p]`` for the active

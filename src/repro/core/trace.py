@@ -66,7 +66,7 @@ COMMAND_KINDS = {
     "deriv_edges": "derivative",
     "set_bl_edges": "control",
     "set_alpha_vec": "control",
-    "set_models": "control",
+    "set_column": "control",
     "set_pinvs": "control",
     "release": "control",
     # Fault injection: live-plane stall drills and the serve tier's

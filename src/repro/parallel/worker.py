@@ -45,7 +45,7 @@ __all__ = ["WIRE_VERSION", "slice_partition_data", "WorkerState"]
 #: seconds).  Documented as a protocol reference in
 #: ``docs/ARCHITECTURE.md``; bump on any incompatible change to the command
 #: vocabulary or the framing (adding a command is compatible).
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 # Captured at import (pre-fork): lets ``_cmd_die`` distinguish a forked
 # process child (hard ``os._exit``) from a state executed in the master
@@ -235,9 +235,11 @@ class WorkerState:
         """Invariable-site proportions ``x[p]`` of the active partitions."""
         self.stacks.set_pinvs(x, active)
 
-    def _cmd_set_models(self, models: list, active: list[int] | None) -> None:
-        """Substitution models ``models[p]`` of the active partitions."""
-        self.stacks.set_models(models, active)
+    def _cmd_set_column(self, kind: str, index: int, x: np.ndarray,
+                        active: list[int] | None) -> None:
+        """Model-parameter column ``index`` of ``kind`` (``"rate"`` or
+        ``"freq_ratio"``) := ``x[p]`` for the active partitions."""
+        self.stacks.set_column(kind, index, x, active)
 
     # -- fused programs ----------------------------------------------------
 

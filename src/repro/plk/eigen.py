@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SubstitutionModel
+from .models import SubstitutionModel, q_matrices
 
-__all__ = ["EigenSystem"]
+__all__ = ["EigenSystem", "decompose"]
 
 # Process-wide memo for :meth:`EigenSystem.for_model`.  SubstitutionModel
 # is frozen with read-only arrays, so an eigensystem computed once is
@@ -35,6 +35,22 @@ __all__ = ["EigenSystem"]
 # model holds ndarrays and is unhashable); a weakref finalizer evicts the
 # entry when the model is collected, so a recycled id() can never alias.
 _EIGEN_CACHE: dict[int, "EigenSystem"] = {}
+
+
+def decompose(q: np.ndarray, frequencies: np.ndarray):
+    """``(eigenvalues, u, v)`` of the ``(A, s, s)`` reversible rate
+    matrices ``q`` with stationary ``(A, s)`` ``frequencies``, shaped
+    ``(A, s)``, ``(A, s, s)``, ``(A, s, s)``: one batched ``eigh`` of the
+    symmetrised ``D Q D^-1``."""
+    sqrt_pi = np.sqrt(frequencies)
+    b = (sqrt_pi[:, :, np.newaxis] * q) / sqrt_pi[:, np.newaxis, :]
+    # Enforce exact symmetry before eigh (q construction is symmetric up
+    # to rounding).
+    b = 0.5 * (b + np.swapaxes(b, -1, -2))
+    lam, w = np.linalg.eigh(b)
+    u = w / sqrt_pi[:, :, np.newaxis]
+    v = np.swapaxes(w, -1, -2) * sqrt_pi[:, np.newaxis, :]
+    return lam, u, v
 
 
 @dataclass(frozen=True)
@@ -64,24 +80,16 @@ class EigenSystem:
 
     @classmethod
     def from_models(cls, models) -> list["EigenSystem"]:
-        """Eigensystems of several models of one state count, from ONE
-        batched ``eigh`` over ``(A, s, s)``.  LAPACK still runs once per
+        """Eigensystems of several models of one state count: one Q build
+        over ``(A, s, s)`` (:func:`~repro.plk.models.q_matrices`) and ONE
+        batched ``eigh`` (:func:`decompose`).  LAPACK still runs once per
         matrix, so each result equals a one-model decomposition bit for
-        bit; only the per-call dispatch is shared.  Building each Q stays
-        per model."""
+        bit; only the per-call dispatch is shared."""
         models = list(models)
         if not models:
             return []
-        q = np.stack([m.q_matrix() for m in models])                # (A, s, s)
         pi = np.stack([m.frequencies for m in models])              # (A, s)
-        sqrt_pi = np.sqrt(pi)
-        b = (sqrt_pi[:, :, np.newaxis] * q) / sqrt_pi[:, np.newaxis, :]
-        # Enforce exact symmetry before eigh (q construction is symmetric up
-        # to rounding).
-        b = 0.5 * (b + np.swapaxes(b, -1, -2))
-        lam, w = np.linalg.eigh(b)
-        u = w / sqrt_pi[:, :, np.newaxis]
-        v = np.swapaxes(w, -1, -2) * sqrt_pi[:, np.newaxis, :]
+        lam, u, v = decompose(q_matrices(np.stack([m.rates for m in models]), pi), pi)
         for arr in (lam, u, v):
             arr.setflags(write=False)
         return [

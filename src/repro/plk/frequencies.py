@@ -48,14 +48,15 @@ def empirical_frequencies(data: PartitionData) -> np.ndarray:
 
 def frequency_ratios(frequencies: np.ndarray) -> np.ndarray:
     """Free-parameter view of a frequency vector: ratios against the last
-    state (which is pinned to 1)."""
+    state (which is pinned to 1).  Rows of an ``(A, s)`` array are
+    converted one per row."""
     frequencies = np.asarray(frequencies, dtype=np.float64)
-    return frequencies[:-1] / frequencies[-1]
+    return frequencies[..., :-1] / frequencies[..., -1:]
 
 
 def ratios_to_frequencies(ratios: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`frequency_ratios`."""
+    """Inverse of :func:`frequency_ratios` (also row by row)."""
     ratios = np.asarray(ratios, dtype=np.float64)
-    full = np.concatenate([ratios, [1.0]])
+    full = np.concatenate([ratios, np.ones(ratios.shape[:-1] + (1,))], axis=-1)
     full = np.maximum(full, _MIN_FREQ)
-    return full / full.sum()
+    return full / full.sum(axis=-1, keepdims=True)

@@ -37,21 +37,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .eigen import EigenSystem
+from .eigen import EigenSystem, decompose
+from .frequencies import frequency_ratios, ratios_to_frequencies
 from .gamma import GAMMA_CATEGORIES, discrete_gamma_rates
-from .models import SubstitutionModel
+from .models import SubstitutionModel, n_exchange_rates, q_matrices
 from .partition import PartitionData
 from .tree import Tree
 
-__all__ = ["PartitionLikelihood", "PartitionView", "EdgeWorkspace"]
+__all__ = ["PartitionLikelihood", "PartitionView", "EdgeWorkspace", "COLUMN_KINDS"]
+
+#: The model-parameter columns :meth:`PartitionLikelihood.set_column`
+#: writes: one exchangeability (an index into ``SubstitutionModel.rates``)
+#: or one stationary-frequency ratio against the last state (an index
+#: into :func:`~repro.plk.frequencies.frequency_ratios`).
+COLUMN_KINDS = ("rate", "freq_ratio")
 
 
-def _check_alphas(values) -> None:
-    """Gamma shapes must be finite and positive (checked on the whole
-    vector; NaN fails both comparisons)."""
+def _check_positive(values, name: str) -> None:
+    """Raise ``ValueError`` unless every value is finite and positive
+    (checked on the whole vector; NaN fails both comparisons)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size and not (values.min() > 0.0 and values.max() < np.inf):
-        raise ValueError("alpha must be finite and > 0")
+        raise ValueError(f"{name} must be finite and > 0")
+
+
+def check_column(kind: str, index: int, states: int, values=()) -> None:
+    """Raise ``ValueError`` unless a stack of ``states``-state members has
+    column ``index`` of ``kind`` and every value is finite and positive."""
+    widths = {"rate": n_exchange_rates(states), "freq_ratio": states - 1}
+    if kind not in widths:
+        raise ValueError(f"unknown model column {kind!r}; known: {COLUMN_KINDS}")
+    if not 0 <= index < widths[kind]:
+        raise ValueError(f"{kind} column {index} out of range")
+    _check_positive(values, kind)
 
 
 @dataclass
@@ -173,11 +191,17 @@ class PartitionLikelihood:
             self._weights[i, : d.n_patterns] = d.weights
         self._invariant_mask: np.ndarray | None = None  # (P, m, s), lazy
 
-        # Per-member parameters, stacked for the kernel.
+        # Per-member parameters, stacked for the kernel.  The model
+        # parameters live in _exchange (P, s(s-1)/2) and _frequencies
+        # (P, s); _models/_eigens cache the read-side objects per member
+        # (None after a column write, rebuilt from the arrays when read).
         self.lengths = np.full((tree.n_edges, n), 0.1)
-        self.models: list[SubstitutionModel] = list(models)
-        self.eigens: list[EigenSystem] = EigenSystem.for_models(models)
-        _check_alphas(alphas)
+        self._datatypes = [m.datatype for m in models]
+        self._exchange = np.array([m.rates for m in models])
+        self._frequencies = np.array([m.frequencies for m in models])
+        self._models: list[SubstitutionModel | None] = list(models)
+        self._eigens: list[EigenSystem | None] = EigenSystem.for_models(models)
+        _check_positive(alphas, "alpha")
         self.alphas = np.array(alphas)
         self.pinvs = np.zeros(n)
         self.rates = discrete_gamma_rates(self.alphas, categories)
@@ -187,8 +211,7 @@ class PartitionLikelihood:
         # P(t)^T[l, i] = sum_j exp(lambda_j r t) V[j, l] U[i, j]: the
         # products V[j, l] U[i, j] as (P, s, s*s), one GEMM operand.
         self._pt_basis = np.empty((n, states, states * states))
-        self._frequencies = np.empty((n, states))
-        self._load_models(slice(None))
+        self._load_eigens(slice(None), self._eigens)
         # Counts model-parameter updates (alpha/rates/eigen) per member.
         # Snapshotted into every EdgeWorkspace and checked on use: a
         # sumtable built under old parameters must never be combined with
@@ -288,19 +311,19 @@ class PartitionLikelihood:
     # Parameters
     # ------------------------------------------------------------------
 
-    def _load_models(self, slots) -> None:
-        """Copy the eigensystems and frequencies of ``slots`` into the
-        stacked kernel arrays."""
-        members = range(self.n_slots)[slots] if isinstance(slots, slice) else slots
-        eigens = [self.eigens[i] for i in members]
-        self._eigenvalues[slots] = [e.eigenvalues for e in eigens]
-        self._u[slots] = [e.u for e in eigens]
-        self._v[slots] = [e.v for e in eigens]
-        u, v = self._u[slots], self._v[slots]
+    def _load(self, slots, eigenvalues, u, v) -> None:
+        """Write the decompositions of ``slots`` into the stacked kernel
+        arrays."""
+        self._eigenvalues[slots] = eigenvalues
+        self._u[slots] = u
+        self._v[slots] = v
         self._pt_basis[slots] = (
             v[:, :, :, np.newaxis] * np.swapaxes(u, -1, -2)[:, :, np.newaxis, :]
         ).reshape(len(u), self.states, -1)
-        self._frequencies[slots] = [self.models[i].frequencies for i in members]
+
+    def _load_eigens(self, slots, eigens) -> None:
+        self._load(slots, *(np.stack([getattr(e, name) for e in eigens])
+                            for name in ("eigenvalues", "u", "v")))
 
     def _parameters_changed(self, mask: int) -> None:
         self._epoch[self._slots(mask)] += 1
@@ -309,8 +332,9 @@ class PartitionLikelihood:
 
     def set_models(self, models, active=None) -> None:
         """Replace the substitution models of the active members (one
-        model per active member, ascending).  The new eigensystems come
-        from one batched decomposition."""
+        model per active member, ascending).  The eigensystems come from
+        the process-wide memo (:meth:`EigenSystem.for_models`), the new
+        ones from one batched decomposition."""
         mask = self._mask(active)
         slots = self._slots(mask)
         models = list(models)
@@ -319,11 +343,89 @@ class PartitionLikelihood:
         if any(model.states != self.states for model in models):
             raise ValueError("cannot change the state-space of a partition")
         eigens = EigenSystem.for_models(models)
+        self._exchange[slots] = [model.rates for model in models]
+        self._frequencies[slots] = [model.frequencies for model in models]
+        self._load_eigens(slots, eigens)
         for i, model, eigen in zip(slots.tolist(), models, eigens):
-            self.models[i] = model
-            self.eigens[i] = eigen
-        self._load_models(slots)
+            self._datatypes[i] = model.datatype
+            self._models[i] = model
+            self._eigens[i] = eigen
         self._parameters_changed(mask)
+
+    def column(self, kind: str, index: int, active=None) -> np.ndarray:
+        """Column ``index`` of ``kind`` (see :data:`COLUMN_KINDS`) for the
+        active members, one value per member."""
+        check_column(kind, index, self.states)
+        slots = self._slots(self._mask(active))
+        if kind == "rate":
+            return self._exchange[slots, index]
+        return frequency_ratios(self._frequencies[slots])[:, index]
+
+    def set_column(self, kind: str, index: int, values, active=None) -> None:
+        """Write column ``index`` of ``kind`` — one exchangeability
+        (``"rate"``) or one frequency ratio against the last state
+        (``"freq_ratio"``) — as ``values``, one per active member
+        (ascending), and decompose the written members' Q matrices in one
+        batched ``eigh``.  No model object is built: :attr:`models` and
+        :attr:`eigens` rebuild a written member when it is next read.
+
+        The arrays end up bit for bit as :meth:`set_models` leaves them
+        with each member's ``with_rate`` / ``with_frequencies`` model:
+        like that model's constructor, the write renormalises the
+        members' frequencies.  A value that is not finite and positive,
+        an unknown kind or an index out of range raises ``ValueError``
+        before anything is written."""
+        mask = self._mask(active)
+        slots = self._slots(mask)
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), slots.shape)
+        check_column(kind, index, self.states, values)
+        freqs = self._frequencies[slots]
+        if kind == "rate":
+            self._exchange[slots, index] = values
+        else:
+            ratios = frequency_ratios(freqs)
+            ratios[:, index] = values
+            freqs = ratios_to_frequencies(ratios)
+        freqs = freqs / freqs.sum(axis=1, keepdims=True)
+        self._frequencies[slots] = freqs
+        self._load(slots, *decompose(q_matrices(self._exchange[slots], freqs), freqs))
+        for i in slots.tolist():
+            self._models[i] = self._eigens[i] = None
+        self._parameters_changed(mask)
+
+    def _model(self, slot: int) -> SubstitutionModel:
+        """Member ``slot``'s substitution model (built from the stacked
+        arrays on the first read after a column write)."""
+        model = self._models[slot]
+        if model is None:
+            model = SubstitutionModel.frozen(
+                self._datatypes[slot], self._exchange[slot], self._frequencies[slot]
+            )
+            self._models[slot] = model
+        return model
+
+    def _eigen(self, slot: int) -> EigenSystem:
+        """Member ``slot``'s eigensystem (read-only copies of the stacked
+        arrays, built on the first read after a column write)."""
+        eigen = self._eigens[slot]
+        if eigen is None:
+            arrays = [np.array(a[slot]) for a in (self._eigenvalues, self._u, self._v)]
+            for arr in arrays:
+                arr.setflags(write=False)
+            eigen = EigenSystem(*arrays, frequencies=self._model(slot).frequencies)
+            self._eigens[slot] = eigen
+        return eigen
+
+    @property
+    def models(self) -> list[SubstitutionModel]:
+        """Every member's model (write through :meth:`set_models` or
+        :meth:`set_column`)."""
+        return [self._model(i) for i in range(self.n_slots)]
+
+    @property
+    def eigens(self) -> list[EigenSystem]:
+        """Every member's eigensystem."""
+        return [self._eigen(i) for i in range(self.n_slots)]
 
     def set_alphas(self, values, active=None) -> None:
         """Set the Gamma shapes of the active members (a scalar, or one
@@ -332,7 +434,7 @@ class PartitionLikelihood:
         mask = self._mask(active)
         slots = self._slots(mask)
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), slots.shape)
-        _check_alphas(values)
+        _check_positive(values, "alpha")
         self.alphas[slots] = values
         self.rates[slots] = discrete_gamma_rates(values, self.categories)
         self._parameters_changed(mask)
@@ -889,7 +991,7 @@ class PartitionView:
 
     @property
     def model(self) -> SubstitutionModel:
-        return self._stack.models[self._slot]
+        return self._stack._model(self._slot)
 
     @model.setter
     def model(self, model: SubstitutionModel) -> None:
@@ -927,7 +1029,7 @@ class PartitionView:
 
     @property
     def eigen(self) -> EigenSystem:
-        return self._stack.eigens[self._slot]
+        return self._stack._eigen(self._slot)
 
     @property
     def branch_lengths(self) -> np.ndarray:

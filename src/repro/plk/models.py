@@ -22,13 +22,14 @@ substitution table).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datatypes import AA, DNA, DataType
 
-__all__ = ["SubstitutionModel", "n_exchange_rates"]
+__all__ = ["SubstitutionModel", "n_exchange_rates", "q_matrices"]
 
 
 def n_exchange_rates(states: int) -> int:
@@ -36,15 +37,39 @@ def n_exchange_rates(states: int) -> int:
     return states * (states - 1) // 2
 
 
-def _upper_triangle_to_symmetric(rates: np.ndarray, states: int) -> np.ndarray:
-    """Expand a strict-upper-triangle rate vector to a symmetric matrix."""
-    expected = n_exchange_rates(states)
-    if rates.shape != (expected,):
-        raise ValueError(f"expected {expected} rates, got shape {rates.shape}")
-    mat = np.zeros((states, states))
-    iu = np.triu_indices(states, k=1)
-    mat[iu] = rates
-    return mat + mat.T
+@functools.lru_cache(maxsize=None)
+def _symmetric_index(states: int) -> np.ndarray:
+    """``(s, s)`` index into a rate vector with a zero appended: entry
+    ``(i, j)`` names the exchangeability of states i and j, the diagonal
+    names the zero."""
+    index = np.full((states, states), n_exchange_rates(states))
+    rows, cols = np.triu_indices(states, k=1)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    index.setflags(write=False)
+    return index
+
+
+def q_matrices(rates: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
+    """Normalised rate matrices of ``A`` models of one state count:
+    ``rates`` ``(A, s(s-1)/2)`` and ``frequencies`` ``(A, s)`` give
+    ``(A, s, s)``.  The one Q builder (:meth:`SubstitutionModel.q_matrix`
+    is the case A = 1): every step is elementwise or a reduction per
+    matrix, so a matrix does not depend on the batch it is built in.  The
+    normaliser ``mu`` is one ``matmul`` of each frequency row with the
+    strided diagonal *view* — the BLAS dot a one-model ``np.dot(pi,
+    np.diag(q))`` makes, so the bits are those of that one-model form."""
+    a, s = frequencies.shape
+    if rates.shape != (a, n_exchange_rates(s)):
+        raise ValueError(f"expected {n_exchange_rates(s)} rates per model, got {rates.shape}")
+    padded = np.concatenate([rates, np.zeros((a, 1))], axis=1)
+    q = np.take(padded, _symmetric_index(s), axis=1) * frequencies[:, np.newaxis, :]
+    diag = np.arange(s)
+    q[:, diag, diag] = -q.sum(axis=2)
+    # Normalize to one expected substitution per unit time.
+    mu = -np.matmul(
+        frequencies[:, np.newaxis, :], np.diagonal(q, axis1=1, axis2=2)[:, :, np.newaxis]
+    )
+    return q / mu
 
 
 @dataclass(frozen=True)
@@ -115,15 +140,22 @@ class SubstitutionModel:
 
     def q_matrix(self) -> np.ndarray:
         """The normalized instantaneous rate matrix Q (states x states)."""
-        s = self.states
-        pi = self.frequencies
-        sym = _upper_triangle_to_symmetric(self.rates, s)
-        q = sym * pi[np.newaxis, :]
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        # Normalize to one expected substitution per unit time.
-        mu = -np.dot(pi, np.diag(q))
-        return q / mu
+        return q_matrices(self.rates[np.newaxis], self.frequencies[np.newaxis])[0]
+
+    @classmethod
+    def frozen(cls, datatype: DataType, rates: np.ndarray, frequencies: np.ndarray
+               ) -> "SubstitutionModel":
+        """A model over read-only copies of ``rates`` and ``frequencies``
+        taken as they are: no check and no renormalisation, so the model
+        reads back exactly the arrays a likelihood stack holds (which
+        were checked when they were written)."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "datatype", datatype)
+        for name, values in (("rates", rates), ("frequencies", frequencies)):
+            values = np.array(values, dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(model, name, values)
+        return model
 
     # ------------------------------------------------------------------
     # Named constructors

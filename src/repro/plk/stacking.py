@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .likelihood import EdgeWorkspace, PartitionLikelihood, PartitionView
+from .likelihood import EdgeWorkspace, PartitionLikelihood, PartitionView, check_column
 from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
@@ -265,10 +265,25 @@ class PartitionStacks:
         for _, stack, sub, parts in self._split(active):
             stack.set_pinvs(values[parts], sub)
 
-    def set_models(self, models, active=None) -> None:
-        """Replace models: ``models[p]`` for every active partition p."""
+    def column(self, kind: str, index: int, active=None) -> np.ndarray:
+        """``(P,)`` model-parameter column ``index`` of ``kind`` (see
+        :data:`~repro.plk.likelihood.COLUMN_KINDS`) of the active
+        partitions, 1.0 elsewhere."""
+        out = np.ones(self.n_partitions)
         for _, stack, sub, parts in self._split(active):
-            stack.set_models([models[p] for p in parts.tolist()], sub)
+            out[parts] = stack.column(kind, index, sub)
+        return out
+
+    def set_column(self, kind: str, index: int, values, active=None) -> None:
+        """Write column ``index`` of ``kind`` as ``values[p]`` for every
+        active partition p: one batched ``eigh`` per stack, no model
+        object.  Every stack's values are checked before any is written."""
+        values = np.asarray(values, dtype=np.float64)
+        split = list(self._split(active))
+        for _, stack, _, parts in split:
+            check_column(kind, index, stack.states, values[parts])
+        for _, stack, sub, parts in split:
+            stack.set_column(kind, index, values[parts], sub)
 
     def invalidate(self, nodes=None) -> None:
         """Invalidate the given inner nodes (or all) in every partition."""

@@ -250,9 +250,11 @@ class TestProcessesBackend:
             par.run("write", [("set_alpha_vec", np.array([5.0, 0.0, 0.0]), [0])])
             assert par.alphas().tolist() == [5.0, *alphas[1:]]
             assert par.loglikelihood(0) != pytest.approx(before)
-            par.run("write", [("set_models", [None, SubstitutionModel.jc69(), None], [1])])
-            # still finite and evaluable
+            mid = par.loglikelihood(0)
+            par.run("write", [("set_column", "rate", 1, np.array([0.0, 3.0, 0.0]), [1])])
+            # still finite and evaluable, and partition 1 moved
             assert np.isfinite(par.loglikelihood(0))
+            assert par.loglikelihood(0) != pytest.approx(mid)
 
 
 class TestValidation:

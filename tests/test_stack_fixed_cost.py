@@ -1,7 +1,8 @@
 """The stack's per-member-free paths.
 
 Batched setters make one special-function / eigensolver call per stack,
-not one per member; the one-edge Newton workspace (sumtable as
+not one per member, and a model-parameter column write builds no model
+object; the one-edge Newton workspace (sumtable as
 ``(1, A, m, K*s)``, one GEMM per round) gives the reference kernel's
 values to 1e-12 with a dead pattern, with +I, with a partial active set
 and with one active lane (basic-index views, the kernel unbatched); a
@@ -11,7 +12,7 @@ NaN or not positive are rejected.
 import numpy as np
 import pytest
 
-from repro.core import PartitionedEngine
+from repro.core import PartitionedEngine, optimize_rates
 from repro.plk import (
     EigenSystem,
     PartitionData,
@@ -98,6 +99,30 @@ class TestOneCallPerStack:
             np.testing.assert_allclose(
                 eigen.u @ np.diag(eigen.eigenvalues) @ eigen.v, fresh[i].q_matrix(), atol=1e-12
             )
+
+    def test_column_write_makes_one_eigh_call_and_no_model(self, sixteen, monkeypatch):
+        stack = _stack(sixteen)
+        calls = _counting(monkeypatch, np.linalg, "eigh")
+        built = _counting(monkeypatch, SubstitutionModel, "__post_init__")
+        stack.set_column("rate", 2, np.linspace(0.5, 2.0, N_MEMBERS))
+        assert len(calls) == 1
+        assert len(built) == 0
+        stack.set_column("freq_ratio", 1, np.linspace(0.5, 2.0, N_MEMBERS))
+        assert len(calls) == 2
+        assert len(built) == 0
+
+    def test_optimize_rates_builds_models_only_when_read(self, sixteen, monkeypatch):
+        tree, lengths, data, _, models = sixteen
+        engine = PartitionedEngine(data, tree.copy(), models=models,
+                                   alphas=[1.0] * N_MEMBERS, initial_lengths=lengths)
+        built = _counting(monkeypatch, SubstitutionModel, "__post_init__")
+        frozen = _counting(monkeypatch, SubstitutionModel, "frozen")
+        optimize_rates(engine, "new", max_iter=4)
+        assert len(built) == len(frozen) == 0
+        model = engine.parts[5].model
+        assert len(frozen) == 1 and engine.parts[5].model is model
+        assert model.rates[:5].tolist() == [engine.exchangeabilities(i)[5] for i in range(5)]
+        assert len(built) == 0
 
     def test_engine_exchangeabilities_make_one_eigh_call(self, sixteen, monkeypatch):
         tree, lengths, data, _, models = sixteen

@@ -7,9 +7,13 @@ relative, and record the same per-(partition, op) work.  Covered: unequal
 widths (padding), a zero-width member, a dead (``ZERO_SCALE``) pattern,
 deep-tree rescaling, ``pinv > 0``, DNA and AA in one engine (two stacks),
 and active sets of one partition, a strided subset and all partitions.
+A model-parameter column write leaves a stack as the matching whole-model
+write does.
 """
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import PartitionedEngine, TraceRecorder
 from repro.parallel import WorkerState, slice_partition_data
@@ -22,8 +26,11 @@ from repro.plk import (
     PartitionView,
     SubstitutionModel,
     discrete_gamma_rates,
+    frequency_ratios,
     kernel,
+    n_exchange_rates,
     parse_partition_file,
+    ratios_to_frequencies,
 )
 from repro.plk.stacking import stack_groups
 from repro.seqgen import random_topology_with_lengths, simulate_alignment
@@ -368,3 +375,135 @@ class TestEngineStacks:
         d1, d2 = state.execute(("deriv_edges", np.full((1, 4), 0.2), lanes))
         np.testing.assert_array_equal(d1, np.zeros((1, 4)))
         np.testing.assert_array_equal(d2, np.zeros((1, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Model-parameter column writes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def column_data(dataset):
+    """Blocks, models and lengths of a four-member DNA stack (the
+    :class:`TestStackMethods` members) and of a three-member AA stack."""
+    tree, lengths, data, models, alphas = dataset
+    rng = np.random.default_rng(31)
+    aln = simulate_alignment(tree, lengths, SubstitutionModel.synthetic_aa(2), 1.0, 45, rng)
+    aa = PartitionedAlignment(
+        aln, parse_partition_file("AA, a = 1-20\nAA, b = 21-35\nAA, c = 36-45"))
+    return {
+        4: (_dna_blocks(data), models[:3] + [models[2]], alphas),
+        20: (list(aa.data), [SubstitutionModel.synthetic_aa(3 + p) for p in range(3)],
+             alphas[:3]),
+    }, tree, lengths
+
+
+STACK_ARRAYS = ("_exchange", "_frequencies", "_eigenvalues", "_u", "_v", "_pt_basis", "_epoch")
+
+
+def _column_stack(column_data, states):
+    members, tree, lengths = column_data
+    blocks, models, alphas = members[states]
+    stack = PartitionLikelihood(blocks, tree, models, alpha=alphas)
+    stack.set_branch_lengths(lengths)
+    return stack
+
+
+def _with_column(model, kind, index, value):
+    """The whole model a column write stands for."""
+    if kind == "rate":
+        return model.with_rate(index, value)
+    ratios = frequency_ratios(model.frequencies)
+    ratios[index] = value
+    return model.with_frequencies(ratios_to_frequencies(ratios))
+
+
+@st.composite
+def column_writes(draw):
+    """(states, kind, index, active slots, values) of one column write."""
+    states = draw(st.sampled_from([4, 20]))
+    n = 4 if states == 4 else 3
+    kind = draw(st.sampled_from(["rate", "freq_ratio"]))
+    width = n_exchange_rates(states) if kind == "rate" else states - 1
+    index = draw(st.integers(0, width - 1))
+    slots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    values = draw(st.lists(st.floats(0.02, 50.0), min_size=len(slots), max_size=len(slots)))
+    return states, kind, index, sorted(slots), np.array(values)
+
+
+class TestColumnWrites:
+    """``set_column`` against ``set_models`` with each member's
+    ``with_rate`` / ``with_frequencies`` model: bit for bit on DNA, to
+    1e-12 on AA."""
+
+    @staticmethod
+    def _same(a, b, states):
+        if states == 4:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=RTOL, atol=0.0)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(write=column_writes())
+    def test_equals_whole_model_write(self, column_data, write):
+        states, kind, index, slots, values = write
+        got, want = _column_stack(column_data, states), _column_stack(column_data, states)
+        got.loglikelihoods(0)
+        workspace = got.prepare_edges([1], slots)
+        got.set_column(kind, index, values, slots)
+        want.set_models(
+            [_with_column(want.models[i], kind, index, v) for i, v in zip(slots, values)], slots
+        )
+        for name in STACK_ARRAYS:
+            self._same(getattr(got, name), getattr(want, name), states)
+        self._same(got.loglikelihoods(0), want.loglikelihoods(0), states)
+        self._same(got.column(kind, index, slots), want.column(kind, index, slots), states)
+        np.testing.assert_allclose(got.column(kind, index, slots), values, rtol=1e-12)
+        for i in range(got.n_slots):
+            for attr in ("rates", "frequencies"):
+                self._same(getattr(got.models[i], attr), getattr(want.models[i], attr), states)
+            for attr in ("eigenvalues", "u", "v", "frequencies"):
+                self._same(getattr(got.eigens[i], attr), getattr(want.eigens[i], attr), states)
+                self._same(getattr(PartitionView(got, i).eigen, attr),
+                           getattr(want.eigens[i], attr), states)
+        with pytest.raises(RuntimeError, match="stale"):
+            got.edge_derivatives(workspace, np.full((1, len(slots)), 0.1))
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(write=column_writes(), bad=st.sampled_from([0.0, -1.0, np.nan, np.inf]),
+           where=st.integers(0, 3))
+    def test_bad_value_raises_and_leaves_stack(self, column_data, write, bad, where):
+        states, kind, index, slots, values = write
+        stack = _column_stack(column_data, states)
+        values[where % len(values)] = bad
+        before = {name: getattr(stack, name).copy() for name in STACK_ARRAYS}
+        models = stack.models
+        with pytest.raises(ValueError, match="finite and > 0"):
+            stack.set_column(kind, index, values, slots)
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(stack, name), array)
+        assert all(a is b for a, b in zip(stack.models, models))
+
+    def test_unknown_kind_and_index_refused(self, column_data):
+        stack = _column_stack(column_data, 4)
+        for kind, index in (("alpha", 0), ("rate", 6), ("freq_ratio", 3), ("rate", -1)):
+            with pytest.raises(ValueError):
+                stack.set_column(kind, index, np.ones(4))
+
+    def test_engine_checks_every_stack_before_writing(self, dataset):
+        """DNA and AA partitions in one engine: a bad AA value leaves the
+        DNA stack unwritten too."""
+        tree, lengths, data, models, alphas = dataset
+        engine = PartitionedEngine(data, tree.copy(), models=models, alphas=alphas,
+                                   initial_lengths=lengths)
+        before = engine.exchangeabilities(0)
+        with pytest.raises(ValueError):
+            engine.set_exchangeabilities(0, np.array([2.0, 2.0, 2.0, np.nan]))
+        np.testing.assert_array_equal(engine.exchangeabilities(0), before)
+        assert engine.parts[0].model is models[0]
+        engine.run("write", [engine.frequency_ratio_step(0, np.array([2.0, 0.0, 0.0, 3.0]),
+                                                         [0, 3])])
+        np.testing.assert_allclose(engine.frequency_ratios(0)[[0, 3]], [2.0, 3.0], rtol=1e-12)
+        assert engine.parts[1].model is models[1]

@@ -85,7 +85,9 @@ class TestCommands:
         assert after_alpha != pytest.approx(before)
         worker.execute(("set_bl_edges", [3], np.array([2.0]), None))
         assert worker.execute(("lnl", 0)) != pytest.approx(after_alpha)
-        worker.execute(("set_models", [None, None, SubstitutionModel.jc69()], [2]))
+        worker.execute(("set_column", "freq_ratio", 0, np.array([0.0, 0.0, 2.5]), [2]))
+        assert worker.parts[2].model.frequencies[0] / worker.parts[2].model.frequencies[-1] == (
+            pytest.approx(2.5))
         assert np.isfinite(worker.execute(("lnl", 0)))
         worker.execute(("set_pinvs", np.array([0.0, 0.3, 0.0]), [1]))
         assert worker.parts[1].pinv == 0.3
