@@ -17,10 +17,15 @@ depend on t,
 
 and per-site likelihoods across a branch become weighted sums of
 ``exp(lambda_j * r_k * t)`` terms (see :mod:`repro.plk.kernel`'s sumtable).
+
+A likelihood stack decomposes the members a model write touches in one
+batched :func:`decompose` and keeps the results only as its stacked
+arrays.  :class:`EigenSystem` is the one-model object
+(:meth:`EigenSystem.from_model`, or a stack's ``eigens``, built from its
+arrays on each read); no decomposition is memoised.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +33,6 @@ import numpy as np
 from .models import SubstitutionModel, q_matrices
 
 __all__ = ["EigenSystem", "decompose"]
-
-# Process-wide memo for :meth:`EigenSystem.for_model`.  SubstitutionModel
-# is frozen with read-only arrays, so an eigensystem computed once is
-# valid for the model's whole lifetime.  Keyed by object identity (the
-# model holds ndarrays and is unhashable); a weakref finalizer evicts the
-# entry when the model is collected, so a recycled id() can never alias.
-_EIGEN_CACHE: dict[int, "EigenSystem"] = {}
 
 
 def decompose(q: np.ndarray, frequencies: np.ndarray):
@@ -55,7 +53,7 @@ def decompose(q: np.ndarray, frequencies: np.ndarray):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Cached eigensystem of a substitution model's Q matrix.
+    """Eigensystem of a substitution model's Q matrix.
 
     Attributes
     ----------
@@ -76,49 +74,15 @@ class EigenSystem:
 
     @classmethod
     def from_model(cls, model: SubstitutionModel) -> "EigenSystem":
-        return cls.from_models([model])[0]
-
-    @classmethod
-    def from_models(cls, models) -> list["EigenSystem"]:
-        """Eigensystems of several models of one state count: one Q build
-        over ``(A, s, s)`` (:func:`~repro.plk.models.q_matrices`) and ONE
-        batched ``eigh`` (:func:`decompose`).  LAPACK still runs once per
-        matrix, so each result equals a one-model decomposition bit for
-        bit; only the per-call dispatch is shared."""
-        models = list(models)
-        if not models:
-            return []
-        pi = np.stack([m.frequencies for m in models])              # (A, s)
-        lam, u, v = decompose(q_matrices(np.stack([m.rates for m in models]), pi), pi)
+        """The eigensystem of ``model``: the A = 1 case of
+        :func:`~repro.plk.models.q_matrices` and :func:`decompose`, so it
+        equals bit for bit the member of any batch the model is
+        decomposed in (LAPACK runs once per matrix)."""
+        pi = model.frequencies[np.newaxis]
+        lam, u, v = decompose(q_matrices(model.rates[np.newaxis], pi), pi)
         for arr in (lam, u, v):
             arr.setflags(write=False)
-        return [
-            cls(eigenvalues=lam[i], u=u[i], v=v[i], frequencies=m.frequencies)
-            for i, m in enumerate(models)
-        ]
-
-    @classmethod
-    def for_model(cls, model: SubstitutionModel) -> "EigenSystem":
-        """Memoized :meth:`from_model`: one decomposition per model object.
-
-        A service holding model objects across requests (and every
-        :class:`~repro.plk.likelihood.PartitionLikelihood` built from
-        them, including in forked worker children) shares a single
-        eigendecomposition instead of recomputing ``eigh`` per request.
-        """
-        return cls.for_models([model])[0]
-
-    @classmethod
-    def for_models(cls, models) -> list["EigenSystem"]:
-        """Memoized :meth:`from_models`: the models without a cached
-        eigensystem are decomposed together, in one ``eigh``."""
-        models = list(models)
-        missing = list({id(m): m for m in models if id(m) not in _EIGEN_CACHE}.values())
-        for model, eigen in zip(missing, cls.from_models(missing)):
-            key = id(model)
-            _EIGEN_CACHE[key] = eigen
-            weakref.finalize(model, _EIGEN_CACHE.pop, key, None)
-        return [_EIGEN_CACHE[id(m)] for m in models]
+        return cls(eigenvalues=lam[0], u=u[0], v=v[0], frequencies=model.frequencies)
 
     @property
     def states(self) -> int:

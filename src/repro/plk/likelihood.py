@@ -72,6 +72,14 @@ def check_column(kind: str, index: int, states: int, values=()) -> None:
     _check_positive(values, kind)
 
 
+def check_pinvs(values) -> None:
+    """Raise ``ValueError`` unless every invariable-site proportion is in
+    ``[0, 1)`` (NaN fails both comparisons)."""
+    values = np.asarray(values, dtype=np.float64)
+    if not ((values >= 0.0) & (values < 1.0)).all():
+        raise ValueError("pinv must be in [0, 1)")
+
+
 @dataclass
 class EdgeWorkspace:
     """Precomputed state for Newton-Raphson on the listed ``edges`` of the
@@ -192,26 +200,24 @@ class PartitionLikelihood:
         self._invariant_mask: np.ndarray | None = None  # (P, m, s), lazy
 
         # Per-member parameters, stacked for the kernel.  The model
-        # parameters live in _exchange (P, s(s-1)/2) and _frequencies
-        # (P, s); _models/_eigens cache the read-side objects per member
-        # (None after a column write, rebuilt from the arrays when read).
+        # parameters are _exchange (P, s(s-1)/2) and _frequencies (P, s),
+        # with their decompositions beside them (written by _write); the
+        # read-side model objects are built from these arrays.
         self.lengths = np.full((tree.n_edges, n), 0.1)
-        self._datatypes = [m.datatype for m in models]
-        self._exchange = np.array([m.rates for m in models])
-        self._frequencies = np.array([m.frequencies for m in models])
-        self._models: list[SubstitutionModel | None] = list(models)
-        self._eigens: list[EigenSystem | None] = EigenSystem.for_models(models)
+        self.datatype = models[0].datatype
         _check_positive(alphas, "alpha")
         self.alphas = np.array(alphas)
         self.pinvs = np.zeros(n)
         self.rates = discrete_gamma_rates(self.alphas, categories)
+        self._exchange = np.empty((n, n_exchange_rates(states)))
+        self._frequencies = np.empty((n, states))
         self._eigenvalues = np.empty((n, states))
         self._u = np.empty((n, states, states))
         self._v = np.empty((n, states, states))
         # P(t)^T[l, i] = sum_j exp(lambda_j r t) V[j, l] U[i, j]: the
         # products V[j, l] U[i, j] as (P, s, s*s), one GEMM operand.
         self._pt_basis = np.empty((n, states, states * states))
-        self._load_eigens(slice(None), self._eigens)
+        self._write(slice(None), [m.rates for m in models], [m.frequencies for m in models])
         # Counts model-parameter updates (alpha/rates/eigen) per member.
         # Snapshotted into every EdgeWorkspace and checked on use: a
         # sumtable built under old parameters must never be combined with
@@ -311,19 +317,21 @@ class PartitionLikelihood:
     # Parameters
     # ------------------------------------------------------------------
 
-    def _load(self, slots, eigenvalues, u, v) -> None:
-        """Write the decompositions of ``slots`` into the stacked kernel
-        arrays."""
-        self._eigenvalues[slots] = eigenvalues
+    def _write(self, slots, exchange, frequencies) -> None:
+        """Set the model parameters of ``slots`` and everything derived
+        from them: one batched decomposition of their Q matrices and their
+        P(t) basis.  The one write of model state."""
+        exchange = np.asarray(exchange, dtype=np.float64)
+        frequencies = np.asarray(frequencies, dtype=np.float64)
+        lam, u, v = decompose(q_matrices(exchange, frequencies), frequencies)
+        self._exchange[slots] = exchange
+        self._frequencies[slots] = frequencies
+        self._eigenvalues[slots] = lam
         self._u[slots] = u
         self._v[slots] = v
         self._pt_basis[slots] = (
             v[:, :, :, np.newaxis] * np.swapaxes(u, -1, -2)[:, :, np.newaxis, :]
         ).reshape(len(u), self.states, -1)
-
-    def _load_eigens(self, slots, eigens) -> None:
-        self._load(slots, *(np.stack([getattr(e, name) for e in eigens])
-                            for name in ("eigenvalues", "u", "v")))
 
     def _parameters_changed(self, mask: int) -> None:
         self._epoch[self._slots(mask)] += 1
@@ -332,9 +340,7 @@ class PartitionLikelihood:
 
     def set_models(self, models, active=None) -> None:
         """Replace the substitution models of the active members (one
-        model per active member, ascending).  The eigensystems come from
-        the process-wide memo (:meth:`EigenSystem.for_models`), the new
-        ones from one batched decomposition."""
+        model per active member, ascending): one batched decomposition."""
         mask = self._mask(active)
         slots = self._slots(mask)
         models = list(models)
@@ -342,14 +348,7 @@ class PartitionLikelihood:
             raise ValueError("need one model per active member")
         if any(model.states != self.states for model in models):
             raise ValueError("cannot change the state-space of a partition")
-        eigens = EigenSystem.for_models(models)
-        self._exchange[slots] = [model.rates for model in models]
-        self._frequencies[slots] = [model.frequencies for model in models]
-        self._load_eigens(slots, eigens)
-        for i, model, eigen in zip(slots.tolist(), models, eigens):
-            self._datatypes[i] = model.datatype
-            self._models[i] = model
-            self._eigens[i] = eigen
+        self._write(slots, [m.rates for m in models], [m.frequencies for m in models])
         self._parameters_changed(mask)
 
     def column(self, kind: str, index: int, active=None) -> np.ndarray:
@@ -366,8 +365,7 @@ class PartitionLikelihood:
         (``"rate"``) or one frequency ratio against the last state
         (``"freq_ratio"``) — as ``values``, one per active member
         (ascending), and decompose the written members' Q matrices in one
-        batched ``eigh``.  No model object is built: :attr:`models` and
-        :attr:`eigens` rebuild a written member when it is next read.
+        batched ``eigh``.  No model object is built.
 
         The arrays end up bit for bit as :meth:`set_models` leaves them
         with each member's ``with_rate`` / ``with_frequencies`` model:
@@ -379,52 +377,42 @@ class PartitionLikelihood:
         slots = self._slots(mask)
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), slots.shape)
         check_column(kind, index, self.states, values)
-        freqs = self._frequencies[slots]
+        exchange, freqs = self._exchange[slots], self._frequencies[slots]
         if kind == "rate":
-            self._exchange[slots, index] = values
+            exchange[:, index] = values
         else:
             ratios = frequency_ratios(freqs)
             ratios[:, index] = values
             freqs = ratios_to_frequencies(ratios)
-        freqs = freqs / freqs.sum(axis=1, keepdims=True)
-        self._frequencies[slots] = freqs
-        self._load(slots, *decompose(q_matrices(self._exchange[slots], freqs), freqs))
-        for i in slots.tolist():
-            self._models[i] = self._eigens[i] = None
+        self._write(slots, exchange, freqs / freqs.sum(axis=1, keepdims=True))
         self._parameters_changed(mask)
 
     def _model(self, slot: int) -> SubstitutionModel:
-        """Member ``slot``'s substitution model (built from the stacked
-        arrays on the first read after a column write)."""
-        model = self._models[slot]
-        if model is None:
-            model = SubstitutionModel.frozen(
-                self._datatypes[slot], self._exchange[slot], self._frequencies[slot]
-            )
-            self._models[slot] = model
-        return model
+        """Member ``slot``'s substitution model, built from the stacked
+        arrays on each read."""
+        return SubstitutionModel.frozen(
+            self.datatype, self._exchange[slot], self._frequencies[slot]
+        )
 
     def _eigen(self, slot: int) -> EigenSystem:
-        """Member ``slot``'s eigensystem (read-only copies of the stacked
-        arrays, built on the first read after a column write)."""
-        eigen = self._eigens[slot]
-        if eigen is None:
-            arrays = [np.array(a[slot]) for a in (self._eigenvalues, self._u, self._v)]
-            for arr in arrays:
-                arr.setflags(write=False)
-            eigen = EigenSystem(*arrays, frequencies=self._model(slot).frequencies)
-            self._eigens[slot] = eigen
-        return eigen
+        """Member ``slot``'s eigensystem: read-only copies of the stacked
+        arrays, built on each read."""
+        arrays = [np.array(a[slot]) for a in
+                  (self._eigenvalues, self._u, self._v, self._frequencies)]
+        for arr in arrays:
+            arr.setflags(write=False)
+        return EigenSystem(*arrays)
 
     @property
     def models(self) -> list[SubstitutionModel]:
-        """Every member's model (write through :meth:`set_models` or
-        :meth:`set_column`)."""
+        """Every member's model, built from the stacked arrays on each read
+        (write through :meth:`set_models` or :meth:`set_column`)."""
         return [self._model(i) for i in range(self.n_slots)]
 
     @property
     def eigens(self) -> list[EigenSystem]:
-        """Every member's eigensystem."""
+        """Every member's eigensystem, built from the stacked arrays on
+        each read."""
         return [self._eigen(i) for i in range(self.n_slots)]
 
     def set_alphas(self, values, active=None) -> None:
@@ -443,8 +431,7 @@ class PartitionLikelihood:
         """Set the invariable-site proportions of the active members.
         Only the root-level mixing changes: no CLV is invalidated."""
         values = np.asarray(values, dtype=np.float64)
-        if ((values < 0.0) | (values >= 1.0)).any():
-            raise ValueError("pinv must be in [0, 1)")
+        check_pinvs(values)
         self.pinvs[self._slots(self._mask(active))] = values
         self._pinv_any = bool(self.pinvs.any())
 

@@ -103,8 +103,9 @@ class SubstitutionModel:
             )
         if freqs.shape != (s,):
             raise ValueError(f"need {s} frequencies, got {freqs.shape}")
-        if np.any(rates <= 0):
-            raise ValueError("exchangeability rates must be positive")
+        # NaN fails both comparisons, so it is refused with inf and <= 0.
+        if not ((rates > 0) & (rates < np.inf)).all():
+            raise ValueError("exchangeability rates must be finite and positive")
         if np.any(freqs <= 0):
             raise ValueError("frequencies must be positive")
         if not np.isclose(freqs.sum(), 1.0, atol=1e-8):
@@ -124,9 +125,6 @@ class SubstitutionModel:
         return SubstitutionModel(
             self.datatype, self.rates / self.rates[-1], self.frequencies
         )
-
-    def with_rates(self, rates: np.ndarray) -> "SubstitutionModel":
-        return SubstitutionModel(self.datatype, rates, self.frequencies)
 
     def with_frequencies(self, freqs: np.ndarray) -> "SubstitutionModel":
         return SubstitutionModel(self.datatype, self.rates, freqs)

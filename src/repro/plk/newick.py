@@ -80,7 +80,9 @@ def parse_newick(text: str) -> tuple[Tree, np.ndarray]:
         The topology; leaf ids follow the order of appearance in the text.
     lengths:
         ``(n_edges,)`` branch lengths indexed by edge id.  Branches with no
-        length annotation get 0.1 (a conventional neutral default).
+        length annotation get 0.1 (a conventional neutral default).  A
+        NaN or infinite length raises ``ValueError``; a negative one is
+        kept (the kernel clamps every length it uses).
     """
     tokens = list(_tokenize(text))
     root, pos = _parse_clade(tokens, 0)
@@ -139,6 +141,8 @@ def parse_newick(text: str) -> tuple[Tree, np.ndarray]:
         return me
 
     build(root)
+    if not np.isfinite(lengths).all():
+        raise ValueError("newick: branch lengths must be finite")
     tree.validate()
     return tree, lengths
 

@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .likelihood import EdgeWorkspace, PartitionLikelihood, PartitionView, check_column
+from .likelihood import (
+    EdgeWorkspace, PartitionLikelihood, PartitionView, check_column, check_pinvs,
+)
 from .models import SubstitutionModel
 from .partition import PartitionData
 from .tree import Tree
@@ -261,8 +263,14 @@ class PartitionStacks:
             stack.set_alphas(values[parts], sub)
 
     def set_pinvs(self, values: np.ndarray, active=None) -> None:
+        """Invariable-site proportions ``values[p]`` for the active
+        partitions; every stack's values are checked before any is
+        written."""
         values = np.asarray(values, dtype=np.float64)
-        for _, stack, sub, parts in self._split(active):
+        split = list(self._split(active))
+        for _, _, _, parts in split:
+            check_pinvs(values[parts])
+        for _, stack, sub, parts in split:
             stack.set_pinvs(values[parts], sub)
 
     def column(self, kind: str, index: int, active=None) -> np.ndarray:

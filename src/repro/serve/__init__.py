@@ -11,7 +11,7 @@ it, the way BEAGLE serves diverse clients behind one likelihood API:
   teams checked out and returned without teardown, jobs priced by
   :func:`~repro.parallel.distribution.pattern_weight`;
 * :mod:`repro.serve.cache` — cross-request contexts (datasets, trees,
-  models with memoized eigensystems) with memory-pressure LRU eviction;
+  models and initial parameters) with memory-pressure LRU eviction;
 * :mod:`repro.serve.daemon` — the :class:`LikelihoodService` executor
   core and the newline-delimited-JSON unix-socket front end;
 * :mod:`repro.serve.client` — one client interface, in-process or over

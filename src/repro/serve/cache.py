@@ -1,18 +1,14 @@
 """Cross-request caching of analysis contexts.
 
 Building a request's working set is the expensive part of a one-shot
-run: simulate/parse the alignment, pattern-compress it, eigendecompose
-every model.  The service keys all of that by the *dataset fingerprint*
-(a SHA-1 over the canonical-JSON dataset spec) and reuses it across
-requests and tenants:
-
-* the :class:`AnalysisContext` holds the alignment, tree, initial
-  parameters and layout; the warm-team pool keys teams by the same
-  fingerprint, so a context cache hit usually becomes a pool hit too;
-* model eigensystems go through the process-wide
-  :meth:`repro.plk.eigen.EigenSystem.for_model` memo — as long as the
-  context (and its model objects) stays cached, every engine built from
-  it, including forked worker children, shares one decomposition.
+run: simulate/parse the alignment and pattern-compress it.  The service
+keys that by the *dataset fingerprint* (a SHA-1 over the canonical-JSON
+dataset spec) and reuses it across requests and tenants: the
+:class:`AnalysisContext` holds the alignment, tree, initial parameters
+and layout, and the warm-team pool keys teams by the same fingerprint,
+so a context cache hit usually becomes a pool hit too.  Models are not
+decomposed here: every likelihood stack decomposes its members' models
+in one batched ``eigh`` when it is built.
 
 Eviction is LRU under a byte budget (``max_bytes``): contexts are
 dropped least-recently-used-first once tip/weight storage exceeds the
@@ -98,10 +94,9 @@ def build_context(spec: dict) -> AnalysisContext:
     ``ValueError``).
     """
     from ..parallel.distribution import PartitionLayout
-    from ..plk.eigen import EigenSystem
 
     data, tree, lengths, models, alphas = _read(spec)
-    ctx = AnalysisContext(
+    return AnalysisContext(
         key=fingerprint(spec),
         spec=spec,
         data=data,
@@ -112,12 +107,6 @@ def build_context(spec: dict) -> AnalysisContext:
         layout=PartitionLayout.from_alignment(data),
         nbytes=sum(p.tip_states.nbytes + p.weights.nbytes for p in data.data),
     )
-    # Warm the process-wide eigensystem memo now, off any engine's
-    # critical path; subsequent PartitionLikelihood builds (and forked
-    # children) reuse these decompositions by model identity.
-    for model in ctx.models:
-        EigenSystem.for_model(model)
-    return ctx
 
 
 class ServeCache:

@@ -100,6 +100,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="name mismatch"):
             engine_from_checkpoint(small_partitioned, state)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rate_refused(self, optimized_engine, small_partitioned, bad):
+        state = engine_to_checkpoint(optimized_engine)
+        state["partitions"][0]["rates"][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            engine_from_checkpoint(small_partitioned, state)
+
+    def test_nan_pinv_refused(self, optimized_engine, small_partitioned):
+        state = engine_to_checkpoint(optimized_engine)
+        state["partitions"][0]["pinv"] = float("nan")
+        with pytest.raises(ValueError, match="pinv"):
+            engine_from_checkpoint(small_partitioned, state)
+
 
 class TestCategories:
     def test_category_count_roundtrips(self, small_partitioned, small_tree):

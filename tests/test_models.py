@@ -38,6 +38,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             SubstitutionModel(DNA, rates, np.full(4, 0.25))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        rates = np.array([1.0, bad, 1.0, 1.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            SubstitutionModel.gtr(rates, np.full(4, 0.25))
+
     def test_frequencies_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             SubstitutionModel(DNA, np.ones(6), np.full(4, 0.3))

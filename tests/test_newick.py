@@ -58,6 +58,21 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_newick("(a:1,b:2);")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_length_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            parse_newick(f"((a:0.1,b:{bad}):0.2,c:0.3,d:0.4);")
+
+    def test_non_finite_length_on_fused_root_edge_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            parse_newick("((a:0.1,b:0.2):nan,(c:0.4,d:0.5):0.6);")
+
+    def test_negative_length_kept(self):
+        """The kernel clamps lengths; the parser keeps what it reads."""
+        tree, lengths = parse_newick("((a:0.1,b:0.2):0.2,c:0.3,d:-0.4);")
+        d = tree.taxa.index("d")
+        assert lengths[tree.edge_between(d, tree.neighbors(d)[0])] == -0.4
+
 
 class TestRoundTrip:
     def test_topology_preserved(self):

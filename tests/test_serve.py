@@ -7,6 +7,7 @@ reduction order), including after a parameter-mutating job ran on the
 team in between (the snapshot-restore hermeticity guarantee).
 """
 import os
+import re
 import threading
 import time
 
@@ -182,14 +183,6 @@ class TestServeCache:
         c1b = cache.get(DS)  # rebuilt, not the old object
         assert c1b is not c1
         assert np.isfinite(c1b.lengths).all()
-
-    def test_eigensystems_are_shared_by_model_identity(self):
-        from repro.plk.eigen import EigenSystem
-
-        ctx = ServeCache().get({**DS, "seed": 99})
-        first = [EigenSystem.for_model(m) for m in ctx.models]
-        again = [EigenSystem.for_model(m) for m in ctx.models]
-        assert all(a is b for a, b in zip(first, again))
 
 
 # ---------------------------------------------------------------------------
@@ -561,4 +554,16 @@ def test_files_differing_taxon_set_rejected_at_submit(tmp_path):
     with pytest.raises(ValueError, match="taxa differ"):
         svc.submit({"op": "loglikelihood",
                     "dataset": {**ds, "tree": str(other)}})
+    assert svc.queue.depth() == 0
+
+
+def test_files_non_finite_branch_length_rejected_at_submit(tmp_path):
+    ds = _toy_files(tmp_path)
+    newick = open(ds["tree"]).read()
+    bad = tmp_path / "nan.nwk"
+    bad.write_text(re.sub(r"t7:[^,)]+", "t7:nan", newick))
+    assert "t7:nan" in bad.read_text()
+    svc = LikelihoodService(ServiceConfig(workers=2))  # never started
+    with pytest.raises(ValueError, match="finite"):
+        svc.submit({"op": "loglikelihood", "dataset": {**ds, "tree": str(bad)}})
     assert svc.queue.depth() == 0
